@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from . import relax, validate
+from . import potentials, relax, validate
 from .errors import ConfigError, NumericError
 from .euler_poisson import cluster_snapshot, eval_m_grid, eval_u, sample, speed_bound
 from .instances import random_instance, sample_times_avoiding_events
@@ -41,7 +41,7 @@ _CONFIG_KEYS = {
 }
 _ATOM_KEYS = {"position", "mass", "velocity"}
 _GRID_KEYS = {"min", "max", "count"}
-_TOL_KEYS = {"tie", "position", "compare"}
+_TOL_KEYS = {"tie", "compare"}
 
 
 class RunConfig:
@@ -117,7 +117,6 @@ class RunConfig:
         self.seed = seed
         self.tol_compare = float(tols.get("compare", 1e-9))
         self.tol_tie = tols.get("tie")
-        self.tol_position = tols.get("position")
 
 
 def load_config(path: str) -> RunConfig:
@@ -473,33 +472,20 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="override the prefix-sum tie tolerance",
         )
-        p.add_argument(
-            "--tol-position",
-            type=float,
-            default=None,
-            help="override the bisection position tolerance scale",
-        )
     return parser
-
-
-def _apply_tolerance_overrides(cfg, args) -> None:
-    from . import euler_poisson, potentials
-
-    tie = args.tol_tie if args.tol_tie is not None else cfg.tol_tie
-    pos = args.tol_position if args.tol_position is not None else cfg.tol_position
-    if tie is not None:
-        potentials.DEFAULT_TIE_TOL = float(tie)
-    if pos is not None:
-        euler_poisson.DEFAULT_POS_TOL_SCALE = float(pos)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    default_tie = potentials.DEFAULT_TIE_TOL
     try:
         cfg = load_config(args.config)
         if args.tol_compare is not None:
             cfg.tol_compare = args.tol_compare
-        _apply_tolerance_overrides(cfg, args)
+        tie = args.tol_tie if args.tol_tie is not None else cfg.tol_tie
+        if tie is not None:
+            # every PrefixFrame built during this call reads it; restored below
+            potentials.DEFAULT_TIE_TOL = float(tie)
         out = args.out
         os.makedirs(out, exist_ok=True)
         if args.command == "solve":
@@ -524,6 +510,8 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"{args.command}: numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        potentials.DEFAULT_TIE_TOL = default_tie
     return 0
 
 

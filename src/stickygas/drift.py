@@ -14,13 +14,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import IdentityViolation
+from .euler_poisson import Cluster
 from .measure import AtomicMeasure
-from .potentials import (
-    DEFAULT_TIE_TOL,
-    PotentialCoefficients,
-    PrefixFrame,
-    minimize_Fbar,
-)
+from .potentials import PotentialCoefficients, PrefixFrame, minimize_Fbar
 
 __all__ = [
     "DriftBranch",
@@ -49,8 +45,8 @@ class DriftSample:
     branch: DriftBranch
 
 
-def _drift_frame(measure, t, tie_tol=DEFAULT_TIE_TOL):
-    return PrefixFrame(measure, None, PotentialCoefficients.drift(t), tie_tol)
+def _drift_frame(measure, t):
+    return PrefixFrame(measure, None, PotentialCoefficients.drift(t))
 
 
 def eval_mbar(measure: AtomicMeasure, x: float, t: float) -> float:
@@ -116,17 +112,12 @@ def drift_cluster_snapshot(measure: AtomicMeasure, t: float):
     Returns (lo, hi, position, velocity, mass) tuples; the velocity of a
     cluster is minus its centered cumulative mass.
     """
-    from .euler_poisson import Cluster, _hull_clusters
-
     frame = _drift_frame(measure, t)
-    M = measure.total_mass
+    lo, hi, pos, _ = frame.clusters()
+    P = frame.P
+    vel = -0.5 * (P[lo] + P[hi] - measure.total_mass)
+    mass = P[hi] - P[lo]
     return [
-        Cluster(
-            lo,
-            hi,
-            pos,
-            float(-0.5 * (frame.P[lo] + frame.P[hi] - M)),
-            float(frame.P[hi] - frame.P[lo]),
-        )
-        for lo, hi, pos, _ in _hull_clusters(frame)
+        Cluster(*c)
+        for c in zip(lo.tolist(), hi.tolist(), pos.tolist(), vel.tolist(), mass.tolist())
     ]

@@ -9,9 +9,10 @@ vacuum escape, or plain characteristic).
 The cluster decomposition at a fixed time equals the lower convex hull of
 the prefix points (P_k, S_k): hull vertices are the exposed prefixes and
 each hull edge is one cluster whose position and velocity are the edge
-slopes in S and Q. ``forward_position`` keeps the contract-level monotone
-bisection; the hull is the batch fast path and the two are cross-checked
-in the test suite.
+slopes in S and Q. The hull lives in ``potentials.PrefixFrame.clusters``,
+shared with the drift and relaxation layers. ``forward_position`` keeps
+the contract-level monotone bisection; the hull is the batch fast path and
+the two are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -100,10 +101,10 @@ def speed_bound(data: InitialData) -> float:
     return data.max_speed + 0.5 * data.tau * data.measure.total_mass
 
 
-def _frame(data, t, coeffs=None, tie_tol=None):
+def _frame(data, t, coeffs=None):
     if coeffs is None:
         coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
-    return PrefixFrame(data.measure, data.velocities, coeffs, tie_tol)
+    return PrefixFrame(data.measure, data.velocities, coeffs)
 
 
 # -- pointwise fields --------------------------------------------------------
@@ -128,10 +129,42 @@ def eval_q(data: InitialData, x: float, t: float) -> float:
     return float(frame.Q[k_min])
 
 
+def _backward_cone(frame, data, x, k_min):
+    """Case split of the backward generalized characteristic from (x, t).
+
+    The anchor is atom a = max(k_min, 1) - 1 at y, and c_mid is the initial
+    speed that the characteristic through y needs at the atom's symmetric
+    centered mass. Returns (side, vacuum, a, y, mt, c): side is 0 when c_mid
+    matches u0(a) within the speed tolerance (x on the atom's own path,
+    mt and c the symmetric values), +1 right of that path and -1 left of it
+    (mt and c the one-sided values). vacuum is True when that one-sided
+    speed lies beyond +-U0, so the max-speed vacuum tracer applies.
+    """
+    coeffs = frame.coeffs
+    m = data.measure
+    a = max(k_min, 1) - 1
+    y = m.positions[a]
+    half_m = 0.5 * m.total_mass
+    mt = m.prefix_mass[a] + 0.5 * m.masses[a] - half_m
+    ratio = coeffs.force_speed_ratio()
+    c = (x - y) / coeffs.A - mt * ratio
+    u0a = data.velocities[a]
+    tol = DEFAULT_SPEED_TOL * (1.0 + abs(c) + abs(u0a))
+    u_bound = data.max_speed
+    if c > u0a + tol:
+        mt = m.prefix_mass[a + 1] - half_m
+        c = (x - y) / coeffs.A - mt * ratio
+        return 1, c > u_bound + tol, a, y, mt, c
+    if c < u0a - tol:
+        mt = m.prefix_mass[a] - half_m
+        c = (x - y) / coeffs.A - mt * ratio
+        return -1, c < -u_bound - tol, a, y, mt, c
+    return 0, False, a, y, mt, c
+
+
 def _velocity_from_frame(frame, data, x):
     """Velocity and branch tag at x from an existing prefix frame."""
     coeffs = frame.coeffs
-    m = data.measure
     _, k_min, k_max = frame.argmin(x)
     if k_max > k_min:
         # positive mass at x; when the backward cone is degenerate (lone
@@ -141,33 +174,16 @@ def _velocity_from_frame(frame, data, x):
         shock = max(k_min, 1) != max(k_max, 1)
         branch = Branch.DELTA_SHOCK if shock else Branch.CHARACTERISTIC
         return float(u), branch, k_min, k_max
-    a = max(k_min, 1) - 1
-    y = m.positions[a]
-    half_m = 0.5 * m.total_mass
-    mt_mid = m.prefix_mass[a] + 0.5 * m.masses[a] - half_m
-    ratio = coeffs.force_speed_ratio()
-    c_mid = (x - y) / coeffs.A - mt_mid * ratio
-    u0a = data.velocities[a]
-    tol = DEFAULT_SPEED_TOL * (1.0 + abs(c_mid) + abs(u0a))
-    u_bound = data.max_speed
-    if c_mid > u0a + tol:
-        mt_side = m.prefix_mass[a + 1] - half_m
-        c_side = (x - y) / coeffs.A - mt_side * ratio
-        if c_side > u_bound + tol:
-            u = u_bound * coeffs.decay - mt_side * coeffs.A
-            return float(u), Branch.VACUUM_RIGHT, k_min, k_max
-        u = (x - y) * coeffs.decay / coeffs.A + mt_side * coeffs.char_force_weight()
-        return float(u), Branch.CHARACTERISTIC, k_min, k_max
-    if c_mid < u0a - tol:
-        mt_side = m.prefix_mass[a] - half_m
-        c_side = (x - y) / coeffs.A - mt_side * ratio
-        if c_side < -u_bound - tol:
-            u = -u_bound * coeffs.decay - mt_side * coeffs.A
-            return float(u), Branch.VACUUM_LEFT, k_min, k_max
-        u = (x - y) * coeffs.decay / coeffs.A + mt_side * coeffs.char_force_weight()
-        return float(u), Branch.CHARACTERISTIC, k_min, k_max
-    # on the atom's own path: velocity is the atom's free-flight velocity
-    return float(frame.vel[a]), Branch.CHARACTERISTIC, k_min, k_max
+    side, vacuum, a, y, mt, _ = _backward_cone(frame, data, x, k_min)
+    if side == 0:
+        # on the atom's own path: velocity is the atom's free-flight velocity
+        return float(frame.vel[a]), Branch.CHARACTERISTIC, k_min, k_max
+    if vacuum:
+        u = side * data.max_speed * coeffs.decay - mt * coeffs.A
+        branch = Branch.VACUUM_RIGHT if side > 0 else Branch.VACUUM_LEFT
+        return float(u), branch, k_min, k_max
+    u = (x - y) * coeffs.decay / coeffs.A + mt * coeffs.char_force_weight()
+    return float(u), Branch.CHARACTERISTIC, k_min, k_max
 
 
 def eval_u(data: InitialData, x: float, t: float):
@@ -190,13 +206,18 @@ def eval_u(data: InitialData, x: float, t: float):
 
 def _atom_cluster_fields(frame):
     """Per-atom cluster position and velocity arrays from the hull snapshot."""
-    n = len(frame.measure)
-    pos = np.empty(n)
-    vel = np.empty(n)
-    for lo, hi, p, v in _hull_clusters(frame):
-        pos[lo:hi] = p
-        vel[lo:hi] = v
-    return pos, vel
+    lo, hi, pos, vel = frame.clusters()
+    sizes = hi - lo
+    return np.repeat(pos, sizes), np.repeat(vel, sizes)
+
+
+def _energy(frame, k_min) -> float:
+    """Energy over the prefix k_min: free momenta times cluster velocities."""
+    if k_min == 0:
+        return 0.0
+    _, cluster_vel = _atom_cluster_fields(frame)
+    w = frame.measure.masses[:k_min]
+    return float(np.sum(w * frame.vel[:k_min] * cluster_vel[:k_min]))
 
 
 def eval_E(data: InitialData, x: float, t: float) -> float:
@@ -207,11 +228,7 @@ def eval_E(data: InitialData, x: float, t: float) -> float:
         return float(np.sum(w * data.velocities[:n] ** 2))
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin(x)
-    if k_min == 0:
-        return 0.0
-    _, cluster_vel = _atom_cluster_fields(frame)
-    w = data.measure.masses[:k_min]
-    return float(np.sum(w * frame.vel[:k_min] * cluster_vel[:k_min]))
+    return _energy(frame, k_min)
 
 
 def eval_nu_theta_omega(data: InitialData, x: float, t: float):
@@ -252,19 +269,13 @@ def sample(data: InitialData, x: float, t: float) -> SolutionSample:
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin(x)
     u, branch, _, _ = _velocity_from_frame(frame, data, x)
-    if k_min == 0:
-        E = 0.0
-    else:
-        _, cluster_vel = _atom_cluster_fields(frame)
-        w = data.measure.masses[:k_min]
-        E = float(np.sum(w * frame.vel[:k_min] * cluster_vel[:k_min]))
     return SolutionSample(
         x=x,
         t=t,
         m=float(frame.P[k_min]),
         q=float(frame.Q[k_min]),
         u=u,
-        E=E,
+        E=_energy(frame, k_min),
         branch=branch,
     )
 
@@ -298,38 +309,6 @@ def eval_q_grid(data: InitialData, xs, t: float):
 # -- cluster structure -------------------------------------------------------
 
 
-def _lower_hull_vertices(P, S):
-    """Indices of the lower convex hull of the points (P_k, S_k), k ascending."""
-    verts = []
-    for k in range(P.size):
-        while len(verts) >= 2:
-            a, b = verts[-2], verts[-1]
-            cross = (P[b] - P[a]) * (S[k] - S[a]) - (P[k] - P[a]) * (S[b] - S[a])
-            if cross <= 0.0:
-                verts.pop()
-            else:
-                break
-        verts.append(k)
-    return verts
-
-
-def _hull_clusters(frame):
-    """(lo, hi, position, velocity) per cluster from the hull of the frame."""
-    verts = _lower_hull_vertices(frame.P, frame.S)
-    out = []
-    for a, b in zip(verts[:-1], verts[1:]):
-        dm = frame.P[b] - frame.P[a]
-        out.append(
-            (
-                a,
-                b,
-                float((frame.S[b] - frame.S[a]) / dm),
-                float((frame.Q[b] - frame.Q[a]) / dm),
-            )
-        )
-    return out
-
-
 def cluster_snapshot(data: InitialData, t: float, coeffs=None):
     """Cluster decomposition of the solution at time t.
 
@@ -343,9 +322,11 @@ def cluster_snapshot(data: InitialData, t: float, coeffs=None):
             for i in range(len(m))
         ]
     frame = _frame(data, t, coeffs)
+    lo, hi, pos, vel = frame.clusters()
+    mass = frame.P[hi] - frame.P[lo]
     return [
-        Cluster(lo, hi, p, v, float(frame.P[hi] - frame.P[lo]))
-        for lo, hi, p, v in _hull_clusters(frame)
+        Cluster(*c)
+        for c in zip(lo.tolist(), hi.tolist(), pos.tolist(), vel.tolist(), mass.tolist())
     ]
 
 
@@ -404,45 +385,21 @@ def forward_position(data: InitialData, atom_index: int, t: float, tol_pos=None)
 def _backward_char_at(frame, data, x, t1, coeffs0):
     """History curve of (x, t1) evaluated at the earlier time of coeffs0.
 
-    Follows the same case split as the velocity formula: a plain backward
+    Follows the case split of the velocity formula: a plain backward
     characteristic where the needed initial speed is admissible, and the
     max-speed vacuum tracer (initial speed capped at +-U0) where it is not.
     The curves are ordered in x, which makes the forward-trace bisection
     monotone.
     """
-    m = data.measure
     coeffs = frame.coeffs
     _, k_min, _ = frame.argmin(x)
-    a = max(k_min, 1) - 1
-    y = m.positions[a]
-    half_m = 0.5 * m.total_mass
-    mt_mid = m.prefix_mass[a] + 0.5 * m.masses[a] - half_m
-    ratio = coeffs.force_speed_ratio()
-    c_mid = (x - y) / coeffs.A - mt_mid * ratio
-    u0a = data.velocities[a]
-    u_bound = data.max_speed
-    tol = DEFAULT_SPEED_TOL * (1.0 + abs(c_mid) + abs(u0a))
-    if c_mid > u0a + tol:
-        mt = m.prefix_mass[a + 1] - half_m
-        c = (x - y) / coeffs.A - mt * ratio
-        if c > u_bound + tol:
-            return (
-                x
-                - u_bound * (coeffs.A - coeffs0.A)
-                - mt * (coeffs.B - coeffs0.B)
-            )
-    elif c_mid < u0a - tol:
-        mt = m.prefix_mass[a] - half_m
-        c = (x - y) / coeffs.A - mt * ratio
-        if c < -u_bound - tol:
-            return (
-                x
-                + u_bound * (coeffs.A - coeffs0.A)
-                - mt * (coeffs.B - coeffs0.B)
-            )
-    else:
-        mt = mt_mid
-        c = c_mid
+    side, vacuum, _, y, mt, c = _backward_cone(frame, data, x, k_min)
+    if vacuum:
+        return (
+            x
+            - side * data.max_speed * (coeffs.A - coeffs0.A)
+            - mt * (coeffs.B - coeffs0.B)
+        )
     return y + c * coeffs0.A + mt * coeffs0.B
 
 

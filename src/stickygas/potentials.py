@@ -149,7 +149,8 @@ class PrefixFrame:
 
     T_k(x) = S[k] - x * P[k]; the argmin over k is the minimizer of the
     potential. Also carries the prefix momentum Q used by the solution
-    formulas.
+    formulas, and the cluster decomposition as the lower convex hull of
+    the points (P_k, S_k).
     """
 
     __slots__ = (
@@ -164,19 +165,12 @@ class PrefixFrame:
         "tie_pos_tol",
     )
 
-    def __init__(
-        self,
-        measure,
-        velocities,
-        coeffs,
-        tie_tol=None,
-        tie_pos_tol=None,
-    ):
+    def __init__(self, measure, velocities, coeffs, tie_pos_tol=None):
         self.measure = measure
         self.coeffs = coeffs
-        # resolved at call time so runtime overrides of the module
-        # defaults (CLI --tol-tie) take effect
-        self.tie_tol = DEFAULT_TIE_TOL if tie_tol is None else tie_tol
+        # the one reader of the tie tolerance, resolved at construction so
+        # that a CLI --tol-tie override reaches every frame built under it
+        self.tie_tol = DEFAULT_TIE_TOL
         self.tie_pos_tol = (
             DEFAULT_TIE_POS_TOL if tie_pos_tol is None else tie_pos_tol
         )
@@ -237,9 +231,39 @@ class PrefixFrame:
             k_max=k_max,
         )
 
+    def clusters(self):
+        """Clusters as the edges of the lower convex hull of (P_k, S_k).
+
+        Returns arrays (lo, hi, position, velocity): cluster j holds atoms
+        lo[j]..hi[j]-1, and its position and velocity are the slopes of
+        its hull edge in S and in Q. The hull vertices are the exposed
+        prefixes; collinear points are dropped (exact test).
+        """
+        P, S = self.P.tolist(), self.S.tolist()
+        verts = []
+        for k in range(len(P)):
+            while len(verts) >= 2:
+                a, b = verts[-2], verts[-1]
+                cross = (P[b] - P[a]) * (S[k] - S[a]) - (P[k] - P[a]) * (S[b] - S[a])
+                if cross <= 0.0:
+                    verts.pop()
+                else:
+                    break
+            verts.append(k)
+        lo = np.array(verts[:-1], dtype=np.intp)
+        hi = np.array(verts[1:], dtype=np.intp)
+        dm = self.P[hi] - self.P[lo]
+        return lo, hi, (self.S[hi] - self.S[lo]) / dm, (self.Q[hi] - self.Q[lo]) / dm
+
 
 def _prefix_count(measure: AtomicMeasure, y: float, side: str) -> int:
     return int(np.searchsorted(measure.positions, y, side=side))
+
+
+def _potential_at(measure, velocities, coeffs, y, x, side) -> float:
+    """Potential at y (side "left": atoms below y; "right": atoms at y too)."""
+    frame = PrefixFrame(measure, velocities, coeffs)
+    return float(frame.prefix_values(x)[_prefix_count(measure, y, side)])
 
 
 # -- first generalized potential ------------------------------------------
@@ -248,25 +272,21 @@ def _prefix_count(measure: AtomicMeasure, y: float, side: str) -> int:
 def eval_F(data: InitialData, y: float, x: float, t: float) -> float:
     """F(y; x, t): left-continuous Stieltjes sum over atoms strictly below y."""
     coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
-    frame = PrefixFrame(data.measure, data.velocities, coeffs)
-    return float(frame.prefix_values(x)[_prefix_count(data.measure, y, "left")])
+    return _potential_at(data.measure, data.velocities, coeffs, y, x, "left")
 
 
 def eval_F_right(data: InitialData, y: float, x: float, t: float) -> float:
     """F(y+; x, t): right limit, atoms at y included."""
     coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
-    frame = PrefixFrame(data.measure, data.velocities, coeffs)
-    return float(frame.prefix_values(x)[_prefix_count(data.measure, y, "right")])
+    return _potential_at(data.measure, data.velocities, coeffs, y, x, "right")
 
 
-def minimize_F(
-    data: InitialData, x: float, t: float, tie_tol: float | None = None
-) -> MinimizerResult:
+def minimize_F(data: InitialData, x: float, t: float) -> MinimizerResult:
     """Minimize F(.; x, t) over y by exact prefix-sum argmin."""
     if len(data) == 0:
         raise EmptyMeasure("cannot minimize a potential over an empty measure")
     coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
-    return PrefixFrame(data.measure, data.velocities, coeffs, tie_tol).result(x)
+    return PrefixFrame(data.measure, data.velocities, coeffs).result(x)
 
 
 def initial_speed_c(
@@ -294,25 +314,19 @@ def initial_speed_c(
 
 def eval_Fbar(measure: AtomicMeasure, y: float, x: float, t: float) -> float:
     """Drift potential: sum over atoms below y of w (eta - t*mtilde0 - x)."""
-    coeffs = PotentialCoefficients.drift(t)
-    frame = PrefixFrame(measure, None, coeffs)
-    return float(frame.prefix_values(x)[_prefix_count(measure, y, "left")])
+    return _potential_at(measure, None, PotentialCoefficients.drift(t), y, x, "left")
 
 
 def eval_Fbar_right(measure: AtomicMeasure, y: float, x: float, t: float) -> float:
-    coeffs = PotentialCoefficients.drift(t)
-    frame = PrefixFrame(measure, None, coeffs)
-    return float(frame.prefix_values(x)[_prefix_count(measure, y, "right")])
+    return _potential_at(measure, None, PotentialCoefficients.drift(t), y, x, "right")
 
 
-def minimize_Fbar(
-    measure: AtomicMeasure, x: float, t: float, tie_tol: float | None = None
-) -> MinimizerResult:
+def minimize_Fbar(measure: AtomicMeasure, x: float, t: float) -> MinimizerResult:
     """Minimize the drift potential: identical argmin structure with weights (0, -t)."""
     if len(measure) == 0:
         raise EmptyMeasure("cannot minimize a potential over an empty measure")
     coeffs = PotentialCoefficients.drift(t)
-    return PrefixFrame(measure, None, coeffs, tie_tol).result(x)
+    return PrefixFrame(measure, None, coeffs).result(x)
 
 
 # -- auxiliary potentials ----------------------------------------------------
@@ -327,13 +341,10 @@ def _check_k(data: InitialData, k) -> float:
     return float(k)
 
 
-def eval_G(
-    data: InitialData, forward_positions, y: float, x: float, t: float, k=None
-) -> float:
-    """Second auxiliary potential; forward_positions supplies x(eta_i, t) per atom.
+def _auxiliary_sum(data, forward_positions, y, x, t, k, speeds):
+    """(coeffs, sum over atoms below y of w (speed + k)(x(eta, t) - x)).
 
-    Any k above U0 + M*tau/2 is admissible and all give the same minimizer;
-    the default is that bound plus one.
+    ``speeds(coeffs)`` gives the per-atom speed array of the potential.
     """
     k = _check_k(data, k)
     coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
@@ -342,25 +353,31 @@ def eval_G(
     if fp.shape != m.positions.shape:
         raise ValueError("forward_positions must supply one position per atom")
     n = _prefix_count(m, y, "left")
-    vel = coeffs.decay * data.velocities - coeffs.A * m.atom_mtilde()
-    terms = m.masses[:n] * (vel[:n] + k) * (fp[:n] - x)
-    return float(np.sum(terms))
+    terms = m.masses[:n] * (speeds(coeffs)[:n] + k) * (fp[:n] - x)
+    return coeffs, np.sum(terms)
+
+
+def eval_G(
+    data: InitialData, forward_positions, y: float, x: float, t: float, k=None
+) -> float:
+    """Second auxiliary potential; forward_positions supplies x(eta_i, t) per atom.
+
+    Any k above U0 + M*tau/2 is admissible and all give the same minimizer;
+    the default is that bound plus one.
+    """
+    _, total = _auxiliary_sum(
+        data, forward_positions, y, x, t, k,
+        lambda c: c.decay * data.velocities - c.A * data.measure.atom_mtilde(),
+    )
+    return float(total)
 
 
 def eval_H(
     data: InitialData, forward_positions, y: float, x: float, t: float, k=None
 ) -> float:
     """Third auxiliary potential; shares its minimizers with F and G."""
-    k = _check_k(data, k)
-    coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
-    m = data.measure
-    fp = np.asarray(forward_positions, dtype=float)
-    if fp.shape != m.positions.shape:
-        raise ValueError("forward_positions must supply one position per atom")
-    n = _prefix_count(m, y, "left")
-    terms = (
-        m.masses[:n]
-        * (data.velocities[:n] + data.tau * m.atom_mtilde()[:n] + k)
-        * (fp[:n] - x)
+    coeffs, total = _auxiliary_sum(
+        data, forward_positions, y, x, t, k,
+        lambda c: data.velocities + data.tau * data.measure.atom_mtilde(),
     )
-    return float(-(coeffs.decay / data.tau) * np.sum(terms))
+    return float(-(coeffs.decay / data.tau) * total)

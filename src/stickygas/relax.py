@@ -15,7 +15,7 @@ import numpy as np
 
 from .drift import drift_cluster_snapshot, eval_mbar_grid
 from .errors import TauOutOfRange
-from .euler_poisson import _frame, _hull_clusters, _velocity_from_frame
+from .euler_poisson import _frame, _velocity_from_frame
 from .measure import InitialData
 from .potentials import PotentialCoefficients, minimize_Fbar
 
@@ -71,8 +71,8 @@ def scaled_cluster_snapshot(data: InitialData, t: float, tau: float):
     _check_tau(tau)
     scaled = data.with_tau(tau)
     coeffs = PotentialCoefficients.scaled(tau, t)
-    frame = _frame(scaled, None, coeffs=coeffs)
-    return [(lo, hi, pos, vel / tau) for lo, hi, pos, vel in _hull_clusters(frame)]
+    lo, hi, pos, vel = _frame(scaled, None, coeffs=coeffs).clusters()
+    return list(zip(lo.tolist(), hi.tolist(), pos.tolist(), (vel / tau).tolist()))
 
 
 def _filtered_grid(measure, xs, t):
@@ -112,13 +112,12 @@ def convergence_study(
             err_m.append(float(np.max(np.abs(frame.P[k_min] - mbar))))
         else:
             err_m.append(0.0)
-        clusters = [
-            (pos, vel / tau) for _, _, pos, vel in _hull_clusters(frame)
-        ]
+        _, _, pos, vel = frame.clusters()
+        vel = vel / tau
         worst = 0.0
         for c in drift_clusters:
-            pos, vel = min(clusters, key=lambda pv: abs(pv[0] - c.position))
-            worst = max(worst, abs(vel - c.velocity))
+            j = int(np.argmin(np.abs(pos - c.position)))
+            worst = max(worst, abs(float(vel[j]) - c.velocity))
         err_u.append(worst)
 
     def monotone(errs):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from stickygas import potentials
 from stickygas.cli import main
 
 TWO_ATOM = {
@@ -43,6 +44,9 @@ class TestConfigValidation:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = dict(TWO_ATOM, extra_knob=1)
+        code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        cfg = dict(TWO_ATOM, tolerances={"position": 1e-9})
         code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
         assert code == 2
 
@@ -186,6 +190,13 @@ class TestDeterminism:
         for row in rows:
             for cell in row[:5]:
                 assert float(cell) == float(format(float(cell), ".17g"))
+
+
+class TestToleranceOverride:
+    def test_tie_override_lasts_one_call(self, tmp_path):
+        argv = ["solve", "--config", write_config(tmp_path, TWO_ATOM), "--out", str(tmp_path)]
+        assert main(argv + ["--tol-tie", "1e-6"]) == 0
+        assert potentials.DEFAULT_TIE_TOL == 1e-12
 
 
 class TestEnvOverride:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stickygas import potentials
 from stickygas.drift import (
     DriftBranch,
     drift_cluster_snapshot,
@@ -10,7 +11,7 @@ from stickygas.drift import (
     eval_ubar,
     sample_drift,
 )
-from stickygas.measure import AtomicMeasure
+from stickygas.measure import AtomicMeasure, InitialData
 from stickygas.oracle import oracle_cdf, simulate_drift
 from stickygas.potentials import minimize_Fbar
 from tests.conftest import make_random_instance
@@ -92,6 +93,18 @@ class TestTieRule:
                 continue
             assert r.attained_at_y_star == (lhs < rhs)
             checked += 1
+
+    def test_grid_reads_the_current_tie_tolerance(self, monkeypatch):
+        # a tolerance this wide changes the tie decisions, so the grid
+        # and the pointwise minimizer agree only if both read the override
+        rng = np.random.default_rng(0)
+        positions = np.sort(rng.uniform(-10.0, 10.0, 12))
+        masses = rng.uniform(0.01, 2.0, 12)
+        m = InitialData.from_atoms(positions, masses, np.zeros(12), 1.0).measure
+        xs = np.linspace(-12.0, 12.0, 49)
+        monkeypatch.setattr(potentials, "DEFAULT_TIE_TOL", 0.5)
+        grid = eval_mbar_grid(m, xs, 1.0)
+        assert grid.tolist() == [eval_mbar(m, float(x), 1.0) for x in xs]
 
 
 class TestOracleEquivalence:

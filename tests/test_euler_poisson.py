@@ -92,6 +92,16 @@ class TestVelocity:
         assert branch is Branch.VACUUM_LEFT
         assert u == pytest.approx(-E1 - (-0.5) * (1.0 - E1), rel=1e-14)
 
+    def test_on_path_off_the_tie_window(self):
+        # 5.5e-9 right of the atom's path: past the prefix tie window
+        # (k_min = k_max = 1) but within the speed tolerance of u0, so
+        # the velocity is the atom's own free-flight velocity
+        data = InitialData.from_atoms([0.0], [1.0], [5.0], 1.0)
+        x = 5.0 * (1.0 - E1) + 5.5e-9
+        u, branch = eval_u(data, x, 1.0)
+        assert u == pytest.approx(5.0 * E1, rel=1e-15)
+        assert branch is Branch.CHARACTERISTIC
+
     def test_interior_vacuum_between_atoms(self, two_atom_symmetric):
         # gap force vanishes by symmetry and U0 = 0: tracer at rest
         u, branch = eval_u(two_atom_symmetric, 0.0, 1.0)
