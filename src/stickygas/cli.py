@@ -44,6 +44,14 @@ _GRID_KEYS = {"min", "max", "count"}
 _TOL_KEYS = {"tie", "compare"}
 
 
+def _tolerance(name: str, value) -> float:
+    """A tolerance value: a finite, non-boolean number >= 0."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
 class RunConfig:
     """Validated run configuration."""
 
@@ -115,8 +123,8 @@ class RunConfig:
         self.relax_time = float(relax_time)
         self.n_instances = n_instances
         self.seed = seed
-        self.tol_compare = float(tols.get("compare", 1e-9))
-        self.tol_tie = tols.get("tie")
+        self.tol_compare = _tolerance("tolerances.compare", tols.get("compare", 1e-9))
+        self.tol_tie = None if "tie" not in tols else _tolerance("tolerances.tie", tols["tie"])
 
 
 def load_config(path: str) -> RunConfig:
@@ -173,10 +181,10 @@ def _time_tag(t: float) -> str:
 def cmd_solve(cfg: RunConfig, out: str) -> list:
     written = []
     for t in cfg.times:
-        rows = []
-        for x in cfg.x_grid:
-            s = sample(cfg.data, float(x), t)
-            rows.append((s.x, s.m, s.q, s.u, s.E, s.branch.value))
+        rows = [
+            (s.x, s.m, s.q, s.u, s.E, s.branch.value)
+            for s in sample(cfg.data, cfg.x_grid, t)
+        ]
         path = os.path.join(out, f"solution_t{_time_tag(t)}.csv")
         write_csv(path, ["x", "m", "q", "u", "E", "branch"], rows)
         written.append(path)
@@ -225,8 +233,8 @@ def _compare_one(data: InitialData, times, xs, tol) -> list:
             )
         ) if len(xs) else 0.0
         du = 0.0
-        for c in state.clusters:
-            u, _ = eval_u(data, c.position, t)
+        us = eval_u(data, [c.position for c in state.clusters], t)
+        for c, (u, _) in zip(state.clusters, us):
             du = max(du, abs(u - c.velocity))
         rows.append((t, dm, du, bool(dm <= tol and du <= tol)))
     return rows
@@ -481,11 +489,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.tol_compare is not None:
-            cfg.tol_compare = args.tol_compare
-        tie = args.tol_tie if args.tol_tie is not None else cfg.tol_tie
+            cfg.tol_compare = _tolerance("--tol-compare", args.tol_compare)
+        tie = cfg.tol_tie if args.tol_tie is None else _tolerance("--tol-tie", args.tol_tie)
         if tie is not None:
             # every PrefixFrame built during this call reads it; restored below
-            potentials.DEFAULT_TIE_TOL = float(tie)
+            potentials.DEFAULT_TIE_TOL = tie
         out = args.out
         os.makedirs(out, exist_ok=True)
         if args.command == "solve":

@@ -13,6 +13,12 @@ slopes in S and Q. The hull lives in ``potentials.PrefixFrame.clusters``,
 shared with the drift and relaxation layers. ``forward_position`` keeps
 the contract-level monotone bisection; the hull is the batch fast path and
 the two are cross-checked in the test suite.
+
+``sample``, ``eval_u`` and ``eval_E`` take a scalar x or a 1-d grid of x.
+A scalar x runs the dense prefix argmin; a grid returns the per-point
+results in grid order, from one frame, one hull lookup
+(``PrefixFrame.argmin_grid``) and one per-atom energy term array, and
+equals the scalar calls point by point.
 """
 
 from __future__ import annotations
@@ -162,10 +168,9 @@ def _backward_cone(frame, data, x, k_min):
     return 0, False, a, y, mt, c
 
 
-def _velocity_from_frame(frame, data, x):
-    """Velocity and branch tag at x from an existing prefix frame."""
+def _velocity_from_frame(frame, data, x, k_min, k_max):
+    """Velocity and branch tag at x from a prefix frame and the argmin range at x."""
     coeffs = frame.coeffs
-    _, k_min, k_max = frame.argmin(x)
     if k_max > k_min:
         # positive mass at x; when the backward cone is degenerate (lone
         # leading atom exactly on its path, prefix tie 0..1) this is the
@@ -173,20 +178,40 @@ def _velocity_from_frame(frame, data, x):
         u = (frame.Q[k_max] - frame.Q[k_min]) / (frame.P[k_max] - frame.P[k_min])
         shock = max(k_min, 1) != max(k_max, 1)
         branch = Branch.DELTA_SHOCK if shock else Branch.CHARACTERISTIC
-        return float(u), branch, k_min, k_max
+        return float(u), branch
     side, vacuum, a, y, mt, _ = _backward_cone(frame, data, x, k_min)
     if side == 0:
         # on the atom's own path: velocity is the atom's free-flight velocity
-        return float(frame.vel[a]), Branch.CHARACTERISTIC, k_min, k_max
+        return float(frame.vel[a]), Branch.CHARACTERISTIC
     if vacuum:
         u = side * data.max_speed * coeffs.decay - mt * coeffs.A
         branch = Branch.VACUUM_RIGHT if side > 0 else Branch.VACUUM_LEFT
-        return float(u), branch, k_min, k_max
+        return float(u), branch
     u = (x - y) * coeffs.decay / coeffs.A + mt * coeffs.char_force_weight()
-    return float(u), Branch.CHARACTERISTIC, k_min, k_max
+    return float(u), Branch.CHARACTERISTIC
 
 
-def eval_u(data: InitialData, x: float, t: float):
+def _is_grid(x) -> bool:
+    return np.ndim(x) == 1
+
+
+def _at_time_zero(fn, data, xs):
+    """The scalar t = 0 form of fn at each grid point, in grid order."""
+    return [fn(data, x, 0.0) for x in np.asarray(xs, dtype=float).tolist()]
+
+
+def _ranges(data, x, t):
+    """(frame, xs, k_min, k_max) lists: dense argmin for a scalar, lookup for a grid."""
+    frame = _frame(data, t)
+    if _is_grid(x):
+        xs = np.asarray(x, dtype=float)
+        _, k_min, k_max = frame.argmin_grid(xs)
+        return frame, xs.tolist(), k_min.tolist(), k_max.tolist()
+    _, k_min, k_max = frame.argmin(x)
+    return frame, [x], [k_min], [k_max]
+
+
+def eval_u(data: InitialData, x, t: float):
     """Velocity at (x, t) and the branch that produced it.
 
     Off the support the field is an extension convention: interior vacuum
@@ -194,41 +219,49 @@ def eval_u(data: InitialData, x: float, t: float):
     the left), while only the leftmost infinite vacuum takes -U0. The
     extension is therefore deliberately not mirror-symmetric; on the
     support (at clusters) the value is the physical cluster velocity.
+    For a 1-d grid x, a list of (u, branch) pairs in grid order.
     """
     if t == 0.0:
+        if _is_grid(x):
+            return _at_time_zero(eval_u, data, x)
         i = data.measure.atom_index(x)
         u0 = float(data.velocities[i]) if i >= 0 else 0.0
         return u0, Branch.CHARACTERISTIC
-    frame = _frame(data, t)
-    u, branch, _, _ = _velocity_from_frame(frame, data, x)
-    return u, branch
+    frame, xs, k_min, k_max = _ranges(data, x, t)
+    us = [_velocity_from_frame(frame, data, *r) for r in zip(xs, k_min, k_max)]
+    return us if _is_grid(x) else us[0]
 
 
-def _atom_cluster_fields(frame):
-    """Per-atom cluster position and velocity arrays from the hull snapshot."""
-    lo, hi, pos, vel = frame.clusters()
-    sizes = hi - lo
-    return np.repeat(pos, sizes), np.repeat(vel, sizes)
+def _energies(frame, k_mins) -> list:
+    """Energy over each prefix k_min: free momenta times cluster velocities.
+
+    The per-atom terms are formed once; each distinct prefix is summed once.
+    """
+    sums = {0: 0.0}
+    terms = None
+    for k in k_mins:
+        if k not in sums:
+            if terms is None:
+                lo, hi, _, vel = frame.clusters()
+                terms = frame.measure.masses * frame.vel * np.repeat(vel, hi - lo)
+            sums[k] = float(np.sum(terms[:k]))
+    return [sums[k] for k in k_mins]
 
 
-def _energy(frame, k_min) -> float:
-    """Energy over the prefix k_min: free momenta times cluster velocities."""
-    if k_min == 0:
-        return 0.0
-    _, cluster_vel = _atom_cluster_fields(frame)
-    w = frame.measure.masses[:k_min]
-    return float(np.sum(w * frame.vel[:k_min] * cluster_vel[:k_min]))
+def eval_E(data: InitialData, x, t: float):
+    """Energy integral: free momenta weighted by the actual cluster velocities.
 
-
-def eval_E(data: InitialData, x: float, t: float) -> float:
-    """Energy integral: free momenta weighted by the actual cluster velocities."""
+    For a 1-d grid x, a list of energies in grid order.
+    """
     if t == 0.0:
+        if _is_grid(x):
+            return _at_time_zero(eval_E, data, x)
         n = int(np.searchsorted(data.measure.positions, x, side="left"))
         w = data.measure.masses[:n]
         return float(np.sum(w * data.velocities[:n] ** 2))
-    frame = _frame(data, t)
-    _, k_min, _ = frame.argmin(x)
-    return _energy(frame, k_min)
+    frame, _, k_min, _ = _ranges(data, x, t)
+    energies = _energies(frame, k_min)
+    return energies if _is_grid(x) else energies[0]
 
 
 def eval_nu_theta_omega(data: InitialData, x: float, t: float):
@@ -239,7 +272,8 @@ def eval_nu_theta_omega(data: InitialData, x: float, t: float):
     nu, k_min, _ = frame.argmin(x)
     if k_min == 0:
         return float(nu), 0.0, 0.0, 0.0
-    cluster_pos, cluster_vel = _atom_cluster_fields(frame)
+    lo, hi, pos, vel = frame.clusters()
+    cluster_pos, cluster_vel = np.repeat(pos, hi - lo), np.repeat(vel, hi - lo)
     m = data.measure
     w = m.masses[:k_min]
     off = cluster_pos[:k_min] - x
@@ -254,9 +288,11 @@ def eval_nu_theta_omega(data: InitialData, x: float, t: float):
     return float(nu), theta, omega, h
 
 
-def sample(data: InitialData, x: float, t: float) -> SolutionSample:
-    """All solution fields at one point."""
+def sample(data: InitialData, x, t: float):
+    """All solution fields at one point; for a 1-d grid x, a list in grid order."""
     if t == 0.0:
+        if _is_grid(x):
+            return _at_time_zero(sample, data, x)
         return SolutionSample(
             x=x,
             t=0.0,
@@ -266,18 +302,13 @@ def sample(data: InitialData, x: float, t: float) -> SolutionSample:
             E=eval_E(data, x, 0.0),
             branch=Branch.CHARACTERISTIC,
         )
-    frame = _frame(data, t)
-    _, k_min, _ = frame.argmin(x)
-    u, branch, _, _ = _velocity_from_frame(frame, data, x)
-    return SolutionSample(
-        x=x,
-        t=t,
-        m=float(frame.P[k_min]),
-        q=float(frame.Q[k_min]),
-        u=u,
-        E=_energy(frame, k_min),
-        branch=branch,
-    )
+    frame, xs, k_min, k_max = _ranges(data, x, t)
+    samples = []
+    for v, a, b, E in zip(xs, k_min, k_max, _energies(frame, k_min)):
+        u, branch = _velocity_from_frame(frame, data, v, a, b)
+        m, q = float(frame.P[a]), float(frame.Q[a])
+        samples.append(SolutionSample(x=v, t=t, m=m, q=q, u=u, E=E, branch=branch))
+    return samples if _is_grid(x) else samples[0]
 
 
 # -- grid evaluation ---------------------------------------------------------
@@ -454,7 +485,8 @@ def trace_shock(
     ranges = []
     for t1, x1 in zip(times, xs):
         frame = _frame(data, t1)
-        u, _, k_min, k_max = _velocity_from_frame(frame, data, x1)
+        _, k_min, k_max = frame.argmin(x1)
+        u, _ = _velocity_from_frame(frame, data, x1, k_min, k_max)
         vels.append(u)
         ranges.append((k_min, k_max))
     return ShockCurve(

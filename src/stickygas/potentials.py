@@ -163,6 +163,7 @@ class PrefixFrame:
         "vel",
         "tie_tol",
         "tie_pos_tol",
+        "_hull",
     )
 
     def __init__(self, measure, velocities, coeffs, tie_pos_tol=None):
@@ -184,34 +185,69 @@ class PrefixFrame:
         self.P = measure.prefix_mass
         self.S = np.concatenate(([0.0], np.cumsum(w * self.X)))
         self.Q = np.concatenate(([0.0], np.cumsum(w * self.vel)))
+        self._hull = None
 
     def prefix_values(self, x: float):
         return self.S - x * self.P
 
-    def argmin(self, x: float):
-        """(nu, k_min, k_max) of the prefix sums at x under the tie tolerance."""
-        T = self.S - x * self.P
+    def _ties(self, x: float, a: int, b: int):
+        """The tie rule on the prefixes a..b-1: (nu, k_min, k_max) among them."""
+        T = self.S[a:b] - x * self.P[a:b]
         k0 = int(np.argmin(T))
         nu = float(T[k0])
         tol = self.tie_tol * (1.0 + abs(nu)) + self.tie_pos_tol * (
             1.0 + abs(x)
-        ) * np.abs(self.P - self.P[k0])
+        ) * np.abs(self.P[a:b] - self.P[a + k0])
         ties = np.flatnonzero(T - nu <= tol)
-        return nu, int(ties[0]), int(ties[-1])
+        return nu, a + int(ties[0]), a + int(ties[-1])
+
+    def argmin(self, x: float):
+        """(nu, k_min, k_max) of the prefix sums at x under the tie tolerance.
+
+        Scans all N+1 prefixes: the dense reference for ``argmin_grid``.
+        """
+        return self._ties(x, 0, self.P.size)
 
     def argmin_grid(self, xs):
-        """Vectorized argmin over a grid of x values: (nu, k_min, k_max) arrays."""
+        """``argmin`` at every point of a grid: (nu, k_min, k_max) arrays.
+
+        One searchsorted of xs over the cluster positions (the hull slopes)
+        gives each point the hull vertex v that minimizes T_k(x). A point
+        whose two adjacent slopes lie outside its tie window has no tie and
+        takes nu = S[v] - x P[v], the scan's own operation. The window is
+        the value term over the adjacent atom's mass, plus the position
+        term, plus a rounding bound on T and on the hull. Any other point
+        runs the tie rule of ``argmin`` on the prefixes spanned by the hull
+        edges that have an end vertex within twice the tie tolerance of nu.
+        The result equals ``argmin`` point by point, with O(N + G) memory.
+        """
         xs = np.asarray(xs, dtype=float)
-        T = self.S[None, :] - xs[:, None] * self.P[None, :]
-        k0 = T.argmin(axis=1)
-        nu = T[np.arange(xs.size), k0]
-        tol = self.tie_tol * (1.0 + np.abs(nu))[:, None] + self.tie_pos_tol * (
-            1.0 + np.abs(xs)
-        )[:, None] * np.abs(self.P[None, :] - self.P[k0][:, None])
-        tied = (T - nu[:, None]) <= tol
-        k_min = tied.argmax(axis=1)
-        n = self.P.size
-        k_max = n - 1 - tied[:, ::-1].argmax(axis=1)
+        lo, _, pos, _ = self.clusters()
+        P, S = self.P, self.S
+        verts = np.append(lo, P.size - 1)
+        j = np.searchsorted(pos, xs)
+        v = verts[j]
+        nu = S[v] - xs * P[v]
+        rnd = 1e-14 * (np.max(np.abs(S)) + np.abs(xs) * P[-1])
+        value = self.tie_tol * (1.0 + np.abs(nu)) + rnd
+        reach = self.tie_pos_tol * (1.0 + np.abs(xs))
+        slopes = np.concatenate(([-np.inf], pos, [np.inf]))
+        dP = np.concatenate(([np.inf], np.diff(P), [np.inf]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            settled = (slopes[j + 1] - xs > reach + value / dP[v + 1]) & (
+                xs - slopes[j] > reach + value / dP[v]
+            )
+        k_min, k_max = v, v.copy()
+        Sv, Pv = S[verts], P[verts]
+        for i in np.flatnonzero(~settled).tolist():
+            x = float(xs[i])
+            # a tie lies within value + reach * M of nu, and on a hull edge
+            # with an end vertex that close; doubled for rounding
+            bound = 2.0 * (value[i] + reach[i] * P[-1] + rnd[i])
+            near = np.flatnonzero(Sv - x * Pv - nu[i] <= bound)
+            a = int(verts[max(near[0] - 1, 0)])
+            b = int(verts[min(near[-1] + 1, verts.size - 1)]) + 1
+            nu[i], k_min[i], k_max[i] = self._ties(x, a, b)
         return nu, k_min, k_max
 
     def result(self, x: float) -> MinimizerResult:
@@ -237,8 +273,14 @@ class PrefixFrame:
         Returns arrays (lo, hi, position, velocity): cluster j holds atoms
         lo[j]..hi[j]-1, and its position and velocity are the slopes of
         its hull edge in S and in Q. The hull vertices are the exposed
-        prefixes; collinear points are dropped (exact test).
+        prefixes; collinear points are dropped (exact test). The hull is
+        built once per frame and its arrays are read-only.
         """
+        if self._hull is None:
+            self._hull = self._build_hull()
+        return self._hull
+
+    def _build_hull(self):
         P, S = self.P.tolist(), self.S.tolist()
         verts = []
         for k in range(len(P)):
@@ -253,7 +295,10 @@ class PrefixFrame:
         lo = np.array(verts[:-1], dtype=np.intp)
         hi = np.array(verts[1:], dtype=np.intp)
         dm = self.P[hi] - self.P[lo]
-        return lo, hi, (self.S[hi] - self.S[lo]) / dm, (self.Q[hi] - self.Q[lo]) / dm
+        hull = (lo, hi, (self.S[hi] - self.S[lo]) / dm, (self.Q[hi] - self.Q[lo]) / dm)
+        for arr in hull:
+            arr.setflags(write=False)
+        return hull
 
 
 def _prefix_count(measure: AtomicMeasure, y: float, side: str) -> int:

@@ -61,8 +61,8 @@ def eval_scaled(data: InitialData, x: float, t: float, tau: float):
     scaled = data.with_tau(tau)
     coeffs = PotentialCoefficients.scaled(tau, t)
     frame = _frame(scaled, None, coeffs=coeffs)
-    _, k_min, _ = frame.argmin(x)
-    u, _, _, _ = _velocity_from_frame(frame, scaled, x)
+    _, k_min, k_max = frame.argmin(x)
+    u, _ = _velocity_from_frame(frame, scaled, x, k_min, k_max)
     return float(frame.P[k_min]), u / tau, float(frame.Q[k_min]) / tau
 
 

@@ -23,8 +23,10 @@ from .euler_poisson import (
     cluster_snapshot,
     eval_E,
     eval_m,
+    eval_m_grid,
     eval_nu_theta_omega,
     eval_q,
+    eval_q_grid,
     eval_u,
     speed_bound,
 )
@@ -324,8 +326,8 @@ def check_oleinik(
             for x1, x2 in x_pairs:
                 if not x1 < x2:
                     raise ValueError("x_pairs must satisfy x1 < x2")
-                u1, _ = eval_u(data, x1, t)
-                u2, _ = eval_u(data, x2, t)
+            us = eval_u(data, [x for pair in x_pairs for x in pair], t)
+            for (x1, x2), (u1, _), (u2, _) in zip(x_pairs, us[0::2], us[1::2]):
                 worst = max(worst, (u2 - u1) / (x2 - x1) - bound)
         excesses.append(worst if worst > -math.inf else -math.inf)
     finite = [e for e in excesses if e > -math.inf]
@@ -378,6 +380,13 @@ def check_initial_continuity(
     for t in t_sequence:
         em = eq = ee = 0.0
         state = traj.state_at(t) if traj is not None else None
+        if layer != "oracle":
+            # one hull lookup per level for all three fields
+            grid_fields = zip(
+                eval_m_grid(data, x_grid, t).tolist(),
+                eval_q_grid(data, x_grid, t).tolist(),
+                eval_E(data, x_grid, t),
+            )
         for x in x_grid:
             k = int(np.searchsorted(m.positions, x, side="left"))
             if layer == "oracle":
@@ -389,9 +398,7 @@ def check_initial_continuity(
                     c.mass * c.velocity**2 for c in state.clusters if c.position < x
                 )
             else:
-                mv = eval_m(data, x, t)
-                qv = eval_q(data, x, t)
-                ev = eval_E(data, x, t)
+                mv, qv, ev = next(grid_fields)
             em = max(em, abs(mv - m.prefix_mass[k]))
             eq = max(eq, abs(qv - q0[k]))
             ee = max(ee, abs(ev - e0[k]))

@@ -337,7 +337,7 @@ def test_criterion_09_weak_continuity(ensemble):
             em = float(np.max(np.abs(eval_m_grid(data, grid, t) - m0)))
             m_levels = max(m_levels, em / max(1.0, m.total_mass))
             q = eval_q_grid(data, grid, t)
-            e = np.array([eval_E(data, float(x), t) for x in grid])
+            e = np.array(eval_E(data, grid, t))
             dq = float(np.max(np.abs(q - q0)))
             de = float(np.max(np.abs(e - e0)))
             devs.append((dq, de))

@@ -199,6 +199,40 @@ class TestToleranceOverride:
         assert potentials.DEFAULT_TIE_TOL == 1e-12
 
 
+    @pytest.mark.parametrize(
+        "tolerances",
+        [
+            {"tie": "abc"},
+            {"tie": -1.0},
+            {"tie": True},
+            {"tie": math.inf},
+            {"compare": -1.0},
+            {"compare": "abc"},
+            {"compare": None},
+        ],
+    )
+    def test_bad_config_tolerance_exits_2(self, tmp_path, capsys, tolerances):
+        cfg = dict(TWO_ATOM, tolerances=tolerances)
+        argv = ["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("solve", ["--tol-tie", "nan"]),
+            ("solve", ["--tol-tie", "-1"]),
+            ("compare", ["--tol-compare", "-1"]),
+            ("compare", ["--tol-compare", "inf"]),
+        ],
+    )
+    def test_bad_tolerance_flag_exits_2(self, tmp_path, capsys, command, flags):
+        argv = [command, "--config", write_config(tmp_path, TWO_ATOM), "--out", str(tmp_path)]
+        assert main(argv + flags) == 2
+        assert "config error" in capsys.readouterr().err
+        assert potentials.DEFAULT_TIE_TOL == 1e-12
+
+
 class TestEnvOverride:
     def test_out_dir_from_env(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"

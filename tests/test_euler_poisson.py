@@ -479,3 +479,17 @@ class TestGridEvaluation:
         for x, mv, qv in zip(xs, ms, qs):
             assert mv == eval_m(data, float(x), t)
             assert qv == eval_q(data, float(x), t)
+
+    def test_grid_forms_equal_scalar_calls(self):
+        rng = np.random.default_rng(25)
+        for _ in range(25):
+            data = make_random_instance(rng)
+            for t in (0.0, 1e-3, 0.7, 3.0):
+                xs = [float(x) for x in rng.uniform(-12, 12, size=15)]
+                xs += data.measure.positions.tolist()
+                if t > 0.0:
+                    xs += [c.position for c in cluster_snapshot(data, t)]
+                for fn in (sample, eval_u, eval_E):
+                    grid = fn(data, np.array(xs), t)
+                    assert [repr(v) for v in grid] == [repr(fn(data, x, t)) for x in xs]
+                assert fn(data, [], t) == []

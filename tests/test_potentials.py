@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import isotonic_regression
 
+from stickygas import potentials
 from stickygas.errors import BadConstantK, EmptyMeasure, NonPositiveTime
 from stickygas.measure import AtomicMeasure, InitialData
 from stickygas.potentials import (
@@ -311,3 +314,110 @@ class TestMinimizerProperties:
                 continue  # boundary case: either classification is valid
             assert r.attained_at_y_star == (c < u0)
             checked += 1
+
+
+def _lookup_instance(rng, kind):
+    """Instances for the lookup tests: plain, near-duplicate atoms, or masses
+    spread across 12 decades."""
+    n = int(rng.integers(1, 40))
+    positions = np.sort(rng.uniform(-10.0, 10.0, size=n))
+    masses = rng.uniform(0.01, 2.0, size=n) / n
+    if kind == "near_duplicate":
+        step = 1e-14 * (1.0 + abs(positions[0]))
+        positions = positions[0] + step * np.arange(n)
+    elif kind == "mass_decades":
+        masses = 10.0 ** rng.uniform(-12.0, 0.0, size=n)
+    velocities = rng.uniform(-2.0, 2.0, size=n)
+    tau = float(rng.choice([1.0, 0.5, 0.1, 1e-3]))
+    return InitialData.from_atoms(positions, masses, velocities, tau)
+
+
+def _lookup_frame(data, family, t):
+    if family == "euler_poisson":
+        coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
+    elif family == "drift":
+        return PrefixFrame(data.measure, None, PotentialCoefficients.drift(t))
+    else:
+        coeffs = PotentialCoefficients.scaled(data.tau, t)
+    return PrefixFrame(data.measure, data.velocities, coeffs)
+
+
+class TestArgminGrid:
+    @pytest.mark.parametrize("tie_tol", [None, 0.0, 0.5])
+    def test_equals_dense_scan(self, tie_tol, monkeypatch):
+        if tie_tol is not None:
+            monkeypatch.setattr(potentials, "DEFAULT_TIE_TOL", tie_tol)
+        rng = np.random.default_rng(61)
+        checked = 0
+        for trial in range(90):
+            kind = ("plain", "near_duplicate", "mass_decades")[trial % 3]
+            family = ("euler_poisson", "drift", "scaled")[(trial // 3) % 3]
+            data = _lookup_instance(rng, kind)
+            t = float(10.0 ** rng.uniform(-6.0, math.log10(50.0)))
+            frame = _lookup_frame(data, family, t)
+            pos = np.asarray(frame.clusters()[2])
+            xs = np.concatenate(
+                [
+                    rng.uniform(-15.0, 15.0, size=20),
+                    pos,
+                    np.nextafter(pos, np.inf),
+                    np.nextafter(pos, -np.inf),
+                    pos + 1e-10,
+                    pos - 1e-10,
+                    pos + 5e-9,
+                    pos - 5e-9,
+                ]
+            )
+            nu, k_min, k_max = frame.argmin_grid(xs)
+            got = list(zip(nu.tolist(), k_min.tolist(), k_max.tolist()))
+            assert got == [frame.argmin(x) for x in xs.tolist()]
+            checked += xs.size
+        assert checked > 5000
+
+    def test_empty_grid_and_empty_measure(self):
+        data = InitialData.from_atoms([0.0, 1.0], [1.0, 1.0], [0.0, 0.0], 1.0)
+        frame = _lookup_frame(data, "euler_poisson", 1.0)
+        nu, k_min, k_max = frame.argmin_grid([])
+        assert nu.size == k_min.size == k_max.size == 0
+        empty = InitialData.from_atoms([], [], [], 1.0)
+        frame = _lookup_frame(empty, "euler_poisson", 1.0)
+        nu, k_min, k_max = frame.argmin_grid([-1.0, 2.0])
+        assert list(zip(nu.tolist(), k_min.tolist(), k_max.tolist())) == [
+            frame.argmin(-1.0),
+            frame.argmin(2.0),
+        ]
+
+    def test_no_dense_grid_by_atom_matrix(self):
+        # G = N = 2000: a G x N float64 temporary alone takes 32 MB
+        rng = np.random.default_rng(62)
+        n = 2000
+        data = InitialData.from_atoms(
+            np.sort(rng.uniform(-10.0, 10.0, size=n)),
+            rng.uniform(0.01, 2.0, size=n) / n,
+            rng.uniform(-2.0, 2.0, size=n),
+            0.5,
+        )
+        xs = np.linspace(-12.0, 12.0, 2000)
+        frame = _lookup_frame(data, "euler_poisson", 0.3)
+        tracemalloc.start()
+        try:
+            frame.argmin_grid(xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_hull_is_isotonic_regression_of_free_positions(self):
+        # the lower-hull edges of (P_k, S_k) are the blocks of the weighted
+        # isotonic regression of the free positions (pool adjacent violators)
+        rng = np.random.default_rng(63)
+        for _ in range(40):
+            data = make_random_instance(rng, n_max=30)
+            for t in (0.05, 0.4, 1.5, 6.0):
+                frame = _lookup_frame(data, "euler_poisson", t)
+                lo, hi, pos, _ = frame.clusters()
+                fit = isotonic_regression(frame.X, weights=data.measure.masses)
+                assert len(fit.blocks) - 1 == lo.size
+                hull = np.repeat(pos, hi - lo)
+                scale = max(1.0, float(np.max(np.abs(fit.x))))
+                assert np.max(np.abs(hull - fit.x)) <= 1e-12 * scale
