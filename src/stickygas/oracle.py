@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,9 +83,18 @@ class ClusterState:
 
     def mtilde(self):
         """Centered cumulative mass at each cluster: prefix + own/2 - M/2."""
-        w = self.masses()
-        prefix = np.concatenate(([0.0], np.cumsum(w)))
-        return prefix[:-1] + 0.5 * w - 0.5 * prefix[-1]
+        return _mtilde(self.masses())
+
+
+def _mtilde(m, total=None):
+    """prefix + own/2 - total/2 per cluster, the prefix a sequential running sum.
+
+    ``total`` defaults to the last running sum.
+    """
+    prefix = np.concatenate(([0.0], np.cumsum(m)))
+    if total is None:
+        total = prefix[-1]
+    return prefix[:-1] + 0.5 * m - 0.5 * total
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,7 @@ class _EpDynamics:
         self.tau = tau
 
     def advance(self, x, v, mt, dt):
+        """Closed form after dt; x, v and mt are floats or equal-length arrays."""
         tau = self.tau
         em1 = _em1(dt / tau)
         A = tau * em1
@@ -145,6 +155,23 @@ class _EpDynamics:
                 hi = mid
         return 0.5 * (lo + hi)
 
+    def root_bounds(self, gap0, dv, dmt):
+        """Arrays of lower bounds that `pair_root` never undercuts.
+
+        0 <= A(d) <= d and 0 <= tau*(d - A(d)) <= d^2/2, so gap(d) >=
+        gap0 - a*d - dmt*d^2/2 with a = max(-dv, 0), and the root is at least
+        d_L = 2*gap0/(a + sqrt(a^2 + 2*dmt*gap0)). `pair_root` returns a
+        bisection midpoint within 0.5e-13*max(1, d) of a point where the
+        computed gap is <= 0, and the gap's rounding error near d_L is
+        below 1e-15*(gap0 + |dv|*d + tau*dmt*d); the relative margin 1e-9
+        and the absolute margin 1e-12*(1 + tau) cover both. A pair
+        without a bound (gap0 <= 0) gets -inf.
+        """
+        a = np.maximum(-dv, 0.0)
+        with np.errstate(all="ignore"):
+            d_lo = 2.0 * gap0 / (a + np.sqrt(a * a + 2.0 * dmt * gap0))
+        return np.fmax(d_lo * (1.0 - 1e-9) - 1e-12 * (1.0 + self.tau), -np.inf)
+
 
 class _DriftDynamics:
     """Straight-line motion with velocity minus the centered cumulative mass."""
@@ -158,144 +185,158 @@ class _DriftDynamics:
         # dv = -dmt < 0 always: the gap closes linearly
         return gap0 / (-dv)
 
+    # on arrays pair_root gives the roots themselves, bit for bit
+    root_bounds = pair_root
+
     def reset_velocity(self, mt):
         return -mt
 
 
-@dataclass(frozen=True)
+def _cluster_state(t, x, m, v, lo, hi) -> ClusterState:
+    columns = (a.tolist() for a in (x, m, v, lo, hi))
+    return ClusterState(time=t, clusters=tuple(map(OracleCluster, *columns)))
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Full event history of one simulation plus closed-form interpolation."""
+    """Full event history of one simulation plus closed-form interpolation.
+
+    ``frames`` holds (time, x, m, v, lo, hi) arrays at the start, after each
+    event and at t_end; ``states`` presents them as ClusterState snapshots,
+    each built on first use.
+    """
 
     kind: str
     tau: float
     t_end: float
-    states: tuple  # ClusterState at t=0 and after each event, plus t_end
     events: tuple
+    frames: tuple = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_times", tuple(f[0] for f in self.frames))
+        object.__setattr__(self, "_states", [None] * len(self.frames))
+        object.__setattr__(self, "_mtildes", [None] * len(self.frames))
+
+    @property
+    def states(self) -> tuple:
+        """ClusterState at the start, after each event and at t_end."""
+        return tuple(self._state(i) for i in range(len(self.frames)))
 
     @property
     def event_times(self):
         return [e.time for e in self.events]
 
+    def __eq__(self, other):
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (self.kind, self.tau, self.t_end, self.states, self.events) == (
+            other.kind, other.tau, other.t_end, other.states, other.events
+        )
+
+    def _state(self, i) -> ClusterState:
+        state = self._states[i]
+        if state is None:
+            state = self._states[i] = _cluster_state(*self.frames[i])
+        return state
+
+    def _dynamics(self):
+        return _EpDynamics(self.tau) if self.kind == "euler_poisson" else _DriftDynamics()
+
     def state_at(self, t: float) -> ClusterState:
-        """Closed-form state at any 0 <= t <= t_end."""
-        if not 0.0 <= t <= self.t_end * (1.0 + 1e-12) + 1e-300:
-            raise ValueError(f"time {t} outside simulated horizon {self.t_end}")
-        times = [s.time for s in self.states]
-        idx = bisect_right(times, t) - 1
-        base = self.states[idx]
-        if base.time == t:
-            return base
-        dyn = _EpDynamics(self.tau) if self.kind == "euler_poisson" else _DriftDynamics()
-        mts = base.mtilde()
-        dt = t - base.time
-        advanced = []
-        for c, mt in zip(base.clusters, mts):
-            x, v = dyn.advance(c.position, c.velocity, mt, dt)
-            advanced.append(OracleCluster(x, c.mass, v, c.lo, c.hi))
-        return ClusterState(time=t, clusters=tuple(advanced))
+        """Closed-form state at any t from the first frame's time to t_end."""
+        if not self._times[0] <= t <= self.t_end * (1.0 + 1e-12) + 1e-300:
+            raise ValueError(
+                f"time {t} outside simulated horizon [{self._times[0]}, {self.t_end}]"
+            )
+        idx = bisect_right(self._times, t) - 1
+        base_t, x, m, v, lo, hi = self.frames[idx]
+        if base_t == t:
+            return self._state(idx)
+        mts = self._mtildes[idx]
+        if mts is None:
+            mts = self._mtildes[idx] = _mtilde(m)
+        x, v = self._dynamics().advance(x, v, mts, t - base_t)
+        return _cluster_state(t, x, m, v, lo, hi)
 
     def resume(self, state_index: int) -> "Trajectory":
         """Re-run the remaining trajectory from a recorded snapshot."""
-        base = self.states[state_index]
-        dyn = _EpDynamics(self.tau) if self.kind == "euler_poisson" else _DriftDynamics()
-        return _simulate(list(base.clusters), base.time, self.t_end, dyn)
+        t0, *arrays = self.frames[state_index]
+        return _simulate(*arrays, t0, self.t_end, self._dynamics())
 
 
-def _mtilde_list(clusters):
-    total = sum(c.mass for c in clusters)
-    out = []
-    acc = 0.0
-    for c in clusters:
-        out.append(acc + 0.5 * c.mass - 0.5 * total)
-        acc += c.mass
-    return out
+def _next_event(dyn, t, gap0, dv, dmt):
+    """Earliest pair root t_ev and the pairs due within tol_event of it.
+
+    Pairs are solved in increasing order of their certified lower bounds.
+    Once t + bound exceeds best + 1e-11*(1 + best), that pair's root and every
+    later one lie past t_ev + tol_event (rounding is monotone and t_ev <=
+    best), so t_ev and the due pairs are those of solving every pair.
+    """
+    bounds = t + dyn.root_bounds(gap0, dv, dmt)
+    roots = {}
+    best = math.inf
+    for i in np.argsort(bounds):
+        if bounds[i] > best + 1e-11 * (1.0 + best):
+            break
+        r = t + dyn.pair_root(float(gap0[i]), float(dv[i]), float(dmt[i]))
+        roots[int(i)] = r
+        best = min(best, r)
+    tol_event = 1e-11 * (1.0 + best)
+    return best, sorted(i for i, r in roots.items() if r <= best + tol_event)
 
 
-def _merge_pair(clusters, i):
-    a, b = clusters[i], clusters[i + 1]
-    w = a.mass + b.mass
-    clusters[i : i + 2] = [
-        OracleCluster(
-            position=(a.mass * a.position + b.mass * b.position) / w,
-            mass=w,
-            velocity=(a.mass * a.velocity + b.mass * b.velocity) / w,
-            lo=a.lo,
-            hi=b.hi,
-        )
-    ]
-    return a, b
+def _merge_pair(x, m, v, lo, hi, i, t_ev, events):
+    """Merge cluster i + 1 into slot i in place and record the event."""
+    (ma, mb), (xa, xb), (va, vb) = (a[i : i + 2].tolist() for a in (m, x, v))
+    (lo_a, lo_b), (hi_a, hi_b) = lo[i : i + 2].tolist(), hi[i : i + 2].tolist()
+    w = ma + mb
+    x[i] = position = (ma * xa + mb * xb) / w
+    v[i] = (ma * va + mb * vb) / w
+    m[i], hi[i] = w, hi_b
+    events.append(MergeEvent(t_ev, ((lo_a, hi_a), (lo_b, hi_b)), (lo_a, hi_b), position))
 
 
-def _simulate(clusters, t0, t_end, dyn) -> Trajectory:
-    n_atoms = clusters[-1].hi if clusters else 0
-    total_mass = sum(c.mass for c in clusters)
-    q0 = sum(c.mass * c.velocity for c in clusters)
-    states = [ClusterState(time=t0, clusters=tuple(clusters))]
+def _simulate(x, m, v, lo, hi, t0, t_end, dyn) -> Trajectory:
+    """Event loop on cluster arrays; every sum runs in the order of a Python loop."""
+    n_atoms = int(hi[-1]) if hi.size else 0
+    total_mass = sum(m.tolist())
+    q0 = sum((m * v).tolist())
+    frames = [(t0, x, m, v, lo, hi)]
     events = []
     t = t0
-    while len(clusters) > 1:
-        mts = _mtilde_list(clusters)
-        roots = []
-        for i in range(len(clusters) - 1):
-            a, b = clusters[i], clusters[i + 1]
-            delta = dyn.pair_root(
-                b.position - a.position, b.velocity - a.velocity, mts[i + 1] - mts[i]
-            )
-            roots.append(t + delta)
-        t_ev = min(roots)
+    while x.size > 1:
+        mts = _mtilde(m, sum(m.tolist()))
+        t_ev, due = _next_event(dyn, t, np.diff(x), np.diff(v), np.diff(mts))
         if t_ev > t_end:
             break
-        tol_event = 1e-11 * (1.0 + t_ev)
         # advance everything to the event time, then merge every pair due now
-        advanced = []
-        for c, mt in zip(clusters, mts):
-            x, v = dyn.advance(c.position, c.velocity, mt, t_ev - t)
-            advanced.append(OracleCluster(x, c.mass, v, c.lo, c.hi))
-        clusters = advanced
-        due = [i for i, r in enumerate(roots) if r <= t_ev + tol_event]
+        x, v = dyn.advance(x, v, mts, t_ev - t)
+        # the merges write in place; the stored frames keep their arrays
+        m, v, lo, hi = m.copy(), v.copy(), lo.copy(), hi.copy()
+        keep = np.ones(x.size, dtype=bool)
         for i in reversed(due):
-            a, b = _merge_pair(clusters, i)
-            events.append(
-                MergeEvent(
-                    time=t_ev,
-                    merged=((a.lo, a.hi), (b.lo, b.hi)),
-                    result=(a.lo, b.hi),
-                    position=clusters[i].position,
-                )
-            )
+            _merge_pair(x, m, v, lo, hi, i, t_ev, events)
+            keep[i + 1] = False
+        x, m, v, lo, hi = x[keep], m[keep], v[keep], lo[keep], hi[keep]
         # chain merges: a multi-collision can leave the new cluster touching
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(clusters) - 1):
-                gap = clusters[i + 1].position - clusters[i].position
-                if gap <= 1e-12 * (1.0 + abs(clusters[i].position)):
-                    a, b = _merge_pair(clusters, i)
-                    events.append(
-                        MergeEvent(
-                            time=t_ev,
-                            merged=((a.lo, a.hi), (b.lo, b.hi)),
-                            result=(a.lo, b.hi),
-                            position=clusters[i].position,
-                        )
-                    )
-                    changed = True
-                    break
+        while x.size > 1:
+            touching = np.flatnonzero(np.diff(x) <= 1e-12 * (1.0 + np.abs(x[:-1])))
+            if not touching.size:
+                break
+            i = int(touching[0])
+            _merge_pair(x, m, v, lo, hi, i, t_ev, events)
+            x, m, v, lo, hi = (np.delete(a, i + 1) for a in (x, m, v, lo, hi))
         if dyn.kind == "drift":
-            mts = _mtilde_list(clusters)
-            clusters = [
-                OracleCluster(c.position, c.mass, dyn.reset_velocity(mt), c.lo, c.hi)
-                for c, mt in zip(clusters, mts)
-            ]
+            v = dyn.reset_velocity(_mtilde(m, sum(m.tolist())))
         t = t_ev
-        states.append(ClusterState(time=t, clusters=tuple(clusters)))
+        frames.append((t, x, m, v, lo, hi))
         if len(events) > max(n_atoms - 1, 0):
             raise EventHorizonExceeded("more merge events than atoms minus one")
         # conservation checks at every event
-        mass_err = abs(sum(c.mass for c in clusters) - total_mass)
+        mass_err = abs(sum(m.tolist()) - total_mass)
         if mass_err > 1e-12 * (1.0 + total_mass):
             raise IdentityViolation(f"mass conservation violated by {mass_err}")
-        q_now = sum(c.mass * c.velocity for c in clusters)
+        q_now = sum((m * v).tolist())
         if dyn.kind == "euler_poisson":
             q_ref = q0 * _exp_neg((t - t0) / dyn.tau)
         else:
@@ -305,48 +346,37 @@ def _simulate(clusters, t0, t_end, dyn) -> Trajectory:
                 f"momentum decay law violated at t={t}: {q_now} vs {q_ref}"
             )
     # final state at the horizon
-    mts = _mtilde_list(clusters)
-    final = []
-    for c, mt in zip(clusters, mts):
-        x, v = dyn.advance(c.position, c.velocity, mt, t_end - t)
-        final.append(OracleCluster(x, c.mass, v, c.lo, c.hi))
-    states.append(ClusterState(time=t_end, clusters=tuple(final)))
+    x, v = dyn.advance(x, v, _mtilde(m, sum(m.tolist())), t_end - t)
+    frames.append((t_end, x, m, v, lo, hi))
     return Trajectory(
         kind=dyn.kind,
         tau=getattr(dyn, "tau", math.nan),
         t_end=t_end,
-        states=tuple(states),
         events=tuple(events),
+        frames=tuple(frames),
     )
+
+
+def _simulate_atoms(measure: AtomicMeasure, velocities, t_end: float, dyn) -> Trajectory:
+    if t_end <= 0.0:
+        raise NonPositiveTime(f"t_end must be positive, got {t_end}")
+    lo = np.arange(len(measure.positions))
+    columns = (measure.positions, measure.masses, velocities)
+    x, m, v = (np.array(a, dtype=float) for a in columns)
+    return _simulate(x, m, v, lo, lo + 1, 0.0, t_end, dyn)
 
 
 def simulate_ep(data: InitialData, t_end: float) -> Trajectory:
     """Exact sticky-particle evolution of the damped self-gravitating gas."""
-    if t_end <= 0.0:
-        raise NonPositiveTime(f"t_end must be positive, got {t_end}")
-    clusters = [
-        OracleCluster(
-            position=float(p), mass=float(w), velocity=float(v), lo=i, hi=i + 1
-        )
-        for i, (p, w, v) in enumerate(
-            zip(data.measure.positions, data.measure.masses, data.velocities)
-        )
-    ]
-    return _simulate(clusters, 0.0, t_end, _EpDynamics(data.tau))
+    return _simulate_atoms(data.measure, data.velocities, t_end, _EpDynamics(data.tau))
 
 
 def simulate_drift(measure: AtomicMeasure, t_end: float) -> Trajectory:
     """Exact evolution of the drift dynamics: clusters move at minus the centered CDF."""
-    if t_end <= 0.0:
-        raise NonPositiveTime(f"t_end must be positive, got {t_end}")
     mts = (
         measure.prefix_mass[:-1] + 0.5 * measure.masses - 0.5 * measure.total_mass
     )
-    clusters = [
-        OracleCluster(position=float(p), mass=float(w), velocity=float(-mt), lo=i, hi=i + 1)
-        for i, (p, w, mt) in enumerate(zip(measure.positions, measure.masses, mts))
-    ]
-    return _simulate(clusters, 0.0, t_end, _DriftDynamics())
+    return _simulate_atoms(measure, -mts, t_end, _DriftDynamics())
 
 
 def oracle_cdf(state: ClusterState, x: float) -> float:

@@ -84,6 +84,22 @@ def _filtered_grid(measure, xs, t):
     return np.array(keep)
 
 
+def _nearest(pos, x, k):
+    """``np.argmin(np.abs(pos - x))`` for sorted ``pos``, given k = searchsorted(pos, x).
+
+    The computed distances do not rise up to k - 1 and do not fall from k
+    on, so the first least one is k or the start of the run of equal
+    distances that ends at k - 1 (duplicate positions included).
+    """
+    if k == 0 or (k < pos.size and abs(pos[k] - x) < abs(pos[k - 1] - x)):
+        return k
+    j = k - 1
+    d = abs(pos[j] - x)
+    while j > 0 and abs(pos[j - 1] - x) == d:
+        j -= 1
+    return j
+
+
 def convergence_study(
     data: InitialData, t: float, x_grid, tau_sequence
 ) -> RelaxationReport:
@@ -115,8 +131,9 @@ def convergence_study(
         _, _, pos, vel = frame.clusters()
         vel = vel / tau
         worst = 0.0
-        for c in drift_clusters:
-            j = int(np.argmin(np.abs(pos - c.position)))
+        right = np.searchsorted(pos, [c.position for c in drift_clusters]).tolist()
+        for c, k in zip(drift_clusters, right):
+            j = _nearest(pos, c.position, k)
             worst = max(worst, abs(float(vel[j]) - c.velocity))
         err_u.append(worst)
 

@@ -9,7 +9,12 @@ from stickygas.euler_poisson import eval_m, eval_u
 from stickygas.measure import InitialData
 from stickygas.oracle import oracle_cdf, oracle_velocity, simulate_ep
 from stickygas.potentials import PotentialCoefficients
-from stickygas.relax import convergence_study, eval_scaled, scaled_cluster_snapshot
+from stickygas.relax import (
+    _nearest,
+    convergence_study,
+    eval_scaled,
+    scaled_cluster_snapshot,
+)
 
 TAUS = [2.0 ** (-k) for k in range(1, 11)]
 
@@ -143,3 +148,19 @@ class TestConvergenceStudy:
                 key=lambda pv: abs(pv[0] - drift_c[0].position),
             )
             assert err == pytest.approx(abs(vel - drift_c[0].velocity), abs=1e-15)
+
+
+class TestNearestCluster:
+    def test_equals_argmin_first_index(self):
+        # sorted positions with duplicates, and distances that round to a tie
+        # between distinct positions (near 1 seen from 1e10)
+        rng = np.random.default_rng(51)
+        cases = [1.0 + np.arange(6) * 2.0**-52, np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0])]
+        for _ in range(300):
+            pos = np.sort(rng.uniform(-5.0, 5.0, int(rng.integers(1, 12))))
+            cases += [np.round(pos), pos]
+        for pos in cases:
+            xs = [-1e10, 1e10, *pos.tolist(), *(pos + 0.5).tolist()]
+            xs += np.nextafter(pos, np.inf).tolist() + rng.uniform(-6.0, 6.0, 5).tolist()
+            for x, k in zip(xs, np.searchsorted(pos, xs).tolist()):
+                assert _nearest(pos, x, k) == int(np.argmin(np.abs(pos - x)))
