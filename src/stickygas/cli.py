@@ -22,7 +22,7 @@ from .errors import ConfigError, NumericError
 from .euler_poisson import cluster_snapshot, eval_m_grid, eval_u, sample, speed_bound
 from .instances import random_instance, sample_times_avoiding_events
 from .measure import InitialData
-from .oracle import oracle_cdf, simulate_drift, simulate_ep
+from .oracle import oracle_cdf, simulate_ep
 
 ENV_PREFIX = "STICKYGAS_"
 

@@ -109,8 +109,8 @@ def sample_drift(measure: AtomicMeasure, x: float, t: float) -> DriftSample:
 def drift_cluster_snapshot(measure: AtomicMeasure, t: float):
     """Cluster decomposition of the drift solution at time t.
 
-    Returns (lo, hi, position, velocity, mass) tuples; the velocity of a
-    cluster is minus its centered cumulative mass.
+    Returns ``Cluster`` objects (lo, hi, position, velocity, mass); the
+    velocity of a cluster is minus its centered cumulative mass.
     """
     frame = _drift_frame(measure, t)
     lo, hi, pos, _ = frame.clusters()

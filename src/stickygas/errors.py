@@ -33,10 +33,6 @@ class BadConstantK(NumericError):
     """Auxiliary-potential constant k does not satisfy k > U0 + M*tau/2."""
 
 
-class BisectionFailure(NumericError):
-    """A monotone bisection could not establish or keep a valid bracket."""
-
-
 class RootBracketFailure(NumericError):
     """Event root finding failed to bracket a collision time."""
 

@@ -10,9 +10,11 @@ The cluster decomposition at a fixed time equals the lower convex hull of
 the prefix points (P_k, S_k): hull vertices are the exposed prefixes and
 each hull edge is one cluster whose position and velocity are the edge
 slopes in S and Q. The hull lives in ``potentials.PrefixFrame.clusters``,
-shared with the drift and relaxation layers. ``forward_position`` keeps
-the contract-level monotone bisection; the hull is the batch fast path and
-the two are cross-checked in the test suite.
+shared with the drift and relaxation layers. Clusters only merge, so the
+forward characteristics are read off the same hull: ``forward_position``
+is the position of the cluster that holds the atom, and ``trace_shock``
+follows a cluster, or a backward characteristic clamped between the two
+clusters around it.
 
 ``sample``, ``eval_u`` and ``eval_E`` take a scalar x or a 1-d grid of x.
 A scalar x runs the dense prefix argmin; a grid returns the per-point
@@ -29,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BisectionFailure, NonPositiveTime
+from .errors import NonPositiveTime
 from .measure import InitialData
 from .potentials import PotentialCoefficients, PrefixFrame
 
@@ -54,9 +56,6 @@ __all__ = [
 
 # Tolerance scale for classifying c(y*; x, t) against u0(y*) and +-U0.
 DEFAULT_SPEED_TOL = 1e-9
-
-# Bisection tolerance scale: tol_pos = DEFAULT_POS_TOL_SCALE * (1 + x-range).
-DEFAULT_POS_TOL_SCALE = 1e-12
 
 
 class Branch(Enum):
@@ -340,19 +339,17 @@ def eval_q_grid(data: InitialData, xs, t: float):
 # -- cluster structure -------------------------------------------------------
 
 
-def cluster_snapshot(data: InitialData, t: float, coeffs=None):
-    """Cluster decomposition of the solution at time t.
-
-    Fast hull-based path; agrees with per-atom ``forward_position`` bisection
-    to within its tolerance (property-tested).
+def cluster_snapshot(data: InitialData, t: float):
+    """Cluster decomposition of the solution at time t: the hull edges of
+    ``PrefixFrame.clusters``, or one cluster per atom at t = 0.
     """
-    if t == 0.0 and coeffs is None:
+    if t == 0.0:
         m = data.measure
         return [
             Cluster(i, i + 1, float(m.positions[i]), float(data.velocities[i]), float(m.masses[i]))
             for i in range(len(m))
         ]
-    frame = _frame(data, t, coeffs)
+    frame = _frame(data, t)
     lo, hi, pos, vel = frame.clusters()
     mass = frame.P[hi] - frame.P[lo]
     return [
@@ -364,74 +361,24 @@ def cluster_snapshot(data: InitialData, t: float, coeffs=None):
 # -- forward generalized characteristics --------------------------------------
 
 
-def _default_pos_tol(data) -> float:
-    m = data.measure
-    span = float(m.positions[-1] - m.positions[0]) if len(m) else 0.0
-    return DEFAULT_POS_TOL_SCALE * (1.0 + span)
+def _holder(hi, i):
+    """Index of the cluster (hull edge) that holds atom i."""
+    return int(np.searchsorted(hi, i, side="right"))
 
 
-def forward_position(data: InitialData, atom_index: int, t: float, tol_pos=None) -> float:
+def forward_position(data: InitialData, atom_index: int, t: float) -> float:
     """Position x(eta_i, t) of the forward characteristic through atom i.
 
-    Monotone bisection over x of the predicate k_max(x, t) >= i + 1, valid
-    because the argmin prefix index is nondecreasing in x.
+    Clusters only merge, so atom i sits at the position of the hull edge
+    that holds it.
     """
     m = data.measure
     if not 0 <= atom_index < len(m):
         raise IndexError(f"atom index {atom_index} out of range")
     if t == 0.0:
         return float(m.positions[atom_index])
-    if tol_pos is None:
-        tol_pos = _default_pos_tol(data)
-    # exact-argmin frame: the position-metric tie window would blur the
-    # predicate boundary by more than the bisection tolerance
-    frame = PrefixFrame(
-        data.measure,
-        data.velocities,
-        PotentialCoefficients.euler_poisson(data.tau, t),
-        tie_pos_tol=0.0,
-    )
-    coeffs = frame.coeffs
-    reach = data.max_speed * coeffs.A + 0.5 * m.total_mass * abs(coeffs.B)
-    lo = float(m.positions[0]) - reach - 1.0
-    hi = float(m.positions[-1]) + reach + 1.0
-    want = atom_index + 1
-
-    def pred(x):
-        return frame.argmin(x)[2] >= want
-
-    if pred(lo) or not pred(hi):
-        raise BisectionFailure(
-            f"could not bracket forward position of atom {atom_index} at t={t}"
-        )
-    while hi - lo > tol_pos:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _backward_char_at(frame, data, x, t1, coeffs0):
-    """History curve of (x, t1) evaluated at the earlier time of coeffs0.
-
-    Follows the case split of the velocity formula: a plain backward
-    characteristic where the needed initial speed is admissible, and the
-    max-speed vacuum tracer (initial speed capped at +-U0) where it is not.
-    The curves are ordered in x, which makes the forward-trace bisection
-    monotone.
-    """
-    coeffs = frame.coeffs
-    _, k_min, _ = frame.argmin(x)
-    side, vacuum, _, y, mt, c = _backward_cone(frame, data, x, k_min)
-    if vacuum:
-        return (
-            x
-            - side * data.max_speed * (coeffs.A - coeffs0.A)
-            - mt * (coeffs.B - coeffs0.B)
-        )
-    return y + c * coeffs0.A + mt * coeffs0.B
+    _, hi, pos, _ = _frame(data, t).clusters()
+    return float(pos[_holder(hi, atom_index)])
 
 
 def trace_shock(
@@ -439,17 +386,16 @@ def trace_shock(
 ) -> ShockCurve:
     """Sample the unique forward generalized characteristic from (x0, t0).
 
-    At each sample time the position is recovered by monotone bisection:
-    the backward characteristics of candidate points at that time are
-    ordered in x and exactly one passes through (x0, t0).
+    A start on a cluster (k_max > k_min at x0) follows the cluster that
+    holds atom k_min. A start in vacuum (k_min = k_max = k) continues its
+    backward characteristic (the max-speed vacuum tracer, or the plain
+    characteristic from its anchor atom), clamped between the clusters
+    that hold atoms k - 1 and k.
     """
     if not 0.0 < t0 < t_end:
         raise NonPositiveTime(f"need 0 < t0 < t_end, got t0={t0}, t_end={t_end}")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    tol_pos = _default_pos_tol(data)
-    vmax = speed_bound(data)
-    coeffs0 = PotentialCoefficients.euler_poisson(data.tau, t0)
 
     times = [t0]
     n_steps = int(math.floor((t_end - t0) / dt + 1e-12))
@@ -457,38 +403,41 @@ def trace_shock(
     if times[-1] < t_end - 1e-12 * (1.0 + t_end):
         times.append(t_end)
 
-    xs = [float(x0)]
-    for t1 in times[1:]:
-        frame = PrefixFrame(
-            data.measure,
-            data.velocities,
-            PotentialCoefficients.euler_poisson(data.tau, t1),
-            tie_pos_tol=0.0,
-        )
-        reach = vmax * (t1 - t0) + 1.0
-        lo, hi = x0 - reach, x0 + reach
+    frame = _frame(data, t0)
+    coeffs0 = frame.coeffs
+    _, k, k_max = frame.argmin(x0)
+    if k_max == k:
+        side, vacuum, _, y, mt, c = _backward_cone(frame, data, x0, k)
+    n = len(data.measure)
 
-        def pred(x):
-            return _backward_char_at(frame, data, x, t1, coeffs0) < x0
-
-        if not pred(lo) or pred(hi):
-            raise BisectionFailure(f"shock trace bracket failed at t={t1}")
-        while hi - lo > tol_pos:
-            mid = 0.5 * (lo + hi)
-            if pred(mid):
-                lo = mid
+    xs, vels, ranges = [], [], []
+    for j, t1 in enumerate(times):
+        x1 = float(x0)
+        if j > 0:
+            frame = _frame(data, t1)
+            _, hi, pos, _ = frame.clusters()
+            coeffs = frame.coeffs
+            if k_max > k:
+                x1 = pos[_holder(hi, k)]
             else:
-                hi = mid
-        xs.append(0.5 * (lo + hi))
-
-    vels = []
-    ranges = []
-    for t1, x1 in zip(times, xs):
-        frame = _frame(data, t1)
-        _, k_min, k_max = frame.argmin(x1)
-        u, _ = _velocity_from_frame(frame, data, x1, k_min, k_max)
+                if vacuum:
+                    x1 = (
+                        x0
+                        + side * data.max_speed * (coeffs.A - coeffs0.A)
+                        + mt * (coeffs.B - coeffs0.B)
+                    )
+                else:
+                    x1 = y + c * coeffs.A + mt * coeffs.B
+                if k > 0:
+                    x1 = max(x1, pos[_holder(hi, k - 1)])
+                if k < n:
+                    x1 = min(x1, pos[_holder(hi, k)])
+            x1 = float(x1)
+        _, a, b = frame.argmin(x1)
+        u, _ = _velocity_from_frame(frame, data, x1, a, b)
+        xs.append(x1)
         vels.append(u)
-        ranges.append((k_min, k_max))
+        ranges.append((a, b))
     return ShockCurve(
         x0=float(x0),
         t0=float(t0),

@@ -162,19 +162,15 @@ class PrefixFrame:
         "X",
         "vel",
         "tie_tol",
-        "tie_pos_tol",
         "_hull",
     )
 
-    def __init__(self, measure, velocities, coeffs, tie_pos_tol=None):
+    def __init__(self, measure, velocities, coeffs):
         self.measure = measure
         self.coeffs = coeffs
         # the one reader of the tie tolerance, resolved at construction so
         # that a CLI --tol-tie override reaches every frame built under it
         self.tie_tol = DEFAULT_TIE_TOL
-        self.tie_pos_tol = (
-            DEFAULT_TIE_POS_TOL if tie_pos_tol is None else tie_pos_tol
-        )
         w = measure.masses
         self.X = free_positions(measure, velocities, coeffs)
         mt = measure.atom_mtilde()
@@ -195,7 +191,7 @@ class PrefixFrame:
         T = self.S[a:b] - x * self.P[a:b]
         k0 = int(np.argmin(T))
         nu = float(T[k0])
-        tol = self.tie_tol * (1.0 + abs(nu)) + self.tie_pos_tol * (
+        tol = self.tie_tol * (1.0 + abs(nu)) + DEFAULT_TIE_POS_TOL * (
             1.0 + abs(x)
         ) * np.abs(self.P[a:b] - self.P[a + k0])
         ties = np.flatnonzero(T - nu <= tol)
@@ -230,7 +226,7 @@ class PrefixFrame:
         nu = S[v] - xs * P[v]
         rnd = 1e-14 * (np.max(np.abs(S)) + np.abs(xs) * P[-1])
         value = self.tie_tol * (1.0 + np.abs(nu)) + rnd
-        reach = self.tie_pos_tol * (1.0 + np.abs(xs))
+        reach = DEFAULT_TIE_POS_TOL * (1.0 + np.abs(xs))
         slopes = np.concatenate(([-np.inf], pos, [np.inf]))
         dP = np.concatenate(([np.inf], np.diff(P), [np.inf]))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -360,10 +356,6 @@ def initial_speed_c(
 def eval_Fbar(measure: AtomicMeasure, y: float, x: float, t: float) -> float:
     """Drift potential: sum over atoms below y of w (eta - t*mtilde0 - x)."""
     return _potential_at(measure, None, PotentialCoefficients.drift(t), y, x, "left")
-
-
-def eval_Fbar_right(measure: AtomicMeasure, y: float, x: float, t: float) -> float:
-    return _potential_at(measure, None, PotentialCoefficients.drift(t), y, x, "right")
 
 
 def minimize_Fbar(measure: AtomicMeasure, x: float, t: float) -> MinimizerResult:

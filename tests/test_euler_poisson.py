@@ -6,6 +6,8 @@ import pytest
 from stickygas.errors import NonPositiveTime
 from stickygas.euler_poisson import (
     Branch,
+    _backward_cone,
+    _frame,
     cluster_snapshot,
     eval_E,
     eval_m,
@@ -21,6 +23,7 @@ from stickygas.euler_poisson import (
 )
 from stickygas.measure import InitialData
 from stickygas.oracle import simulate_ep
+from stickygas.potentials import PotentialCoefficients
 from tests.conftest import make_random_instance
 
 E1 = math.exp(-1.0)
@@ -466,6 +469,128 @@ class TestRandomizedShockTraces:
                 nearest = min(state.clusters, key=lambda c: abs(c.position - x))
                 assert x == pytest.approx(nearest.position, abs=1e-7)
             traced += 1
+
+
+# -- bisection references for the hull reads ---------------------------------
+
+
+def _exact_argmin(frame, x):
+    """(k_min, k_max) of the prefix sums at x, value tie term only."""
+    T = frame.S - x * frame.P
+    nu = float(np.min(T))
+    ties = np.flatnonzero(T - nu <= frame.tie_tol * (1.0 + abs(nu)))
+    return int(ties[0]), int(ties[-1])
+
+
+def _bisect(pred, lo, hi, tol):
+    """Shrink [lo, hi] with pred(lo) false and pred(hi) true to width tol."""
+    assert not pred(lo) and pred(hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _pos_tol(data):
+    pos = data.measure.positions
+    return 1e-12 * (1.0 + float(pos[-1] - pos[0]))
+
+
+def bisect_forward_position(data, i, t):
+    """Atom i's forward position: where k_max(x, t) first reaches i + 1."""
+    m = data.measure
+    frame = _frame(data, t)
+    reach = data.max_speed * frame.coeffs.A + 0.5 * m.total_mass * abs(frame.coeffs.B)
+    lo = float(m.positions[0]) - reach - 1.0
+    hi = float(m.positions[-1]) + reach + 1.0
+    return _bisect(lambda x: _exact_argmin(frame, x)[1] >= i + 1, lo, hi, _pos_tol(data))
+
+
+def bisect_trace(data, x0, t0, times):
+    """Forward characteristic from (x0, t0): at each time, the point whose
+    backward characteristic (or max-speed vacuum tracer) passes through x0
+    at t0. These curves are ordered in x, so the search is monotone.
+    """
+    coeffs0 = PotentialCoefficients.euler_poisson(data.tau, t0)
+    vmax = speed_bound(data)
+    xs = [float(x0)]
+    for t1 in times[1:]:
+        frame = _frame(data, t1)
+        A, B = frame.coeffs.A, frame.coeffs.B
+
+        def back(x):
+            k_min, _ = _exact_argmin(frame, x)
+            side, vacuum, _, y, mt, c = _backward_cone(frame, data, x, k_min)
+            if vacuum:
+                return x - side * data.max_speed * (A - coeffs0.A) - mt * (B - coeffs0.B)
+            return y + c * coeffs0.A + mt * coeffs0.B
+
+        reach = vmax * (t1 - t0) + 1.0
+        xs.append(
+            _bisect(lambda x: back(x) >= x0, x0 - reach, x0 + reach, _pos_tol(data))
+        )
+    return xs
+
+
+def _near_duplicate(data, rng):
+    """Each atom of data beside a copy of itself 1e-14 |x| to its right."""
+    p = data.measure.positions
+    pos = np.sort(np.concatenate([p, p + 1e-14 * np.abs(p)]))
+    n = pos.size
+    return InitialData.from_atoms(
+        pos, rng.uniform(0.01, 2.0, size=n), rng.uniform(-2.0, 2.0, size=n), data.tau
+    )
+
+
+def _instances(seed, count):
+    rng = np.random.default_rng(seed)
+    for j in range(count):
+        data = make_random_instance(rng, n_max=10)
+        yield rng, (_near_duplicate(data, rng) if j % 2 else data)
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-8 * (1.0 + abs(want))
+
+
+class TestHullReadsMatchBisection:
+    def test_forward_position(self):
+        for rng, data in _instances(70, 24):
+            for t in rng.uniform(1e-3, 6.0, size=3).tolist():
+                for i in range(len(data)):
+                    got = forward_position(data, i, t)
+                    assert _close(got, bisect_forward_position(data, i, t))
+
+    def test_trace_shock_cluster_and_vacuum_starts(self):
+        kinds = {"cluster": 0, "k=0": 0, "interior": 0, "k=N": 0}
+        for rng, data in _instances(71, 24):
+            t0 = float(rng.uniform(0.05, 3.0))
+            pos = [c.position for c in cluster_snapshot(data, t0)]
+            starts = [("cluster", pos[int(rng.integers(len(pos)))])]
+            starts += [("k=0", pos[0] - 1.0), ("k=N", pos[-1] + 1.0)]
+            if len(pos) > 1:
+                j = int(rng.integers(len(pos) - 1))
+                starts.append(("interior", 0.5 * (pos[j] + pos[j + 1])))
+            for kind, x0 in starts:
+                curve = trace_shock(data, x0, t0, t0 + 2.0, 0.45)
+                want = bisect_trace(data, x0, t0, curve.times)
+                for got, ref in zip(curve.positions, want):
+                    assert _close(got, ref), (kind, got, ref)
+                kinds[kind] += 1
+        assert min(kinds.values()) > 0
+
+    def test_extreme_mass_ratio_reads_the_cluster(self):
+        # masses across 12 decades: the light atom's cluster sits near 0.75;
+        # a bisection over the prefix argmin lands far from it
+        data = InitialData.from_atoms([-1.0, 1.0], [1e6, 1e-6], [0.0, 0.0], 1.0)
+        t = 1e-3
+        for c in cluster_snapshot(data, t):
+            for i in range(c.lo, c.hi):
+                assert forward_position(data, i, t) == c.position
+        assert forward_position(data, 1, t) == pytest.approx(0.75, abs=1e-3)
 
 
 class TestGridEvaluation:

@@ -7,6 +7,7 @@ from scipy.optimize import isotonic_regression
 
 from stickygas import potentials
 from stickygas.errors import BadConstantK, EmptyMeasure, NonPositiveTime
+from stickygas.instances import random_instance
 from stickygas.measure import AtomicMeasure, InitialData
 from stickygas.potentials import (
     PotentialCoefficients,
@@ -421,3 +422,24 @@ class TestArgminGrid:
                 hull = np.repeat(pos, hi - lo)
                 scale = max(1.0, float(np.max(np.abs(fit.x))))
                 assert np.max(np.abs(hull - fit.x)) <= 1e-12 * scale
+
+
+class TestNoSplitting:
+    def test_later_hull_vertices_are_earlier_vertices(self):
+        # sticky dynamics: clusters only merge, so every prefix exposed on
+        # the hull at a later time was exposed at every earlier time
+        rng = np.random.default_rng(64)
+        pairs = 0
+        for _ in range(100):
+            data = random_instance(rng)
+            earlier = None
+            for t in np.sort(rng.uniform(1e-4, 6.0, size=40)).tolist():
+                frame = _lookup_frame(data, "euler_poisson", t)
+                lo, hi, _, _ = frame.clusters()
+                verts = set(lo.tolist()) | set(hi.tolist())
+                if earlier is not None:
+                    assert verts <= earlier, f"hull split between times at t={t}"
+                    pairs += 1
+                earlier = verts
+        assert pairs == 100 * 39
+
