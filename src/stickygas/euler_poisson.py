@@ -408,7 +408,6 @@ def trace_shock(
     _, k, k_max = frame.argmin(x0)
     if k_max == k:
         side, vacuum, _, y, mt, c = _backward_cone(frame, data, x0, k)
-    n = len(data.measure)
 
     xs, vels, ranges = [], [], []
     for j, t1 in enumerate(times):
@@ -430,7 +429,7 @@ def trace_shock(
                     x1 = y + c * coeffs.A + mt * coeffs.B
                 if k > 0:
                     x1 = max(x1, pos[_holder(hi, k - 1)])
-                if k < n:
+                if k < len(data.measure):
                     x1 = min(x1, pos[_holder(hi, k)])
             x1 = float(x1)
         _, a, b = frame.argmin(x1)
