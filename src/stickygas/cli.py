@@ -44,10 +44,24 @@ _GRID_KEYS = {"min", "max", "count"}
 _TOL_KEYS = {"tie", "compare"}
 
 
+def _finite(value) -> bool:
+    """True for a finite int or float that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _count(value) -> bool:
+    """True for a nonnegative int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _tolerance(name: str, value) -> float:
     """A tolerance value: a finite, non-boolean number >= 0."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and math.isfinite(value) and value >= 0):
+    if not (_finite(value) and value >= 0):
         raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
     return float(value)
 
@@ -68,54 +82,58 @@ class RunConfig:
             raise ConfigError("measure must be nonempty: provide at least one atom")
         pos, mass, vel = [], [], []
         for i, atom in enumerate(atoms):
-            if not isinstance(atom, dict) or set(atom) - _ATOM_KEYS:
+            if not isinstance(atom, dict) or set(atom) != _ATOM_KEYS:
                 raise ConfigError(f"atom {i} must be an object with keys {sorted(_ATOM_KEYS)}")
-            try:
-                pos.append(float(atom["position"]))
-                mass.append(float(atom["mass"]))
-                vel.append(float(atom["velocity"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"atom {i} is malformed: {exc}") from exc
+            if not all(_finite(atom[key]) for key in _ATOM_KEYS):
+                raise ConfigError(f"atom {i} values must be finite numbers")
+            pos.append(float(atom["position"]))
+            mass.append(float(atom["mass"]))
+            vel.append(float(atom["velocity"]))
             if mass[-1] <= 0.0:
                 raise ConfigError(f"atom {i} mass must be positive")
         tau = raw.get("tau", 1.0)
-        if not isinstance(tau, (int, float)) or not 0.0 < float(tau) <= 1.0:
+        if not (_finite(tau) and 0.0 < tau <= 1.0):
             raise ConfigError("tau must be a number in (0, 1]")
         times = raw.get("times", [1.0])
         if not isinstance(times, list) or not times:
             raise ConfigError("times must be a nonempty list")
         for t in times:
-            if not isinstance(t, (int, float)) or float(t) < 0.0:
+            if not (_finite(t) and t >= 0.0):
                 raise ConfigError("times must be nonnegative numbers (t=0 emits initial data)")
         grid = raw.get("x_grid", {"min": -10.0, "max": 10.0, "count": 101})
         if not isinstance(grid, dict) or set(grid) != _GRID_KEYS:
             raise ConfigError(f"x_grid must be an object with keys {sorted(_GRID_KEYS)}")
-        if not (isinstance(grid["count"], int) and grid["count"] >= 2):
+        if not (_count(grid["count"]) and grid["count"] >= 2):
             raise ConfigError("x_grid.count must be an integer >= 2")
-        if not float(grid["min"]) < float(grid["max"]):
+        if not (_finite(grid["min"]) and _finite(grid["max"])):
+            raise ConfigError("x_grid.min and x_grid.max must be finite numbers")
+        if not grid["min"] < grid["max"]:
             raise ConfigError("x_grid.min must be below x_grid.max")
         t_end = raw.get("t_end", max(float(t) for t in times) + 1.0)
-        if not isinstance(t_end, (int, float)) or float(t_end) <= 0.0:
+        if not (_finite(t_end) and t_end > 0.0):
             raise ConfigError("t_end must be a positive number")
         tau_seq = raw.get("tau_sequence", [2.0 ** (-k) for k in range(1, 11)])
         if not isinstance(tau_seq, list) or not all(
-            isinstance(v, (int, float)) and 0.0 < float(v) <= 1.0 for v in tau_seq
+            _finite(v) and 0.0 < v <= 1.0 for v in tau_seq
         ):
             raise ConfigError("tau_sequence must be a list of numbers in (0, 1]")
         relax_time = raw.get("relax_time", 1.0)
-        if not isinstance(relax_time, (int, float)) or float(relax_time) <= 0.0:
+        if not (_finite(relax_time) and relax_time > 0.0):
             raise ConfigError("relax_time must be a positive number")
         n_instances = raw.get("n_instances", 0)
-        if not isinstance(n_instances, int) or n_instances < 0:
+        if not _count(n_instances):
             raise ConfigError("n_instances must be a nonnegative integer")
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
+        if not _count(seed):
             raise ConfigError("seed must be a nonnegative integer")
         tols = raw.get("tolerances", {})
         if not isinstance(tols, dict) or set(tols) - _TOL_KEYS:
             raise ConfigError(f"tolerances keys must be among {sorted(_TOL_KEYS)}")
 
-        self.data = InitialData.from_atoms(pos, mass, vel, float(tau))
+        try:
+            self.data = InitialData.from_atoms(pos, mass, vel, float(tau))
+        except ValueError as exc:
+            raise ConfigError(f"atoms are invalid: {exc}") from exc
         self.times = [float(t) for t in times]
         self.x_grid = np.linspace(float(grid["min"]), float(grid["max"]), grid["count"])
         self.t_end = float(t_end)
@@ -208,10 +226,8 @@ def cmd_oracle(cfg: RunConfig, out: str) -> list:
     for t in cfg.times:
         if t > cfg.t_end:
             continue
-        state = traj.state_at(t)
-        rows = [
-            (c.position, c.mass, c.velocity, c.lo, c.hi) for c in state.clusters
-        ]
+        s = traj.state_at(t)
+        rows = zip(*(a.tolist() for a in (s.positions, s.masses, s.velocities, s.lo, s.hi)))
         path = os.path.join(out, f"oracle_t{_time_tag(t)}.csv")
         write_csv(path, ["position", "mass", "velocity", "atom_lo", "atom_hi"], rows)
         written.append(path)
@@ -225,17 +241,12 @@ def _compare_one(data: InitialData, times, xs, tol) -> list:
     for t in times:
         state = traj.state_at(t)
         dm = float(
-            np.max(
-                np.abs(
-                    eval_m_grid(data, xs, t)
-                    - np.array([oracle_cdf(state, float(x)) for x in xs])
-                )
-            )
+            np.max(np.abs(eval_m_grid(data, xs, t) - oracle_cdf(state, xs)))
         ) if len(xs) else 0.0
         du = 0.0
-        us = eval_u(data, [c.position for c in state.clusters], t)
-        for c, (u, _) in zip(state.clusters, us):
-            du = max(du, abs(u - c.velocity))
+        us = eval_u(data, state.positions, t)
+        for v, (u, _) in zip(state.velocities.tolist(), us):
+            du = max(du, abs(u - v))
         rows.append((t, dm, du, bool(dm <= tol and du <= tol)))
     return rows
 

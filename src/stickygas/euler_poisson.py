@@ -127,8 +127,7 @@ def eval_m(data: InitialData, x: float, t: float) -> float:
 def eval_q(data: InitialData, x: float, t: float) -> float:
     """Momentum integral over the same prefix as eval_m."""
     if t == 0.0:
-        n = int(np.searchsorted(data.measure.positions, x, side="left"))
-        return float(np.sum(data.measure.masses[:n] * data.velocities[:n]))
+        return float(_initial_prefix(data, x, data.measure.masses * data.velocities))
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin(x)
     return float(frame.Q[k_min])
@@ -194,6 +193,12 @@ def _is_grid(x) -> bool:
     return np.ndim(x) == 1
 
 
+def _initial_prefix(data, x, terms):
+    """Sequential prefix sums of per-atom terms over the atoms strictly left of x."""
+    k = np.searchsorted(data.measure.positions, x, side="left")
+    return np.concatenate(([0.0], np.cumsum(terms)))[k]
+
+
 def _at_time_zero(fn, data, xs):
     """The scalar t = 0 form of fn at each grid point, in grid order."""
     return [fn(data, x, 0.0) for x in np.asarray(xs, dtype=float).tolist()]
@@ -253,11 +258,9 @@ def eval_E(data: InitialData, x, t: float):
     For a 1-d grid x, a list of energies in grid order.
     """
     if t == 0.0:
-        if _is_grid(x):
-            return _at_time_zero(eval_E, data, x)
-        n = int(np.searchsorted(data.measure.positions, x, side="left"))
-        w = data.measure.masses[:n]
-        return float(np.sum(w * data.velocities[:n] ** 2))
+        u = data.velocities
+        energies = _initial_prefix(data, x, data.measure.masses * u * u)
+        return energies.tolist() if _is_grid(x) else float(energies)
     frame, _, k_min, _ = _ranges(data, x, t)
     energies = _energies(frame, k_min)
     return energies if _is_grid(x) else energies[0]
@@ -328,9 +331,7 @@ def eval_q_grid(data: InitialData, xs, t: float):
     """Vectorized eval_q over an array of positions."""
     xs = np.asarray(xs, dtype=float)
     if t == 0.0:
-        k = np.searchsorted(data.measure.positions, xs, side="left")
-        qp = np.concatenate(([0.0], np.cumsum(data.measure.masses * data.velocities)))
-        return qp[k]
+        return _initial_prefix(data, xs, data.measure.masses * data.velocities)
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin_grid(xs)
     return frame.Q[k_min]

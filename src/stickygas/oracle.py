@@ -5,6 +5,7 @@ Clusters follow closed-form trajectories between collisions (damped motion
 under the piecewise-constant self-attraction for the gas, straight lines
 for the drift dynamics); collision times are bracketed and bisected on the
 closed forms, and colliding clusters merge conserving mass and momentum.
+Every state is a ClusterState of column arrays; queries read the columns.
 
 This module deliberately shares nothing with the potential-minimization
 layer except the input data model.
@@ -28,7 +29,6 @@ from .errors import (
 from .measure import AtomicMeasure, InitialData
 
 __all__ = [
-    "OracleCluster",
     "ClusterState",
     "MergeEvent",
     "Trajectory",
@@ -51,39 +51,36 @@ def _em1(z):
     return -math.expm1(-z) if z <= _EXP_FLUSH else 1.0
 
 
-@dataclass(frozen=True)
-class OracleCluster:
-    """One cluster: atoms lo..hi-1 merged at position with common velocity."""
-
-    position: float
-    mass: float
-    velocity: float
-    lo: int
-    hi: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ClusterState:
-    """Snapshot of all clusters at one time, ordered by position."""
+    """All clusters at one time as read-only columns, ordered by position.
+
+    Cluster i holds atoms lo[i]..hi[i]-1 merged at positions[i] with mass
+    masses[i] and common velocity velocities[i]. The columns are made
+    read-only in place, not copied.
+    """
 
     time: float
-    clusters: tuple
+    positions: np.ndarray
+    masses: np.ndarray
+    velocities: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
-    def positions(self):
-        return np.array([c.position for c in self.clusters])
+    def __post_init__(self):
+        for column in (self.positions, self.masses, self.velocities, self.lo, self.hi):
+            column.setflags(write=False)
 
-    def masses(self):
-        return np.array([c.mass for c in self.clusters])
-
-    def velocities(self):
-        return np.array([c.velocity for c in self.clusters])
+    def __eq__(self, other):
+        if not isinstance(other, ClusterState):
+            return NotImplemented
+        return self.time == other.time and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("positions", "masses", "velocities", "lo", "hi")
+        )
 
     def momentum(self) -> float:
-        return float(sum(c.mass * c.velocity for c in self.clusters))
-
-    def mtilde(self):
-        """Centered cumulative mass at each cluster: prefix + own/2 - M/2."""
-        return _mtilde(self.masses())
+        return float(sum((self.masses * self.velocities).tolist()))
 
 
 def _mtilde(m, total=None):
@@ -192,76 +189,52 @@ class _DriftDynamics:
         return -mt
 
 
-def _cluster_state(t, x, m, v, lo, hi) -> ClusterState:
-    columns = (a.tolist() for a in (x, m, v, lo, hi))
-    return ClusterState(time=t, clusters=tuple(map(OracleCluster, *columns)))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Trajectory:
     """Full event history of one simulation plus closed-form interpolation.
 
-    ``frames`` holds (time, x, m, v, lo, hi) arrays at the start, after each
-    event and at t_end; ``states`` presents them as ClusterState snapshots,
-    each built on first use.
+    ``states`` holds the ClusterState at the start, after each event and
+    at t_end.
     """
 
     kind: str
     tau: float
     t_end: float
     events: tuple
-    frames: tuple = field(repr=False)
+    states: tuple = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_times", tuple(f[0] for f in self.frames))
-        object.__setattr__(self, "_states", [None] * len(self.frames))
-        object.__setattr__(self, "_mtildes", [None] * len(self.frames))
-
-    @property
-    def states(self) -> tuple:
-        """ClusterState at the start, after each event and at t_end."""
-        return tuple(self._state(i) for i in range(len(self.frames)))
+        object.__setattr__(self, "_times", tuple(s.time for s in self.states))
+        object.__setattr__(self, "_mtildes", [None] * len(self.states))
 
     @property
     def event_times(self):
         return [e.time for e in self.events]
 
-    def __eq__(self, other):
-        if not isinstance(other, Trajectory):
-            return NotImplemented
-        return (self.kind, self.tau, self.t_end, self.states, self.events) == (
-            other.kind, other.tau, other.t_end, other.states, other.events
-        )
-
-    def _state(self, i) -> ClusterState:
-        state = self._states[i]
-        if state is None:
-            state = self._states[i] = _cluster_state(*self.frames[i])
-        return state
-
     def _dynamics(self):
         return _EpDynamics(self.tau) if self.kind == "euler_poisson" else _DriftDynamics()
 
     def state_at(self, t: float) -> ClusterState:
-        """Closed-form state at any t from the first frame's time to t_end."""
+        """Closed-form state at any t from the first state's time to t_end."""
         if not self._times[0] <= t <= self.t_end * (1.0 + 1e-12) + 1e-300:
             raise ValueError(
                 f"time {t} outside simulated horizon [{self._times[0]}, {self.t_end}]"
             )
         idx = bisect_right(self._times, t) - 1
-        base_t, x, m, v, lo, hi = self.frames[idx]
-        if base_t == t:
-            return self._state(idx)
+        base = self.states[idx]
+        if base.time == t:
+            return base
         mts = self._mtildes[idx]
         if mts is None:
-            mts = self._mtildes[idx] = _mtilde(m)
-        x, v = self._dynamics().advance(x, v, mts, t - base_t)
-        return _cluster_state(t, x, m, v, lo, hi)
+            mts = self._mtildes[idx] = _mtilde(base.masses)
+        x, v = self._dynamics().advance(base.positions, base.velocities, mts, t - base.time)
+        return ClusterState(t, x, base.masses, v, base.lo, base.hi)
 
     def resume(self, state_index: int) -> "Trajectory":
-        """Re-run the remaining trajectory from a recorded snapshot."""
-        t0, *arrays = self.frames[state_index]
-        return _simulate(*arrays, t0, self.t_end, self._dynamics())
+        """Re-run the remaining trajectory from a recorded state."""
+        s = self.states[state_index]
+        columns = (s.positions, s.masses, s.velocities, s.lo, s.hi)
+        return _simulate(*columns, s.time, self.t_end, self._dynamics())
 
 
 def _next_event(dyn, t, gap0, dv, dmt):
@@ -301,7 +274,7 @@ def _simulate(x, m, v, lo, hi, t0, t_end, dyn) -> Trajectory:
     n_atoms = int(hi[-1]) if hi.size else 0
     total_mass = sum(m.tolist())
     q0 = sum((m * v).tolist())
-    frames = [(t0, x, m, v, lo, hi)]
+    states = [ClusterState(t0, x, m, v, lo, hi)]
     events = []
     t = t0
     while x.size > 1:
@@ -311,7 +284,7 @@ def _simulate(x, m, v, lo, hi, t0, t_end, dyn) -> Trajectory:
             break
         # advance everything to the event time, then merge every pair due now
         x, v = dyn.advance(x, v, mts, t_ev - t)
-        # the merges write in place; the stored frames keep their arrays
+        # the merges write in place; the stored states keep their arrays
         m, v, lo, hi = m.copy(), v.copy(), lo.copy(), hi.copy()
         keep = np.ones(x.size, dtype=bool)
         for i in reversed(due):
@@ -329,7 +302,7 @@ def _simulate(x, m, v, lo, hi, t0, t_end, dyn) -> Trajectory:
         if dyn.kind == "drift":
             v = dyn.reset_velocity(_mtilde(m, sum(m.tolist())))
         t = t_ev
-        frames.append((t, x, m, v, lo, hi))
+        states.append(ClusterState(t, x, m, v, lo, hi))
         if len(events) > max(n_atoms - 1, 0):
             raise EventHorizonExceeded("more merge events than atoms minus one")
         # conservation checks at every event
@@ -347,13 +320,13 @@ def _simulate(x, m, v, lo, hi, t0, t_end, dyn) -> Trajectory:
             )
     # final state at the horizon
     x, v = dyn.advance(x, v, _mtilde(m, sum(m.tolist())), t_end - t)
-    frames.append((t_end, x, m, v, lo, hi))
+    states.append(ClusterState(t_end, x, m, v, lo, hi))
     return Trajectory(
         kind=dyn.kind,
         tau=getattr(dyn, "tau", math.nan),
         t_end=t_end,
         events=tuple(events),
-        frames=tuple(frames),
+        states=tuple(states),
     )
 
 
@@ -379,19 +352,21 @@ def simulate_drift(measure: AtomicMeasure, t_end: float) -> Trajectory:
     return _simulate_atoms(measure, -mts, t_end, _DriftDynamics())
 
 
-def oracle_cdf(state: ClusterState, x: float) -> float:
-    """Cumulative mass strictly left of x."""
-    return float(sum(c.mass for c in state.clusters if c.position < x))
+def oracle_cdf(state: ClusterState, x):
+    """Cumulative mass strictly left of x, a scalar or a 1-d array.
+
+    The positions are sorted, so the sequential prefix sum at the
+    insertion point equals the running sum over the clusters left of x.
+    """
+    prefix = np.concatenate(([0.0], np.cumsum(state.masses)))
+    cdf = prefix[np.searchsorted(state.positions, x, side="left")]
+    return float(cdf) if np.ndim(x) == 0 else cdf
 
 
 def oracle_velocity(state: ClusterState, x: float, atol: float = 1e-9) -> float:
     """Velocity of the cluster located at x, within an absolute tolerance."""
-    best = None
-    best_gap = math.inf
-    for c in state.clusters:
-        gap = abs(c.position - x)
-        if gap < best_gap:
-            best, best_gap = c, gap
-    if best is None or best_gap > atol:
+    gaps = np.abs(state.positions - x)
+    i = int(np.argmin(gaps))
+    if not gaps[i] <= atol:
         raise NoClusterAt(f"no cluster within {atol} of x={x}")
-    return float(best.velocity)
+    return float(state.velocities[i])

@@ -160,28 +160,29 @@ def _midpoint_nodes(t_lo, t_hi, cuts, n_total):
 def _mass_integrand(clusters, bump, t):
     """phi_t integrated against m(., t) dx minus the transport measure term.
 
-    ``clusters`` is a sequence of (position, mass, velocity) triples sorted
-    by position; m(., t) is piecewise constant between them so the dx part
-    is exact via the bump antiderivative.
+    ``clusters`` is a (positions, masses, velocities) triple of lists sorted
+    by position; m(., t) is piecewise constant between the clusters so the
+    dx part is exact via the bump antiderivative.
     """
-    prefix = np.concatenate(([0.0], np.cumsum([c[1] for c in clusters])))
+    xs, ws, us = clusters
+    prefix = np.concatenate(([0.0], np.cumsum(ws)))
     lo_supp = bump.x_center - bump.x_radius
     hi_supp = bump.x_center + bump.x_radius
-    cut_positions = [lo_supp] + [c[0] for c in clusters] + [hi_supp]
+    cut_positions = [lo_supp] + xs + [hi_supp]
     dx_part = 0.0
-    for k in range(len(clusters) + 1):
+    for k in range(len(xs) + 1):
         a = max(cut_positions[k], lo_supp)
         b = min(cut_positions[k + 1], hi_supp)
         if b > a:
             dx_part += prefix[k] * bump.dt_x_integral(a, b, t)
-    dm_part = sum(w * u * bump.value(x, t) for x, w, u in clusters)
+    dm_part = sum(w * u * bump.value(x, t) for x, w, u in zip(xs, ws, us))
     return dx_part - dm_part
 
 
 def _momentum_integrand(clusters, bump, t, tau, total_mass):
     acc = 0.0
     running = 0.0
-    for x, w, u in clusters:
+    for x, w, u in zip(*clusters):
         mt = running + 0.5 * w - 0.5 * total_mass
         running += w
         acc += w * (bump.dt(x, t) * u + bump.dx(x, t) * u * u)
@@ -220,12 +221,10 @@ def check_weak_form(
 
     def clusters_at(t):
         if layer == "formula":
-            return [
-                (c.position, c.mass, c.velocity) for c in cluster_snapshot(data, t)
-            ]
-        return [
-            (c.position, c.mass, c.velocity) for c in traj.state_at(t).clusters
-        ]
+            snap = cluster_snapshot(data, t)
+            return [c.position for c in snap], [c.mass for c in snap], [c.velocity for c in snap]
+        s = traj.state_at(t)
+        return s.positions.tolist(), s.masses.tolist(), s.velocities.tolist()
 
     levels = list(range(refinement_levels))
     res_mass, res_mom = [], []
@@ -303,6 +302,8 @@ def check_oleinik(
     traj = trajectory
     if layer == "oracle" and traj is None:
         traj = simulate_ep(data, max(t_samples) * 1.01)
+    if layer != "oracle" and not all(x1 < x2 for x1, x2 in x_pairs):
+        raise ValueError("x_pairs must satisfy x1 < x2")
     for t in t_samples:
         em1 = -math.expm1(-t / tau) if t / tau <= 700.0 else 1.0
         decay = math.exp(-t / tau) if t / tau <= 700.0 else 0.0
@@ -313,19 +314,17 @@ def check_oleinik(
         if layer == "oracle":
             # every difference quotient is a weighted mean of the adjacent
             # ones, so the adjacent cluster pairs attain the maximum
-            pts = [(c.position, c.velocity) for c in traj.state_at(t).clusters]
+            s = traj.state_at(t)
+            pts = list(zip(s.positions.tolist(), s.velocities.tolist()))
             for (x1, u1), (x2, u2) in zip(pts[:-1], pts[1:]):
                 if x2 - x1 <= 0.0:
                     continue
                 worst = max(worst, (u2 - u1) / (x2 - x1) - bound)
         else:
-            for x1, x2 in x_pairs:
-                if not x1 < x2:
-                    raise ValueError("x_pairs must satisfy x1 < x2")
             us = eval_u(data, [x for pair in x_pairs for x in pair], t)
             for (x1, x2), (u1, _), (u2, _) in zip(x_pairs, us[0::2], us[1::2]):
                 worst = max(worst, (u2 - u1) / (x2 - x1) - bound)
-        excesses.append(worst if worst > -math.inf else -math.inf)
+        excesses.append(worst)
     finite = [e for e in excesses if e > -math.inf]
     passed = all(e <= tol for e in finite)
     return ResidualReport(
@@ -375,8 +374,21 @@ def check_initial_continuity(
     errs_m, errs_q, errs_e = [], [], []
     for t in t_sequence:
         em = eq = ee = 0.0
-        state = traj.state_at(t) if traj is not None else None
-        if layer != "oracle":
+        if layer == "oracle":
+            # the positions are sorted: the clusters left of x are a prefix,
+            # summed in order as in the running sums
+            s = traj.state_at(t)
+            ws, us = s.masses.tolist(), s.velocities.tolist()
+            wu = [w * u for w, u in zip(ws, us)]
+            wuu = [w * u**2 for w, u in zip(ws, us)]
+            grid_fields = (
+                (mv, sum(wu[:j]), sum(wuu[:j]))
+                for mv, j in zip(
+                    oracle_cdf(s, x_grid).tolist(),
+                    np.searchsorted(s.positions, x_grid, side="left").tolist(),
+                )
+            )
+        else:
             # one hull lookup per level for all three fields
             grid_fields = zip(
                 eval_m_grid(data, x_grid, t).tolist(),
@@ -385,16 +397,7 @@ def check_initial_continuity(
             )
         for x in x_grid:
             k = int(np.searchsorted(m.positions, x, side="left"))
-            if layer == "oracle":
-                mv = oracle_cdf(state, x)
-                qv = sum(
-                    c.mass * c.velocity for c in state.clusters if c.position < x
-                )
-                ev = sum(
-                    c.mass * c.velocity**2 for c in state.clusters if c.position < x
-                )
-            else:
-                mv, qv, ev = next(grid_fields)
+            mv, qv, ev = next(grid_fields)
             em = max(em, abs(mv - m.prefix_mass[k]))
             eq = max(eq, abs(qv - q0[k]))
             ee = max(ee, abs(ev - e0[k]))

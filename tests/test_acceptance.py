@@ -72,13 +72,13 @@ def test_criterion_01_oracle_equivalence(ensemble):
     for data, traj, times, xs in ensemble.items:
         for t in times:
             state = traj.state_at(t)
-            m_oracle = np.array([oracle_cdf(state, float(x)) for x in xs])
+            m_oracle = oracle_cdf(state, xs)
             worst_dm = max(
                 worst_dm, float(np.max(np.abs(eval_m_grid(data, xs, t) - m_oracle)))
             )
-            for c in state.clusters:
-                u, _ = eval_u(data, c.position, t)
-                worst_du = max(worst_du, abs(u - c.velocity))
+            for x, v in zip(state.positions.tolist(), state.velocities.tolist()):
+                u, _ = eval_u(data, x, t)
+                worst_du = max(worst_du, abs(u - v))
     elapsed = ensemble.build_seconds + (time.perf_counter() - start)
     ok = worst_dm <= 1e-9 and worst_du <= 1e-9 and elapsed <= 60.0
     report(
@@ -141,7 +141,7 @@ def test_criterion_04_oleinik_suite(ensemble):
             decay = math.exp(-t / tau) if t / tau <= 700 else 0.0
             bound = decay / (tau * (-math.expm1(-t / tau)))
             worst_chain = max(worst_chain, bound - 1.0 / t)
-            pts = list(xs) + [c.position for c in traj.state_at(t).clusters]
+            pts = list(xs) + traj.state_at(t).positions.tolist()
             pts = sorted(set(pts))
             us = [eval_u(data, float(x), t)[0] for x in pts]
             for i in range(len(pts) - 1):
@@ -360,9 +360,10 @@ def test_criterion_09_weak_continuity(ensemble):
                 )
                 state = simulate_ep(data, 2.0 * t).state_at(t)
                 for x, qx, ex in zip(grid, q, e):
-                    left = [c for c in state.clusters if c.position < x]
-                    q_o = sum(c.mass * c.velocity for c in left)
-                    e_o = sum(c.mass * c.velocity**2 for c in left)
+                    left = state.positions < x
+                    ws, vs = state.masses[left].tolist(), state.velocities[left].tolist()
+                    q_o = sum(w * v for w, v in zip(ws, vs))
+                    e_o = sum(w * v**2 for w, v in zip(ws, vs))
                     oracle_err = max(oracle_err, abs(qx - q_o), abs(ex - e_o))
         for coarse, fine in zip(devs[:-1], devs[1:]):
             for a_dev, b_dev in zip(coarse, fine):
@@ -436,7 +437,8 @@ def test_weak_continuity_first_order_companion(ensemble):
                 -math.expm1(-t / tau)
             ) * float(np.sum(w * mt))
             q_f = eval_q_grid(data, [x], t)[0]
-            q_o = sum(c.mass * c.velocity for c in state.clusters if c.position < x)
+            left = state.positions < x
+            q_o = sum((state.masses[left] * state.velocities[left]).tolist())
             worst_pred = max(worst_pred, abs(q_f - q_pred))
             worst_layer = max(worst_layer, abs(q_f - q_o))
     ok = worst_pred <= 1e-12 and worst_layer <= 1e-9

@@ -64,6 +64,32 @@ class TestConfigValidation:
         code = main(["solve", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("oracle", "t_end", math.inf),
+            ("oracle", "t_end", 10**400),
+            ("solve", "times", [math.inf]),
+            ("solve", "times", [math.nan]),
+            ("relax", "relax_time", math.inf),
+            ("solve", "x_grid", {"min": -math.inf, "max": 1.0, "count": 11}),
+            ("solve", "tau", True),
+            ("compare", "n_instances", True),
+            ("compare", "seed", True),
+            ("oracle", "atoms", [{"position": 0.0, "mass": 1.0, "velocity": math.inf}]),
+            ("oracle", "atoms", [{"position": 0.0, "mass": 1.0, "velocity": math.nan}]),
+            ("solve", "atoms", [{"position": math.inf, "mass": 1.0, "velocity": 0.0}]),
+            ("solve", "atoms", [{"position": 0.0, "mass": True, "velocity": 0.0}]),
+            ("solve", "atoms", [{"position": "0.5", "mass": 1.0, "velocity": 0.0}]),
+        ],
+    )
+    def test_nonfinite_or_boolean_value_exits_2(self, tmp_path, capsys, command, key, value):
+        cfg = dict(TWO_ATOM, **{key: value})
+        code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestSolve:
     def test_mass_column_steps(self, tmp_path):

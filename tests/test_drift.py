@@ -123,12 +123,10 @@ class TestOracleEquivalence:
                 state = traj.state_at(t)
                 xs = rng.uniform(-14, 14, size=10)
                 got = eval_mbar_grid(m, xs, t)
-                want = [oracle_cdf(state, float(x)) for x in xs]
-                assert np.max(np.abs(got - np.array(want))) <= 1e-9
-                for c in state.clusters:
-                    assert eval_ubar(m, c.position, t) == pytest.approx(
-                        c.velocity, abs=1e-9
-                    )
+                want = oracle_cdf(state, xs)
+                assert np.max(np.abs(got - want)) <= 1e-9
+                for x, v in zip(state.positions.tolist(), state.velocities.tolist()):
+                    assert eval_ubar(m, x, t) == pytest.approx(v, abs=1e-9)
 
     def test_snapshot_matches_simulation(self, two_atom_asymmetric):
         m = two_atom_asymmetric.measure
@@ -136,11 +134,11 @@ class TestOracleEquivalence:
         for t in (1.0, 3.9, 5.0):
             snap = drift_cluster_snapshot(m, t)
             state = traj.state_at(t)
-            assert len(snap) == len(state.clusters)
-            for a, b in zip(snap, state.clusters):
-                assert a.position == pytest.approx(b.position, abs=1e-10)
-                assert a.velocity == pytest.approx(b.velocity, abs=1e-12)
-                assert (a.lo, a.hi) == (b.lo, b.hi)
+            assert len(snap) == len(state.positions)
+            for i, a in enumerate(snap):
+                assert a.position == pytest.approx(state.positions[i], abs=1e-10)
+                assert a.velocity == pytest.approx(state.velocities[i], abs=1e-12)
+                assert (a.lo, a.hi) == (state.lo[i], state.hi[i])
 
 
 class TestPotentialIdentities:

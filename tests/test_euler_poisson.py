@@ -218,7 +218,8 @@ class TestEnergy:
             t = float(rng.uniform(0.2, 5.0))
             traj = simulate_ep(data, t + 0.1)
             state = traj.state_at(t)
-            expect = sum(c.mass * c.velocity**2 for c in state.clusters)
+            ws, us = state.masses.tolist(), state.velocities.tolist()
+            expect = sum(w * u**2 for w, u in zip(ws, us))
             far = float(data.measure.positions[-1]) + 1e3
             assert eval_E(data, far, t) == pytest.approx(expect, abs=1e-9)
 
@@ -341,13 +342,13 @@ class TestTraceShock:
         traj = simulate_ep(data, 6.0)
         t0 = traj.events[0].time + 0.05
         state0 = traj.state_at(t0)
-        merged = max(state0.clusters, key=lambda c: c.hi - c.lo)
-        curve = trace_shock(data, merged.position, t0, 5.0, 0.3)
+        merged = int(np.argmax(state0.hi - state0.lo))
+        curve = trace_shock(data, float(state0.positions[merged]), t0, 5.0, 0.3)
         for t, x, u in zip(curve.times, curve.positions, curve.velocities):
             state = traj.state_at(t)
-            target = min(state.clusters, key=lambda c: abs(c.position - x))
-            assert x == pytest.approx(target.position, abs=1e-8)
-            assert u == pytest.approx(target.velocity, abs=1e-8)
+            target = int(np.argmin(np.abs(state.positions - x)))
+            assert x == pytest.approx(state.positions[target], abs=1e-8)
+            assert u == pytest.approx(state.velocities[target], abs=1e-8)
 
     def test_lipschitz_in_time(self, two_atom_symmetric):
         curve = trace_shock(two_atom_symmetric, 0.0, 1.0, 3.0, 0.2)
@@ -443,12 +444,12 @@ class TestDeepDecayRegime:
                 xs = rng.uniform(-8, 8, size=10)
                 from stickygas.oracle import oracle_cdf
 
-                want = [oracle_cdf(state, float(x)) for x in xs]
+                want = oracle_cdf(state, xs)
                 got = eval_m_grid(data, xs, t)
-                assert np.max(np.abs(got - np.array(want))) <= 1e-9
-                for c in state.clusters:
-                    u, _ = eval_u(data, c.position, t)
-                    assert u == pytest.approx(c.velocity, abs=1e-9)
+                assert np.max(np.abs(got - want)) <= 1e-9
+                for x, v in zip(state.positions.tolist(), state.velocities.tolist()):
+                    u, _ = eval_u(data, x, t)
+                    assert u == pytest.approx(v, abs=1e-9)
 
 
 class TestRandomizedShockTraces:
@@ -462,12 +463,12 @@ class TestRandomizedShockTraces:
                 continue
             t0 = traj.events[0].time + 0.1
             state0 = traj.state_at(t0)
-            start = max(state0.clusters, key=lambda c: c.hi - c.lo)
-            curve = trace_shock(data, start.position, t0, min(t0 + 2.0, 6.0), 0.37)
+            start = float(state0.positions[np.argmax(state0.hi - state0.lo)])
+            curve = trace_shock(data, start, t0, min(t0 + 2.0, 6.0), 0.37)
             for t, x in zip(curve.times, curve.positions):
-                state = traj.state_at(t)
-                nearest = min(state.clusters, key=lambda c: abs(c.position - x))
-                assert x == pytest.approx(nearest.position, abs=1e-7)
+                pos = traj.state_at(t).positions
+                nearest = pos[np.argmin(np.abs(pos - x))]
+                assert x == pytest.approx(nearest, abs=1e-7)
             traced += 1
 
 
@@ -618,3 +619,23 @@ class TestGridEvaluation:
                     grid = fn(data, np.array(xs), t)
                     assert [repr(v) for v in grid] == [repr(fn(data, x, t)) for x in xs]
                 assert fn(data, [], t) == []
+
+    def test_time_zero_scalar_forms_read_the_sequential_prefixes(self):
+        # the prefixes of w*u and w*u*u that eval_q_grid and the
+        # initial-continuity check form with a running sum
+        rng = np.random.default_rng(28)
+        for n in [8, 40] * 25:
+            data = InitialData.from_atoms(
+                np.sort(rng.uniform(-10.0, 10.0, n)),
+                rng.uniform(0.01, 2.0, n),
+                rng.uniform(-2.0, 2.0, n),
+                0.5,
+            )
+            w, u = data.measure.masses, data.velocities
+            e0 = np.concatenate(([0.0], np.cumsum(w * u * u)))
+            xs = rng.uniform(-11.0, 11.0, size=30)
+            k = np.searchsorted(data.measure.positions, xs, side="left")
+            qs = [eval_q(data, x, 0.0) for x in xs.tolist()]
+            es = [eval_E(data, x, 0.0) for x in xs.tolist()]
+            assert qs == eval_q_grid(data, xs, 0.0).tolist()
+            assert es == eval_E(data, xs, 0.0) == e0[k].tolist()

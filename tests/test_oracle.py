@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_right
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -11,9 +12,7 @@ from stickygas.errors import NoClusterAt, NonPositiveTime
 from stickygas.instances import random_instance, sample_times_avoiding_events
 from stickygas.measure import AtomicMeasure, InitialData
 from stickygas.oracle import (
-    ClusterState,
     MergeEvent,
-    OracleCluster,
     _DriftDynamics,
     _EpDynamics,
     oracle_cdf,
@@ -30,9 +29,10 @@ class TestSingleAtom:
         assert traj.events == ()
         for t in (0.2, 1.0, 2.7):
             state = traj.state_at(t)
-            (c,) = state.clusters
-            assert c.position == pytest.approx(1.0 - math.exp(-t), rel=1e-13)
-            assert c.velocity == pytest.approx(math.exp(-t), rel=1e-13)
+            (x,) = state.positions
+            (v,) = state.velocities
+            assert x == pytest.approx(1.0 - math.exp(-t), rel=1e-13)
+            assert v == pytest.approx(math.exp(-t), rel=1e-13)
 
 
 class TestTwoAtomBenchmark:
@@ -47,10 +47,11 @@ class TestTwoAtomBenchmark:
     def test_merged_cluster_at_rest(self, two_atom_symmetric):
         traj = simulate_ep(two_atom_symmetric, 6.0)
         state = traj.state_at(6.0)
-        (c,) = state.clusters
-        assert c.velocity == 0.0
-        assert c.position == pytest.approx(0.0, abs=1e-12)
-        assert (c.lo, c.hi) == (0, 2)
+        (x,) = state.positions
+        (v,) = state.velocities
+        assert v == 0.0
+        assert x == pytest.approx(0.0, abs=1e-12)
+        assert (state.lo.tolist(), state.hi.tolist()) == ([0], [2])
 
 
 class TestConservation:
@@ -75,12 +76,10 @@ class TestConservation:
             traj = simulate_ep(data, 7.0)
             assert len(traj.events) <= len(data) - 1
             for state in traj.states:
-                assert sum(c.mass for c in state.clusters) == pytest.approx(
-                    M, rel=1e-14
-                )
-                pos = state.positions()
+                assert sum(state.masses.tolist()) == pytest.approx(M, rel=1e-14)
+                pos = state.positions
                 assert np.all(np.diff(pos) > 0) or len(pos) == 1
-                ranges = [(c.lo, c.hi) for c in state.clusters]
+                ranges = list(zip(state.lo.tolist(), state.hi.tolist()))
                 assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
                 assert all(a[1] == b[0] for a, b in zip(ranges[:-1], ranges[1:]))
 
@@ -98,7 +97,7 @@ class TestDeterminism:
             assert len(resumed.states) == len(tail)
             for a, b in zip(tail, resumed.states):
                 assert a.time == b.time
-                assert a.clusters == b.clusters
+                assert a == b
 
     def test_resumed_trajectory_rejects_times_before_its_start(self):
         data = InitialData.from_atoms(
@@ -126,29 +125,26 @@ class TestDrift:
         assert len(traj.events) == 1
         assert traj.events[0].time == 4.0
         assert traj.events[0].position == pytest.approx(0.0, abs=1e-15)
-        (c,) = traj.state_at(5.0).clusters
-        assert c.velocity == 0.0
+        assert traj.state_at(5.0).velocities.tolist() == [0.0]
 
     def test_initial_speeds(self, two_atom_symmetric):
         traj = simulate_drift(two_atom_symmetric.measure, 1.0)
-        state = traj.states[0]
-        assert state.clusters[0].velocity == 0.25
-        assert state.clusters[1].velocity == -0.25
+        assert traj.states[0].velocities.tolist() == [0.25, -0.25]
 
     def test_single_atom_stationary(self):
         m = AtomicMeasure([0.7], [2.0])
         traj = simulate_drift(m, 3.0)
-        (c,) = traj.state_at(3.0).clusters
-        assert c.position == 0.7 and c.velocity == 0.0
+        state = traj.state_at(3.0)
+        assert state.positions.tolist() == [0.7] and state.velocities.tolist() == [0.0]
 
     def test_three_equal_atoms_symmetric(self):
         w = 0.6
         m = AtomicMeasure([-2.0, 0.0, 2.0], [w, w, w])
         traj = simulate_drift(m, 0.5)
-        state = traj.states[0]
-        assert state.clusters[1].velocity == pytest.approx(0.0, abs=1e-15)
-        assert state.clusters[0].velocity == pytest.approx(w, rel=1e-14)
-        assert state.clusters[2].velocity == pytest.approx(-w, rel=1e-14)
+        v = traj.states[0].velocities
+        assert v[1] == pytest.approx(0.0, abs=1e-15)
+        assert v[0] == pytest.approx(w, rel=1e-14)
+        assert v[2] == pytest.approx(-w, rel=1e-14)
 
     def test_total_drift_momentum_zero(self):
         rng = np.random.default_rng(35)
@@ -173,8 +169,8 @@ class TestStateQueries:
     def test_velocity_lookup(self, two_atom_symmetric):
         traj = simulate_ep(two_atom_symmetric, 6.0)
         state = traj.state_at(1.0)
-        x = state.clusters[0].position
-        assert oracle_velocity(state, x) == state.clusters[0].velocity
+        x = state.positions[0]
+        assert oracle_velocity(state, x) == state.velocities[0]
         with pytest.raises(NoClusterAt):
             oracle_velocity(state, 100.0)
 
@@ -182,7 +178,34 @@ class TestStateQueries:
         traj = simulate_ep(single_atom, 2.0)
         with pytest.raises(ValueError):
             traj.state_at(2.5)
-        assert traj.state_at(0.0).clusters[0].position == 0.0
+        assert traj.state_at(0.0).positions[0] == 0.0
+
+    def test_grid_cdf_is_the_filtered_running_sum(self):
+        # the draws of `compare`: 200 instances, five sample times, 21 points
+        rng = np.random.default_rng(20260810)
+        for _ in range(200):
+            data = random_instance(rng, n_max=20)
+            traj = simulate_ep(data, 6.0)
+            times = sample_times_avoiding_events(rng, 5, 0.1, 5.5, traj.event_times)
+            lo = float(data.measure.positions[0]) - 2.0
+            hi = float(data.measure.positions[-1]) + 2.0
+            xs = rng.uniform(lo, hi, size=21)
+            for t in [0.0, *times, 6.0]:
+                state = traj.state_at(t)
+                pairs = list(zip(state.positions.tolist(), state.masses.tolist()))
+                want = [float(sum(w for p, w in pairs if p < x)) for x in xs.tolist()]
+                grid = oracle_cdf(state, xs)
+                assert repr(grid.tolist()) == repr(want)
+                assert [oracle_cdf(state, x) for x in xs.tolist()] == grid.tolist()
+
+    def test_columns_reject_writes(self, two_atom_symmetric):
+        traj = simulate_ep(two_atom_symmetric, 6.0)
+        for state in (*traj.states, traj.state_at(1.0)):
+            for column in (state.positions, state.masses, state.velocities, state.lo, state.hi):
+                with pytest.raises(ValueError):
+                    column[0] = 1
+        with pytest.raises(AttributeError):
+            traj.states[0].positions = np.zeros(2)
 
     def test_rejects_nonpositive_horizon(self, single_atom):
         with pytest.raises(NonPositiveTime):
@@ -199,15 +222,15 @@ class TestSimultaneousCollisions:
         )
         traj = simulate_ep(data, 20.0)
         final = traj.state_at(20.0)
-        assert len(final.clusters) == 1
-        assert final.clusters[0].position == pytest.approx(0.0, abs=1e-10)
-        assert final.clusters[0].velocity == pytest.approx(0.0, abs=1e-12)
+        assert len(final.positions) == 1
+        assert final.positions[0] == pytest.approx(0.0, abs=1e-10)
+        assert final.velocities[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_collapse_eventually(self):
         rng = np.random.default_rng(36)
         data = make_random_instance(rng, n_max=6)
         traj = simulate_ep(data, 500.0)
-        assert len(traj.state_at(500.0).clusters) == 1
+        assert len(traj.state_at(500.0).positions) == 1
 
     def test_deep_decay_regime(self):
         # t/tau beyond the exponent flush threshold: the merged cluster
@@ -216,13 +239,15 @@ class TestSimultaneousCollisions:
             [-1.0, 2.0], [1.0, 3.0], [0.5, -0.5], 0.1
         )
         traj = simulate_ep(data, 90.0)  # t/tau = 900 > 700
-        (c,) = traj.state_at(90.0).clusters
+        state = traj.state_at(90.0)
+        (x,) = state.positions
+        (v,) = state.velocities
         com = (1.0 * -1.0 + 3.0 * 2.0) / 4.0
         drift = 0.1 * (1.0 * 0.5 + 3.0 * -0.5) / 4.0  # tau * v_com decays in
-        assert c.velocity == pytest.approx(0.0, abs=1e-15)
-        assert math.isfinite(c.position)
+        assert v == pytest.approx(0.0, abs=1e-15)
+        assert math.isfinite(x)
         # center of mass obeys x_com(t) = com + tau*(1 - e^{-t/tau}) v_com(0)
-        assert c.position == pytest.approx(com + drift, rel=1e-12)
+        assert x == pytest.approx(com + drift, rel=1e-12)
 
 
 # -- reference: the all-pairs event loop ---------------------------------------
@@ -230,7 +255,28 @@ class TestSimultaneousCollisions:
 # It re-solves every neighbour pair root after every event and advances the
 # clusters one at a time. The array event loop, which solves only the pairs
 # whose certified root bound reaches the next event, must reproduce its
-# events and states exactly (repr-equal), and state_at its closed-form replay.
+# events and states exactly (repr-equal, so signed zeros count), and state_at
+# its closed-form replay.
+
+RefCluster = namedtuple("RefCluster", "position mass velocity lo hi")
+RefState = namedtuple("RefState", "time clusters")
+
+# ClusterState column -> RefCluster field
+COLUMNS = {
+    "positions": "position",
+    "masses": "mass",
+    "velocities": "velocity",
+    "lo": "lo",
+    "hi": "hi",
+}
+
+
+def assert_state_is(state, ref):
+    """ClusterState equals a RefState exactly: time, then every column's repr."""
+    assert state.time == ref.time
+    for column, name in COLUMNS.items():
+        want = [getattr(c, name) for c in ref.clusters]
+        assert repr(getattr(state, column).tolist()) == repr(want)
 
 
 def _ref_mtilde(clusters):
@@ -246,14 +292,14 @@ def _ref_advance(clusters, mts, dyn, dt):
     out = []
     for c, mt in zip(clusters, mts):
         x, v = dyn.advance(c.position, c.velocity, mt, dt)
-        out.append(OracleCluster(x, c.mass, v, c.lo, c.hi))
+        out.append(RefCluster(x, c.mass, v, c.lo, c.hi))
     return out
 
 
 def _ref_merge(clusters, i, t_ev, events):
     a, b = clusters[i], clusters[i + 1]
     w = a.mass + b.mass
-    c = OracleCluster(
+    c = RefCluster(
         (a.mass * a.position + b.mass * b.position) / w,
         w,
         (a.mass * a.velocity + b.mass * b.velocity) / w,
@@ -269,7 +315,7 @@ def _ref_merge(clusters, i, t_ev, events):
 def reference_simulate(clusters, t_end, dyn, stats):
     """(states, events) of the all-pairs loop; stats counts its calls."""
     clusters = list(clusters)
-    states = [ClusterState(0.0, tuple(clusters))]
+    states = [RefState(0.0, tuple(clusters))]
     events = []
     t = 0.0
     while len(clusters) > 1:
@@ -298,13 +344,13 @@ def reference_simulate(clusters, t_end, dyn, stats):
                     break
         if dyn.kind == "drift":
             clusters = [
-                OracleCluster(c.position, c.mass, -mt, c.lo, c.hi)
+                RefCluster(c.position, c.mass, -mt, c.lo, c.hi)
                 for c, mt in zip(clusters, _ref_mtilde(clusters))
             ]
         t = t_ev
-        states.append(ClusterState(t, tuple(clusters)))
+        states.append(RefState(t, tuple(clusters)))
     final = _ref_advance(clusters, _ref_mtilde(clusters), dyn, t_end - t)
-    states.append(ClusterState(t_end, tuple(final)))
+    states.append(RefState(t_end, tuple(final)))
     return tuple(states), tuple(events)
 
 
@@ -314,8 +360,8 @@ def reference_state_at(states, dyn, t):
         return base
     w = np.array([c.mass for c in base.clusters])
     prefix = np.concatenate(([0.0], np.cumsum(w)))
-    mts = prefix[:-1] + 0.5 * w - 0.5 * prefix[-1]
-    return ClusterState(t, tuple(_ref_advance(base.clusters, mts, dyn, t - base.time)))
+    mts = (prefix[:-1] + 0.5 * w - 0.5 * prefix[-1]).tolist()
+    return RefState(t, tuple(_ref_advance(base.clusters, mts, dyn, t - base.time)))
 
 
 def assert_matches_reference(data, t_end, times=()):
@@ -326,9 +372,9 @@ def assert_matches_reference(data, t_end, times=()):
     m = data.measure
     mts = m.prefix_mass[:-1] + 0.5 * m.masses - 0.5 * m.total_mass
     atoms = zip(m.positions.tolist(), m.masses.tolist(), data.velocities.tolist())
-    ep_atoms = [OracleCluster(p, w, v, i, i + 1) for i, (p, w, v) in enumerate(atoms)]
+    ep_atoms = [RefCluster(p, w, v, i, i + 1) for i, (p, w, v) in enumerate(atoms)]
     drift_atoms = [
-        OracleCluster(c.position, c.mass, float(-mt), c.lo, c.hi)
+        RefCluster(c.position, c.mass, float(-mt), c.lo, c.hi)
         for c, mt in zip(ep_atoms, mts)
     ]
     stats = {"chain_merges": 0}
@@ -338,9 +384,11 @@ def assert_matches_reference(data, t_end, times=()):
     ):
         states, events = reference_simulate(atoms, t_end, dyn, stats)
         assert repr(traj.events) == repr(events)
-        assert repr(traj.states) == repr(states)
+        assert len(traj.states) == len(states)
+        for state, ref in zip(traj.states, states):
+            assert_state_is(state, ref)
         for t in [*times, *(e.time for e in events)]:
-            assert traj.state_at(t) == reference_state_at(states, dyn, t)
+            assert_state_is(traj.state_at(t), reference_state_at(states, dyn, t))
         stats[dyn.kind] = len(events)
     return stats
 
@@ -392,7 +440,7 @@ class TestAgainstAllPairsReference:
         stats = assert_matches_reference(data, 2.0 * T + 1.0, [T, 2.0 * T])
         assert stats["chain_merges"] >= 1
         final = simulate_ep(data, 2.0 * T + 1.0).state_at(2.0 * T + 1.0)
-        assert len(final.clusters) == 1
+        assert len(final.positions) == 1
 
     def test_near_duplicate_atoms(self):
         rng = np.random.default_rng(41)

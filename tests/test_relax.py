@@ -79,9 +79,9 @@ class TestEvalScaled:
             for x in (-2.0, -0.3, 0.8, 3.0):
                 m_tau, _, _ = eval_scaled(data, x, t, tau)
                 assert m_tau == pytest.approx(oracle_cdf(state, x), abs=1e-9)
-            for c in state.clusters:
-                _, u_tau, _ = eval_scaled(data, c.position, t, tau)
-                assert u_tau == pytest.approx(c.velocity / tau, abs=1e-9)
+            for x, v in zip(state.positions.tolist(), state.velocities.tolist()):
+                _, u_tau, _ = eval_scaled(data, x, t, tau)
+                assert u_tau == pytest.approx(v / tau, abs=1e-9)
 
     def test_q_scaled_converges_to_drift_momentum(self, two_atom_asymmetric):
         from stickygas.drift import eval_qbar
