@@ -40,6 +40,8 @@ __all__ = [
 
 _ROOT_REL_TOL = 1e-13
 _EXP_FLUSH = 700.0
+# cap on the (time x cluster) elements of one Trajectory.states_at block
+BLOCK_ELEMENTS = 4096
 
 
 def _exp_neg(z):
@@ -112,13 +114,24 @@ class _EpDynamics:
     def __init__(self, tau: float):
         self.tau = tau
 
-    def advance(self, x, v, mt, dt):
-        """Closed form after dt; x, v and mt are floats or equal-length arrays."""
+    def coefficients(self, dt):
+        """A = tau*(1 - e^{-dt/tau}), B = tau*A - tau*dt and e^{-dt/tau} for a float dt."""
         tau = self.tau
-        em1 = _em1(dt / tau)
-        A = tau * em1
-        B = tau * A - tau * dt
-        return x + v * A + mt * B, v * _exp_neg(dt / tau) - mt * A
+        A = tau * _em1(dt / tau)
+        return A, tau * A - tau * dt, _exp_neg(dt / tau)
+
+    def advance(self, x, v, mt, dt):
+        """Closed form after dt; x, v and mt are floats or equal-length arrays.
+
+        A list of dts gives one row per entry. Its coefficients come from the
+        same scalar math helpers, so each row equals advancing by that entry
+        alone, bit for bit.
+        """
+        if np.ndim(dt):
+            A, B, decay = (np.array(c)[:, None] for c in zip(*map(self.coefficients, dt)))
+        else:
+            A, B, decay = self.coefficients(dt)
+        return x + v * A + mt * B, v * decay - mt * A
 
     def pair_root(self, gap0, dv, dmt):
         """First positive root of gap(d) = gap0 + dv*A(d) + dmt*B(d), dmt > 0.
@@ -176,6 +189,9 @@ class _DriftDynamics:
     kind = "drift"
 
     def advance(self, x, v, mt, dt):
+        if np.ndim(dt):
+            x = x + v * np.array(dt)[:, None]
+            return x, np.broadcast_to(v, x.shape).copy()
         return x + v * dt, v
 
     def pair_root(self, gap0, dv, dmt):
@@ -214,21 +230,60 @@ class Trajectory:
     def _dynamics(self):
         return _EpDynamics(self.tau) if self.kind == "euler_poisson" else _DriftDynamics()
 
-    def state_at(self, t: float) -> ClusterState:
-        """Closed-form state at any t from the first state's time to t_end."""
+    def _check_horizon(self, t):
         if not self._times[0] <= t <= self.t_end * (1.0 + 1e-12) + 1e-300:
             raise ValueError(
                 f"time {t} outside simulated horizon [{self._times[0]}, {self.t_end}]"
             )
+
+    def _base_mtilde(self, idx):
+        mts = self._mtildes[idx]
+        if mts is None:
+            mts = self._mtildes[idx] = _mtilde(self.states[idx].masses)
+        return mts
+
+    def state_at(self, t: float) -> ClusterState:
+        """Closed-form state at any t from the first state's time to t_end."""
+        self._check_horizon(t)
         idx = bisect_right(self._times, t) - 1
         base = self.states[idx]
         if base.time == t:
             return base
-        mts = self._mtildes[idx]
-        if mts is None:
-            mts = self._mtildes[idx] = _mtilde(base.masses)
+        mts = self._base_mtilde(idx)
         x, v = self._dynamics().advance(base.positions, base.velocities, mts, t - base.time)
         return ClusterState(t, x, base.masses, v, base.lo, base.hi)
+
+    def states_at(self, ts):
+        """Closed-form states at the times ts, in blocks of one inter-event interval.
+
+        Yields (times, positions, velocities, masses) for consecutive runs of
+        ts: positions and velocities are (len(times) x clusters) arrays whose
+        row j equals the columns of state_at(times[j]) bit for bit, masses is
+        the interval's mass column. A block holds at most BLOCK_ELEMENTS
+        positions (or one row), so memory stays bounded however many times
+        fall in one interval.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if not ts.size:
+            return
+        self._check_horizon(ts.min())
+        self._check_horizon(ts.max())
+        idx = np.searchsorted(self._times, ts, side="right") - 1
+        bounds = [0, *(np.flatnonzero(np.diff(idx)) + 1).tolist(), ts.size]
+        dyn = self._dynamics()
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            base = self.states[idx[start]]
+            mts = self._base_mtilde(idx[start])
+            step = max(1, BLOCK_ELEMENTS // base.masses.size)
+            for first in range(start, stop, step):
+                times = ts[first : min(first + step, stop)]
+                x, v = dyn.advance(
+                    base.positions, base.velocities, mts, (times - base.time).tolist()
+                )
+                # state_at returns the base state itself at its own time
+                at_base = times == base.time
+                x[at_base], v[at_base] = base.positions, base.velocities
+                yield times, x, v, base.masses
 
     def resume(self, state_index: int) -> "Trajectory":
         """Re-run the remaining trajectory from a recorded state."""

@@ -12,6 +12,7 @@ from stickygas.errors import NoClusterAt, NonPositiveTime
 from stickygas.instances import random_instance, sample_times_avoiding_events
 from stickygas.measure import AtomicMeasure, InitialData
 from stickygas.oracle import (
+    BLOCK_ELEMENTS,
     MergeEvent,
     _DriftDynamics,
     _EpDynamics,
@@ -212,6 +213,57 @@ class TestStateQueries:
             simulate_ep(single_atom, 0.0)
         with pytest.raises(NonPositiveTime):
             simulate_drift(single_atom.measure, -1.0)
+
+
+class TestBatchedStates:
+    """Trajectory.states_at blocks against state_at, row by row and bit for bit."""
+
+    @staticmethod
+    def assert_blocks_match(traj, ts):
+        done = 0
+        for times, x, v, m in traj.states_at(ts):
+            assert times.tolist() == ts[done : done + times.size]
+            assert x.shape == v.shape == (times.size, m.size)
+            assert x.size <= max(BLOCK_ELEMENTS, m.size)
+            for t, x_row, v_row in zip(times.tolist(), x, v):
+                state = traj.state_at(t)
+                assert x_row.tobytes() == state.positions.tobytes()
+                assert v_row.tobytes() == state.velocities.tobytes()
+                assert m.tobytes() == state.masses.tobytes()
+            done += times.size
+        assert done == len(ts)
+
+    def test_rows_equal_state_at_inside_at_events_and_at_the_end(self):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            data = make_random_instance(rng, n_max=12)
+            for traj in (simulate_ep(data, 4.0), simulate_drift(data.measure, 4.0)):
+                inside = rng.uniform(0.0, 4.0, size=40).tolist()
+                ts = sorted([0.0, *inside, *traj.event_times, 4.0])
+                self.assert_blocks_match(traj, ts)
+
+    def test_rows_at_a_state_time_keep_signed_zeros(self):
+        # advancing -0.0 by dt = 0 would give +0.0 where mtilde < 0
+        data = InitialData.from_atoms([-1.0, 0.5, 1.0], [0.5, 0.2, 0.5], [-0.0, 0.0, -0.0], 1.0)
+        traj = simulate_ep(data, 4.0)
+        self.assert_blocks_match(traj, [0.0, 0.0, 0.5, *traj.event_times, 4.0])
+
+    def test_blocks_are_capped(self, single_atom):
+        data = random_instance(np.random.default_rng(3), n_max=20)
+        ts = np.linspace(0.01, 1.99, 5000).tolist()
+        for traj in (simulate_ep(single_atom, 2.0), simulate_ep(data, 2.0)):
+            self.assert_blocks_match(traj, ts)
+        assert [x.shape[0] for _, x, _, _ in simulate_ep(single_atom, 2.0).states_at(ts)] == [
+            BLOCK_ELEMENTS,
+            5000 - BLOCK_ELEMENTS,
+        ]
+
+    def test_rejects_times_outside_the_horizon(self, single_atom):
+        traj = simulate_ep(single_atom, 2.0)
+        for ts in ([0.5, 2.5], [-0.1, 1.0]):
+            with pytest.raises(ValueError):
+                list(traj.states_at(ts))
+        assert list(traj.states_at([])) == []
 
 
 class TestSimultaneousCollisions:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,12 +7,17 @@ import pytest
 from stickygas.errors import StencilTooCloseToShock
 from stickygas.euler_poisson import cluster_snapshot
 from stickygas.measure import InitialData
+from stickygas.oracle import simulate_ep
 from stickygas.validate import (
+    ROUNDOFF_FLOOR,
     TestFunction as Bump,
+    _mean_decay_factor,
+    _midpoint_nodes,
     check_initial_continuity,
     check_oleinik,
     check_potential_identities,
     check_weak_form,
+    default_bump_family,
     default_continuity_grid,
 )
 from tests.conftest import make_random_instance
@@ -34,7 +40,17 @@ class TestBump:
         n = 20000
         h = (c - a) / n
         want = h * sum(b.dt(a + (j + 0.5) * h, t) for j in range(n))
-        assert b.dt_x_integral(a, c, t) == pytest.approx(want, abs=1e-8)
+        assert b.dt_x_integral([a, c], t)[0] == pytest.approx(want, abs=1e-8)
+
+
+    def test_x_integral_is_constant_outside_the_support(self):
+        b = Bump(0.3, 1.7, 1.0, 0.5)
+        edges = [-1e200, 0.3 - 1.7, 0.3 + 1.7, 1e200]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pieces = b.dt_x_integral(edges, 1.2)
+        assert pieces[0] == pieces[2] == 0.0
+        assert pieces[1] == b.dt_x_integral([-5.0, 5.0], 1.2)[0] != 0.0
 
 
 class TestWeakForm:
@@ -90,9 +106,6 @@ class TestWeakForm:
     def test_momentum_residual_sees_source_terms(self, single_atom):
         # dropping the damping term from the balance must leave an O(1)
         # defect: guards against a vacuous momentum integrand
-        from stickygas.oracle import simulate_ep
-        from stickygas.validate import _midpoint_nodes
-
         bump = Bump(0.5, 2.0, 1.5, 0.8)
         traj = simulate_ep(single_atom, 3.0)
         nodes, weights = _midpoint_nodes(0.7, 2.3, [], 512)
@@ -104,6 +117,166 @@ class TestWeakForm:
         assert abs(acc) > 1e-3
 
 
+# Reference for the batched weak form: the per-node loop it replaced, one
+# state_at per node and Python loops over the clusters through the scalar
+# bump arithmetic (libm pow in the antiderivative).
+
+
+class ScalarBump:
+    def __init__(self, bump):
+        self.x_center, self.x_radius = bump.x_center, bump.x_radius
+        self.t_center, self.t_radius = bump.t_center, bump.t_radius
+        self.support_t = bump.support_t
+
+    @staticmethod
+    def _b(z):
+        if abs(z) >= 1.0:
+            return 0.0
+        s = 1.0 - z * z
+        return s * s * s
+
+    @staticmethod
+    def _db(z):
+        if abs(z) >= 1.0:
+            return 0.0
+        s = 1.0 - z * z
+        return -6.0 * z * s * s
+
+    @staticmethod
+    def _B(z):
+        z = min(1.0, max(-1.0, z))
+        return z - z**3 + 0.6 * z**5 - z**7 / 7.0
+
+    def value(self, x, t):
+        return self._b((x - self.x_center) / self.x_radius) * self._b(
+            (t - self.t_center) / self.t_radius
+        )
+
+    def dx(self, x, t):
+        return (
+            self._db((x - self.x_center) / self.x_radius)
+            / self.x_radius
+            * self._b((t - self.t_center) / self.t_radius)
+        )
+
+    def dt(self, x, t):
+        return self._b((x - self.x_center) / self.x_radius) * self._db(
+            (t - self.t_center) / self.t_radius
+        ) / self.t_radius
+
+    def dt_x_integral(self, a, b, t):
+        za = (a - self.x_center) / self.x_radius
+        zb = (b - self.x_center) / self.x_radius
+        xpart = self.x_radius * (self._B(zb) - self._B(za))
+        return xpart * self._db((t - self.t_center) / self.t_radius) / self.t_radius
+
+
+def scalar_mass_integrand(clusters, bump, t):
+    xs, ws, us = clusters
+    prefix = np.concatenate(([0.0], np.cumsum(ws)))
+    lo_supp = bump.x_center - bump.x_radius
+    hi_supp = bump.x_center + bump.x_radius
+    cut_positions = [lo_supp] + xs + [hi_supp]
+    dx_part = 0.0
+    for k in range(len(xs) + 1):
+        a = max(cut_positions[k], lo_supp)
+        b = min(cut_positions[k + 1], hi_supp)
+        if b > a:
+            dx_part += prefix[k] * bump.dt_x_integral(a, b, t)
+    dm_part = sum(w * u * bump.value(x, t) for x, w, u in zip(xs, ws, us))
+    return dx_part - dm_part
+
+
+def scalar_momentum_integrand(clusters, bump, t, tau, total_mass):
+    acc = 0.0
+    running = 0.0
+    for x, w, u in zip(*clusters):
+        mt = running + 0.5 * w - 0.5 * total_mass
+        running += w
+        acc += w * (bump.dt(x, t) * u + bump.dx(x, t) * u * u)
+        acc -= w * (mt + u / tau) * bump.value(x, t)
+    return acc
+
+
+def scalar_weak_form(data, t_window, refinement_levels, n_base, layer):
+    """(mass series, momentum series, passed), node by node."""
+    t_lo, t_hi = t_window
+    traj = simulate_ep(data, t_hi * 1.01)
+
+    def clusters_at(t):
+        if layer == "formula":
+            snap = cluster_snapshot(data, t)
+            return [c.position for c in snap], [c.mass for c in snap], [c.velocity for c in snap]
+        s = traj.state_at(t)
+        return s.positions.tolist(), s.masses.tolist(), s.velocities.tolist()
+
+    bumps = [ScalarBump(b) for b in default_bump_family(data, t_window)]
+    total_mass = data.measure.total_mass
+    res_mass, res_mom = [], []
+    for level in range(refinement_levels):
+        worst_mass = worst_mom = 0.0
+        for bump in bumps:
+            blo, bhi = bump.support_t()
+            nodes, weights = _midpoint_nodes(
+                max(t_lo, blo), min(t_hi, bhi), traj.event_times, n_base * 2**level
+            )
+            acc_mass = acc_mom = 0.0
+            for t, w in zip(nodes, weights):
+                clusters = clusters_at(t)
+                acc_mass += w * scalar_mass_integrand(clusters, bump, t)
+                acc_mom += w * scalar_momentum_integrand(
+                    clusters, bump, t, data.tau, total_mass
+                )
+            worst_mass = max(worst_mass, abs(acc_mass))
+            worst_mom = max(worst_mom, abs(acc_mom))
+        res_mass.append(worst_mass)
+        res_mom.append(worst_mom)
+    passed = all(
+        _mean_decay_factor(series, floor=ROUNDOFF_FLOOR) >= 4.0
+        for series in (res_mass, res_mom)
+    )
+    return res_mass, res_mom, passed
+
+
+def weak_form_cases():
+    yield InitialData.from_atoms([-1.0, 1.0], [0.5, 0.5], [0.0, 0.0], 1.0), (4.0, 6.0)
+    yield InitialData.from_atoms([0.0], [1.0], [1.0], 1.0), (0.5, 2.5)
+    rng = np.random.default_rng(1010)
+    for _ in range(30):
+        yield make_random_instance(rng, n_max=12), (0.5, 3.0)
+
+
+class TestBatchedWeakFormMatchesScalarLoop:
+    def test_series_and_verdicts(self):
+        for data, window in weak_form_cases():
+            for layer in ("oracle", "formula"):
+                want_mass, want_mom, want_passed = scalar_weak_form(data, window, 3, 16, layer)
+                rep = check_weak_form(
+                    data, window, refinement_levels=3, n_base=16, layer=layer
+                )
+                assert rep.passed == want_passed
+                for got, want in zip(rep.series["mass"], want_mass):
+                    assert abs(got - want) <= 1e-14
+                assert repr(rep.series["momentum"]) == repr(tuple(want_mom))
+
+    def test_far_bump_gives_exact_zeros_without_warnings(self, two_atom_symmetric):
+        # left of every cluster m = 0; far right the support rounds to a point
+        for x_center in (-1e6, -1e200, 1e200):
+            far = Bump(x_center, 1.0, 5.0, 0.9)
+            for layer in ("oracle", "formula"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rep = check_weak_form(
+                        two_atom_symmetric,
+                        (4.2, 5.8),
+                        refinement_levels=2,
+                        bumps=[far],
+                        n_base=16,
+                        layer=layer,
+                    )
+                assert rep.series == {"mass": (0.0, 0.0), "momentum": (0.0, 0.0)}
+
+
 class TestOleinik:
     def test_bound_chain_example(self):
         assert math.exp(-1) / (1 - math.exp(-1)) == pytest.approx(0.58198, abs=1e-5)
@@ -112,6 +285,16 @@ class TestOleinik:
     def test_degenerate_pair_rejected(self, single_atom):
         with pytest.raises(ValueError):
             check_oleinik(single_atom, [1.0], [(0.5, 0.5)])
+
+    def test_empty_samples_give_the_same_report_on_both_layers(self, two_atom_symmetric):
+        rep_f = check_oleinik(two_atom_symmetric, [], [])
+        rep_o = check_oleinik(two_atom_symmetric, [], [], layer="oracle")
+        for rep in (rep_f, rep_o):
+            assert (rep.levels, rep.series, rep.passed) == (
+                (),
+                {"excess_over_bound": ()},
+                True,
+            )
 
     def test_random_instance_passes_both_layers(self):
         rng = np.random.default_rng(51)
