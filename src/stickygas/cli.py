@@ -19,7 +19,7 @@ import numpy as np
 
 from . import potentials, relax, validate
 from .errors import ConfigError, NumericError
-from .euler_poisson import cluster_snapshot, eval_m_grid, eval_u, sample, speed_bound
+from .euler_poisson import cluster_snapshot, eval_m_and_u, sample, speed_bound
 from .instances import random_instance, sample_times_avoiding_events
 from .measure import InitialData
 from .oracle import oracle_cdf, simulate_ep
@@ -234,17 +234,14 @@ def cmd_oracle(cfg: RunConfig, out: str) -> list:
     return written
 
 
-def _compare_one(data: InitialData, times, xs, tol) -> list:
-    t_hi = max(times) * 1.01
-    traj = simulate_ep(data, t_hi)
+def _compare_one(data: InitialData, traj, times, xs, tol) -> list:
+    """(t, max |dm|, max |du|, pass) rows: m on xs, u at the oracle's clusters."""
     rows = []
     for t in times:
         state = traj.state_at(t)
-        dm = float(
-            np.max(np.abs(eval_m_grid(data, xs, t) - oracle_cdf(state, xs)))
-        ) if len(xs) else 0.0
+        m, us = eval_m_and_u(data, xs, state.positions, t)
+        dm = float(np.max(np.abs(m - oracle_cdf(state, xs)))) if len(xs) else 0.0
         du = 0.0
-        us = eval_u(data, state.positions, t)
         for v, (u, _) in zip(state.velocities.tolist(), us):
             du = max(du, abs(u - v))
         rows.append((t, dm, du, bool(dm <= tol and du <= tol)))
@@ -258,8 +255,9 @@ def cmd_compare(cfg: RunConfig, out: str, seed: int | None = None) -> tuple:
     ok = True
     base_times = [t for t in cfg.times if t > 0.0]
     if base_times:
+        traj = simulate_ep(cfg.data, max(base_times) * 1.01)
         for t, dm, du, passed in _compare_one(
-            cfg.data, base_times, cfg.x_grid, cfg.tol_compare
+            cfg.data, traj, base_times, cfg.x_grid, cfg.tol_compare
         ):
             rows.append((0, t, dm, du, passed))
             ok = ok and passed
@@ -270,7 +268,7 @@ def cmd_compare(cfg: RunConfig, out: str, seed: int | None = None) -> tuple:
         lo = float(inst.measure.positions[0]) - 2.0
         hi = float(inst.measure.positions[-1]) + 2.0
         xs = rng.uniform(lo, hi, size=21)
-        for t, dm, du, passed in _compare_one(inst, times, xs, cfg.tol_compare):
+        for t, dm, du, passed in _compare_one(inst, traj, times, xs, cfg.tol_compare):
             rows.append((i + 1, t, dm, du, passed))
             ok = ok and passed
     path = os.path.join(out, "compare.csv")

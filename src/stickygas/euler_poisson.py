@@ -47,6 +47,7 @@ __all__ = [
     "eval_nu_theta_omega",
     "sample",
     "eval_m_grid",
+    "eval_m_and_u",
     "eval_q_grid",
     "forward_position",
     "cluster_snapshot",
@@ -325,6 +326,26 @@ def eval_m_grid(data: InitialData, xs, t: float):
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin_grid(xs)
     return frame.P[k_min]
+
+
+def eval_m_and_u(data: InitialData, xs, ys, t: float):
+    """``eval_m_grid`` at xs and ``eval_u`` at ys, from one frame and one hull lookup.
+
+    The lookup runs over xs followed by ys; it is pointwise, so each value
+    equals the separate calls bit for bit.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if t == 0.0:
+        return eval_m_grid(data, xs, t), eval_u(data, ys, t)
+    frame = _frame(data, t)
+    grid = np.concatenate((xs, ys))
+    _, k_min, k_max = frame.argmin_grid(grid)
+    n = xs.size
+    us = [
+        _velocity_from_frame(frame, data, *r)
+        for r in zip(ys.tolist(), k_min[n:].tolist(), k_max[n:].tolist())
+    ]
+    return frame.P[k_min[:n]], us
 
 
 def eval_q_grid(data: InitialData, xs, t: float):

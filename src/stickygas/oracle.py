@@ -141,25 +141,25 @@ class _EpDynamics:
         drives the gap to -infinity, so the first root is unique and lies
         past the interior maximum.
         """
-        tau = self.tau
-
-        def gap(d):
-            em1 = _em1(d / tau)
-            A = tau * em1
-            return gap0 + dv * A + dmt * (tau * A - tau * d)
-
+        tau, expm1 = self.tau, math.expm1
         lo = tau * math.log1p(dv / (dmt * tau)) if dv > 0.0 else 0.0
         # asymptotic straight-line estimate of the root
         hi = max(lo, (gap0 + abs(dv) * tau + dmt * tau * tau) / (dmt * tau)) + 1.0
+        # gap(d) inline, A(d) = tau * _em1(d / tau) with the same operations:
+        # no call per step, the same bits
         for _ in range(200):
-            if gap(hi) <= 0.0:
+            z = hi / tau
+            A = tau * (-expm1(-z) if z <= _EXP_FLUSH else 1.0)
+            if gap0 + dv * A + dmt * (tau * A - tau * hi) <= 0.0:
                 break
             hi = 2.0 * hi + 1.0
         else:
             raise RootBracketFailure("collision root bracket expansion failed")
         while hi - lo > _ROOT_REL_TOL * max(1.0, hi):
             mid = 0.5 * (lo + hi)
-            if gap(mid) > 0.0:
+            z = mid / tau
+            A = tau * (-expm1(-z) if z <= _EXP_FLUSH else 1.0)
+            if gap0 + dv * A + dmt * (tau * A - tau * mid) > 0.0:
                 lo = mid
             else:
                 hi = mid

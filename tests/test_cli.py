@@ -5,8 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from stickygas import potentials
-from stickygas.cli import main
+from stickygas import cli, potentials
+from stickygas.cli import _compare_one, main
+from stickygas.euler_poisson import cluster_snapshot, eval_m_grid, eval_u
+from stickygas.instances import random_instance, sample_times_avoiding_events
+from stickygas.measure import InitialData
+from stickygas.oracle import oracle_cdf, simulate_ep
 
 TWO_ATOM = {
     "version": 1,
@@ -127,6 +131,28 @@ class TestOracleCommand:
         assert len(crows) == 2
 
 
+def reference_compare_one(data, times, xs, tol):
+    """Compare rows from the instance's own simulation and one frame per field."""
+    traj = simulate_ep(data, max(times) * 1.01)
+    rows = []
+    for t in times:
+        state = traj.state_at(t)
+        dm = float(
+            np.max(np.abs(eval_m_grid(data, xs, t) - oracle_cdf(state, xs)))
+        ) if len(xs) else 0.0
+        du = 0.0
+        us = eval_u(data, state.positions, t)
+        for v, (u, _) in zip(state.velocities.tolist(), us):
+            du = max(du, abs(u - v))
+        rows.append((t, dm, du, bool(dm <= tol and du <= tol)))
+    return rows
+
+
+def assert_compare_matches_reference(data, traj, times, xs):
+    got = _compare_one(data, traj, times, xs, 1e-9)
+    assert repr(got) == repr(reference_compare_one(data, times, xs, 1e-9))
+
+
 class TestCompare:
     def test_twenty_seeded_instances_pass(self, tmp_path):
         cfg = dict(TWO_ATOM, n_instances=20)
@@ -150,6 +176,82 @@ class TestCompare:
             ]
         )
         assert code == 4
+
+    def test_one_simulation_per_instance_and_one_frame_per_time(self, tmp_path, monkeypatch):
+        n_instances = 10
+        sims, frames = [0], [0]
+        simulate, init = cli.simulate_ep, potentials.PrefixFrame.__init__
+
+        def counted_simulate(*args):
+            sims[0] += 1
+            return simulate(*args)
+
+        def counted_init(self, *args):
+            frames[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cli, "simulate_ep", counted_simulate)
+        monkeypatch.setattr(potentials.PrefixFrame, "__init__", counted_init)
+        cfg = dict(TWO_ATOM, times=[0.5, 1.0], n_instances=n_instances)
+        code = main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "compare.csv")
+        assert len(rows) == 2 + 5 * n_instances
+        assert sims[0] == 1 + n_instances
+        assert frames[0] == len(rows)
+
+    def test_rows_match_reference_on_compare_ensemble(self):
+        # the draws of `compare` at the acceptance seed, trajectory to 6.0
+        rng = np.random.default_rng(20260810)
+        for _ in range(100):
+            data = random_instance(rng, n_max=20)
+            traj = simulate_ep(data, 6.0)
+            times = sample_times_avoiding_events(rng, 5, 0.1, 5.5, traj.event_times)
+            lo = float(data.measure.positions[0]) - 2.0
+            hi = float(data.measure.positions[-1]) + 2.0
+            xs = rng.uniform(lo, hi, size=21)
+            assert_compare_matches_reference(data, traj, times, xs)
+
+    def test_rows_match_reference_on_near_duplicate_atoms(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            base = rng.uniform(-5.0, 5.0, size=4)
+            positions = np.concatenate([base, base * (1.0 + 1e-14)])
+            n = positions.size
+            data = InitialData.from_atoms(
+                positions, rng.uniform(0.01, 2.0, n), rng.uniform(-2.0, 2.0, n), 0.5
+            )
+            traj = simulate_ep(data, 6.0)
+            times = sample_times_avoiding_events(rng, 5, 0.1, 5.5, traj.event_times)
+            xs = np.concatenate([positions, rng.uniform(-7.0, 7.0, size=8)])
+            assert_compare_matches_reference(data, traj, times, xs)
+
+    def test_rows_match_reference_inside_tie_windows(self, monkeypatch):
+        # xs at the formula clusters and a few ulps around them, so that xs
+        # and the oracle's cluster positions fall in the same hull edge's
+        # tie window and go through the tie rule in the same lookup
+        tied = []
+        ties = potentials.PrefixFrame._ties
+
+        def recorded(self, x, a, b):
+            tied.append(x)
+            return ties(self, x, a, b)
+
+        monkeypatch.setattr(potentials.PrefixFrame, "_ties", recorded)
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            data = random_instance(rng, n_max=8)
+            traj = simulate_ep(data, 6.0)
+            for t in sample_times_avoiding_events(rng, 3, 0.1, 5.5, traj.event_times):
+                pos = np.array([c.position for c in cluster_snapshot(data, t)])
+                xs = np.concatenate(
+                    [pos, np.nextafter(pos, -np.inf), np.nextafter(pos, np.inf), pos * (1.0 + 1e-12)]
+                )
+                tied.clear()
+                _compare_one(data, traj, [t], xs, 1e-9)
+                assert set(tied) & set(xs.tolist())
+                assert set(tied) & set(traj.state_at(t).positions.tolist())
+                assert_compare_matches_reference(data, traj, [t], xs)
 
 
 class TestRelaxCommand:

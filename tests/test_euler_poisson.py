@@ -11,6 +11,7 @@ from stickygas.euler_poisson import (
     cluster_snapshot,
     eval_E,
     eval_m,
+    eval_m_and_u,
     eval_m_grid,
     eval_nu_theta_omega,
     eval_q,
@@ -619,6 +620,20 @@ class TestGridEvaluation:
                     grid = fn(data, np.array(xs), t)
                     assert [repr(v) for v in grid] == [repr(fn(data, x, t)) for x in xs]
                 assert fn(data, [], t) == []
+
+    def test_shared_frame_equals_separate_calls(self):
+        rng = np.random.default_rng(26)
+        for _ in range(25):
+            data = make_random_instance(rng)
+            for t in (0.0, 1e-3, 0.7, 3.0):
+                xs = rng.uniform(-12, 12, size=15)
+                ys = data.measure.positions
+                if t > 0.0:
+                    ys = np.array([c.position for c in cluster_snapshot(data, t)])
+                for a, b in ((xs, ys), (xs[:0], ys), (xs, ys[:0])):
+                    ms, us = eval_m_and_u(data, a, b, t)
+                    assert repr(ms.tolist()) == repr(eval_m_grid(data, a, t).tolist())
+                    assert repr(us) == repr(eval_u(data, b, t))
 
     def test_time_zero_scalar_forms_read_the_sequential_prefixes(self):
         # the prefixes of w*u and w*u*u that eval_q_grid and the

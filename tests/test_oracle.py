@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from stickygas.errors import NoClusterAt, NonPositiveTime
+from stickygas.errors import NoClusterAt, NonPositiveTime, RootBracketFailure
 from stickygas.instances import random_instance, sample_times_avoiding_events
 from stickygas.measure import AtomicMeasure, InitialData
 from stickygas.oracle import (
@@ -536,6 +536,50 @@ class TestAgainstAllPairsReference:
             assert_matches_reference(data, 20.0, [0.5, 10.0])
             late += sum(e.time / tau > 700.0 for e in simulate_ep(data, 20.0).events)
         assert late > 0
+
+
+def reference_pair_root(tau, gap0, dv, dmt):
+    """The collision root with the gap as a closure over the scalar helper."""
+
+    def em1(z):
+        return -math.expm1(-z) if z <= 700.0 else 1.0
+
+    def gap(d):
+        A = tau * em1(d / tau)
+        return gap0 + dv * A + dmt * (tau * A - tau * d)
+
+    lo = tau * math.log1p(dv / (dmt * tau)) if dv > 0.0 else 0.0
+    hi = max(lo, (gap0 + abs(dv) * tau + dmt * tau * tau) / (dmt * tau)) + 1.0
+    for _ in range(200):
+        if gap(hi) <= 0.0:
+            break
+        hi = 2.0 * hi + 1.0
+    else:
+        raise RootBracketFailure("collision root bracket expansion failed")
+    while hi - lo > 1e-13 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestInlinePairRoot:
+    def test_equals_closure_reference(self):
+        rng = np.random.default_rng(2026)
+        n = 10_000
+        gap0 = 10.0 ** rng.uniform(-15.0, 3.0, n)
+        dv = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(-1e3, 1e3, n))
+        dmt = 10.0 ** rng.uniform(-12.0, 2.0, n)
+        tau = np.where(rng.random(n) < 0.25, 1e-3, 10.0 ** rng.uniform(-6.0, 2.0, n))
+        flushed = 0
+        for case in zip(tau.tolist(), gap0.tolist(), dv.tolist(), dmt.tolist()):
+            root = _EpDynamics(case[0]).pair_root(*case[1:])
+            assert root == reference_pair_root(*case)
+            flushed += root / case[0] > 700.0
+        # the exp-flush branch decides a good share of the roots
+        assert flushed > n // 10
 
 
 class TestPrunedRootWork:
