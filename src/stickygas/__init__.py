@@ -2,7 +2,7 @@
 with momentum relaxation, its drift limit, and an independent sticky-particle
 verification oracle."""
 
-from .measure import AtomicMeasure, InitialData
+from .measure import AtomicMeasure, ClusterState, InitialData
 from .potentials import (
     MinimizerResult,
     PotentialCoefficients,
@@ -30,7 +30,6 @@ from .euler_poisson import (
 )
 from .drift import DriftSample, eval_mbar, eval_qbar, eval_ubar, sample_drift
 from .oracle import (
-    ClusterState,
     Trajectory,
     oracle_cdf,
     oracle_velocity,

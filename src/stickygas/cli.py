@@ -294,10 +294,10 @@ def _stencil_candidates(cfg: RunConfig, h_max: float):
     for t in cfg.times:
         if t - 2.0 * h_max <= 0.0:
             continue
-        clusters = [c.position for c in cluster_snapshot(cfg.data, t)]
+        positions = cluster_snapshot(cfg.data, t).positions
         kept = 0
         for x in cfg.x_grid:
-            if all(abs(float(x) - p) >= margin for p in clusters):
+            if np.all(np.abs(float(x) - positions) >= margin):
                 points.append((float(x), t))
                 kept += 1
                 if kept >= 5:

@@ -14,8 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import IdentityViolation
-from .euler_poisson import Cluster
-from .measure import AtomicMeasure
+from .measure import AtomicMeasure, ClusterState
 from .potentials import PotentialCoefficients, PrefixFrame, minimize_Fbar
 
 __all__ = [
@@ -106,18 +105,12 @@ def sample_drift(measure: AtomicMeasure, x: float, t: float) -> DriftSample:
     return DriftSample(x=x, t=t, mbar=mbar, qbar=qbar, ubar=ubar, branch=branch)
 
 
-def drift_cluster_snapshot(measure: AtomicMeasure, t: float):
+def drift_cluster_snapshot(measure: AtomicMeasure, t: float) -> ClusterState:
     """Cluster decomposition of the drift solution at time t.
 
-    Returns ``Cluster`` objects (lo, hi, position, velocity, mass); the
-    velocity of a cluster is minus its centered cumulative mass.
+    The velocity of a cluster is minus its centered cumulative mass.
     """
     frame = _drift_frame(measure, t)
-    lo, hi, pos, _ = frame.clusters()
+    lo, hi, _, _ = frame.clusters()
     P = frame.P
-    vel = -0.5 * (P[lo] + P[hi] - measure.total_mass)
-    mass = P[hi] - P[lo]
-    return [
-        Cluster(*c)
-        for c in zip(lo.tolist(), hi.tolist(), pos.tolist(), vel.tolist(), mass.tolist())
-    ]
+    return frame.cluster_state(t, -0.5 * (P[lo] + P[hi] - measure.total_mass))

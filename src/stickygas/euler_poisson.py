@@ -32,14 +32,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonPositiveTime
-from .measure import InitialData
+from .measure import ClusterState, InitialData
 from .potentials import PotentialCoefficients, PrefixFrame
 
 __all__ = [
     "Branch",
     "SolutionSample",
     "ShockCurve",
-    "Cluster",
     "eval_m",
     "eval_q",
     "eval_u",
@@ -80,17 +79,6 @@ class SolutionSample:
 
 
 @dataclass(frozen=True)
-class Cluster:
-    """One cluster at a fixed time: atoms lo..hi-1 concentrated at position."""
-
-    lo: int
-    hi: int
-    position: float
-    velocity: float
-    mass: float
-
-
-@dataclass(frozen=True)
 class ShockCurve:
     """Sampled forward generalized characteristic from (x0, t0)."""
 
@@ -119,7 +107,7 @@ def _frame(data, t, coeffs=None):
 def eval_m(data: InitialData, x: float, t: float) -> float:
     """Cumulative mass strictly left of x: left-continuous, nondecreasing."""
     if t == 0.0:
-        return float(data.measure.cdf_left(x))
+        return _initial_fields(data, x)[0].tolist()
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin(x)
     return float(frame.P[k_min])
@@ -128,7 +116,7 @@ def eval_m(data: InitialData, x: float, t: float) -> float:
 def eval_q(data: InitialData, x: float, t: float) -> float:
     """Momentum integral over the same prefix as eval_m."""
     if t == 0.0:
-        return float(_initial_prefix(data, x, data.measure.masses * data.velocities))
+        return _initial_fields(data, x)[1].tolist()
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin(x)
     return float(frame.Q[k_min])
@@ -194,15 +182,21 @@ def _is_grid(x) -> bool:
     return np.ndim(x) == 1
 
 
-def _initial_prefix(data, x, terms):
-    """Sequential prefix sums of per-atom terms over the atoms strictly left of x."""
-    k = np.searchsorted(data.measure.positions, x, side="left")
-    return np.concatenate(([0.0], np.cumsum(terms)))[k]
+def _initial_fields(data, x):
+    """(m, q, u, E) of the initial data at a scalar x or a 1-d grid of x.
 
-
-def _at_time_zero(fn, data, xs):
-    """The scalar t = 0 form of fn at each grid point, in grid order."""
-    return [fn(data, x, 0.0) for x in np.asarray(xs, dtype=float).tolist()]
+    One searchsorted: m is the prefix mass strictly left of x, q and E are
+    sequential prefix sums of the per-atom terms over the same atoms, and
+    u is the atom's velocity on an exact atom hit, else 0.0. Numpy values;
+    ``tolist()`` gives a float for a scalar x and a list for a grid.
+    """
+    m, u0 = data.measure, data.velocities
+    k = np.searchsorted(m.positions, x, side="left")
+    q = np.concatenate(([0.0], np.cumsum(m.masses * u0)))[k]
+    E = np.concatenate(([0.0], np.cumsum(m.masses * u0 * u0)))[k]
+    on_atom = np.append(m.positions, np.nan)[k] == x
+    u = np.where(on_atom, np.append(u0, 0.0)[k], 0.0)
+    return m.prefix_mass[k], q, u, E
 
 
 def _ranges(data, x, t):
@@ -227,11 +221,10 @@ def eval_u(data: InitialData, x, t: float):
     For a 1-d grid x, a list of (u, branch) pairs in grid order.
     """
     if t == 0.0:
+        us = _initial_fields(data, x)[2].tolist()
         if _is_grid(x):
-            return _at_time_zero(eval_u, data, x)
-        i = data.measure.atom_index(x)
-        u0 = float(data.velocities[i]) if i >= 0 else 0.0
-        return u0, Branch.CHARACTERISTIC
+            return [(u, Branch.CHARACTERISTIC) for u in us]
+        return us, Branch.CHARACTERISTIC
     frame, xs, k_min, k_max = _ranges(data, x, t)
     us = [_velocity_from_frame(frame, data, *r) for r in zip(xs, k_min, k_max)]
     return us if _is_grid(x) else us[0]
@@ -259,9 +252,7 @@ def eval_E(data: InitialData, x, t: float):
     For a 1-d grid x, a list of energies in grid order.
     """
     if t == 0.0:
-        u = data.velocities
-        energies = _initial_prefix(data, x, data.measure.masses * u * u)
-        return energies.tolist() if _is_grid(x) else float(energies)
+        return _initial_fields(data, x)[3].tolist()
     frame, _, k_min, _ = _ranges(data, x, t)
     energies = _energies(frame, k_min)
     return energies if _is_grid(x) else energies[0]
@@ -294,17 +285,13 @@ def eval_nu_theta_omega(data: InitialData, x: float, t: float):
 def sample(data: InitialData, x, t: float):
     """All solution fields at one point; for a 1-d grid x, a list in grid order."""
     if t == 0.0:
-        if _is_grid(x):
-            return _at_time_zero(sample, data, x)
-        return SolutionSample(
-            x=x,
-            t=0.0,
-            m=eval_m(data, x, 0.0),
-            q=eval_q(data, x, 0.0),
-            u=eval_u(data, x, 0.0)[0],
-            E=eval_E(data, x, 0.0),
-            branch=Branch.CHARACTERISTIC,
-        )
+        fields = [f.tolist() for f in _initial_fields(data, x)]
+        if not _is_grid(x):
+            return SolutionSample(x, 0.0, *fields, Branch.CHARACTERISTIC)
+        xs = np.asarray(x, dtype=float).tolist()
+        return [
+            SolutionSample(v, 0.0, *f, Branch.CHARACTERISTIC) for v, *f in zip(xs, *fields)
+        ]
     frame, xs, k_min, k_max = _ranges(data, x, t)
     samples = []
     for v, a, b, E in zip(xs, k_min, k_max, _energies(frame, k_min)):
@@ -321,8 +308,7 @@ def eval_m_grid(data: InitialData, xs, t: float):
     """Vectorized eval_m over an array of positions."""
     xs = np.asarray(xs, dtype=float)
     if t == 0.0:
-        k = np.searchsorted(data.measure.positions, xs, side="left")
-        return data.measure.prefix_mass[k]
+        return _initial_fields(data, xs)[0]
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin_grid(xs)
     return frame.P[k_min]
@@ -352,7 +338,7 @@ def eval_q_grid(data: InitialData, xs, t: float):
     """Vectorized eval_q over an array of positions."""
     xs = np.asarray(xs, dtype=float)
     if t == 0.0:
-        return _initial_prefix(data, xs, data.measure.masses * data.velocities)
+        return _initial_fields(data, xs)[1]
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin_grid(xs)
     return frame.Q[k_min]
@@ -361,23 +347,15 @@ def eval_q_grid(data: InitialData, xs, t: float):
 # -- cluster structure -------------------------------------------------------
 
 
-def cluster_snapshot(data: InitialData, t: float):
+def cluster_snapshot(data: InitialData, t: float) -> ClusterState:
     """Cluster decomposition of the solution at time t: the hull edges of
     ``PrefixFrame.clusters``, or one cluster per atom at t = 0.
     """
     if t == 0.0:
         m = data.measure
-        return [
-            Cluster(i, i + 1, float(m.positions[i]), float(data.velocities[i]), float(m.masses[i]))
-            for i in range(len(m))
-        ]
-    frame = _frame(data, t)
-    lo, hi, pos, vel = frame.clusters()
-    mass = frame.P[hi] - frame.P[lo]
-    return [
-        Cluster(*c)
-        for c in zip(lo.tolist(), hi.tolist(), pos.tolist(), vel.tolist(), mass.tolist())
-    ]
+        lo = np.arange(len(m))
+        return ClusterState(t, m.positions, m.masses, data.velocities, lo, lo + 1)
+    return _frame(data, t).cluster_state(t)
 
 
 # -- forward generalized characteristics --------------------------------------

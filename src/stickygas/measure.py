@@ -4,17 +4,21 @@ All Stieltjes integrals downstream reduce to prefix sums over the sorted
 atom array, so construction caches the prefix-mass table once and every
 query is a binary search. Instances are immutable after construction and
 safe for unlimited concurrent reads.
+
+The solution at a fixed time is a finite set of point clusters; both the
+formula layer and the oracle hand it out as one ``ClusterState``.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TauOutOfRange
 
-__all__ = ["AtomicMeasure", "InitialData"]
+__all__ = ["AtomicMeasure", "InitialData", "ClusterState"]
 
 
 def _merge_duplicates(positions, masses, velocities=None):
@@ -41,7 +45,7 @@ def _merge_duplicates(positions, masses, velocities=None):
     if merged:
         warnings.warn(
             "duplicate atom positions merged (mass added, velocity mass-averaged)",
-            stacklevel=3,
+            stacklevel=4,
         )
     pos = np.array(keep_pos, dtype=float)
     mass = np.array(keep_mass, dtype=float)
@@ -49,6 +53,37 @@ def _merge_duplicates(positions, masses, velocities=None):
     if keep_mom is not None:
         vel = np.array(keep_mom, dtype=float) / mass
     return pos, mass, vel
+
+
+def _atom_columns(positions, masses, velocities=None):
+    """Checked atom columns sorted by position, exact duplicates merged.
+
+    Raises ValueError for columns of unequal length, then for a mass that
+    is not strictly positive, then for a non-finite position or mass.
+    Velocities are optional; they follow their atoms and stay None when
+    not given.
+    """
+    positions = np.atleast_1d(np.asarray(positions, dtype=float))
+    masses = np.atleast_1d(np.asarray(masses, dtype=float))
+    if velocities is None:
+        if positions.shape != masses.shape or positions.ndim != 1:
+            raise ValueError("positions and masses must be 1-d arrays of equal length")
+    else:
+        velocities = np.atleast_1d(np.asarray(velocities, dtype=float))
+        if not (positions.shape == masses.shape == velocities.shape) or positions.ndim != 1:
+            raise ValueError("positions, masses, velocities must have equal length")
+    if positions.size:
+        order = np.argsort(positions, kind="stable")
+        positions, masses = positions[order], masses[order]
+        if velocities is not None:
+            velocities = velocities[order]
+        if np.any(masses <= 0.0):
+            raise ValueError("all masses must be strictly positive")
+        if not np.all(np.isfinite(positions)) or not np.all(np.isfinite(masses)):
+            raise ValueError("positions and masses must be finite")
+        if np.any(np.diff(positions) == 0.0):
+            positions, masses, velocities = _merge_duplicates(positions, masses, velocities)
+    return positions, masses, velocities
 
 
 class AtomicMeasure:
@@ -61,20 +96,10 @@ class AtomicMeasure:
     __slots__ = ("positions", "masses", "prefix_mass", "total_mass")
 
     def __init__(self, positions, masses):
-        positions = np.atleast_1d(np.asarray(positions, dtype=float))
-        masses = np.atleast_1d(np.asarray(masses, dtype=float))
-        if positions.shape != masses.shape or positions.ndim != 1:
-            raise ValueError("positions and masses must be 1-d arrays of equal length")
-        if positions.size:
-            if not np.all(np.isfinite(positions)) or not np.all(np.isfinite(masses)):
-                raise ValueError("positions and masses must be finite")
-            if np.any(masses <= 0.0):
-                raise ValueError("all masses must be strictly positive")
-            order = np.argsort(positions, kind="stable")
-            positions = positions[order]
-            masses = masses[order]
-            if np.any(np.diff(positions) == 0.0):
-                positions, masses, _ = _merge_duplicates(positions, masses)
+        self._fill(*_atom_columns(positions, masses)[:2])
+
+    def _fill(self, positions, masses):
+        """Store columns that already went through ``_atom_columns``."""
         self.positions = positions
         self.masses = masses
         # prefix_mass[k] = sum of the first k masses, k = 0..N
@@ -147,25 +172,10 @@ class InitialData:
     @classmethod
     def from_atoms(cls, positions, masses, velocities, tau):
         """Build from raw arrays, merging duplicate positions momentum-consistently."""
-        positions = np.atleast_1d(np.asarray(positions, dtype=float))
-        masses = np.atleast_1d(np.asarray(masses, dtype=float))
-        velocities = np.atleast_1d(np.asarray(velocities, dtype=float))
-        if not (positions.shape == masses.shape == velocities.shape):
-            raise ValueError("positions, masses, velocities must have equal length")
-        if positions.size:
-            order = np.argsort(positions, kind="stable")
-            positions, masses, velocities = (
-                positions[order],
-                masses[order],
-                velocities[order],
-            )
-            if np.any(masses <= 0.0):
-                raise ValueError("all masses must be strictly positive")
-            if np.any(np.diff(positions) == 0.0):
-                positions, masses, velocities = _merge_duplicates(
-                    positions, masses, velocities
-                )
-        return cls(AtomicMeasure(positions, masses), velocities, tau)
+        positions, masses, velocities = _atom_columns(positions, masses, velocities)
+        measure = object.__new__(AtomicMeasure)
+        measure._fill(positions, masses)
+        return cls(measure, velocities, tau)
 
     def with_tau(self, tau: float) -> "InitialData":
         """Same atoms and velocities under a different relaxation time."""
@@ -176,3 +186,35 @@ class InitialData:
 
     def __repr__(self):
         return f"InitialData(n={len(self)}, tau={self.tau!r}, U0={self.max_speed!r})"
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ClusterState:
+    """All clusters at one time as read-only columns, ordered by position.
+
+    Cluster i holds atoms lo[i]..hi[i]-1 merged at positions[i] with mass
+    masses[i] and common velocity velocities[i]. The columns are made
+    read-only in place, not copied.
+    """
+
+    time: float
+    positions: np.ndarray
+    masses: np.ndarray
+    velocities: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.positions, self.masses, self.velocities, self.lo, self.hi):
+            column.setflags(write=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, ClusterState):
+            return NotImplemented
+        return self.time == other.time and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("positions", "masses", "velocities", "lo", "hi")
+        )
+
+    def momentum(self) -> float:
+        return float(sum((self.masses * self.velocities).tolist()))

@@ -26,7 +26,7 @@ from .errors import (
     NonPositiveTime,
     RootBracketFailure,
 )
-from .measure import AtomicMeasure, InitialData
+from .measure import AtomicMeasure, ClusterState, InitialData
 
 __all__ = [
     "ClusterState",
@@ -51,38 +51,6 @@ def _exp_neg(z):
 def _em1(z):
     """1 - e^{-z}, accurate near zero."""
     return -math.expm1(-z) if z <= _EXP_FLUSH else 1.0
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class ClusterState:
-    """All clusters at one time as read-only columns, ordered by position.
-
-    Cluster i holds atoms lo[i]..hi[i]-1 merged at positions[i] with mass
-    masses[i] and common velocity velocities[i]. The columns are made
-    read-only in place, not copied.
-    """
-
-    time: float
-    positions: np.ndarray
-    masses: np.ndarray
-    velocities: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        for column in (self.positions, self.masses, self.velocities, self.lo, self.hi):
-            column.setflags(write=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, ClusterState):
-            return NotImplemented
-        return self.time == other.time and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("positions", "masses", "velocities", "lo", "hi")
-        )
-
-    def momentum(self) -> float:
-        return float(sum((self.masses * self.velocities).tolist()))
 
 
 def _mtilde(m, total=None):

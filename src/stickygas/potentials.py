@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadConstantK, EmptyMeasure, NonPositiveTime
-from .measure import AtomicMeasure, InitialData
+from .measure import AtomicMeasure, ClusterState, InitialData
 
 __all__ = [
     "DEFAULT_TIE_TOL",
@@ -275,6 +275,16 @@ class PrefixFrame:
         if self._hull is None:
             self._hull = self._build_hull()
         return self._hull
+
+    def cluster_state(self, time: float, velocities=None) -> ClusterState:
+        """The clusters of ``clusters()`` as a ClusterState at ``time``.
+
+        Cluster j has mass P[hi[j]] - P[lo[j]] and its hull velocity, or
+        velocities[j] when a velocity column is given.
+        """
+        lo, hi, pos, vel = self.clusters()
+        vel = vel if velocities is None else velocities
+        return ClusterState(time, pos, self.P[hi] - self.P[lo], vel, lo, hi)
 
     def _build_hull(self):
         P, S = self.P.tolist(), self.S.tolist()

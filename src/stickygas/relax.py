@@ -16,7 +16,7 @@ import numpy as np
 from .drift import drift_cluster_snapshot, eval_mbar_grid
 from .errors import TauOutOfRange
 from .euler_poisson import _frame, _velocity_from_frame
-from .measure import InitialData
+from .measure import ClusterState, InitialData
 from .potentials import PotentialCoefficients, minimize_Fbar
 
 __all__ = ["RelaxationReport", "eval_scaled", "convergence_study", "scaled_cluster_snapshot"]
@@ -55,24 +55,25 @@ def _check_tau(tau: float):
         raise TauOutOfRange(f"tau must lie in (0, 1], got {tau}")
 
 
-def eval_scaled(data: InitialData, x: float, t: float, tau: float):
-    """(m_tau, u_tau, q_tau/tau) of the slow-time-scaled solution at (x, t)."""
+def _scaled_frame(data: InitialData, t: float, tau: float):
+    """(scaled data, prefix frame) of the slow-time-scaled solution at slow time t."""
     _check_tau(tau)
     scaled = data.with_tau(tau)
-    coeffs = PotentialCoefficients.scaled(tau, t)
-    frame = _frame(scaled, None, coeffs=coeffs)
+    return scaled, _frame(scaled, None, coeffs=PotentialCoefficients.scaled(tau, t))
+
+
+def eval_scaled(data: InitialData, x: float, t: float, tau: float):
+    """(m_tau, u_tau, q_tau/tau) of the slow-time-scaled solution at (x, t)."""
+    scaled, frame = _scaled_frame(data, t, tau)
     _, k_min, k_max = frame.argmin(x)
     u, _ = _velocity_from_frame(frame, scaled, x, k_min, k_max)
     return float(frame.P[k_min]), u / tau, float(frame.Q[k_min]) / tau
 
 
-def scaled_cluster_snapshot(data: InitialData, t: float, tau: float):
-    """(lo, hi, position, velocity/tau) clusters of the scaled solution."""
-    _check_tau(tau)
-    scaled = data.with_tau(tau)
-    coeffs = PotentialCoefficients.scaled(tau, t)
-    lo, hi, pos, vel = _frame(scaled, None, coeffs=coeffs).clusters()
-    return list(zip(lo.tolist(), hi.tolist(), pos.tolist(), (vel / tau).tolist()))
+def scaled_cluster_snapshot(data: InitialData, t: float, tau: float) -> ClusterState:
+    """Clusters of the scaled solution at slow time t, velocities divided by tau."""
+    _, frame = _scaled_frame(data, t, tau)
+    return frame.cluster_state(t, frame.clusters()[3] / tau)
 
 
 def _filtered_grid(measure, xs, t):
@@ -115,27 +116,22 @@ def convergence_study(
         _check_tau(tau)
     grid = _filtered_grid(measure, x_grid, t)
     mbar = eval_mbar_grid(measure, grid, t)
-    drift_clusters = drift_cluster_snapshot(measure, t)
+    drift = drift_cluster_snapshot(measure, t)
+    xs = drift.positions.tolist()
 
     err_m = []
     err_u = []
     for tau in taus:
-        scaled = data.with_tau(tau)
-        coeffs = PotentialCoefficients.scaled(tau, t)
-        frame = _frame(scaled, None, coeffs=coeffs)
+        _, frame = _scaled_frame(data, t, tau)
         if grid.size:
             _, k_min, _ = frame.argmin_grid(grid)
             err_m.append(float(np.max(np.abs(frame.P[k_min] - mbar))))
         else:
             err_m.append(0.0)
         _, _, pos, vel = frame.clusters()
-        vel = vel / tau
-        worst = 0.0
-        right = np.searchsorted(pos, [c.position for c in drift_clusters]).tolist()
-        for c, k in zip(drift_clusters, right):
-            j = _nearest(pos, c.position, k)
-            worst = max(worst, abs(float(vel[j]) - c.velocity))
-        err_u.append(worst)
+        near = [_nearest(pos, x, k) for x, k in zip(xs, np.searchsorted(pos, xs).tolist())]
+        err = np.abs(vel[near] / tau - drift.velocities)
+        err_u.append(float(np.max(err, initial=0.0)))
 
     def monotone(errs):
         return all(

@@ -38,6 +38,7 @@ from .euler_poisson import (
 )
 from .measure import InitialData
 from .oracle import BLOCK_ELEMENTS, Trajectory, oracle_cdf, simulate_ep
+from .potentials import PotentialCoefficients
 
 __all__ = [
     "ResidualReport",
@@ -208,26 +209,24 @@ def _snapshot_blocks(data, ts):
     Consecutive snapshots with equal mass columns share a block of at most
     BLOCK_ELEMENTS positions.
     """
-    rows = []
+    snaps = []
     for t in ts:
         snap = cluster_snapshot(data, t)
-        row = (
-            t,
-            [c.position for c in snap],
-            [c.velocity for c in snap],
-            [c.mass for c in snap],
-        )
-        if rows and (row[3] != rows[0][3] or len(rows) * len(snap) >= BLOCK_ELEMENTS):
-            yield _stack(rows)
-            rows = []
-        rows.append(row)
-    if rows:
-        yield _stack(rows)
+        if snaps and (
+            not np.array_equal(snap.masses, snaps[0].masses)
+            or len(snaps) * snap.masses.size >= BLOCK_ELEMENTS
+        ):
+            yield _stack(snaps)
+            snaps = []
+        snaps.append(snap)
+    if snaps:
+        yield _stack(snaps)
 
 
-def _stack(rows):
-    times, positions, velocities, masses = zip(*rows)
-    return np.array(times), np.array(positions), np.array(velocities), np.array(masses[0])
+def _stack(snaps):
+    times = np.array([s.time for s in snaps])
+    positions = np.array([s.positions for s in snaps])
+    return times, positions, np.array([s.velocities for s in snaps]), snaps[0].masses
 
 
 def check_weak_form(
@@ -343,9 +342,8 @@ def check_oleinik(
     if layer != "oracle" and not all(x1 < x2 for x1, x2 in x_pairs):
         raise ValueError("x_pairs must satisfy x1 < x2")
     for t in t_samples:
-        em1 = -math.expm1(-t / tau) if t / tau <= 700.0 else 1.0
-        decay = math.exp(-t / tau) if t / tau <= 700.0 else 0.0
-        bound = decay / (tau * em1)
+        coeffs = PotentialCoefficients.euler_poisson(tau, t)
+        bound = coeffs.decay / coeffs.A
         if bound > 1.0 / t + 1e-12:
             raise AssertionError("sharp bound exceeds 1/t: impossible")
         worst = -math.inf
@@ -477,11 +475,10 @@ def check_potential_identities(
         if t - h_max <= 0.0:
             raise StencilTooCloseToShock(f"stencil at t={t} reaches t <= 0")
         margin = h_max * (2.0 + vmax)
-        for c in cluster_snapshot(data, t):
-            if abs(c.position - x) < margin:
-                raise StencilTooCloseToShock(
-                    f"stencil point (x={x}, t={t}) within {margin} of a cluster"
-                )
+        if np.any(np.abs(cluster_snapshot(data, t).positions - x) < margin):
+            raise StencilTooCloseToShock(
+                f"stencil point (x={x}, t={t}) within {margin} of a cluster"
+            )
     names = ["nu_x+m", "nu_t-q", "theta_x+q", "theta_t-E-omega", "omega_x-closure"]
     series = {name: [] for name in names}
     for h in sorted(hs, reverse=True):

@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 from stickygas.cli import main as cli_main
 from stickygas.drift import eval_mbar, eval_qbar
 from stickygas.euler_poisson import (
+    cluster_snapshot,
     eval_E,
     eval_m_grid,
     eval_q_grid,
@@ -90,6 +91,20 @@ def test_criterion_01_oracle_equivalence(ensemble):
     assert worst_dm <= 1e-9
     assert worst_du <= 1e-9
     assert elapsed <= 60.0
+
+
+def test_cluster_snapshot_matches_oracle_state(ensemble):
+    # both layers hand out the same ClusterState columns: the same atom
+    # ranges, and positions, velocities and masses within 1e-9
+    for data, traj, times, _ in ensemble.items:
+        for t in times:
+            snap, state = cluster_snapshot(data, t), traj.state_at(t)
+            assert snap.time == state.time == t
+            assert np.array_equal(snap.lo, state.lo), (data, t)
+            assert np.array_equal(snap.hi, state.hi), (data, t)
+            for name in ("positions", "velocities", "masses"):
+                got, want = getattr(snap, name), getattr(state, name)
+                assert np.max(np.abs(got - want)) <= 1e-9, (data, t, name)
 
 
 def test_criterion_02_momentum_decay(ensemble):

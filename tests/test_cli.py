@@ -243,7 +243,7 @@ class TestCompare:
             data = random_instance(rng, n_max=8)
             traj = simulate_ep(data, 6.0)
             for t in sample_times_avoiding_events(rng, 3, 0.1, 5.5, traj.event_times):
-                pos = np.array([c.position for c in cluster_snapshot(data, t)])
+                pos = cluster_snapshot(data, t).positions
                 xs = np.concatenate(
                     [pos, np.nextafter(pos, -np.inf), np.nextafter(pos, np.inf), pos * (1.0 + 1e-12)]
                 )

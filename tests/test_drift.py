@@ -134,11 +134,12 @@ class TestOracleEquivalence:
         for t in (1.0, 3.9, 5.0):
             snap = drift_cluster_snapshot(m, t)
             state = traj.state_at(t)
-            assert len(snap) == len(state.positions)
-            for i, a in enumerate(snap):
-                assert a.position == pytest.approx(state.positions[i], abs=1e-10)
-                assert a.velocity == pytest.approx(state.velocities[i], abs=1e-12)
-                assert (a.lo, a.hi) == (state.lo[i], state.hi[i])
+            assert snap.time == state.time
+            assert np.array_equal(snap.lo, state.lo)
+            assert np.array_equal(snap.hi, state.hi)
+            assert snap.positions == pytest.approx(state.positions, abs=1e-10)
+            assert snap.velocities == pytest.approx(state.velocities, abs=1e-12)
+            assert snap.masses == pytest.approx(state.masses, abs=1e-12)
 
 
 class TestPotentialIdentities:
@@ -152,7 +153,7 @@ class TestPotentialIdentities:
             # keep the stencil away from drift clusters
             clusters = drift_cluster_snapshot(m, t)
             h = 1e-5
-            if any(abs(c.position - x) < 10 * h for c in clusters):
+            if np.any(np.abs(clusters.positions - x) < 10 * h):
                 continue
             nu = lambda xx, tt: minimize_Fbar(m, xx, tt).nu
             dx = (nu(x + h, t) - nu(x - h, t)) / (2 * h)

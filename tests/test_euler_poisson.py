@@ -117,11 +117,11 @@ class TestVelocity:
         for _ in range(15):
             data = make_random_instance(rng)
             t = float(rng.uniform(0.1, 4.0))
-            for c in cluster_snapshot(data, t):
+            for x in cluster_snapshot(data, t).positions.tolist():
                 eps = 1e-7
-                u_left, _ = eval_u(data, c.position - eps, t)
-                u_right, _ = eval_u(data, c.position + eps, t)
-                u_mid, _ = eval_u(data, c.position, t)
+                u_left, _ = eval_u(data, x - eps, t)
+                u_right, _ = eval_u(data, x + eps, t)
+                u_mid, _ = eval_u(data, x, t)
                 assert u_right <= u_mid + 1e-6
                 assert u_mid <= u_left + 1e-6
 
@@ -195,11 +195,10 @@ class TestForwardPosition:
             data = make_random_instance(rng, n_max=10)
             t = float(rng.uniform(0.1, 5.0))
             snap = cluster_snapshot(data, t)
-            for c in snap:
-                for i in range(c.lo, c.hi):
-                    assert forward_position(data, i, t) == pytest.approx(
-                        c.position, abs=1e-8 * (1 + abs(c.position))
-                    )
+            # one position per atom: each cluster's, repeated over its atoms
+            want = np.repeat(snap.positions, snap.hi - snap.lo)
+            got = [forward_position(data, i, t) for i in range(len(data))]
+            assert got == pytest.approx(want, abs=1e-8 * (1 + np.max(np.abs(want))))
 
 
 class TestEnergy:
@@ -230,15 +229,15 @@ class TestEnergy:
         for _ in range(10):
             data = make_random_instance(rng, n_max=10)
             t = float(rng.uniform(0.3, 4.0))
-            for c in cluster_snapshot(data, t):
+            for x in cluster_snapshot(data, t).positions.tolist():
                 eps = 1e-6
-                x1, x2 = c.position - eps, c.position + eps
+                x1, x2 = x - eps, x + eps
                 dm = eval_m(data, x2, t) - eval_m(data, x1, t)
                 if dm <= 0:
                     continue
                 dq = eval_q(data, x2, t) - eval_q(data, x1, t)
                 dE = eval_E(data, x2, t) - eval_E(data, x1, t)
-                u, _ = eval_u(data, c.position, t)
+                u, _ = eval_u(data, x, t)
                 assert dq / dm == pytest.approx(u, abs=1e-9)
                 assert dE / dm == pytest.approx(u * u, abs=1e-9)
 
@@ -302,13 +301,14 @@ class TestSample:
         for _ in range(10):
             data = make_random_instance(rng, n_max=6)
             t = float(rng.uniform(1.0, 6.0))
-            for c in cluster_snapshot(data, t):
-                s = sample(data, c.position, t)
-                jump = eval_m(data, c.position + 1e-7, t) - s.m
-                if c.hi - c.lo > 1 or c.lo > 0:
+            snap = cluster_snapshot(data, t)
+            for x, lo, hi in zip(*(a.tolist() for a in (snap.positions, snap.lo, snap.hi))):
+                s = sample(data, x, t)
+                jump = eval_m(data, x + 1e-7, t) - s.m
+                if hi - lo > 1 or lo > 0:
                     # genuine concentration with mass on its left, or a
                     # merged cluster: must be tagged as a shock
-                    if jump > 0 and c.hi - c.lo > 1:
+                    if jump > 0 and hi - lo > 1:
                         assert s.branch is Branch.DELTA_SHOCK
                         hits += 1
         assert hits > 0
@@ -419,7 +419,7 @@ class TestMirrorSymmetry:
                 assert m_left == pytest.approx(M - m_right_mirr, abs=1e-9)
             clusters = cluster_snapshot(data, t)
             far = abs(float(m.positions[0])) + abs(float(m.positions[-1])) + 30.0
-            probes = [c.position for c in clusters] + [far, -far]
+            probes = clusters.positions.tolist() + [far, -far]
             for x in probes:
                 u1, _ = eval_u(data, float(x), t)
                 u2, _ = eval_u(mirrored, float(-x), t)
@@ -570,7 +570,7 @@ class TestHullReadsMatchBisection:
         kinds = {"cluster": 0, "k=0": 0, "interior": 0, "k=N": 0}
         for rng, data in _instances(71, 24):
             t0 = float(rng.uniform(0.05, 3.0))
-            pos = [c.position for c in cluster_snapshot(data, t0)]
+            pos = cluster_snapshot(data, t0).positions.tolist()
             starts = [("cluster", pos[int(rng.integers(len(pos)))])]
             starts += [("k=0", pos[0] - 1.0), ("k=N", pos[-1] + 1.0)]
             if len(pos) > 1:
@@ -589,9 +589,9 @@ class TestHullReadsMatchBisection:
         # a bisection over the prefix argmin lands far from it
         data = InitialData.from_atoms([-1.0, 1.0], [1e6, 1e-6], [0.0, 0.0], 1.0)
         t = 1e-3
-        for c in cluster_snapshot(data, t):
-            for i in range(c.lo, c.hi):
-                assert forward_position(data, i, t) == c.position
+        snap = cluster_snapshot(data, t)
+        want = np.repeat(snap.positions, snap.hi - snap.lo).tolist()
+        assert [forward_position(data, i, t) for i in range(len(data))] == want
         assert forward_position(data, 1, t) == pytest.approx(0.75, abs=1e-3)
 
 
@@ -615,7 +615,7 @@ class TestGridEvaluation:
                 xs = [float(x) for x in rng.uniform(-12, 12, size=15)]
                 xs += data.measure.positions.tolist()
                 if t > 0.0:
-                    xs += [c.position for c in cluster_snapshot(data, t)]
+                    xs += cluster_snapshot(data, t).positions.tolist()
                 for fn in (sample, eval_u, eval_E):
                     grid = fn(data, np.array(xs), t)
                     assert [repr(v) for v in grid] == [repr(fn(data, x, t)) for x in xs]
@@ -629,7 +629,7 @@ class TestGridEvaluation:
                 xs = rng.uniform(-12, 12, size=15)
                 ys = data.measure.positions
                 if t > 0.0:
-                    ys = np.array([c.position for c in cluster_snapshot(data, t)])
+                    ys = cluster_snapshot(data, t).positions
                 for a, b in ((xs, ys), (xs[:0], ys), (xs, ys[:0])):
                     ms, us = eval_m_and_u(data, a, b, t)
                     assert repr(ms.tolist()) == repr(eval_m_grid(data, a, t).tolist())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,33 @@ class TestConstruction:
         # (1*2 + 3*(-2)) / 4
         assert d.velocities[0] == pytest.approx(-1.0, abs=0)
         assert d.measure.masses[0] == 4.0
+
+    def test_from_atoms_warns_once_on_duplicates(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            InitialData.from_atoms([1.0, 1.0, 2.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 1.0)
+        assert [str(w.message) for w in caught] == [
+            "duplicate atom positions merged (mass added, velocity mass-averaged)"
+        ]
+        assert caught[0].filename == __file__
+
+    def test_from_atoms_check_order(self):
+        cases = [
+            (([0.0, 1.0], [1.0], [0.0]), "positions, masses, velocities must have equal length"),
+            (([np.nan, 1.0], [-1.0, 1.0], [0.0, 0.0]), "all masses must be strictly positive"),
+            (([np.inf, 1.0], [1.0, 1.0], [0.0, 0.0]), "positions and masses must be finite"),
+            (([0.0, 1.0], [1.0, np.nan], [0.0, 0.0]), "positions and masses must be finite"),
+            (([0.0, 1.0], [1.0, 1.0], [0.0, np.nan]), "velocities must be finite"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                InitialData.from_atoms(*args, 1.0)
+
+    def test_measure_rejects_mismatched_columns(self):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            AtomicMeasure([0.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            AtomicMeasure([0.0, np.inf], [1.0, 1.0])
 
     def test_prefix_mass_cached(self):
         m = AtomicMeasure([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])

@@ -211,9 +211,7 @@ class TestAuxiliaryPotentials:
             x = float(rng.uniform(-11, 11))
             res = minimize_F(data, x, t)
             snap = cluster_snapshot(data, t)
-            fp = np.empty(len(data))
-            for c in snap:
-                fp[c.lo : c.hi] = c.position
+            fp = np.repeat(snap.positions, snap.hi - snap.lo)
             coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
             m = data.measure
             vel = coeffs.decay * data.velocities - coeffs.A * m.atom_mtilde()

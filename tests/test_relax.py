@@ -126,7 +126,7 @@ class TestConvergenceStudy:
     def test_grid_filters_drift_shocks(self, two_atom_asymmetric):
         # place a grid point exactly on the merged drift cluster
         snap = drift_cluster_snapshot(two_atom_asymmetric.measure, 5.0)
-        shock_x = snap[0].position
+        shock_x = float(snap.positions[0])
         grid = [shock_x - 1.0, shock_x, shock_x + 1.0]
         rep = convergence_study(two_atom_asymmetric, 5.0, grid, [0.5, 0.25])
         assert shock_x not in rep.grid
@@ -140,14 +140,15 @@ class TestConvergenceStudy:
             two_atom_asymmetric, t, np.linspace(-3, 3, 13), [0.5, 0.25, 0.125]
         )
         drift_c = drift_cluster_snapshot(two_atom_asymmetric.measure, t)
-        assert len(drift_c) == 1
+        assert drift_c.positions.size == 1
+        x, u = float(drift_c.positions[0]), float(drift_c.velocities[0])
         for tau, err in zip(rep.tau_sequence, rep.err_u):
             clusters = scaled_cluster_snapshot(two_atom_asymmetric, t, tau)
             pos, vel = min(
-                ((c[2], c[3]) for c in clusters),
-                key=lambda pv: abs(pv[0] - drift_c[0].position),
+                zip(clusters.positions.tolist(), clusters.velocities.tolist()),
+                key=lambda pv: abs(pv[0] - x),
             )
-            assert err == pytest.approx(abs(vel - drift_c[0].velocity), abs=1e-15)
+            assert err == pytest.approx(abs(vel - u), abs=1e-15)
 
 
 class TestNearestCluster:

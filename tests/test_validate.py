@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stickygas.errors import StencilTooCloseToShock
+from stickygas.errors import NonPositiveTime, StencilTooCloseToShock
 from stickygas.euler_poisson import cluster_snapshot
 from stickygas.measure import InitialData
 from stickygas.oracle import simulate_ep
@@ -204,10 +204,7 @@ def scalar_weak_form(data, t_window, refinement_levels, n_base, layer):
     traj = simulate_ep(data, t_hi * 1.01)
 
     def clusters_at(t):
-        if layer == "formula":
-            snap = cluster_snapshot(data, t)
-            return [c.position for c in snap], [c.mass for c in snap], [c.velocity for c in snap]
-        s = traj.state_at(t)
+        s = cluster_snapshot(data, t) if layer == "formula" else traj.state_at(t)
         return s.positions.tolist(), s.masses.tolist(), s.velocities.tolist()
 
     bumps = [ScalarBump(b) for b in default_bump_family(data, t_window)]
@@ -285,6 +282,13 @@ class TestOleinik:
     def test_degenerate_pair_rejected(self, single_atom):
         with pytest.raises(ValueError):
             check_oleinik(single_atom, [1.0], [(0.5, 0.5)])
+
+    def test_nonpositive_time_raises(self, single_atom):
+        for t in (0.0, -1.0):
+            with pytest.raises(NonPositiveTime):
+                check_oleinik(single_atom, [t], [(0.5, 1.5)])
+            with pytest.raises(NonPositiveTime):
+                check_oleinik(single_atom, [1.0, t], [], layer="oracle")
 
     def test_empty_samples_give_the_same_report_on_both_layers(self, two_atom_symmetric):
         rep_f = check_oleinik(two_atom_symmetric, [], [])
@@ -366,7 +370,7 @@ class TestPotentialIdentities:
             assert series[0] <= 1e-6  # residual at h = 1e-4
 
     def test_stencil_on_cluster_rejected(self, two_atom_symmetric):
-        x_cluster = cluster_snapshot(two_atom_symmetric, 1.0)[0].position
+        x_cluster = float(cluster_snapshot(two_atom_symmetric, 1.0).positions[0])
         with pytest.raises(StencilTooCloseToShock):
             check_potential_identities(
                 two_atom_symmetric, [(x_cluster, 1.0)], self.HS
