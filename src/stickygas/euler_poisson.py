@@ -107,7 +107,7 @@ def _frame(data, t, coeffs=None):
 def eval_m(data: InitialData, x: float, t: float) -> float:
     """Cumulative mass strictly left of x: left-continuous, nondecreasing."""
     if t == 0.0:
-        return _initial_fields(data, x)[0].tolist()
+        return _initial_fields(data, x, "m")[0].tolist()
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin(x)
     return float(frame.P[k_min])
@@ -116,7 +116,7 @@ def eval_m(data: InitialData, x: float, t: float) -> float:
 def eval_q(data: InitialData, x: float, t: float) -> float:
     """Momentum integral over the same prefix as eval_m."""
     if t == 0.0:
-        return _initial_fields(data, x)[1].tolist()
+        return _initial_fields(data, x, "q")[0].tolist()
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin(x)
     return float(frame.Q[k_min])
@@ -182,21 +182,30 @@ def _is_grid(x) -> bool:
     return np.ndim(x) == 1
 
 
-def _initial_fields(data, x):
-    """(m, q, u, E) of the initial data at a scalar x or a 1-d grid of x.
+def _initial_fields(data, x, names):
+    """The initial-data fields named in ``names`` ("m", "q", "u", "E"), in
+    that order, at a scalar x or a 1-d grid of x.
 
     One searchsorted: m is the prefix mass strictly left of x, q and E are
     sequential prefix sums of the per-atom terms over the same atoms, and
-    u is the atom's velocity on an exact atom hit, else 0.0. Numpy values;
-    ``tolist()`` gives a float for a scalar x and a list for a grid.
+    u is the atom's velocity on an exact atom hit, else 0.0. Only the
+    requested fields are built, so an m query stays a binary search.
+    Numpy values; ``tolist()`` gives a float for a scalar x and a list for
+    a grid.
     """
     m, u0 = data.measure, data.velocities
     k = np.searchsorted(m.positions, x, side="left")
-    q = np.concatenate(([0.0], np.cumsum(m.masses * u0)))[k]
-    E = np.concatenate(([0.0], np.cumsum(m.masses * u0 * u0)))[k]
-    on_atom = np.append(m.positions, np.nan)[k] == x
-    u = np.where(on_atom, np.append(u0, 0.0)[k], 0.0)
-    return m.prefix_mass[k], q, u, E
+    fields = []
+    for name in names:
+        if name == "m":
+            fields.append(m.prefix_mass[k])
+        elif name == "u":
+            on_atom = np.append(m.positions, np.nan)[k] == x
+            fields.append(np.where(on_atom, np.append(u0, 0.0)[k], 0.0))
+        else:
+            terms = m.masses * u0 * (u0 if name == "E" else 1.0)
+            fields.append(np.concatenate(([0.0], np.cumsum(terms)))[k])
+    return fields
 
 
 def _ranges(data, x, t):
@@ -221,7 +230,7 @@ def eval_u(data: InitialData, x, t: float):
     For a 1-d grid x, a list of (u, branch) pairs in grid order.
     """
     if t == 0.0:
-        us = _initial_fields(data, x)[2].tolist()
+        us = _initial_fields(data, x, "u")[0].tolist()
         if _is_grid(x):
             return [(u, Branch.CHARACTERISTIC) for u in us]
         return us, Branch.CHARACTERISTIC
@@ -252,7 +261,7 @@ def eval_E(data: InitialData, x, t: float):
     For a 1-d grid x, a list of energies in grid order.
     """
     if t == 0.0:
-        return _initial_fields(data, x)[3].tolist()
+        return _initial_fields(data, x, "E")[0].tolist()
     frame, _, k_min, _ = _ranges(data, x, t)
     energies = _energies(frame, k_min)
     return energies if _is_grid(x) else energies[0]
@@ -285,7 +294,7 @@ def eval_nu_theta_omega(data: InitialData, x: float, t: float):
 def sample(data: InitialData, x, t: float):
     """All solution fields at one point; for a 1-d grid x, a list in grid order."""
     if t == 0.0:
-        fields = [f.tolist() for f in _initial_fields(data, x)]
+        fields = [f.tolist() for f in _initial_fields(data, x, "mquE")]
         if not _is_grid(x):
             return SolutionSample(x, 0.0, *fields, Branch.CHARACTERISTIC)
         xs = np.asarray(x, dtype=float).tolist()
@@ -308,7 +317,7 @@ def eval_m_grid(data: InitialData, xs, t: float):
     """Vectorized eval_m over an array of positions."""
     xs = np.asarray(xs, dtype=float)
     if t == 0.0:
-        return _initial_fields(data, xs)[0]
+        return _initial_fields(data, xs, "m")[0]
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin_grid(xs)
     return frame.P[k_min]
@@ -338,7 +347,7 @@ def eval_q_grid(data: InitialData, xs, t: float):
     """Vectorized eval_q over an array of positions."""
     xs = np.asarray(xs, dtype=float)
     if t == 0.0:
-        return _initial_fields(data, xs)[1]
+        return _initial_fields(data, xs, "q")[0]
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin_grid(xs)
     return frame.Q[k_min]

@@ -96,10 +96,7 @@ class AtomicMeasure:
     __slots__ = ("positions", "masses", "prefix_mass", "total_mass")
 
     def __init__(self, positions, masses):
-        self._fill(*_atom_columns(positions, masses)[:2])
-
-    def _fill(self, positions, masses):
-        """Store columns that already went through ``_atom_columns``."""
+        positions, masses, _ = _atom_columns(positions, masses)
         self.positions = positions
         self.masses = masses
         # prefix_mass[k] = sum of the first k masses, k = 0..N
@@ -173,9 +170,7 @@ class InitialData:
     def from_atoms(cls, positions, masses, velocities, tau):
         """Build from raw arrays, merging duplicate positions momentum-consistently."""
         positions, masses, velocities = _atom_columns(positions, masses, velocities)
-        measure = object.__new__(AtomicMeasure)
-        measure._fill(positions, masses)
-        return cls(measure, velocities, tau)
+        return cls(AtomicMeasure(positions, masses), velocities, tau)
 
     def with_tau(self, tau: float) -> "InitialData":
         """Same atoms and velocities under a different relaxation time."""

@@ -197,8 +197,9 @@ class TestForwardPosition:
             snap = cluster_snapshot(data, t)
             # one position per atom: each cluster's, repeated over its atoms
             want = np.repeat(snap.positions, snap.hi - snap.lo)
-            got = [forward_position(data, i, t) for i in range(len(data))]
-            assert got == pytest.approx(want, abs=1e-8 * (1 + np.max(np.abs(want))))
+            for i, w in enumerate(want.tolist()):
+                got = forward_position(data, i, t)
+                assert got == pytest.approx(w, abs=1e-8 * (1 + abs(w)))
 
 
 class TestEnergy:
