@@ -108,8 +108,11 @@ def sample_drift(measure: AtomicMeasure, x: float, t: float) -> DriftSample:
 def drift_cluster_snapshot(measure: AtomicMeasure, t: float) -> ClusterState:
     """Cluster decomposition of the drift solution at time t.
 
-    The velocity of a cluster is minus its centered cumulative mass.
+    The velocity of a cluster is minus its centered cumulative mass; at
+    t = 0 the clusters are the atoms.
     """
+    if t == 0.0:
+        return ClusterState.from_atoms(t, measure, -measure.atom_mtilde())
     frame = _drift_frame(measure, t)
     lo, hi, _, _ = frame.clusters()
     P = frame.P

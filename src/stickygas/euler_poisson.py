@@ -361,9 +361,7 @@ def cluster_snapshot(data: InitialData, t: float) -> ClusterState:
     ``PrefixFrame.clusters``, or one cluster per atom at t = 0.
     """
     if t == 0.0:
-        m = data.measure
-        lo = np.arange(len(m))
-        return ClusterState(t, m.positions, m.masses, data.velocities, lo, lo + 1)
+        return ClusterState.from_atoms(t, data.measure, data.velocities)
     return _frame(data, t).cluster_state(t)
 
 

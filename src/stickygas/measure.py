@@ -211,5 +211,11 @@ class ClusterState:
             for name in ("positions", "masses", "velocities", "lo", "hi")
         )
 
+    @classmethod
+    def from_atoms(cls, time, measure: AtomicMeasure, velocities) -> "ClusterState":
+        """Every atom its own cluster, as at t = 0."""
+        lo = np.arange(len(measure))
+        return cls(time, measure.positions, measure.masses, velocities, lo, lo + 1)
+
     def momentum(self) -> float:
         return float(sum((self.masses * self.velocities).tolist()))

@@ -1,11 +1,13 @@
 """Event-driven sticky-particle reference simulator.
 
 Independent brute-force layer used to validate every formula-layer output.
-Clusters follow closed-form trajectories between collisions (damped motion
-under the piecewise-constant self-attraction for the gas, straight lines
-for the drift dynamics); collision times are bracketed and bisected on the
-closed forms, and colliding clusters merge conserving mass and momentum.
-Every state is a ClusterState of column arrays; queries read the columns.
+Clusters follow closed-form trajectories (damped motion under the
+piecewise-constant self-attraction for the gas, straight lines for the
+drift dynamics) and merge conserving mass and momentum. A cluster's centred
+mass does not change when others merge, so each cluster keeps one closed
+form from birth to death: a trajectory holds one record per cluster that
+ever lived (at most 2N - 1), and collision times come from a lazy heap of
+certified root bounds, bisected on the closed form only at the top.
 
 This module deliberately shares nothing with the potential-minimization
 layer except the input data model.
@@ -14,8 +16,10 @@ layer except the input data model.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -53,17 +57,6 @@ def _em1(z):
     return -math.expm1(-z) if z <= _EXP_FLUSH else 1.0
 
 
-def _mtilde(m, total=None):
-    """prefix + own/2 - total/2 per cluster, the prefix a sequential running sum.
-
-    ``total`` defaults to the last running sum.
-    """
-    prefix = np.concatenate(([0.0], np.cumsum(m)))
-    if total is None:
-        total = prefix[-1]
-    return prefix[:-1] + 0.5 * m - 0.5 * total
-
-
 @dataclass(frozen=True)
 class MergeEvent:
     """One collision: the ranges merged and the resulting cluster range."""
@@ -82,24 +75,21 @@ class _EpDynamics:
     def __init__(self, tau: float):
         self.tau = tau
 
-    def coefficients(self, dt):
-        """A = tau*(1 - e^{-dt/tau}), B = tau*A - tau*dt and e^{-dt/tau} for a float dt."""
+    def advance(self, x, v, mt, dt):
+        """Closed form after a float dt, with A = tau*(1 - e^{-dt/tau}) and
+        B = tau*A - tau*dt; x, v and mt are floats or equal-length arrays."""
         tau = self.tau
         A = tau * _em1(dt / tau)
-        return A, tau * A - tau * dt, _exp_neg(dt / tau)
+        return x + v * A + mt * (tau * A - tau * dt), v * _exp_neg(dt / tau) - mt * A
 
-    def advance(self, x, v, mt, dt):
-        """Closed form after dt; x, v and mt are floats or equal-length arrays.
-
-        A list of dts gives one row per entry. Its coefficients come from the
-        same scalar math helpers, so each row equals advancing by that entry
-        alone, bit for bit.
-        """
-        if np.ndim(dt):
-            A, B, decay = (np.array(c)[:, None] for c in zip(*map(self.coefficients, dt)))
-        else:
-            A, B, decay = self.coefficients(dt)
-        return x + v * A + mt * B, v * decay - mt * A
+    def advance_rows(self, x, v, mt, dt):
+        """`advance` on an array of dt, broadcast against the cluster columns."""
+        tau = self.tau
+        z = dt / tau
+        kept = z <= _EXP_FLUSH
+        A = tau * np.where(kept, -np.expm1(-z), 1.0)
+        decay = np.where(kept, np.exp(-np.minimum(z, _EXP_FLUSH)), 0.0)
+        return x + v * A + mt * (tau * A - tau * dt), v * decay - mt * A
 
     def pair_root(self, gap0, dv, dmt):
         """First positive root of gap(d) = gap0 + dv*A(d) + dmt*B(d), dmt > 0.
@@ -123,7 +113,7 @@ class _EpDynamics:
             hi = 2.0 * hi + 1.0
         else:
             raise RootBracketFailure("collision root bracket expansion failed")
-        while hi - lo > _ROOT_REL_TOL * max(1.0, hi):
+        while hi - lo > _ROOT_REL_TOL * (hi if hi > 1.0 else 1.0):
             mid = 0.5 * (lo + hi)
             z = mid / tau
             A = tau * (-expm1(-z) if z <= _EXP_FLUSH else 1.0)
@@ -133,8 +123,8 @@ class _EpDynamics:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def root_bounds(self, gap0, dv, dmt):
-        """Arrays of lower bounds that `pair_root` never undercuts.
+    def root_bound(self, gap0, dv, dmt):
+        """A lower bound that `pair_root` never undercuts.
 
         0 <= A(d) <= d and 0 <= tau*(d - A(d)) <= d^2/2, so gap(d) >=
         gap0 - a*d - dmt*d^2/2 with a = max(-dv, 0), and the root is at least
@@ -145,10 +135,11 @@ class _EpDynamics:
         and the absolute margin 1e-12*(1 + tau) cover both. A pair
         without a bound (gap0 <= 0) gets -inf.
         """
-        a = np.maximum(-dv, 0.0)
-        with np.errstate(all="ignore"):
-            d_lo = 2.0 * gap0 / (a + np.sqrt(a * a + 2.0 * dmt * gap0))
-        return np.fmax(d_lo * (1.0 - 1e-9) - 1e-12 * (1.0 + self.tau), -np.inf)
+        if not gap0 > 0.0:
+            return -math.inf
+        a = -dv if dv < 0.0 else 0.0
+        d_lo = 2.0 * gap0 / (a + math.sqrt(a * a + 2.0 * dmt * gap0))
+        return d_lo * (1.0 - 1e-9) - 1e-12 * (1.0 + self.tau)
 
 
 class _DriftDynamics:
@@ -157,69 +148,84 @@ class _DriftDynamics:
     kind = "drift"
 
     def advance(self, x, v, mt, dt):
-        if np.ndim(dt):
-            x = x + v * np.array(dt)[:, None]
-            return x, np.broadcast_to(v, x.shape).copy()
         return x + v * dt, v
+
+    # on an array of dt too: callers broadcast v
+    advance_rows = advance
 
     def pair_root(self, gap0, dv, dmt):
         # dv = -dmt < 0 always: the gap closes linearly
         return gap0 / (-dv)
 
-    # on arrays pair_root gives the roots themselves, bit for bit
-    root_bounds = pair_root
-
-    def reset_velocity(self, mt):
-        return -mt
+    # the drift root is its own certified bound
+    root_bound = pair_root
 
 
-@dataclass(frozen=True)
+# one row per cluster that ever lived: birth and death times, the state
+# (x, v) at birth, the centred mass mt, the mass and the atom range lo..hi-1
+_Records = namedtuple("_Records", "birth death x v mt mass lo hi")
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Full event history of one simulation plus closed-form interpolation.
+    """Event history of one simulation plus closed-form interpolation.
 
-    ``states`` holds the ClusterState at the start, after each event and
-    at t_end.
+    ``records`` holds one row per cluster that ever lived, sorted by
+    ``lo``; the clusters alive at t (birth <= t < death) are in position
+    order. ``states`` (built on first read) holds the ClusterState at t0,
+    at each distinct event time and at t_end.
     """
 
     kind: str
     tau: float
+    t0: float
     t_end: float
     events: tuple
-    states: tuple = field(repr=False)
+    records: _Records = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_times", tuple(s.time for s in self.states))
-        object.__setattr__(self, "_mtildes", [None] * len(self.states))
+        times = (self.t0, *dict.fromkeys(e.time for e in self.events), self.t_end)
+        object.__setattr__(self, "_state_times", times)
 
     @property
     def event_times(self):
         return [e.time for e in self.events]
 
+    @cached_property
+    def states(self):
+        return tuple(self.state_at(t) for t in self._state_times)
+
     def _dynamics(self):
         return _EpDynamics(self.tau) if self.kind == "euler_poisson" else _DriftDynamics()
 
     def _check_horizon(self, t):
-        if not self._times[0] <= t <= self.t_end * (1.0 + 1e-12) + 1e-300:
-            raise ValueError(
-                f"time {t} outside simulated horizon [{self._times[0]}, {self.t_end}]"
-            )
+        if not self.t0 <= t <= self.t_end * (1.0 + 1e-12) + 1e-300:
+            raise ValueError(f"time {t} outside simulated horizon [{self.t0}, {self.t_end}]")
 
-    def _base_mtilde(self, idx):
-        mts = self._mtildes[idx]
-        if mts is None:
-            mts = self._mtildes[idx] = _mtilde(self.states[idx].masses)
-        return mts
+    def _alive(self, t):
+        r = self.records
+        return np.flatnonzero((r.birth <= t) & (t < r.death))
+
+    def _rows(self, ids, times):
+        """(times x clusters) positions and velocities of the records ids.
+
+        Each advances from its birth, and at its birth it is its birth state
+        (signed zeros kept).
+        """
+        r = self.records
+        x0, v0 = r.x[ids], r.v[ids]
+        dt = times[:, None] - r.birth[ids]
+        x, v = self._dynamics().advance_rows(x0, v0, r.mt[ids], dt)
+        at_birth = dt == 0.0
+        return np.where(at_birth, x0, x), np.where(at_birth, v0, v)
 
     def state_at(self, t: float) -> ClusterState:
-        """Closed-form state at any t from the first state's time to t_end."""
+        """Closed-form state at any t from t0 to t_end."""
         self._check_horizon(t)
-        idx = bisect_right(self._times, t) - 1
-        base = self.states[idx]
-        if base.time == t:
-            return base
-        mts = self._base_mtilde(idx)
-        x, v = self._dynamics().advance(base.positions, base.velocities, mts, t - base.time)
-        return ClusterState(t, x, base.masses, v, base.lo, base.hi)
+        ids = self._alive(t)
+        x, v = self._rows(ids, np.array([t]))
+        r = self.records
+        return ClusterState(t, x[0], r.mass[ids], v[0], r.lo[ids], r.hi[ids])
 
     def states_at(self, ts):
         """Closed-form states at the times ts, in blocks of one inter-event interval.
@@ -236,130 +242,155 @@ class Trajectory:
             return
         self._check_horizon(ts.min())
         self._check_horizon(ts.max())
-        idx = np.searchsorted(self._times, ts, side="right") - 1
+        idx = np.searchsorted(self._state_times[:-1], ts, side="right")
         bounds = [0, *(np.flatnonzero(np.diff(idx)) + 1).tolist(), ts.size]
-        dyn = self._dynamics()
         for start, stop in zip(bounds[:-1], bounds[1:]):
-            base = self.states[idx[start]]
-            mts = self._base_mtilde(idx[start])
-            step = max(1, BLOCK_ELEMENTS // base.masses.size)
+            ids = self._alive(ts[start])
+            masses = self.records.mass[ids]
+            step = max(1, BLOCK_ELEMENTS // ids.size)
             for first in range(start, stop, step):
                 times = ts[first : min(first + step, stop)]
-                x, v = dyn.advance(
-                    base.positions, base.velocities, mts, (times - base.time).tolist()
-                )
-                # state_at returns the base state itself at its own time
-                at_base = times == base.time
-                x[at_base], v[at_base] = base.positions, base.velocities
-                yield times, x, v, base.masses
+                yield (times, *self._rows(ids, times), masses)
 
     def resume(self, state_index: int) -> "Trajectory":
-        """Re-run the remaining trajectory from a recorded state."""
-        s = self.states[state_index]
-        columns = (s.positions, s.masses, s.velocities, s.lo, s.hi)
-        return _simulate(*columns, s.time, self.t_end, self._dynamics())
+        """Re-run the rest from the records alive at ``states[state_index]``, bit for bit."""
+        t = self._state_times[state_index]
+        ids = self._alive(t)
+        live = _Records(*(c[ids] for c in self.records))._replace(death=np.full(ids.size, math.inf))
+        return _simulate(live, t, self.t_end, self._dynamics())
 
 
-def _next_event(dyn, t, gap0, dv, dmt):
-    """Earliest pair root t_ev and the pairs due within tol_event of it.
+def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
+    """Event loop on per-cluster records, from the clusters alive at t0 in position order.
 
-    Pairs are solved in increasing order of their certified lower bounds.
-    Once t + bound exceeds best + 1e-11*(1 + best), that pair's root and every
-    later one lie past t_ev + tol_event (rounding is monotone and t_ev <=
-    best), so t_ev and the due pairs are those of solving every pair.
+    Heap entries (key, is_root, t_key, a, b, pair) hold a certified bound on
+    the root of neighbour records a, b computed at t_key, or the root itself,
+    which is solved from pair = (time, gap, dv, dmt) at the pair's formation.
     """
-    bounds = t + dyn.root_bounds(gap0, dv, dmt)
-    roots = {}
-    best = math.inf
-    for i in np.argsort(bounds):
-        if bounds[i] > best + 1e-11 * (1.0 + best):
-            break
-        r = t + dyn.pair_root(float(gap0[i]), float(dv[i]), float(dmt[i]))
-        roots[int(i)] = r
-        best = min(best, r)
-    tol_event = 1e-11 * (1.0 + best)
-    return best, sorted(i for i, r in roots.items() if r <= best + tol_event)
+    n = live.x.size
+    n_atoms = int(live.hi[-1]) if n else 0
+    # record n + k is born at merge k; its row is written then
+    rec = _Records(*(np.resize(c, max(2 * n - 1, 1)) for c in live))
+    alive = [True] * n + [False] * (rec.x.size - n)
+    # the live record starting (ending) at each atom index, -1 where none
+    at_lo, at_hi = np.full(n_atoms + 1, -1), np.full(n_atoms + 1, -1)
+    at_lo[live.lo], at_hi[live.hi] = np.arange(n), np.arange(n)
+    events, heap = [], []
 
+    def state(i, t):
+        return dyn.advance(rec.x.item(i), rec.v.item(i), rec.mt.item(i), t - rec.birth.item(i))
 
-def _merge_pair(x, m, v, lo, hi, i, t_ev, events):
-    """Merge cluster i + 1 into slot i in place and record the event."""
-    (ma, mb), (xa, xb), (va, vb) = (a[i : i + 2].tolist() for a in (m, x, v))
-    (lo_a, lo_b), (hi_a, hi_b) = lo[i : i + 2].tolist(), hi[i : i + 2].tolist()
-    w = ma + mb
-    x[i] = position = (ma * xa + mb * xb) / w
-    v[i] = (ma * va + mb * vb) / w
-    m[i], hi[i] = w, hi_b
-    events.append(MergeEvent(t_ev, ((lo_a, hi_a), (lo_b, hi_b)), (lo_a, hi_b), position))
+    def neighbour_pairs(c):
+        left, right = at_hi.item(rec.lo.item(c)), at_lo.item(rec.hi.item(c))
+        return [p for p in ((left, c), (c, right)) if min(p) >= 0]
 
+    def push(t, a, b, pair, solve=False):
+        """Push the pair's root, or its certified bound from time t."""
+        tp, gap0, dv0, dmt = pair
+        if solve:
+            # the bound and the root come from different base times, so
+            # rounding could put a root just before t; events never go back
+            heappush(heap, (max(t, tp + dyn.pair_root(gap0, dv0, dmt)), True, t, a, b, pair))
+        else:
+            gap, dv = dyn.advance(gap0, dv0, dmt, t - tp)
+            heappush(heap, (t + dyn.root_bound(gap, dv, dmt), False, t, a, b, pair))
 
-def _simulate(x, m, v, lo, hi, t0, t_end, dyn) -> Trajectory:
-    """Event loop on cluster arrays; every sum runs in the order of a Python loop."""
-    n_atoms = int(hi[-1]) if hi.size else 0
-    total_mass = sum(m.tolist())
-    q0 = sum((m * v).tolist())
-    states = [ClusterState(t0, x, m, v, lo, hi)]
-    events = []
+    def form_pair(a, b):
+        tp = max(rec.birth.item(a), rec.birth.item(b))
+        (xa, va), (xb, vb) = state(a, tp), state(b, tp)
+        push(tp, a, b, (tp, xb - xa, vb - va, rec.mt.item(b) - rec.mt.item(a)))
+
+    def merge(a, b, t):
+        """Kill the neighbour records a and b at t, record the event, return the new record."""
+        (xa, va), (xb, vb) = state(a, t), state(b, t)
+        (ma, mb), (lo_a, lo_b), (hi_a, hi_b) = (col[[a, b]].tolist() for col in rec[5:])
+        w, mt = ma + mb, rec.mt.item(a) + 0.5 * mb
+        x = (ma * xa + mb * xb) / w
+        v = (ma * va + mb * vb) / w if dyn.kind == "euler_poisson" else -mt
+        c = n + len(events)
+        for column, value in zip(rec, (t, math.inf, x, v, mt, w, lo_a, hi_b)):
+            column[c] = value
+        rec.death[[a, b]] = t
+        alive[a], alive[b], alive[c] = False, False, True
+        at_lo[lo_a], at_lo[lo_b], at_hi[hi_a], at_hi[hi_b] = c, -1, -1, c
+        events.append(MergeEvent(t, ((lo_a, hi_a), (lo_b, hi_b)), (lo_a, hi_b), x))
+        return c
+
+    def live_state(t):
+        """Live record ids in position order, with their positions and velocities at t."""
+        ids = at_lo[np.flatnonzero(at_lo >= 0)]
+        return (ids, *dyn.advance_rows(rec.x[ids], rec.v[ids], rec.mt[ids], t - rec.birth[ids]))
+
+    def sums(ids, v):
+        """Mass and momentum, sequential sums over the clusters in position order."""
+        m = rec.mass[ids]
+        return float(np.cumsum(m)[-1]), float(np.cumsum(m * v)[-1])
+
+    if n:
+        ids, _, v = live_state(t0)
+        total_mass, q0 = sums(ids, v)
+    for a in range(n - 1):
+        form_pair(a, a + 1)
     t = t0
-    while x.size > 1:
-        mts = _mtilde(m, sum(m.tolist()))
-        t_ev, due = _next_event(dyn, t, np.diff(x), np.diff(v), np.diff(mts))
-        if t_ev > t_end:
+    while True:
+        # pop in key order, refining bounds: the first live root is the next
+        # event time t_ev, and the roots up to t_ev + tol_event are due
+        due, limit = [], math.inf
+        while heap and heap[0][0] <= limit:
+            key, is_root, t_key, a, b, pair = heappop(heap)
+            if not (alive[a] and alive[b]):
+                continue
+            if not is_root:
+                push(t, a, b, pair, solve=t_key == t)
+                continue
+            if not due:
+                t_ev, limit = key, key + 1e-11 * (1.0 + key)
+            due.append(a)
+        if not due or t_ev > t_end:
             break
-        # advance everything to the event time, then merge every pair due now
-        x, v = dyn.advance(x, v, mts, t_ev - t)
-        # the merges write in place; the stored states keep their arrays
-        m, v, lo, hi = m.copy(), v.copy(), lo.copy(), hi.copy()
-        keep = np.ones(x.size, dtype=bool)
-        for i in reversed(due):
-            _merge_pair(x, m, v, lo, hi, i, t_ev, events)
-            keep[i + 1] = False
-        x, m, v, lo, hi = x[keep], m[keep], v[keep], lo[keep], hi[keep]
-        # chain merges: a multi-collision can leave the new cluster touching
-        while x.size > 1:
-            touching = np.flatnonzero(np.diff(x) <= 1e-12 * (1.0 + np.abs(x[:-1])))
-            if not touching.size:
-                break
-            i = int(touching[0])
-            _merge_pair(x, m, v, lo, hi, i, t_ev, events)
-            x, m, v, lo, hi = (np.delete(a, i + 1) for a in (x, m, v, lo, hi))
-        if dyn.kind == "drift":
-            v = dyn.reset_velocity(_mtilde(m, sum(m.tolist())))
+        # merge right to left: a pair's right cluster may itself be new
+        due.sort(key=rec.lo.item, reverse=True)
+        born = [merge(a, at_lo.item(rec.hi.item(a)), t_ev) for a in due]
+        # chain merges, leftmost first, until nothing touches: a multi-collision
+        # can leave clusters touching, and a merge changes only its own pairs
+        ids, x, v = live_state(t_ev)
+        hits = np.flatnonzero(np.diff(x) <= 1e-12 * (1.0 + np.abs(x[:-1])))
+        chain = list(zip(ids[hits].tolist(), ids[hits + 1].tolist()))
+        while chain:
+            born.append(merge(*chain.pop(0), t_ev))
+            chain = [p for p in chain if alive[p[0]] and alive[p[1]]]
+            for a, b in neighbour_pairs(born[-1]):
+                xa, xb = state(a, t_ev)[0], state(b, t_ev)[0]
+                if xb - xa <= 1e-12 * (1.0 + abs(xa)):
+                    chain.append((a, b))
+            chain.sort(key=lambda p: rec.lo.item(p[0]))
+        if len(born) > len(due):
+            ids, _, v = live_state(t_ev)
+        for a, b in sorted({p for c in born if alive[c] for p in neighbour_pairs(c)}):
+            form_pair(a, b)
         t = t_ev
-        states.append(ClusterState(t, x, m, v, lo, hi))
         if len(events) > max(n_atoms - 1, 0):
             raise EventHorizonExceeded("more merge events than atoms minus one")
         # conservation checks at every event
-        mass_err = abs(sum(m.tolist()) - total_mass)
+        mass_now, q_now = sums(ids, v)
+        mass_err = abs(mass_now - total_mass)
         if mass_err > 1e-12 * (1.0 + total_mass):
             raise IdentityViolation(f"mass conservation violated by {mass_err}")
-        q_now = sum((m * v).tolist())
-        if dyn.kind == "euler_poisson":
-            q_ref = q0 * _exp_neg((t - t0) / dyn.tau)
-        else:
-            q_ref = 0.0
+        q_ref = q0 * _exp_neg((t - t0) / dyn.tau) if dyn.kind == "euler_poisson" else 0.0
         if abs(q_now - q_ref) > 1e-11 * (1.0 + abs(q0) + total_mass):
-            raise IdentityViolation(
-                f"momentum decay law violated at t={t}: {q_now} vs {q_ref}"
-            )
-    # final state at the horizon
-    x, v = dyn.advance(x, v, _mtilde(m, sum(m.tolist())), t_end - t)
-    states.append(ClusterState(t_end, x, m, v, lo, hi))
-    return Trajectory(
-        kind=dyn.kind,
-        tau=getattr(dyn, "tau", math.nan),
-        t_end=t_end,
-        events=tuple(events),
-        states=tuple(states),
-    )
+            raise IdentityViolation(f"momentum decay law violated at t={t}: {q_now} vs {q_ref}")
+    order = np.argsort(rec.lo[: n + len(events)], kind="stable")
+    records = _Records(*(c[order] for c in rec))
+    return Trajectory(dyn.kind, getattr(dyn, "tau", math.nan), t0, t_end, tuple(events), records)
 
 
 def _simulate_atoms(measure: AtomicMeasure, velocities, t_end: float, dyn) -> Trajectory:
     if t_end <= 0.0:
         raise NonPositiveTime(f"t_end must be positive, got {t_end}")
-    lo = np.arange(len(measure.positions))
-    columns = (measure.positions, measure.masses, velocities)
-    x, m, v = (np.array(a, dtype=float) for a in columns)
-    return _simulate(x, m, v, lo, lo + 1, 0.0, t_end, dyn)
+    n = len(measure)
+    lo = np.arange(n)
+    columns = (measure.positions, velocities, measure.atom_mtilde(), measure.masses)
+    return _simulate(_Records(np.zeros(n), np.full(n, math.inf), *columns, lo, lo + 1), 0.0, t_end, dyn)
 
 
 def simulate_ep(data: InitialData, t_end: float) -> Trajectory:
@@ -369,10 +400,7 @@ def simulate_ep(data: InitialData, t_end: float) -> Trajectory:
 
 def simulate_drift(measure: AtomicMeasure, t_end: float) -> Trajectory:
     """Exact evolution of the drift dynamics: clusters move at minus the centered CDF."""
-    mts = (
-        measure.prefix_mass[:-1] + 0.5 * measure.masses - 0.5 * measure.total_mass
-    )
-    return _simulate_atoms(measure, -mts, t_end, _DriftDynamics())
+    return _simulate_atoms(measure, -measure.atom_mtilde(), t_end, _DriftDynamics())
 
 
 def oracle_cdf(state: ClusterState, x):

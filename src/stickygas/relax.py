@@ -71,7 +71,13 @@ def eval_scaled(data: InitialData, x: float, t: float, tau: float):
 
 
 def scaled_cluster_snapshot(data: InitialData, t: float, tau: float) -> ClusterState:
-    """Clusters of the scaled solution at slow time t, velocities divided by tau."""
+    """Clusters of the scaled solution at slow time t, velocities divided by tau.
+
+    At t = 0 the clusters are the atoms.
+    """
+    if t == 0.0:
+        _check_tau(tau)
+        return ClusterState.from_atoms(t, data.measure, data.velocities / tau)
     _, frame = _scaled_frame(data, t, tau)
     return frame.cluster_state(t, frame.clusters()[3] / tau)
 

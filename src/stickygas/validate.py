@@ -5,11 +5,13 @@ supported polynomial bumps: the measure integrals are exact cluster sums
 on the oracle trajectory, the dx integrals are exact via the bump
 antiderivative, and the time integrals use composite midpoint quadrature
 split at collision events so the integrand is smooth on every piece.
-The quadrature is batched: ``Trajectory.states_at`` replays the closed
-form once per inter-event interval as (node x cluster) arrays, capped at
-``oracle.BLOCK_ELEMENTS`` (4,096) elements per block, and one array
-routine evaluates both integrands on each block. Sums over the clusters
-run in cluster order and the weighted sum over the nodes in node order.
+The quadrature is batched: ``Trajectory.states_at`` advances the oracle's
+per-cluster records alive in each inter-event interval as (node x
+cluster) arrays, capped at ``oracle.BLOCK_ELEMENTS`` (4,096) elements per
+block, and one array routine evaluates both integrands on each block; no
+per-event state (``Trajectory.states``) is ever built. Sums over the
+clusters run in cluster order and the weighted sum over the nodes in node
+order.
 
 The remaining checks (one-sided Lipschitz bound, weak continuity at the
 initial time, and the distributional identities of the auxiliary fields)
@@ -99,9 +101,10 @@ class TestFunction:
 
     @staticmethod
     def _B(z):
-        # antiderivative of (1-z^2)^3, constant outside the support
+        # antiderivative of (1-z^2)^3, constant outside the support; float_power
+        # calls libm pow, as the scalar z**k does (numpy's ** differs by an ulp)
         z = _clip_unit(z)
-        return z - z**3 + 0.6 * z**5 - z**7 / 7.0
+        return z - np.float_power(z, 3) + 0.6 * np.float_power(z, 5) - np.float_power(z, 7) / 7.0
 
     def value(self, x, t):
         return self._b((x - self.x_center) / self.x_radius) * self._b(

@@ -11,6 +11,7 @@ from stickygas.drift import (
     eval_ubar,
     sample_drift,
 )
+from stickygas.errors import NonPositiveTime
 from stickygas.measure import AtomicMeasure, InitialData
 from stickygas.oracle import oracle_cdf, simulate_drift
 from stickygas.potentials import minimize_Fbar
@@ -140,6 +141,18 @@ class TestOracleEquivalence:
             assert snap.positions == pytest.approx(state.positions, abs=1e-10)
             assert snap.velocities == pytest.approx(state.velocities, abs=1e-12)
             assert snap.masses == pytest.approx(state.masses, abs=1e-12)
+
+    def test_snapshot_at_time_zero_is_the_atoms(self, two_atom_asymmetric):
+        m = two_atom_asymmetric.measure
+        snap = drift_cluster_snapshot(m, 0.0)
+        assert snap.time == 0.0
+        assert snap.positions.tolist() == [-1.0, 1.0]
+        assert snap.masses.tolist() == m.masses.tolist()
+        assert snap.velocities.tolist() == (-m.atom_mtilde()).tolist()
+        assert (snap.lo.tolist(), snap.hi.tolist()) == ([0, 1], [1, 2])
+        assert snap == simulate_drift(m, 1.0).state_at(0.0)
+        with pytest.raises(NonPositiveTime):
+            drift_cluster_snapshot(m, -1.0)
 
 
 class TestPotentialIdentities:

@@ -1,3 +1,4 @@
+import json
 import math
 from bisect import bisect_right
 from collections import namedtuple
@@ -8,9 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from stickygas.errors import NoClusterAt, NonPositiveTime, RootBracketFailure
+from stickygas import cli, validate
+from stickygas.errors import (
+    EventHorizonExceeded,
+    IdentityViolation,
+    NoClusterAt,
+    NonPositiveTime,
+    RootBracketFailure,
+)
 from stickygas.instances import random_instance, sample_times_avoiding_events
-from stickygas.measure import AtomicMeasure, InitialData
+from stickygas.measure import AtomicMeasure, ClusterState, InitialData
 from stickygas.oracle import (
     BLOCK_ELEMENTS,
     MergeEvent,
@@ -266,6 +274,73 @@ class TestBatchedStates:
         assert list(traj.states_at([])) == []
 
 
+class TestRecordStorage:
+    """One record per cluster that ever lived; per-event states only on demand."""
+
+    @staticmethod
+    def bench_instance(n):
+        rng = np.random.default_rng(0)
+        return InitialData.from_atoms(
+            np.sort(rng.uniform(-10.0, 10.0, n)),
+            rng.uniform(0.01, 2.0, n) / n,
+            rng.uniform(-2.0, 2.0, n),
+            0.5,
+        )
+
+    def test_at_most_two_n_minus_one_records_and_no_states_built(self):
+        n = 1000
+        data = self.bench_instance(n)
+        for traj in (simulate_ep(data, 2.0), simulate_drift(data.measure, 2.0)):
+            assert traj.events
+            assert {c.size for c in traj.records} == {n + len(traj.events)}
+            assert n + len(traj.events) <= 2 * n - 1
+            traj.state_at(1.0)
+            list(traj.states_at(np.linspace(0.0, 2.0, 50)))
+            assert "states" not in vars(traj)
+
+    def test_commands_and_checks_never_build_states(self, tmp_path, monkeypatch):
+        built = []
+
+        def recorded(simulate):
+            def run(*args):
+                built.append(simulate(*args))
+                return built[-1]
+
+            return run
+
+        monkeypatch.setattr(cli, "simulate_ep", recorded(cli.simulate_ep))
+        monkeypatch.setattr(validate, "simulate_ep", recorded(validate.simulate_ep))
+        data = self.bench_instance(30)
+        atoms = zip(*(a.tolist() for a in (data.measure.positions, data.measure.masses, data.velocities)))
+        cfg = {
+            "version": 1,
+            "atoms": [{"position": p, "mass": w, "velocity": v} for p, w, v in atoms],
+            "tau": 0.5,
+            "times": [0.3, 1.0],
+            "x_grid": {"min": -12.0, "max": 12.0, "count": 41},
+            "t_end": 2.0,
+            "n_instances": 3,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        for command in ("oracle", "compare", "validate"):
+            assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+        validate.check_oleinik(data, [0.5, 1.0], [], layer="oracle")
+        assert len(built) > 3
+        assert not [traj for traj in built if "states" in vars(traj)]
+
+    def test_lazy_states_are_state_at_at_their_times(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            data = make_random_instance(rng)
+            for traj in (simulate_ep(data, 5.0), simulate_drift(data.measure, 5.0)):
+                times = [0.0, *sorted(set(traj.event_times)), 5.0]
+                assert [s.time for s in traj.states] == times
+                for state in traj.states:
+                    assert state == traj.state_at(state.time)
+                assert traj.states is traj.states
+
+
 class TestSimultaneousCollisions:
     def test_symmetric_triple_merge(self):
         # outer atoms reach the middle one at the same instant
@@ -302,13 +377,159 @@ class TestSimultaneousCollisions:
         assert x == pytest.approx(com + drift, rel=1e-12)
 
 
+# -- reference: the array event loop ------------------------------------------
+#
+# The event loop before per-cluster records: every cluster advances at every
+# event, the certified root bounds of all neighbour pairs are one array
+# operation sorted by an argsort, and a full state is stored per event.
+
+
+def _mtilde(m, total=None):
+    """prefix + own/2 - total/2 per cluster, the prefix a sequential running sum.
+
+    ``total`` defaults to the last running sum.
+    """
+    prefix = np.concatenate(([0.0], np.cumsum(m)))
+    if total is None:
+        total = prefix[-1]
+    return prefix[:-1] + 0.5 * m - 0.5 * total
+
+
+def root_bounds(dyn, gap0, dv, dmt):
+    """Arrays of lower bounds that `pair_root` never undercuts.
+
+    The drift gives its roots themselves. A pair without a bound
+    (gap0 <= 0) gets -inf.
+    """
+    if dyn.kind == "drift":
+        return gap0 / (-dv)
+    a = np.maximum(-dv, 0.0)
+    with np.errstate(all="ignore"):
+        d_lo = 2.0 * gap0 / (a + np.sqrt(a * a + 2.0 * dmt * gap0))
+    return np.fmax(d_lo * (1.0 - 1e-9) - 1e-12 * (1.0 + dyn.tau), -np.inf)
+
+
+def _next_event(dyn, t, gap0, dv, dmt):
+    """Earliest pair root t_ev and the pairs due within tol_event of it.
+
+    Pairs are solved in increasing order of their certified lower bounds.
+    Once t + bound exceeds best + 1e-11*(1 + best), that pair's root and every
+    later one lie past t_ev + tol_event (rounding is monotone and t_ev <=
+    best), so t_ev and the due pairs are those of solving every pair.
+    """
+    bounds = t + root_bounds(dyn, gap0, dv, dmt)
+    roots = {}
+    best = math.inf
+    for i in np.argsort(bounds):
+        if bounds[i] > best + 1e-11 * (1.0 + best):
+            break
+        r = t + dyn.pair_root(float(gap0[i]), float(dv[i]), float(dmt[i]))
+        roots[int(i)] = r
+        best = min(best, r)
+    tol_event = 1e-11 * (1.0 + best)
+    return best, sorted(i for i, r in roots.items() if r <= best + tol_event)
+
+
+def _merge_pair(x, m, v, lo, hi, i, t_ev, events):
+    """Merge cluster i + 1 into slot i in place and record the event."""
+    (ma, mb), (xa, xb), (va, vb) = (a[i : i + 2].tolist() for a in (m, x, v))
+    (lo_a, lo_b), (hi_a, hi_b) = lo[i : i + 2].tolist(), hi[i : i + 2].tolist()
+    w = ma + mb
+    x[i] = position = (ma * xa + mb * xb) / w
+    v[i] = (ma * va + mb * vb) / w
+    m[i], hi[i] = w, hi_b
+    events.append(MergeEvent(t_ev, ((lo_a, hi_a), (lo_b, hi_b)), (lo_a, hi_b), position))
+
+
+def array_loop_simulate(x, m, v, lo, hi, t0, t_end, dyn):
+    """(states, events) of the array loop; every sum runs in the order of a Python loop."""
+    n_atoms = int(hi[-1]) if hi.size else 0
+    total_mass = sum(m.tolist())
+    q0 = sum((m * v).tolist())
+    states = [ClusterState(t0, x, m, v, lo, hi)]
+    events = []
+    t = t0
+    while x.size > 1:
+        mts = _mtilde(m, sum(m.tolist()))
+        t_ev, due = _next_event(dyn, t, np.diff(x), np.diff(v), np.diff(mts))
+        if t_ev > t_end:
+            break
+        # advance everything to the event time, then merge every pair due now
+        x, v = dyn.advance(x, v, mts, t_ev - t)
+        # the merges write in place; the stored states keep their arrays
+        m, v, lo, hi = m.copy(), v.copy(), lo.copy(), hi.copy()
+        keep = np.ones(x.size, dtype=bool)
+        for i in reversed(due):
+            _merge_pair(x, m, v, lo, hi, i, t_ev, events)
+            keep[i + 1] = False
+        x, m, v, lo, hi = x[keep], m[keep], v[keep], lo[keep], hi[keep]
+        # chain merges: a multi-collision can leave the new cluster touching
+        while x.size > 1:
+            touching = np.flatnonzero(np.diff(x) <= 1e-12 * (1.0 + np.abs(x[:-1])))
+            if not touching.size:
+                break
+            i = int(touching[0])
+            _merge_pair(x, m, v, lo, hi, i, t_ev, events)
+            x, m, v, lo, hi = (np.delete(a, i + 1) for a in (x, m, v, lo, hi))
+        if dyn.kind == "drift":
+            v = -_mtilde(m, sum(m.tolist()))
+        t = t_ev
+        states.append(ClusterState(t, x, m, v, lo, hi))
+        if len(events) > max(n_atoms - 1, 0):
+            raise EventHorizonExceeded("more merge events than atoms minus one")
+        # conservation checks at every event
+        mass_err = abs(sum(m.tolist()) - total_mass)
+        if mass_err > 1e-12 * (1.0 + total_mass):
+            raise IdentityViolation(f"mass conservation violated by {mass_err}")
+        q_now = sum((m * v).tolist())
+        if dyn.kind == "euler_poisson":
+            q_ref = q0 * math.exp(-(t - t0) / dyn.tau) if (t - t0) / dyn.tau <= 700.0 else 0.0
+        else:
+            q_ref = 0.0
+        if abs(q_now - q_ref) > 1e-11 * (1.0 + abs(q0) + total_mass):
+            raise IdentityViolation(f"momentum decay law violated at t={t}: {q_now} vs {q_ref}")
+    # final state at the horizon
+    x, v = dyn.advance(x, v, _mtilde(m, sum(m.tolist())), t_end - t)
+    states.append(ClusterState(t_end, x, m, v, lo, hi))
+    return tuple(states), tuple(events)
+
+
+def array_loop_state_at(states, dyn, t):
+    """Closed-form state at t advanced from the last stored state at or before t."""
+    base = states[bisect_right([s.time for s in states], t) - 1]
+    if base.time == t:
+        return base
+    x, v = dyn.advance(base.positions, base.velocities, _mtilde(base.masses), t - base.time)
+    return ClusterState(t, x, base.masses, v, base.lo, base.hi)
+
+
+def reference_runs(data, t_end):
+    """(trajectory, atoms, dynamics, array-loop states, array-loop events) per dynamics."""
+    m = data.measure
+    mts = m.prefix_mass[:-1] + 0.5 * m.masses - 0.5 * m.total_mass
+    atoms = zip(m.positions.tolist(), m.masses.tolist(), data.velocities.tolist())
+    ep_atoms = [RefCluster(p, w, v, i, i + 1) for i, (p, w, v) in enumerate(atoms)]
+    drift_atoms = [
+        RefCluster(c.position, c.mass, float(-mt), c.lo, c.hi)
+        for c, mt in zip(ep_atoms, mts)
+    ]
+    for traj, atoms, dyn in (
+        (simulate_ep(data, t_end), ep_atoms, _EpDynamics(data.tau)),
+        (simulate_drift(m, t_end), drift_atoms, _DriftDynamics()),
+    ):
+        x, w, v = (np.array(col, dtype=float) for col in list(zip(*atoms))[:3])
+        lo = np.arange(len(atoms))
+        states, events = array_loop_simulate(x, w, v, lo, lo + 1, 0.0, t_end, dyn)
+        yield traj, atoms, dyn, states, events
+
+
 # -- reference: the all-pairs event loop ---------------------------------------
 #
 # It re-solves every neighbour pair root after every event and advances the
 # clusters one at a time. The array event loop, which solves only the pairs
 # whose certified root bound reaches the next event, must reproduce its
-# events and states exactly (repr-equal, so signed zeros count), and state_at
-# its closed-form replay.
+# events and states exactly (repr-equal, so signed zeros count), and its
+# state replay the closed-form replay.
 
 RefCluster = namedtuple("RefCluster", "position mass velocity lo hi")
 RefState = namedtuple("RefState", "time clusters")
@@ -417,30 +638,21 @@ def reference_state_at(states, dyn, t):
 
 
 def assert_matches_reference(data, t_end, times=()):
-    """simulate_ep and simulate_drift against the all-pairs loop.
+    """The array event loop against the all-pairs loop, for both dynamics.
 
     Returns the chain-merge count and the events of each kind.
     """
-    m = data.measure
-    mts = m.prefix_mass[:-1] + 0.5 * m.masses - 0.5 * m.total_mass
-    atoms = zip(m.positions.tolist(), m.masses.tolist(), data.velocities.tolist())
-    ep_atoms = [RefCluster(p, w, v, i, i + 1) for i, (p, w, v) in enumerate(atoms)]
-    drift_atoms = [
-        RefCluster(c.position, c.mass, float(-mt), c.lo, c.hi)
-        for c, mt in zip(ep_atoms, mts)
-    ]
     stats = {"chain_merges": 0}
-    for traj, atoms, dyn in (
-        (simulate_ep(data, t_end), ep_atoms, _EpDynamics(data.tau)),
-        (simulate_drift(m, t_end), drift_atoms, _DriftDynamics()),
-    ):
+    for _, atoms, dyn, loop_states, loop_events in reference_runs(data, t_end):
         states, events = reference_simulate(atoms, t_end, dyn, stats)
-        assert repr(traj.events) == repr(events)
-        assert len(traj.states) == len(states)
-        for state, ref in zip(traj.states, states):
+        assert repr(loop_events) == repr(events)
+        assert len(loop_states) == len(states)
+        for state, ref in zip(loop_states, states):
             assert_state_is(state, ref)
         for t in [*times, *(e.time for e in events)]:
-            assert_state_is(traj.state_at(t), reference_state_at(states, dyn, t))
+            assert_state_is(
+                array_loop_state_at(loop_states, dyn, t), reference_state_at(states, dyn, t)
+            )
         stats[dyn.kind] = len(events)
     return stats
 
@@ -460,33 +672,93 @@ def _chain_case(mu, tau, delta):
     return data, T
 
 
+# (data, t_end, sample times) of each reference case
+
+
+def compare_ensemble_cases():
+    # the 200 instances of `compare`, with its draws and sample times
+    rng = np.random.default_rng(20260810)
+    for _ in range(200):
+        data = random_instance(rng, n_max=20)
+        times = sample_times_avoiding_events(
+            rng, 5, 0.1, 5.5, simulate_ep(data, 6.0).event_times
+        )
+        rng.uniform(size=21)
+        yield data, 6.0, [0.0, *times, 6.0]
+
+
+def bench_sized_cases():
+    rng = np.random.default_rng(7)
+    for n in (60, 100):
+        data = InitialData.from_atoms(
+            np.sort(rng.uniform(-10.0, 10.0, n)),
+            rng.uniform(0.01, 2.0, n) / n,
+            rng.uniform(-2.0, 2.0, n),
+            0.5,
+        )
+        yield data, 2.0, [0.3, 1.0]
+
+
+CHAIN_PARAMETERS = [(1e-3, 1.0, 1e-10), (1e-3, 0.5, 1e-9), (1e-2, 0.5, 1e-10)]
+
+
+def chain_cases():
+    for mu, tau, delta in CHAIN_PARAMETERS:
+        data, T = _chain_case(mu, tau, delta)
+        yield data, 2.0 * T + 1.0, [T, 2.0 * T]
+
+
+def near_duplicate_cases():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        base = np.sort(rng.uniform(-10.0, 10.0, int(rng.integers(2, 15))))
+        pos = np.concatenate([base, base + 1e-14 * np.abs(base)])
+        data = InitialData.from_atoms(
+            pos,
+            rng.uniform(0.01, 2.0, pos.size),
+            rng.uniform(-2.0, 2.0, pos.size),
+            float(rng.choice([1.0, 0.5, 0.1])),
+        )
+        yield data, 6.0, [1e-9, 0.5, 3.0]
+
+
+def twelve_decade_cases():
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        n = int(rng.integers(2, 20))
+        data = InitialData.from_atoms(
+            np.sort(rng.uniform(-10.0, 10.0, n)),
+            10.0 ** rng.uniform(-12.0, 0.0, n),
+            rng.uniform(-2.0, 2.0, n),
+            float(rng.choice([1.0, 0.5, 0.1])),
+        )
+        yield data, 6.0, [0.5, 3.0]
+
+
+def tiny_tau_cases():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        n = int(rng.integers(2, 20))
+        data = InitialData.from_atoms(
+            np.sort(rng.uniform(-0.01, 0.01, n)),
+            rng.uniform(0.01, 2.0, n),
+            rng.uniform(-2.0, 2.0, n),
+            1e-3,
+        )
+        yield data, 20.0, [0.5, 10.0]
+
+
 class TestAgainstAllPairsReference:
     def test_compare_ensemble(self):
-        # the 200 instances of `compare`, with its draws and sample times
-        rng = np.random.default_rng(20260810)
-        for _ in range(200):
-            data = random_instance(rng, n_max=20)
-            times = sample_times_avoiding_events(
-                rng, 5, 0.1, 5.5, simulate_ep(data, 6.0).event_times
-            )
-            rng.uniform(size=21)
-            assert_matches_reference(data, 6.0, [0.0, *times, 6.0])
+        for data, t_end, times in compare_ensemble_cases():
+            assert_matches_reference(data, t_end, times)
 
     def test_bench_sized_instances(self):
-        rng = np.random.default_rng(7)
-        for n in (60, 100):
-            data = InitialData.from_atoms(
-                np.sort(rng.uniform(-10.0, 10.0, n)),
-                rng.uniform(0.01, 2.0, n) / n,
-                rng.uniform(-2.0, 2.0, n),
-                0.5,
-            )
-            stats = assert_matches_reference(data, 2.0, [0.3, 1.0])
-            assert stats["euler_poisson"] > n // 3
+        for data, t_end, times in bench_sized_cases():
+            stats = assert_matches_reference(data, t_end, times)
+            assert stats["euler_poisson"] > len(data) // 3
 
-    @pytest.mark.parametrize(
-        "mu, tau, delta", [(1e-3, 1.0, 1e-10), (1e-3, 0.5, 1e-9), (1e-2, 0.5, 1e-10)]
-    )
+    @pytest.mark.parametrize("mu, tau, delta", CHAIN_PARAMETERS)
     def test_symmetric_multi_collision_reaches_chain_merges(self, mu, tau, delta):
         data, T = _chain_case(mu, tau, delta)
         stats = assert_matches_reference(data, 2.0 * T + 1.0, [T, 2.0 * T])
@@ -495,47 +767,79 @@ class TestAgainstAllPairsReference:
         assert len(final.positions) == 1
 
     def test_near_duplicate_atoms(self):
-        rng = np.random.default_rng(41)
         chains = 0
-        for _ in range(20):
-            base = np.sort(rng.uniform(-10.0, 10.0, int(rng.integers(2, 15))))
-            pos = np.concatenate([base, base + 1e-14 * np.abs(base)])
-            data = InitialData.from_atoms(
-                pos,
-                rng.uniform(0.01, 2.0, pos.size),
-                rng.uniform(-2.0, 2.0, pos.size),
-                float(rng.choice([1.0, 0.5, 0.1])),
-            )
-            chains += assert_matches_reference(data, 6.0, [1e-9, 0.5, 3.0])["chain_merges"]
+        for data, t_end, times in near_duplicate_cases():
+            chains += assert_matches_reference(data, t_end, times)["chain_merges"]
         assert chains > 0
 
     def test_masses_across_twelve_decades(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            n = int(rng.integers(2, 20))
-            data = InitialData.from_atoms(
-                np.sort(rng.uniform(-10.0, 10.0, n)),
-                10.0 ** rng.uniform(-12.0, 0.0, n),
-                rng.uniform(-2.0, 2.0, n),
-                float(rng.choice([1.0, 0.5, 0.1])),
-            )
-            assert_matches_reference(data, 6.0, [0.5, 3.0])
+        for data, t_end, times in twelve_decade_cases():
+            assert_matches_reference(data, t_end, times)
 
     def test_tiny_tau_past_the_exp_flush(self):
-        rng = np.random.default_rng(43)
-        tau = 1e-3
         late = 0
-        for _ in range(10):
-            n = int(rng.integers(2, 20))
-            data = InitialData.from_atoms(
-                np.sort(rng.uniform(-0.01, 0.01, n)),
-                rng.uniform(0.01, 2.0, n),
-                rng.uniform(-2.0, 2.0, n),
-                tau,
-            )
-            assert_matches_reference(data, 20.0, [0.5, 10.0])
-            late += sum(e.time / tau > 700.0 for e in simulate_ep(data, 20.0).events)
+        for data, t_end, times in tiny_tau_cases():
+            assert_matches_reference(data, t_end, times)
+            late += sum(e.time / data.tau > 700.0 for e in simulate_ep(data, t_end).events)
         assert late > 0
+
+
+# -- the record loop against the array loop ------------------------------------
+#
+# Records advance from their own births, not from the last event, and a pair
+# root is solved from the time the pair formed, so the two loops agree to
+# rounding: the same merges in the same order, event times and positions
+# within EVENT_TOL*(1 + t), masses and atom ranges exactly, and positions and
+# velocities within STATE_TOL*(1 + |value|), one tenth of the default compare
+# tolerance (1e-9).
+
+EVENT_TOL = 1e-11
+STATE_TOL = 1e-10
+
+
+def assert_state_close(state, ref):
+    assert state.lo.tolist() == ref.lo.tolist() and state.hi.tolist() == ref.hi.tolist()
+    assert state.masses.tolist() == ref.masses.tolist()
+    for new, old in ((state.positions, ref.positions), (state.velocities, ref.velocities)):
+        assert np.all(np.abs(new - old) <= STATE_TOL * (1.0 + np.abs(old)))
+
+
+def assert_close_to_array_loop(data, t_end, times):
+    for traj, _, dyn, states, events in reference_runs(data, t_end):
+        assert [(e.merged, e.result) for e in traj.events] == [
+            (e.merged, e.result) for e in events
+        ]
+        for e, ref in zip(traj.events, events):
+            tol = EVENT_TOL * (1.0 + ref.time)
+            assert abs(e.time - ref.time) <= tol and abs(e.position - ref.position) <= tol
+        # one state per distinct event time in each, at times within EVENT_TOL
+        assert len(traj.states) == len(states)
+        for state, ref in zip(traj.states, states):
+            assert abs(state.time - ref.time) <= EVENT_TOL * (1.0 + ref.time)
+            assert_state_close(state, ref)
+        # at a sample time within EVENT_TOL of an event the two loops may sit
+        # on either side of it; the event states above cover those
+        near = [e.time for e in events]
+        for t in times:
+            if all(abs(t - s) > EVENT_TOL * (1.0 + s) for s in near):
+                assert_state_close(traj.state_at(t), array_loop_state_at(states, dyn, t))
+
+
+class TestRecordLoopAgainstArrayLoop:
+    @pytest.mark.parametrize(
+        "cases",
+        [
+            compare_ensemble_cases,
+            bench_sized_cases,
+            chain_cases,
+            near_duplicate_cases,
+            twelve_decade_cases,
+            tiny_tau_cases,
+        ],
+    )
+    def test_same_merges_and_states_to_rounding(self, cases):
+        for data, t_end, times in cases():
+            assert_close_to_array_loop(data, t_end, times)
 
 
 def reference_pair_root(tau, gap0, dv, dmt):
@@ -593,17 +897,28 @@ class TestPrunedRootWork:
     def test_root_never_below_certified_bound(self, log_gap, dv, log_dmt, log_tau):
         gap, dmt = 10.0**log_gap, 10.0**log_dmt
         dyn = _EpDynamics(10.0**log_tau)
-        (bound,) = dyn.root_bounds(np.array([gap]), np.array([dv]), np.array([dmt]))
-        assert dyn.pair_root(gap, dv, dmt) >= bound
+        assert dyn.pair_root(gap, dv, dmt) >= dyn.root_bound(gap, dv, dmt)
+
+    def test_scalar_bound_equals_the_array_reference(self):
+        rng = np.random.default_rng(45)
+        n = 2000
+        gap0 = 10.0 ** rng.uniform(-15.0, 3.0, n)
+        dv = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(-1e3, 1e3, n))
+        dmt = 10.0 ** rng.uniform(-12.0, 2.0, n)
+        for tau in (1e-3, 0.1, 1.0):
+            dyn = _EpDynamics(tau)
+            want = root_bounds(dyn, gap0, dv, dmt).tolist()
+            assert [dyn.root_bound(*c) for c in zip(gap0.tolist(), dv.tolist(), dmt.tolist())] == want
+            assert dyn.root_bound(0.0, -1.0, 1.0) == dyn.root_bound(-1.0, 1.0, 1.0) == -math.inf
 
     def test_drift_bound_is_the_root(self):
         rng = np.random.default_rng(44)
         gap = rng.uniform(1e-9, 10.0, 200)
         dv = -rng.uniform(1e-6, 3.0, 200)
         drift = _DriftDynamics()
-        bounds = drift.root_bounds(gap, dv, -dv)
+        bounds = [drift.root_bound(g, d, -d) for g, d in zip(gap.tolist(), dv.tolist())]
         roots = [drift.pair_root(g, d, -d) for g, d in zip(gap.tolist(), dv.tolist())]
-        assert bounds.tolist() == roots
+        assert bounds == roots
 
     def test_about_one_root_per_event(self, monkeypatch):
         # without pruning this instance takes ~494,000 pair roots

@@ -150,6 +150,18 @@ class TestConvergenceStudy:
             )
             assert err == pytest.approx(abs(vel - u), abs=1e-15)
 
+    def test_snapshot_at_time_zero_is_the_atoms(self):
+        data = InitialData.from_atoms([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5], [1.0, -0.5, 0.25], 1.0)
+        for tau in (1.0, 0.25):
+            snap = scaled_cluster_snapshot(data, 0.0, tau)
+            assert snap.time == 0.0
+            assert snap.positions.tolist() == [-1.0, 0.5, 2.0]
+            assert snap.masses.tolist() == [0.2, 0.3, 0.5]
+            assert snap.velocities.tolist() == (data.velocities / tau).tolist()
+            assert (snap.lo.tolist(), snap.hi.tolist()) == ([0, 1, 2], [1, 2, 3])
+        with pytest.raises(TauOutOfRange):
+            scaled_cluster_snapshot(data, 0.0, 2.0)
+
 
 class TestNearestCluster:
     def test_equals_argmin_first_index(self):
