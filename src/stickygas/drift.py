@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import IdentityViolation
 from .measure import AtomicMeasure, ClusterState
-from .potentials import PotentialCoefficients, PrefixFrame, minimize_Fbar
+from .potentials import PotentialCoefficients, PrefixFrame
 
 __all__ = [
     "DriftBranch",
@@ -48,12 +48,36 @@ def _drift_frame(measure, t):
     return PrefixFrame(measure, None, PotentialCoefficients.drift(t))
 
 
+def _drift_point(measure, x, t) -> DriftSample:
+    """All drift fields at a scalar x, from one frame.
+
+    k_min..k_max is the argmin range; at t = 0 the atoms have not moved,
+    so k_min counts the atoms left of x and k_max those at or left of x.
+    The momentum is the prefix sum of -mtilde0, which telescopes to
+    -mbar^2/2 + M*mbar/2; a violation beyond roundoff signals a
+    prefix-side bug.
+    """
+    if t == 0.0:
+        pos = measure.positions
+        k_min, k_max = int(pos.searchsorted(x, "left")), int(pos.searchsorted(x, "right"))
+    else:
+        _, k_min, k_max = _drift_frame(measure, t).argmin(x)
+    P, M = measure.prefix_mass, measure.total_mass
+    mbar = float(P[k_min])
+    q = float(-np.sum(measure.masses[:k_min] * measure.atom_mtilde()[:k_min]))
+    closed = -0.5 * mbar * mbar + 0.5 * M * mbar
+    if abs(q - closed) > 1e-14 * max(1.0, 0.25 * M * M):
+        raise IdentityViolation(
+            f"drift momentum identity violated at (x={x}, t={t}): {q} vs {closed}"
+        )
+    ubar = float(-0.5 * (P[k_min] + P[k_max] - M))
+    branch = DriftBranch.DELTA_SHOCK if k_max > k_min else DriftBranch.OFF_SUPPORT
+    return DriftSample(x=x, t=t, mbar=mbar, qbar=q, ubar=ubar, branch=branch)
+
+
 def eval_mbar(measure: AtomicMeasure, x: float, t: float) -> float:
     """Drift mass strictly left of x."""
-    if t == 0.0:
-        return float(measure.cdf_left(x))
-    res = minimize_Fbar(measure, x, t)
-    return float(measure.prefix_mass[res.k_min])
+    return _drift_point(measure, x, t).mbar
 
 
 def eval_mbar_grid(measure: AtomicMeasure, xs, t: float):
@@ -66,43 +90,18 @@ def eval_mbar_grid(measure: AtomicMeasure, xs, t: float):
 
 
 def eval_qbar(measure: AtomicMeasure, x: float, t: float) -> float:
-    """Drift momentum: prefix sum of -mtilde0, checked against its closed form.
-
-    The prefix sum telescopes to -mbar^2/2 + M*mbar/2; a violation beyond
-    roundoff signals a prefix-side bug.
-    """
-    res = minimize_Fbar(measure, x, t)
-    k = res.k_min
-    mt = measure.atom_mtilde()
-    q = float(-np.sum(measure.masses[:k] * mt[:k]))
-    M = measure.total_mass
-    mbar = float(measure.prefix_mass[k])
-    closed = -0.5 * mbar * mbar + 0.5 * M * mbar
-    scale = max(1.0, 0.25 * M * M)
-    if abs(q - closed) > 1e-14 * scale:
-        raise IdentityViolation(
-            f"drift momentum identity violated at (x={x}, t={t}): {q} vs {closed}"
-        )
-    return q
+    """Drift momentum over the prefix of eval_mbar, checked against its closed form."""
+    return _drift_point(measure, x, t).qbar
 
 
 def eval_ubar(measure: AtomicMeasure, x: float, t: float) -> float:
     """Drift velocity: minus the centered mass, one-sided values from the argmin."""
-    res = minimize_Fbar(measure, x, t)
-    P = measure.prefix_mass
-    return float(-0.5 * (P[res.k_min] + P[res.k_max] - measure.total_mass))
+    return _drift_point(measure, x, t).ubar
 
 
 def sample_drift(measure: AtomicMeasure, x: float, t: float) -> DriftSample:
     """All drift fields at one point with the on/off-support branch flag."""
-    res = minimize_Fbar(measure, x, t)
-    P = measure.prefix_mass
-    M = measure.total_mass
-    mbar = float(P[res.k_min])
-    qbar = float(-0.5 * mbar * mbar + 0.5 * M * mbar)
-    ubar = float(-0.5 * (P[res.k_min] + P[res.k_max] - M))
-    branch = DriftBranch.DELTA_SHOCK if res.has_jump else DriftBranch.OFF_SUPPORT
-    return DriftSample(x=x, t=t, mbar=mbar, qbar=qbar, ubar=ubar, branch=branch)
+    return _drift_point(measure, x, t)
 
 
 def drift_cluster_snapshot(measure: AtomicMeasure, t: float) -> ClusterState:

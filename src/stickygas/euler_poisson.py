@@ -16,9 +16,9 @@ is the position of the cluster that holds the atom, and ``trace_shock``
 follows a cluster, or a backward characteristic clamped between the two
 clusters around it.
 
-``sample``, ``eval_u`` and ``eval_E`` take a scalar x or a 1-d grid of x.
-A scalar x runs the dense prefix argmin; a grid returns the per-point
-results in grid order, from one frame, one hull lookup
+``sample``, ``eval_q``, ``eval_u`` and ``eval_E`` take a scalar x or a 1-d
+grid of x. A scalar x runs the dense prefix argmin; a grid returns the
+per-point results in grid order, from one frame, one hull lookup
 (``PrefixFrame.argmin_grid``) and one per-atom energy term array, and
 equals the scalar calls point by point.
 """
@@ -46,8 +46,7 @@ __all__ = [
     "eval_nu_theta_omega",
     "sample",
     "eval_m_grid",
-    "eval_m_and_u",
-    "eval_q_grid",
+    "eval_m_and_clusters",
     "forward_position",
     "cluster_snapshot",
     "trace_shock",
@@ -113,13 +112,16 @@ def eval_m(data: InitialData, x: float, t: float) -> float:
     return float(frame.P[k_min])
 
 
-def eval_q(data: InitialData, x: float, t: float) -> float:
-    """Momentum integral over the same prefix as eval_m."""
+def eval_q(data: InitialData, x, t: float):
+    """Momentum integral over the same prefix as eval_m.
+
+    For a 1-d grid x, a list of momenta in grid order.
+    """
     if t == 0.0:
         return _initial_fields(data, x, "q")[0].tolist()
-    frame = _frame(data, t)
-    _, k_min, _ = frame.argmin(x)
-    return float(frame.Q[k_min])
+    frame, _, k_min, _ = _ranges(data, x, t)
+    qs = frame.Q[k_min].tolist()
+    return qs if _is_grid(x) else qs[0]
 
 
 def _backward_cone(frame, data, x, k_min):
@@ -323,34 +325,17 @@ def eval_m_grid(data: InitialData, xs, t: float):
     return frame.P[k_min]
 
 
-def eval_m_and_u(data: InitialData, xs, ys, t: float):
-    """``eval_m_grid`` at xs and ``eval_u`` at ys, from one frame and one hull lookup.
+def eval_m_and_clusters(data: InitialData, xs, t: float):
+    """``eval_m_grid`` at xs and ``cluster_snapshot`` at t, from one frame.
 
-    The lookup runs over xs followed by ys; it is pointwise, so each value
-    equals the separate calls bit for bit.
+    Returns (m, ClusterState); each equals the separate call bit for bit.
     """
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    if t == 0.0:
-        return eval_m_grid(data, xs, t), eval_u(data, ys, t)
-    frame = _frame(data, t)
-    grid = np.concatenate((xs, ys))
-    _, k_min, k_max = frame.argmin_grid(grid)
-    n = xs.size
-    us = [
-        _velocity_from_frame(frame, data, *r)
-        for r in zip(ys.tolist(), k_min[n:].tolist(), k_max[n:].tolist())
-    ]
-    return frame.P[k_min[:n]], us
-
-
-def eval_q_grid(data: InitialData, xs, t: float):
-    """Vectorized eval_q over an array of positions."""
     xs = np.asarray(xs, dtype=float)
     if t == 0.0:
-        return _initial_fields(data, xs, "q")[0]
+        return eval_m_grid(data, xs, t), cluster_snapshot(data, t)
     frame = _frame(data, t)
     _, k_min, _ = frame.argmin_grid(xs)
-    return frame.Q[k_min]
+    return frame.P[k_min], frame.cluster_state(t)
 
 
 # -- cluster structure -------------------------------------------------------

@@ -9,7 +9,7 @@ the scaled cluster velocities at the drift clusters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +38,6 @@ class RelaxationReport:
     grid: tuple
     monotone_m: bool
     monotone_u: bool
-    decay_ratios_m: tuple = field(default=())
-    decay_ratios_u: tuple = field(default=())
 
     @property
     def passed(self) -> bool:
@@ -145,11 +143,6 @@ def convergence_study(
             for a, b in zip(errs[:-1], errs[1:])
         )
 
-    def ratios(errs):
-        return tuple(
-            (b / a) if a > 0.0 else 0.0 for a, b in zip(errs[:-1], errs[1:])
-        )
-
     return RelaxationReport(
         t=t,
         tau_sequence=tuple(taus),
@@ -158,6 +151,4 @@ def convergence_study(
         grid=tuple(grid.tolist()),
         monotone_m=monotone(err_m),
         monotone_u=monotone(err_u),
-        decay_ratios_m=ratios(err_m),
-        decay_ratios_u=ratios(err_u),
     )

@@ -34,7 +34,6 @@ from .euler_poisson import (
     eval_m_grid,
     eval_nu_theta_omega,
     eval_q,
-    eval_q_grid,
     eval_u,
     speed_bound,
 )
@@ -403,12 +402,13 @@ def check_initial_continuity(
         x_grid = default_continuity_grid(data)
     if t_sequence is None:
         t_sequence = [2.0 ** (-k) for k in range(1, 21)]
-    m = data.measure
-    w, u = m.masses, data.velocities
-    q0 = np.concatenate(([0.0], np.cumsum(w * u)))
-    e0 = np.concatenate(([0.0], np.cumsum(w * u * u)))
-    ks = np.searchsorted(m.positions, x_grid, side="left")
-    initial = list(zip(m.prefix_mass[ks].tolist(), q0[ks].tolist(), e0[ks].tolist()))
+    initial = list(
+        zip(
+            eval_m_grid(data, x_grid, 0.0).tolist(),
+            eval_q(data, x_grid, 0.0),
+            eval_E(data, x_grid, 0.0),
+        )
+    )
     traj = None
     if layer == "oracle":
         traj = simulate_ep(data, max(t_sequence) * 1.01)
@@ -430,10 +430,10 @@ def check_initial_continuity(
                 )
             )
         else:
-            # one hull lookup per level for all three fields
+            # m, q and E on the grid, one hull lookup each
             grid_fields = zip(
                 eval_m_grid(data, x_grid, t).tolist(),
-                eval_q_grid(data, x_grid, t).tolist(),
+                eval_q(data, x_grid, t),
                 eval_E(data, x_grid, t),
             )
         for (mv, qv, ev), (m0, qk, ek) in zip(grid_fields, initial):
@@ -474,23 +474,32 @@ def check_potential_identities(
     vmax = speed_bound(data)
     tau = data.tau
     M = data.measure.total_mass
+    margin = h_max * (2.0 + vmax)
+    positions = {}
     for x, t in stencil_grid:
         if t - h_max <= 0.0:
             raise StencilTooCloseToShock(f"stencil at t={t} reaches t <= 0")
-        margin = h_max * (2.0 + vmax)
-        if np.any(np.abs(cluster_snapshot(data, t).positions - x) < margin):
+        if t not in positions:
+            positions[t] = cluster_snapshot(data, t).positions
+        if np.any(np.abs(positions[t] - x) < margin):
             raise StencilTooCloseToShock(
                 f"stencil point (x={x}, t={t}) within {margin} of a cluster"
             )
+    # m, q, E and omega at the stencil centres do not depend on h
+    centres = [
+        (
+            eval_m(data, x, t),
+            eval_q(data, x, t),
+            eval_E(data, x, t),
+            eval_nu_theta_omega(data, x, t)[2],
+        )
+        for x, t in stencil_grid
+    ]
     names = ["nu_x+m", "nu_t-q", "theta_x+q", "theta_t-E-omega", "omega_x-closure"]
     series = {name: [] for name in names}
     for h in sorted(hs, reverse=True):
         worst = dict.fromkeys(names, 0.0)
-        for x, t in stencil_grid:
-            mv = eval_m(data, x, t)
-            qv = eval_q(data, x, t)
-            ev = eval_E(data, x, t)
-            nu_c, th_c, om_c, _ = eval_nu_theta_omega(data, x, t)
+        for (x, t), (mv, qv, ev, om_c) in zip(stencil_grid, centres):
             nu_l, th_l, om_l, _ = eval_nu_theta_omega(data, x - h, t)
             nu_r, th_r, om_r, _ = eval_nu_theta_omega(data, x + h, t)
             nu_d, th_d, om_d, _ = eval_nu_theta_omega(data, x, t - h)

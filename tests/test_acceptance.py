@@ -21,7 +21,7 @@ from stickygas.euler_poisson import (
     cluster_snapshot,
     eval_E,
     eval_m_grid,
-    eval_q_grid,
+    eval_q,
     eval_u,
 )
 from stickygas.instances import random_instance, sample_times_avoiding_events
@@ -351,7 +351,7 @@ def test_criterion_09_weak_continuity(ensemble):
             t = 2.0**-k
             em = float(np.max(np.abs(eval_m_grid(data, grid, t) - m0)))
             m_levels = max(m_levels, em / max(1.0, m.total_mass))
-            q = eval_q_grid(data, grid, t)
+            q = np.array(eval_q(data, grid, t))
             e = np.array(eval_E(data, grid, t))
             dq = float(np.max(np.abs(q - q0)))
             de = float(np.max(np.abs(e - e0)))
@@ -451,7 +451,7 @@ def test_weak_continuity_first_order_companion(ensemble):
             q_pred = float(np.sum(w * u)) * math.exp(-t / tau) - tau * (
                 -math.expm1(-t / tau)
             ) * float(np.sum(w * mt))
-            q_f = eval_q_grid(data, [x], t)[0]
+            q_f = eval_q(data, [x], t)[0]
             left = state.positions < x
             q_o = sum((state.masses[left] * state.velocities[left]).tolist())
             worst_pred = max(worst_pred, abs(q_f - q_pred))

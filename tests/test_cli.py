@@ -5,11 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from stickygas import cli, potentials
+from stickygas import cli, euler_poisson, potentials
 from stickygas.cli import _compare_one, main
 from stickygas.euler_poisson import cluster_snapshot, eval_m_grid, eval_u
 from stickygas.instances import random_instance, sample_times_avoiding_events
-from stickygas.measure import InitialData
+from stickygas.measure import ClusterState, InitialData
 from stickygas.oracle import oracle_cdf, simulate_ep
 
 TWO_ATOM = {
@@ -213,7 +213,12 @@ class TestCompare:
             assert_compare_matches_reference(data, traj, times, xs)
 
     def test_rows_match_reference_on_near_duplicate_atoms(self):
+        # the oracle's touching tolerance merges atoms 1e-14*|x| apart that
+        # the formula layer keeps apart; where the layers' atom ranges
+        # differ, m still matches the reference and the row fails at any
+        # tolerance
         rng = np.random.default_rng(5)
+        split = 0
         for _ in range(20):
             base = rng.uniform(-5.0, 5.0, size=4)
             positions = np.concatenate([base, base * (1.0 + 1e-14)])
@@ -224,12 +229,23 @@ class TestCompare:
             traj = simulate_ep(data, 6.0)
             times = sample_times_avoiding_events(rng, 5, 0.1, 5.5, traj.event_times)
             xs = np.concatenate([positions, rng.uniform(-7.0, 7.0, size=8)])
-            assert_compare_matches_reference(data, traj, times, xs)
+            for t in times:
+                state, snap = traj.state_at(t), cluster_snapshot(data, t)
+                same = np.array_equal(state.lo, snap.lo) and np.array_equal(state.hi, snap.hi)
+                if same:
+                    assert_compare_matches_reference(data, traj, [t], xs)
+                    continue
+                split += 1
+                want = reference_compare_one(data, [t], xs, 1e-9)
+                for tol in (1e-9, 1e300):
+                    (row,) = _compare_one(data, traj, [t], xs, tol)
+                    assert repr(row[:2]) == repr(want[0][:2])
+                    assert row[3] is False
+        assert split == 37
 
     def test_rows_match_reference_inside_tie_windows(self, monkeypatch):
         # xs at the formula clusters and a few ulps around them, so that xs
-        # and the oracle's cluster positions fall in the same hull edge's
-        # tie window and go through the tie rule in the same lookup
+        # fall in the hull edges' tie windows and go through the tie rule
         tied = []
         ties = potentials.PrefixFrame._ties
 
@@ -250,8 +266,60 @@ class TestCompare:
                 tied.clear()
                 _compare_one(data, traj, [t], xs, 1e-9)
                 assert set(tied) & set(xs.tolist())
-                assert set(tied) & set(traj.state_at(t).positions.tolist())
                 assert_compare_matches_reference(data, traj, [t], xs)
+
+    def test_position_only_mismatch_fails(self):
+        # oracle clusters shifted by 1e-6 with unchanged velocities: m on a
+        # grid far from every cluster and the velocities still agree
+        class Shifted:
+            def __init__(self, traj):
+                self.traj = traj
+
+            def state_at(self, t):
+                s = self.traj.state_at(t)
+                return ClusterState(t, s.positions + 1e-6, s.masses, s.velocities, s.lo, s.hi)
+
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            data = random_instance(rng, n_max=8)
+            traj = simulate_ep(data, 6.0)
+            times = sample_times_avoiding_events(rng, 3, 0.1, 5.5, traj.event_times)
+            pos = data.measure.positions
+            xs = [float(pos[0]) - 100.0, float(pos[-1]) + 100.0]
+            for (t, dm, du, passed), (_, dm0, du0, passed0) in zip(
+                _compare_one(data, Shifted(traj), times, xs, 1e-9),
+                _compare_one(data, traj, times, xs, 1e-9),
+            ):
+                assert (dm, du) == (dm0, du0) and dm <= 1e-9 and du <= 1e-9
+                assert passed0 and not passed
+
+    def test_no_velocity_branch_analysis(self, tmp_path, monkeypatch):
+        # compare reads cluster velocities off the hull: no branch analysis
+        # runs, and the tie rule runs only at points of the compare grids
+        branch_calls, tied, grids = [0], set(), []
+        velocity, ties = euler_poisson._velocity_from_frame, potentials.PrefixFrame._ties
+        compare_one = cli._compare_one
+
+        def counted_velocity(*args):
+            branch_calls[0] += 1
+            return velocity(*args)
+
+        def recorded_ties(self, x, a, b):
+            tied.add(x)
+            return ties(self, x, a, b)
+
+        def recorded_compare(data, traj, times, xs, tol):
+            grids.extend(np.asarray(xs, dtype=float).tolist())
+            return compare_one(data, traj, times, xs, tol)
+
+        monkeypatch.setattr(euler_poisson, "_velocity_from_frame", counted_velocity)
+        monkeypatch.setattr(potentials.PrefixFrame, "_ties", recorded_ties)
+        monkeypatch.setattr(cli, "_compare_one", recorded_compare)
+        cfg = dict(TWO_ATOM, times=[0.5, 1.0, 5.5], n_instances=20)
+        code = main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 0
+        assert branch_calls[0] == 0
+        assert tied <= set(grids)
 
 
 class TestRelaxCommand:

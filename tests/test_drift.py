@@ -76,6 +76,42 @@ class TestVelocity:
         assert s.mbar == 0.0 and s.ubar == 0.25
 
 
+class TestPointRoutine:
+    def test_time_zero_reads_the_atoms(self, two_atom_asymmetric):
+        m = two_atom_asymmetric.measure
+        P, M = m.prefix_mass.tolist(), m.total_mass
+        mt = m.atom_mtilde().tolist()
+        # left of, on and between the atoms at -1 and 1
+        cases = [(-2.0, 0, 0), (-1.0, 0, 1), (0.0, 1, 1), (1.0, 1, 2), (2.0, 2, 2)]
+        for x, k_min, k_max in cases:
+            assert eval_mbar(m, x, 0.0) == P[k_min] == m.cdf_left(x)
+            assert eval_ubar(m, x, 0.0) == -0.5 * (P[k_min] + P[k_max] - M)
+            want_q = -sum(w * v for w, v in zip(m.masses.tolist()[:k_min], mt[:k_min]))
+            assert eval_qbar(m, x, 0.0) == pytest.approx(want_q, abs=1e-15)
+            s = sample_drift(m, x, 0.0)
+            has_atom = k_max > k_min
+            assert s.branch is (DriftBranch.DELTA_SHOCK if has_atom else DriftBranch.OFF_SUPPORT)
+        # on an atom the velocity is the atom's drift velocity -mtilde0
+        assert eval_ubar(m, -1.0, 0.0) == pytest.approx(-mt[0], abs=1e-15)
+        assert eval_ubar(m, 1.0, 0.0) == pytest.approx(-mt[1], abs=1e-15)
+        with pytest.raises(NonPositiveTime):
+            eval_mbar(m, 0.0, -1.0)
+
+    def test_sample_equals_single_evaluators(self):
+        rng = np.random.default_rng(46)
+        for _ in range(30):
+            m = make_random_instance(rng).measure
+            for t in (0.0, 1e-3, 0.7, 4.0):
+                xs = rng.uniform(-14, 14, size=8).tolist() + m.positions.tolist()
+                if t > 0.0:
+                    xs += drift_cluster_snapshot(m, t).positions.tolist()
+                for x in xs:
+                    s = sample_drift(m, x, t)
+                    assert repr(s.mbar) == repr(eval_mbar(m, x, t))
+                    assert repr(s.qbar) == repr(eval_qbar(m, x, t))
+                    assert repr(s.ubar) == repr(eval_ubar(m, x, t))
+
+
 class TestTieRule:
     def test_attainment_matches_drift_speed_comparison(self):
         # the minimum is attained at y0 exactly when (x - y0)/t is at most

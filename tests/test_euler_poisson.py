@@ -11,11 +11,10 @@ from stickygas.euler_poisson import (
     cluster_snapshot,
     eval_E,
     eval_m,
-    eval_m_and_u,
+    eval_m_and_clusters,
     eval_m_grid,
     eval_nu_theta_omega,
     eval_q,
-    eval_q_grid,
     eval_u,
     forward_position,
     sample,
@@ -603,7 +602,7 @@ class TestGridEvaluation:
         t = 1.3
         xs = rng.uniform(-12, 12, size=25)
         ms = eval_m_grid(data, xs, t)
-        qs = eval_q_grid(data, xs, t)
+        qs = eval_q(data, xs, t)
         for x, mv, qv in zip(xs, ms, qs):
             assert mv == eval_m(data, float(x), t)
             assert qv == eval_q(data, float(x), t)
@@ -617,7 +616,7 @@ class TestGridEvaluation:
                 xs += data.measure.positions.tolist()
                 if t > 0.0:
                     xs += cluster_snapshot(data, t).positions.tolist()
-                for fn in (sample, eval_u, eval_E):
+                for fn in (sample, eval_q, eval_u, eval_E):
                     grid = fn(data, np.array(xs), t)
                     assert [repr(v) for v in grid] == [repr(fn(data, x, t)) for x in xs]
                 assert fn(data, [], t) == []
@@ -628,16 +627,14 @@ class TestGridEvaluation:
             data = make_random_instance(rng)
             for t in (0.0, 1e-3, 0.7, 3.0):
                 xs = rng.uniform(-12, 12, size=15)
-                ys = data.measure.positions
-                if t > 0.0:
-                    ys = cluster_snapshot(data, t).positions
-                for a, b in ((xs, ys), (xs[:0], ys), (xs, ys[:0])):
-                    ms, us = eval_m_and_u(data, a, b, t)
+                xs = np.concatenate([xs, cluster_snapshot(data, t).positions])
+                for a in (xs, xs[:0]):
+                    ms, state = eval_m_and_clusters(data, a, t)
                     assert repr(ms.tolist()) == repr(eval_m_grid(data, a, t).tolist())
-                    assert repr(us) == repr(eval_u(data, b, t))
+                    assert state == cluster_snapshot(data, t)
 
     def test_time_zero_scalar_forms_read_the_sequential_prefixes(self):
-        # the prefixes of w*u and w*u*u that eval_q_grid and the
+        # the prefixes of w*u and w*u*u that eval_q on a grid and the
         # initial-continuity check form with a running sum
         rng = np.random.default_rng(28)
         for n in [8, 40] * 25:
@@ -653,5 +650,5 @@ class TestGridEvaluation:
             k = np.searchsorted(data.measure.positions, xs, side="left")
             qs = [eval_q(data, x, 0.0) for x in xs.tolist()]
             es = [eval_E(data, x, 0.0) for x in xs.tolist()]
-            assert qs == eval_q_grid(data, xs, 0.0).tolist()
+            assert qs == eval_q(data, xs, 0.0)
             assert es == eval_E(data, xs, 0.0) == e0[k].tolist()

@@ -1,9 +1,11 @@
 """Layer boundary: the oracle and the formula layer share only the data model.
 
-The scan reads each module's imports with ``ast``; nothing is imported.
+The import scans read each module's source with ``ast``; nothing is
+imported. The ``__all__`` check imports the package.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stickygas"
@@ -44,3 +46,52 @@ def test_formula_layer_never_imports_the_oracle():
 def test_scan_sees_package_imports():
     # the scan must read the imports it checks: validate uses both layers
     assert {"oracle", "euler_poisson", "measure"} <= package_imports("validate")
+
+
+def test_every_exported_name_resolves():
+    modules = ["stickygas"] + [
+        f"stickygas.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+    ]
+    checked = 0
+    for name in modules:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), f"{name}.{attr}"
+            checked += 1
+    assert checked > 0
+
+
+def private_names_used(module: str) -> set:
+    """Underscore-prefixed names that ``module`` imports from the package,
+    or reads as attributes of a package module it imports."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level == 1 or (node.module or "").split(".")[0] == "stickygas"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.add(alias.name)
+                if node.module is None or node.module == "stickygas":
+                    aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr.startswith("_")
+        ):
+            found.add(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_front_ends_use_only_public_names():
+    for module in ("cli", "validate"):
+        assert private_names_used(module) == set(), module
+
+
+def test_private_name_scan_sees_private_imports():
+    # relax reads the formula layer's private frame helpers
+    assert "_frame" in private_names_used("relax")
