@@ -32,7 +32,6 @@ from .drift import DriftSample, eval_mbar, eval_qbar, eval_ubar, sample_drift
 from .oracle import (
     Trajectory,
     oracle_cdf,
-    oracle_velocity,
     simulate_drift,
     simulate_ep,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "simulate_ep",
     "simulate_drift",
     "oracle_cdf",
-    "oracle_velocity",
     "RelaxationReport",
     "eval_scaled",
     "convergence_study",

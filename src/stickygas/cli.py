@@ -348,20 +348,22 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
 def _polyline_svg(series, width=640, height=480, logx=False, logy=False, step=()):
-    """Deterministic multi-series line plot; each series scaled to shared extents."""
+    """Deterministic multi-series line plot; each series scaled to shared extents.
+
+    A log axis plots log10 of each value; a point whose value there is not
+    > 0 (NaN included) is left out of both the extents and the plot.
+    """
     pad = 50.0
-    xs_all, ys_all = [], []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if logx:
-                x = math.log10(x) if x > 0 else None
-            if logy:
-                y = math.log10(y) if y > 0 else None
-            if x is not None and y is not None:
-                xs_all.append(x)
-                ys_all.append(y)
-    if not xs_all:
-        xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
+
+    def scale(v, log):
+        return (math.log10(v) if v > 0 else None) if log else v
+
+    kept = []
+    for label, xs, ys in series:
+        pts = [(scale(x, logx), scale(y, logy)) for x, y in zip(xs, ys)]
+        kept.append((label, [(x, y) for x, y in pts if x is not None and y is not None]))
+    xs_all = [x for _, pts in kept for x, _ in pts] or [0.0, 1.0]
+    ys_all = [y for _, pts in kept for _, y in pts] or [0.0, 1.0]
     x0, x1 = min(xs_all), max(xs_all)
     y0, y1 = min(ys_all), max(ys_all)
     if x1 - x0 == 0.0:
@@ -379,25 +381,16 @@ def _polyline_svg(series, width=640, height=480, logx=False, logy=False, step=()
         f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
         'fill="none" stroke="black" stroke-width="1"/>'
     ]
-    for idx, (label, xs, ys) in enumerate(series):
-        pts = []
-        prev = None
-        for x, y in zip(xs, ys):
-            if logx:
-                if x <= 0:
-                    continue
-                x = math.log10(x)
-            if logy:
-                if y <= 0:
-                    continue
-                y = math.log10(y)
+    for idx, (label, pts) in enumerate(kept):
+        line, prev = [], None
+        for x, y in pts:
             if label in step and prev is not None:
-                pts.append(f"{mapx(x):.3f},{mapy(prev):.3f}")
-            pts.append(f"{mapx(x):.3f},{mapy(y):.3f}")
+                line.append(f"{mapx(x):.3f},{mapy(prev):.3f}")
+            line.append(f"{mapx(x):.3f},{mapy(y):.3f}")
             prev = y
         color = _COLORS[idx % len(_COLORS)]
         body.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(pts)}"/>'
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(line)}"/>'
         )
         body.append(
             f'<text x="{pad + 6}" y="{pad + 16 + 16 * idx}" font-size="12" fill="{color}">{label}</text>'

@@ -18,7 +18,7 @@ class NumericError(StickyGasError):
 
 
 class NonPositiveTime(NumericError):
-    """An operation that requires t > 0 was called with t <= 0."""
+    """An operation that requires a finite t > 0 was called with another t."""
 
 
 class EmptyMeasure(NumericError):
@@ -39,10 +39,6 @@ class RootBracketFailure(NumericError):
 
 class EventHorizonExceeded(NumericError):
     """More merge events than atoms minus one: internal invariant broken."""
-
-
-class NoClusterAt(NumericError):
-    """Velocity query at a position holding no cluster."""
 
 
 class IdentityViolation(NumericError):

@@ -384,8 +384,10 @@ def trace_shock(
     characteristic from its anchor atom), clamped between the clusters
     that hold atoms k - 1 and k.
     """
-    if not 0.0 < t0 < t_end:
-        raise NonPositiveTime(f"need 0 < t0 < t_end, got t0={t0}, t_end={t_end}")
+    if not 0.0 < t0 < t_end < math.inf:
+        raise NonPositiveTime(
+            f"need 0 < t0 < t_end with t_end finite, got t0={t0}, t_end={t_end}"
+        )
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import (
     EventHorizonExceeded,
     IdentityViolation,
-    NoClusterAt,
     NonPositiveTime,
     RootBracketFailure,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "simulate_ep",
     "simulate_drift",
     "oracle_cdf",
-    "oracle_velocity",
 ]
 
 _ROOT_REL_TOL = 1e-13
@@ -385,8 +383,8 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
 
 
 def _simulate_atoms(measure: AtomicMeasure, velocities, t_end: float, dyn) -> Trajectory:
-    if t_end <= 0.0:
-        raise NonPositiveTime(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise NonPositiveTime(f"t_end must be finite and > 0, got {t_end}")
     n = len(measure)
     lo = np.arange(n)
     columns = (measure.positions, velocities, measure.atom_mtilde(), measure.masses)
@@ -412,12 +410,3 @@ def oracle_cdf(state: ClusterState, x):
     prefix = np.concatenate(([0.0], np.cumsum(state.masses)))
     cdf = prefix[np.searchsorted(state.positions, x, side="left")]
     return float(cdf) if np.ndim(x) == 0 else cdf
-
-
-def oracle_velocity(state: ClusterState, x: float, atol: float = 1e-9) -> float:
-    """Velocity of the cluster located at x, within an absolute tolerance."""
-    gaps = np.abs(state.positions - x)
-    i = int(np.argmin(gaps))
-    if not gaps[i] <= atol:
-        raise NoClusterAt(f"no cluster within {atol} of x={x}")
-    return float(state.velocities[i])

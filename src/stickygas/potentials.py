@@ -72,8 +72,8 @@ class PotentialCoefficients:
 
     @classmethod
     def euler_poisson(cls, tau: float, t: float) -> "PotentialCoefficients":
-        if t <= 0.0:
-            raise NonPositiveTime(f"potential coefficients require t > 0, got {t}")
+        if not 0.0 < t < math.inf:
+            raise NonPositiveTime(f"potential coefficients require finite t > 0, got {t}")
         z = t / tau
         em1 = _one_minus_exp_neg(z)
         A = tau * em1
@@ -82,8 +82,8 @@ class PotentialCoefficients:
 
     @classmethod
     def drift(cls, t: float) -> "PotentialCoefficients":
-        if t <= 0.0:
-            raise NonPositiveTime(f"potential coefficients require t > 0, got {t}")
+        if not 0.0 < t < math.inf:
+            raise NonPositiveTime(f"potential coefficients require finite t > 0, got {t}")
         return cls(A=0.0, B=-t, decay=0.0, tau=math.inf, t=t)
 
     @classmethod
@@ -94,8 +94,10 @@ class PotentialCoefficients:
         tau * (slow_t / tau); exponentials beyond the flush threshold are
         exactly zero.
         """
-        if slow_t <= 0.0:
-            raise NonPositiveTime(f"potential coefficients require t > 0, got {slow_t}")
+        if not 0.0 < slow_t < math.inf:
+            raise NonPositiveTime(
+                f"potential coefficients require finite t > 0, got {slow_t}"
+            )
         z = slow_t / (tau * tau)
         em1 = _one_minus_exp_neg(z)
         A = tau * em1
@@ -186,23 +188,20 @@ class PrefixFrame:
     def prefix_values(self, x: float):
         return self.S - x * self.P
 
-    def _ties(self, x: float, a: int, b: int):
-        """The tie rule on the prefixes a..b-1: (nu, k_min, k_max) among them."""
-        T = self.S[a:b] - x * self.P[a:b]
+    def argmin(self, x: float):
+        """(nu, k_min, k_max) of the prefix sums at x under the tie tolerance.
+
+        The one tie rule. Scans all N+1 prefixes: the dense reference for
+        ``argmin_grid``.
+        """
+        T = self.S - x * self.P
         k0 = int(np.argmin(T))
         nu = float(T[k0])
         tol = self.tie_tol * (1.0 + abs(nu)) + DEFAULT_TIE_POS_TOL * (
             1.0 + abs(x)
-        ) * np.abs(self.P[a:b] - self.P[a + k0])
+        ) * np.abs(self.P - self.P[k0])
         ties = np.flatnonzero(T - nu <= tol)
-        return nu, a + int(ties[0]), a + int(ties[-1])
-
-    def argmin(self, x: float):
-        """(nu, k_min, k_max) of the prefix sums at x under the tie tolerance.
-
-        Scans all N+1 prefixes: the dense reference for ``argmin_grid``.
-        """
-        return self._ties(x, 0, self.P.size)
+        return nu, int(ties[0]), int(ties[-1])
 
     def argmin_grid(self, xs):
         """``argmin`` at every point of a grid: (nu, k_min, k_max) arrays.
@@ -213,9 +212,9 @@ class PrefixFrame:
         takes nu = S[v] - x P[v], the scan's own operation. The window is
         the value term over the adjacent atom's mass, plus the position
         term, plus a rounding bound on T and on the hull. Any other point
-        runs the tie rule of ``argmin`` on the prefixes spanned by the hull
-        edges that have an end vertex within twice the tie tolerance of nu.
-        The result equals ``argmin`` point by point, with O(N + G) memory.
+        (one near a cluster position, where prefixes may tie) calls
+        ``argmin``, so the result equals ``argmin`` point by point, with
+        O(N + G) memory.
         """
         xs = np.asarray(xs, dtype=float)
         lo, _, pos, _ = self.clusters()
@@ -234,16 +233,8 @@ class PrefixFrame:
                 xs - slopes[j] > reach + value / dP[v]
             )
         k_min, k_max = v, v.copy()
-        Sv, Pv = S[verts], P[verts]
         for i in np.flatnonzero(~settled).tolist():
-            x = float(xs[i])
-            # a tie lies within value + reach * M of nu, and on a hull edge
-            # with an end vertex that close; doubled for rounding
-            bound = 2.0 * (value[i] + reach[i] * P[-1] + rnd[i])
-            near = np.flatnonzero(Sv - x * Pv - nu[i] <= bound)
-            a = int(verts[max(near[0] - 1, 0)])
-            b = int(verts[min(near[-1] + 1, verts.size - 1)]) + 1
-            nu[i], k_min[i], k_max[i] = self._ties(x, a, b)
+            nu[i], k_min[i], k_max[i] = self.argmin(float(xs[i]))
         return nu, k_min, k_max
 
     def result(self, x: float) -> MinimizerResult:

@@ -247,13 +247,13 @@ class TestCompare:
         # xs at the formula clusters and a few ulps around them, so that xs
         # fall in the hull edges' tie windows and go through the tie rule
         tied = []
-        ties = potentials.PrefixFrame._ties
+        argmin = potentials.PrefixFrame.argmin
 
-        def recorded(self, x, a, b):
+        def recorded(self, x):
             tied.append(x)
-            return ties(self, x, a, b)
+            return argmin(self, x)
 
-        monkeypatch.setattr(potentials.PrefixFrame, "_ties", recorded)
+        monkeypatch.setattr(potentials.PrefixFrame, "argmin", recorded)
         rng = np.random.default_rng(11)
         for _ in range(30):
             data = random_instance(rng, n_max=8)
@@ -297,23 +297,23 @@ class TestCompare:
         # compare reads cluster velocities off the hull: no branch analysis
         # runs, and the tie rule runs only at points of the compare grids
         branch_calls, tied, grids = [0], set(), []
-        velocity, ties = euler_poisson._velocity_from_frame, potentials.PrefixFrame._ties
+        velocity, argmin = euler_poisson._velocity_from_frame, potentials.PrefixFrame.argmin
         compare_one = cli._compare_one
 
         def counted_velocity(*args):
             branch_calls[0] += 1
             return velocity(*args)
 
-        def recorded_ties(self, x, a, b):
+        def recorded_ties(self, x):
             tied.add(x)
-            return ties(self, x, a, b)
+            return argmin(self, x)
 
         def recorded_compare(data, traj, times, xs, tol):
             grids.extend(np.asarray(xs, dtype=float).tolist())
             return compare_one(data, traj, times, xs, tol)
 
         monkeypatch.setattr(euler_poisson, "_velocity_from_frame", counted_velocity)
-        monkeypatch.setattr(potentials.PrefixFrame, "_ties", recorded_ties)
+        monkeypatch.setattr(potentials.PrefixFrame, "argmin", recorded_ties)
         monkeypatch.setattr(cli, "_compare_one", recorded_compare)
         cfg = dict(TWO_ATOM, times=[0.5, 1.0, 5.5], n_instances=20)
         code = main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
@@ -358,6 +358,15 @@ class TestPlot:
         svg = (tmp_path / "solution_t1.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg ")
         assert "polyline" in svg
+
+    def test_log_axes_drop_points_without_a_log(self):
+        # NaN and nonpositive values are left out of the extents and the line
+        xs, ys = [1.0, 10.0, math.nan, -1.0], [1e-3, 1e-2, 1e-1, 1.0]
+        svg = cli._polyline_svg([("err", xs, ys)], logx=True, logy=True)
+        assert "nan" not in svg
+        assert "x: [0, 1] (log10)" in svg and "y: [-3, -2] (log10)" in svg
+        (points,) = [line for line in svg.splitlines() if "<polyline" in line]
+        assert points.count(",") == 2
 
     def test_missing_inputs_exit_2(self, tmp_path):
         code = main(["plot", "--config", write_config(tmp_path, TWO_ATOM), "--out", str(tmp_path)])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stickygas.drift import drift_cluster_snapshot, eval_mbar
 from stickygas.errors import NonPositiveTime
 from stickygas.euler_poisson import (
     Branch,
@@ -24,6 +25,7 @@ from stickygas.euler_poisson import (
 from stickygas.measure import InitialData
 from stickygas.oracle import simulate_ep
 from stickygas.potentials import PotentialCoefficients
+from stickygas.relax import scaled_cluster_snapshot
 from tests.conftest import make_random_instance
 
 E1 = math.exp(-1.0)
@@ -652,3 +654,24 @@ class TestGridEvaluation:
             es = [eval_E(data, x, 0.0) for x in xs.tolist()]
             assert qs == eval_q(data, xs, 0.0)
             assert es == eval_E(data, xs, 0.0) == e0[k].tolist()
+
+
+class TestNonFiniteTime:
+    # a NaN fails every comparison, so each guard is written as
+    # "not 0 < t < inf" and a NaN or inf time raises the typed error
+    ENTRY_POINTS = {
+        "cluster_snapshot": cluster_snapshot,
+        "drift_cluster_snapshot": lambda d, t: drift_cluster_snapshot(d.measure, t),
+        "scaled_cluster_snapshot": lambda d, t: scaled_cluster_snapshot(d, t, 0.5),
+        "eval_m": lambda d, t: eval_m(d, 0.0, t),
+        "sample": lambda d, t: sample(d, [0.0], t),
+        "eval_mbar": lambda d, t: eval_mbar(d.measure, 0.0, t),
+        "simulate_ep": simulate_ep,
+        "trace_shock": lambda d, t: trace_shock(d, 0.0, 0.5, t, 0.1),
+    }
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_raises_non_positive_time(self, entry, t, two_atom_symmetric):
+        with pytest.raises(NonPositiveTime, match="finite"):
+            self.ENTRY_POINTS[entry](two_atom_symmetric, t)

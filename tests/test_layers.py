@@ -95,3 +95,36 @@ def test_front_ends_use_only_public_names():
 def test_private_name_scan_sees_private_imports():
     # relax reads the formula layer's private frame helpers
     assert "_frame" in private_names_used("relax")
+
+
+def leaf_errors() -> set:
+    """Exception classes in errors.py that no other class there subclasses."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for cls in classes for base in cls.bases if isinstance(base, ast.Name)}
+    return {cls.name for cls in classes} - bases
+
+
+def raised_names() -> set:
+    """Names raised anywhere in the package, as ``raise X(...)`` or ``raise m.X``."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return names
+
+
+def test_every_leaf_error_is_raised():
+    # an error type left behind by the removal of its only raiser shows here
+    assert leaf_errors() - raised_names() == set()
+
+
+def test_error_scan_sees_leaves_and_raises():
+    leaves = leaf_errors()
+    assert "NonPositiveTime" in leaves and "NumericError" not in leaves
+    assert {"NonPositiveTime", "ValueError"} <= raised_names()

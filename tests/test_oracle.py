@@ -13,7 +13,6 @@ from stickygas import cli, validate
 from stickygas.errors import (
     EventHorizonExceeded,
     IdentityViolation,
-    NoClusterAt,
     NonPositiveTime,
     RootBracketFailure,
 )
@@ -25,7 +24,6 @@ from stickygas.oracle import (
     _DriftDynamics,
     _EpDynamics,
     oracle_cdf,
-    oracle_velocity,
     simulate_drift,
     simulate_ep,
 )
@@ -174,14 +172,6 @@ class TestStateQueries:
         assert oracle_cdf(post, -5.0) == 0.0
         pre = traj.state_at(1.0)
         assert oracle_cdf(pre, 0.0) == 0.5
-
-    def test_velocity_lookup(self, two_atom_symmetric):
-        traj = simulate_ep(two_atom_symmetric, 6.0)
-        state = traj.state_at(1.0)
-        x = state.positions[0]
-        assert oracle_velocity(state, x) == state.velocities[0]
-        with pytest.raises(NoClusterAt):
-            oracle_velocity(state, 100.0)
 
     def test_state_at_bounds(self, single_atom):
         traj = simulate_ep(single_atom, 2.0)

@@ -373,6 +373,30 @@ class TestArgminGrid:
             checked += xs.size
         assert checked > 5000
 
+    def test_unsettled_points_call_argmin(self, monkeypatch):
+        # only points in a tie window near a cluster position reach the
+        # scalar tie rule; a grid 1e-6 clear of every cluster never does
+        calls = []
+        argmin = potentials.PrefixFrame.argmin
+
+        def counted(self, x):
+            calls.append(x)
+            return argmin(self, x)
+
+        monkeypatch.setattr(potentials.PrefixFrame, "argmin", counted)
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            data = make_random_instance(rng, n_max=12)
+            frame = _lookup_frame(data, "euler_poisson", float(rng.uniform(0.1, 5.0)))
+            pos = np.asarray(frame.clusters()[2])
+            calls.clear()
+            frame.argmin_grid(np.concatenate([pos - 1e-6, pos + 1e-6]))
+            assert calls == []
+            nu, k_min, k_max = frame.argmin_grid(pos)
+            assert calls
+            got = list(zip(nu.tolist(), k_min.tolist(), k_max.tolist()))
+            assert got == [argmin(frame, x) for x in pos.tolist()]
+
     def test_empty_grid_and_empty_measure(self):
         data = InitialData.from_atoms([0.0, 1.0], [1.0, 1.0], [0.0, 0.0], 1.0)
         frame = _lookup_frame(data, "euler_poisson", 1.0)

@@ -7,7 +7,7 @@ from stickygas.drift import drift_cluster_snapshot, eval_ubar
 from stickygas.errors import TauOutOfRange
 from stickygas.euler_poisson import eval_m, eval_u
 from stickygas.measure import InitialData
-from stickygas.oracle import oracle_cdf, oracle_velocity, simulate_ep
+from stickygas.oracle import oracle_cdf, simulate_ep
 from stickygas.potentials import PotentialCoefficients
 from stickygas.relax import (
     _nearest,

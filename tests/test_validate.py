@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from stickygas import validate
 from stickygas.errors import NonPositiveTime, StencilTooCloseToShock
 from stickygas.euler_poisson import cluster_snapshot
 from stickygas.measure import InitialData
 from stickygas.oracle import simulate_ep
+from stickygas.potentials import PotentialCoefficients
 from stickygas.validate import (
     ROUNDOFF_FLOOR,
     TestFunction as Bump,
@@ -313,6 +315,30 @@ class TestOleinik:
         assert rep.passed
         rep_oracle = check_oleinik(data, ts, [], layer="oracle")
         assert rep_oracle.passed
+
+    def test_one_velocity_per_distinct_point(self, monkeypatch):
+        # adjacent grid pairs share their inner points: u is evaluated once
+        # at each, and the excesses equal the per-pair quotients
+        rng = np.random.default_rng(52)
+        data = make_random_instance(rng, n_max=10)
+        grid = np.linspace(-12.0, 12.0, 41).tolist()
+        pairs = list(zip(grid[:-1], grid[1:]))
+        sizes = []
+        eval_u = validate.eval_u
+
+        def counted(data, x, t):
+            sizes.append(len(x))
+            return eval_u(data, x, t)
+
+        monkeypatch.setattr(validate, "eval_u", counted)
+        ts = [0.3, 1.0, 2.5]
+        rep = check_oleinik(data, ts, pairs)
+        assert sizes == [len(grid)] * len(ts)
+        for t, excess in zip(ts, rep.series["excess_over_bound"]):
+            coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
+            u = dict(zip(grid, (v for v, _ in eval_u(data, grid, t))))
+            want = max((u[b] - u[a]) / (b - a) - coeffs.decay / coeffs.A for a, b in pairs)
+            assert repr(excess) == repr(want)
 
 
 class TestInitialContinuity:
