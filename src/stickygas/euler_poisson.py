@@ -244,17 +244,11 @@ def eval_u(data: InitialData, x, t: float):
 def _energies(frame, k_mins) -> list:
     """Energy over each prefix k_min: free momenta times cluster velocities.
 
-    The per-atom terms are formed once; each distinct prefix is summed once.
+    One sequential prefix sum of the per-atom terms serves every k_min.
     """
-    sums = {0: 0.0}
-    terms = None
-    for k in k_mins:
-        if k not in sums:
-            if terms is None:
-                lo, hi, _, vel = frame.clusters()
-                terms = frame.measure.masses * frame.vel * np.repeat(vel, hi - lo)
-            sums[k] = float(np.sum(terms[:k]))
-    return [sums[k] for k in k_mins]
+    lo, hi, _, vel = frame.clusters()
+    terms = frame.measure.masses * frame.vel * np.repeat(vel, hi - lo)
+    return np.concatenate(([0.0], np.cumsum(terms)))[k_mins].tolist()
 
 
 def eval_E(data: InitialData, x, t: float):

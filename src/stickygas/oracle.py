@@ -3,11 +3,12 @@
 Independent brute-force layer used to validate every formula-layer output.
 Clusters follow closed-form trajectories (damped motion under the
 piecewise-constant self-attraction for the gas, straight lines for the
-drift dynamics) and merge conserving mass and momentum. A cluster's centred
-mass does not change when others merge, so each cluster keeps one closed
-form from birth to death: a trajectory holds one record per cluster that
-ever lived (at most 2N - 1), and collision times come from a lazy heap of
-certified root bounds, bisected on the closed form only at the top.
+drift dynamics) and merge conserving mass and momentum when they collide:
+clusters that touch at an event stick only if they approach. A cluster's
+centred mass does not change when others merge, so each cluster keeps one
+closed form from birth to death: a trajectory holds one record per cluster
+that ever lived (at most 2N - 1), and collision times come from a lazy heap
+of certified root bounds, bisected on the closed form only at the top.
 
 This module deliberately shares nothing with the potential-minimization
 layer except the input data model.
@@ -349,21 +350,19 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
         # merge right to left: a pair's right cluster may itself be new
         due.sort(key=rec.lo.item, reverse=True)
         born = [merge(a, at_lo.item(rec.hi.item(a)), t_ev) for a in due]
-        # chain merges, leftmost first, until nothing touches: a multi-collision
-        # can leave clusters touching, and a merge changes only its own pairs
-        ids, x, v = live_state(t_ev)
-        hits = np.flatnonzero(np.diff(x) <= 1e-12 * (1.0 + np.abs(x[:-1])))
-        chain = list(zip(ids[hits].tolist(), ids[hits + 1].tolist()))
+        # chain merges, leftmost first: a multi-collision can leave a new
+        # cluster touching a neighbour, and touching clusters stick only if
+        # they approach; a merge changes only its own pairs
+        chain = [p for c in born if alive[c] for p in neighbour_pairs(c)]
         while chain:
-            born.append(merge(*chain.pop(0), t_ev))
-            chain = [p for p in chain if alive[p[0]] and alive[p[1]]]
-            for a, b in neighbour_pairs(born[-1]):
-                xa, xb = state(a, t_ev)[0], state(b, t_ev)[0]
-                if xb - xa <= 1e-12 * (1.0 + abs(xa)):
-                    chain.append((a, b))
-            chain.sort(key=lambda p: rec.lo.item(p[0]))
-        if len(born) > len(due):
-            ids, _, v = live_state(t_ev)
+            chain.sort(key=lambda p: rec.lo.item(p[0]), reverse=True)
+            a, b = chain.pop()
+            if alive[a] and alive[b]:
+                (xa, va), (xb, vb) = state(a, t_ev), state(b, t_ev)
+                if xb - xa <= 1e-12 * (1.0 + abs(xa)) and vb <= va:
+                    born.append(merge(a, b, t_ev))
+                    chain += neighbour_pairs(born[-1])
+        ids, _, v = live_state(t_ev)
         for a, b in sorted({p for c in born if alive[c] for p in neighbour_pairs(c)}):
             form_pair(a, b)
         t = t_ev

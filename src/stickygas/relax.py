@@ -21,12 +21,6 @@ from .potentials import PotentialCoefficients, minimize_Fbar
 
 __all__ = ["RelaxationReport", "eval_scaled", "convergence_study", "scaled_cluster_snapshot"]
 
-# monotone-decrease assertion allows this multiplicative slack per step,
-# plus an additive floor so errors at roundoff level compare as equal
-MONOTONE_SLACK = 1.05
-MONOTONE_FLOOR = 1e-12
-
-
 @dataclass(frozen=True)
 class RelaxationReport:
     """Per-tau sup errors of the scaled solution against the drift limit."""
@@ -36,12 +30,6 @@ class RelaxationReport:
     err_m: tuple
     err_u: tuple
     grid: tuple
-    monotone_m: bool
-    monotone_u: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.monotone_m and self.monotone_u
 
     def rows(self):
         for tau, em, eu in zip(self.tau_sequence, self.err_m, self.err_u):
@@ -137,18 +125,10 @@ def convergence_study(
         err = np.abs(vel[near] / tau - drift.velocities)
         err_u.append(float(np.max(err, initial=0.0)))
 
-    def monotone(errs):
-        return all(
-            b <= MONOTONE_SLACK * a + MONOTONE_FLOOR
-            for a, b in zip(errs[:-1], errs[1:])
-        )
-
     return RelaxationReport(
         t=t,
         tau_sequence=tuple(taus),
         err_m=tuple(err_m),
         err_u=tuple(err_u),
         grid=tuple(grid.tolist()),
-        monotone_m=monotone(err_m),
-        monotone_u=monotone(err_u),
     )

@@ -29,3 +29,9 @@ def make_random_instance(rng, n_max=12):
     velocities = rng.uniform(-2.0, 2.0, size=n)
     tau = float(rng.choice([1.0, 0.5, 0.1]))
     return InitialData.from_atoms(positions, masses, velocities, tau)
+
+
+def decreasing(errs):
+    """Each error at most 1.05 times the one before, plus 1e-12 so that errors
+    at roundoff level compare as equal."""
+    return all(b <= 1.05 * a + 1e-12 for a, b in zip(errs[:-1], errs[1:]))

@@ -32,6 +32,7 @@ from stickygas.validate import (
     check_weak_form,
     default_continuity_grid,
 )
+from tests.conftest import decreasing
 
 SEED = 20260810
 N_INSTANCES = 200
@@ -268,12 +269,7 @@ def test_criterion_08_relaxation_limit(two_atom_symmetric, two_atom_asymmetric):
     rep_a5 = convergence_study(two_atom_asymmetric, 5.0, BENCH_GRID, taus)
     rep_s = convergence_study(two_atom_symmetric, 1.0, BENCH_GRID, taus)
     final_err = max(rep_a1.err_m[-1], rep_a1.err_u[-1], rep_a5.err_m[-1], rep_a5.err_u[-1])
-    mono = (
-        rep_a1.monotone_m
-        and rep_a1.monotone_u
-        and rep_a5.monotone_m
-        and rep_a5.monotone_u
-    )
+    mono = all(decreasing(rep.err_m) and decreasing(rep.err_u) for rep in (rep_a1, rep_a5))
     sym_zero = max(rep_s.err_m) == 0.0
     ok = mono and final_err <= 1e-3 and sym_zero
     report(

@@ -213,12 +213,9 @@ class TestCompare:
             assert_compare_matches_reference(data, traj, times, xs)
 
     def test_rows_match_reference_on_near_duplicate_atoms(self):
-        # the oracle's touching tolerance merges atoms 1e-14*|x| apart that
-        # the formula layer keeps apart; where the layers' atom ranges
-        # differ, m still matches the reference and the row fails at any
-        # tolerance
+        # atoms 1e-14*|x| apart: touching clusters stick only if they
+        # approach, so the layers hold the same atom ranges on every row
         rng = np.random.default_rng(5)
-        split = 0
         for _ in range(20):
             base = rng.uniform(-5.0, 5.0, size=4)
             positions = np.concatenate([base, base * (1.0 + 1e-14)])
@@ -231,17 +228,11 @@ class TestCompare:
             xs = np.concatenate([positions, rng.uniform(-7.0, 7.0, size=8)])
             for t in times:
                 state, snap = traj.state_at(t), cluster_snapshot(data, t)
-                same = np.array_equal(state.lo, snap.lo) and np.array_equal(state.hi, snap.hi)
-                if same:
-                    assert_compare_matches_reference(data, traj, [t], xs)
-                    continue
-                split += 1
-                want = reference_compare_one(data, [t], xs, 1e-9)
-                for tol in (1e-9, 1e300):
-                    (row,) = _compare_one(data, traj, [t], xs, tol)
-                    assert repr(row[:2]) == repr(want[0][:2])
-                    assert row[3] is False
-        assert split == 37
+                assert state.lo.tolist() == snap.lo.tolist()
+                assert state.hi.tolist() == snap.hi.tolist()
+                rows = _compare_one(data, traj, [t], xs, 1e-9)
+                assert repr(rows) == repr(reference_compare_one(data, [t], xs, 1e-9))
+                assert rows[0][3] is True
 
     def test_rows_match_reference_inside_tie_windows(self, monkeypatch):
         # xs at the formula clusters and a few ulps around them, so that xs

@@ -6,6 +6,7 @@ imported. The ``__all__`` check imports the package.
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stickygas"
@@ -32,6 +33,26 @@ def package_imports(module: str) -> set:
                 if parts[0] == "stickygas" and len(parts) > 1:
                     names.add(parts[1])
     return names
+
+
+def absolute_import_roots() -> set:
+    """Top-level names of every absolute import in the package's modules."""
+    roots = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_runtime_needs_numpy_only():
+    # the README promises "runtime: numpy only"; scipy alone would add about
+    # half a second and 49 MB to every import of the package
+    roots = absolute_import_roots()
+    assert {"numpy", "math"} <= roots
+    assert roots - set(sys.stdlib_module_names) == {"numpy"}
 
 
 def test_oracle_imports_only_the_data_model():

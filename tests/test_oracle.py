@@ -16,6 +16,7 @@ from stickygas.errors import (
     NonPositiveTime,
     RootBracketFailure,
 )
+from stickygas.euler_poisson import cluster_snapshot
 from stickygas.instances import random_instance, sample_times_avoiding_events
 from stickygas.measure import AtomicMeasure, ClusterState, InitialData
 from stickygas.oracle import (
@@ -366,6 +367,17 @@ class TestSimultaneousCollisions:
         # center of mass obeys x_com(t) = com + tau*(1 - e^{-t/tau}) v_com(0)
         assert x == pytest.approx(com + drift, rel=1e-12)
 
+    def test_an_event_merges_only_new_pairs_that_touch_and_approach(self):
+        data = _touching_pairs_case()
+        traj = simulate_ep(data, 1.0)
+        assert [e.merged for e in traj.events] == [((0, 1), (1, 2)), ((5, 6), (6, 7))]
+        assert traj.events[0].time < 1e-13 and traj.events[1].time > 1e-11
+        before, after = [0, 2, 3, 4, 5, 6], [0, 2, 3, 4, 5]
+        for t, lo in ((1e-12, before), (5e-11, before), (1e-9, after), (1.0, after)):
+            state, snap = traj.state_at(t), cluster_snapshot(data, t)
+            assert state.lo.tolist() == snap.lo.tolist() == lo
+            assert state.hi.tolist() == snap.hi.tolist() == lo[1:] + [7]
+
 
 # -- reference: the array event loop ------------------------------------------
 #
@@ -449,13 +461,21 @@ def array_loop_simulate(x, m, v, lo, hi, t0, t_end, dyn):
         # the merges write in place; the stored states keep their arrays
         m, v, lo, hi = m.copy(), v.copy(), lo.copy(), hi.copy()
         keep = np.ones(x.size, dtype=bool)
+        first = len(events)
         for i in reversed(due):
             _merge_pair(x, m, v, lo, hi, i, t_ev, events)
             keep[i + 1] = False
         x, m, v, lo, hi = x[keep], m[keep], v[keep], lo[keep], hi[keep]
-        # chain merges: a multi-collision can leave the new cluster touching
+        # chain merges: a multi-collision can leave a new cluster touching a
+        # neighbour, and touching clusters stick if they approach; a live
+        # cluster was born at this event iff an event here produced its lo
         while x.size > 1:
-            touching = np.flatnonzero(np.diff(x) <= 1e-12 * (1.0 + np.abs(x[:-1])))
+            born = np.isin(lo, [e.result[0] for e in events[first:]])
+            touching = np.flatnonzero(
+                (born[:-1] | born[1:])
+                & (np.diff(x) <= 1e-12 * (1.0 + np.abs(x[:-1])))
+                & (np.diff(v) <= 0.0)
+            )
             if not touching.size:
                 break
             i = int(touching[0])
@@ -593,14 +613,21 @@ def reference_simulate(clusters, t_end, dyn, stats):
         tol_event = 1e-11 * (1.0 + t_ev)
         clusters = _ref_advance(clusters, mts, dyn, t_ev - t)
         due = [i for i, r in enumerate(roots) if r <= t_ev + tol_event]
+        first = len(events)
         for i in reversed(due):
             _ref_merge(clusters, i, t_ev, events)
+        # chain merges: only a pair next to a cluster born at this event
+        # can touch, and it sticks if it approaches
         changed = True
         while changed:
             changed = False
+            born = {e.result for e in events[first:]}
             for i in range(len(clusters) - 1):
-                gap = clusters[i + 1].position - clusters[i].position
-                if gap <= 1e-12 * (1.0 + abs(clusters[i].position)):
+                a, b = clusters[i], clusters[i + 1]
+                if (a.lo, a.hi) not in born and (b.lo, b.hi) not in born:
+                    continue
+                touching = b.position - a.position <= 1e-12 * (1.0 + abs(a.position))
+                if touching and b.velocity <= a.velocity:
                     _ref_merge(clusters, i, t_ev, events)
                     stats["chain_merges"] += 1
                     changed = True
@@ -698,6 +725,39 @@ def chain_cases():
         yield data, 2.0 * T + 1.0, [T, 2.0 * T]
 
 
+def _struck_pair_case(x, sides, tau):
+    """Near-duplicate atoms at x and x + 1e-14|x|, at rest, struck by atoms
+    1e-8 away on the given sides (-1 left, +1 right) moving at them at unit speed.
+
+    The pair's own root is about 1e-7 away, so it is not due when struck at
+    about 1e-8; the struck cluster then touches the other atom of the pair
+    and approaches it, a chain merge.
+    """
+    pair = [x, x + 1e-14 * abs(x)]
+    pos, vel = list(pair), [0.0, 0.0]
+    if -1 in sides:
+        pos, vel = [x - 1e-8, *pos], [1.0, *vel]
+    if 1 in sides:
+        pos, vel = [*pos, pair[1] + 1e-8], [*vel, -1.0]
+    return InitialData.from_atoms(pos, [1.0] * len(pos), vel, tau)
+
+
+def _touching_pairs_case():
+    """Seven atoms in three groups, each within the chain-merge tolerance.
+
+    At -1, atoms 0 and 1 approach and merge at about 2.6e-14; atom 2 then
+    touches the new cluster but separates from it. At 1, atoms 3 and 4
+    separate. At 3, atoms 5 and 6 approach slowly and merge at their own
+    root, about 1e-10. So the first event merges nothing but atoms 0 and 1.
+    """
+    return InitialData.from_atoms(
+        [-1.0, -1.0 + 1e-14, -1.0 + 2e-14, 1.0, 1.0 + 1e-14, 3.0, 3.0 + 1e-12],
+        [0.5, 0.7, 0.2, 0.6, 0.4, 0.3, 0.8],
+        [0.5, -0.5, 1.0, -0.5, 0.5, 0.005, -0.005],
+        1.0,
+    )
+
+
 def near_duplicate_cases():
     rng = np.random.default_rng(41)
     for _ in range(20):
@@ -710,6 +770,11 @@ def near_duplicate_cases():
             float(rng.choice([1.0, 0.5, 0.1])),
         )
         yield data, 6.0, [1e-9, 0.5, 3.0]
+    # drawn near-duplicates approach fast enough to be due at once, so these
+    # cover chain merges of near-duplicate atoms
+    for x, sides, tau in [(-3.7, (-1,), 1.0), (2.2, (1,), 0.5), (8.9, (-1, 1), 0.1)]:
+        yield _struck_pair_case(x, sides, tau), 6.0, [1e-9, 0.5, 3.0]
+    yield _touching_pairs_case(), 1.0, [1e-12, 5e-11, 1e-9]
 
 
 def twelve_decade_cases():
