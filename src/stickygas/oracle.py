@@ -3,12 +3,17 @@
 Independent brute-force layer used to validate every formula-layer output.
 Clusters follow closed-form trajectories (damped motion under the
 piecewise-constant self-attraction for the gas, straight lines for the
-drift dynamics) and merge conserving mass and momentum when they collide:
-clusters that touch at an event stick only if they approach. A cluster's
-centred mass does not change when others merge, so each cluster keeps one
-closed form from birth to death: a trajectory holds one record per cluster
-that ever lived (at most 2N - 1), and collision times come from a lazy heap
-of certified root bounds, bisected on the closed form only at the top.
+drift dynamics) and merge conserving mass and momentum when they collide;
+a cluster left touching a new one sticks only if their own root is within
+the event tolerance. A cluster's centred mass mt does not change when others
+merge, so each cluster keeps one closed form from birth to death: a
+trajectory holds one record per cluster that ever lived (at most 2N - 1),
+and collision times come from a lazy heap of certified root bounds,
+bisected on the closed form only at the top. Each merge checks in O(1) the
+new cluster's mass against its atoms', its momentum against the pair's and
+mt_r - mt_l = (m_l + m_r)/2 with both neighbours; the O(C) mass and
+momentum audit over all C live clusters runs at the start, after event
+times 1, 2, 4, 8, ... and at the end.
 
 This module deliberately shares nothing with the potential-minimization
 layer except the input data model.
@@ -19,7 +24,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
 from heapq import heappop, heappush
 
 import numpy as np
@@ -171,8 +175,7 @@ class Trajectory:
 
     ``records`` holds one row per cluster that ever lived, sorted by
     ``lo``; the clusters alive at t (birth <= t < death) are in position
-    order. ``states`` (built on first read) holds the ClusterState at t0,
-    at each distinct event time and at t_end.
+    order.
     """
 
     kind: str
@@ -182,17 +185,9 @@ class Trajectory:
     events: tuple
     records: _Records = field(repr=False)
 
-    def __post_init__(self):
-        times = (self.t0, *dict.fromkeys(e.time for e in self.events), self.t_end)
-        object.__setattr__(self, "_state_times", times)
-
     @property
     def event_times(self):
         return [e.time for e in self.events]
-
-    @cached_property
-    def states(self):
-        return tuple(self.state_at(t) for t in self._state_times)
 
     def _dynamics(self):
         return _EpDynamics(self.tau) if self.kind == "euler_poisson" else _DriftDynamics()
@@ -241,7 +236,7 @@ class Trajectory:
             return
         self._check_horizon(ts.min())
         self._check_horizon(ts.max())
-        idx = np.searchsorted(self._state_times[:-1], ts, side="right")
+        idx = np.searchsorted(self.event_times, ts, side="right")
         bounds = [0, *(np.flatnonzero(np.diff(idx)) + 1).tolist(), ts.size]
         for start, stop in zip(bounds[:-1], bounds[1:]):
             ids = self._alive(ts[start])
@@ -250,13 +245,6 @@ class Trajectory:
             for first in range(start, stop, step):
                 times = ts[first : min(first + step, stop)]
                 yield (times, *self._rows(ids, times), masses)
-
-    def resume(self, state_index: int) -> "Trajectory":
-        """Re-run the rest from the records alive at ``states[state_index]``, bit for bit."""
-        t = self._state_times[state_index]
-        ids = self._alive(t)
-        live = _Records(*(c[ids] for c in self.records))._replace(death=np.full(ids.size, math.inf))
-        return _simulate(live, t, self.t_end, self._dynamics())
 
 
 def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
@@ -274,7 +262,12 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
     # the live record starting (ending) at each atom index, -1 where none
     at_lo, at_hi = np.full(n_atoms + 1, -1), np.full(n_atoms + 1, -1)
     at_lo[live.lo], at_hi[live.hi] = np.arange(n), np.arange(n)
-    events, heap = [], []
+    prefix = np.zeros(n_atoms + 1)  # atoms lo..hi-1 weigh prefix[hi] - prefix[lo]
+    prefix[live.hi] = np.cumsum(live.mass)
+    events, heap, k = [], [], 0  # k counts event times
+
+    def fail(check, t, where, detail):
+        raise IdentityViolation(f"{check} failed at event {k}, t={t!r}, {where}: {detail}")
 
     def state(i, t):
         return dyn.advance(rec.x.item(i), rec.v.item(i), rec.mt.item(i), t - rec.birth.item(i))
@@ -313,21 +306,39 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
         alive[a], alive[b], alive[c] = False, False, True
         at_lo[lo_a], at_lo[lo_b], at_hi[hi_a], at_hi[hi_b] = c, -1, -1, c
         events.append(MergeEvent(t, ((lo_a, hi_a), (lo_b, hi_b)), (lo_a, hi_b), x))
+        # the O(1) local checks: the atoms' mass, the pair's momentum, and the
+        # neighbour identity of the pair and of c with both of its neighbours
+        where = f"merging [{lo_a}, {hi_a}) and [{lo_b}, {hi_b})"
+        if abs(w - (prefix.item(hi_b) - prefix.item(lo_a))) > tol_mass:
+            fail("local mass check", t, where, f"{w} vs its atoms' {prefix[hi_b] - prefix[lo_a]}")
+        if abs(w * v - (ma * va + mb * vb)) > tol_q:
+            fail("local momentum check", t, where, f"{w * v} vs {ma * va + mb * vb}")
+        for l, r in ((a, b), *neighbour_pairs(c)):
+            excess = rec.mt.item(r) - rec.mt.item(l) - 0.5 * (rec.mass.item(l) + rec.mass.item(r))
+            if abs(excess) > tol_mass:
+                where = f"clusters [{rec.lo[l]}, {rec.hi[l]}) and [{rec.lo[r]}, {rec.hi[r]})"
+                fail("local neighbour identity check", t, where, f"mt_r - mt_l - (m_l + m_r)/2 = {excess}")
         return c
 
-    def live_state(t):
-        """Live record ids in position order, with their positions and velocities at t."""
+    def sums(t):
+        """Mass and momentum at t, sequential sums over the live records in position order."""
         ids = at_lo[np.flatnonzero(at_lo >= 0)]
-        return (ids, *dyn.advance_rows(rec.x[ids], rec.v[ids], rec.mt[ids], t - rec.birth[ids]))
-
-    def sums(ids, v):
-        """Mass and momentum, sequential sums over the clusters in position order."""
+        _, v = dyn.advance_rows(rec.x[ids], rec.v[ids], rec.mt[ids], t - rec.birth[ids])
         m = rec.mass[ids]
         return float(np.cumsum(m)[-1]), float(np.cumsum(m * v)[-1])
 
+    def audit(t):
+        """The global check: mass conserved and momentum on the decay law."""
+        (mass, q), where = sums(t), f"all {n - len(events)} clusters, atoms [0, {n_atoms})"
+        if abs(mass - total_mass) > tol_mass:
+            fail("global mass audit", t, where, f"{mass} vs {total_mass}")
+        q_ref = q0 * _exp_neg((t - t0) / dyn.tau) if dyn.kind == "euler_poisson" else 0.0
+        if abs(q - q_ref) > tol_q:
+            fail("global momentum audit", t, where, f"{q} vs the decay law's {q_ref}")
+
     if n:
-        ids, _, v = live_state(t0)
-        total_mass, q0 = sums(ids, v)
+        total_mass, q0 = sums(t0)
+        tol_mass, tol_q = 1e-12 * (1.0 + total_mass), 1e-11 * (1.0 + abs(q0) + total_mass)
     for a in range(n - 1):
         form_pair(a, a + 1)
     t = t0
@@ -347,35 +358,32 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
             due.append(a)
         if not due or t_ev > t_end:
             break
+        k += 1
         # merge right to left: a pair's right cluster may itself be new
         due.sort(key=rec.lo.item, reverse=True)
         born = [merge(a, at_lo.item(rec.hi.item(a)), t_ev) for a in due]
         # chain merges, leftmost first: a multi-collision can leave a new
-        # cluster touching a neighbour, and touching clusters stick only if
-        # they approach; a merge changes only its own pairs
+        # cluster touching a neighbour, and the pair sticks only if it
+        # approaches and its own root is within the event tolerance; a merge
+        # changes only its own pairs
         chain = [p for c in born if alive[c] for p in neighbour_pairs(c)]
         while chain:
             chain.sort(key=lambda p: rec.lo.item(p[0]), reverse=True)
             a, b = chain.pop()
             if alive[a] and alive[b]:
                 (xa, va), (xb, vb) = state(a, t_ev), state(b, t_ev)
-                if xb - xa <= 1e-12 * (1.0 + abs(xa)) and vb <= va:
+                if vb <= va and xb - xa <= (va - vb) * 1e-11 * (1.0 + t_ev):
                     born.append(merge(a, b, t_ev))
                     chain += neighbour_pairs(born[-1])
-        ids, _, v = live_state(t_ev)
         for a, b in sorted({p for c in born if alive[c] for p in neighbour_pairs(c)}):
             form_pair(a, b)
         t = t_ev
         if len(events) > max(n_atoms - 1, 0):
             raise EventHorizonExceeded("more merge events than atoms minus one")
-        # conservation checks at every event
-        mass_now, q_now = sums(ids, v)
-        mass_err = abs(mass_now - total_mass)
-        if mass_err > 1e-12 * (1.0 + total_mass):
-            raise IdentityViolation(f"mass conservation violated by {mass_err}")
-        q_ref = q0 * _exp_neg((t - t0) / dyn.tau) if dyn.kind == "euler_poisson" else 0.0
-        if abs(q_now - q_ref) > 1e-11 * (1.0 + abs(q0) + total_mass):
-            raise IdentityViolation(f"momentum decay law violated at t={t}: {q_now} vs {q_ref}")
+        if not k & (k - 1):
+            audit(t)
+    if n:
+        audit(t_end)
     order = np.argsort(rec.lo[: n + len(events)], kind="stable")
     records = _Records(*(c[order] for c in rec))
     return Trajectory(dyn.kind, getattr(dyn, "tau", math.nan), t0, t_end, tuple(events), records)

@@ -8,10 +8,9 @@ split at collision events so the integrand is smooth on every piece.
 The quadrature is batched: ``Trajectory.states_at`` advances the oracle's
 per-cluster records alive in each inter-event interval as (node x
 cluster) arrays, capped at ``oracle.BLOCK_ELEMENTS`` (4,096) elements per
-block, and one array routine evaluates both integrands on each block; no
-per-event state (``Trajectory.states``) is ever built. Sums over the
-clusters run in cluster order and the weighted sum over the nodes in node
-order.
+block, and one array routine evaluates both integrands on each block. Sums
+over the clusters run in cluster order and the weighted sum over the nodes
+in node order.
 
 The remaining checks (one-sided Lipschitz bound, weak continuity at the
 initial time, and the distributional identities of the auxiliary fields)

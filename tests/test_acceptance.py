@@ -112,7 +112,7 @@ def test_criterion_02_momentum_decay(ensemble):
     worst = 0.0
     for data, traj, times, _ in ensemble.items:
         q0 = float(np.sum(data.measure.masses * data.velocities))
-        samples = [s.time for s in traj.states] + list(times)
+        samples = [0.0, *traj.event_times, traj.t_end, *times]
         for t in samples:
             state = traj.state_at(min(t, traj.t_end))
             expect = q0 * math.exp(-state.time / data.tau)

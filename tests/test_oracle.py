@@ -1,5 +1,8 @@
+import inspect
 import json
 import math
+import re
+import textwrap
 from bisect import bisect_right
 from collections import namedtuple
 
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from stickygas import cli, validate
+from stickygas import cli, oracle, validate
 from stickygas.errors import (
     EventHorizonExceeded,
     IdentityViolation,
@@ -24,11 +27,35 @@ from stickygas.oracle import (
     MergeEvent,
     _DriftDynamics,
     _EpDynamics,
+    _Records,
+    _simulate,
     oracle_cdf,
     simulate_drift,
     simulate_ep,
 )
 from tests.conftest import make_random_instance
+
+
+def baseline_instance(n, seed):
+    """The ROADMAP baseline: N atoms on [-10, 10], masses U(0.01, 2)/N, tau 0.5."""
+    rng = np.random.default_rng(seed)
+    return InitialData.from_atoms(
+        np.sort(rng.uniform(-10.0, 10.0, n)), rng.uniform(0.01, 2.0, n) / n, rng.uniform(-2.0, 2.0, n), 0.5
+    )
+
+
+def event_states(traj):
+    """The states at t0, at each distinct event time and at t_end."""
+    times = (traj.t0, *dict.fromkeys(traj.event_times), traj.t_end)
+    return tuple(traj.state_at(t) for t in times)
+
+
+def resume(traj, state_index):
+    """Re-run the rest of traj from the records alive at event_states(traj)[state_index]."""
+    t = event_states(traj)[state_index].time
+    ids = traj._alive(t)
+    live = _Records(*(c[ids] for c in traj.records))._replace(death=np.full(ids.size, math.inf))
+    return _simulate(live, t, traj.t_end, traj._dynamics())
 
 
 class TestSingleAtom:
@@ -83,7 +110,7 @@ class TestConservation:
             M = data.measure.total_mass
             traj = simulate_ep(data, 7.0)
             assert len(traj.events) <= len(data) - 1
-            for state in traj.states:
+            for state in event_states(traj):
                 assert sum(state.masses.tolist()) == pytest.approx(M, rel=1e-14)
                 pos = state.positions
                 assert np.all(np.diff(pos) > 0) or len(pos) == 1
@@ -99,11 +126,12 @@ class TestDeterminism:
         traj = simulate_ep(data, 7.0)
         if len(traj.events) == 0:
             pytest.skip("instance produced no events")
-        for idx in range(1, len(traj.states) - 1):
-            resumed = simulate_ep(data, 7.0).resume(idx)
-            tail = [s for s in traj.states if s.time >= traj.states[idx].time]
-            assert len(resumed.states) == len(tail)
-            for a, b in zip(tail, resumed.states):
+        states = event_states(traj)
+        for idx in range(1, len(states) - 1):
+            resumed = event_states(resume(simulate_ep(data, 7.0), idx))
+            tail = [s for s in states if s.time >= states[idx].time]
+            assert len(resumed) == len(tail)
+            for a, b in zip(tail, resumed):
                 assert a.time == b.time
                 assert a == b
 
@@ -112,7 +140,7 @@ class TestDeterminism:
             [-1.0, 0.0, 1.0], [0.4, 0.3, 0.4], [0.5, 0.0, -0.2], 1.0
         )
         traj = simulate_ep(data, 6.0)
-        resumed = traj.resume(1)
+        resumed = resume(traj, 1)
         start = traj.events[0].time
         assert resumed.state_at(start) == traj.state_at(start)
         with pytest.raises(ValueError):
@@ -123,7 +151,7 @@ class TestDeterminism:
         data = make_random_instance(rng)
         t1 = simulate_ep(data, 5.0)
         t2 = simulate_ep(data, 5.0)
-        assert t1.states == t2.states
+        assert event_states(t1) == event_states(t2)
         assert t1.events == t2.events
 
 
@@ -137,7 +165,7 @@ class TestDrift:
 
     def test_initial_speeds(self, two_atom_symmetric):
         traj = simulate_drift(two_atom_symmetric.measure, 1.0)
-        assert traj.states[0].velocities.tolist() == [0.25, -0.25]
+        assert traj.state_at(0.0).velocities.tolist() == [0.25, -0.25]
 
     def test_single_atom_stationary(self):
         m = AtomicMeasure([0.7], [2.0])
@@ -149,7 +177,7 @@ class TestDrift:
         w = 0.6
         m = AtomicMeasure([-2.0, 0.0, 2.0], [w, w, w])
         traj = simulate_drift(m, 0.5)
-        v = traj.states[0].velocities
+        v = traj.state_at(0.0).velocities
         assert v[1] == pytest.approx(0.0, abs=1e-15)
         assert v[0] == pytest.approx(w, rel=1e-14)
         assert v[2] == pytest.approx(-w, rel=1e-14)
@@ -159,7 +187,7 @@ class TestDrift:
         for _ in range(10):
             data = make_random_instance(rng)
             traj = simulate_drift(data.measure, 6.0)
-            for state in traj.states:
+            for state in event_states(traj):
                 assert state.momentum() == pytest.approx(
                     0.0, abs=1e-12 * (1 + data.measure.total_mass)
                 )
@@ -200,12 +228,12 @@ class TestStateQueries:
 
     def test_columns_reject_writes(self, two_atom_symmetric):
         traj = simulate_ep(two_atom_symmetric, 6.0)
-        for state in (*traj.states, traj.state_at(1.0)):
+        for state in (*event_states(traj), traj.state_at(1.0)):
             for column in (state.positions, state.masses, state.velocities, state.lo, state.hi):
                 with pytest.raises(ValueError):
                     column[0] = 1
         with pytest.raises(AttributeError):
-            traj.states[0].positions = np.zeros(2)
+            traj.state_at(0.0).positions = np.zeros(2)
 
     def test_rejects_nonpositive_horizon(self, single_atom):
         with pytest.raises(NonPositiveTime):
@@ -266,28 +294,20 @@ class TestBatchedStates:
 
 
 class TestRecordStorage:
-    """One record per cluster that ever lived; per-event states only on demand."""
+    """One record per cluster that ever lived, and nothing cached beside them."""
 
-    @staticmethod
-    def bench_instance(n):
-        rng = np.random.default_rng(0)
-        return InitialData.from_atoms(
-            np.sort(rng.uniform(-10.0, 10.0, n)),
-            rng.uniform(0.01, 2.0, n) / n,
-            rng.uniform(-2.0, 2.0, n),
-            0.5,
-        )
+    FIELDS = {"kind", "tau", "t0", "t_end", "events", "records"}
 
     def test_at_most_two_n_minus_one_records_and_no_states_built(self):
         n = 1000
-        data = self.bench_instance(n)
+        data = baseline_instance(n, 0)
         for traj in (simulate_ep(data, 2.0), simulate_drift(data.measure, 2.0)):
             assert traj.events
             assert {c.size for c in traj.records} == {n + len(traj.events)}
             assert n + len(traj.events) <= 2 * n - 1
             traj.state_at(1.0)
             list(traj.states_at(np.linspace(0.0, 2.0, 50)))
-            assert "states" not in vars(traj)
+            assert set(vars(traj)) == self.FIELDS
 
     def test_commands_and_checks_never_build_states(self, tmp_path, monkeypatch):
         built = []
@@ -301,7 +321,7 @@ class TestRecordStorage:
 
         monkeypatch.setattr(cli, "simulate_ep", recorded(cli.simulate_ep))
         monkeypatch.setattr(validate, "simulate_ep", recorded(validate.simulate_ep))
-        data = self.bench_instance(30)
+        data = baseline_instance(30, 0)
         atoms = zip(*(a.tolist() for a in (data.measure.positions, data.measure.masses, data.velocities)))
         cfg = {
             "version": 1,
@@ -318,18 +338,7 @@ class TestRecordStorage:
             assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
         validate.check_oleinik(data, [0.5, 1.0], [], layer="oracle")
         assert len(built) > 3
-        assert not [traj for traj in built if "states" in vars(traj)]
-
-    def test_lazy_states_are_state_at_at_their_times(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            data = make_random_instance(rng)
-            for traj in (simulate_ep(data, 5.0), simulate_drift(data.measure, 5.0)):
-                times = [0.0, *sorted(set(traj.event_times)), 5.0]
-                assert [s.time for s in traj.states] == times
-                for state in traj.states:
-                    assert state == traj.state_at(state.time)
-                assert traj.states is traj.states
+        assert all(set(vars(traj)) == self.FIELDS for traj in built)
 
 
 class TestSimultaneousCollisions:
@@ -377,6 +386,17 @@ class TestSimultaneousCollisions:
             state, snap = traj.state_at(t), cluster_snapshot(data, t)
             assert state.lo.tolist() == snap.lo.tolist() == lo
             assert state.hi.tolist() == snap.hi.tolist() == lo[1:] + [7]
+
+    def test_a_slowly_approaching_neighbour_merges_at_its_own_root(self):
+        # atoms 0 and 1 merge at about 4e-14 and leave atom 2 within 1e-12 of
+        # the new cluster, closing at about 0.01: its own root is about 5e-11,
+        # past the event tolerance, so it stays apart until then
+        data = InitialData.from_atoms([-1e-14, 0.0, 5e-13], [1.0, 1.0, 1.0], [0.5, -0.5, -0.01], 1.0)
+        traj = simulate_ep(data, 1.0)
+        assert [e.merged for e in traj.events] == [((0, 1), (1, 2)), ((0, 2), (2, 3))]
+        assert traj.events[0].time < 1e-13 and 3e-11 < traj.events[1].time < 1e-10
+        for t, lo in ((1e-11, [0, 2]), (3e-11, [0, 2]), (1e-10, [0])):
+            assert traj.state_at(t).lo.tolist() == cluster_snapshot(data, t).lo.tolist() == lo
 
 
 # -- reference: the array event loop ------------------------------------------
@@ -467,14 +487,15 @@ def array_loop_simulate(x, m, v, lo, hi, t0, t_end, dyn):
             keep[i + 1] = False
         x, m, v, lo, hi = x[keep], m[keep], v[keep], lo[keep], hi[keep]
         # chain merges: a multi-collision can leave a new cluster touching a
-        # neighbour, and touching clusters stick if they approach; a live
-        # cluster was born at this event iff an event here produced its lo
+        # neighbour, and the pair sticks if it approaches and its own root is
+        # within the event tolerance; a live cluster was born at this event
+        # iff an event here produced its lo
         while x.size > 1:
             born = np.isin(lo, [e.result[0] for e in events[first:]])
             touching = np.flatnonzero(
                 (born[:-1] | born[1:])
-                & (np.diff(x) <= 1e-12 * (1.0 + np.abs(x[:-1])))
                 & (np.diff(v) <= 0.0)
+                & (np.diff(x) <= -np.diff(v) * 1e-11 * (1.0 + t_ev))
             )
             if not touching.size:
                 break
@@ -617,7 +638,8 @@ def reference_simulate(clusters, t_end, dyn, stats):
         for i in reversed(due):
             _ref_merge(clusters, i, t_ev, events)
         # chain merges: only a pair next to a cluster born at this event
-        # can touch, and it sticks if it approaches
+        # can touch, and it sticks if it approaches and its own root is
+        # within the event tolerance
         changed = True
         while changed:
             changed = False
@@ -626,8 +648,8 @@ def reference_simulate(clusters, t_end, dyn, stats):
                 a, b = clusters[i], clusters[i + 1]
                 if (a.lo, a.hi) not in born and (b.lo, b.hi) not in born:
                     continue
-                touching = b.position - a.position <= 1e-12 * (1.0 + abs(a.position))
-                if touching and b.velocity <= a.velocity:
+                closing = a.velocity - b.velocity
+                if closing >= 0.0 and b.position - a.position <= closing * 1e-11 * (1.0 + t_ev):
                     _ref_merge(clusters, i, t_ev, events)
                     stats["chain_merges"] += 1
                     changed = True
@@ -868,8 +890,8 @@ def assert_close_to_array_loop(data, t_end, times):
             tol = EVENT_TOL * (1.0 + ref.time)
             assert abs(e.time - ref.time) <= tol and abs(e.position - ref.position) <= tol
         # one state per distinct event time in each, at times within EVENT_TOL
-        assert len(traj.states) == len(states)
-        for state, ref in zip(traj.states, states):
+        assert len(event_states(traj)) == len(states)
+        for state, ref in zip(event_states(traj), states):
             assert abs(state.time - ref.time) <= EVENT_TOL * (1.0 + ref.time)
             assert_state_close(state, ref)
         # at a sample time within EVENT_TOL of an event the two loops may sit
@@ -985,14 +1007,140 @@ class TestPrunedRootWork:
             return pair_root(self, *args)
 
         monkeypatch.setattr(_EpDynamics, "pair_root", counted)
-        rng = np.random.default_rng(0)
-        n = 1000
-        data = InitialData.from_atoms(
-            np.sort(rng.uniform(-10.0, 10.0, n)),
-            rng.uniform(0.01, 2.0, n) / n,
-            rng.uniform(-2.0, 2.0, n),
-            0.5,
-        )
-        events = len(simulate_ep(data, 2.0).events)
+        events = len(simulate_ep(baseline_instance(1000, 0), 2.0).events)
         assert events > 800
         assert calls[0] <= math.ceil(1.01 * events)
+
+
+# -- the checks against injected defects ---------------------------------------
+#
+# Each defect goes into one N = 200 run to t = 2, either as corrupted records
+# passed to `_simulate` or as one source expression of `_simulate` replaced.
+# A global mass and momentum audit after every event raises on each defect
+# below before t_end (at the time in its comment), so the local checks at
+# each merge and the global audits after event times 1, 2, 4, 8, ... and at
+# t_end must raise on each too.
+
+
+def atom_records(data, drift=False):
+    """The records `simulate_ep` (or `simulate_drift`) starts from, as writable arrays."""
+    m, lo = data.measure, np.arange(len(data))
+    mt = m.atom_mtilde().copy()
+    v = -mt if drift else data.velocities.copy()
+    return _Records(np.zeros(lo.size), np.full(lo.size, math.inf), m.positions.copy(), v, mt, m.masses.copy(), lo, lo + 1)
+
+
+def mutant(old, new):
+    """`_simulate` with its source text `old` replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(_simulate))
+    assert source.count(old) == 1
+    namespace = dict(vars(oracle))
+    exec(compile(source.replace(old, new), oracle.__file__, "exec"), namespace)
+    return namespace["_simulate"]
+
+
+def wrong_atom_mt(seed, k, delta):
+    records = atom_records(baseline_instance(200, seed))
+    records.mt[k] += delta
+    return _simulate, records
+
+
+def shifted_mt(seed, delta):
+    # every identity mt_r - mt_l = (m_l + m_r)/2 still holds; only sum(m*mt) = 0 fails
+    records = atom_records(baseline_instance(200, seed))
+    records.mt[:] += delta
+    return _simulate, records
+
+
+def dropped_atom(seed, k, drift=False):
+    # the other atoms keep the centred masses computed with atom k
+    records = atom_records(baseline_instance(200, seed), drift)
+    records = _Records(*(np.delete(c, k) for c in records))
+    return _simulate, records._replace(lo=np.arange(199), hi=np.arange(1, 200))
+
+
+def at_merge(value, seed, merge, delta):
+    """The source expression `value` off by delta at one merge."""
+    wrong = f"{value} + ({delta!r} if len(events) == {merge} else 0.0)"
+    return mutant(value, wrong), atom_records(baseline_instance(200, seed))
+
+
+MERGED_MT = "rec.mt.item(a) + 0.5 * mb"
+MERGED_V = "(ma * va + mb * vb) / w"
+
+# each defect, with the time at which an audit after every event raises on it
+DEFECTS = {
+    "atom 0 mt +1e-7": lambda: wrong_atom_mt(0, 0, 1e-7),  # 0.074
+    "atom 120 mt +1e-8": lambda: wrong_atom_mt(0, 120, 1e-8),  # 0.777
+    "atom 0 mt +1e-9, seed 1": lambda: wrong_atom_mt(1, 0, 1e-9),  # 1.292
+    "atom 199 mt +1e-6": lambda: wrong_atom_mt(0, 199, 1e-6),  # 0.006
+    "every atom mt +1e-8": lambda: shifted_mt(0, 1e-8),  # 0.002
+    "merge 10 mt +1e-8, seed 2": lambda: at_merge(MERGED_MT, 2, 10, 1e-8),  # 0.436
+    "merge 100 mt +1e-6": lambda: at_merge(MERGED_MT, 0, 100, 1e-6),  # 0.248
+    "merge 100 v +1e-8": lambda: at_merge(MERGED_V, 0, 100, 1e-8),  # 0.243
+    "merged v the unweighted mean": lambda: (
+        mutant(MERGED_V, "0.5 * (va + vb)"),
+        atom_records(baseline_instance(200, 0)),
+    ),  # 0.001
+    "atom 60 dropped": lambda: dropped_atom(0, 60),  # 0.001
+    "atom 199 dropped, seed 1": lambda: dropped_atom(1, 199),  # 0.001
+}
+
+
+class TestChecksCatchInjectedDefects:
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_raises_before_t_end(self, defect):
+        simulate, records = DEFECTS[defect]()
+        with pytest.raises(IdentityViolation):
+            simulate(records, 0.0, 2.0, _EpDynamics(0.5))
+
+    def test_a_dropped_atom_in_the_drift_raises(self):
+        simulate, records = dropped_atom(1, 60, drift=True)
+        with pytest.raises(IdentityViolation):
+            simulate(records, 0.0, 2.0, _DriftDynamics())
+
+    def test_a_one_ulp_bias_in_A_stays_below_every_check(self, monkeypatch):
+        # no check raises on it, and none should: it moves the run by rounding
+        # only, five decades below the tolerances
+        data = baseline_instance(200, 0)
+        exact = simulate_ep(data, 2.0)
+        em1 = oracle._em1
+        monkeypatch.setattr(oracle, "_em1", lambda z: math.nextafter(em1(z), math.inf))
+        biased = simulate_ep(data, 2.0)
+        assert [e.merged for e in biased.events] == [e.merged for e in exact.events]
+        assert max(abs(a.time - b.time) for a, b in zip(biased.events, exact.events)) <= 1e-15
+        for t in (0.5, 1.0, 2.0):
+            a, b = biased.state_at(t), exact.state_at(t)
+            assert np.max(np.abs(a.positions - b.positions)) <= 1e-15
+            assert np.max(np.abs(a.velocities - b.velocities)) <= 1e-15
+
+    def test_a_failure_names_the_check_the_event_the_time_and_the_clusters(self):
+        data = baseline_instance(200, 0)
+        first = simulate_ep(data, 2.0).events[0]
+        (lo_a, hi_a), (lo_b, hi_b) = first.merged
+        simulate, records = DEFECTS["merged v the unweighted mean"]()
+        with pytest.raises(IdentityViolation) as local:
+            simulate(records, 0.0, 2.0, _EpDynamics(0.5))
+        want = f"local momentum check failed at event 1, t={first.time!r}, merging [{lo_a}, {hi_a}) and [{lo_b}, {hi_b}): "
+        assert str(local.value).startswith(want)
+        simulate, records = shifted_mt(0, 1e-8)
+        with pytest.raises(IdentityViolation) as audit:
+            simulate(records, 0.0, 2.0, _EpDynamics(0.5))
+        found = re.match(r"global momentum audit failed at event (\d+), t=([^,]+), all (\d+) clusters, atoms \[0, 200\): ", str(audit.value))
+        k, t, clusters = int(found[1]), float(found[2]), int(found[3])
+        assert k & (k - 1) == 0 and 0.0 < t < 2.0 and clusters < 200
+
+
+class TestAuditSchedule:
+    def test_global_audits_grow_as_the_log_of_the_events(self, monkeypatch):
+        calls = [0]
+        advance_rows = _EpDynamics.advance_rows
+
+        def counted(self, *args):
+            calls[0] += 1
+            return advance_rows(self, *args)
+
+        monkeypatch.setattr(_EpDynamics, "advance_rows", counted)
+        events = len(simulate_ep(baseline_instance(1000, 0), 2.0).events)
+        assert events > 800
+        assert calls[0] <= math.ceil(math.log2(events)) + 3
