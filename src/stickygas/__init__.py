@@ -16,6 +16,7 @@ from .potentials import (
 )
 from .euler_poisson import (
     Branch,
+    FormulaSolution,
     SolutionSample,
     ShockCurve,
     cluster_snapshot,
@@ -40,6 +41,7 @@ from .validate import (
     ResidualReport,
     check_initial_continuity,
     check_oleinik,
+    check_oleinik_states,
     check_potential_identities,
     check_weak_form,
 )
@@ -59,6 +61,7 @@ __all__ = [
     "minimize_F",
     "minimize_Fbar",
     "Branch",
+    "FormulaSolution",
     "SolutionSample",
     "ShockCurve",
     "sample",
@@ -86,6 +89,7 @@ __all__ = [
     "ResidualReport",
     "check_weak_form",
     "check_oleinik",
+    "check_oleinik_states",
     "check_initial_continuity",
     "check_potential_identities",
 ]

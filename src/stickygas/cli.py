@@ -19,7 +19,7 @@ import numpy as np
 
 from . import potentials, relax, validate
 from .errors import ConfigError, NumericError
-from .euler_poisson import cluster_snapshot, eval_m_and_clusters, sample, speed_bound
+from .euler_poisson import FormulaSolution, cluster_snapshot, eval_m_and_clusters, sample, speed_bound
 from .instances import random_instance, sample_times_avoiding_events
 from .measure import InitialData
 from .oracle import oracle_cdf, simulate_ep
@@ -312,15 +312,15 @@ def _stencil_candidates(cfg: RunConfig, h_max: float):
 
 
 def cmd_validate(cfg: RunConfig, out: str) -> list:
-    reports = []
     t_positive = [t for t in cfg.times if t > 0.0]
     window = (0.3 * cfg.t_end, 0.7 * cfg.t_end)
-    reports.append(validate.check_weak_form(cfg.data, window, refinement_levels=5))
-    pairs = [
-        (float(a), float(b)) for a, b in zip(cfg.x_grid[:-1], cfg.x_grid[1:])
+    traj = simulate_ep(cfg.data, window[1] * 1.01)
+    pairs = [(float(a), float(b)) for a, b in zip(cfg.x_grid[:-1], cfg.x_grid[1:])]
+    reports = [
+        validate.check_weak_form(cfg.data, traj, window, refinement_levels=5),
+        validate.check_oleinik(cfg.data, t_positive, pairs),
+        validate.check_initial_continuity(cfg.data, FormulaSolution(cfg.data)),
     ]
-    reports.append(validate.check_oleinik(cfg.data, t_positive, pairs))
-    reports.append(validate.check_initial_continuity(cfg.data))
     hs = [1e-2, 1e-3, 1e-4]
     stencils = _stencil_candidates(cfg, max(hs))
     if stencils:

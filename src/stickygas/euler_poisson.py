@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonPositiveTime
-from .measure import ClusterState, InitialData
+from .measure import BLOCK_ELEMENTS, ClusterState, InitialData
 from .potentials import PotentialCoefficients, PrefixFrame
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "eval_m_and_clusters",
     "forward_position",
     "cluster_snapshot",
+    "FormulaSolution",
     "trace_shock",
     "speed_bound",
 ]
@@ -342,6 +343,41 @@ def cluster_snapshot(data: InitialData, t: float) -> ClusterState:
     if t == 0.0:
         return ClusterState.from_atoms(t, data.measure, data.velocities)
     return _frame(data, t).cluster_state(t)
+
+
+@dataclass(frozen=True)
+class FormulaSolution:
+    """The formula layer as a solution for the validators, read like the
+    oracle's ``Trajectory``; it tracks no collisions, so the quadrature
+    cuts ``event_times`` are the caller's."""
+
+    data: InitialData
+    event_times: tuple = ()
+    layer = "formula"
+
+    def state_at(self, t: float) -> ClusterState:
+        return cluster_snapshot(self.data, t)
+
+    def states_at(self, ts):
+        """``Trajectory.states_at`` blocks: consecutive snapshots with equal
+        mass columns share a block of at most BLOCK_ELEMENTS positions."""
+        block = []
+        for t in ts:
+            snap = cluster_snapshot(self.data, t)
+            if block and (
+                not np.array_equal(snap.masses, block[0].masses)
+                or len(block) * snap.masses.size >= BLOCK_ELEMENTS
+            ):
+                yield _stack(block)
+                block = []
+            block.append(snap)
+        if block:
+            yield _stack(block)
+
+
+def _stack(snaps):
+    columns = (np.array([getattr(s, name) for s in snaps]) for name in ("time", "positions", "velocities"))
+    return (*columns, snaps[0].masses)
 
 
 # -- forward generalized characteristics --------------------------------------

@@ -6,7 +6,8 @@ query is a binary search. Instances are immutable after construction and
 safe for unlimited concurrent reads.
 
 The solution at a fixed time is a finite set of point clusters; both the
-formula layer and the oracle hand it out as one ``ClusterState``.
+formula layer and the oracle hand it out as one ``ClusterState``, and
+stack the states at many times into blocks of at most ``BLOCK_ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ import numpy as np
 from .errors import TauOutOfRange
 
 __all__ = ["AtomicMeasure", "InitialData", "ClusterState"]
+
+# cap on the (time x cluster) elements of one states_at block
+BLOCK_ELEMENTS = 4096
 
 
 def _merge_duplicates(positions, masses, velocities=None):

@@ -34,7 +34,7 @@ from .errors import (
     NonPositiveTime,
     RootBracketFailure,
 )
-from .measure import AtomicMeasure, ClusterState, InitialData
+from .measure import BLOCK_ELEMENTS, AtomicMeasure, ClusterState, InitialData
 
 __all__ = [
     "ClusterState",
@@ -47,8 +47,6 @@ __all__ = [
 
 _ROOT_REL_TOL = 1e-13
 _EXP_FLUSH = 700.0
-# cap on the (time x cluster) elements of one Trajectory.states_at block
-BLOCK_ELEMENTS = 4096
 
 
 def _exp_neg(z):
@@ -175,9 +173,10 @@ class Trajectory:
 
     ``records`` holds one row per cluster that ever lived, sorted by
     ``lo``; the clusters alive at t (birth <= t < death) are in position
-    order.
+    order. ``layer`` names the solution in validation reports.
     """
 
+    layer = "oracle"
     kind: str
     tau: float
     t0: float
@@ -287,9 +286,9 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
             gap, dv = dyn.advance(gap0, dv0, dmt, t - tp)
             heappush(heap, (t + dyn.root_bound(gap, dv, dmt), False, t, a, b, pair))
 
-    def form_pair(a, b):
+    def form_pair(a, b, states=None):
         tp = max(rec.birth.item(a), rec.birth.item(b))
-        (xa, va), (xb, vb) = state(a, tp), state(b, tp)
+        (xa, va), (xb, vb) = states or (state(a, tp), state(b, tp))
         push(tp, a, b, (tp, xb - xa, vb - va, rec.mt.item(b) - rec.mt.item(a)))
 
     def merge(a, b, t):
@@ -365,18 +364,21 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
         # chain merges, leftmost first: a multi-collision can leave a new
         # cluster touching a neighbour, and the pair sticks only if it
         # approaches and its own root is within the event tolerance; a merge
-        # changes only its own pairs
+        # changes only its own pairs. Every checked pair holds a cluster born
+        # at t_ev, so its states at t_ev are the ones form_pair needs
         chain = [p for c in born if alive[c] for p in neighbour_pairs(c)]
+        held = {}
         while chain:
             chain.sort(key=lambda p: rec.lo.item(p[0]), reverse=True)
             a, b = chain.pop()
             if alive[a] and alive[b]:
-                (xa, va), (xb, vb) = state(a, t_ev), state(b, t_ev)
+                held[a, b] = state(a, t_ev), state(b, t_ev)
+                (xa, va), (xb, vb) = held[a, b]
                 if vb <= va and xb - xa <= (va - vb) * 1e-11 * (1.0 + t_ev):
                     born.append(merge(a, b, t_ev))
                     chain += neighbour_pairs(born[-1])
         for a, b in sorted({p for c in born if alive[c] for p in neighbour_pairs(c)}):
-            form_pair(a, b)
+            form_pair(a, b, held.get((a, b)))
         t = t_ev
         if len(events) > max(n_atoms - 1, 0):
             raise EventHorizonExceeded("more merge events than atoms minus one")

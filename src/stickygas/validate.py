@@ -1,31 +1,30 @@
 """Machine-checkable residual batteries for the entropy conditions.
 
-Weak-form residuals integrate the two balance laws against compactly
-supported polynomial bumps: the measure integrals are exact cluster sums
-on the oracle trajectory, the dx integrals are exact via the bump
-antiderivative, and the time integrals use composite midpoint quadrature
-split at collision events so the integrand is smooth on every piece.
-The quadrature is batched: ``Trajectory.states_at`` advances the oracle's
-per-cluster records alive in each inter-event interval as (node x
-cluster) arrays, capped at ``oracle.BLOCK_ELEMENTS`` (4,096) elements per
-block, and one array routine evaluates both integrands on each block. Sums
-over the clusters run in cluster order and the weighted sum over the nodes
-in node order.
+Each check that reads a solution takes it as an object with ``state_at(t)``
+(a ``ClusterState``), ``states_at(ts)`` (blocks as ``Trajectory.states_at``
+yields them), ``event_times`` and a report label ``layer``: the oracle's
+``Trajectory``, the formula layer's ``FormulaSolution`` or any candidate.
 
-The remaining checks (one-sided Lipschitz bound, weak continuity at the
-initial time, and the distributional identities of the auxiliary fields)
-are pointwise sweeps with explicit tolerances and decay expectations.
+Weak-form residuals integrate the two balance laws against compactly
+supported polynomial bumps: the measure integrals are exact cluster sums,
+the dx integrals are exact via the bump antiderivative, and the time
+integrals use composite midpoint quadrature split at the solution's event
+times so the integrand is smooth on every piece. One array routine
+evaluates both integrands on each (node x cluster) block; sums over the
+clusters run in cluster order and the weighted sum over the nodes in node
+order. The Oleinik bound is read off adjacent clusters, and weak continuity
+at t = 0 off cluster prefix sums. ``check_oleinik`` and
+``check_potential_identities`` are pointwise sweeps of the formula layer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
-from .errors import QuadratureDivergence, StencilTooCloseToShock
+from .errors import NonPositiveTime, QuadratureDivergence, StencilTooCloseToShock
 from .euler_poisson import (
     cluster_snapshot,
     eval_E,
@@ -37,7 +36,6 @@ from .euler_poisson import (
     speed_bound,
 )
 from .measure import InitialData
-from .oracle import BLOCK_ELEMENTS, oracle_cdf, simulate_ep
 from .potentials import PotentialCoefficients
 
 __all__ = [
@@ -46,6 +44,7 @@ __all__ = [
     "default_bump_family",
     "check_weak_form",
     "check_oleinik",
+    "check_oleinik_states",
     "check_initial_continuity",
     "check_potential_identities",
 ]
@@ -207,46 +206,19 @@ def _integrands(bump, ts, positions, velocities, masses, tau, total_mass):
     return mass, np.cumsum(terms, axis=1)[:, -1]
 
 
-def _snapshot_blocks(data, ts):
-    """cluster_snapshot at the times ts, stacked as Trajectory.states_at blocks.
-
-    Consecutive snapshots with equal mass columns share a block of at most
-    BLOCK_ELEMENTS positions.
-    """
-    snaps = []
-    for t in ts:
-        snap = cluster_snapshot(data, t)
-        if snaps and (
-            not np.array_equal(snap.masses, snaps[0].masses)
-            or len(snaps) * snap.masses.size >= BLOCK_ELEMENTS
-        ):
-            yield _stack(snaps)
-            snaps = []
-        snaps.append(snap)
-    if snaps:
-        yield _stack(snaps)
-
-
-def _stack(snaps):
-    times = np.array([s.time for s in snaps])
-    positions = np.array([s.positions for s in snaps])
-    return times, positions, np.array([s.velocities for s in snaps]), snaps[0].masses
-
-
 def check_weak_form(
     data: InitialData,
+    solution,
     t_window,
     refinement_levels=6,
     bumps=None,
     n_base: int = 64,
-    layer: str = "oracle",
 ) -> ResidualReport:
     """Residuals of both weak-form balance laws under midpoint refinement.
 
-    The dm integrals are exact cluster sums, taken from the sticky-particle
-    trajectory (layer="oracle") or from the potential-layer cluster
-    decomposition (layer="formula"); only the time quadrature is refined,
-    so residuals must decay at order two or better on every instance.
+    The dm integrals are exact sums over the solution's clusters; only the
+    time quadrature is refined, so the residuals of a weak solution decay
+    at order two or better.
     """
     t_lo, t_hi = t_window
     if not 0.0 < t_lo < t_hi:
@@ -257,13 +229,8 @@ def check_weak_form(
         blo, bhi = bump.support_t()
         if blo < 0.0:
             raise ValueError("bump time support must stay inside t > 0")
-    traj = simulate_ep(data, t_hi * 1.01)
-    cuts = traj.event_times
+    cuts = solution.event_times
     total_mass = data.measure.total_mass
-
-    blocks = (
-        (lambda ts: _snapshot_blocks(data, ts)) if layer == "formula" else traj.states_at
-    )
 
     levels = list(range(refinement_levels))
     res_mass, res_mom = [], []
@@ -277,7 +244,7 @@ def check_weak_form(
             hi = min(t_hi, bhi)
             nodes, weights = _midpoint_nodes(lo, hi, cuts, n_total)
             per_node = []
-            for block in blocks(nodes):
+            for block in solution.states_at(nodes):
                 mass, mom = _integrands(bump, *block, data.tau, total_mass)
                 per_node += zip(mass.tolist(), mom.tolist())
             acc_mass = 0.0
@@ -299,7 +266,7 @@ def check_weak_form(
         for series in (res_mass, res_mom)
     )
     return ResidualReport(
-        name=f"weak_form_{layer}",
+        name=f"weak_form_{solution.layer}",
         levels=tuple(n_base * (2**lv) for lv in levels),
         series={"mass": tuple(res_mass), "momentum": tuple(res_mom)},
         passed=passed,
@@ -322,48 +289,60 @@ def _mean_decay_factor(series, floor):
     return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
 
 
-def check_oleinik(
-    data: InitialData, t_samples, x_pairs, layer: str = "formula"
-) -> ResidualReport:
-    """One-sided Lipschitz bound on velocity differences, report-only.
-
-    Checks (u(x2)-u(x1))/(x2-x1) <= e^{-t/tau}/(tau(1-e^{-t/tau})) <= 1/t
-    for every pair x1 < x2; the residual is the worst signed excess over
-    the sharp bound, and the check passes if no residual exceeds
-    OLEINIK_TOL. The formula layer evaluates u once per distinct point of
-    the pairs; the oracle layer takes the adjacent cluster pairs.
+def _oleinik(data, t_samples, name, quotients) -> ResidualReport:
+    """Worst signed excess of the difference quotients du/dx over the sharp
+    one-sided Lipschitz bound e^{-t/tau}/(tau(1-e^{-t/tau})) <= 1/t at each
+    t; quotients(t) gives (du, dx). Passes if no excess exceeds OLEINIK_TOL.
     """
-    if layer == "oracle":
-        traj = simulate_ep(data, max(t_samples) * 1.01) if len(t_samples) else None
-    else:
-        pairs = np.reshape(np.asarray(x_pairs, dtype=float), (-1, 2))
-        if not np.all(pairs[:, 0] < pairs[:, 1]):
-            raise ValueError("x_pairs must satisfy x1 < x2")
-        pts, inverse = np.unique(pairs, return_inverse=True)
     excesses = []
     for t in t_samples:
         coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
         bound = coeffs.decay / coeffs.A
         if bound > 1.0 / t + 1e-12:
             raise AssertionError("sharp bound exceeds 1/t: impossible")
-        if layer == "oracle":
-            # every difference quotient is a weighted mean of the adjacent
-            # ones, so the adjacent cluster pairs attain the maximum
-            s = traj.state_at(t)
-            dx = np.diff(s.positions)
-            gap = dx > 0.0
-            du, dx = np.diff(s.velocities)[gap], dx[gap]
-        else:
-            us = [u for u, _ in eval_u(data, pts, t)]
-            u = np.reshape(np.array(us)[inverse], (-1, 2))
-            du, dx = u[:, 1] - u[:, 0], pairs[:, 1] - pairs[:, 0]
+        du, dx = quotients(t)
         excesses.append(float(np.max(du / dx - bound, initial=-math.inf)))
     return ResidualReport(
-        name=f"oleinik_{layer}",
+        name=name,
         levels=tuple(t_samples),
         series={"excess_over_bound": tuple(excesses)},
         passed=not any(e > OLEINIK_TOL for e in excesses),
     )
+
+
+def check_oleinik(data: InitialData, t_samples, x_pairs) -> ResidualReport:
+    """One-sided Lipschitz bound on the formula layer's u at every pair
+    x1 < x2, report-only; u is evaluated once per distinct point of the
+    pairs, on the support and in vacuum alike.
+    """
+    pairs = np.reshape(np.asarray(x_pairs, dtype=float), (-1, 2))
+    if not np.all(pairs[:, 0] < pairs[:, 1]):
+        raise ValueError("x_pairs must satisfy x1 < x2")
+    pts, inverse = np.unique(pairs, return_inverse=True)
+
+    def quotients(t):
+        us = [u for u, _ in eval_u(data, pts, t)]
+        u = np.reshape(np.array(us)[inverse], (-1, 2))
+        return u[:, 1] - u[:, 0], pairs[:, 1] - pairs[:, 0]
+
+    return _oleinik(data, t_samples, "oleinik_formula", quotients)
+
+
+def check_oleinik_states(data: InitialData, solution, t_samples) -> ResidualReport:
+    """One-sided Lipschitz bound on a solution's clusters, report-only.
+
+    Every difference quotient of the clusters is a weighted mean of the
+    adjacent ones, so the adjacent pairs at distinct positions attain the
+    maximum.
+    """
+
+    def quotients(t):
+        s = solution.state_at(t)
+        dx = np.diff(s.positions)
+        gap = dx > 0.0
+        return np.diff(s.velocities)[gap], dx[gap]
+
+    return _oleinik(data, t_samples, f"oleinik_{solution.layer}", quotients)
 
 
 def default_continuity_grid(data: InitialData):
@@ -379,71 +358,42 @@ def default_continuity_grid(data: InitialData):
 
 def check_initial_continuity(
     data: InitialData,
+    solution,
     x_grid=None,
     t_sequence=None,
-    layer: str = "formula",
 ) -> ResidualReport:
     """Convergence of m, q, E to their initial prefix values as t drops to 0.
 
-    The pass flag requires monotone decay up to 5% slack; no absolute
-    final-level tolerance is applied (the decay of q and E is first order
-    in t with an instance-dependent constant).
+    At each level m, q and E at the grid points are the prefix sums of w,
+    w*u and w*u^2 over the solution's clusters left of each point. The pass
+    flag requires monotone decay up to 5% slack; no absolute final-level
+    tolerance is applied (the decay of q and E is first order in t with an
+    instance-dependent constant).
     """
     if x_grid is None:
         x_grid = default_continuity_grid(data)
     if t_sequence is None:
         t_sequence = [2.0 ** (-k) for k in range(1, 21)]
-    initial = list(
-        zip(
-            eval_m_grid(data, x_grid, 0.0).tolist(),
-            eval_q(data, x_grid, 0.0),
-            eval_E(data, x_grid, 0.0),
-        )
-    )
-    traj = None
-    if layer == "oracle":
-        traj = simulate_ep(data, max(t_sequence) * 1.01)
-    errs_m, errs_q, errs_e = [], [], []
+    if not all(0.0 <= t < math.inf for t in t_sequence):
+        raise NonPositiveTime(f"continuity levels must be finite and >= 0, got {t_sequence}")
+    initial = np.array([eval_m_grid(data, x_grid, 0.0), eval_q(data, x_grid, 0.0), eval_E(data, x_grid, 0.0)])
+    errs = []
     for t in t_sequence:
-        em = eq = ee = 0.0
-        if layer == "oracle":
-            # the positions are sorted: the clusters left of x are a prefix,
-            # read off running sums taken in cluster order
-            s = traj.state_at(t)
-            ws, us = s.masses.tolist(), s.velocities.tolist()
-            wu = list(accumulate((w * u for w, u in zip(ws, us)), initial=0.0))
-            wuu = list(accumulate((w * u**2 for w, u in zip(ws, us)), initial=0.0))
-            grid_fields = (
-                (mv, wu[j], wuu[j])
-                for mv, j in zip(
-                    oracle_cdf(s, x_grid).tolist(),
-                    np.searchsorted(s.positions, x_grid, side="left").tolist(),
-                )
-            )
-        else:
-            # m, q and E on the grid, one hull lookup each
-            grid_fields = zip(
-                eval_m_grid(data, x_grid, t).tolist(),
-                eval_q(data, x_grid, t),
-                eval_E(data, x_grid, t),
-            )
-        for (mv, qv, ev), (m0, qk, ek) in zip(grid_fields, initial):
-            em = max(em, abs(mv - m0))
-            eq = max(eq, abs(qv - qk))
-            ee = max(ee, abs(ev - ek))
-        errs_m.append(em)
-        errs_q.append(eq)
-        errs_e.append(ee)
+        s = solution.state_at(t)
+        terms = np.array([s.masses, s.masses * s.velocities, s.masses * s.velocities**2])
+        prefix = np.hstack((np.zeros((3, 1)), np.cumsum(terms, axis=1)))
+        fields = prefix[:, np.searchsorted(s.positions, x_grid, side="left")]
+        errs.append(np.max(np.abs(fields - initial), axis=1, initial=0.0).tolist())
 
     def settles(errs):
         return all(b <= 1.05 * a + ROUNDOFF_FLOOR for a, b in zip(errs[:-1], errs[1:]))
 
-    passed = settles(errs_m) and settles(errs_q) and settles(errs_e)
+    series = {name: tuple(e[i] for e in errs) for i, name in enumerate("mqE")}
     return ResidualReport(
-        name=f"initial_continuity_{layer}",
+        name=f"initial_continuity_{solution.layer}",
         levels=tuple(t_sequence),
-        series={"m": tuple(errs_m), "q": tuple(errs_q), "E": tuple(errs_e)},
-        passed=passed,
+        series=series,
+        passed=all(settles(v) for v in series.values()),
     )
 
 

@@ -212,7 +212,8 @@ def test_criterion_05_distributional_identities(
 
 
 def test_criterion_06_weak_form_single_atom(single_atom):
-    rep = check_weak_form(single_atom, (0.5, 2.5), refinement_levels=8, n_base=32)
+    traj = simulate_ep(single_atom, 2.5 * 1.01)
+    rep = check_weak_form(single_atom, traj, (0.5, 2.5), refinement_levels=8, n_base=32)
     floor = 1e-12
     ratios_ok = True
     reached = math.inf

@@ -65,8 +65,44 @@ def test_formula_layer_never_imports_the_oracle():
 
 
 def test_scan_sees_package_imports():
-    # the scan must read the imports it checks: validate uses both layers
-    assert {"oracle", "euler_poisson", "measure"} <= package_imports("validate")
+    # the scan must read the imports it checks: cli uses both layers
+    assert {"oracle", "euler_poisson", "measure"} <= package_imports("cli")
+
+
+def called_names(module: str) -> set:
+    """Names that ``module`` calls, as ``f(...)`` or ``m.f(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            names.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return names
+
+
+def check_parameters() -> dict:
+    """Parameter names of every top-level ``check_*`` function in validate."""
+    tree = ast.parse((PACKAGE / "validate.py").read_text())
+    return {
+        node.name: {a.arg for a in node.args.args + node.args.kwonlyargs}
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+    }
+
+
+def test_validators_take_a_solution_and_never_simulate():
+    # each check reads the solution it is given: no simulation of its own
+    # and no switch between the layers
+    assert not {"simulate_ep", "simulate_drift"} & called_names("validate")
+    params = check_parameters()
+    assert not [name for name, args in params.items() if "layer" in args]
+    assert {"check_weak_form", "check_oleinik_states", "check_initial_continuity"} <= {
+        name for name, args in params.items() if "solution" in args
+    }
+
+
+def test_call_scan_sees_calls():
+    assert {"simulate_ep", "check_weak_form"} <= called_names("cli")
+    assert "cluster_snapshot" in called_names("validate")
 
 
 def test_every_exported_name_resolves():

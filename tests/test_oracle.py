@@ -320,7 +320,6 @@ class TestRecordStorage:
             return run
 
         monkeypatch.setattr(cli, "simulate_ep", recorded(cli.simulate_ep))
-        monkeypatch.setattr(validate, "simulate_ep", recorded(validate.simulate_ep))
         data = baseline_instance(30, 0)
         atoms = zip(*(a.tolist() for a in (data.measure.positions, data.measure.masses, data.velocities)))
         cfg = {
@@ -336,7 +335,7 @@ class TestRecordStorage:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         for command in ("oracle", "compare", "validate"):
             assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
-        validate.check_oleinik(data, [0.5, 1.0], [], layer="oracle")
+        validate.check_oleinik_states(data, built[-1], [0.5, 1.0])
         assert len(built) > 3
         assert all(set(vars(traj)) == self.FIELDS for traj in built)
 

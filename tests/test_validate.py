@@ -1,14 +1,15 @@
 import math
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from stickygas import validate
 from stickygas.errors import NonPositiveTime, StencilTooCloseToShock
-from stickygas.euler_poisson import cluster_snapshot
-from stickygas.measure import InitialData
-from stickygas.oracle import simulate_ep
+from stickygas.euler_poisson import FormulaSolution, cluster_snapshot, eval_E, eval_m_grid, eval_q
+from stickygas.measure import BLOCK_ELEMENTS, InitialData
+from stickygas.oracle import oracle_cdf, simulate_ep
 from stickygas.potentials import PotentialCoefficients
 from stickygas.validate import (
     ROUNDOFF_FLOOR,
@@ -17,12 +18,14 @@ from stickygas.validate import (
     _midpoint_nodes,
     check_initial_continuity,
     check_oleinik,
+    check_oleinik_states,
     check_potential_identities,
     check_weak_form,
     default_bump_family,
     default_continuity_grid,
 )
 from tests.conftest import make_random_instance
+from tests.test_oracle import baseline_instance
 
 
 class TestBump:
@@ -57,22 +60,26 @@ class TestBump:
 
 class TestWeakForm:
     def test_single_atom_residuals_tiny(self, single_atom):
-        rep = check_weak_form(single_atom, (0.5, 2.5), refinement_levels=8, n_base=32)
+        traj = simulate_ep(single_atom, 2.5 * 1.01)
+        rep = check_weak_form(single_atom, traj, (0.5, 2.5), refinement_levels=8, n_base=32)
         assert rep.passed
         assert rep.series["mass"][-1] <= 1e-10
         assert rep.series["momentum"][-1] <= 1e-10
 
     def test_two_atom_through_collision_order_two(self, two_atom_symmetric):
         rep = check_weak_form(
-            two_atom_symmetric, (4.0, 6.0), refinement_levels=7, n_base=32
+            two_atom_symmetric, simulate_ep(two_atom_symmetric, 6.0 * 1.01), (4.0, 6.0),
+            refinement_levels=7, n_base=32,
         )
         assert rep.passed  # geometric-mean decay of at least 4x per doubling
 
     def test_formula_layer_matches_oracle_layer(self, two_atom_symmetric):
         # the dm sums can come from either layer; residuals must agree
         kwargs = dict(t_window=(4.0, 6.0), refinement_levels=3, n_base=32)
-        rep_o = check_weak_form(two_atom_symmetric, **kwargs)
-        rep_f = check_weak_form(two_atom_symmetric, layer="formula", **kwargs)
+        traj = simulate_ep(two_atom_symmetric, 6.0 * 1.01)
+        rep_o = check_weak_form(two_atom_symmetric, traj, **kwargs)
+        formula = FormulaSolution(two_atom_symmetric, traj.event_times)
+        rep_f = check_weak_form(two_atom_symmetric, formula, **kwargs)
         for key in ("mass", "momentum"):
             for a, b in zip(rep_o.series[key], rep_f.series[key]):
                 assert a == pytest.approx(b, abs=1e-10)
@@ -81,7 +88,8 @@ class TestWeakForm:
         # bump supported outside the window contributes exactly nothing
         dead = Bump(0.0, 1.0, 10.0, 0.5)
         rep = check_weak_form(
-            single_atom, (0.5, 2.5), refinement_levels=2, bumps=[dead], n_base=16
+            single_atom, simulate_ep(single_atom, 2.5 * 1.01), (0.5, 2.5),
+            refinement_levels=2, bumps=[dead], n_base=16,
         )
         assert all(v == 0.0 for v in rep.series["mass"])
         assert all(v == 0.0 for v in rep.series["momentum"])
@@ -90,6 +98,7 @@ class TestWeakForm:
         with pytest.raises(ValueError):
             check_weak_form(
                 single_atom,
+                simulate_ep(single_atom, 2.5 * 1.01),
                 (0.5, 2.5),
                 bumps=[Bump(0.0, 1.0, 0.2, 0.5)],
             )
@@ -99,7 +108,9 @@ class TestWeakForm:
         # still deliver second-order decay
         rng = np.random.default_rng(52)
         data = make_random_instance(rng, n_max=8)
-        rep = check_weak_form(data, (0.5, 5.0), refinement_levels=6, n_base=32)
+        rep = check_weak_form(
+            data, simulate_ep(data, 5.0 * 1.01), (0.5, 5.0), refinement_levels=6, n_base=32
+        )
         assert rep.passed
         assert rep.series["mass"][-1] < rep.series["mass"][0] or (
             rep.series["mass"][0] == 0.0
@@ -245,14 +256,19 @@ def weak_form_cases():
         yield make_random_instance(rng, n_max=12), (0.5, 3.0)
 
 
+def solutions(data, t_hi):
+    """The oracle trajectory and the formula layer cut at its events, by layer name."""
+    traj = simulate_ep(data, t_hi * 1.01)
+    return {"oracle": traj, "formula": FormulaSolution(data, traj.event_times)}
+
+
 class TestBatchedWeakFormMatchesScalarLoop:
     def test_series_and_verdicts(self):
         for data, window in weak_form_cases():
-            for layer in ("oracle", "formula"):
+            for layer, solution in solutions(data, window[1]).items():
                 want_mass, want_mom, want_passed = scalar_weak_form(data, window, 3, 16, layer)
-                rep = check_weak_form(
-                    data, window, refinement_levels=3, n_base=16, layer=layer
-                )
+                rep = check_weak_form(data, solution, window, refinement_levels=3, n_base=16)
+                assert rep.name == f"weak_form_{layer}"
                 assert rep.passed == want_passed
                 for got, want in zip(rep.series["mass"], want_mass):
                     assert abs(got - want) <= 1e-14
@@ -262,16 +278,16 @@ class TestBatchedWeakFormMatchesScalarLoop:
         # left of every cluster m = 0; far right the support rounds to a point
         for x_center in (-1e6, -1e200, 1e200):
             far = Bump(x_center, 1.0, 5.0, 0.9)
-            for layer in ("oracle", "formula"):
+            for solution in solutions(two_atom_symmetric, 5.8).values():
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     rep = check_weak_form(
                         two_atom_symmetric,
+                        solution,
                         (4.2, 5.8),
                         refinement_levels=2,
                         bumps=[far],
                         n_base=16,
-                        layer=layer,
                     )
                 assert rep.series == {"mass": (0.0, 0.0), "momentum": (0.0, 0.0)}
 
@@ -290,11 +306,11 @@ class TestOleinik:
             with pytest.raises(NonPositiveTime):
                 check_oleinik(single_atom, [t], [(0.5, 1.5)])
             with pytest.raises(NonPositiveTime):
-                check_oleinik(single_atom, [1.0, t], [], layer="oracle")
+                check_oleinik_states(single_atom, simulate_ep(single_atom, 1.01), [1.0, t])
 
     def test_empty_samples_give_the_same_report_on_both_layers(self, two_atom_symmetric):
         rep_f = check_oleinik(two_atom_symmetric, [], [])
-        rep_o = check_oleinik(two_atom_symmetric, [], [], layer="oracle")
+        rep_o = check_oleinik_states(two_atom_symmetric, simulate_ep(two_atom_symmetric, 1.0), [])
         for rep in (rep_f, rep_o):
             assert (rep.levels, rep.series, rep.passed) == (
                 (),
@@ -313,7 +329,7 @@ class TestOleinik:
                 pairs.append((float(a), float(b)))
         rep = check_oleinik(data, ts, pairs)
         assert rep.passed
-        rep_oracle = check_oleinik(data, ts, [], layer="oracle")
+        rep_oracle = check_oleinik_states(data, simulate_ep(data, 2.5 * 1.01), ts)
         assert rep_oracle.passed
 
     def test_one_velocity_per_distinct_point(self, monkeypatch):
@@ -344,7 +360,10 @@ class TestOleinik:
 class TestInitialContinuity:
     def test_single_atom_far_field(self, single_atom):
         rep = check_initial_continuity(
-            single_atom, x_grid=[-3.0, 3.0], t_sequence=[2.0**-k for k in range(1, 21)]
+            single_atom,
+            FormulaSolution(single_atom),
+            x_grid=[-3.0, 3.0],
+            t_sequence=[2.0**-k for k in range(1, 21)],
         )
         assert rep.series["m"][-1] == 0.0
         # q and E converge at first order in t; the far-field prefix is the
@@ -355,7 +374,9 @@ class TestInitialContinuity:
         assert rep.passed
 
     def test_two_atom_midpoint_constant(self, two_atom_symmetric):
-        rep = check_initial_continuity(two_atom_symmetric, x_grid=[0.0])
+        rep = check_initial_continuity(
+            two_atom_symmetric, FormulaSolution(two_atom_symmetric), x_grid=[0.0]
+        )
         assert all(v == 0.0 for v in rep.series["m"])
 
     def test_default_grid_avoids_atoms(self, two_atom_symmetric):
@@ -363,12 +384,110 @@ class TestInitialContinuity:
         assert grid == [-4.0, 0.0, 4.0]
 
     def test_oracle_layer_agrees(self, two_atom_symmetric):
-        rep_f = check_initial_continuity(two_atom_symmetric)
-        rep_o = check_initial_continuity(two_atom_symmetric, layer="oracle")
+        rep_f = check_initial_continuity(two_atom_symmetric, FormulaSolution(two_atom_symmetric))
+        traj = simulate_ep(two_atom_symmetric, 0.5 * 1.01)
+        rep_o = check_initial_continuity(two_atom_symmetric, traj)
         for key in ("m", "q", "E"):
             assert rep_f.series[key][-1] == pytest.approx(
                 rep_o.series[key][-1], abs=1e-10
             )
+
+
+def reference_continuity(data, solution, x_grid, ts, pointwise):
+    """The per-level loops the state reader replaced: the oracle's running
+    sums in cluster order, or the formula layer's pointwise fields."""
+    initial = list(
+        zip(eval_m_grid(data, x_grid, 0.0).tolist(), eval_q(data, x_grid, 0.0), eval_E(data, x_grid, 0.0))
+    )
+    series = {"m": [], "q": [], "E": []}
+    for t in ts:
+        if pointwise:
+            fields = zip(eval_m_grid(data, x_grid, t).tolist(), eval_q(data, x_grid, t), eval_E(data, x_grid, t))
+        else:
+            s = solution.state_at(t)
+            ws, us = s.masses.tolist(), s.velocities.tolist()
+            wu = list(accumulate((w * u for w, u in zip(ws, us)), initial=0.0))
+            wuu = list(accumulate((w * u**2 for w, u in zip(ws, us)), initial=0.0))
+            ks = np.searchsorted(s.positions, x_grid, side="left").tolist()
+            fields = ((m, wu[k], wuu[k]) for m, k in zip(oracle_cdf(s, x_grid).tolist(), ks))
+        errs = [0.0, 0.0, 0.0]
+        for now, then in zip(fields, initial):
+            errs = [max(e, abs(a - b)) for e, a, b in zip(errs, now, then)]
+        for name, e in zip("mqE", errs):
+            series[name].append(e)
+    return {name: tuple(v) for name, v in series.items()}
+
+
+class TestContinuityReadsStates:
+    TS = [2.0**-k for k in range(1, 21)]
+
+    def instances(self):
+        rng = np.random.default_rng(53)
+        yield baseline_instance(100, 0)
+        for _ in range(20):
+            yield make_random_instance(rng, n_max=12)
+
+    def test_oracle_series_equal_the_running_sums_bit_for_bit(self):
+        for data in self.instances():
+            traj = simulate_ep(data, 0.5 * 1.01)
+            grid = default_continuity_grid(data)
+            rep = check_initial_continuity(data, traj)
+            assert rep.series == reference_continuity(data, traj, grid, self.TS, pointwise=False)
+
+    def test_formula_series_match_the_pointwise_fields(self):
+        # m is the same prefix mass; q and E are cluster sums of w u and
+        # w u^2 instead of atom sums, equal up to rounding
+        for data in self.instances():
+            grid = default_continuity_grid(data)
+            rep = check_initial_continuity(data, FormulaSolution(data))
+            want = reference_continuity(data, None, grid, self.TS, pointwise=True)
+            assert rep.series["m"] == want["m"]
+            scale = 1.0 + float(np.sum(data.measure.masses * data.velocities**2))
+            for name in ("q", "E"):
+                assert np.max(np.abs(np.subtract(rep.series[name], want[name]))) <= 1e-14 * scale
+            assert rep.passed == all(
+                all(b <= 1.05 * a + ROUNDOFF_FLOOR for a, b in zip(v[:-1], v[1:])) for v in want.values()
+            )
+
+
+class TestContinuityEdgeCases:
+    def both_layers(self, data):
+        return simulate_ep(data, 1.0), FormulaSolution(data)
+
+    def test_empty_levels_give_the_empty_report_on_every_solution(self, two_atom_symmetric):
+        for solution in self.both_layers(two_atom_symmetric):
+            rep = check_initial_continuity(two_atom_symmetric, solution, t_sequence=[])
+            assert (rep.levels, rep.series, rep.passed) == ((), {"m": (), "q": (), "E": ()}, True)
+
+    def test_negative_or_non_finite_level_raises_on_every_solution(self, two_atom_symmetric):
+        for solution in self.both_layers(two_atom_symmetric):
+            for t in (-1.0, -1e-300, math.nan, math.inf):
+                with pytest.raises(NonPositiveTime):
+                    check_initial_continuity(two_atom_symmetric, solution, t_sequence=[0.5, t])
+
+    def test_time_zero_is_accepted_on_every_solution(self, single_atom):
+        for solution in self.both_layers(single_atom):
+            rep = check_initial_continuity(single_atom, solution, t_sequence=[0.5, 0.0])
+            assert rep.series["m"] == (0.0, 0.0)
+            assert rep.series["q"][1] == 0.0 and rep.series["E"][1] <= 1e-15
+
+
+class TestFormulaSolution:
+    def test_blocks_are_the_snapshots_stacked(self):
+        data = baseline_instance(100, 0)
+        formula = FormulaSolution(data)
+        ts = np.linspace(0.05, 2.0, 120)
+        rows = 0
+        for times, positions, velocities, masses in formula.states_at(ts):
+            assert positions.size <= max(BLOCK_ELEMENTS, masses.size)
+            for j, t in enumerate(times.tolist()):
+                s = formula.state_at(t)
+                assert np.array_equal(s.masses, masses)
+                assert positions[j].tobytes() == s.positions.tobytes()
+                assert velocities[j].tobytes() == s.velocities.tobytes()
+                rows += 1
+        assert rows == ts.size
+        assert formula.event_times == () and formula.layer == "formula"
 
 
 class TestPotentialIdentities:
