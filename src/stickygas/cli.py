@@ -184,8 +184,10 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
+    # `_fmt` by exact type, one dict lookup per cell; numpy scalars and str fall back to it
+    fmt = {float: lambda v: format(v, ".17g"), int: str, bool: lambda v: "true" if v else "false"}.get
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(fmt(type(v), _fmt)(v) for v in row) for row in rows)
     write_atomic(path, "\n".join(lines) + "\n")
 
 

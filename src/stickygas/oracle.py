@@ -2,18 +2,18 @@
 
 Independent brute-force layer used to validate every formula-layer output.
 Clusters follow closed-form trajectories (damped motion under the
-piecewise-constant self-attraction for the gas, straight lines for the
-drift dynamics) and merge conserving mass and momentum when they collide;
-a cluster left touching a new one sticks only if their own root is within
-the event tolerance. A cluster's centred mass mt does not change when others
-merge, so each cluster keeps one closed form from birth to death: a
-trajectory holds one record per cluster that ever lived (at most 2N - 1),
-and collision times come from a lazy heap of certified root bounds,
-bisected on the closed form only at the top. Each merge checks in O(1) the
-new cluster's mass against its atoms', its momentum against the pair's and
-mt_r - mt_l = (m_l + m_r)/2 with both neighbours; the O(C) mass and
-momentum audit over all C live clusters runs at the start, after event
-times 1, 2, 4, 8, ... and at the end.
+piecewise-constant self-attraction for the gas, straight lines for the drift
+dynamics) and merge conserving mass and momentum when they collide; a cluster
+left touching a new one sticks only if their own root is within the event
+tolerance. A cluster's centred mass mt does not change when others merge, so
+each cluster keeps one closed form from birth to death: a trajectory holds one
+record per cluster that ever lived (at most 2N - 1), and collision times come
+from a lazy heap of certified root bounds, bisected on the closed form only at
+the top. The event loop runs on Python scalars and builds the record arrays
+once per run. Each merge checks in O(1) the new cluster's mass against its
+atoms', its momentum against the pair's and mt_r - mt_l = (m_l + m_r)/2 with
+both neighbours; the O(C) mass and momentum audit over all C live clusters
+runs at the start, after event times 1, 2, 4, 8, ... and at the end.
 
 This module deliberately shares nothing with the potential-minimization
 layer except the input data model.
@@ -87,9 +87,12 @@ class _EpDynamics:
         """`advance` on an array of dt, broadcast against the cluster columns."""
         tau = self.tau
         z = dt / tau
-        kept = z <= _EXP_FLUSH
-        A = tau * np.where(kept, -np.expm1(-z), 1.0)
-        decay = np.where(kept, np.exp(-np.minimum(z, _EXP_FLUSH)), 0.0)
+        if z.max(initial=0.0) <= _EXP_FLUSH:  # nothing to flush: the same bits
+            A, decay = tau * -np.expm1(-z), np.exp(-z)
+        else:
+            kept = z <= _EXP_FLUSH
+            A = tau * np.where(kept, -np.expm1(-z), 1.0)
+            decay = np.where(kept, np.exp(-np.minimum(z, _EXP_FLUSH)), 0.0)
         return x + v * A + mt * (tau * A - tau * dt), v * decay - mt * A
 
     def pair_root(self, gap0, dv, dmt):
@@ -255,25 +258,23 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
     """
     n = live.x.size
     n_atoms = int(live.hi[-1]) if n else 0
-    # record n + k is born at merge k; its row is written then
-    rec = _Records(*(np.resize(c, max(2 * n - 1, 1)) for c in live))
-    alive = [True] * n + [False] * (rec.x.size - n)
-    # the live record starting (ending) at each atom index, -1 where none
-    at_lo, at_hi = np.full(n_atoms + 1, -1), np.full(n_atoms + 1, -1)
-    at_lo[live.lo], at_hi[live.hi] = np.arange(n), np.arange(n)
-    prefix = np.zeros(n_atoms + 1)  # atoms lo..hi-1 weigh prefix[hi] - prefix[lo]
-    prefix[live.hi] = np.cumsum(live.mass)
+    # lists while the loop runs: record n + k is appended at merge k, live while its death is inf
+    r_birth, r_death, r_x, r_v, r_mt, r_mass, r_lo, r_hi = rec = [c.tolist() for c in live]
+    # the live record starting (ending) at each atom index, -1 where none, and
+    # the running mass at the atom boundaries: atoms lo..hi-1 weigh prefix[hi] - prefix[lo]
+    at_lo, at_hi, prefix = [-1] * (n_atoms + 1), [-1] * (n_atoms + 1), [0.0] * (n_atoms + 1)
+    for i, (lo, hi, mass) in enumerate(zip(r_lo, r_hi, np.cumsum(live.mass).tolist())):
+        at_lo[lo], at_hi[hi], prefix[hi] = i, i, mass
     events, heap, k = [], [], 0  # k counts event times
 
     def fail(check, t, where, detail):
         raise IdentityViolation(f"{check} failed at event {k}, t={t!r}, {where}: {detail}")
 
     def state(i, t):
-        return dyn.advance(rec.x.item(i), rec.v.item(i), rec.mt.item(i), t - rec.birth.item(i))
+        return dyn.advance(r_x[i], r_v[i], r_mt[i], t - r_birth[i])
 
     def neighbour_pairs(c):
-        left, right = at_hi.item(rec.lo.item(c)), at_lo.item(rec.hi.item(c))
-        return [p for p in ((left, c), (c, right)) if min(p) >= 0]
+        return [p for p in ((at_hi[r_lo[c]], c), (c, at_lo[r_hi[c]])) if min(p) >= 0]
 
     def push(t, a, b, pair, solve=False):
         """Push the pair's root, or its certified bound from time t."""
@@ -287,43 +288,40 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
             heappush(heap, (t + dyn.root_bound(gap, dv, dmt), False, t, a, b, pair))
 
     def form_pair(a, b, states=None):
-        tp = max(rec.birth.item(a), rec.birth.item(b))
+        tp = max(r_birth[a], r_birth[b])
         (xa, va), (xb, vb) = states or (state(a, tp), state(b, tp))
-        push(tp, a, b, (tp, xb - xa, vb - va, rec.mt.item(b) - rec.mt.item(a)))
+        push(tp, a, b, (tp, xb - xa, vb - va, r_mt[b] - r_mt[a]))
 
     def merge(a, b, t):
         """Kill the neighbour records a and b at t, record the event, return the new record."""
         (xa, va), (xb, vb) = state(a, t), state(b, t)
-        (ma, mb), (lo_a, lo_b), (hi_a, hi_b) = (col[[a, b]].tolist() for col in rec[5:])
-        w, mt = ma + mb, rec.mt.item(a) + 0.5 * mb
+        ma, mb, lo_a, hi_a, lo_b, hi_b = r_mass[a], r_mass[b], r_lo[a], r_hi[a], r_lo[b], r_hi[b]
+        w, mt = ma + mb, r_mt[a] + 0.5 * mb
         x = (ma * xa + mb * xb) / w
         v = (ma * va + mb * vb) / w if dyn.kind == "euler_poisson" else -mt
-        c = n + len(events)
+        c = len(r_x)
         for column, value in zip(rec, (t, math.inf, x, v, mt, w, lo_a, hi_b)):
-            column[c] = value
-        rec.death[[a, b]] = t
-        alive[a], alive[b], alive[c] = False, False, True
+            column.append(value)
+        r_death[a] = r_death[b] = t
         at_lo[lo_a], at_lo[lo_b], at_hi[hi_a], at_hi[hi_b] = c, -1, -1, c
         events.append(MergeEvent(t, ((lo_a, hi_a), (lo_b, hi_b)), (lo_a, hi_b), x))
         # the O(1) local checks: the atoms' mass, the pair's momentum, and the
         # neighbour identity of the pair and of c with both of its neighbours
-        where = f"merging [{lo_a}, {hi_a}) and [{lo_b}, {hi_b})"
-        if abs(w - (prefix.item(hi_b) - prefix.item(lo_a))) > tol_mass:
-            fail("local mass check", t, where, f"{w} vs its atoms' {prefix[hi_b] - prefix[lo_a]}")
+        if abs(w - (prefix[hi_b] - prefix[lo_a])) > tol_mass:
+            fail("local mass check", t, f"merging [{lo_a}, {hi_a}) and [{lo_b}, {hi_b})", f"{w} vs its atoms' {prefix[hi_b] - prefix[lo_a]}")
         if abs(w * v - (ma * va + mb * vb)) > tol_q:
-            fail("local momentum check", t, where, f"{w * v} vs {ma * va + mb * vb}")
+            fail("local momentum check", t, f"merging [{lo_a}, {hi_a}) and [{lo_b}, {hi_b})", f"{w * v} vs {ma * va + mb * vb}")
         for l, r in ((a, b), *neighbour_pairs(c)):
-            excess = rec.mt.item(r) - rec.mt.item(l) - 0.5 * (rec.mass.item(l) + rec.mass.item(r))
+            excess = r_mt[r] - r_mt[l] - 0.5 * (r_mass[l] + r_mass[r])
             if abs(excess) > tol_mass:
-                where = f"clusters [{rec.lo[l]}, {rec.hi[l]}) and [{rec.lo[r]}, {rec.hi[r]})"
+                where = f"clusters [{r_lo[l]}, {r_hi[l]}) and [{r_lo[r]}, {r_hi[r]})"
                 fail("local neighbour identity check", t, where, f"mt_r - mt_l - (m_l + m_r)/2 = {excess}")
         return c
 
     def sums(t):
         """Mass and momentum at t, sequential sums over the live records in position order."""
-        ids = at_lo[np.flatnonzero(at_lo >= 0)]
-        _, v = dyn.advance_rows(rec.x[ids], rec.v[ids], rec.mt[ids], t - rec.birth[ids])
-        m = rec.mass[ids]
+        x, v, mt, birth, m = (np.array([c[i] for i in at_lo if i >= 0]) for c in (r_x, r_v, r_mt, r_birth, r_mass))
+        _, v = dyn.advance_rows(x, v, mt, t - birth)
         return float(np.cumsum(m)[-1]), float(np.cumsum(m * v)[-1])
 
     def audit(t):
@@ -347,7 +345,7 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
         due, limit = [], math.inf
         while heap and heap[0][0] <= limit:
             key, is_root, t_key, a, b, pair = heappop(heap)
-            if not (alive[a] and alive[b]):
+            if r_death[a] < math.inf or r_death[b] < math.inf:
                 continue
             if not is_root:
                 push(t, a, b, pair, solve=t_key == t)
@@ -359,25 +357,25 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
             break
         k += 1
         # merge right to left: a pair's right cluster may itself be new
-        due.sort(key=rec.lo.item, reverse=True)
-        born = [merge(a, at_lo.item(rec.hi.item(a)), t_ev) for a in due]
+        due.sort(key=r_lo.__getitem__, reverse=True)
+        born = [merge(a, at_lo[r_hi[a]], t_ev) for a in due]
         # chain merges, leftmost first: a multi-collision can leave a new
         # cluster touching a neighbour, and the pair sticks only if it
         # approaches and its own root is within the event tolerance; a merge
         # changes only its own pairs. Every checked pair holds a cluster born
         # at t_ev, so its states at t_ev are the ones form_pair needs
-        chain = [p for c in born if alive[c] for p in neighbour_pairs(c)]
+        chain = [p for c in born if r_death[c] == math.inf for p in neighbour_pairs(c)]
         held = {}
         while chain:
-            chain.sort(key=lambda p: rec.lo.item(p[0]), reverse=True)
+            chain.sort(key=lambda p: r_lo[p[0]], reverse=True)
             a, b = chain.pop()
-            if alive[a] and alive[b]:
+            if r_death[a] == r_death[b] == math.inf:
                 held[a, b] = state(a, t_ev), state(b, t_ev)
                 (xa, va), (xb, vb) = held[a, b]
                 if vb <= va and xb - xa <= (va - vb) * 1e-11 * (1.0 + t_ev):
                     born.append(merge(a, b, t_ev))
                     chain += neighbour_pairs(born[-1])
-        for a, b in sorted({p for c in born if alive[c] for p in neighbour_pairs(c)}):
+        for a, b in sorted({p for c in born if r_death[c] == math.inf for p in neighbour_pairs(c)}):
             form_pair(a, b, held.get((a, b)))
         t = t_ev
         if len(events) > max(n_atoms - 1, 0):
@@ -386,8 +384,8 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
             audit(t)
     if n:
         audit(t_end)
-    order = np.argsort(rec.lo[: n + len(events)], kind="stable")
-    records = _Records(*(c[order] for c in rec))
+    order = np.argsort(np.array(r_lo, dtype=live.lo.dtype), kind="stable")
+    records = _Records(*(np.array(c, dtype=l.dtype)[order] for c, l in zip(rec, live)))
     return Trajectory(dyn.kind, getattr(dyn, "tau", math.nan), t0, t_end, tuple(events), records)
 
 

@@ -387,6 +387,16 @@ class TestDeterminism:
             for cell in row[:5]:
                 assert float(cell) == float(format(float(cell), ".17g"))
 
+    def test_csv_cells_equal_fmt_for_every_cell_type(self, tmp_path):
+        # the exact-type fast path of write_csv against the isinstance chain of _fmt
+        row = [0.1, -0.0, 1e-300, math.inf, 7, -3, True, False,
+               np.float64(2.5e-17), np.int64(-12), np.bool_(True), np.bool_(False), "a b"]
+        path = tmp_path / "cells.csv"
+        cli.write_csv(str(path), ["c"], [row])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines == ["c", ",".join(cli._fmt(v) for v in row)]
+        assert lines[1] == "0.10000000000000001,-0,1e-300,inf,7,-3,true,false,2.4999999999999999e-17,-12,true,false,a b"
+
 
 class TestToleranceOverride:
     def test_tie_override_lasts_one_call(self, tmp_path):
