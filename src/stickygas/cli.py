@@ -97,9 +97,13 @@ class RunConfig:
         times = raw.get("times", [1.0])
         if not isinstance(times, list) or not times:
             raise ConfigError("times must be a nonempty list")
+        tags = {}
         for t in times:
             if not (_finite(t) and t >= 0.0):
                 raise ConfigError("times must be nonnegative numbers (t=0 emits initial data)")
+            tag = _time_tag(t)  # names the output files: distinct times need distinct tags
+            if tags.setdefault(tag, t) != t:
+                raise ConfigError(f"times {tags[tag]!r} and {t!r} share the file tag t{tag}")
         grid = raw.get("x_grid", {"min": -10.0, "max": 10.0, "count": 101})
         if not isinstance(grid, dict) or set(grid) != _GRID_KEYS:
             raise ConfigError(f"x_grid must be an object with keys {sorted(_GRID_KEYS)}")

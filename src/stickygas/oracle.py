@@ -3,17 +3,17 @@
 Independent brute-force layer used to validate every formula-layer output.
 Clusters follow closed-form trajectories (damped motion under the
 piecewise-constant self-attraction for the gas, straight lines for the drift
-dynamics) and merge conserving mass and momentum when they collide; a cluster
-left touching a new one sticks only if their own root is within the event
-tolerance. A cluster's centred mass mt does not change when others merge, so
-each cluster keeps one closed form from birth to death: a trajectory holds one
-record per cluster that ever lived (at most 2N - 1), and collision times come
-from a lazy heap of certified root bounds, bisected on the closed form only at
-the top. The event loop runs on Python scalars and builds the record arrays
-once per run. Each merge checks in O(1) the new cluster's mass against its
-atoms', its momentum against the pair's and mt_r - mt_l = (m_l + m_r)/2 with
-both neighbours; the O(C) mass and momentum audit over all C live clusters
-runs at the start, after event times 1, 2, 4, 8, ... and at the end.
+dynamics) and merge conserving mass and momentum when they collide. One rule:
+each neighbour pair, touching ones too, merges at its own root, and the roots
+within 1e-11*(1 + t) of the first, t, merge at t. A cluster's centred mass mt
+does not change when others merge, so each cluster keeps one closed form from
+birth to death: a trajectory holds one record per cluster that ever lived (at
+most 2N - 1), and collision times come from a lazy heap of certified root
+bounds, bisected on the closed form only at the top. The event loop runs on
+Python scalars; the record arrays are built once per run. Each merge checks in
+O(1) the new cluster's mass against its atoms', its momentum against the pair's
+and mt_r - mt_l = (m_l + m_r)/2 with both neighbours; the O(C) audit of mass
+and momentum runs at t0, after event times 1, 2, 4, 8, ... and at t_end.
 
 This module deliberately shares nothing with the potential-minimization
 layer except the input data model.
@@ -287,9 +287,9 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
             gap, dv = dyn.advance(gap0, dv0, dmt, t - tp)
             heappush(heap, (t + dyn.root_bound(gap, dv, dmt), False, t, a, b, pair))
 
-    def form_pair(a, b, states=None):
+    def form_pair(a, b):
         tp = max(r_birth[a], r_birth[b])
-        (xa, va), (xb, vb) = states or (state(a, tp), state(b, tp))
+        (xa, va), (xb, vb) = state(a, tp), state(b, tp)
         push(tp, a, b, (tp, xb - xa, vb - va, r_mt[b] - r_mt[a]))
 
     def merge(a, b, t):
@@ -359,24 +359,9 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
         # merge right to left: a pair's right cluster may itself be new
         due.sort(key=r_lo.__getitem__, reverse=True)
         born = [merge(a, at_lo[r_hi[a]], t_ev) for a in due]
-        # chain merges, leftmost first: a multi-collision can leave a new
-        # cluster touching a neighbour, and the pair sticks only if it
-        # approaches and its own root is within the event tolerance; a merge
-        # changes only its own pairs. Every checked pair holds a cluster born
-        # at t_ev, so its states at t_ev are the ones form_pair needs
-        chain = [p for c in born if r_death[c] == math.inf for p in neighbour_pairs(c)]
-        held = {}
-        while chain:
-            chain.sort(key=lambda p: r_lo[p[0]], reverse=True)
-            a, b = chain.pop()
-            if r_death[a] == r_death[b] == math.inf:
-                held[a, b] = state(a, t_ev), state(b, t_ev)
-                (xa, va), (xb, vb) = held[a, b]
-                if vb <= va and xb - xa <= (va - vb) * 1e-11 * (1.0 + t_ev):
-                    born.append(merge(a, b, t_ev))
-                    chain += neighbour_pairs(born[-1])
+        # a new cluster's pairs, touching ones too (bound -inf), merge at their own roots
         for a, b in sorted({p for c in born if r_death[c] == math.inf for p in neighbour_pairs(c)}):
-            form_pair(a, b, held.get((a, b)))
+            form_pair(a, b)
         t = t_ev
         if len(events) > max(n_atoms - 1, 0):
             raise EventHorizonExceeded("more merge events than atoms minus one")

@@ -194,6 +194,8 @@ class PrefixFrame:
         The one tie rule. Scans all N+1 prefixes: the dense reference for
         ``argmin_grid``.
         """
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x!r}")
         T = self.S - x * self.P
         k0 = int(np.argmin(T))
         nu = float(T[k0])
@@ -217,6 +219,8 @@ class PrefixFrame:
         O(N + G) memory.
         """
         xs = np.asarray(xs, dtype=float)
+        if not np.isfinite(xs).all():
+            raise ValueError(f"x must be finite, got {float(xs[~np.isfinite(xs)][0])!r}")
         lo, _, pos, _ = self.clusters()
         P, S = self.P, self.S
         verts = np.append(lo, P.size - 1)

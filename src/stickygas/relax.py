@@ -15,7 +15,7 @@ import numpy as np
 
 from .drift import drift_cluster_snapshot, eval_mbar_grid
 from .errors import TauOutOfRange
-from .euler_poisson import _frame, _velocity_from_frame
+from .euler_poisson import _frame, _initial_fields, _velocity_from_frame
 from .measure import ClusterState, InitialData
 from .potentials import PotentialCoefficients, minimize_Fbar
 
@@ -42,14 +42,18 @@ def _check_tau(tau: float):
 
 
 def _scaled_frame(data: InitialData, t: float, tau: float):
-    """(scaled data, prefix frame) of the slow-time-scaled solution at slow time t."""
-    _check_tau(tau)
+    """(scaled data, prefix frame) of the scaled solution at slow time t; callers check tau."""
     scaled = data.with_tau(tau)
     return scaled, _frame(scaled, None, coeffs=PotentialCoefficients.scaled(tau, t))
 
 
 def eval_scaled(data: InitialData, x: float, t: float, tau: float):
-    """(m_tau, u_tau, q_tau/tau) of the slow-time-scaled solution at (x, t)."""
+    """(m_tau, u_tau, q_tau/tau) of the slow-time-scaled solution at (x, t);
+    at t = 0, the initial data's (m0, u0/tau, q0/tau)."""
+    _check_tau(tau)
+    if t == 0.0:
+        m, q, u = (f.tolist() for f in _initial_fields(data, x, "mqu"))
+        return m, u / tau, q / tau
     scaled, frame = _scaled_frame(data, t, tau)
     _, k_min, k_max = frame.argmin(x)
     u, _ = _velocity_from_frame(frame, scaled, x, k_min, k_max)
@@ -61,8 +65,8 @@ def scaled_cluster_snapshot(data: InitialData, t: float, tau: float) -> ClusterS
 
     At t = 0 the clusters are the atoms.
     """
+    _check_tau(tau)
     if t == 0.0:
-        _check_tau(tau)
         return ClusterState.from_atoms(t, data.measure, data.velocities / tau)
     _, frame = _scaled_frame(data, t, tau)
     return frame.cluster_state(t, frame.clusters()[3] / tau)

@@ -223,6 +223,8 @@ def check_weak_form(
     t_lo, t_hi = t_window
     if not 0.0 < t_lo < t_hi:
         raise ValueError("time window must satisfy 0 < t_lo < t_hi")
+    if refinement_levels < 2:
+        raise ValueError(f"refinement_levels must be >= 2, got {refinement_levels}")
     if bumps is None:
         bumps = default_bump_family(data, t_window)
     for bump in bumps:

@@ -94,6 +94,22 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_distinct_times_sharing_a_file_tag_exit_2(self, tmp_path, capsys, command):
+        # %g keeps six digits: both times would write *_t0.123457.csv
+        cfg = dict(TWO_ATOM, times=[0.1234567, 0.1234568])
+        code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "0.1234567" in err and "0.1234568" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_repeated_times_still_allowed(self, tmp_path):
+        cfg = dict(TWO_ATOM, times=[1.0, 1, 0.5, 1.0])
+        code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["solution_t0.5.csv", "solution_t1.csv"]
+
 
 class TestSolve:
     def test_mass_column_steps(self, tmp_path):

@@ -1,15 +1,19 @@
 """Layer boundary: the oracle and the formula layer share only the data model.
 
 The import scans read each module's source with ``ast``; nothing is
-imported. The ``__all__`` check imports the package.
+imported. The ``__all__`` check imports the package, and the check of
+perfbench's traced names reads its sources with ``ast`` and imports only the
+package.
 """
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stickygas"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 FORMULA_MODULES = ("potentials", "euler_poisson", "drift", "relax")
 
 
@@ -185,3 +189,44 @@ def test_error_scan_sees_leaves_and_raises():
     leaves = leaf_errors()
     assert "NonPositiveTime" in leaves and "NumericError" not in leaves
     assert {"NonPositiveTime", "ValueError"} <= raised_names()
+
+
+def literal_assignment(path: Path, name: str):
+    """The literal value of the top-level assignment ``name = ...`` in ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def exercised_lists(path: Path) -> list:
+    """The literal ``exercised=`` argument of every call in ``path``."""
+    return [
+        ast.literal_eval(kw.value)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg == "exercised"
+    ]
+
+
+def test_perfbench_traced_names_resolve():
+    # the tracer names a function's span module.__name__ after the function's
+    # own __module__, and wraps each METHODS entry from its class's __dict__:
+    # a rename or an alias here would leave a traced name without calls
+    methods = literal_assignment(PERFBENCH / "tracing.py", "METHODS")
+    entry_points = literal_assignment(PERFBENCH / "tracing.py", "ENTRY_POINTS")
+    exercised = exercised_lists(PERFBENCH / "workloads.py")
+    for module, cls_name, method, _ in methods:
+        cls = getattr(importlib.import_module(f"stickygas.{module}"), cls_name)
+        assert method in vars(cls), f"{module}.{cls_name}.{method}"
+    spans = {span for *_, span in methods}
+    names = set(entry_points).union(*exercised) - spans
+    for name in sorted(names):
+        module, func = name.split(".")
+        obj = getattr(importlib.import_module(f"stickygas.{module}"), func, None)
+        assert inspect.isfunction(obj) and not func.startswith("_"), name
+        assert (obj.__module__, obj.__name__) == (f"stickygas.{module}", func), name
+    # the scan read both files: every workload lists names, and every span
+    # of a method is an entry point too
+    assert exercised and all(exercised) and spans <= set(entry_points) and len(names) > len(spans)

@@ -490,27 +490,10 @@ def array_loop_simulate(x, m, v, lo, hi, t0, t_end, dyn):
         # the merges write in place; the stored states keep their arrays
         m, v, lo, hi = m.copy(), v.copy(), lo.copy(), hi.copy()
         keep = np.ones(x.size, dtype=bool)
-        first = len(events)
         for i in reversed(due):
             _merge_pair(x, m, v, lo, hi, i, t_ev, events)
             keep[i + 1] = False
         x, m, v, lo, hi = x[keep], m[keep], v[keep], lo[keep], hi[keep]
-        # chain merges: a multi-collision can leave a new cluster touching a
-        # neighbour, and the pair sticks if it approaches and its own root is
-        # within the event tolerance; a live cluster was born at this event
-        # iff an event here produced its lo
-        while x.size > 1:
-            born = np.isin(lo, [e.result[0] for e in events[first:]])
-            touching = np.flatnonzero(
-                (born[:-1] | born[1:])
-                & (np.diff(v) <= 0.0)
-                & (np.diff(x) <= -np.diff(v) * 1e-11 * (1.0 + t_ev))
-            )
-            if not touching.size:
-                break
-            i = int(touching[0])
-            _merge_pair(x, m, v, lo, hi, i, t_ev, events)
-            x, m, v, lo, hi = (np.delete(a, i + 1) for a in (x, m, v, lo, hi))
         if dyn.kind == "drift":
             v = -_mtilde(m, sum(m.tolist()))
         t = t_ev
@@ -625,8 +608,8 @@ def _ref_merge(clusters, i, t_ev, events):
     )
 
 
-def reference_simulate(clusters, t_end, dyn, stats):
-    """(states, events) of the all-pairs loop; stats counts its calls."""
+def reference_simulate(clusters, t_end, dyn):
+    """(states, events) of the all-pairs loop."""
     clusters = list(clusters)
     states = [RefState(0.0, tuple(clusters))]
     events = []
@@ -643,26 +626,8 @@ def reference_simulate(clusters, t_end, dyn, stats):
         tol_event = 1e-11 * (1.0 + t_ev)
         clusters = _ref_advance(clusters, mts, dyn, t_ev - t)
         due = [i for i, r in enumerate(roots) if r <= t_ev + tol_event]
-        first = len(events)
         for i in reversed(due):
             _ref_merge(clusters, i, t_ev, events)
-        # chain merges: only a pair next to a cluster born at this event
-        # can touch, and it sticks if it approaches and its own root is
-        # within the event tolerance
-        changed = True
-        while changed:
-            changed = False
-            born = {e.result for e in events[first:]}
-            for i in range(len(clusters) - 1):
-                a, b = clusters[i], clusters[i + 1]
-                if (a.lo, a.hi) not in born and (b.lo, b.hi) not in born:
-                    continue
-                closing = a.velocity - b.velocity
-                if closing >= 0.0 and b.position - a.position <= closing * 1e-11 * (1.0 + t_ev):
-                    _ref_merge(clusters, i, t_ev, events)
-                    stats["chain_merges"] += 1
-                    changed = True
-                    break
         if dyn.kind == "drift":
             clusters = [
                 RefCluster(c.position, c.mass, -mt, c.lo, c.hi)
@@ -688,11 +653,11 @@ def reference_state_at(states, dyn, t):
 def assert_matches_reference(data, t_end, times=()):
     """The array event loop against the all-pairs loop, for both dynamics.
 
-    Returns the chain-merge count and the events of each kind.
+    Returns the event count of each kind.
     """
-    stats = {"chain_merges": 0}
+    stats = {}
     for _, atoms, dyn, loop_states, loop_events in reference_runs(data, t_end):
-        states, events = reference_simulate(atoms, t_end, dyn, stats)
+        states, events = reference_simulate(atoms, t_end, dyn)
         assert repr(loop_events) == repr(events)
         assert len(loop_states) == len(states)
         for state, ref in zip(loop_states, states):
@@ -708,8 +673,9 @@ def assert_matches_reference(data, t_end, times=()):
 def _chain_case(mu, tau, delta):
     """Heavy atoms at -1 and 1 hit light atoms at -h and h at the same time T.
 
-    The light pair's own root is T + delta: too late to be due at T, but
-    their gap at T is below the chain-merge threshold.
+    The light pair's own root is T + delta: too late to be due at T. The
+    two struck clusters are left touching at T and merge at their own root,
+    within 1e-12 after T.
     """
     h = 0.0
     for _ in range(20):
@@ -761,8 +727,8 @@ def _struck_pair_case(x, sides, tau):
     1e-8 away on the given sides (-1 left, +1 right) moving at them at unit speed.
 
     The pair's own root is about 1e-7 away, so it is not due when struck at
-    about 1e-8; the struck cluster then touches the other atom of the pair
-    and approaches it, a chain merge.
+    about 1e-8. The struck cluster is left touching the other atom of the
+    pair and merges with it at their own root, within 1e-12 after the strike.
     """
     pair = [x, x + 1e-14 * abs(x)]
     pos, vel = list(pair), [0.0, 0.0]
@@ -773,8 +739,30 @@ def _struck_pair_case(x, sides, tau):
     return InitialData.from_atoms(pos, [1.0] * len(pos), vel, tau)
 
 
+STRUCK_PAIRS = [(-3.7, (-1,), 1.0), (2.2, (1,), 0.5), (8.9, (-1, 1), 0.1)]
+
+
+def assert_struck_pair_merges_at_its_own_root(data, t_end):
+    """The merge after the first event time T is an event of its own, at a
+    time in (T, T + 1e-11*(1 + T)], that leaves one cluster.
+
+    Between the two, the oracle and the formula layer's hull both show the
+    two clusters apart. Returns T.
+    """
+    traj = simulate_ep(data, t_end)
+    T = traj.events[0].time
+    later = [e for e in traj.events if e.time > T]
+    assert later and later[0].time <= T + 1e-11 * (1.0 + T)
+    assert later[0].result == (0, len(data))
+    mid = 0.5 * (T + later[0].time)
+    apart = [0, later[0].merged[1][0]]
+    assert traj.state_at(mid).lo.tolist() == cluster_snapshot(data, mid).lo.tolist() == apart
+    assert len(traj.state_at(t_end).positions) == 1
+    return T
+
+
 def _touching_pairs_case():
-    """Seven atoms in three groups, each within the chain-merge tolerance.
+    """Seven atoms in three groups, 1e-14 to 1e-12 apart.
 
     At -1, atoms 0 and 1 approach and merge at about 2.6e-14; atom 2 then
     touches the new cluster but separates from it. At 1, atoms 3 and 4
@@ -802,9 +790,9 @@ def near_duplicate_cases():
         )
         yield data, 6.0, [1e-9, 0.5, 3.0]
     # drawn near-duplicates approach fast enough to be due at once, so these
-    # cover chain merges of near-duplicate atoms
-    for x, sides, tau in [(-3.7, (-1,), 1.0), (2.2, (1,), 0.5), (8.9, (-1, 1), 0.1)]:
-        yield _struck_pair_case(x, sides, tau), 6.0, [1e-9, 0.5, 3.0]
+    # cover a near-duplicate pair that a strike leaves touching
+    for case in STRUCK_PAIRS:
+        yield _struck_pair_case(*case), 6.0, [1e-9, 0.5, 3.0]
     yield _touching_pairs_case(), 1.0, [1e-12, 5e-11, 1e-9]
 
 
@@ -846,17 +834,18 @@ class TestAgainstAllPairsReference:
 
     @pytest.mark.parametrize("mu, tau, delta", CHAIN_PARAMETERS)
     def test_symmetric_multi_collision_reaches_chain_merges(self, mu, tau, delta):
+        # both strikes are one event at T, and the struck clusters merge next
         data, T = _chain_case(mu, tau, delta)
-        stats = assert_matches_reference(data, 2.0 * T + 1.0, [T, 2.0 * T])
-        assert stats["chain_merges"] >= 1
-        final = simulate_ep(data, 2.0 * T + 1.0).state_at(2.0 * T + 1.0)
-        assert len(final.positions) == 1
+        assert_matches_reference(data, 2.0 * T + 1.0, [T, 2.0 * T])
+        strike = assert_struck_pair_merges_at_its_own_root(data, 2.0 * T + 1.0)
+        assert abs(strike - T) <= 1e-11 * (1.0 + T)
+        assert [e.time for e in simulate_ep(data, 2.0 * T + 1.0).events[:2]] == [strike, strike]
 
     def test_near_duplicate_atoms(self):
-        chains = 0
         for data, t_end, times in near_duplicate_cases():
-            chains += assert_matches_reference(data, t_end, times)["chain_merges"]
-        assert chains > 0
+            assert_matches_reference(data, t_end, times)
+        for case in STRUCK_PAIRS:
+            assert_struck_pair_merges_at_its_own_root(_struck_pair_case(*case), 6.0)
 
     def test_masses_across_twelve_decades(self):
         for data, t_end, times in twelve_decade_cases():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import isotonic_regression
 
-from stickygas import potentials
+from stickygas import drift, euler_poisson, potentials
 from stickygas.errors import BadConstantK, EmptyMeasure, NonPositiveTime
 from stickygas.instances import random_instance
 from stickygas.measure import AtomicMeasure, InitialData
@@ -107,6 +107,22 @@ class TestMinimizeF:
         d = InitialData.from_atoms([], [], [], 1.0)
         with pytest.raises(EmptyMeasure):
             minimize_F(d, 0.0, 1.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_x_rejected_at_every_entry_point(self, two_atom_symmetric, x):
+        # a NaN x used to leave no tie (IndexError), an infinite one to
+        # multiply inf by the empty prefix's zero mass (RuntimeWarning)
+        d = two_atom_symmetric
+        calls = [
+            lambda: euler_poisson.eval_m(d, x, 1.0),
+            lambda: euler_poisson.eval_m_grid(d, np.array([0.0, x]), 1.0),
+            lambda: euler_poisson.sample(d, x, 1.0),
+            lambda: drift.eval_mbar(d.measure, x, 1.0),
+            lambda: minimize_F(d, x, 1.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"x must be finite, got {x!r}"):
+                call()
 
 
 class TestInitialSpeed:

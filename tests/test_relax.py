@@ -66,6 +66,23 @@ class TestEvalScaled:
             with pytest.raises(TauOutOfRange):
                 eval_scaled(two_atom_symmetric, 0.0, 1.0, bad)
 
+    def test_time_zero_gives_the_initial_data(self):
+        # (m0, u0/tau, q0/tau), as scaled_cluster_snapshot gives the atoms at t = 0
+        data = InitialData.from_atoms([-1.0, 0.5, 2.0], [0.5, 0.8, 0.3], [0.4, -0.6, 0.1], 1.0)
+        tau = 0.25
+        snap = scaled_cluster_snapshot(data, 0.0, tau)
+        # m and q count the atoms strictly left of x; u is the atom's at an
+        # atom and 0 between and beyond them
+        at_atoms = zip(snap.positions.tolist(), snap.velocities.tolist(), (0.0, 0.5, 1.3), (0.0, 0.2, -0.28))
+        between = [(-0.3, 0.0, 0.5, 0.2), (1.0, 0.0, 1.3, -0.28), (2.5, 0.0, 1.6, -0.25)]
+        for x, u, m, q in [*at_atoms, *between]:
+            m_tau, u_tau, q_tau = eval_scaled(data, x, 0.0, tau)
+            assert (m_tau, u_tau) == (pytest.approx(m, rel=1e-15), u)
+            assert q_tau == pytest.approx(q / tau, rel=1e-14)
+        for bad in (0.0, 1.5):
+            with pytest.raises(TauOutOfRange):
+                eval_scaled(data, -0.3, 0.0, bad)
+
     def test_scaled_solution_is_entropy_solution(self):
         # at any fixed tau the scaled fields are the gas solution at t/tau:
         # they must match the sticky oracle run with that relaxation time

@@ -94,6 +94,14 @@ class TestWeakForm:
         assert all(v == 0.0 for v in rep.series["mass"])
         assert all(v == 0.0 for v in rep.series["momentum"])
 
+    @pytest.mark.parametrize("levels", [0, 1])
+    def test_rejects_fewer_than_two_levels(self, single_atom, levels):
+        # no level used to raise IndexError, and one level passed every
+        # solution: a single level has no decay factor, which read as inf
+        traj = simulate_ep(single_atom, 2.5 * 1.01)
+        with pytest.raises(ValueError, match="refinement_levels"):
+            check_weak_form(single_atom, traj, (0.5, 2.5), refinement_levels=levels, n_base=16)
+
     def test_rejects_bump_reaching_t_zero(self, single_atom):
         with pytest.raises(ValueError):
             check_weak_form(
