@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import IdentityViolation
 from .measure import AtomicMeasure, ClusterState
-from .potentials import PotentialCoefficients, PrefixFrame
+from .potentials import PotentialCoefficients, PrefixFrame, _finite_points
 
 __all__ = [
     "DriftBranch",
@@ -48,20 +48,28 @@ def _drift_frame(measure, t):
     return PrefixFrame(measure, None, PotentialCoefficients.drift(t))
 
 
-def _drift_point(measure, x, t) -> DriftSample:
-    """All drift fields at a scalar x, from one frame.
+def _drift_ranges(measure, xs, t):
+    """(k_min, k_max) arrays: the drift argmin range at each point of a grid.
 
-    k_min..k_max is the argmin range; at t = 0 the atoms have not moved,
-    so k_min counts the atoms left of x and k_max those at or left of x.
+    At t > 0 one frame and one ``argmin_grid`` lookup; at t = 0 the atoms
+    have not moved, so k_min counts the atoms left of x and k_max those at
+    or left of x.
+    """
+    if t == 0.0:
+        xs, pos = _finite_points(xs), measure.positions
+        return pos.searchsorted(xs, "left"), pos.searchsorted(xs, "right")
+    _, k_min, k_max = _drift_frame(measure, t).argmin_grid(xs)
+    return k_min, k_max
+
+
+def _drift_point(measure, x, t) -> DriftSample:
+    """All drift fields at a scalar x, a one-point grid.
+
     The momentum is the prefix sum of -mtilde0, which telescopes to
     -mbar^2/2 + M*mbar/2; a violation beyond roundoff signals a
     prefix-side bug.
     """
-    if t == 0.0:
-        pos = measure.positions
-        k_min, k_max = int(pos.searchsorted(x, "left")), int(pos.searchsorted(x, "right"))
-    else:
-        _, k_min, k_max = _drift_frame(measure, t).argmin(x)
+    k_min, k_max = (int(k[0]) for k in _drift_ranges(measure, [x], t))
     P, M = measure.prefix_mass, measure.total_mass
     mbar = float(P[k_min])
     q = float(-np.sum(measure.masses[:k_min] * measure.atom_mtilde()[:k_min]))
@@ -81,12 +89,7 @@ def eval_mbar(measure: AtomicMeasure, x: float, t: float) -> float:
 
 
 def eval_mbar_grid(measure: AtomicMeasure, xs, t: float):
-    xs = np.asarray(xs, dtype=float)
-    if t == 0.0:
-        return measure.prefix_mass[np.searchsorted(measure.positions, xs, side="left")]
-    frame = _drift_frame(measure, t)
-    _, k_min, _ = frame.argmin_grid(xs)
-    return frame.P[k_min]
+    return measure.prefix_mass[_drift_ranges(measure, xs, t)[0]]
 
 
 def eval_qbar(measure: AtomicMeasure, x: float, t: float) -> float:

@@ -16,11 +16,14 @@ is the position of the cluster that holds the atom, and ``trace_shock``
 follows a cluster, or a backward characteristic clamped between the two
 clusters around it.
 
-``sample``, ``eval_q``, ``eval_u`` and ``eval_E`` take a scalar x or a 1-d
-grid of x. A scalar x runs the dense prefix argmin; a grid returns the
-per-point results in grid order, from one frame, one hull lookup
-(``PrefixFrame.argmin_grid``) and one per-atom energy term array, and
-equals the scalar calls point by point.
+``eval_m``, ``eval_q``, ``eval_u``, ``eval_E``, ``sample`` and
+``eval_m_grid`` are projections of one routine, ``_fields``. At t = 0 it
+reads the initial data with one searchsorted; at t > 0 it builds one frame
+and reads every point's prefix range from one hull lookup
+(``PrefixFrame.argmin_grid``). A scalar x is a one-point grid, and a 1-d
+grid returns the per-point results in grid order, equal to the scalar
+calls point by point. The dense ``PrefixFrame.argmin`` scan runs only in
+the lookup's tie window and in ``eval_nu_theta_omega``, which reports nu.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from .errors import NonPositiveTime
 from .measure import BLOCK_ELEMENTS, ClusterState, InitialData
-from .potentials import PotentialCoefficients, PrefixFrame
+from .potentials import PotentialCoefficients, PrefixFrame, _finite_points
 
 __all__ = [
     "Branch",
@@ -95,22 +98,86 @@ def speed_bound(data: InitialData) -> float:
     return data.max_speed + 0.5 * data.tau * data.measure.total_mass
 
 
-def _frame(data, t, coeffs=None):
-    if coeffs is None:
-        coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
-    return PrefixFrame(data.measure, data.velocities, coeffs)
+def _frame(data, t, weights=PotentialCoefficients.euler_poisson):
+    """Prefix frame of ``data`` at t, with coefficients ``weights(data.tau, t)``."""
+    return PrefixFrame(data.measure, data.velocities, weights(data.tau, t))
+
+
+def _range_at(frame, x):
+    """(k_min, k_max) at a scalar x: ``argmin_grid`` on a one-point grid."""
+    _, k_min, k_max = frame.argmin_grid([x])
+    return int(k_min[0]), int(k_max[0])
 
 
 # -- pointwise fields --------------------------------------------------------
 
 
+def _fields(data, x, t, names, weights=PotentialCoefficients.euler_poisson):
+    """The fields named in ``names`` at a scalar x or a 1-d grid of x, in
+    that order: "m" mass, "q" momentum, "u" (velocity, branch) pairs, "E"
+    energy, "s" a ``SolutionSample``.
+
+    A grid gives one list per field in grid order; a scalar x is a
+    one-point grid and gives one value per field. At t = 0 one
+    searchsorted reads the initial data: m is the prefix mass strictly
+    left of x, q and E are sequential prefix sums of the per-atom terms
+    over the same atoms, and u is the atom's velocity on an exact atom
+    hit, else 0.0. At t > 0 one frame (coefficients ``weights(data.tau,
+    t)``) and one ``argmin_grid`` lookup give every point's prefix range.
+    Only the requested fields are built, so an m query does no branch
+    analysis.
+    """
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"x must be a scalar or a 1-d grid, got shape {xs.shape}")
+    grid = xs.ndim == 1
+    xs = np.atleast_1d(xs)
+    if t == 0.0:
+        measure, u0 = data.measure, data.velocities
+        pos = measure.positions
+        k = np.searchsorted(pos, _finite_points(xs), side="left")
+
+        def prefix(terms):
+            return np.concatenate(([0.0], np.cumsum(terms)))[k].tolist()
+
+        def velocities():
+            on_atom = np.append(pos, np.nan)[k] == xs
+            us = np.where(on_atom, np.append(u0, 0.0)[k], 0.0).tolist()
+            return [(u, Branch.CHARACTERISTIC) for u in us]
+
+        time = 0.0
+        build = {
+            "m": lambda: measure.prefix_mass[k].tolist(),
+            "q": lambda: prefix(measure.masses * u0),
+            "u": velocities,
+            "E": lambda: prefix(measure.masses * u0 * u0),
+        }
+    else:
+        frame = _frame(data, t, weights)
+        _, k_min, k_max = frame.argmin_grid(xs)
+
+        def velocities():
+            ranges = zip(xs.tolist(), k_min.tolist(), k_max.tolist())
+            return [_velocity_from_frame(frame, data, *r) for r in ranges]
+
+        time = t
+        build = {
+            "m": lambda: frame.P[k_min].tolist(),
+            "q": lambda: frame.Q[k_min].tolist(),
+            "u": velocities,
+            "E": lambda: _energies(frame, k_min),
+        }
+    build["s"] = lambda: [
+        SolutionSample(v, time, m, q, u, E, branch)
+        for v, m, q, (u, branch), E in zip(xs.tolist(), *(build[n]() for n in "mquE"))
+    ]
+    columns = [build[name]() for name in names]
+    return columns if grid else [column[0] for column in columns]
+
+
 def eval_m(data: InitialData, x: float, t: float) -> float:
     """Cumulative mass strictly left of x: left-continuous, nondecreasing."""
-    if t == 0.0:
-        return _initial_fields(data, x, "m")[0].tolist()
-    frame = _frame(data, t)
-    _, k_min, _ = frame.argmin(x)
-    return float(frame.P[k_min])
+    return _fields(data, x, t, "m")[0]
 
 
 def eval_q(data: InitialData, x, t: float):
@@ -118,11 +185,7 @@ def eval_q(data: InitialData, x, t: float):
 
     For a 1-d grid x, a list of momenta in grid order.
     """
-    if t == 0.0:
-        return _initial_fields(data, x, "q")[0].tolist()
-    frame, _, k_min, _ = _ranges(data, x, t)
-    qs = frame.Q[k_min].tolist()
-    return qs if _is_grid(x) else qs[0]
+    return _fields(data, x, t, "q")[0]
 
 
 def _backward_cone(frame, data, x, k_min):
@@ -181,47 +244,6 @@ def _velocity_from_frame(frame, data, x, k_min, k_max):
     return float(u), Branch.CHARACTERISTIC
 
 
-def _is_grid(x) -> bool:
-    return np.ndim(x) == 1
-
-
-def _initial_fields(data, x, names):
-    """The initial-data fields named in ``names`` ("m", "q", "u", "E"), in
-    that order, at a scalar x or a 1-d grid of x.
-
-    One searchsorted: m is the prefix mass strictly left of x, q and E are
-    sequential prefix sums of the per-atom terms over the same atoms, and
-    u is the atom's velocity on an exact atom hit, else 0.0. Only the
-    requested fields are built, so an m query stays a binary search.
-    Numpy values; ``tolist()`` gives a float for a scalar x and a list for
-    a grid.
-    """
-    m, u0 = data.measure, data.velocities
-    k = np.searchsorted(m.positions, x, side="left")
-    fields = []
-    for name in names:
-        if name == "m":
-            fields.append(m.prefix_mass[k])
-        elif name == "u":
-            on_atom = np.append(m.positions, np.nan)[k] == x
-            fields.append(np.where(on_atom, np.append(u0, 0.0)[k], 0.0))
-        else:
-            terms = m.masses * u0 * (u0 if name == "E" else 1.0)
-            fields.append(np.concatenate(([0.0], np.cumsum(terms)))[k])
-    return fields
-
-
-def _ranges(data, x, t):
-    """(frame, xs, k_min, k_max) lists: dense argmin for a scalar, lookup for a grid."""
-    frame = _frame(data, t)
-    if _is_grid(x):
-        xs = np.asarray(x, dtype=float)
-        _, k_min, k_max = frame.argmin_grid(xs)
-        return frame, xs.tolist(), k_min.tolist(), k_max.tolist()
-    _, k_min, k_max = frame.argmin(x)
-    return frame, [x], [k_min], [k_max]
-
-
 def eval_u(data: InitialData, x, t: float):
     """Velocity at (x, t) and the branch that produced it.
 
@@ -232,14 +254,7 @@ def eval_u(data: InitialData, x, t: float):
     support (at clusters) the value is the physical cluster velocity.
     For a 1-d grid x, a list of (u, branch) pairs in grid order.
     """
-    if t == 0.0:
-        us = _initial_fields(data, x, "u")[0].tolist()
-        if _is_grid(x):
-            return [(u, Branch.CHARACTERISTIC) for u in us]
-        return us, Branch.CHARACTERISTIC
-    frame, xs, k_min, k_max = _ranges(data, x, t)
-    us = [_velocity_from_frame(frame, data, *r) for r in zip(xs, k_min, k_max)]
-    return us if _is_grid(x) else us[0]
+    return _fields(data, x, t, "u")[0]
 
 
 def _energies(frame, k_mins) -> list:
@@ -257,11 +272,7 @@ def eval_E(data: InitialData, x, t: float):
 
     For a 1-d grid x, a list of energies in grid order.
     """
-    if t == 0.0:
-        return _initial_fields(data, x, "E")[0].tolist()
-    frame, _, k_min, _ = _ranges(data, x, t)
-    energies = _energies(frame, k_min)
-    return energies if _is_grid(x) else energies[0]
+    return _fields(data, x, t, "E")[0]
 
 
 def eval_nu_theta_omega(data: InitialData, x: float, t: float):
@@ -290,21 +301,7 @@ def eval_nu_theta_omega(data: InitialData, x: float, t: float):
 
 def sample(data: InitialData, x, t: float):
     """All solution fields at one point; for a 1-d grid x, a list in grid order."""
-    if t == 0.0:
-        fields = [f.tolist() for f in _initial_fields(data, x, "mquE")]
-        if not _is_grid(x):
-            return SolutionSample(x, 0.0, *fields, Branch.CHARACTERISTIC)
-        xs = np.asarray(x, dtype=float).tolist()
-        return [
-            SolutionSample(v, 0.0, *f, Branch.CHARACTERISTIC) for v, *f in zip(xs, *fields)
-        ]
-    frame, xs, k_min, k_max = _ranges(data, x, t)
-    samples = []
-    for v, a, b, E in zip(xs, k_min, k_max, _energies(frame, k_min)):
-        u, branch = _velocity_from_frame(frame, data, v, a, b)
-        m, q = float(frame.P[a]), float(frame.Q[a])
-        samples.append(SolutionSample(x=v, t=t, m=m, q=q, u=u, E=E, branch=branch))
-    return samples if _is_grid(x) else samples[0]
+    return _fields(data, x, t, "s")[0]
 
 
 # -- grid evaluation ---------------------------------------------------------
@@ -312,12 +309,7 @@ def sample(data: InitialData, x, t: float):
 
 def eval_m_grid(data: InitialData, xs, t: float):
     """Vectorized eval_m over an array of positions."""
-    xs = np.asarray(xs, dtype=float)
-    if t == 0.0:
-        return _initial_fields(data, xs, "m")[0]
-    frame = _frame(data, t)
-    _, k_min, _ = frame.argmin_grid(xs)
-    return frame.P[k_min]
+    return np.array(_fields(data, xs, t, "m")[0])
 
 
 def eval_m_and_clusters(data: InitialData, xs, t: float):
@@ -429,13 +421,13 @@ def trace_shock(
 
     frame = _frame(data, t0)
     coeffs0 = frame.coeffs
-    _, k, k_max = frame.argmin(x0)
+    k, k_max = _range_at(frame, x0)
     if k_max == k:
         side, vacuum, _, y, mt, c = _backward_cone(frame, data, x0, k)
 
     xs, vels, ranges = [], [], []
     for j, t1 in enumerate(times):
-        x1 = float(x0)
+        x1, a, b = float(x0), k, k_max
         if j > 0:
             frame = _frame(data, t1)
             _, hi, pos, _ = frame.clusters()
@@ -456,7 +448,7 @@ def trace_shock(
                 if k < len(data.measure):
                     x1 = min(x1, pos[_holder(hi, k)])
             x1 = float(x1)
-        _, a, b = frame.argmin(x1)
+            a, b = _range_at(frame, x1)
         u, _ = _velocity_from_frame(frame, data, x1, a, b)
         xs.append(x1)
         vels.append(u)

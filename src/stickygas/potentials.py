@@ -192,7 +192,10 @@ class PrefixFrame:
         """(nu, k_min, k_max) of the prefix sums at x under the tie tolerance.
 
         The one tie rule. Scans all N+1 prefixes: the dense reference for
-        ``argmin_grid``.
+        ``argmin_grid``. Three callers: ``argmin_grid`` for points in a tie
+        window, ``result`` (behind ``minimize_F`` and ``minimize_Fbar``) and
+        ``euler_poisson.eval_nu_theta_omega``, which report nu. Every field
+        evaluation, at a scalar x too, reads ``argmin_grid``.
         """
         if not math.isfinite(x):
             raise ValueError(f"x must be finite, got {x!r}")
@@ -218,9 +221,7 @@ class PrefixFrame:
         ``argmin``, so the result equals ``argmin`` point by point, with
         O(N + G) memory.
         """
-        xs = np.asarray(xs, dtype=float)
-        if not np.isfinite(xs).all():
-            raise ValueError(f"x must be finite, got {float(xs[~np.isfinite(xs)][0])!r}")
+        xs = _finite_points(xs)
         lo, _, pos, _ = self.clusters()
         P, S = self.P, self.S
         verts = np.append(lo, P.size - 1)
@@ -302,6 +303,14 @@ class PrefixFrame:
         return hull
 
 
+def _finite_points(xs):
+    """xs as a float array; a non-finite point raises ValueError."""
+    xs = np.asarray(xs, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError(f"x must be finite, got {float(xs[~np.isfinite(xs)][0])!r}")
+    return xs
+
+
 def _prefix_count(measure: AtomicMeasure, y: float, side: str) -> int:
     return int(np.searchsorted(measure.positions, y, side=side))
 
@@ -329,8 +338,6 @@ def eval_F_right(data: InitialData, y: float, x: float, t: float) -> float:
 
 def minimize_F(data: InitialData, x: float, t: float) -> MinimizerResult:
     """Minimize F(.; x, t) over y by exact prefix-sum argmin."""
-    if len(data) == 0:
-        raise EmptyMeasure("cannot minimize a potential over an empty measure")
     coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
     return PrefixFrame(data.measure, data.velocities, coeffs).result(x)
 
@@ -365,8 +372,6 @@ def eval_Fbar(measure: AtomicMeasure, y: float, x: float, t: float) -> float:
 
 def minimize_Fbar(measure: AtomicMeasure, x: float, t: float) -> MinimizerResult:
     """Minimize the drift potential: identical argmin structure with weights (0, -t)."""
-    if len(measure) == 0:
-        raise EmptyMeasure("cannot minimize a potential over an empty measure")
     coeffs = PotentialCoefficients.drift(t)
     return PrefixFrame(measure, None, coeffs).result(x)
 

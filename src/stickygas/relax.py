@@ -15,7 +15,7 @@ import numpy as np
 
 from .drift import drift_cluster_snapshot, eval_mbar_grid
 from .errors import TauOutOfRange
-from .euler_poisson import _frame, _initial_fields, _velocity_from_frame
+from .euler_poisson import _fields, _frame
 from .measure import ClusterState, InitialData
 from .potentials import PotentialCoefficients, minimize_Fbar
 
@@ -42,22 +42,16 @@ def _check_tau(tau: float):
 
 
 def _scaled_frame(data: InitialData, t: float, tau: float):
-    """(scaled data, prefix frame) of the scaled solution at slow time t; callers check tau."""
-    scaled = data.with_tau(tau)
-    return scaled, _frame(scaled, None, coeffs=PotentialCoefficients.scaled(tau, t))
+    """Prefix frame of the scaled solution at slow time t; callers check tau."""
+    return _frame(data.with_tau(tau), t, PotentialCoefficients.scaled)
 
 
 def eval_scaled(data: InitialData, x: float, t: float, tau: float):
     """(m_tau, u_tau, q_tau/tau) of the slow-time-scaled solution at (x, t);
     at t = 0, the initial data's (m0, u0/tau, q0/tau)."""
     _check_tau(tau)
-    if t == 0.0:
-        m, q, u = (f.tolist() for f in _initial_fields(data, x, "mqu"))
-        return m, u / tau, q / tau
-    scaled, frame = _scaled_frame(data, t, tau)
-    _, k_min, k_max = frame.argmin(x)
-    u, _ = _velocity_from_frame(frame, scaled, x, k_min, k_max)
-    return float(frame.P[k_min]), u / tau, float(frame.Q[k_min]) / tau
+    m, q, (u, _) = _fields(data.with_tau(tau), x, t, "mqu", PotentialCoefficients.scaled)
+    return m, u / tau, q / tau
 
 
 def scaled_cluster_snapshot(data: InitialData, t: float, tau: float) -> ClusterState:
@@ -68,7 +62,7 @@ def scaled_cluster_snapshot(data: InitialData, t: float, tau: float) -> ClusterS
     _check_tau(tau)
     if t == 0.0:
         return ClusterState.from_atoms(t, data.measure, data.velocities / tau)
-    _, frame = _scaled_frame(data, t, tau)
+    frame = _scaled_frame(data, t, tau)
     return frame.cluster_state(t, frame.clusters()[3] / tau)
 
 
@@ -118,7 +112,7 @@ def convergence_study(
     err_m = []
     err_u = []
     for tau in taus:
-        _, frame = _scaled_frame(data, t, tau)
+        frame = _scaled_frame(data, t, tau)
         if grid.size:
             _, k_min, _ = frame.argmin_grid(grid)
             err_m.append(float(np.max(np.abs(frame.P[k_min] - mbar))))

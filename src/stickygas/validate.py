@@ -28,11 +28,11 @@ from .errors import NonPositiveTime, QuadratureDivergence, StencilTooCloseToShoc
 from .euler_poisson import (
     cluster_snapshot,
     eval_E,
-    eval_m,
     eval_m_grid,
     eval_nu_theta_omega,
     eval_q,
     eval_u,
+    sample,
     speed_bound,
 )
 from .measure import InitialData
@@ -423,16 +423,12 @@ def check_potential_identities(data: InitialData, stencil_grid, h_sequence) -> R
             raise StencilTooCloseToShock(
                 f"stencil point (x={x}, t={t}) within {margin} of a cluster"
             )
-    # m, q, E and omega at the stencil centres do not depend on h
-    centres = [
-        (
-            eval_m(data, x, t),
-            eval_q(data, x, t),
-            eval_E(data, x, t),
-            eval_nu_theta_omega(data, x, t)[2],
-        )
-        for x, t in stencil_grid
-    ]
+    # m, q, E (from one frame per centre) and omega at the stencil centres
+    # do not depend on h
+    centres = []
+    for x, t in stencil_grid:
+        s = sample(data, x, t)
+        centres.append((s.m, s.q, s.E, eval_nu_theta_omega(data, x, t)[2]))
     names = ["nu_x+m", "nu_t-q", "theta_x+q", "theta_t-E-omega", "omega_x-closure"]
     series = {name: [] for name in names}
     for h in sorted(hs, reverse=True):

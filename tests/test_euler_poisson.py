@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from stickygas.drift import drift_cluster_snapshot, eval_mbar
+from stickygas.drift import DriftBranch, drift_cluster_snapshot, eval_mbar, sample_drift
 from stickygas.errors import NonPositiveTime
 from stickygas.euler_poisson import (
     Branch,
     _backward_cone,
     _frame,
+    _velocity_from_frame,
     cluster_snapshot,
     eval_E,
     eval_m,
@@ -24,8 +25,8 @@ from stickygas.euler_poisson import (
 )
 from stickygas.measure import InitialData
 from stickygas.oracle import simulate_ep
-from stickygas.potentials import PotentialCoefficients
-from stickygas.relax import scaled_cluster_snapshot
+from stickygas.potentials import PotentialCoefficients, PrefixFrame
+from stickygas.relax import eval_scaled, scaled_cluster_snapshot
 from tests.conftest import make_random_instance
 
 E1 = math.exp(-1.0)
@@ -597,6 +598,39 @@ class TestHullReadsMatchBisection:
         assert forward_position(data, 1, t) == pytest.approx(0.75, abs=1e-3)
 
 
+def assert_scalar_calls_equal_dense_scan(data, xs, t):
+    """Scalar formula calls at (x, t) equal the fields read off the dense
+    ``PrefixFrame.argmin`` range: ``eval_m`` and ``sample``, the drift
+    scalars, ``eval_scaled`` and the ranges of ``trace_shock``. Atoms,
+    drift and scaled cluster positions are added to xs."""
+    frame = _frame(data, t)
+    for x in xs:
+        _, a, b = frame.argmin(x)
+        u, branch = _velocity_from_frame(frame, data, x, a, b)
+        assert eval_m(data, x, t) == frame.P[a]
+        s = sample(data, x, t)
+        assert (s.m, s.q, s.u, s.branch) == (frame.P[a], frame.Q[a], u, branch)
+    m, M = data.measure, data.measure.total_mass
+    drift_frame = PrefixFrame(m, None, PotentialCoefficients.drift(t))
+    for x in xs + drift_cluster_snapshot(m, t).positions.tolist():
+        _, a, b = drift_frame.argmin(x)
+        s = sample_drift(m, x, t)
+        assert (s.mbar, s.ubar) == (m.prefix_mass[a], -0.5 * (m.prefix_mass[a] + m.prefix_mass[b] - M))
+        assert (s.branch is DriftBranch.DELTA_SHOCK) == (b > a)
+    tau = 0.25
+    scaled = data.with_tau(tau)
+    scaled_frame = PrefixFrame(m, data.velocities, PotentialCoefficients.scaled(tau, t))
+    for x in xs + scaled_cluster_snapshot(data, t, tau).positions.tolist():
+        _, a, b = scaled_frame.argmin(x)
+        u, _ = _velocity_from_frame(scaled_frame, scaled, x, a, b)
+        want = (scaled_frame.P[a], u / tau, scaled_frame.Q[a] / tau)
+        assert eval_scaled(data, x, t, tau) == want
+    for x0 in xs[::4]:
+        curve = trace_shock(data, x0, t, t + 1.0, 0.5)
+        dense = [_frame(data, t1).argmin(x1)[1:] for t1, x1 in zip(curve.times, curve.positions)]
+        assert list(curve.ranges) == dense
+
+
 class TestGridEvaluation:
     def test_grid_matches_pointwise(self):
         rng = np.random.default_rng(24)
@@ -622,6 +656,29 @@ class TestGridEvaluation:
                     grid = fn(data, np.array(xs), t)
                     assert [repr(v) for v in grid] == [repr(fn(data, x, t)) for x in xs]
                 assert fn(data, [], t) == []
+                if t > 0.0:
+                    assert_scalar_calls_equal_dense_scan(data, xs, t)
+
+    def test_dense_reference_sees_a_wrong_range(self, two_atom_symmetric, monkeypatch):
+        # scalar calls read the hull lookup, so a lookup whose k_max is off
+        # by one must fail the comparison with the dense scan
+        lookup = PrefixFrame.argmin_grid
+
+        def shifted(self, xs):
+            nu, k_min, k_max = lookup(self, xs)
+            return nu, k_min, np.minimum(k_max + 1, self.P.size - 1)
+
+        monkeypatch.setattr(PrefixFrame, "argmin_grid", shifted)
+        with pytest.raises(AssertionError):
+            assert_scalar_calls_equal_dense_scan(two_atom_symmetric, [-1.0, 0.0], 0.5)
+
+    def test_grids_of_two_dimensions_are_rejected(self, two_atom_symmetric):
+        # the scalar path would otherwise read the first row alone
+        xs = np.zeros((2, 2))
+        for t in (0.0, 1.0):
+            for fn in (eval_m, eval_m_grid, sample, eval_u):
+                with pytest.raises(ValueError, match="1-d grid"):
+                    fn(two_atom_symmetric, xs, t)
 
     def test_shared_frame_equals_separate_calls(self):
         rng = np.random.default_rng(26)

@@ -154,8 +154,51 @@ def test_front_ends_use_only_public_names():
 
 
 def test_private_name_scan_sees_private_imports():
-    # relax reads the formula layer's private frame helpers
-    assert "_frame" in private_names_used("relax")
+    # relax reads the formula layer's field routine and frame helper, and
+    # nothing else of its private names
+    assert private_names_used("relax") == {"_fields", "_frame"}
+
+
+class _ArgminCallers(ast.NodeVisitor):
+    """Dotted scope (module, class, function) of every ``<obj>.argmin(...)``
+    call in one module; numpy's ``np.argmin`` is not a prefix scan."""
+
+    def __init__(self, module: str):
+        self.scope, self.found = [module], []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _enter
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "argmin":
+            if not (isinstance(func.value, ast.Name) and func.value.id == "np"):
+                self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def argmin_call_sites() -> list:
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _ArgminCallers(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        sites += visitor.found
+    return sorted(sites)
+
+
+def test_dense_argmin_has_three_callers():
+    # every field evaluation reads the hull lookup, a scalar x as a
+    # one-point grid; the dense scan stays the lookup's tie rule and the
+    # minimum nu that two reports return
+    assert argmin_call_sites() == [
+        "euler_poisson.eval_nu_theta_omega",
+        "potentials.PrefixFrame.argmin_grid",
+        "potentials.PrefixFrame.result",
+    ]
 
 
 def leaf_errors() -> set:

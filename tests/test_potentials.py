@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import isotonic_regression
 
-from stickygas import drift, euler_poisson, potentials
+from stickygas import drift, euler_poisson, potentials, relax
 from stickygas.errors import BadConstantK, EmptyMeasure, NonPositiveTime
 from stickygas.instances import random_instance
 from stickygas.measure import AtomicMeasure, InitialData
@@ -104,25 +104,39 @@ class TestMinimizeF:
         assert r.has_jump
 
     def test_empty_measure_rejected(self):
+        # PrefixFrame.result makes the one check; the coefficients check t first
         d = InitialData.from_atoms([], [], [], 1.0)
         with pytest.raises(EmptyMeasure):
             minimize_F(d, 0.0, 1.0)
+        with pytest.raises(EmptyMeasure):
+            minimize_Fbar(d.measure, 0.0, 1.0)
+        for t in (0.0, -1.0):
+            with pytest.raises(NonPositiveTime):
+                minimize_F(d, 0.0, t)
+            with pytest.raises(NonPositiveTime):
+                minimize_Fbar(d.measure, 0.0, t)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_nonfinite_x_rejected_at_every_entry_point(self, two_atom_symmetric, x):
-        # a NaN x used to leave no tie (IndexError), an infinite one to
-        # multiply inf by the empty prefix's zero mass (RuntimeWarning)
+        # at t > 0 a NaN x used to leave no tie (IndexError), an infinite
+        # one to multiply inf by the empty prefix's zero mass
+        # (RuntimeWarning); at t = 0 searchsorted sorted a NaN after every
+        # atom and returned the total mass
         d = two_atom_symmetric
-        calls = [
-            lambda: euler_poisson.eval_m(d, x, 1.0),
-            lambda: euler_poisson.eval_m_grid(d, np.array([0.0, x]), 1.0),
-            lambda: euler_poisson.sample(d, x, 1.0),
-            lambda: drift.eval_mbar(d.measure, x, 1.0),
-            lambda: minimize_F(d, x, 1.0),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match=f"x must be finite, got {x!r}"):
-                call()
+        for t in (0.0, 1.0):
+            calls = [
+                lambda: euler_poisson.eval_m(d, x, t),
+                lambda: euler_poisson.eval_m_grid(d, np.array([0.0, x]), t),
+                lambda: euler_poisson.sample(d, x, t),
+                lambda: drift.eval_mbar(d.measure, x, t),
+                lambda: drift.eval_mbar_grid(d.measure, np.array([0.0, x]), t),
+                lambda: relax.eval_scaled(d, x, t, 0.5),
+            ]
+            if t > 0.0:
+                calls.append(lambda: minimize_F(d, x, t))
+            for call in calls:
+                with pytest.raises(ValueError, match=f"x must be finite, got {x!r}"):
+                    call()
 
 
 class TestInitialSpeed:
