@@ -9,7 +9,7 @@ within 1e-11*(1 + t) of the first, t, merge at t. A cluster's centred mass mt
 does not change when others merge, so each cluster keeps one closed form from
 birth to death: a trajectory holds one record per cluster that ever lived (at
 most 2N - 1), and collision times come from a lazy heap of certified root
-bounds, bisected on the closed form only at the top. The event loop runs on
+bounds, solved by Newton's method only at the top. The event loop runs on
 Python scalars; the record arrays are built once per run. Each merge checks in
 O(1) the new cluster's mass against its atoms', its momentum against the pair's
 and mt_r - mt_l = (m_l + m_r)/2 with both neighbours; the O(C) audit of mass
@@ -98,46 +98,57 @@ class _EpDynamics:
     def pair_root(self, gap0, dv, dmt):
         """First positive root of gap(d) = gap0 + dv*A(d) + dmt*B(d), dmt > 0.
 
-        The gap derivative has at most one sign change (gap rises then
-        falls when dv > 0, falls throughout otherwise) and the attraction
-        drives the gap to -infinity, so the first root is unique and lies
-        past the interior maximum.
+        gap'(d) = dv*e - dmt*A(d), e = e^{-d/tau}, changes sign at most once
+        and the attraction drives the gap to -inf, so the first root is unique
+        and lies past the interior maximum lo. gap'' = -e*(dv/tau + dmt) keeps
+        one sign, so Newton's method from max(lo, root_bound) nears the root
+        from one side: from the left if the gap is convex (tangents lie below
+        it), from the right after one step if it is concave (tangents above).
+        The points keep a bracket [a, b] with computed gap > 0 at a (or a = lo)
+        and <= 0 at b (+inf at first). A step that is undefined (gap' >= 0) or
+        leaves the bracket bisects it instead, or doubles d while b = inf. Once
+        a step falls below the tolerance the next point sits 4e-16*max(1, d)
+        from the iterate: short of it while the step is longer than twice that,
+        then across it, closing the bracket. The loop stops on bisection's test
+        and returns the midpoint, as `root_bound` assumes. NaN or inf data, or
+        200 points without a closed bracket, raise RootBracketFailure.
         """
-        tau, expm1 = self.tau, math.expm1
-        lo = tau * math.log1p(dv / (dmt * tau)) if dv > 0.0 else 0.0
-        # asymptotic straight-line estimate of the root
-        hi = max(lo, (gap0 + abs(dv) * tau + dmt * tau * tau) / (dmt * tau)) + 1.0
-        # gap(d) inline, A(d) = tau * _em1(d / tau) with the same operations:
-        # no call per step, the same bits
+        if not abs(gap0) + abs(dv) + abs(dmt) < math.inf:
+            raise RootBracketFailure(f"collision gap data not finite: {gap0}, {dv}, {dmt}")
+        tau, exp, expm1 = self.tau, math.exp, math.expm1
+        a = tau * math.log1p(dv / (dmt * tau)) if dv > 0.0 else 0.0
+        b, d = math.inf, max(a, self.root_bound(gap0, dv, dmt))
         for _ in range(200):
-            z = hi / tau
-            A = tau * (-expm1(-z) if z <= _EXP_FLUSH else 1.0)
-            if gap0 + dv * A + dmt * (tau * A - tau * hi) <= 0.0:
-                break
-            hi = 2.0 * hi + 1.0
-        else:
-            raise RootBracketFailure("collision root bracket expansion failed")
-        while hi - lo > _ROOT_REL_TOL * (hi if hi > 1.0 else 1.0):
-            mid = 0.5 * (lo + hi)
-            z = mid / tau
-            A = tau * (-expm1(-z) if z <= _EXP_FLUSH else 1.0)
-            if gap0 + dv * A + dmt * (tau * A - tau * mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            # gap(d) inline with `_em1`'s operations: no call per step, the same bits
+            z = d / tau
+            A, e = (tau * -expm1(-z), exp(-z)) if z <= _EXP_FLUSH else (tau, 0.0)
+            gap = gap0 + dv * A + dmt * (tau * A - tau * d)
+            a, b = (d, b) if gap > 0.0 else (a, d)
+            if b < math.inf and b - a <= _ROOT_REL_TOL * (b if b > 1.0 else 1.0):
+                return 0.5 * (a + b)
+            slope = dv * e - dmt * A
+            if slope < 0.0:
+                step, scale = -gap / slope, d if d > 1.0 else 1.0
+                if abs(step) <= _ROOT_REL_TOL * scale:
+                    probe = 4e-16 * scale if gap > 0.0 else -4e-16 * scale
+                    step += -probe if abs(step) > 2.0 * abs(probe) else probe
+                d += step
+                if a < d < b:
+                    continue
+            d = 0.5 * (a + b) if b < math.inf else 2.0 * a + 1.0
+        raise RootBracketFailure("collision root bracket did not close in 200 points")
 
     def root_bound(self, gap0, dv, dmt):
         """A lower bound that `pair_root` never undercuts.
 
         0 <= A(d) <= d and 0 <= tau*(d - A(d)) <= d^2/2, so gap(d) >=
         gap0 - a*d - dmt*d^2/2 with a = max(-dv, 0), and the root is at least
-        d_L = 2*gap0/(a + sqrt(a^2 + 2*dmt*gap0)). `pair_root` returns a
-        bisection midpoint within 0.5e-13*max(1, d) of a point where the
-        computed gap is <= 0, and the gap's rounding error near d_L is
-        below 1e-15*(gap0 + |dv|*d + tau*dmt*d); the relative margin 1e-9
-        and the absolute margin 1e-12*(1 + tau) cover both. A pair
-        without a bound (gap0 <= 0) gets -inf.
+        d_L = 2*gap0/(a + sqrt(a^2 + 2*dmt*gap0)). `pair_root` returns the
+        midpoint of a certified bracket at most 1e-13*max(1, b) wide, within
+        0.5e-13*max(1, d) of a point where the computed gap is <= 0, and the
+        gap's rounding error near d_L is below 1e-15*(gap0 + |dv|*d +
+        tau*dmt*d); the margins 1e-9 relative and 1e-12*(1 + tau) absolute
+        cover both. A pair without a bound (gap0 <= 0) gets -inf.
         """
         if not gap0 > 0.0:
             return -math.inf
@@ -320,7 +331,8 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
 
     def sums(t):
         """Mass and momentum at t, sequential sums over the live records in position order."""
-        x, v, mt, birth, m = (np.array([c[i] for i in at_lo if i >= 0]) for c in (r_x, r_v, r_mt, r_birth, r_mass))
+        ids = [i for i in at_lo if i >= 0]
+        x, v, mt, birth, m = (np.array([c[i] for i in ids]) for c in (r_x, r_v, r_mt, r_birth, r_mass))
         _, v = dyn.advance_rows(x, v, mt, t - birth)
         return float(np.cumsum(m)[-1]), float(np.cumsum(m * v)[-1])
 

@@ -972,8 +972,50 @@ def reference_pair_root(tau, gap0, dv, dmt):
     return 0.5 * (lo + hi)
 
 
+EPS = 2.0**-52
+
+
+def gap_terms(tau, gap0, dv, dmt, d):
+    """The computed gap at d with `pair_root`'s operations, its slope, and
+    the size of its terms: the gap is known to about 4*EPS times that size."""
+    z = d / tau
+    A = tau * (-math.expm1(-z) if z <= 700.0 else 1.0)
+    e = math.exp(-z) if z <= 700.0 else 0.0
+    gap = gap0 + dv * A + dmt * (tau * A - tau * d)
+    return gap, dv * e - dmt * A, abs(gap0) + abs(dv) * A + dmt * tau * (A + d)
+
+
+def assert_root_agrees_with_reference(tau, gap0, dv, dmt):
+    """`pair_root` against the bisection reference; returns the root.
+
+    Both return the midpoint of a bracket at most 1e-13*max(1, b) wide whose
+    ends have certified computed signs, so each lies within its half-width of
+    a sign change of the computed gap, and the gap's rounding blurs its sign
+    change over 4*EPS*size/|gap'|. Newton's bracket mostly closes a few ulps
+    around its iterate; it keeps a far end when its first bracket [lo, b]
+    already passes the test (a root below the tolerance) or when a probe
+    meant to stay on one side crosses inside the blur. Just outside the
+    widest bracket the computed gap has the root's signs wherever it exceeds
+    its rounding.
+    """
+    root = _EpDynamics(tau).pair_root(gap0, dv, dmt)
+    ref = reference_pair_root(tau, gap0, dv, dmt)
+    _, slope, size = gap_terms(tau, gap0, dv, dmt, ref)
+    blur = 4.0 * EPS * size / -slope if slope < 0.0 else math.inf
+    halves = 0.5e-13 * (max(1.0, ref) + max(1.0, root))
+    assert abs(root - ref) <= halves + 2.0 * blur + 4.0 * EPS * max(1.0, ref)
+    lo = tau * math.log1p(dv / (dmt * tau)) if dv > 0.0 else 0.0
+    h = 0.5e-13 * max(1.0, root) * (1.0 + 1e-12) + 4.0 * EPS * max(1.0, root)
+    for d, sign in ((root - h, 1.0), (root + h, -1.0)):
+        gap, _, size = gap_terms(tau, gap0, dv, dmt, d)
+        if d > lo and abs(gap) > 4.0 * EPS * size:
+            assert gap * sign > 0.0
+    return root
+
+
 class TestInlinePairRoot:
     def test_equals_closure_reference(self):
+        # Newton from the certified bound against bisection, case by case
         rng = np.random.default_rng(2026)
         n = 10_000
         gap0 = 10.0 ** rng.uniform(-15.0, 3.0, n)
@@ -982,11 +1024,56 @@ class TestInlinePairRoot:
         tau = np.where(rng.random(n) < 0.25, 1e-3, 10.0 ** rng.uniform(-6.0, 2.0, n))
         flushed = 0
         for case in zip(tau.tolist(), gap0.tolist(), dv.tolist(), dmt.tolist()):
-            root = _EpDynamics(case[0]).pair_root(*case[1:])
-            assert root == reference_pair_root(*case)
+            root = assert_root_agrees_with_reference(*case)
             flushed += root / case[0] > 700.0
         # the exp-flush branch decides a good share of the roots
         assert flushed > n // 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gap0=st.one_of(
+            st.floats(-15.0, 3.0).map(lambda p: 10.0**p),
+            st.just(0.0),
+            st.floats(-18.0, -12.0).map(lambda p: -(10.0**p)),  # touching, by rounding
+        ),
+        dv=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+        log_dmt=st.floats(-12.0, 2.0),
+        tau=st.one_of(st.just(1e-3), st.floats(-6.0, 2.0).map(lambda p: 10.0**p)),
+    )
+    def test_agrees_with_closure_reference_on_any_pair(self, gap0, dv, log_dmt, tau):
+        assert_root_agrees_with_reference(tau, gap0, dv, 10.0**log_dmt)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", ["gap0", "dv", "dmt"])
+    def test_non_finite_data_raises(self, slot, bad):
+        # never a NaN, an inf or a hang
+        args = {"gap0": 1.0, "dv": -0.5, "dmt": 0.25, slot: bad}
+        with pytest.raises(RootBracketFailure):
+            _EpDynamics(0.5).pair_root(**args)
+
+
+class TestNewtonRootsAgainstBisection:
+    """The oracle with Newton roots makes the merges of the oracle with the
+    bisection reference, in the same order, at times within 1e-12*(1 + t)."""
+
+    @staticmethod
+    def assert_same_merges(instances, t_end, monkeypatch):
+        newton = [simulate_ep(data, t_end).events for data in instances]
+        with monkeypatch.context() as m:
+            m.setattr(_EpDynamics, "pair_root", lambda self, *args: reference_pair_root(self.tau, *args))
+            bisected = [simulate_ep(data, t_end).events for data in instances]
+        for ours, ref in zip(newton, bisected):
+            assert [e.merged for e in ours] == [e.merged for e in ref]
+            assert all(abs(a.time - b.time) <= 1e-12 * (1.0 + b.time) for a, b in zip(ours, ref))
+        return sum(map(len, newton))
+
+    def test_bench_baseline_instance(self, monkeypatch):
+        assert self.assert_same_merges([baseline_instance(1000, 0)], 2.0, monkeypatch) > 800
+
+    def test_compare_ensemble(self, monkeypatch):
+        instances = [data for data, _, _ in compare_ensemble_cases()]
+        assert len(instances) == 200
+        assert self.assert_same_merges(instances, 6.0, monkeypatch) > 200
 
 
 class TestPrunedRootWork:
@@ -1126,8 +1213,16 @@ class TestChecksCatchInjectedDefects:
             simulate(records, 0.0, 2.0, _DriftDynamics())
 
     def test_a_one_ulp_bias_in_A_stays_below_every_check(self, monkeypatch):
-        # no check raises on it, and none should: it moves the run by rounding
-        # only, five decades below the tolerances
+        """No check raises on it, and none should: it moves the run by rounding only.
+
+        A one-ulp bias in A moves each closed-form state x + v*A + mt*B by
+        (|v| + tau*|mt|)*tau*EPS plus a changed rounding of the sum: a few
+        ulps of its size. A pair's gap then moves by delta ~ c*EPS*(1 + |x|),
+        and its root by delta/|gap'(root)|, where gap'(root) = v_b - v_a is
+        the closing speed at the collision: an event time moves by up to
+        2.7e-14 here, where the closing speed is small, while |dt|*|gap'|
+        stays below EPS*(1 + |x|).
+        """
         data = baseline_instance(200, 0)
         exact = simulate_ep(data, 2.0)
         em1 = oracle._em1
@@ -1135,11 +1230,18 @@ class TestChecksCatchInjectedDefects:
         biased = simulate_ep(data, 2.0)
         assert [e.merged for e in biased.events] == [e.merged for e in exact.events]
         # the bias reaches the run (through `_em1`), by rounding only
-        assert 0.0 < max(abs(a.time - b.time) for a, b in zip(biased.events, exact.events)) <= 1e-15
+        shifts = [abs(a.time - b.time) for a, b in zip(biased.events, exact.events)]
+        assert max(shifts) > 0.0
+        r, dyn = exact.records, _EpDynamics(data.tau)
+        row = {(lo, hi): i for i, (lo, hi) in enumerate(zip(r.lo.tolist(), r.hi.tolist()))}
+        for e, shift in zip(exact.events, shifts):
+            ids = [row[m] for m in e.merged]
+            (xa, va), (xb, vb) = (dyn.advance(r.x[i], r.v[i], r.mt[i], e.time - r.birth[i]) for i in ids)
+            assert shift * abs(vb - va) <= 8.0 * EPS * (1.0 + max(abs(xa), abs(xb)))
         for t in (0.5, 1.0, 2.0):
             a, b = biased.state_at(t), exact.state_at(t)
-            assert np.max(np.abs(a.positions - b.positions)) <= 1e-15
-            assert np.max(np.abs(a.velocities - b.velocities)) <= 1e-15
+            for new, old in ((a.positions, b.positions), (a.velocities, b.velocities)):
+                assert np.max(np.abs(new - old)) <= 4.0 * EPS * (1.0 + np.max(np.abs(old)))
 
     def test_a_failure_names_the_check_the_event_the_time_and_the_clusters(self):
         data = baseline_instance(200, 0)
