@@ -8,12 +8,14 @@ each neighbour pair, touching ones too, merges at its own root, and the roots
 within 1e-11*(1 + t) of the first, t, merge at t. A cluster's centred mass mt
 does not change when others merge, so each cluster keeps one closed form from
 birth to death: a trajectory holds one record per cluster that ever lived (at
-most 2N - 1), and collision times come from a lazy heap of certified root
-bounds, solved by Newton's method only at the top. The event loop runs on
-Python scalars; the record arrays are built once per run. Each merge checks in
-O(1) the new cluster's mass against its atoms', its momentum against the pair's
-and mt_r - mt_l = (m_l + m_r)/2 with both neighbours; the O(C) audit of mass
-and momentum runs at t0, after event times 1, 2, 4, 8, ... and at t_end.
+most 2N - 1), and each neighbour pair's collision time is solved once, by
+Newton's method, when the pair forms (N - 1 pairs at t0, at most two per
+merge), then waits in a heap until it is due or one of its clusters dies.
+The event loop runs on Python scalars; the record arrays are built once per
+run. Each merge checks in O(1) the new cluster's mass against its atoms', its
+momentum against the pair's and mt_r - mt_l = (m_l + m_r)/2 with both
+neighbours; the O(C) audit of mass and momentum runs at t0, after event times
+1, 2, 4, 8, ... and at t_end.
 
 This module deliberately shares nothing with the potential-minimization
 layer except the input data model.
@@ -139,7 +141,7 @@ class _EpDynamics:
         raise RootBracketFailure("collision root bracket did not close in 200 points")
 
     def root_bound(self, gap0, dv, dmt):
-        """A lower bound that `pair_root` never undercuts.
+        """Newton's certified start: a lower bound that `pair_root` never undercuts.
 
         0 <= A(d) <= d and 0 <= tau*(d - A(d)) <= d^2/2, so gap(d) >=
         gap0 - a*d - dmt*d^2/2 with a = max(-dv, 0), and the root is at least
@@ -148,7 +150,8 @@ class _EpDynamics:
         0.5e-13*max(1, d) of a point where the computed gap is <= 0, and the
         gap's rounding error near d_L is below 1e-15*(gap0 + |dv|*d +
         tau*dmt*d); the margins 1e-9 relative and 1e-12*(1 + tau) absolute
-        cover both. A pair without a bound (gap0 <= 0) gets -inf.
+        cover both. A pair without a bound (gap0 <= 0) gets -inf, and
+        Newton starts at the interior maximum instead.
         """
         if not gap0 > 0.0:
             return -math.inf
@@ -171,9 +174,6 @@ class _DriftDynamics:
     def pair_root(self, gap0, dv, dmt):
         # dv = -dmt < 0 always: the gap closes linearly
         return gap0 / (-dv)
-
-    # the drift root is its own certified bound
-    root_bound = pair_root
 
 
 # one row per cluster that ever lived: birth and death times, the state
@@ -263,9 +263,9 @@ class Trajectory:
 def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
     """Event loop on per-cluster records, from the clusters alive at t0 in position order.
 
-    Heap entries (key, is_root, t_key, a, b, pair) hold a certified bound on
-    the root of neighbour records a, b computed at t_key, or the root itself,
-    which is solved from pair = (time, gap, dv, dmt) at the pair's formation.
+    Heap entries (time, a, b) hold the collision time of neighbour records
+    a, b, solved once when the pair forms and never before that time; a
+    pair with a dead record is skipped when it reaches the top.
     """
     n = live.x.size
     n_atoms = int(live.hi[-1]) if n else 0
@@ -282,26 +282,20 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
         raise IdentityViolation(f"{check} failed at event {k}, t={t!r}, {where}: {detail}")
 
     def state(i, t):
+        """Record i's state at t: at its birth the birth state itself (signed zeros kept)."""
+        if t == r_birth[i]:
+            return r_x[i], r_v[i]
         return dyn.advance(r_x[i], r_v[i], r_mt[i], t - r_birth[i])
 
     def neighbour_pairs(c):
         return [p for p in ((at_hi[r_lo[c]], c), (c, at_lo[r_hi[c]])) if min(p) >= 0]
 
-    def push(t, a, b, pair, solve=False):
-        """Push the pair's root, or its certified bound from time t."""
-        tp, gap0, dv0, dmt = pair
-        if solve:
-            # the bound and the root come from different base times, so
-            # rounding could put a root just before t; events never go back
-            heappush(heap, (max(t, tp + dyn.pair_root(gap0, dv0, dmt)), True, t, a, b, pair))
-        else:
-            gap, dv = dyn.advance(gap0, dv0, dmt, t - tp)
-            heappush(heap, (t + dyn.root_bound(gap, dv, dmt), False, t, a, b, pair))
-
     def form_pair(a, b):
+        """Push the root of the neighbour records a, b, solved once from their formation time."""
         tp = max(r_birth[a], r_birth[b])
         (xa, va), (xb, vb) = state(a, tp), state(b, tp)
-        push(tp, a, b, (tp, xb - xa, vb - va, r_mt[b] - r_mt[a]))
+        # a pair that overlaps by rounding has a root before tp; events never go back
+        heappush(heap, (max(tp, tp + dyn.pair_root(xb - xa, vb - va, r_mt[b] - r_mt[a])), a, b))
 
     def merge(a, b, t):
         """Kill the neighbour records a and b at t, record the event, return the new record."""
@@ -350,17 +344,13 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
         tol_mass, tol_q = 1e-12 * (1.0 + total_mass), 1e-11 * (1.0 + abs(q0) + total_mass)
     for a in range(n - 1):
         form_pair(a, a + 1)
-    t = t0
     while True:
-        # pop in key order, refining bounds: the first live root is the next
-        # event time t_ev, and the roots up to t_ev + tol_event are due
+        # pop in time order: the first live root is the next event time t_ev,
+        # and the roots up to t_ev + tol_event are due
         due, limit = [], math.inf
         while heap and heap[0][0] <= limit:
-            key, is_root, t_key, a, b, pair = heappop(heap)
+            key, a, b = heappop(heap)
             if r_death[a] < math.inf or r_death[b] < math.inf:
-                continue
-            if not is_root:
-                push(t, a, b, pair, solve=t_key == t)
                 continue
             if not due:
                 t_ev, limit = key, key + 1e-11 * (1.0 + key)
@@ -371,14 +361,13 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
         # merge right to left: a pair's right cluster may itself be new
         due.sort(key=r_lo.__getitem__, reverse=True)
         born = [merge(a, at_lo[r_hi[a]], t_ev) for a in due]
-        # a new cluster's pairs, touching ones too (bound -inf), merge at their own roots
+        # a new cluster's pairs, touching ones too, merge at their own roots
         for a, b in sorted({p for c in born if r_death[c] == math.inf for p in neighbour_pairs(c)}):
             form_pair(a, b)
-        t = t_ev
         if len(events) > max(n_atoms - 1, 0):
             raise EventHorizonExceeded("more merge events than atoms minus one")
         if not k & (k - 1):
-            audit(t)
+            audit(t_ev)
     if n:
         audit(t_end)
     order = np.argsort(np.array(r_lo, dtype=live.lo.dtype), kind="stable")

@@ -1101,28 +1101,70 @@ class TestPrunedRootWork:
             assert [dyn.root_bound(*c) for c in zip(gap0.tolist(), dv.tolist(), dmt.tolist())] == want
             assert dyn.root_bound(0.0, -1.0, 1.0) == dyn.root_bound(-1.0, 1.0, 1.0) == -math.inf
 
-    def test_drift_bound_is_the_root(self):
-        rng = np.random.default_rng(44)
-        gap = rng.uniform(1e-9, 10.0, 200)
-        dv = -rng.uniform(1e-6, 3.0, 200)
-        drift = _DriftDynamics()
-        bounds = [drift.root_bound(g, d, -d) for g, d in zip(gap.tolist(), dv.tolist())]
-        roots = [drift.pair_root(g, d, -d) for g, d in zip(gap.tolist(), dv.tolist())]
-        assert bounds == roots
-
-    def test_about_one_root_per_event(self, monkeypatch):
-        # without pruning this instance takes ~494,000 pair roots
-        calls = [0]
-        pair_root = _EpDynamics.pair_root
+    def test_one_root_per_neighbour_pair(self, monkeypatch):
+        # each pair is solved once, when it forms: N - 1 + 2*merges at most
+        # (2,784 here), against ~494,000 for re-solving every pair per event
+        roots, pushed = [0], []
+        pair_root, heappush = _EpDynamics.pair_root, oracle.heappush
 
         def counted(self, *args):
-            calls[0] += 1
+            roots[0] += 1
             return pair_root(self, *args)
 
+        def recorded(heap, entry):
+            pushed.append(entry[1:])
+            heappush(heap, entry)
+
         monkeypatch.setattr(_EpDynamics, "pair_root", counted)
+        monkeypatch.setattr(oracle, "heappush", recorded)
         events = len(simulate_ep(baseline_instance(1000, 0), 2.0).events)
         assert events > 800
-        assert calls[0] <= math.ceil(1.01 * events)
+        assert roots[0] == len(pushed) == len(set(pushed))
+        assert len(pushed) <= 999 + 2 * events
+
+
+def overlapping_pair(dyn):
+    """Two records 1e-12 out of order, born at and resumed from t = 1."""
+    m, mt, lo = np.array([0.5, 0.5]), np.array([-0.25, 0.25]), np.arange(2)
+    v = -mt if dyn.kind == "drift" else np.zeros(2)
+    return _Records(np.ones(2), np.full(2, math.inf), np.array([0.0, -1e-12]), v, mt, m, lo, lo + 1)
+
+
+@st.composite
+def event_instances(draw):
+    """Equal masses on a lattice, or atoms with twins 1e-13 away; tau down to 1e-6."""
+    tau = 10.0 ** draw(st.one_of(st.floats(-6.0, -4.0), st.floats(-4.0, 0.0)))
+    n = draw(st.integers(2, 10))
+    speeds = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=float)
+    if draw(st.booleans()):
+        # spacing 0.1*tau: the attraction closes it at t ~ 0.1*n, past e^{-700} for tau <= 1e-4
+        positions, masses, velocities = 0.1 * tau * np.arange(n), np.full(n, 1.0 / n), 0.5 * speeds
+    else:
+        base = np.cumsum(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+        positions = np.concatenate([base, base + 1e-13])
+        masses = np.tile(np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))), 2)
+        velocities = np.tile(speeds, 2)
+    return InitialData.from_atoms(positions, masses, velocities, tau)
+
+
+class TestEventTimesNeverGoBack:
+    @pytest.mark.parametrize("dyn", [_DriftDynamics(), _EpDynamics(0.5)], ids=["drift", "euler_poisson"])
+    def test_a_pair_overlapping_by_rounding_merges_at_t0(self, dyn):
+        # the drift root is -2e-12: without the clamp the event falls before t0
+        traj = _simulate(overlapping_pair(dyn), 1.0, 2.0, dyn)
+        assert [e.time for e in traj.events] == [1.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=event_instances())
+    def test_event_times_are_sorted_within_the_horizon(self, data):
+        traj = simulate_ep(data, 4.0)
+        runs = [traj, simulate_drift(data.measure, 4.0)]
+        if traj.events:
+            runs.append(resume(traj, len(event_states(traj)) // 2))
+        for run in runs:
+            times = run.event_times
+            assert times == sorted(times)
+            assert all(run.t0 <= t <= run.t_end for t in times)
 
 
 # -- the checks against injected defects ---------------------------------------
