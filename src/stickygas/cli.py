@@ -299,21 +299,19 @@ def cmd_relax(cfg: RunConfig, out: str) -> list:
 
 
 def _stencil_candidates(cfg: RunConfig, h_max: float):
-    """Grid points far enough from clusters for the identity stencils."""
-    vmax = speed_bound(cfg.data)
-    margin = 2.0 * h_max * (2.0 + vmax)
+    """The first five grid points per time at least the margin from every
+    cluster; the nearest cluster is one of the two around the point."""
+    margin = 2.0 * h_max * (2.0 + speed_bound(cfg.data))
+    xs = cfg.x_grid
     points = []
     for t in cfg.times:
         if t - 2.0 * h_max <= 0.0:
             continue
         positions = cluster_snapshot(cfg.data, t).positions
-        kept = 0
-        for x in cfg.x_grid:
-            if np.all(np.abs(float(x) - positions) >= margin):
-                points.append((float(x), t))
-                kept += 1
-                if kept >= 5:
-                    break
+        j = np.searchsorted(positions, xs)
+        around = np.concatenate(([-np.inf], positions, [np.inf]))
+        far = np.minimum(xs - around[j], around[j + 1] - xs) >= margin
+        points += [(x, t) for x in xs[far][:5].tolist()]
     return points
 
 

@@ -23,7 +23,8 @@ and reads every point's prefix range from one hull lookup
 (``PrefixFrame.argmin_grid``). A scalar x is a one-point grid, and a 1-d
 grid returns the per-point results in grid order, equal to the scalar
 calls point by point. The dense ``PrefixFrame.argmin`` scan runs only in
-the lookup's tie window and in ``eval_nu_theta_omega``, which reports nu.
+the lookup's tie window and in ``eval_nu_theta_omega``, which reports nu
+on one frame per call, for a scalar or a grid alike.
 """
 
 from __future__ import annotations
@@ -112,6 +113,14 @@ def _range_at(frame, x):
 # -- pointwise fields --------------------------------------------------------
 
 
+def _points(x):
+    """(x as a 1-d float array, whether x is a grid): a scalar is one point."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"x must be a scalar or a 1-d grid, got shape {xs.shape}")
+    return np.atleast_1d(xs), xs.ndim == 1
+
+
 def _fields(data, x, t, names, weights=PotentialCoefficients.euler_poisson):
     """The fields named in ``names`` at a scalar x or a 1-d grid of x, in
     that order: "m" mass, "q" momentum, "u" (velocity, branch) pairs, "E"
@@ -127,11 +136,7 @@ def _fields(data, x, t, names, weights=PotentialCoefficients.euler_poisson):
     Only the requested fields are built, so an m query does no branch
     analysis.
     """
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise ValueError(f"x must be a scalar or a 1-d grid, got shape {xs.shape}")
-    grid = xs.ndim == 1
-    xs = np.atleast_1d(xs)
+    xs, grid = _points(x)
     if t == 0.0:
         measure, u0 = data.measure, data.velocities
         pos = measure.positions
@@ -275,28 +280,36 @@ def eval_E(data: InitialData, x, t: float):
     return _fields(data, x, t, "E")[0]
 
 
-def eval_nu_theta_omega(data: InitialData, x: float, t: float):
-    """Potential minimum nu plus the auxiliary fields (theta, omega, h) at (x, t)."""
+def eval_nu_theta_omega(data: InitialData, x, t: float):
+    """Potential minimum nu plus the auxiliary fields (theta, omega, h) at (x, t).
+
+    A 1-d grid x gives four arrays in grid order, equal to the scalar calls
+    point by point. One frame serves every point. Each point keeps the dense
+    ``PrefixFrame.argmin`` scan: unlike ``argmin_grid`` it needs no hull, so
+    the hull is built only when some point has a nonempty prefix.
+    """
     if t <= 0.0:
         raise NonPositiveTime(f"auxiliary fields require t > 0, got {t}")
+    xs, grid = _points(x)
     frame = _frame(data, t)
-    nu, k_min, _ = frame.argmin(x)
-    if k_min == 0:
-        return float(nu), 0.0, 0.0, 0.0
-    lo, hi, pos, vel = frame.clusters()
-    cluster_pos, cluster_vel = np.repeat(pos, hi - lo), np.repeat(vel, hi - lo)
-    m = data.measure
-    w = m.masses[:k_min]
-    off = cluster_pos[:k_min] - x
-    theta = float(np.sum(w * frame.vel[:k_min] * off))
-    coeffs = frame.coeffs
-    mt = m.atom_mtilde()[:k_min]
-    omega = float(
-        -(coeffs.decay / data.tau)
-        * np.sum(w * (data.velocities[:k_min] + data.tau * mt) * off)
-    )
-    h = float(np.sum(w * cluster_vel[:k_min]))
-    return float(nu), theta, omega, h
+    minima = [(xi, *frame.argmin(xi)[:2]) for xi in xs.tolist()]
+    if any(k for _, _, k in minima):
+        lo, hi, pos, vel = frame.clusters()
+        cluster_pos = np.repeat(pos, hi - lo)
+        w = data.measure.masses
+        w_vel = w * frame.vel
+        w_rel = w * (data.velocities + data.tau * data.measure.atom_mtilde())
+        w_cluster_vel = w * np.repeat(vel, hi - lo)
+    rows = []
+    for xi, nu, k in minima:
+        if k == 0:
+            rows.append((nu, 0.0, 0.0, 0.0))
+            continue
+        off = cluster_pos[:k] - xi
+        theta = float(np.sum(w_vel[:k] * off))
+        omega = float(-(frame.coeffs.decay / data.tau) * np.sum(w_rel[:k] * off))
+        rows.append((nu, theta, omega, float(np.sum(w_cluster_vel[:k]))))
+    return tuple(np.array(rows, dtype=float).reshape(-1, 4).T) if grid else rows[0]
 
 
 def sample(data: InitialData, x, t: float):

@@ -13,8 +13,9 @@ times so the integrand is smooth on every piece. One array routine
 evaluates both integrands on each (node x cluster) block; sums over the
 clusters run in cluster order and the weighted sum over the nodes in node
 order. The Oleinik bound is read off adjacent clusters, and weak continuity
-at t = 0 off cluster prefix sums. ``check_oleinik`` and
-``check_potential_identities`` are pointwise sweeps of the formula layer.
+at t = 0 off cluster prefix sums. ``check_oleinik`` reads the formula
+layer's u on one grid per time, and ``check_potential_identities`` its
+fields and auxiliary potentials on a few grids per stencil time.
 """
 
 from __future__ import annotations
@@ -410,8 +411,6 @@ def check_potential_identities(data: InitialData, stencil_grid, h_sequence) -> R
     hs = sorted(float(h) for h in h_sequence)
     h_max = hs[-1]
     vmax = speed_bound(data)
-    tau = data.tau
-    M = data.measure.total_mass
     margin = h_max * (2.0 + vmax)
     positions = {}
     for x, t in stencil_grid:
@@ -423,41 +422,30 @@ def check_potential_identities(data: InitialData, stencil_grid, h_sequence) -> R
             raise StencilTooCloseToShock(
                 f"stencil point (x={x}, t={t}) within {margin} of a cluster"
             )
-    # m, q, E (from one frame per centre) and omega at the stencil centres
-    # do not depend on h
-    centres = []
-    for x, t in stencil_grid:
-        s = sample(data, x, t)
-        centres.append((s.m, s.q, s.E, eval_nu_theta_omega(data, x, t)[2]))
+    # per stencil time: m, q, E and omega at the centres, then per h one
+    # grid call at t for x - h and x + h and one each at t - h and t + h
     names = ["nu_x+m", "nu_t-q", "theta_x+q", "theta_t-E-omega", "omega_x-closure"]
-    series = {name: [] for name in names}
-    for h in sorted(hs, reverse=True):
-        worst = dict.fromkeys(names, 0.0)
-        for (x, t), (mv, qv, ev, om_c) in zip(stencil_grid, centres):
-            nu_l, th_l, om_l, _ = eval_nu_theta_omega(data, x - h, t)
-            nu_r, th_r, om_r, _ = eval_nu_theta_omega(data, x + h, t)
-            nu_d, th_d, om_d, _ = eval_nu_theta_omega(data, x, t - h)
-            nu_u, th_u, om_u, _ = eval_nu_theta_omega(data, x, t + h)
-            worst["nu_x+m"] = max(
-                worst["nu_x+m"], abs((nu_r - nu_l) / (2 * h) + mv)
-            )
-            worst["nu_t-q"] = max(
-                worst["nu_t-q"], abs((nu_u - nu_d) / (2 * h) - qv)
-            )
-            worst["theta_x+q"] = max(
-                worst["theta_x+q"], abs((th_r - th_l) / (2 * h) + qv)
-            )
-            worst["theta_t-E-omega"] = max(
-                worst["theta_t-E-omega"], abs((th_u - th_d) / (2 * h) - ev - om_c)
-            )
-            closure = qv / tau + 0.5 * mv * mv - 0.5 * M * mv
-            worst["omega_x-closure"] = max(
-                worst["omega_x-closure"], abs((om_r - om_l) / (2 * h) - closure)
-            )
-        for name in names:
-            series[name].append(worst[name])
-    # series were collected from largest h to smallest: order to match hs
-    ordered = {name: tuple(reversed(vals)) for name, vals in series.items()}
+    worst = {name: [0.0] * len(hs) for name in names}
+    for t in positions:  # each distinct stencil time once
+        xs = np.array([x for x, s in stencil_grid if s == t], dtype=float)
+        mv, qv, ev = np.array([(c.m, c.q, c.E) for c in sample(data, xs, t)]).T
+        om_c = eval_nu_theta_omega(data, xs, t)[2]
+        closure = qv / data.tau + 0.5 * mv * mv - 0.5 * data.measure.total_mass * mv
+        for i, h in enumerate(hs):
+            nu_x, th_x, om_x, _ = eval_nu_theta_omega(data, np.concatenate((xs - h, xs + h)), t)
+            nu_d, th_d, _, _ = eval_nu_theta_omega(data, xs, t - h)
+            nu_u, th_u, _, _ = eval_nu_theta_omega(data, xs, t + h)
+            (nu_l, nu_r), (th_l, th_r), (om_l, om_r) = (np.split(v, 2) for v in (nu_x, th_x, om_x))
+            residuals = {
+                "nu_x+m": (nu_r - nu_l) / (2 * h) + mv,
+                "nu_t-q": (nu_u - nu_d) / (2 * h) - qv,
+                "theta_x+q": (th_r - th_l) / (2 * h) + qv,
+                "theta_t-E-omega": (th_u - th_d) / (2 * h) - ev - om_c,
+                "omega_x-closure": (om_r - om_l) / (2 * h) - closure,
+            }
+            for name, r in residuals.items():
+                worst[name][i] = max(worst[name][i], *np.abs(r).tolist())
+    ordered = {name: tuple(vals) for name, vals in worst.items()}
     floor = 1e-10
     passed = True
     for name, vals in ordered.items():

@@ -281,6 +281,34 @@ class TestAuxiliaryFields:
         with pytest.raises(NonPositiveTime):
             eval_nu_theta_omega(single_atom, 0.0, 0.0)
 
+    def test_grid_equals_scalar_calls(self, two_atom_symmetric):
+        # left of the support (k = 0), interior vacuum, on a cluster (a
+        # prefix tie) and far right, on fixtures and random instances
+        rng = np.random.default_rng(2503)
+        instances = [two_atom_symmetric] + [make_random_instance(rng) for _ in range(15)]
+        for data in instances:
+            for t in (0.05, 0.7, 3.0):
+                clusters = cluster_snapshot(data, t).positions
+                gaps = 0.5 * (clusters[:-1] + clusters[1:])
+                xs = np.concatenate(([clusters[0] - 5.0], gaps, clusters, [clusters[-1] + 5.0]))
+                grid = eval_nu_theta_omega(data, xs, t)
+                scalar = [eval_nu_theta_omega(data, x, t) for x in xs.tolist()]
+                assert all(type(v) is float for row in scalar for v in row)
+                assert len(grid) == 4
+                for column, want in zip(grid, zip(*scalar)):
+                    assert column.tobytes() == np.array(want).tobytes()
+                # k = 0 gives +0.0 sums; omega's negative scale would make -0.0
+                assert repr(scalar[0][1:]) == repr((0.0, 0.0, 0.0))
+
+    def test_grid_rejects_bad_points_and_times(self, two_atom_symmetric):
+        with pytest.raises(ValueError, match="1-d grid"):
+            eval_nu_theta_omega(two_atom_symmetric, np.zeros((2, 2)), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            eval_nu_theta_omega(two_atom_symmetric, [0.0, math.nan], 1.0)
+        for t in (0.0, -1.0):
+            with pytest.raises(NonPositiveTime):
+                eval_nu_theta_omega(two_atom_symmetric, [0.0, 1.0], t)
+
 
 class TestSample:
     def test_fields_and_invariants(self):

@@ -1,16 +1,19 @@
 import math
 import warnings
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from stickygas import validate
+from stickygas.cli import _stencil_candidates
 from stickygas.errors import NonPositiveTime, StencilTooCloseToShock
-from stickygas.euler_poisson import FormulaSolution, cluster_snapshot, eval_E, eval_m_grid, eval_q
+from stickygas.euler_poisson import FormulaSolution, cluster_snapshot, eval_E, eval_m_grid, eval_q, sample
+from stickygas.instances import random_instance
 from stickygas.measure import BLOCK_ELEMENTS, InitialData
 from stickygas.oracle import oracle_cdf, simulate_ep
-from stickygas.potentials import PotentialCoefficients
+from stickygas.potentials import PotentialCoefficients, PrefixFrame
 from stickygas.validate import (
     ROUNDOFF_FLOOR,
     TestFunction as Bump,
@@ -538,3 +541,112 @@ class TestPotentialIdentities:
         rows = list(rep.rows())
         assert len(rows) == 5 * len(self.HS)
         assert all(len(r) == 4 for r in rows)
+
+
+# Reference for the grouped identity check: the per-point loop it replaced,
+# one frame per stencil point through the scalar auxiliary fields.
+
+
+def scalar_nu_theta_omega(data, x, t):
+    coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
+    frame = PrefixFrame(data.measure, data.velocities, coeffs)
+    nu, k_min, _ = frame.argmin(x)
+    if k_min == 0:
+        return float(nu), 0.0, 0.0, 0.0
+    lo, hi, pos, vel = frame.clusters()
+    cluster_pos, cluster_vel = np.repeat(pos, hi - lo), np.repeat(vel, hi - lo)
+    m = data.measure
+    w = m.masses[:k_min]
+    off = cluster_pos[:k_min] - x
+    theta = float(np.sum(w * frame.vel[:k_min] * off))
+    mt = m.atom_mtilde()[:k_min]
+    omega = float(
+        -(coeffs.decay / data.tau)
+        * np.sum(w * (data.velocities[:k_min] + data.tau * mt) * off)
+    )
+    h = float(np.sum(w * cluster_vel[:k_min]))
+    return float(nu), theta, omega, h
+
+
+def scalar_identity_series(data, stencil_grid, hs):
+    tau = data.tau
+    M = data.measure.total_mass
+    names = ["nu_x+m", "nu_t-q", "theta_x+q", "theta_t-E-omega", "omega_x-closure"]
+    series = {name: [] for name in names}
+    for h in sorted(hs):
+        worst = dict.fromkeys(names, 0.0)
+        for x, t in stencil_grid:
+            s = sample(data, x, t)
+            mv, qv, ev = s.m, s.q, s.E
+            om_c = scalar_nu_theta_omega(data, x, t)[2]
+            nu_l, th_l, om_l, _ = scalar_nu_theta_omega(data, x - h, t)
+            nu_r, th_r, om_r, _ = scalar_nu_theta_omega(data, x + h, t)
+            nu_d, th_d, _, _ = scalar_nu_theta_omega(data, x, t - h)
+            nu_u, th_u, _, _ = scalar_nu_theta_omega(data, x, t + h)
+            closure = qv / tau + 0.5 * mv * mv - 0.5 * M * mv
+            residuals = {
+                "nu_x+m": (nu_r - nu_l) / (2 * h) + mv,
+                "nu_t-q": (nu_u - nu_d) / (2 * h) - qv,
+                "theta_x+q": (th_r - th_l) / (2 * h) + qv,
+                "theta_t-E-omega": (th_u - th_d) / (2 * h) - ev - om_c,
+                "omega_x-closure": (om_r - om_l) / (2 * h) - closure,
+            }
+            for name, r in residuals.items():
+                worst[name] = max(worst[name], abs(r))
+        for name in names:
+            series[name].append(worst[name])
+    return {name: tuple(vals) for name, vals in series.items()}
+
+
+def stencil_cases(fixtures):
+    """Each instance with the stencils of ``_stencil_candidates`` on a wide
+    grid (left vacuum first) and on one that starts inside the support."""
+    rng = np.random.default_rng(2501)
+    instances = list(fixtures) + [random_instance(rng, n_max=20) for _ in range(20)]
+    grids = (np.linspace(-12.0, 12.0, 97), np.linspace(-2.0, 12.0, 57))
+    for data in instances:
+        for grid in grids:
+            cfg = SimpleNamespace(data=data, times=[0.3, 1.0, 2.5], x_grid=grid)
+            stencils = _stencil_candidates(cfg, max(TestPotentialIdentities.HS))
+            if stencils:
+                yield data, stencils
+
+
+class TestGroupedIdentitiesMatchPointwiseLoop:
+    HS = TestPotentialIdentities.HS
+
+    def test_series_equal_bit_for_bit(self, single_atom, two_atom_symmetric, two_atom_asymmetric):
+        cases = 0
+        for data, stencils in stencil_cases((single_atom, two_atom_symmetric, two_atom_asymmetric)):
+            # interleaved times exercise the grouping by t
+            for grid in (stencils, stencils[::-1]):
+                rep = check_potential_identities(data, grid, self.HS)
+                want = scalar_identity_series(data, grid, self.HS)
+                assert repr(rep.series) == repr(want)  # repr keeps the sign of zero
+            cases += 1
+        assert cases >= 40
+
+    def test_frames_per_stencil_time(self, monkeypatch):
+        # the guard's snapshot, the centres' sample and omega, and three
+        # grid calls per h: at most 3 + 3H frames per time, whatever P is
+        data = random_instance(np.random.default_rng(2502), n_max=20)
+        grid = np.linspace(-12.0, 12.0, 97)
+        times = [0.3, 1.0, 2.5]
+        built = []
+        init = PrefixFrame.__init__
+
+        def counted(frame, *args):
+            built.append(frame)
+            init(frame, *args)
+
+        for points in (1, 5):
+            stencils = _stencil_candidates(SimpleNamespace(data=data, times=times, x_grid=grid), 1e-2)
+            by_time = {t: [p for p in stencils if p[1] == t][:points] for t in times}
+            stencils = [p for group in by_time.values() for p in group]
+            assert [len(group) for group in by_time.values()] == [points] * len(times)
+            for hs in ([1e-2], self.HS):
+                built.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(PrefixFrame, "__init__", counted)
+                    check_potential_identities(data, stencils, hs)
+                assert 0 < len(built) <= len(times) * (3 + 3 * len(hs))
