@@ -3,33 +3,20 @@ with momentum relaxation, its drift limit, and an independent sticky-particle
 verification oracle."""
 
 from .measure import AtomicMeasure, ClusterState, InitialData
-from .potentials import (
-    MinimizerResult,
-    PotentialCoefficients,
-    eval_F,
-    eval_Fbar,
-    eval_G,
-    eval_H,
-    initial_speed_c,
-    minimize_F,
-    minimize_Fbar,
-)
+from .potentials import MinimizerResult, PotentialCoefficients, minimize_F, minimize_Fbar
 from .euler_poisson import (
     Branch,
     FormulaSolution,
     SolutionSample,
-    ShockCurve,
     cluster_snapshot,
     eval_E,
     eval_m,
     eval_nu_theta_omega,
     eval_q,
     eval_u,
-    forward_position,
     sample,
-    trace_shock,
 )
-from .drift import DriftSample, eval_mbar, eval_qbar, eval_ubar, sample_drift
+from .drift import eval_mbar, eval_qbar, eval_ubar
 from .oracle import (
     Trajectory,
     oracle_cdf,
@@ -53,31 +40,21 @@ __all__ = [
     "InitialData",
     "PotentialCoefficients",
     "MinimizerResult",
-    "eval_F",
-    "eval_Fbar",
-    "eval_G",
-    "eval_H",
-    "initial_speed_c",
     "minimize_F",
     "minimize_Fbar",
     "Branch",
     "FormulaSolution",
     "SolutionSample",
-    "ShockCurve",
     "sample",
     "eval_m",
     "eval_q",
     "eval_u",
     "eval_E",
     "eval_nu_theta_omega",
-    "forward_position",
     "cluster_snapshot",
-    "trace_shock",
-    "DriftSample",
     "eval_mbar",
     "eval_qbar",
     "eval_ubar",
-    "sample_drift",
     "ClusterState",
     "Trajectory",
     "simulate_ep",

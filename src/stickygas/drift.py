@@ -8,40 +8,19 @@ the argmin structure without numeric one-sided limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .errors import IdentityViolation
-from .measure import AtomicMeasure, ClusterState
-from .potentials import PotentialCoefficients, PrefixFrame, _finite_points
+from .measure import AtomicMeasure, ClusterState, _finite_points
+from .potentials import PotentialCoefficients, PrefixFrame
 
 __all__ = [
-    "DriftBranch",
-    "DriftSample",
     "eval_mbar",
     "eval_qbar",
     "eval_ubar",
-    "sample_drift",
     "eval_mbar_grid",
     "drift_cluster_snapshot",
 ]
-
-
-class DriftBranch(Enum):
-    DELTA_SHOCK = "delta_shock"
-    OFF_SUPPORT = "off_support"
-
-
-@dataclass(frozen=True)
-class DriftSample:
-    x: float
-    t: float
-    mbar: float
-    qbar: float
-    ubar: float
-    branch: DriftBranch
 
 
 def _drift_frame(measure, t):
@@ -62,8 +41,8 @@ def _drift_ranges(measure, xs, t):
     return k_min, k_max
 
 
-def _drift_point(measure, x, t) -> DriftSample:
-    """All drift fields at a scalar x, a one-point grid.
+def _drift_point(measure, x, t):
+    """(mbar, qbar, ubar), the drift fields at a scalar x, a one-point grid.
 
     The momentum is the prefix sum of -mtilde0, which telescopes to
     -mbar^2/2 + M*mbar/2; a violation beyond roundoff signals a
@@ -78,14 +57,12 @@ def _drift_point(measure, x, t) -> DriftSample:
         raise IdentityViolation(
             f"drift momentum identity violated at (x={x}, t={t}): {q} vs {closed}"
         )
-    ubar = float(-0.5 * (P[k_min] + P[k_max] - M))
-    branch = DriftBranch.DELTA_SHOCK if k_max > k_min else DriftBranch.OFF_SUPPORT
-    return DriftSample(x=x, t=t, mbar=mbar, qbar=q, ubar=ubar, branch=branch)
+    return mbar, q, float(-0.5 * (P[k_min] + P[k_max] - M))
 
 
 def eval_mbar(measure: AtomicMeasure, x: float, t: float) -> float:
     """Drift mass strictly left of x."""
-    return _drift_point(measure, x, t).mbar
+    return _drift_point(measure, x, t)[0]
 
 
 def eval_mbar_grid(measure: AtomicMeasure, xs, t: float):
@@ -94,17 +71,12 @@ def eval_mbar_grid(measure: AtomicMeasure, xs, t: float):
 
 def eval_qbar(measure: AtomicMeasure, x: float, t: float) -> float:
     """Drift momentum over the prefix of eval_mbar, checked against its closed form."""
-    return _drift_point(measure, x, t).qbar
+    return _drift_point(measure, x, t)[1]
 
 
 def eval_ubar(measure: AtomicMeasure, x: float, t: float) -> float:
     """Drift velocity: minus the centered mass, one-sided values from the argmin."""
-    return _drift_point(measure, x, t).ubar
-
-
-def sample_drift(measure: AtomicMeasure, x: float, t: float) -> DriftSample:
-    """All drift fields at one point with the on/off-support branch flag."""
-    return _drift_point(measure, x, t)
+    return _drift_point(measure, x, t)[2]
 
 
 def drift_cluster_snapshot(measure: AtomicMeasure, t: float) -> ClusterState:

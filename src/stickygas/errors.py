@@ -29,10 +29,6 @@ class TauOutOfRange(NumericError):
     """Relaxation time outside the admissible interval (0, 1]."""
 
 
-class BadConstantK(NumericError):
-    """Auxiliary-potential constant k does not satisfy k > U0 + M*tau/2."""
-
-
 class RootBracketFailure(NumericError):
     """Event root finding failed to bracket a collision time."""
 

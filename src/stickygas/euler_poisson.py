@@ -11,10 +11,9 @@ the prefix points (P_k, S_k): hull vertices are the exposed prefixes and
 each hull edge is one cluster whose position and velocity are the edge
 slopes in S and Q. The hull lives in ``potentials.PrefixFrame.clusters``,
 shared with the drift and relaxation layers. Clusters only merge, so the
-forward characteristics are read off the same hull: ``forward_position``
-is the position of the cluster that holds the atom, and ``trace_shock``
-follows a cluster, or a backward characteristic clamped between the two
-clusters around it.
+forward characteristic of atom i sits at the position of the cluster that
+holds it: ``cluster_snapshot(data, t)``, read at
+``searchsorted(hi, i, side="right")``.
 
 ``eval_m``, ``eval_q``, ``eval_u``, ``eval_E``, ``sample`` and
 ``eval_m_grid`` are projections of one routine, ``_fields``. At t = 0 it
@@ -29,20 +28,18 @@ on one frame per call, for a scalar or a grid alike.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import NonPositiveTime
-from .measure import BLOCK_ELEMENTS, ClusterState, InitialData
-from .potentials import PotentialCoefficients, PrefixFrame, _finite_points
+from .measure import BLOCK_ELEMENTS, ClusterState, InitialData, _finite_points
+from .potentials import PotentialCoefficients, PrefixFrame
 
 __all__ = [
     "Branch",
     "SolutionSample",
-    "ShockCurve",
     "eval_m",
     "eval_q",
     "eval_u",
@@ -51,10 +48,8 @@ __all__ = [
     "sample",
     "eval_m_grid",
     "eval_m_and_clusters",
-    "forward_position",
     "cluster_snapshot",
     "FormulaSolution",
-    "trace_shock",
     "speed_bound",
 ]
 
@@ -82,18 +77,6 @@ class SolutionSample:
     branch: Branch
 
 
-@dataclass(frozen=True)
-class ShockCurve:
-    """Sampled forward generalized characteristic from (x0, t0)."""
-
-    x0: float
-    t0: float
-    times: tuple
-    positions: tuple
-    velocities: tuple
-    ranges: tuple  # (k_min, k_max) prefix pair per sample
-
-
 def speed_bound(data: InitialData) -> float:
     """Global bound U0 + tau*M/2 on every velocity of the solution."""
     return data.max_speed + 0.5 * data.tau * data.measure.total_mass
@@ -102,12 +85,6 @@ def speed_bound(data: InitialData) -> float:
 def _frame(data, t, weights=PotentialCoefficients.euler_poisson):
     """Prefix frame of ``data`` at t, with coefficients ``weights(data.tau, t)``."""
     return PrefixFrame(data.measure, data.velocities, weights(data.tau, t))
-
-
-def _range_at(frame, x):
-    """(k_min, k_max) at a scalar x: ``argmin_grid`` on a one-point grid."""
-    _, k_min, k_max = frame.argmin_grid([x])
-    return int(k_min[0]), int(k_max[0])
 
 
 # -- pointwise fields --------------------------------------------------------
@@ -383,94 +360,3 @@ class FormulaSolution:
 def _stack(snaps):
     columns = (np.array([getattr(s, name) for s in snaps]) for name in ("time", "positions", "velocities"))
     return (*columns, snaps[0].masses)
-
-
-# -- forward generalized characteristics --------------------------------------
-
-
-def _holder(hi, i):
-    """Index of the cluster (hull edge) that holds atom i."""
-    return int(np.searchsorted(hi, i, side="right"))
-
-
-def forward_position(data: InitialData, atom_index: int, t: float) -> float:
-    """Position x(eta_i, t) of the forward characteristic through atom i.
-
-    Clusters only merge, so atom i sits at the position of the hull edge
-    that holds it.
-    """
-    m = data.measure
-    if not 0 <= atom_index < len(m):
-        raise IndexError(f"atom index {atom_index} out of range")
-    if t == 0.0:
-        return float(m.positions[atom_index])
-    _, hi, pos, _ = _frame(data, t).clusters()
-    return float(pos[_holder(hi, atom_index)])
-
-
-def trace_shock(
-    data: InitialData, x0: float, t0: float, t_end: float, dt: float
-) -> ShockCurve:
-    """Sample the unique forward generalized characteristic from (x0, t0).
-
-    A start on a cluster (k_max > k_min at x0) follows the cluster that
-    holds atom k_min. A start in vacuum (k_min = k_max = k) continues its
-    backward characteristic (the max-speed vacuum tracer, or the plain
-    characteristic from its anchor atom), clamped between the clusters
-    that hold atoms k - 1 and k.
-    """
-    if not 0.0 < t0 < t_end < math.inf:
-        raise NonPositiveTime(
-            f"need 0 < t0 < t_end with t_end finite, got t0={t0}, t_end={t_end}"
-        )
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-
-    times = [t0]
-    n_steps = int(math.floor((t_end - t0) / dt + 1e-12))
-    times += [t0 + j * dt for j in range(1, n_steps + 1)]
-    if times[-1] < t_end - 1e-12 * (1.0 + t_end):
-        times.append(t_end)
-
-    frame = _frame(data, t0)
-    coeffs0 = frame.coeffs
-    k, k_max = _range_at(frame, x0)
-    if k_max == k:
-        side, vacuum, _, y, mt, c = _backward_cone(frame, data, x0, k)
-
-    xs, vels, ranges = [], [], []
-    for j, t1 in enumerate(times):
-        x1, a, b = float(x0), k, k_max
-        if j > 0:
-            frame = _frame(data, t1)
-            _, hi, pos, _ = frame.clusters()
-            coeffs = frame.coeffs
-            if k_max > k:
-                x1 = pos[_holder(hi, k)]
-            else:
-                if vacuum:
-                    x1 = (
-                        x0
-                        + side * data.max_speed * (coeffs.A - coeffs0.A)
-                        + mt * (coeffs.B - coeffs0.B)
-                    )
-                else:
-                    x1 = y + c * coeffs.A + mt * coeffs.B
-                if k > 0:
-                    x1 = max(x1, pos[_holder(hi, k - 1)])
-                if k < len(data.measure):
-                    x1 = min(x1, pos[_holder(hi, k)])
-            x1 = float(x1)
-            a, b = _range_at(frame, x1)
-        u, _ = _velocity_from_frame(frame, data, x1, a, b)
-        xs.append(x1)
-        vels.append(u)
-        ranges.append((a, b))
-    return ShockCurve(
-        x0=float(x0),
-        t0=float(t0),
-        times=tuple(times),
-        positions=tuple(xs),
-        velocities=tuple(vels),
-        ranges=tuple(ranges),
-    )

@@ -25,6 +25,18 @@ __all__ = ["AtomicMeasure", "InitialData", "ClusterState"]
 BLOCK_ELEMENTS = 4096
 
 
+def _finite_points(xs):
+    """xs as a float array; a non-finite point raises ValueError.
+
+    The one check of query points, shared by the formula layer and the
+    oracle.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError(f"x must be finite, got {float(xs[~np.isfinite(xs)][0])!r}")
+    return xs
+
+
 def _merge_duplicates(positions, masses, velocities=None):
     """Collapse exact duplicate positions, summing mass.
 
@@ -130,14 +142,6 @@ class AtomicMeasure:
     def mtilde0(self, x):
         """Symmetric centered CDF: (cdf_left + cdf_right - M) / 2."""
         return 0.5 * (self.cdf_left(x) + self.cdf_right(x) - self.total_mass)
-
-    def mtilde0_left(self, x):
-        """Left limit of mtilde0 at x: cdf_left(x) - M/2."""
-        return self.cdf_left(x) - 0.5 * self.total_mass
-
-    def mtilde0_right(self, x):
-        """Right limit of mtilde0 at x: cdf_right(x) - M/2."""
-        return self.cdf_right(x) - 0.5 * self.total_mass
 
     def atom_mtilde(self):
         """mtilde0 evaluated at every atom: prefix + half own mass - M/2."""

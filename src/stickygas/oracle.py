@@ -36,7 +36,7 @@ from .errors import (
     NonPositiveTime,
     RootBracketFailure,
 )
-from .measure import BLOCK_ELEMENTS, AtomicMeasure, ClusterState, InitialData
+from .measure import BLOCK_ELEMENTS, AtomicMeasure, ClusterState, InitialData, _finite_points
 
 __all__ = [
     "ClusterState",
@@ -399,7 +399,8 @@ def oracle_cdf(state: ClusterState, x):
 
     The positions are sorted, so the sequential prefix sum at the
     insertion point equals the running sum over the clusters left of x.
+    A non-finite x raises ValueError, as in the formula layer.
     """
     prefix = np.concatenate(([0.0], np.cumsum(state.masses)))
-    cdf = prefix[np.searchsorted(state.positions, x, side="left")]
+    cdf = prefix[np.searchsorted(state.positions, _finite_points(x), side="left")]
     return float(cdf) if np.ndim(x) == 0 else cdf

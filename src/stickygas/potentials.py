@@ -11,26 +11,21 @@ study.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConstantK, EmptyMeasure, NonPositiveTime
-from .measure import AtomicMeasure, ClusterState, InitialData
+from .errors import EmptyMeasure, NonPositiveTime
+from .measure import AtomicMeasure, ClusterState, InitialData, _finite_points
 
 __all__ = [
     "DEFAULT_TIE_TOL",
     "DEFAULT_TIE_POS_TOL",
     "PotentialCoefficients",
     "MinimizerResult",
-    "eval_F",
-    "eval_F_right",
     "minimize_F",
-    "initial_speed_c",
-    "eval_Fbar",
     "minimize_Fbar",
-    "eval_G",
-    "eval_H",
 ]
 
 # Prefix sums T_j and the minimum nu tie when
@@ -92,16 +87,19 @@ class PotentialCoefficients:
 
         Computed directly from slow_t so that B never forms the product
         tau * (slow_t / tau); exponentials beyond the flush threshold are
-        exactly zero.
+        exactly zero. A tau whose square leaves the normal range (below
+        about 1.5e-154) divides twice instead, so that a square that
+        underflows to 0 never divides.
         """
         if not 0.0 < slow_t < math.inf:
             raise NonPositiveTime(
                 f"potential coefficients require finite t > 0, got {slow_t}"
             )
-        z = slow_t / (tau * tau)
+        sq = tau * tau
+        z = slow_t / sq if sq >= sys.float_info.min else slow_t / tau / tau
         em1 = _one_minus_exp_neg(z)
         A = tau * em1
-        B = tau * tau * em1 - slow_t
+        B = sq * em1 - slow_t
         return cls(A=A, B=B, decay=_exp_neg(z), tau=tau, t=slow_t / tau)
 
     def force_speed_ratio(self) -> float:
@@ -184,9 +182,6 @@ class PrefixFrame:
         self.S = np.concatenate(([0.0], np.cumsum(w * self.X)))
         self.Q = np.concatenate(([0.0], np.cumsum(w * self.vel)))
         self._hull = None
-
-    def prefix_values(self, x: float):
-        return self.S - x * self.P
 
     def argmin(self, x: float):
         """(nu, k_min, k_max) of the prefix sums at x under the tie tolerance.
@@ -303,128 +298,13 @@ class PrefixFrame:
         return hull
 
 
-def _finite_points(xs):
-    """xs as a float array; a non-finite point raises ValueError."""
-    xs = np.asarray(xs, dtype=float)
-    if not np.isfinite(xs).all():
-        raise ValueError(f"x must be finite, got {float(xs[~np.isfinite(xs)][0])!r}")
-    return xs
-
-
-def _prefix_count(measure: AtomicMeasure, y: float, side: str) -> int:
-    return int(np.searchsorted(measure.positions, y, side=side))
-
-
-def _potential_at(measure, velocities, coeffs, y, x, side) -> float:
-    """Potential at y (side "left": atoms below y; "right": atoms at y too)."""
-    frame = PrefixFrame(measure, velocities, coeffs)
-    return float(frame.prefix_values(x)[_prefix_count(measure, y, side)])
-
-
-# -- first generalized potential ------------------------------------------
-
-
-def eval_F(data: InitialData, y: float, x: float, t: float) -> float:
-    """F(y; x, t): left-continuous Stieltjes sum over atoms strictly below y."""
-    coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
-    return _potential_at(data.measure, data.velocities, coeffs, y, x, "left")
-
-
-def eval_F_right(data: InitialData, y: float, x: float, t: float) -> float:
-    """F(y+; x, t): right limit, atoms at y included."""
-    coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
-    return _potential_at(data.measure, data.velocities, coeffs, y, x, "right")
-
-
 def minimize_F(data: InitialData, x: float, t: float) -> MinimizerResult:
     """Minimize F(.; x, t) over y by exact prefix-sum argmin."""
     coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
     return PrefixFrame(data.measure, data.velocities, coeffs).result(x)
 
 
-def initial_speed_c(
-    data: InitialData, y: float, x: float, t: float, side: int = 0
-) -> float:
-    """Initial speed of the backward characteristic from (x, t) through (y, 0).
-
-    side selects the centered CDF convention at y: -1 left limit, 0 the
-    symmetric atom value, +1 right limit. Uses the expm1-stable weights so
-    small t does not cancel catastrophically.
-    """
-    coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
-    m = data.measure
-    if side < 0:
-        mt = m.mtilde0_left(y)
-    elif side > 0:
-        mt = m.mtilde0_right(y)
-    else:
-        mt = m.mtilde0(y)
-    return (x - y) / coeffs.A - mt * coeffs.force_speed_ratio()
-
-
-# -- drift potential --------------------------------------------------------
-
-
-def eval_Fbar(measure: AtomicMeasure, y: float, x: float, t: float) -> float:
-    """Drift potential: sum over atoms below y of w (eta - t*mtilde0 - x)."""
-    return _potential_at(measure, None, PotentialCoefficients.drift(t), y, x, "left")
-
-
 def minimize_Fbar(measure: AtomicMeasure, x: float, t: float) -> MinimizerResult:
     """Minimize the drift potential: identical argmin structure with weights (0, -t)."""
     coeffs = PotentialCoefficients.drift(t)
     return PrefixFrame(measure, None, coeffs).result(x)
-
-
-# -- auxiliary potentials ----------------------------------------------------
-
-
-def _check_k(data: InitialData, k) -> float:
-    bound = data.max_speed + 0.5 * data.measure.total_mass * data.tau
-    if k is None:
-        return bound + 1.0
-    if not k > bound:
-        raise BadConstantK(f"constant k must exceed U0 + M*tau/2 = {bound}, got {k}")
-    return float(k)
-
-
-def _auxiliary_sum(data, forward_positions, y, x, t, k, speeds):
-    """(coeffs, sum over atoms below y of w (speed + k)(x(eta, t) - x)).
-
-    ``speeds(coeffs)`` gives the per-atom speed array of the potential.
-    """
-    k = _check_k(data, k)
-    coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
-    m = data.measure
-    fp = np.asarray(forward_positions, dtype=float)
-    if fp.shape != m.positions.shape:
-        raise ValueError("forward_positions must supply one position per atom")
-    n = _prefix_count(m, y, "left")
-    terms = m.masses[:n] * (speeds(coeffs)[:n] + k) * (fp[:n] - x)
-    return coeffs, np.sum(terms)
-
-
-def eval_G(
-    data: InitialData, forward_positions, y: float, x: float, t: float, k=None
-) -> float:
-    """Second auxiliary potential; forward_positions supplies x(eta_i, t) per atom.
-
-    Any k above U0 + M*tau/2 is admissible and all give the same minimizer;
-    the default is that bound plus one.
-    """
-    _, total = _auxiliary_sum(
-        data, forward_positions, y, x, t, k,
-        lambda c: c.decay * data.velocities - c.A * data.measure.atom_mtilde(),
-    )
-    return float(total)
-
-
-def eval_H(
-    data: InitialData, forward_positions, y: float, x: float, t: float, k=None
-) -> float:
-    """Third auxiliary potential; shares its minimizers with F and G."""
-    coeffs, total = _auxiliary_sum(
-        data, forward_positions, y, x, t, k,
-        lambda c: data.velocities + data.tau * data.measure.atom_mtilde(),
-    )
-    return float(-(coeffs.decay / data.tau) * total)

@@ -9,6 +9,7 @@ the scaled cluster velocities at the drift clusters.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,9 @@ class RelaxationReport:
 
 
 def _check_tau(tau: float):
-    if not 0.0 < tau <= 1.0:
-        raise TauOutOfRange(f"tau must lie in (0, 1], got {tau}")
+    # a subnormal tau has lost bits: u/tau would be a silent wrong number
+    if not sys.float_info.min <= tau <= 1.0:
+        raise TauOutOfRange(f"tau must be a normal float in (0, 1], got {tau}")
 
 
 def _scaled_frame(data: InitialData, t: float, tau: float):

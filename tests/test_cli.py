@@ -1,6 +1,9 @@
+import ast
 import json
 import math
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +348,28 @@ class TestRelaxCommand:
         errs = [float(r[1]) for r in rows]
         assert all(b <= 1.05 * a + 1e-12 for a, b in zip(errs[:-1], errs[1:]))
 
+    def test_tiny_tau_answers_or_exits_3(self, tmp_path, capsys):
+        # tau * tau underflows to 0 below about 1.5e-162, which used to raise
+        # ZeroDivisionError out of main; the study gives the drift limit
+        # there, and a subnormal tau, which has lost bits, exits 3
+        cfg = dict(
+            TWO_ATOM,
+            atoms=[
+                {"position": -1.0, "mass": 1.0 / 3.0, "velocity": 0.0},
+                {"position": 1.0, "mass": 2.0 / 3.0, "velocity": 0.0},
+            ],
+            tau_sequence=[1e-200, 1e-300],
+        )
+        code = main(["relax", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "relax_report.csv")
+        assert [float(r[0]) for r in rows] == [1e-200, 1e-300]
+        assert all(float(r[1]) <= 1e-12 and float(r[2]) <= 1e-12 for r in rows)
+        cfg["tau_sequence"] = [5e-324]
+        code = main(["relax", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 3
+        assert "TauOutOfRange" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_report_written(self, tmp_path):
@@ -462,3 +487,101 @@ class TestEnvOverride:
         cfg_path = write_config(tmp_path, TWO_ATOM)
         assert main(["solve", "--config", cfg_path]) == 0
         assert (target / "solution_t1.csv").exists()
+
+
+# -- every public function is reached by a command ------------------------------
+
+# The public functions and methods of the package that none of the six
+# commands reaches, each with the reason it stays. Any other unreached public
+# definition fails the test below, and so does an entry here that names no
+# definition or names one that a command reaches.
+UNREACHED = {
+    "drift.eval_mbar": "criterion 07 reads mbar at a point; no command computes it",
+    "drift.eval_qbar": "criterion 07 and test_q_scaled_converges_to_drift_momentum read qbar; no command computes it",
+    "drift.eval_ubar": "the drift velocity convention at a point, which test_drift checks; no command computes it",
+    "euler_poisson.eval_m": "the scalar projection of _fields; the commands read grids",
+    "euler_poisson.FormulaSolution.states_at": "the weak form on the formula layer; validate runs it on the oracle only",
+    "measure.AtomicMeasure.atom_index": "data-model accessor that tests use as a reference",
+    "measure.AtomicMeasure.cdf_left": "data-model accessor that tests use as a reference",
+    "measure.AtomicMeasure.cdf_right": "data-model accessor that tests use as a reference",
+    "measure.AtomicMeasure.mtilde0": "data-model accessor that tests use as a reference",
+    "measure.ClusterState.from_atoms": "the t = 0 snapshot; no command takes a snapshot at t = 0",
+    "measure.ClusterState.momentum": "data-model accessor that the momentum-decay tests use",
+    "oracle.simulate_drift": "the drift oracle; ROADMAP items 3 and 7 wire it into relax",
+    "potentials.minimize_F": "the Euler-Poisson twin of the reached minimize_Fbar",
+    "relax.eval_scaled": "the scaled fields at a point; ROADMAP items 3 and 7 wire them",
+    "relax.scaled_cluster_snapshot": "the scaled clusters; ROADMAP items 3 and 7 wire them",
+    "validate.check_oleinik_states": "the cluster Oleinik check; ROADMAP item 7 runs it on both layers",
+}
+
+
+COMMANDS = ("solve", "oracle", "compare", "relax", "validate", "plot")
+
+
+def public_definitions() -> dict:
+    """(file, first line) -> dotted name of every public module-level function
+    and public method of a public class in the package. The first line is the
+    first decorator's, as in the function's code object."""
+    package = Path(cli.__file__).resolve().parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                members = [(node, node.name)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                members = [(f, f"{node.name}.{f.name}") for f in node.body if isinstance(f, ast.FunctionDef)]
+            else:
+                continue
+            for fn, name in members:
+                if not fn.name.startswith("_"):
+                    first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+                    found[(str(path), first)] = f"{path.stem}.{name}"
+    return found
+
+
+def reached_by_commands(tmp_path) -> set:
+    """(file, first line) of every code object that runs while the six
+    commands run on two small configs: t > 0 with compare instances, and
+    t = 0."""
+    rng = np.random.default_rng(5)
+    atoms = [
+        {"position": p, "mass": m, "velocity": v}
+        for p, m, v in zip(
+            np.sort(rng.uniform(-3.0, 3.0, 12)).tolist(),
+            rng.uniform(0.1, 1.0, 12).tolist(),
+            rng.uniform(-1.0, 1.0, 12).tolist(),
+        )
+    ]
+    configs = [
+        dict(TWO_ATOM, atoms=atoms, tau=0.5, times=[0.5, 1.5], t_end=2.0,
+             x_grid={"min": -5.0, "max": 5.0, "count": 41}, tau_sequence=[0.5, 0.1], n_instances=2),
+        dict(TWO_ATOM, atoms=atoms[:4], times=[0.0], t_end=1.0,
+             x_grid={"min": -5.0, "max": 5.0, "count": 11}, tau_sequence=[0.5], relax_time=0.5),
+    ]
+    seen = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    for i, cfg in enumerate(configs):
+        cfg_path = write_config(tmp_path, cfg, f"reach{i}.json")
+        out = str(tmp_path / f"reach{i}")
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            codes = [main([command, "--config", cfg_path, "--out", out]) for command in COMMANDS]
+        finally:
+            sys.setprofile(previous)
+        assert codes == [0] * len(COMMANDS)
+    return {(os.path.realpath(path), line) for path, line in seen}
+
+
+def test_commands_reach_every_public_function(tmp_path):
+    names = public_definitions()
+    reached = reached_by_commands(tmp_path)
+    unreached = {name for key, name in names.items() if key not in reached}
+    assert {"cli.main", "potentials.PrefixFrame.argmin_grid"} <= set(names.values()) - unreached
+    assert unreached - set(UNREACHED) == set(), "reached by no command and not allowlisted"
+    assert set(UNREACHED) - set(names.values()) == set(), "allowlisted but not a public definition"
+    assert set(UNREACHED) - unreached == set(), "allowlisted but reached by a command"

@@ -3,13 +3,13 @@ import pytest
 
 from stickygas import potentials
 from stickygas.drift import (
-    DriftBranch,
+    _drift_point,
+    _drift_ranges,
     drift_cluster_snapshot,
     eval_mbar,
     eval_mbar_grid,
     eval_qbar,
     eval_ubar,
-    sample_drift,
 )
 from stickygas.errors import NonPositiveTime
 from stickygas.measure import AtomicMeasure, InitialData
@@ -66,14 +66,16 @@ class TestVelocity:
         assert eval_ubar(two_atom_symmetric.measure, 0.0, 5.0) == 0.0
 
     def test_off_support_convention(self, two_atom_symmetric):
-        s = sample_drift(two_atom_symmetric.measure, 9.0, 1.0)
-        assert s.ubar == -0.5
-        assert s.branch is DriftBranch.OFF_SUPPORT
+        m = two_atom_symmetric.measure
+        assert eval_ubar(m, 9.0, 1.0) == -0.5
+        k_min, k_max = _drift_ranges(m, [9.0], 1.0)
+        assert k_min[0] == k_max[0]  # no mass at x
 
     def test_on_support_branch(self, two_atom_symmetric):
-        s = sample_drift(two_atom_symmetric.measure, -0.75, 1.0)
-        assert s.branch is DriftBranch.DELTA_SHOCK
-        assert s.mbar == 0.0 and s.ubar == 0.25
+        m = two_atom_symmetric.measure
+        k_min, k_max = _drift_ranges(m, [-0.75], 1.0)
+        assert k_max[0] > k_min[0]  # the left cluster's mass sits at x
+        assert eval_mbar(m, -0.75, 1.0) == 0.0 and eval_ubar(m, -0.75, 1.0) == 0.25
 
 
 class TestPointRoutine:
@@ -88,9 +90,7 @@ class TestPointRoutine:
             assert eval_ubar(m, x, 0.0) == -0.5 * (P[k_min] + P[k_max] - M)
             want_q = -sum(w * v for w, v in zip(m.masses.tolist()[:k_min], mt[:k_min]))
             assert eval_qbar(m, x, 0.0) == pytest.approx(want_q, abs=1e-15)
-            s = sample_drift(m, x, 0.0)
-            has_atom = k_max > k_min
-            assert s.branch is (DriftBranch.DELTA_SHOCK if has_atom else DriftBranch.OFF_SUPPORT)
+            assert [int(k[0]) for k in _drift_ranges(m, [x], 0.0)] == [k_min, k_max]
         # on an atom the velocity is the atom's drift velocity -mtilde0
         assert eval_ubar(m, -1.0, 0.0) == pytest.approx(-mt[0], abs=1e-15)
         assert eval_ubar(m, 1.0, 0.0) == pytest.approx(-mt[1], abs=1e-15)
@@ -98,6 +98,8 @@ class TestPointRoutine:
             eval_mbar(m, 0.0, -1.0)
 
     def test_sample_equals_single_evaluators(self):
+        # the point routine's fields are the single evaluators', and its
+        # mass is the grid evaluator's at the same point
         rng = np.random.default_rng(46)
         for _ in range(30):
             m = make_random_instance(rng).measure
@@ -105,11 +107,12 @@ class TestPointRoutine:
                 xs = rng.uniform(-14, 14, size=8).tolist() + m.positions.tolist()
                 if t > 0.0:
                     xs += drift_cluster_snapshot(m, t).positions.tolist()
-                for x in xs:
-                    s = sample_drift(m, x, t)
-                    assert repr(s.mbar) == repr(eval_mbar(m, x, t))
-                    assert repr(s.qbar) == repr(eval_qbar(m, x, t))
-                    assert repr(s.ubar) == repr(eval_ubar(m, x, t))
+                grid = eval_mbar_grid(m, np.array(xs), t).tolist()
+                for x, mbar_grid in zip(xs, grid):
+                    mbar, qbar, ubar = _drift_point(m, x, t)
+                    assert repr(mbar) == repr(eval_mbar(m, x, t)) == repr(mbar_grid)
+                    assert repr(qbar) == repr(eval_qbar(m, x, t))
+                    assert repr(ubar) == repr(eval_ubar(m, x, t))
 
 
 class TestTieRule:

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from stickygas.drift import DriftBranch, drift_cluster_snapshot, eval_mbar, sample_drift
+from stickygas.drift import _drift_point, _drift_ranges, drift_cluster_snapshot, eval_mbar
 from stickygas.errors import NonPositiveTime
 from stickygas.euler_poisson import (
     Branch,
-    _backward_cone,
     _frame,
     _velocity_from_frame,
     cluster_snapshot,
@@ -18,10 +17,8 @@ from stickygas.euler_poisson import (
     eval_nu_theta_omega,
     eval_q,
     eval_u,
-    forward_position,
     sample,
     speed_bound,
-    trace_shock,
 )
 from stickygas.measure import InitialData
 from stickygas.oracle import simulate_ep
@@ -31,6 +28,13 @@ from tests.conftest import make_random_instance
 
 E1 = math.exp(-1.0)
 LN2 = math.log(2.0)
+
+
+def atom_positions(data, t):
+    """Position at t of every atom: the position of the cluster that holds
+    it, since clusters only merge (the forward characteristics)."""
+    snap = cluster_snapshot(data, t)
+    return np.repeat(snap.positions, snap.hi - snap.lo)
 
 
 class TestMass:
@@ -46,7 +50,7 @@ class TestMass:
         ms = eval_m_grid(two_atom_symmetric, xs, 2.0)
         assert np.all(np.diff(ms) >= 0)
         # value at a step location equals the value from the left
-        x_shock = forward_position(two_atom_symmetric, 0, 2.0)
+        x_shock = atom_positions(two_atom_symmetric, 2.0)[0]
         assert eval_m(two_atom_symmetric, x_shock, 2.0) == 0.0
 
     def test_time_zero_convention(self, single_atom):
@@ -174,34 +178,34 @@ class TestVelocity:
 
 class TestForwardPosition:
     def test_single_atom_closed_form(self, single_atom):
-        assert forward_position(single_atom, 0, LN2) == pytest.approx(0.5, abs=1e-9)
+        assert atom_positions(single_atom, LN2).tolist() == [pytest.approx(0.5, abs=1e-9)]
 
     def test_two_atom_collapse(self, two_atom_symmetric):
-        assert forward_position(two_atom_symmetric, 0, 6.0) == pytest.approx(0.0, abs=1e-9)
-        assert forward_position(two_atom_symmetric, 1, 6.0) == pytest.approx(0.0, abs=1e-9)
+        snap = cluster_snapshot(two_atom_symmetric, 6.0)
+        assert (snap.lo.tolist(), snap.hi.tolist()) == ([0], [2])
+        assert snap.positions[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_two_atom_pre_collision(self, two_atom_symmetric):
-        got = forward_position(two_atom_symmetric, 0, 1.0)
-        assert got == pytest.approx(-0.9080301397071394, abs=1e-9)
+        got = atom_positions(two_atom_symmetric, 1.0)
+        assert got.tolist() == pytest.approx([-0.9080301397071394, 0.9080301397071394], abs=1e-9)
 
     def test_increasing_in_atom_index(self):
         rng = np.random.default_rng(16)
         data = make_random_instance(rng, n_max=8)
         for t in (0.5, 2.0, 5.0):
-            xs = [forward_position(data, i, t) for i in range(len(data))]
-            assert all(b >= a - 1e-9 for a, b in zip(xs[:-1], xs[1:]))
+            assert np.all(np.diff(atom_positions(data, t)) >= 0.0)
 
     def test_matches_hull_snapshot(self):
+        # atom i sits where the dense prefix scan puts its mass: at its
+        # cluster's position the minimizing range k_min..k_max covers it
         rng = np.random.default_rng(17)
         for _ in range(10):
             data = make_random_instance(rng, n_max=10)
             t = float(rng.uniform(0.1, 5.0))
-            snap = cluster_snapshot(data, t)
-            # one position per atom: each cluster's, repeated over its atoms
-            want = np.repeat(snap.positions, snap.hi - snap.lo)
-            for i, w in enumerate(want.tolist()):
-                got = forward_position(data, i, t)
-                assert got == pytest.approx(w, abs=1e-8 * (1 + abs(w)))
+            frame = _frame(data, t)
+            for i, x in enumerate(atom_positions(data, t).tolist()):
+                _, k_min, k_max = frame.argmin(x)
+                assert k_min <= i < k_max
 
 
 class TestEnergy:
@@ -350,22 +354,25 @@ class TestSample:
         assert s.u == 1.0  # atom exactly at the query point
 
 
+def holder(state, atom):
+    """Index of the cluster of ``state`` that holds ``atom``."""
+    return int(np.searchsorted(state.hi, atom, side="right"))
+
+
 class TestTraceShock:
+    # a shock is a cluster of the snapshot; it is followed through time by
+    # one of its atoms, since clusters only merge
     def test_single_atom_path(self, single_atom):
-        t0 = 0.05
-        x0 = 1.0 - math.exp(-t0)
-        curve = trace_shock(single_atom, x0, t0, 2.0, 0.25)
-        for t, x in zip(curve.times, curve.positions):
+        for t in np.arange(0.05, 2.0, 0.25).tolist():
+            x = cluster_snapshot(single_atom, t).positions[0]
             assert x == pytest.approx(1.0 - math.exp(-t), abs=1e-9)
 
     def test_symmetric_shock_stays_at_origin(self, two_atom_symmetric):
-        curve = trace_shock(two_atom_symmetric, 0.0, 5.1, 7.0, 0.4)
-        assert max(abs(p) for p in curve.positions) <= 1e-9
-        assert all(v == pytest.approx(0.0, abs=1e-9) for v in curve.velocities)
-        los = [r[0] for r in curve.ranges]
-        his = [r[1] for r in curve.ranges]
-        assert all(b <= a for a, b in zip(los[:-1], los[1:]))
-        assert all(b >= a for a, b in zip(his[:-1], his[1:]))
+        for t in np.arange(5.1, 7.0, 0.4).tolist():
+            snap = cluster_snapshot(two_atom_symmetric, t)
+            assert (snap.lo.tolist(), snap.hi.tolist()) == ([0], [2])
+            assert abs(snap.positions[0]) <= 1e-9
+            assert snap.velocities[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_oracle_cluster_trajectory(self):
         data = InitialData.from_atoms(
@@ -374,26 +381,23 @@ class TestTraceShock:
         traj = simulate_ep(data, 6.0)
         t0 = traj.events[0].time + 0.05
         state0 = traj.state_at(t0)
-        merged = int(np.argmax(state0.hi - state0.lo))
-        curve = trace_shock(data, float(state0.positions[merged]), t0, 5.0, 0.3)
-        for t, x, u in zip(curve.times, curve.positions, curve.velocities):
-            state = traj.state_at(t)
-            target = int(np.argmin(np.abs(state.positions - x)))
-            assert x == pytest.approx(state.positions[target], abs=1e-8)
-            assert u == pytest.approx(state.velocities[target], abs=1e-8)
+        atom = int(state0.lo[np.argmax(state0.hi - state0.lo)])
+        for t in np.arange(t0, 5.0, 0.3).tolist():
+            snap, state = cluster_snapshot(data, t), traj.state_at(t)
+            got, want = holder(snap, atom), holder(state, atom)
+            assert snap.positions[got] == pytest.approx(state.positions[want], abs=1e-8)
+            assert snap.velocities[got] == pytest.approx(state.velocities[want], abs=1e-8)
 
     def test_lipschitz_in_time(self, two_atom_symmetric):
-        curve = trace_shock(two_atom_symmetric, 0.0, 1.0, 3.0, 0.2)
+        times = np.arange(1.0, 3.0 + 1e-9, 0.2).tolist()
+        xs = [atom_positions(two_atom_symmetric, t) for t in times]
         vmax = speed_bound(two_atom_symmetric)
-        for (t1, x1), (t2, x2) in zip(
-            zip(curve.times[:-1], curve.positions[:-1]),
-            zip(curve.times[1:], curve.positions[1:]),
-        ):
-            assert abs(x2 - x1) <= vmax * (t2 - t1) + 1e-9
+        for t1, t2, x1, x2 in zip(times[:-1], times[1:], xs[:-1], xs[1:]):
+            assert np.max(np.abs(x2 - x1)) <= vmax * (t2 - t1) + 1e-9
 
     def test_rejects_bad_window(self, single_atom):
         with pytest.raises(NonPositiveTime):
-            trace_shock(single_atom, 0.0, 0.0, 1.0, 0.1)
+            cluster_snapshot(single_atom, -0.1)
 
 
 class TestWeakContinuityAtZero:
@@ -495,12 +499,11 @@ class TestRandomizedShockTraces:
                 continue
             t0 = traj.events[0].time + 0.1
             state0 = traj.state_at(t0)
-            start = float(state0.positions[np.argmax(state0.hi - state0.lo)])
-            curve = trace_shock(data, start, t0, min(t0 + 2.0, 6.0), 0.37)
-            for t, x in zip(curve.times, curve.positions):
-                pos = traj.state_at(t).positions
-                nearest = pos[np.argmin(np.abs(pos - x))]
-                assert x == pytest.approx(nearest, abs=1e-7)
+            atom = int(state0.lo[np.argmax(state0.hi - state0.lo)])
+            for t in np.arange(t0, min(t0 + 2.0, 6.0), 0.37).tolist():
+                x = atom_positions(data, t)[atom]
+                state = traj.state_at(t)
+                assert x == pytest.approx(state.positions[holder(state, atom)], abs=1e-7)
             traced += 1
 
 
@@ -533,39 +536,15 @@ def _pos_tol(data):
 
 
 def bisect_forward_position(data, i, t):
-    """Atom i's forward position: where k_max(x, t) first reaches i + 1."""
+    """Atom i's forward position: where k_max(x, t) first reaches i + 1.
+
+    The reference for the per-atom positions read off the hull."""
     m = data.measure
     frame = _frame(data, t)
     reach = data.max_speed * frame.coeffs.A + 0.5 * m.total_mass * abs(frame.coeffs.B)
     lo = float(m.positions[0]) - reach - 1.0
     hi = float(m.positions[-1]) + reach + 1.0
     return _bisect(lambda x: _exact_argmin(frame, x)[1] >= i + 1, lo, hi, _pos_tol(data))
-
-
-def bisect_trace(data, x0, t0, times):
-    """Forward characteristic from (x0, t0): at each time, the point whose
-    backward characteristic (or max-speed vacuum tracer) passes through x0
-    at t0. These curves are ordered in x, so the search is monotone.
-    """
-    coeffs0 = PotentialCoefficients.euler_poisson(data.tau, t0)
-    vmax = speed_bound(data)
-    xs = [float(x0)]
-    for t1 in times[1:]:
-        frame = _frame(data, t1)
-        A, B = frame.coeffs.A, frame.coeffs.B
-
-        def back(x):
-            k_min, _ = _exact_argmin(frame, x)
-            side, vacuum, _, y, mt, c = _backward_cone(frame, data, x, k_min)
-            if vacuum:
-                return x - side * data.max_speed * (A - coeffs0.A) - mt * (B - coeffs0.B)
-            return y + c * coeffs0.A + mt * coeffs0.B
-
-        reach = vmax * (t1 - t0) + 1.0
-        xs.append(
-            _bisect(lambda x: back(x) >= x0, x0 - reach, x0 + reach, _pos_tol(data))
-        )
-    return xs
 
 
 def _near_duplicate(data, rng):
@@ -593,44 +572,23 @@ class TestHullReadsMatchBisection:
     def test_forward_position(self):
         for rng, data in _instances(70, 24):
             for t in rng.uniform(1e-3, 6.0, size=3).tolist():
-                for i in range(len(data)):
-                    got = forward_position(data, i, t)
+                for i, got in enumerate(atom_positions(data, t).tolist()):
                     assert _close(got, bisect_forward_position(data, i, t))
-
-    def test_trace_shock_cluster_and_vacuum_starts(self):
-        kinds = {"cluster": 0, "k=0": 0, "interior": 0, "k=N": 0}
-        for rng, data in _instances(71, 24):
-            t0 = float(rng.uniform(0.05, 3.0))
-            pos = cluster_snapshot(data, t0).positions.tolist()
-            starts = [("cluster", pos[int(rng.integers(len(pos)))])]
-            starts += [("k=0", pos[0] - 1.0), ("k=N", pos[-1] + 1.0)]
-            if len(pos) > 1:
-                j = int(rng.integers(len(pos) - 1))
-                starts.append(("interior", 0.5 * (pos[j] + pos[j + 1])))
-            for kind, x0 in starts:
-                curve = trace_shock(data, x0, t0, t0 + 2.0, 0.45)
-                want = bisect_trace(data, x0, t0, curve.times)
-                for got, ref in zip(curve.positions, want):
-                    assert _close(got, ref), (kind, got, ref)
-                kinds[kind] += 1
-        assert min(kinds.values()) > 0
 
     def test_extreme_mass_ratio_reads_the_cluster(self):
         # masses across 12 decades: the light atom's cluster sits near 0.75;
         # a bisection over the prefix argmin lands far from it
         data = InitialData.from_atoms([-1.0, 1.0], [1e6, 1e-6], [0.0, 0.0], 1.0)
-        t = 1e-3
-        snap = cluster_snapshot(data, t)
-        want = np.repeat(snap.positions, snap.hi - snap.lo).tolist()
-        assert [forward_position(data, i, t) for i in range(len(data))] == want
-        assert forward_position(data, 1, t) == pytest.approx(0.75, abs=1e-3)
+        snap = cluster_snapshot(data, 1e-3)
+        assert (snap.lo.tolist(), snap.hi.tolist()) == ([0, 1], [1, 2])
+        assert snap.positions[1] == pytest.approx(0.75, abs=1e-3)
 
 
 def assert_scalar_calls_equal_dense_scan(data, xs, t):
     """Scalar formula calls at (x, t) equal the fields read off the dense
     ``PrefixFrame.argmin`` range: ``eval_m`` and ``sample``, the drift
-    scalars, ``eval_scaled`` and the ranges of ``trace_shock``. Atoms,
-    drift and scaled cluster positions are added to xs."""
+    scalars and ranges, and ``eval_scaled``. Atoms, drift and scaled
+    cluster positions are added to xs."""
     frame = _frame(data, t)
     for x in xs:
         _, a, b = frame.argmin(x)
@@ -642,9 +600,9 @@ def assert_scalar_calls_equal_dense_scan(data, xs, t):
     drift_frame = PrefixFrame(m, None, PotentialCoefficients.drift(t))
     for x in xs + drift_cluster_snapshot(m, t).positions.tolist():
         _, a, b = drift_frame.argmin(x)
-        s = sample_drift(m, x, t)
-        assert (s.mbar, s.ubar) == (m.prefix_mass[a], -0.5 * (m.prefix_mass[a] + m.prefix_mass[b] - M))
-        assert (s.branch is DriftBranch.DELTA_SHOCK) == (b > a)
+        mbar, _, ubar = _drift_point(m, x, t)
+        assert (mbar, ubar) == (m.prefix_mass[a], -0.5 * (m.prefix_mass[a] + m.prefix_mass[b] - M))
+        assert [int(k[0]) for k in _drift_ranges(m, [x], t)] == [a, b]
     tau = 0.25
     scaled = data.with_tau(tau)
     scaled_frame = PrefixFrame(m, data.velocities, PotentialCoefficients.scaled(tau, t))
@@ -653,10 +611,6 @@ def assert_scalar_calls_equal_dense_scan(data, xs, t):
         u, _ = _velocity_from_frame(scaled_frame, scaled, x, a, b)
         want = (scaled_frame.P[a], u / tau, scaled_frame.Q[a] / tau)
         assert eval_scaled(data, x, t, tau) == want
-    for x0 in xs[::4]:
-        curve = trace_shock(data, x0, t, t + 1.0, 0.5)
-        dense = [_frame(data, t1).argmin(x1)[1:] for t1, x1 in zip(curve.times, curve.positions)]
-        assert list(curve.ranges) == dense
 
 
 class TestGridEvaluation:
@@ -752,7 +706,7 @@ class TestNonFiniteTime:
         "sample": lambda d, t: sample(d, [0.0], t),
         "eval_mbar": lambda d, t: eval_mbar(d.measure, 0.0, t),
         "simulate_ep": simulate_ep,
-        "trace_shock": lambda d, t: trace_shock(d, 0.0, 0.5, t, 0.1),
+        "eval_nu_theta_omega": lambda d, t: eval_nu_theta_omega(d, 0.0, t),
     }
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])

@@ -58,8 +58,9 @@ class TestMtilde:
     def test_two_atom_values(self):
         m = AtomicMeasure([-1.0, 1.0], [0.5, 0.5])
         assert m.mtilde0(-1.0) == pytest.approx(-0.25, abs=0)
-        assert m.mtilde0_right(-1.0) == 0.0
-        assert m.mtilde0_left(-1.0) == -0.5
+        # the one-sided limits at the atom, the average of which is mtilde0
+        assert m.cdf_right(-1.0) - 0.5 * m.total_mass == 0.0
+        assert m.cdf_left(-1.0) - 0.5 * m.total_mass == -0.5
 
     def test_atom_mtilde_matches_pointwise(self):
         m = AtomicMeasure([-2.0, 0.0, 1.5], [0.3, 1.1, 0.6])

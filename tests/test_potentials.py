@@ -6,21 +6,12 @@ import pytest
 from scipy.optimize import isotonic_regression
 
 from stickygas import drift, euler_poisson, potentials, relax
-from stickygas.errors import BadConstantK, EmptyMeasure, NonPositiveTime
+from stickygas.errors import EmptyMeasure, NonPositiveTime
+from stickygas.euler_poisson import _backward_cone, cluster_snapshot
 from stickygas.instances import random_instance
 from stickygas.measure import AtomicMeasure, InitialData
-from stickygas.potentials import (
-    PotentialCoefficients,
-    PrefixFrame,
-    eval_F,
-    eval_F_right,
-    eval_Fbar,
-    eval_G,
-    eval_H,
-    initial_speed_c,
-    minimize_F,
-    minimize_Fbar,
-)
+from stickygas.oracle import oracle_cdf, simulate_ep
+from stickygas.potentials import PotentialCoefficients, PrefixFrame, minimize_F, minimize_Fbar
 from tests.conftest import make_random_instance
 
 E1 = math.exp(-1.0)
@@ -55,30 +46,45 @@ class TestCoefficients:
         assert c.decay == 0.0
         assert c.A == 1e-3
 
+    def test_scaled_tau_whose_square_underflows(self):
+        # tau * tau is 0.0 below about 1.5e-162; the weights are the drift
+        # limit's (A -> 0, B = -t) and nothing divides by zero
+        for tau in (1e-200, 1e-300):
+            c = PotentialCoefficients.scaled(tau, 2.0)
+            assert (c.A, c.B, c.decay) == (tau, -2.0, 0.0)
+        # a square in the normal range keeps the one division by tau * tau
+        c = PotentialCoefficients.scaled(1e-3, 1e-7)
+        assert c.A == 1e-3 * -math.expm1(-1e-7 / (1e-3 * 1e-3))
+
+
+def frame_of_F(data, t):
+    return PrefixFrame(data.measure, data.velocities, PotentialCoefficients.euler_poisson(data.tau, t))
+
 
 class TestEvalF:
+    # F(y; x, t) sums over the k atoms strictly below y: it is the prefix
+    # sum S[k] - x P[k] of the frame that the minimizer scans
     def test_empty_measure_sum(self):
-        d = InitialData.from_atoms([], [], [], 1.0)
-        assert eval_F(d, 3.0, 0.5, 1.0) == 0.0
+        frame = frame_of_F(InitialData.from_atoms([], [], [], 1.0), 1.0)
+        assert (frame.S.tolist(), frame.P.tolist()) == ([0.0], [0.0])
 
     def test_single_atom_on_path(self):
-        d = InitialData.from_atoms([0.0], [1.0], [1.0], 1.0)
-        assert eval_F(d, 5.0, 1.0 - E1, 1.0) == pytest.approx(0.0, abs=1e-15)
+        frame = frame_of_F(InitialData.from_atoms([0.0], [1.0], [1.0], 1.0), 1.0)
+        assert frame.S[1] - (1.0 - E1) * frame.P[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_two_atom_value(self, two_atom_symmetric):
-        val = eval_F(two_atom_symmetric, 0.0, 0.0, 1.0)
-        assert val == pytest.approx(-0.4540150698535697, abs=1e-15)
+        frame = frame_of_F(two_atom_symmetric, 1.0)
+        assert frame.S[1] == pytest.approx(-0.4540150698535697, abs=1e-15)
 
     def test_left_continuity_jump(self, two_atom_symmetric):
-        # F(y) excludes the atom at y, F(y+) includes it
-        left = eval_F(two_atom_symmetric, -1.0, 0.0, 1.0)
-        right = eval_F_right(two_atom_symmetric, -1.0, 0.0, 1.0)
-        assert left == 0.0
-        assert right == pytest.approx(-0.4540150698535697, abs=1e-15)
+        # F(y) at y = -1 excludes the atom there (k = 0), F(y+) includes it
+        frame = frame_of_F(two_atom_symmetric, 1.0)
+        assert frame.S[0] == 0.0
+        assert frame.S[1] == pytest.approx(-0.4540150698535697, abs=1e-15)
 
     def test_requires_positive_time(self, two_atom_symmetric):
         with pytest.raises(NonPositiveTime):
-            eval_F(two_atom_symmetric, 0.0, 0.0, 0.0)
+            frame_of_F(two_atom_symmetric, 0.0)
 
 
 class TestMinimizeF:
@@ -134,39 +140,59 @@ class TestMinimizeF:
             ]
             if t > 0.0:
                 calls.append(lambda: minimize_F(d, x, t))
+            # the oracle reads the same check: a NaN used to sort after
+            # every cluster and give the total mass
+            state = simulate_ep(d, 1.0).state_at(t)
+            calls.append(lambda: oracle_cdf(state, x))
+            calls.append(lambda: oracle_cdf(state, np.array([0.0, x])))
             for call in calls:
                 with pytest.raises(ValueError, match=f"x must be finite, got {x!r}"):
                     call()
 
 
+def initial_speed(data, x, t):
+    """(side, c) of the backward cone from (x, t), as the velocity reads it:
+    c(y; x, t) = (x - y)/A - mtilde0 B/A at the anchor atom y, with the
+    symmetric mtilde0 on the atom's own path (side 0) and the one-sided
+    value right (+1) or left (-1) of it."""
+    frame = PrefixFrame(data.measure, data.velocities, PotentialCoefficients.euler_poisson(data.tau, t))
+    _, k_min, _ = frame.argmin(x)
+    side, _, _, _, _, c = _backward_cone(frame, data, x, k_min)
+    return side, c
+
+
 class TestInitialSpeed:
     def test_single_atom_recovers_velocity(self):
         d = InitialData.from_atoms([0.0], [1.0], [1.0], 1.0)
-        assert initial_speed_c(d, 0.0, 1.0 - E1, 1.0) == pytest.approx(1.0, rel=1e-14)
+        side, c = initial_speed(d, 1.0 - E1, 1.0)
+        assert side == 0 and c == pytest.approx(1.0, rel=1e-14)
 
     def test_vertical_characteristic(self):
         d = InitialData.from_atoms([0.0], [1.0], [0.0], 1.0)
-        assert initial_speed_c(d, 0.0, 0.0, 2.0) == 0.0
+        assert initial_speed(d, 0.0, 2.0) == (0, 0.0)
 
     def test_two_atom_value(self, two_atom_symmetric):
-        c = initial_speed_c(two_atom_symmetric, -1.0, 0.0, 1.0)
-        assert c == pytest.approx(1.4364825301519948, rel=1e-14)
+        # the symmetric value 1.4364825301519948 exceeds u0 = 0, so x = 0
+        # lies right of the left atom's path and c takes mtilde0(-1+) = 0
+        side, c = initial_speed(two_atom_symmetric, 0.0, 1.0)
+        assert side == 1 and c == pytest.approx(1.0 / (1.0 - E1), rel=1e-14)
 
     def test_one_sided_variants(self, two_atom_symmetric):
-        c_left = initial_speed_c(two_atom_symmetric, -1.0, 0.0, 1.0, side=-1)
-        c_right = initial_speed_c(two_atom_symmetric, -1.0, 0.0, 1.0, side=1)
-        # mtilde0(-1-) = -1/2, mtilde0(-1+) = 0
+        # mtilde0(-1-) = -1/2 left of the left atom's path, mtilde0(-1+) = 0
+        # right of it
         ratio = PotentialCoefficients.euler_poisson(1.0, 1.0).force_speed_ratio()
-        base = 1.0 / (1.0 - E1)
-        assert c_left == pytest.approx(base + 0.5 * ratio, rel=1e-14)
-        assert c_right == pytest.approx(base, rel=1e-14)
+        side_left, c_left = initial_speed(two_atom_symmetric, -1.5, 1.0)
+        side_right, c_right = initial_speed(two_atom_symmetric, 0.0, 1.0)
+        assert (side_left, side_right) == (-1, 1)
+        assert c_left == pytest.approx(-0.5 / (1.0 - E1) + 0.5 * ratio, rel=1e-14)
+        assert c_right == pytest.approx(1.0 / (1.0 - E1), rel=1e-14)
 
     def test_small_time_stability(self):
         # c must behave like (x - y)/t without catastrophic cancellation
         d = InitialData.from_atoms([0.0], [1.0], [0.0], 1.0)
         t = 1e-9
-        c = initial_speed_c(d, 0.0, 1e-9, t)
-        assert c == pytest.approx(1.0, rel=1e-6)
+        side, c = initial_speed(d, 1e-9, t)
+        assert side == 1 and c == pytest.approx(1.0, rel=1e-6)
 
 
 class TestDriftPotential:
@@ -183,7 +209,10 @@ class TestDriftPotential:
         assert r.has_jump
 
     def test_prefix_below_first_atom(self, two_atom_symmetric):
-        assert eval_Fbar(two_atom_symmetric.measure, -1.0, 0.0, 1.0) == 0.0
+        # the drift potential at y = -1 sums over no atom, at every x
+        frame = PrefixFrame(two_atom_symmetric.measure, None, PotentialCoefficients.drift(1.0))
+        for x in (-3.0, 0.0, 2.5):
+            assert frame.S[0] - x * frame.P[0] == 0.0
 
     def test_matches_minimize_F_with_drift_weights(self):
         rng = np.random.default_rng(7)
@@ -199,41 +228,10 @@ class TestDriftPotential:
 
 
 class TestAuxiliaryPotentials:
-    def test_on_trajectory_point_vanishes(self):
-        d = InitialData.from_atoms([0.0], [1.0], [1.0], 1.0)
-        t = 1.0
-        fp = [1.0 - E1]
-        assert eval_G(d, fp, 5.0, 1.0 - E1, t, k=2.5) == pytest.approx(0.0, abs=1e-15)
-        assert eval_H(d, fp, 5.0, 1.0 - E1, t, k=2.5) == pytest.approx(0.0, abs=1e-15)
-        # default k is the admissibility bound plus one
-        assert eval_G(d, fp, 5.0, 1.0 - E1, t) == pytest.approx(0.0, abs=1e-15)
-
-    def test_empty_prefix(self, two_atom_symmetric):
-        fp = [-0.9, 0.9]
-        assert eval_G(two_atom_symmetric, fp, -1.0, 0.0, 1.0, k=1.5) == 0.0
-
-    def test_two_atom_value_against_resummation(self, two_atom_symmetric):
-        t = 1.0
-        x1 = -0.9080301397071394  # forward position of the left atom
-        fp = [x1, -x1]
-        k = 1.5
-        got = eval_G(two_atom_symmetric, fp, 0.0, 0.0, t, k=k)
-        v1 = 0.25 * (1.0 - E1)  # free velocity of the left atom at t=1
-        assert got == pytest.approx(0.5 * (v1 + k) * x1, rel=1e-14)
-
-    def test_bad_constant_rejected(self, two_atom_symmetric):
-        # bound is U0 + M*tau/2 = 0.5
-        with pytest.raises(BadConstantK):
-            eval_G(two_atom_symmetric, [0.0, 0.0], 0.0, 0.0, 1.0, k=0.5)
-        with pytest.raises(BadConstantK):
-            eval_H(two_atom_symmetric, [0.0, 0.0], 0.0, 0.0, 1.0, k=0.4)
-
     def test_share_minimizers_with_F(self):
         # prefix argmin of the G increments, and of the H increments with
         # the constant negative prefactor removed, must bracket F's argmin
-        # for any admissible constant k
-        from stickygas.euler_poisson import cluster_snapshot
-
+        # for any admissible constant k > U0 + M*tau/2
         rng = np.random.default_rng(11)
         for _ in range(25):
             data = make_random_instance(rng, n_max=8)
@@ -337,7 +335,9 @@ class TestMinimizerProperties:
             x = float(rng.uniform(-12, 12))
             r = minimize_F(data, x, t)
             i = data.measure.atom_index(r.y_star)
-            c = initial_speed_c(data, r.y_star, x, t)
+            coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
+            mt = data.measure.mtilde0(r.y_star)
+            c = (x - r.y_star) / coeffs.A - mt * coeffs.force_speed_ratio()
             u0 = float(data.velocities[i])
             if abs(c - u0) < 1e-6 * (1 + abs(c)):
                 continue  # boundary case: either classification is valid
