@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from . import potentials, relax, validate
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, TauOutOfRange
 from .euler_poisson import FormulaSolution, cluster_snapshot, eval_m_and_clusters, sample, speed_bound
 from .instances import random_instance, sample_times_avoiding_events
 from .measure import InitialData
@@ -92,8 +92,8 @@ class RunConfig:
             if mass[-1] <= 0.0:
                 raise ConfigError(f"atom {i} mass must be positive")
         tau = raw.get("tau", 1.0)
-        if not (_finite(tau) and 0.0 < tau <= 1.0):
-            raise ConfigError("tau must be a number in (0, 1]")
+        if not _finite(tau):
+            raise ConfigError("tau must be a finite number")
         times = raw.get("times", [1.0])
         if not isinstance(times, list) or not times:
             raise ConfigError("times must be a nonempty list")
@@ -138,6 +138,8 @@ class RunConfig:
             self.data = InitialData.from_atoms(pos, mass, vel, float(tau))
         except ValueError as exc:
             raise ConfigError(f"atoms are invalid: {exc}") from exc
+        except TauOutOfRange as exc:
+            raise ConfigError(str(exc)) from exc
         self.times = [float(t) for t in times]
         self.x_grid = np.linspace(float(grid["min"]), float(grid["max"]), grid["count"])
         self.t_end = float(t_end)

@@ -12,6 +12,7 @@ stack the states at many times into blocks of at most ``BLOCK_ELEMENTS``.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -166,8 +167,9 @@ class InitialData:
             raise ValueError("velocities must match the atom count")
         if velocities.size and not np.all(np.isfinite(velocities)):
             raise ValueError("velocities must be finite")
-        if not (0.0 < tau <= 1.0):
-            raise TauOutOfRange(f"tau must lie in (0, 1], got {tau}")
+        # a subnormal tau has lost bits, and u/tau or x/A overflow
+        if not sys.float_info.min <= tau <= 1.0:
+            raise TauOutOfRange(f"tau must be a normal float in (0, 1], got {tau}")
         self.measure = measure
         self.velocities = velocities
         self.velocities.setflags(write=False)

@@ -97,6 +97,20 @@ class _EpDynamics:
             decay = np.where(kept, np.exp(-np.minimum(z, _EXP_FLUSH)), 0.0)
         return x + v * A + mt * (tau * A - tau * dt), v * decay - mt * A
 
+    def sums(self, t, live, birth, v, mt, mass):
+        """Mass and momentum at t of the records ``live``: one sequential pass in their order.
+
+        Each record's velocity is `advance`'s, v*e^{-z} - mt*tau*(1 - e^{-z})
+        with z = (t - birth)/tau, inline on the Python scalars of the columns.
+        """
+        tau, exp, expm1 = self.tau, math.exp, math.expm1
+        total = q = 0.0
+        for i in live:
+            m, z = mass[i], (t - birth[i]) / tau
+            total += m
+            q += m * (v[i] * exp(-z) + mt[i] * tau * expm1(-z)) if z <= _EXP_FLUSH else -m * mt[i] * tau
+        return total, q
+
     def pair_root(self, gap0, dv, dmt):
         """First positive root of gap(d) = gap0 + dv*A(d) + dmt*B(d), dmt > 0.
 
@@ -171,6 +185,14 @@ class _DriftDynamics:
     # on an array of dt too: callers broadcast v
     advance_rows = advance
 
+    def sums(self, t, live, birth, v, mt, mass):
+        """Mass and momentum of the records ``live``: one sequential pass in their order."""
+        total = q = 0.0
+        for i in live:
+            total += mass[i]
+            q += mass[i] * v[i]
+        return total, q
+
     def pair_root(self, gap0, dv, dmt):
         # dv = -dmt < 0 always: the gap closes linearly
         return gap0 / (-dv)
@@ -227,12 +249,22 @@ class Trajectory:
         return np.where(at_birth, x0, x), np.where(at_birth, v0, v)
 
     def state_at(self, t: float) -> ClusterState:
-        """Closed-form state at any t from t0 to t_end."""
+        """Closed-form state at any t from t0 to t_end.
+
+        One pass over the live records: each advances from its birth, and a
+        record born at t is its birth state (signed zeros kept). ``states_at``
+        reaches the same bits through ``_rows``.
+        """
         self._check_horizon(t)
         ids = self._alive(t)
-        x, v = self._rows(ids, np.array([t]))
         r = self.records
-        return ClusterState(t, x[0], r.mass[ids], v[0], r.lo[ids], r.hi[ids])
+        x0, v0 = r.x[ids], r.v[ids]
+        dt = t - r.birth[ids]
+        x, v = self._dynamics().advance_rows(x0, v0, r.mt[ids], dt)
+        at_birth = dt == 0.0
+        if at_birth.any():
+            x, v = np.where(at_birth, x0, x), np.where(at_birth, v0, v)
+        return ClusterState(t, x, r.mass[ids], v, r.lo[ids], r.hi[ids])
 
     def states_at(self, ts):
         """Closed-form states at the times ts, in blocks of one inter-event interval.
@@ -325,10 +357,7 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
 
     def sums(t):
         """Mass and momentum at t, sequential sums over the live records in position order."""
-        ids = [i for i in at_lo if i >= 0]
-        x, v, mt, birth, m = (np.array([c[i] for i in ids]) for c in (r_x, r_v, r_mt, r_birth, r_mass))
-        _, v = dyn.advance_rows(x, v, mt, t - birth)
-        return float(np.cumsum(m)[-1]), float(np.cumsum(m * v)[-1])
+        return dyn.sums(t, [i for i in at_lo if i >= 0], r_birth, r_v, r_mt, r_mass)
 
     def audit(t):
         """The global check: mass conserved and momentum on the decay law."""

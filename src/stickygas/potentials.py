@@ -134,16 +134,6 @@ class MinimizerResult:
         return self.k_max > self.k_min
 
 
-def free_positions(
-    measure: AtomicMeasure, velocities, coeffs: PotentialCoefficients
-):
-    """Collision-free atom positions eta + u*A + mtilde0*B at the coefficient time."""
-    X = measure.positions + coeffs.B * measure.atom_mtilde()
-    if velocities is not None and coeffs.A != 0.0:
-        X = X + coeffs.A * velocities
-    return X
-
-
 class PrefixFrame:
     """Prefix sums of one potential at fixed coefficients, queryable in x.
 
@@ -163,6 +153,7 @@ class PrefixFrame:
         "vel",
         "tie_tol",
         "_hull",
+        "_lookup",
     )
 
     def __init__(self, measure, velocities, coeffs):
@@ -172,8 +163,12 @@ class PrefixFrame:
         # that a CLI --tol-tie override reaches every frame built under it
         self.tie_tol = DEFAULT_TIE_TOL
         w = measure.masses
-        self.X = free_positions(measure, velocities, coeffs)
         mt = measure.atom_mtilde()
+        # collision-free atom positions eta + u*A + mtilde0*B at the coefficient time
+        X = measure.positions + coeffs.B * mt
+        if velocities is not None and coeffs.A != 0.0:
+            X = X + coeffs.A * velocities
+        self.X = X
         if velocities is None:
             velocities = np.zeros_like(w)
         # free-flight velocity of each atom at the coefficient time
@@ -181,7 +176,7 @@ class PrefixFrame:
         self.P = measure.prefix_mass
         self.S = np.concatenate(([0.0], np.cumsum(w * self.X)))
         self.Q = np.concatenate(([0.0], np.cumsum(w * self.vel)))
-        self._hull = None
+        self._hull = self._lookup = None
 
     def argmin(self, x: float):
         """(nu, k_min, k_max) of the prefix sums at x under the tie tolerance.
@@ -214,20 +209,22 @@ class PrefixFrame:
         term, plus a rounding bound on T and on the hull. Any other point
         (one near a cluster position, where prefixes may tie) calls
         ``argmin``, so the result equals ``argmin`` point by point, with
-        O(N + G) memory.
+        O(N + G) memory. The vertices, the padded slopes and prefix-mass
+        steps and the bound on |S| depend only on the frame: they are built
+        once, with the hull.
         """
         xs = _finite_points(xs)
-        lo, _, pos, _ = self.clusters()
+        pos = self.clusters()[2]
+        verts, slopes, dP, s_max = self._lookup
         P, S = self.P, self.S
-        verts = np.append(lo, P.size - 1)
         j = np.searchsorted(pos, xs)
         v = verts[j]
         nu = S[v] - xs * P[v]
-        rnd = 1e-14 * (np.max(np.abs(S)) + np.abs(xs) * P[-1])
+        rnd = 1e-14 * (s_max + np.abs(xs) * P[-1])
         value = self.tie_tol * (1.0 + np.abs(nu)) + rnd
         reach = DEFAULT_TIE_POS_TOL * (1.0 + np.abs(xs))
-        slopes = np.concatenate(([-np.inf], pos, [np.inf]))
-        dP = np.concatenate(([np.inf], np.diff(P), [np.inf]))
+        # a zero dP (an atom whose mass vanishes in P) divides to inf or nan:
+        # the point stays unsettled
         with np.errstate(divide="ignore", invalid="ignore"):
             settled = (slopes[j + 1] - xs > reach + value / dP[v + 1]) & (
                 xs - slopes[j] > reach + value / dP[v]
@@ -264,7 +261,7 @@ class PrefixFrame:
         built once per frame and its arrays are read-only.
         """
         if self._hull is None:
-            self._hull = self._build_hull()
+            self._build_hull()
         return self._hull
 
     def cluster_state(self, time: float, velocities=None) -> ClusterState:
@@ -289,13 +286,18 @@ class PrefixFrame:
                 else:
                     break
             verts.append(k)
-        lo = np.array(verts[:-1], dtype=np.intp)
-        hi = np.array(verts[1:], dtype=np.intp)
+        verts = np.array(verts, dtype=np.intp)
+        lo, hi = verts[:-1], verts[1:]
         dm = self.P[hi] - self.P[lo]
-        hull = (lo, hi, (self.S[hi] - self.S[lo]) / dm, (self.Q[hi] - self.Q[lo]) / dm)
-        for arr in hull:
+        pos = (self.S[hi] - self.S[lo]) / dm
+        self._hull = (lo, hi, pos, (self.Q[hi] - self.Q[lo]) / dm)
+        # what argmin_grid reads besides the hull: the vertices, the cluster
+        # positions and the atom masses padded with +-inf, and the S bound
+        slopes = np.concatenate(([-np.inf], pos, [np.inf]))
+        dP = np.concatenate(([np.inf], np.diff(self.P), [np.inf]))
+        self._lookup = (verts, slopes, dP, float(np.max(np.abs(self.S))))
+        for arr in (*self._hull, verts, slopes, dP):
             arr.setflags(write=False)
-        return hull
 
 
 def minimize_F(data: InitialData, x: float, t: float) -> MinimizerResult:

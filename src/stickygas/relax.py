@@ -9,13 +9,11 @@ the scaled cluster velocities at the drift clusters.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .drift import drift_cluster_snapshot, eval_mbar_grid
-from .errors import TauOutOfRange
 from .euler_poisson import _fields, _frame
 from .measure import ClusterState, InitialData
 from .potentials import PotentialCoefficients, minimize_Fbar
@@ -37,21 +35,9 @@ class RelaxationReport:
             yield tau, em, eu
 
 
-def _check_tau(tau: float):
-    # a subnormal tau has lost bits: u/tau would be a silent wrong number
-    if not sys.float_info.min <= tau <= 1.0:
-        raise TauOutOfRange(f"tau must be a normal float in (0, 1], got {tau}")
-
-
-def _scaled_frame(data: InitialData, t: float, tau: float):
-    """Prefix frame of the scaled solution at slow time t; callers check tau."""
-    return _frame(data.with_tau(tau), t, PotentialCoefficients.scaled)
-
-
 def eval_scaled(data: InitialData, x: float, t: float, tau: float):
     """(m_tau, u_tau, q_tau/tau) of the slow-time-scaled solution at (x, t);
     at t = 0, the initial data's (m0, u0/tau, q0/tau)."""
-    _check_tau(tau)
     m, q, (u, _) = _fields(data.with_tau(tau), x, t, "mqu", PotentialCoefficients.scaled)
     return m, u / tau, q / tau
 
@@ -61,10 +47,10 @@ def scaled_cluster_snapshot(data: InitialData, t: float, tau: float) -> ClusterS
 
     At t = 0 the clusters are the atoms.
     """
-    _check_tau(tau)
+    scaled = data.with_tau(tau)
     if t == 0.0:
         return ClusterState.from_atoms(t, data.measure, data.velocities / tau)
-    frame = _scaled_frame(data, t, tau)
+    frame = _frame(scaled, t, PotentialCoefficients.scaled)
     return frame.cluster_state(t, frame.clusters()[3] / tau)
 
 
@@ -77,20 +63,27 @@ def _filtered_grid(measure, xs, t):
     return np.array(keep)
 
 
-def _nearest(pos, x, k):
-    """``np.argmin(np.abs(pos - x))`` for sorted ``pos``, given k = searchsorted(pos, x).
+def _nearest(pos, xs):
+    """``np.argmin(np.abs(pos - x))`` at every x of xs, for sorted nonempty ``pos``.
 
-    The computed distances do not rise up to k - 1 and do not fall from k
-    on, so the first least one is k or the start of the run of equal
-    distances that ends at k - 1 (duplicate positions included).
+    With k = searchsorted(pos, x), the computed distances do not rise up to
+    k - 1 and do not fall from k on, so the first least one is k or the
+    start of the run of equal distances that ends at k - 1. Such a run
+    (duplicate positions, or distances that round alike) is walked only
+    where one starts.
     """
-    if k == 0 or (k < pos.size and abs(pos[k] - x) < abs(pos[k - 1] - x)):
-        return k
-    j = k - 1
-    d = abs(pos[j] - x)
-    while j > 0 and abs(pos[j - 1] - x) == d:
-        j -= 1
-    return j
+    xs = np.asarray(xs, dtype=float)
+    k = np.searchsorted(pos, xs)
+    d_left = np.abs(pos[np.maximum(k - 1, 0)] - xs)
+    d_right = np.abs(pos[np.minimum(k, pos.size - 1)] - xs)
+    near = np.where((k == 0) | ((k < pos.size) & (d_right < d_left)), k, k - 1)
+    before = np.maximum(near - 1, 0)
+    for i in np.flatnonzero((near > 0) & (near < k) & (np.abs(pos[before] - xs) == d_left)).tolist():
+        j, x, d = int(near[i]) - 1, xs[i], d_left[i]
+        while j > 0 and abs(pos[j - 1] - x) == d:
+            j -= 1
+        near[i] = j
+    return near
 
 
 def convergence_study(
@@ -104,25 +97,22 @@ def convergence_study(
     """
     measure = data.measure
     taus = [float(v) for v in tau_sequence]
-    for tau in taus:
-        _check_tau(tau)
+    scaled = [data.with_tau(tau) for tau in taus]  # every tau checked before any work
     grid = _filtered_grid(measure, x_grid, t)
     mbar = eval_mbar_grid(measure, grid, t)
     drift = drift_cluster_snapshot(measure, t)
-    xs = drift.positions.tolist()
 
     err_m = []
     err_u = []
-    for tau in taus:
-        frame = _scaled_frame(data, t, tau)
+    for tau, data_tau in zip(taus, scaled):
+        frame = _frame(data_tau, t, PotentialCoefficients.scaled)
         if grid.size:
             _, k_min, _ = frame.argmin_grid(grid)
             err_m.append(float(np.max(np.abs(frame.P[k_min] - mbar))))
         else:
             err_m.append(0.0)
         _, _, pos, vel = frame.clusters()
-        near = [_nearest(pos, x, k) for x, k in zip(xs, np.searchsorted(pos, xs).tolist())]
-        err = np.abs(vel[near] / tau - drift.velocities)
+        err = np.abs(vel[_nearest(pos, drift.positions)] / tau - drift.velocities)
         err_u.append(float(np.max(err, initial=0.0)))
 
     return RelaxationReport(

@@ -98,6 +98,15 @@ class TestConfigValidation:
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_subnormal_tau_exits_2(self, tmp_path, capsys, command):
+        # a subnormal tau has lost bits; solve used to answer after overflow warnings
+        cfg = dict(TWO_ATOM, tau=5e-324)
+        code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
     def test_distinct_times_sharing_a_file_tag_exit_2(self, tmp_path, capsys, command):
         # %g keeps six digits: both times would write *_t0.123457.csv
         cfg = dict(TWO_ATOM, times=[0.1234567, 0.1234568])

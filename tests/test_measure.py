@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -170,7 +171,7 @@ class TestConstruction:
 
     def test_tau_range(self):
         m = AtomicMeasure([0.0], [1.0])
-        for bad in (0.0, -1.0, 1.5):
+        for bad in (0.0, -1.0, 1.5, 5e-324, math.nan):
             with pytest.raises(TauOutOfRange):
                 InitialData(m, [0.0], bad)
 

@@ -1305,13 +1305,13 @@ class TestChecksCatchInjectedDefects:
 class TestAuditSchedule:
     def test_global_audits_grow_as_the_log_of_the_events(self, monkeypatch):
         calls = [0]
-        advance_rows = _EpDynamics.advance_rows
+        sums = _EpDynamics.sums
 
         def counted(self, *args):
             calls[0] += 1
-            return advance_rows(self, *args)
+            return sums(self, *args)
 
-        monkeypatch.setattr(_EpDynamics, "advance_rows", counted)
+        monkeypatch.setattr(_EpDynamics, "sums", counted)
         events = len(simulate_ep(baseline_instance(1000, 0), 2.0).events)
         assert events > 800
         assert calls[0] <= math.ceil(math.log2(events)) + 3

@@ -346,8 +346,9 @@ class TestMinimizerProperties:
 
 
 def _lookup_instance(rng, kind):
-    """Instances for the lookup tests: plain, near-duplicate atoms, or masses
-    spread across 12 decades."""
+    """Instances for the lookup tests: plain, near-duplicate atoms, masses
+    spread across 12 decades, or atoms whose mass vanishes in the prefix
+    masses (some np.diff(P) == 0)."""
     n = int(rng.integers(1, 40))
     positions = np.sort(rng.uniform(-10.0, 10.0, size=n))
     masses = rng.uniform(0.01, 2.0, size=n) / n
@@ -356,6 +357,8 @@ def _lookup_instance(rng, kind):
         positions = positions[0] + step * np.arange(n)
     elif kind == "mass_decades":
         masses = 10.0 ** rng.uniform(-12.0, 0.0, size=n)
+    elif kind == "vanishing_mass":
+        masses = np.where(rng.random(n) < 0.3, 1e-18, 1.0)
     velocities = rng.uniform(-2.0, 2.0, size=n)
     tau = float(rng.choice([1.0, 0.5, 0.1, 1e-3]))
     return InitialData.from_atoms(positions, masses, velocities, tau)
@@ -378,9 +381,9 @@ class TestArgminGrid:
             monkeypatch.setattr(potentials, "DEFAULT_TIE_TOL", tie_tol)
         rng = np.random.default_rng(61)
         checked = 0
-        for trial in range(90):
-            kind = ("plain", "near_duplicate", "mass_decades")[trial % 3]
-            family = ("euler_poisson", "drift", "scaled")[(trial // 3) % 3]
+        for trial in range(120):
+            kind = ("plain", "near_duplicate", "mass_decades", "vanishing_mass")[trial % 4]
+            family = ("euler_poisson", "drift", "scaled")[(trial // 4) % 3]
             data = _lookup_instance(rng, kind)
             t = float(10.0 ** rng.uniform(-6.0, math.log10(50.0)))
             frame = _lookup_frame(data, family, t)

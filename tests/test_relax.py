@@ -193,5 +193,4 @@ class TestNearestCluster:
         for pos in cases:
             xs = [-1e10, 1e10, *pos.tolist(), *(pos + 0.5).tolist()]
             xs += np.nextafter(pos, np.inf).tolist() + rng.uniform(-6.0, 6.0, 5).tolist()
-            for x, k in zip(xs, np.searchsorted(pos, xs).tolist()):
-                assert _nearest(pos, x, k) == int(np.argmin(np.abs(pos - x)))
+            assert _nearest(pos, xs).tolist() == [int(np.argmin(np.abs(pos - x))) for x in xs]
