@@ -9,6 +9,7 @@ configs and seeds produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,13 @@ import numpy as np
 
 from . import potentials, relax, validate
 from .errors import ConfigError, NumericError, TauOutOfRange
-from .euler_poisson import FormulaSolution, cluster_snapshot, eval_m_and_clusters, sample, speed_bound
+from .euler_poisson import (
+    FormulaSolution,
+    cluster_snapshot,
+    eval_m_and_clusters_stacked,
+    sample,
+    speed_bound,
+)
 from .instances import random_instance, sample_times_avoiding_events
 from .measure import InitialData
 from .oracle import oracle_cdf, simulate_ep
@@ -242,39 +249,18 @@ def cmd_oracle(cfg: RunConfig, out: str) -> list:
     return written
 
 
-def _compare_one(data: InitialData, traj, times, xs, tol) -> list:
-    """(t, max |dm|, max |du|, pass) rows: m on xs, then cluster by cluster.
+def _compare_cases(cfg: RunConfig, rng):
+    """(data, t, xs, trajectory, instance) per compare row, drawn in order.
 
-    Each oracle cluster meets the formula cluster that holds its first
-    atom; a row passes when m, the velocities and the positions agree
-    within tol and both layers hold the same atom ranges.
+    The config's instance (instance 0) is simulated to 1.01 x its last
+    positive time and read on x_grid; each random instance is drawn, then
+    simulated to t = 6, then its five times and its 21 points are drawn.
     """
-    rows = []
-    for t in times:
-        state = traj.state_at(t)
-        m, formula = eval_m_and_clusters(data, xs, t)
-        dm = float(np.max(np.abs(m - oracle_cdf(state, xs)))) if len(xs) else 0.0
-        held = np.searchsorted(formula.hi, state.lo, side="right")
-        du = float(np.max(np.abs(formula.velocities[held] - state.velocities)))
-        dx = float(np.max(np.abs(formula.positions[held] - state.positions)))
-        same = np.array_equal(formula.lo, state.lo) and np.array_equal(formula.hi, state.hi)
-        rows.append((t, dm, du, bool(dm <= tol and du <= tol and dx <= tol and same)))
-    return rows
-
-
-def cmd_compare(cfg: RunConfig, out: str, seed: int | None = None) -> tuple:
-    seed = cfg.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
-    rows = []
-    ok = True
     base_times = [t for t in cfg.times if t > 0.0]
     if base_times:
         traj = simulate_ep(cfg.data, max(base_times) * 1.01)
-        for t, dm, du, passed in _compare_one(
-            cfg.data, traj, base_times, cfg.x_grid, cfg.tol_compare
-        ):
-            rows.append((0, t, dm, du, passed))
-            ok = ok and passed
+        for t in base_times:
+            yield cfg.data, t, cfg.x_grid, traj, 0
     for i in range(cfg.n_instances):
         inst = random_instance(rng, n_max=20)
         traj = simulate_ep(inst, 6.0)
@@ -282,12 +268,39 @@ def cmd_compare(cfg: RunConfig, out: str, seed: int | None = None) -> tuple:
         lo = float(inst.measure.positions[0]) - 2.0
         hi = float(inst.measure.positions[-1]) + 2.0
         xs = rng.uniform(lo, hi, size=21)
-        for t, dm, du, passed in _compare_one(inst, traj, times, xs, cfg.tol_compare):
-            rows.append((i + 1, t, dm, du, passed))
-            ok = ok and passed
+        for t in times:
+            yield inst, t, xs, traj, i + 1
+
+
+def _compare_rows(cases, tol):
+    """(instance, t, max |dm|, max |du|, pass) per case (data, t, xs,
+    trajectory, instance): m on xs, then cluster by cluster.
+
+    The formula layer reads the cases' (data, t, xs) in stacked blocks, and
+    no more than one block of cases waits for it. Each oracle cluster meets
+    the formula cluster that holds its first atom; a row passes when m, the
+    velocities and the positions agree within tol and both layers hold the
+    same atom ranges.
+    """
+    cases, rows = itertools.tee(cases)
+    formula_rows = eval_m_and_clusters_stacked(case[:3] for case in rows)
+    for (_, t, xs, traj, instance), (m, formula) in zip(cases, formula_rows):
+        state = traj.state_at(t)
+        dm = float(np.max(np.abs(m - oracle_cdf(state, xs)))) if len(xs) else 0.0
+        held = np.searchsorted(formula.hi, state.lo, side="right")
+        du = float(np.max(np.abs(formula.velocities[held] - state.velocities)))
+        dx = float(np.max(np.abs(formula.positions[held] - state.positions)))
+        same = np.array_equal(formula.lo, state.lo) and np.array_equal(formula.hi, state.hi)
+        yield instance, t, dm, du, bool(dm <= tol and du <= tol and dx <= tol and same)
+
+
+def cmd_compare(cfg: RunConfig, out: str, seed: int | None = None) -> tuple:
+    seed = cfg.seed if seed is None else seed
+    rng = np.random.default_rng(seed)
+    rows = list(_compare_rows(_compare_cases(cfg, rng), cfg.tol_compare))
     path = os.path.join(out, "compare.csv")
     write_csv(path, ["instance", "time", "max_abs_dm", "max_abs_du", "pass"], rows)
-    return [path], ok
+    return [path], all(row[-1] for row in rows)
 
 
 def cmd_relax(cfg: RunConfig, out: str) -> list:

@@ -22,8 +22,13 @@ and reads every point's prefix range from one hull lookup
 (``PrefixFrame.argmin_grid``). A scalar x is a one-point grid, and a 1-d
 grid returns the per-point results in grid order, equal to the scalar
 calls point by point. The dense ``PrefixFrame.argmin`` scan runs only in
-the lookup's tie window and in ``eval_nu_theta_omega``, which reports nu
-on one frame per call, for a scalar or a grid alike.
+the lookup's tie window, on grids of a few points before a frame's hull
+is built, and in ``eval_nu_theta_omega``, which reports nu on one frame
+per call, for a scalar or a grid alike.
+
+Many (data, t, xs) rows at once go through ``eval_m_and_clusters_stacked``:
+one ``potentials.FrameStack`` per bounded block of rows, each row equal to
+``eval_m_grid`` plus ``cluster_snapshot`` bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 
 from .errors import NonPositiveTime
 from .measure import BLOCK_ELEMENTS, ClusterState, InitialData, _finite_points
-from .potentials import PotentialCoefficients, PrefixFrame
+from .potentials import FrameStack, PotentialCoefficients, PrefixFrame
 
 __all__ = [
     "Branch",
@@ -47,7 +52,7 @@ __all__ = [
     "eval_nu_theta_omega",
     "sample",
     "eval_m_grid",
-    "eval_m_and_clusters",
+    "eval_m_and_clusters_stacked",
     "cluster_snapshot",
     "FormulaSolution",
     "speed_bound",
@@ -206,10 +211,12 @@ def _backward_cone(frame, data, x, k_min):
 def _velocity_from_frame(frame, data, x, k_min, k_max):
     """Velocity and branch tag at x from a prefix frame and the argmin range at x."""
     coeffs = frame.coeffs
-    if k_max > k_min:
+    if frame.P[k_max] > frame.P[k_min]:
         # positive mass at x; when the backward cone is degenerate (lone
         # leading atom exactly on its path, prefix tie 0..1) this is the
-        # characteristic case and [q]/[m] reduces to the atom velocity
+        # characteristic case and [q]/[m] reduces to the atom velocity. A
+        # tie of prefixes with equal P (atoms whose mass vanishes in P)
+        # holds no mass: it takes the backward cone, as no tie does
         u = (frame.Q[k_max] - frame.Q[k_min]) / (frame.P[k_max] - frame.P[k_min])
         shock = max(k_min, 1) != max(k_max, 1)
         branch = Branch.DELTA_SHOCK if shock else Branch.CHARACTERISTIC
@@ -302,17 +309,36 @@ def eval_m_grid(data: InitialData, xs, t: float):
     return np.array(_fields(data, xs, t, "m")[0])
 
 
-def eval_m_and_clusters(data: InitialData, xs, t: float):
-    """``eval_m_grid`` at xs and ``cluster_snapshot`` at t, from one frame.
+def eval_m_and_clusters_stacked(rows):
+    """``eval_m_grid`` at xs and ``cluster_snapshot`` at t for each
+    (data, t, xs) row, t > 0: yields (m, ClusterState) in row order, each
+    equal to the separate calls bit for bit.
 
-    Returns (m, ClusterState); each equals the separate call bit for bit.
+    Consecutive rows share one ``FrameStack`` per block, whose padded size,
+    rows times the largest N + 1 or grid length among them, stays within
+    BLOCK_ELEMENTS (a block holds at least one row). Rows are read and
+    evaluated one block at a time, so memory stays bounded by a block.
     """
-    xs = np.asarray(xs, dtype=float)
-    if t == 0.0:
-        return eval_m_grid(data, xs, t), cluster_snapshot(data, t)
-    frame = _frame(data, t)
-    _, k_min, _ = frame.argmin_grid(xs)
-    return frame.P[k_min], frame.cluster_state(t)
+    block, width = [], 0
+    for data, t, xs in rows:
+        size = max(len(data) + 1, len(xs))
+        if block and (len(block) + 1) * max(width, size) > BLOCK_ELEMENTS:
+            yield from _stacked_block(block)
+            block, width = [], 0
+        block.append((data, t, xs))
+        width = max(width, size)
+    if block:
+        yield from _stacked_block(block)
+
+
+def _stacked_block(block) -> list:
+    stack = FrameStack(
+        [(data.measure, data.velocities, PotentialCoefficients.euler_poisson(data.tau, t)) for data, t, _ in block]
+    )
+    sizes = [len(xs) for _, _, xs in block]
+    _, k_min, _ = stack.argmin_grid([xs for _, _, xs in block])
+    ms = np.split(stack.P[np.repeat(np.arange(len(block)), sizes), k_min], np.cumsum(sizes)[:-1])
+    return [(m, stack.cluster_state(q, t)) for q, (m, (_, t, _)) in enumerate(zip(ms, block))]
 
 
 # -- cluster structure -------------------------------------------------------

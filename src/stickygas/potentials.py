@@ -6,6 +6,11 @@ argmin over the N+1 prefix sums T_k(x, t). The same machinery serves the
 damped self-gravitating system (time weights A, B), its drift limit
 (weights 0, -t), and the slow-time-scaled family used in the relaxation
 study.
+
+A ``PrefixFrame`` holds one (data, t); a ``FrameStack`` holds many, as the
+rows of padded arrays. Both read their clusters off one numpy kernel over
+a stack of rows, ``_hull_vertices`` (a frame is the one-row case), with
+the sequential monotone chain as its fallback and reference.
 """
 
 from __future__ import annotations
@@ -36,6 +41,22 @@ __all__ = [
 # ties at late-time clusters where nu is incidentally near zero.
 DEFAULT_TIE_TOL = 1e-12
 DEFAULT_TIE_POS_TOL = 1e-9
+
+# passes of the hull kernel before a row's survivors go to the monotone chain
+HULL_PASSES = 64
+# a cross product (P_b - P_a)(S_c - S_a) - (P_c - P_a)(S_b - S_a) within this
+# fraction of its two products' magnitudes, plus the smallest normal float,
+# may differ in sign from the exact one (its rounding error is below 3.01
+# units in the last place of the products, 2**-53 each)
+_CROSS_ROUNDING = 2.0**-50
+# a stack of at most this many points takes the chain: below about 170
+# points one row, the chain costs less than the kernel's numpy passes
+HULL_CHAIN_POINTS = 128
+
+# a grid of fewer points, on a frame whose hull is not built yet, takes the
+# dense scan point by point: a scan costs 9-16 us per point, a hull and its
+# lookup 45-90 us, on frames of 5 to 100 atoms
+DENSE_GRID_POINTS = 6
 
 # e^{-z} is flushed to exactly 0 beyond this exponent; avoids inf * 0.
 _EXP_FLUSH = 700.0
@@ -182,8 +203,10 @@ class PrefixFrame:
         """(nu, k_min, k_max) of the prefix sums at x under the tie tolerance.
 
         The one tie rule. Scans all N+1 prefixes: the dense reference for
-        ``argmin_grid``. Three callers: ``argmin_grid`` for points in a tie
-        window, ``result`` (behind ``minimize_F`` and ``minimize_Fbar``) and
+        ``argmin_grid``. Four callers: ``argmin_grid`` for points in a tie
+        window and for short grids before the hull is built,
+        ``FrameStack.argmin_grid`` for points in a tie window, ``result``
+        (behind ``minimize_F`` and ``minimize_Fbar``) and
         ``euler_poisson.eval_nu_theta_omega``, which report nu. Every field
         evaluation, at a scalar x too, reads ``argmin_grid``.
         """
@@ -203,31 +226,27 @@ class PrefixFrame:
 
         One searchsorted of xs over the cluster positions (the hull slopes)
         gives each point the hull vertex v that minimizes T_k(x). A point
-        whose two adjacent slopes lie outside its tie window has no tie and
-        takes nu = S[v] - x P[v], the scan's own operation. The window is
-        the value term over the adjacent atom's mass, plus the position
-        term, plus a rounding bound on T and on the hull. Any other point
-        (one near a cluster position, where prefixes may tie) calls
-        ``argmin``, so the result equals ``argmin`` point by point, with
-        O(N + G) memory. The vertices, the padded slopes and prefix-mass
-        steps and the bound on |S| depend only on the frame: they are built
-        once, with the hull.
+        whose two adjacent slopes lie outside its tie window (``_settled``)
+        has no tie and takes nu = S[v] - x P[v], the scan's own operation.
+        Any other point (one near a cluster position, where prefixes may
+        tie) calls ``argmin``, so the result equals ``argmin`` point by
+        point, with O(N + G) memory. The vertices, the padded slopes and
+        prefix-mass steps and the bound on |S| depend only on the frame:
+        they are built once, with the hull. A grid of fewer than
+        ``DENSE_GRID_POINTS`` points on a frame whose hull is not built
+        settles no point, so a scalar call never builds the hull.
         """
         xs = _finite_points(xs)
-        pos = self.clusters()[2]
-        verts, slopes, dP, s_max = self._lookup
-        P, S = self.P, self.S
-        j = np.searchsorted(pos, xs)
-        v = verts[j]
-        nu = S[v] - xs * P[v]
-        rnd = 1e-14 * (s_max + np.abs(xs) * P[-1])
-        value = self.tie_tol * (1.0 + np.abs(nu)) + rnd
-        reach = DEFAULT_TIE_POS_TOL * (1.0 + np.abs(xs))
-        # a zero dP (an atom whose mass vanishes in P) divides to inf or nan:
-        # the point stays unsettled
-        with np.errstate(divide="ignore", invalid="ignore"):
-            settled = (slopes[j + 1] - xs > reach + value / dP[v + 1]) & (
-                xs - slopes[j] > reach + value / dP[v]
+        if self._hull is None and xs.size < DENSE_GRID_POINTS:
+            nu, v, settled = np.empty(xs.size), np.zeros(xs.size, np.intp), np.zeros(xs.size, bool)
+        else:
+            pos = self.clusters()[2]
+            verts, slopes, dP, s_max = self._lookup
+            j = np.searchsorted(pos, xs)
+            v = verts[j]
+            nu = self.S[v] - xs * self.P[v]
+            settled = _settled(
+                xs, nu, s_max, self.P[-1], self.tie_tol, slopes[j], slopes[j + 1], dP[v], dP[v + 1]
             )
         k_min, k_max = v, v.copy()
         for i in np.flatnonzero(~settled).tolist():
@@ -257,8 +276,9 @@ class PrefixFrame:
         Returns arrays (lo, hi, position, velocity): cluster j holds atoms
         lo[j]..hi[j]-1, and its position and velocity are the slopes of
         its hull edge in S and in Q. The hull vertices are the exposed
-        prefixes; collinear points are dropped (exact test). The hull is
-        built once per frame and its arrays are read-only.
+        prefixes (``_hull_vertices`` on the frame's one row); collinear
+        points are dropped, and no cluster has zero mass. The hull is built
+        once per frame and its arrays are read-only.
         """
         if self._hull is None:
             self._build_hull()
@@ -275,18 +295,7 @@ class PrefixFrame:
         return ClusterState(time, pos, self.P[hi] - self.P[lo], vel, lo, hi)
 
     def _build_hull(self):
-        P, S = self.P.tolist(), self.S.tolist()
-        verts = []
-        for k in range(len(P)):
-            while len(verts) >= 2:
-                a, b = verts[-2], verts[-1]
-                cross = (P[b] - P[a]) * (S[k] - S[a]) - (P[k] - P[a]) * (S[b] - S[a])
-                if cross <= 0.0:
-                    verts.pop()
-                else:
-                    break
-            verts.append(k)
-        verts = np.array(verts, dtype=np.intp)
+        verts = _hull_vertices(self.P[None], self.S[None], np.array([self.P.size]))
         lo, hi = verts[:-1], verts[1:]
         dm = self.P[hi] - self.P[lo]
         pos = (self.S[hi] - self.S[lo]) / dm
@@ -298,6 +307,212 @@ class PrefixFrame:
         self._lookup = (verts, slopes, dP, float(np.max(np.abs(self.S))))
         for arr in (*self._hull, verts, slopes, dP):
             arr.setflags(write=False)
+
+
+def _settled(xs, nu, s_max, total, tie_tol, below, above, dP_below, dP_above):
+    """The points of a hull lookup whose two adjacent slopes lie outside
+    their tie window: the value term over the adjacent atom's mass, plus the
+    position term, plus a rounding bound on T and on the hull (``s_max``
+    bounds |S| and ``total`` is P's last entry).
+
+    A zero dP (an atom whose mass vanishes in P) divides to inf or nan: the
+    point stays unsettled.
+    """
+    rnd = 1e-14 * (s_max + np.abs(xs) * total)
+    value = tie_tol * (1.0 + np.abs(nu)) + rnd
+    reach = DEFAULT_TIE_POS_TOL * (1.0 + np.abs(xs))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (above - xs > reach + value / dP_above) & (xs - below > reach + value / dP_below)
+
+
+class FrameStack:
+    """The prefix frames of many rows at once, padded into (R, L) arrays.
+
+    Row r is the frame ``PrefixFrame(*rows[r])`` of one (measure,
+    velocities, coeffs) triple; its tail past the row's N + 1 prefixes has
+    zero mass. X, S and Q come from the frame's own elementwise operations,
+    and ``np.cumsum(axis=1)`` keeps each row's order, so every row equals
+    its frame bit for bit. One run of ``_hull_vertices`` gives every row's
+    clusters (flat, row after row), and ``argmin_grid`` looks up every
+    row's points at once. The tie tolerance is read at construction.
+    """
+
+    __slots__ = ("rows", "P", "S", "Q", "tie_tol", "lo", "hi", "positions", "velocities", "masses", "_starts", "_lookup")
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.tie_tol = DEFAULT_TIE_TOL
+        n = np.array([len(measure) + 1 for measure, _, _ in rows])
+        R, L = n.size, int(n.max())
+        P = np.empty((R, L))
+        eta, w, mt, u = (np.zeros((R, L - 1)) for _ in range(4))
+        moving = np.zeros(R, dtype=bool)
+        for r, (measure, velocities, coeffs) in enumerate(rows):
+            N = len(measure)
+            P[r, : N + 1], P[r, N + 1 :] = measure.prefix_mass, measure.total_mass
+            eta[r, :N], w[r, :N], mt[r, :N] = measure.positions, measure.masses, measure.atom_mtilde()
+            if velocities is not None:
+                u[r, :N] = velocities
+                moving[r] = coeffs.A != 0.0
+        A, B, decay = (np.array([[getattr(c, f)] for _, _, c in rows]) for f in ("A", "B", "decay"))
+        # the frame's operations, row by row: X = eta + B*mtilde0 (+ A*u), and
+        # the free-flight velocity decay*u - A*mtilde0
+        X = eta + B * mt
+        X[moving] = X[moving] + A[moving] * u[moving]
+        vel = decay * u - A * mt
+        self.P, self.S, self.Q = P, np.zeros((R, L)), np.zeros((R, L))
+        self.S[:, 1:] = np.cumsum(w * X, axis=1)
+        self.Q[:, 1:] = np.cumsum(w * vel, axis=1)
+        self._build_hull(n)
+
+    def _build_hull(self, n):
+        P, S, Q = self.P, self.S, self.Q
+        R, L = P.shape
+        idx = _hull_vertices(P, S, n)
+        row, k = np.divmod(idx, L)
+        edge = row[:-1] == row[1:]
+        r, lo, hi = row[:-1][edge], k[:-1][edge], k[1:][edge]
+        dm = P[r, hi] - P[r, lo]
+        self.lo, self.hi, self.masses = lo, hi, dm
+        self.positions = (S[r, hi] - S[r, lo]) / dm
+        self.velocities = (Q[r, hi] - Q[r, lo]) / dm
+        # row r's clusters are [starts[r], starts[r + 1]) and its vertices
+        # k[starts[r] + r ...]; the lookup pads each row's slopes with -+inf
+        # and its atom masses with +inf, as a frame does
+        self._starts = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=R))))
+        slopes = np.full((R, int(np.diff(self._starts).max()) + 2), np.inf)
+        slopes[:, 0] = -np.inf
+        slopes[r, np.arange(r.size) - self._starts[r] + 1] = self.positions
+        dP = np.full((R, L + 1), np.inf)
+        dP[:, 1:L] = np.diff(P, axis=1)
+        dP[np.arange(R), n] = np.inf
+        self._lookup = (k, slopes, dP, np.max(np.abs(S), axis=1))
+
+    def cluster_state(self, r: int, time: float) -> ClusterState:
+        """Row r's clusters as a ClusterState at ``time``, equal to its
+        frame's ``cluster_state``."""
+        a, b = self._starts[r], self._starts[r + 1]
+        return ClusterState(
+            time, self.positions[a:b], self.masses[a:b], self.velocities[a:b], self.lo[a:b], self.hi[a:b]
+        )
+
+    def argmin_grid(self, grids):
+        """``PrefixFrame.argmin_grid`` of every row at once, on the points
+        grids[r] of row r: flat (nu, k_min, k_max) arrays, row after row.
+
+        One searchsorted per row, then one settled test over every point.
+        A point it leaves unsettled calls its row frame's ``argmin``, the
+        one tie rule.
+        """
+        sizes = [len(g) for g in grids]
+        xs = _finite_points(np.concatenate([np.asarray(g, dtype=float) for g in grids]))
+        r = np.repeat(np.arange(len(grids)), sizes)
+        c, g = self._starts.tolist(), np.cumsum([0] + sizes).tolist()
+        j = np.concatenate(
+            [np.searchsorted(self.positions[c[q] : c[q + 1]], xs[g[q] : g[q + 1]]) for q in range(len(grids))]
+        )
+        k, slopes, dP, s_max = self._lookup
+        v = k[self._starts[r] + r + j]
+        nu = self.S[r, v] - xs * self.P[r, v]
+        settled = _settled(
+            xs, nu, s_max[r], self.P[r, -1], self.tie_tol, slopes[r, j], slopes[r, j + 1], dP[r, v], dP[r, v + 1]
+        )
+        k_min, k_max = v, v.copy()
+        frames = {}
+        for i in np.flatnonzero(~settled).tolist():
+            q = int(r[i])
+            if q not in frames:
+                frames[q] = PrefixFrame(*self.rows[q])
+            nu[i], k_min[i], k_max[i] = frames[q].argmin(float(xs[i]))
+        return nu, k_min, k_max
+
+
+def _monotone_chain(P, S, ks):
+    """Lower-hull vertices among the increasing prefix indices ks of one row.
+
+    The sequential reference of ``_hull_vertices`` and its fallback. A point
+    whose P equals the last point's is the same point in P, as the tie rule
+    reads it: it leaves first, so no hull edge has zero mass. Then the
+    chain pops its last vertex while the cross product of the last two
+    vertices and the next point is <= 0 (collinear points are dropped).
+    """
+    P, S, ks = P.tolist(), S.tolist(), list(ks)
+    # P is nondecreasing, so the points whose P equals the last one's end the row
+    while len(ks) > 1 and P[ks[-2]] == P[ks[-1]]:
+        del ks[-2]
+    verts = []
+    for k in ks:
+        while len(verts) >= 2:
+            a, b = verts[-2], verts[-1]
+            cross = (P[b] - P[a]) * (S[k] - S[a]) - (P[k] - P[a]) * (S[b] - S[a])
+            if cross <= 0.0:
+                verts.pop()
+            else:
+                break
+        verts.append(k)
+    return verts
+
+
+def _chain_rows(P, S, rows):
+    """Flat indices r * L + k of ``_monotone_chain`` on the prefixes
+    rows[r] of each row r of the (R, L) arrays, row after row."""
+    L = P.shape[1]
+    return np.concatenate([np.add(_monotone_chain(P[r], S[r], ks), r * L) for r, ks in rows.items()])
+
+
+def _hull_vertices(P, S, n):
+    """Lower-hull vertices of a stack of prefix rows, as flat indices.
+
+    Row r of the (R, L) arrays holds the points (P[r, k], S[r, k]) for
+    k < n[r] (n[r] >= 1); the rest of the row is padding and never read.
+    Returns the increasing indices r * L + k of every row's vertices, the
+    ones ``_monotone_chain`` gives on the row. A stack of at most
+    ``HULL_CHAIN_POINTS`` points takes the chain row by row.
+
+    Otherwise a point whose P equals its row's last P leaves first, and
+    each pass drops, at once, every point whose cross product with its
+    current live neighbours is <= 0, with each row's first and last points
+    pinned, so that every live neighbour lies in the point's own row. A
+    cross product within rounding of zero (``_CROSS_ROUNDING``) may have
+    the wrong sign: its row goes to the chain whole, so every drop the
+    kernel keeps removes a point that lies above the hull, and a tie keeps
+    the chain's answer. A row still dropping points after ``HULL_PASSES``
+    passes hands its survivors to the chain.
+    """
+    R, L = P.shape
+    if P.size <= HULL_CHAIN_POINTS:
+        return _chain_rows(P, S, {r: range(m) for r, m in enumerate(n.tolist())})
+    last = (n - 1)[:, None]
+    cols = np.arange(L)
+    live = (cols < last) & (P != np.take_along_axis(P, last, axis=1)) | (cols == last)
+    free = (live & (cols > 0) & (cols < last)).ravel()
+    flat_P, flat_S = P.ravel(), S.ravel()
+    idx = np.flatnonzero(live)
+    tied = np.zeros(R, dtype=bool)
+    for _ in range(HULL_PASSES):
+        p, s = flat_P[idx], flat_S[idx]
+        pa, sa = p[:-2], s[:-2]
+        left, right = (p[1:-1] - pa) * (s[2:] - sa), (p[2:] - pa) * (s[1:-1] - sa)
+        cross = left - right
+        inner = free[idx[1:-1]]
+        tie = np.abs(cross) <= _CROSS_ROUNDING * (np.abs(left) + np.abs(right)) + sys.float_info.min
+        tie &= inner
+        if tie.any():
+            tied[idx[1:-1][tie] // L] = True
+        drop = (cross <= 0.0) & inner
+        if not drop.any():
+            capped = []
+            break
+        before, idx = idx, idx[np.concatenate(([True], ~drop, [True]))]
+    else:
+        capped = np.unique(before[1:-1][drop] // L).tolist()
+    redo = {r: range(n[r]) for r in np.flatnonzero(tied).tolist()}
+    for r in capped:
+        redo.setdefault(r, (idx[idx // L == r] - r * L).tolist())
+    if redo:
+        kept = idx[~np.isin(idx // L, list(redo))]
+        idx = np.sort(np.concatenate((kept, _chain_rows(P, S, redo))))
+    return idx
 
 
 def minimize_F(data: InitialData, x: float, t: float) -> MinimizerResult:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stickygas import cli, euler_poisson, potentials
-from stickygas.cli import _compare_one, main
+from stickygas.cli import main
 from stickygas.euler_poisson import cluster_snapshot, eval_m_grid, eval_u
 from stickygas.instances import random_instance, sample_times_avoiding_events
 from stickygas.measure import ClusterState, InitialData
@@ -27,6 +27,12 @@ TWO_ATOM = {
     "t_end": 6.0,
     "seed": 7,
 }
+
+
+def _compare_one(data, traj, times, xs, tol):
+    """compare's (t, max |dm|, max |du|, pass) rows for one instance."""
+    cases = ((data, t, xs, traj, None) for t in times)
+    return [row[1:] for row in cli._compare_rows(cases, tol)]
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -205,10 +211,41 @@ class TestCompare:
         )
         assert code == 4
 
+    def test_zero_mass_atom_leaves_no_zero_mass_cluster(self, tmp_path):
+        # the second atom's mass vanishes in P (1 + 1e-18 == 1): the formula
+        # layer holds both atoms in one cluster and answers finite fields,
+        # while the oracle resolves the light atom, so compare reports its
+        # velocity difference and the split atom ranges (exit 4)
+        cfg = dict(
+            TWO_ATOM,
+            atoms=[
+                {"position": 0.0, "mass": 1.0, "velocity": 0.0},
+                {"position": 1.0, "mass": 1e-18, "velocity": 0.0},
+            ],
+            times=[0.1],
+            x_grid={"min": -1.0, "max": 2.0, "count": 7},
+            t_end=1.0,
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "solution_t0.1.csv")
+        assert all(math.isfinite(float(r[3])) for r in rows)
+        assert [r[1] for r in rows[3:]] == ["1"] * 4
+        snap = cluster_snapshot(cli.load_config(path).data, 0.1)
+        assert (snap.lo.tolist(), snap.hi.tolist()) == ([0], [2])
+        assert np.isfinite(snap.positions).all() and np.isfinite(snap.velocities).all()
+        assert main(["compare", "--config", path, "--out", str(tmp_path)]) == 4
+        _, rows = read_csv(tmp_path / "compare.csv")
+        assert [(r[2], r[4]) for r in rows] == [("0", "false")]
+        assert 0.0 < float(rows[0][3]) < 0.1
+
     def test_one_simulation_per_instance_and_one_frame_per_time(self, tmp_path, monkeypatch):
+        # each (instance, t) is one row of a stacked frame; no single frame
+        # is built, since no point of these grids falls in a tie window
         n_instances = 10
-        sims, frames = [0], [0]
+        sims, frames, stacked = [0], [0], [0]
         simulate, init = cli.simulate_ep, potentials.PrefixFrame.__init__
+        stack_init = potentials.FrameStack.__init__
 
         def counted_simulate(*args):
             sims[0] += 1
@@ -218,15 +255,44 @@ class TestCompare:
             frames[0] += 1
             init(self, *args)
 
+        def counted_stack(self, rows):
+            stacked[0] += len(rows)
+            stack_init(self, rows)
+
         monkeypatch.setattr(cli, "simulate_ep", counted_simulate)
         monkeypatch.setattr(potentials.PrefixFrame, "__init__", counted_init)
+        monkeypatch.setattr(potentials.FrameStack, "__init__", counted_stack)
         cfg = dict(TWO_ATOM, times=[0.5, 1.0], n_instances=n_instances)
         code = main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
         assert code == 0
         _, rows = read_csv(tmp_path / "compare.csv")
         assert len(rows) == 2 + 5 * n_instances
         assert sims[0] == 1 + n_instances
-        assert frames[0] == len(rows)
+        assert stacked[0] == len(rows)
+        assert frames[0] == 0
+
+    def test_no_instances(self, tmp_path):
+        # n_instances 0: the config's instance alone, and no row at all
+        # when it has no positive time
+        for times, count in (([0.5, 1.0], 2), ([0.0], 0)):
+            out = tmp_path / f"rows{count}"
+            cfg = write_config(tmp_path, dict(TWO_ATOM, times=times, n_instances=0))
+            assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+            header, rows = read_csv(out / "compare.csv")
+            assert header == ["instance", "time", "max_abs_dm", "max_abs_du", "pass"]
+            assert [(r[0], float(r[1]), r[4]) for r in rows] == [("0", t, "true") for t in times[:count]]
+
+    def test_one_row_blocks_write_the_same_file(self, tmp_path, monkeypatch):
+        # the block bound changes how many rows share a stacked frame, and
+        # nothing that compare writes
+        cfg = write_config(tmp_path, dict(TWO_ATOM, times=[0.5, 1.0, 5.5], n_instances=30))
+        texts = []
+        for bound in (euler_poisson.BLOCK_ELEMENTS, 1):
+            monkeypatch.setattr(euler_poisson, "BLOCK_ELEMENTS", bound)
+            out = tmp_path / f"bound{bound}"
+            assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+            texts.append((out / "compare.csv").read_bytes())
+        assert texts[0] == texts[1] and texts[0].count(b"\n") == 1 + 3 + 5 * 30
 
     def test_rows_match_reference_on_compare_ensemble(self):
         # the draws of `compare` at the acceptance seed, trajectory to 6.0
@@ -317,7 +383,7 @@ class TestCompare:
         # runs, and the tie rule runs only at points of the compare grids
         branch_calls, tied, grids = [0], set(), []
         velocity, argmin = euler_poisson._velocity_from_frame, potentials.PrefixFrame.argmin
-        compare_one = cli._compare_one
+        compare_rows = cli._compare_rows
 
         def counted_velocity(*args):
             branch_calls[0] += 1
@@ -327,13 +393,17 @@ class TestCompare:
             tied.add(x)
             return argmin(self, x)
 
-        def recorded_compare(data, traj, times, xs, tol):
-            grids.extend(np.asarray(xs, dtype=float).tolist())
-            return compare_one(data, traj, times, xs, tol)
+        def recorded_compare(cases, tol):
+            def recorded_cases():
+                for case in cases:
+                    grids.extend(np.asarray(case[2], dtype=float).tolist())
+                    yield case
+
+            return compare_rows(recorded_cases(), tol)
 
         monkeypatch.setattr(euler_poisson, "_velocity_from_frame", counted_velocity)
         monkeypatch.setattr(potentials.PrefixFrame, "argmin", recorded_ties)
-        monkeypatch.setattr(cli, "_compare_one", recorded_compare)
+        monkeypatch.setattr(cli, "_compare_rows", recorded_compare)
         cfg = dict(TWO_ATOM, times=[0.5, 1.0, 5.5], n_instances=20)
         code = main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
         assert code == 0
@@ -590,7 +660,12 @@ def test_commands_reach_every_public_function(tmp_path):
     names = public_definitions()
     reached = reached_by_commands(tmp_path)
     unreached = {name for key, name in names.items() if key not in reached}
-    assert {"cli.main", "potentials.PrefixFrame.argmin_grid"} <= set(names.values()) - unreached
+    assert {
+        "cli.main",
+        "potentials.PrefixFrame.argmin_grid",
+        "potentials.FrameStack.argmin_grid",
+        "euler_poisson.eval_m_and_clusters_stacked",
+    } <= set(names.values()) - unreached
     assert unreached - set(UNREACHED) == set(), "reached by no command and not allowlisted"
     assert set(UNREACHED) - set(names.values()) == set(), "allowlisted but not a public definition"
     assert set(UNREACHED) - unreached == set(), "allowlisted but reached by a command"

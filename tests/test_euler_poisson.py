@@ -12,7 +12,7 @@ from stickygas.euler_poisson import (
     cluster_snapshot,
     eval_E,
     eval_m,
-    eval_m_and_clusters,
+    eval_m_and_clusters_stacked,
     eval_m_grid,
     eval_nu_theta_omega,
     eval_q,
@@ -663,16 +663,19 @@ class TestGridEvaluation:
                     fn(two_atom_symmetric, xs, t)
 
     def test_shared_frame_equals_separate_calls(self):
+        # every row of the stacked entry point, empty grids included, equals
+        # the separate single-frame calls byte for byte; t = 0 has no frame
         rng = np.random.default_rng(26)
+        rows = []
         for _ in range(25):
             data = make_random_instance(rng)
-            for t in (0.0, 1e-3, 0.7, 3.0):
+            with pytest.raises(NonPositiveTime):
+                list(eval_m_and_clusters_stacked([(data, 0.0, [0.0])]))
+            for t in (1e-3, 0.7, 3.0):
                 xs = rng.uniform(-12, 12, size=15)
                 xs = np.concatenate([xs, cluster_snapshot(data, t).positions])
-                for a in (xs, xs[:0]):
-                    ms, state = eval_m_and_clusters(data, a, t)
-                    assert repr(ms.tolist()) == repr(eval_m_grid(data, a, t).tolist())
-                    assert state == cluster_snapshot(data, t)
+                rows += [(data, t, xs), (data, t, xs[:0])]
+        assert_rows_equal_single_frames(rows)
 
     def test_time_zero_scalar_forms_read_the_sequential_prefixes(self):
         # the prefixes of w*u and w*u*u that eval_q on a grid and the
@@ -693,6 +696,87 @@ class TestGridEvaluation:
             es = [eval_E(data, x, 0.0) for x in xs.tolist()]
             assert qs == eval_q(data, xs, 0.0)
             assert es == eval_E(data, xs, 0.0) == e0[k].tolist()
+
+
+def assert_rows_equal_single_frames(rows):
+    """Each row (data, t, xs) of ``eval_m_and_clusters_stacked`` equals
+    ``eval_m_grid`` plus ``cluster_snapshot`` byte for byte, in row order."""
+    got = list(eval_m_and_clusters_stacked(iter(rows)))
+    assert len(got) == len(rows)
+    for (data, t, xs), (m, state) in zip(rows, got):
+        want = eval_m_grid(data, xs, t)
+        assert (m.dtype, m.tobytes()) == (want.dtype, want.tobytes())
+        snap = cluster_snapshot(data, t)
+        assert state.time == snap.time
+        for name in ("positions", "masses", "velocities", "lo", "hi"):
+            a, b = getattr(state, name), getattr(snap, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+class TestStackedRows:
+    def test_one_row_block(self):
+        data = make_random_instance(np.random.default_rng(40))
+        assert_rows_equal_single_frames([(data, 1.3, np.linspace(-12.0, 12.0, 9))])
+
+    def test_rows_of_different_sizes_share_a_block(self):
+        # N from 1 to 30 and grids of 0 to 40 points in one block, with the
+        # points at the formula clusters and an ulp around them
+        rng = np.random.default_rng(41)
+        rows = []
+        for n in [1, 30, 2, 17, 1, 5]:
+            data = InitialData.from_atoms(
+                np.sort(rng.uniform(-5.0, 5.0, n)), rng.uniform(0.01, 2.0, n), rng.uniform(-2.0, 2.0, n), 0.5
+            )
+            t = float(rng.uniform(0.1, 5.0))
+            pos = cluster_snapshot(data, t).positions
+            size = int(rng.integers(0, 40))
+            xs = np.concatenate([rng.uniform(-8.0, 8.0, size), pos, np.nextafter(pos, np.inf)])
+            rows.append((data, t, xs))
+        assert_rows_equal_single_frames(rows)
+
+    def test_single_atom_instances(self):
+        rng = np.random.default_rng(42)
+        rows = [
+            (InitialData.from_atoms([x], [m], [v], tau), t, np.array([x - 1.0, x, x + 1.0]))
+            for x, m, v, tau, t in zip(
+                rng.uniform(-3, 3, 8), rng.uniform(0.1, 2, 8), rng.uniform(-2, 2, 8), [1.0, 0.5] * 4, [0.5, 2.0] * 4
+            )
+        ]
+        assert_rows_equal_single_frames(rows)
+
+    def test_no_rows(self):
+        assert list(eval_m_and_clusters_stacked(iter([]))) == []
+
+    def test_blocks_stay_within_the_element_bound(self, monkeypatch):
+        # each block's padded size, rows times the widest N + 1 or grid,
+        # stays within BLOCK_ELEMENTS; one-row blocks give the same bytes
+        from stickygas import euler_poisson, potentials
+
+        rng = np.random.default_rng(43)
+        rows = []
+        for _ in range(40):
+            data = make_random_instance(rng, n_max=20)
+            rows.append((data, float(rng.uniform(0.1, 5.0)), rng.uniform(-12, 12, size=int(rng.integers(0, 30)))))
+        blocks = []
+
+        class Recorded(potentials.FrameStack):
+            def argmin_grid(self, grids):
+                width = max(max(len(m) + 1 for m, _, _ in self.rows), max(len(g) for g in grids))
+                blocks.append((len(grids), width))
+                return super().argmin_grid(grids)
+
+        monkeypatch.setattr(euler_poisson, "FrameStack", Recorded)
+        default = euler_poisson.BLOCK_ELEMENTS
+        for bound in (1, 200, default):
+            monkeypatch.setattr(euler_poisson, "BLOCK_ELEMENTS", bound)
+            blocks.clear()
+            assert_rows_equal_single_frames(rows)
+            assert sum(n for n, _ in blocks) == len(rows)
+            if bound == 1:
+                assert len(blocks) == len(rows)
+            else:
+                assert max(n * w for n, w in blocks) <= bound
+            assert len(blocks) > 1 or bound == default
 
 
 class TestNonFiniteTime:

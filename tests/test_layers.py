@@ -190,12 +190,14 @@ def argmin_call_sites() -> list:
     return sorted(sites)
 
 
-def test_dense_argmin_has_three_callers():
-    # every field evaluation reads the hull lookup, a scalar x as a
-    # one-point grid; the dense scan stays the lookup's tie rule and the
-    # minimum nu that two reports return
+def test_dense_argmin_has_four_callers():
+    # every field evaluation reads a hull lookup, a scalar x as a one-point
+    # grid; the dense scan stays the tie rule of the frame's lookup (and its
+    # short grids before the hull is built) and of the stacked lookup, and
+    # the minimum nu that two reports return
     assert argmin_call_sites() == [
         "euler_poisson.eval_nu_theta_omega",
+        "potentials.FrameStack.argmin_grid",
         "potentials.PrefixFrame.argmin_grid",
         "potentials.PrefixFrame.result",
     ]

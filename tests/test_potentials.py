@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import isotonic_regression
 
-from stickygas import drift, euler_poisson, potentials, relax
+from stickygas import cli, drift, euler_poisson, potentials, relax
 from stickygas.errors import EmptyMeasure, NonPositiveTime
 from stickygas.euler_poisson import _backward_cone, cluster_snapshot
 from stickygas.instances import random_instance
@@ -498,3 +498,223 @@ class TestNoSplitting:
                 earlier = verts
         assert pairs == 100 * 39
 
+
+
+def _bench_instance(n, seed):
+    """The benchmark's baseline atoms: N positions U(-10, 10) sorted, masses
+    U(0.01, 2)/N and velocities U(-2, 2), drawn in that order from
+    default_rng(seed), with tau 0.5."""
+    rng = np.random.default_rng(seed)
+    positions = np.sort(rng.uniform(-10.0, 10.0, size=n))
+    masses = rng.uniform(0.01, 2.0, size=n) / n
+    return InitialData.from_atoms(positions, masses, rng.uniform(-2.0, 2.0, size=n), 0.5)
+
+
+def _ep_frame(data, t):
+    return PrefixFrame(data.measure, data.velocities, PotentialCoefficients.euler_poisson(data.tau, t))
+
+
+def _chain(P, S):
+    return potentials._monotone_chain(P, S, range(P.size))
+
+
+def _kernel(rows):
+    """The vertices of each (P, S) row from one stacked run of the kernel."""
+    n = np.array([P.size for P, _ in rows])
+    L = int(n.max())
+    P, S = (np.vstack([np.pad(row[i], (0, L - row[i].size), mode="edge") for row in rows]) for i in (0, 1))
+    row, k = np.divmod(potentials._hull_vertices(P, S, n), L)
+    return [k[row == r].tolist() for r in range(len(rows))]
+
+
+def _prefix_rows(w, X):
+    return np.concatenate(([0.0], np.cumsum(w))), np.concatenate(([0.0], np.cumsum(w * X)))
+
+
+class TestHullKernel:
+    """``_hull_vertices`` runs its passes on every stack here, one row or
+    many, and must give the monotone chain's vertices."""
+
+    @pytest.fixture(autouse=True)
+    def kernel_only(self, monkeypatch):
+        monkeypatch.setattr(potentials, "HULL_CHAIN_POINTS", 0)
+
+    def assert_equals_chain(self, frames):
+        rows = [(f.P, f.S) for f in frames]
+        want = [_chain(P, S) for P, S in rows]
+        assert _kernel(rows) == want
+        assert [_kernel([row])[0] for row in rows] == want
+        for f, verts in zip(frames, want):
+            lo, hi, _, _ = f.clusters()
+            assert [0] + hi.tolist() == verts and lo.tolist() == verts[:-1]
+
+    def test_equals_chain_on_compare_ensemble(self):
+        # compare's rows on the benchmark ensemble: the N = 100 instance at
+        # its two times, then 200 random instances at five times each
+        data = _bench_instance(100, 0)
+        raw = {
+            "version": 1,
+            "atoms": [
+                {"position": p, "mass": m, "velocity": v}
+                for p, m, v in zip(data.measure.positions.tolist(), data.measure.masses.tolist(), data.velocities.tolist())
+            ],
+            "tau": 0.5,
+            "times": [0.3, 1.0],
+            "n_instances": 200,
+        }
+        cases = cli._compare_cases(cli.RunConfig(raw), np.random.default_rng(20260810))
+        frames = [_ep_frame(d, t) for d, t, *_ in cases]
+        assert len(frames) == 2 + 5 * 200
+        self.assert_equals_chain(frames)
+
+    def test_equals_chain_on_bench_instances(self):
+        frames = [_ep_frame(_bench_instance(100, seed), t) for seed in range(30) for t in (0.3, 1.0)]
+        for n in (1000, 10000):
+            frames += [_ep_frame(_bench_instance(n, seed), t) for seed in (0, 17) for t in (0.3, 1.0)]
+        self.assert_equals_chain(frames)
+
+    def test_equals_chain_on_validate_and_relax_frames(self):
+        # the continuity levels 2^-1 ... 2^-20, the relax study's ten taus
+        # and its drift frames, and the drift frames at the solve times
+        frames = []
+        for n, seed in ((100, 0), (100, 1), (100, 2), (1000, 0)):
+            data = _bench_instance(n, seed)
+            frames += [_ep_frame(data, 2.0 ** -k) for k in range(1, 21)]
+            for k in range(1, 11):
+                coeffs = PotentialCoefficients.scaled(2.0 ** -k, 1.0)
+                frames.append(PrefixFrame(data.measure, data.velocities, coeffs))
+            frames += [PrefixFrame(data.measure, None, PotentialCoefficients.drift(t)) for t in (0.3, 1.0)]
+        self.assert_equals_chain(frames)
+
+    def test_tie_cases_equal_chain(self, monkeypatch):
+        # exact ties: equal free positions (collinear points), chain
+        # collisions (free positions in reverse order), near-duplicate
+        # atoms, and atoms whose mass vanishes in P; each row alone and all
+        # rows stacked
+        redone = []
+        chain_rows = potentials._chain_rows
+
+        def recorded(P, S, rows):
+            redone.extend(rows)
+            return chain_rows(P, S, rows)
+
+        monkeypatch.setattr(potentials, "_chain_rows", recorded)
+        rng = np.random.default_rng(70)
+        for kind in ("equal", "collision", "near_duplicate", "vanishing_mass"):
+            rows = []
+            for trial in range(300):
+                n = int(rng.integers(3, 40))
+                w = rng.uniform(0.01, 2.0, n)
+                X = np.sort(rng.uniform(-5.0, 5.0, n))
+                if kind == "equal":
+                    X = np.repeat(X, rng.integers(1, 5, n))[:n]
+                elif kind == "collision":
+                    X = X[::-1].copy()
+                    X[: trial % n] = np.sort(X[: trial % n])
+                elif kind == "near_duplicate":
+                    X = X[0] * (1.0 + 1e-14 * np.arange(n)) + 1e-13 * rng.standard_normal(n)
+                else:
+                    w = np.where(rng.random(n) < 0.3, 1e-18, w)
+                rows.append(_prefix_rows(w, X))
+            want = [_chain(P, S) for P, S in rows]
+            assert [_kernel([row])[0] for row in rows] == want, kind
+            assert _kernel(rows) == want, kind
+        # the ties went to the chain
+        assert redone
+
+    def test_zero_mass_atom_joins_the_last_cluster(self):
+        # 1 + 1e-18 == 1: the light atom is the same point in P as the end
+        w, X = np.array([1.0, 1e-18]), np.array([-0.005, 0.9975])
+        P, S = _prefix_rows(w, X)
+        assert _chain(P, S) == _kernel([(P, S)])[0] == [0, 2]
+        data = InitialData.from_atoms([0.0, 1.0], [1.0, 1e-18], [0.0, 0.0], 1.0)
+        lo, hi, pos, vel = _ep_frame(data, 0.1).clusters()
+        assert (lo.tolist(), hi.tolist()) == ([0], [2])
+        assert np.isfinite(pos).all() and np.isfinite(vel).all()
+
+    def test_pass_cap_hands_survivors_to_the_chain(self, monkeypatch):
+        # a strictly convex row whose last point lies far below it: each
+        # pass drops only the point next to the end, so the row needs N - 1
+        # passes, more than the cap
+        n = potentials.HULL_PASSES + 40
+        X = np.concatenate((np.linspace(0.0, 1.0, n - 1), [-1e6]))
+        P, S = _prefix_rows(np.full(n, 1.0 / n), X)
+        calls = []
+        chain = potentials._monotone_chain
+
+        def recorded(P, S, ks):
+            calls.append(len(ks))
+            return chain(P, S, ks)
+
+        monkeypatch.setattr(potentials, "_monotone_chain", recorded)
+        assert _kernel([(P, S)])[0] == [0, n]
+        assert calls == [n + 1 - potentials.HULL_PASSES]
+        calls.clear()
+        assert _kernel([(P, S)] * 3 + [_prefix_rows(np.ones(4), np.arange(4.0))]) == [[0, n]] * 3 + [[0, 1, 2, 3, 4]]
+        assert len(calls) == 3
+
+    def test_stacked_blocks_are_isotonic_regression_of_free_positions(self):
+        # each row's clusters are the blocks of the weighted isotonic
+        # regression of its free positions, as in a single frame
+        rng = np.random.default_rng(71)
+        rows, fits = [], []
+        for _ in range(40):
+            data = make_random_instance(rng, n_max=30)
+            for t in (0.05, 0.4, 1.5, 6.0):
+                coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
+                rows.append((data.measure, data.velocities, coeffs))
+                fits.append(isotonic_regression(PrefixFrame(*rows[-1]).X, weights=data.measure.masses))
+        stack = potentials.FrameStack(rows)
+        for r, fit in enumerate(fits):
+            state = stack.cluster_state(r, 0.0)
+            assert len(fit.blocks) - 1 == state.lo.size
+            hull = np.repeat(state.positions, state.hi - state.lo)
+            assert np.max(np.abs(hull - fit.x)) <= 1e-12 * max(1.0, float(np.max(np.abs(fit.x))))
+
+
+class TestFrameStack:
+    def test_rows_equal_their_frames_bit_for_bit(self):
+        # X, S and Q, the clusters, and the lookup at points in and around
+        # every tie window, for the three potential families in one stack
+        rng = np.random.default_rng(72)
+        rows, grids = [], []
+        for trial in range(60):
+            kind = ("plain", "near_duplicate", "mass_decades", "vanishing_mass")[trial % 4]
+            family = ("euler_poisson", "drift", "scaled")[(trial // 4) % 3]
+            data = _lookup_instance(rng, kind)
+            frame = _lookup_frame(data, family, float(10.0 ** rng.uniform(-6.0, math.log10(50.0))))
+            rows.append((frame.measure, None if family == "drift" else data.velocities, frame.coeffs))
+            pos = np.asarray(frame.clusters()[2])
+            grids.append(np.concatenate([rng.uniform(-15.0, 15.0, 10), pos, np.nextafter(pos, np.inf), pos - 1e-10]))
+        stack = potentials.FrameStack(rows)
+        got = stack.argmin_grid(grids)
+        ends = np.cumsum([g.size for g in grids])
+        for r, (row, xs) in enumerate(zip(rows, grids)):
+            frame = PrefixFrame(*row)
+            n = frame.P.size
+            for name in ("P", "S", "Q"):
+                assert getattr(stack, name)[r, :n].tobytes() == getattr(frame, name).tobytes(), name
+            assert stack.cluster_state(r, 1.0) == frame.cluster_state(1.0)
+            want = frame.argmin_grid(xs)
+            for a, b in zip(got, want):
+                part = a[ends[r] - xs.size : ends[r]]
+                assert (part.dtype, part.tobytes()) == (b.dtype, b.tobytes())
+
+    def test_unsettled_points_call_their_row_frames_argmin(self, monkeypatch):
+        calls = []
+        argmin = potentials.PrefixFrame.argmin
+
+        def counted(self, x):
+            calls.append(x)
+            return argmin(self, x)
+
+        monkeypatch.setattr(potentials.PrefixFrame, "argmin", counted)
+        rng = np.random.default_rng(73)
+        rows = [(d.measure, d.velocities, PotentialCoefficients.euler_poisson(d.tau, 1.0)) for d in (make_random_instance(rng) for _ in range(5))]
+        stack = potentials.FrameStack(rows)
+        clear = [stack.cluster_state(r, 1.0).positions + 1e-6 for r in range(5)]
+        stack.argmin_grid(clear)
+        assert calls == []
+        at = [stack.cluster_state(r, 1.0).positions for r in range(5)]
+        stack.argmin_grid(at)
+        assert sorted(calls) == sorted(np.concatenate(at).tolist())
