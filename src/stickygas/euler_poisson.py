@@ -4,7 +4,8 @@ Every field at a point (x, t) comes from the prefix argmin of the first
 generalized potential: the mass is the prefix mass at the smallest argmin,
 momentum and energy are matching prefix sums, and the velocity follows the
 branch analysis of the forward generalized characteristics (delta shock,
-vacuum escape, or plain characteristic).
+vacuum escape, or plain characteristic): one array pass per grid,
+``_velocities``, whose backward-cone case split is ``_backward_cone``.
 
 The cluster decomposition at a fixed time equals the lower convex hull of
 the prefix points (P_k, S_k): hull vertices are the exposed prefixes and
@@ -144,8 +145,8 @@ def _fields(data, x, t, names, weights=PotentialCoefficients.euler_poisson):
         _, k_min, k_max = frame.argmin_grid(xs)
 
         def velocities():
-            ranges = zip(xs.tolist(), k_min.tolist(), k_max.tolist())
-            return [_velocity_from_frame(frame, data, *r) for r in ranges]
+            u, branch = _velocities(frame, data, xs, k_min, k_max)
+            return list(zip(u.tolist(), branch.tolist()))
 
         time = t
         build = {
@@ -175,62 +176,70 @@ def eval_q(data: InitialData, x, t: float):
     return _fields(data, x, t, "q")[0]
 
 
-def _backward_cone(frame, data, x, k_min):
-    """Case split of the backward generalized characteristic from (x, t).
+def _backward_cone(frame, data, xs, k_min):
+    """Case split of the backward generalized characteristics from the
+    points xs at the frame's time, one entry per point of xs.
 
-    The anchor is atom a = max(k_min, 1) - 1 at y, and c_mid is the initial
-    speed that the characteristic through y needs at the atom's symmetric
-    centered mass. Returns (side, vacuum, a, y, mt, c): side is 0 when c_mid
-    matches u0(a) within the speed tolerance (x on the atom's own path,
-    mt and c the symmetric values), +1 right of that path and -1 left of it
-    (mt and c the one-sided values). vacuum is True when that one-sided
-    speed lies beyond +-U0, so the max-speed vacuum tracer applies.
+    The anchor is atom a = max(k_min, 1) - 1 at y, and the symmetric c is
+    the initial speed that the characteristic through y needs at the
+    atom's symmetric centered mass. Returns arrays (side, vacuum, a, y, mt,
+    c): side is 0 where that c matches u0(a) within the speed tolerance (x
+    on the atom's own path, mt and c the symmetric values), +1 right of
+    that path and -1 left of it (mt and c the one-sided values). vacuum is
+    True where that one-sided speed lies beyond +-U0, so the max-speed
+    vacuum tracer applies.
     """
     coeffs = frame.coeffs
     m = data.measure
-    a = max(k_min, 1) - 1
+    a = np.maximum(k_min, 1) - 1
     y = m.positions[a]
     half_m = 0.5 * m.total_mass
-    mt = m.prefix_mass[a] + 0.5 * m.masses[a] - half_m
     ratio = coeffs.force_speed_ratio()
-    c = (x - y) / coeffs.A - mt * ratio
+    speed = (xs - y) / coeffs.A
+    mt = m.prefix_mass[a] + 0.5 * m.masses[a] - half_m
+    c = speed - mt * ratio
     u0a = data.velocities[a]
-    tol = DEFAULT_SPEED_TOL * (1.0 + abs(c) + abs(u0a))
+    tol = DEFAULT_SPEED_TOL * (1.0 + np.abs(c) + np.abs(u0a))
+    right, left = c > u0a + tol, c < u0a - tol
+    mt = np.where(right, m.prefix_mass[a + 1] - half_m, np.where(left, m.prefix_mass[a] - half_m, mt))
+    c = speed - mt * ratio
     u_bound = data.max_speed
-    if c > u0a + tol:
-        mt = m.prefix_mass[a + 1] - half_m
-        c = (x - y) / coeffs.A - mt * ratio
-        return 1, c > u_bound + tol, a, y, mt, c
-    if c < u0a - tol:
-        mt = m.prefix_mass[a] - half_m
-        c = (x - y) / coeffs.A - mt * ratio
-        return -1, c < -u_bound - tol, a, y, mt, c
-    return 0, False, a, y, mt, c
+    vacuum = (right & (c > u_bound + tol)) | (left & (c < -u_bound - tol))
+    return right.astype(int) - left, vacuum, a, y, mt, c
 
 
-def _velocity_from_frame(frame, data, x, k_min, k_max):
-    """Velocity and branch tag at x from a prefix frame and the argmin range at x."""
-    coeffs = frame.coeffs
-    if frame.P[k_max] > frame.P[k_min]:
-        # positive mass at x; when the backward cone is degenerate (lone
-        # leading atom exactly on its path, prefix tie 0..1) this is the
-        # characteristic case and [q]/[m] reduces to the atom velocity. A
-        # tie of prefixes with equal P (atoms whose mass vanishes in P)
-        # holds no mass: it takes the backward cone, as no tie does
-        u = (frame.Q[k_max] - frame.Q[k_min]) / (frame.P[k_max] - frame.P[k_min])
-        shock = max(k_min, 1) != max(k_max, 1)
-        branch = Branch.DELTA_SHOCK if shock else Branch.CHARACTERISTIC
-        return float(u), branch
-    side, vacuum, a, y, mt, _ = _backward_cone(frame, data, x, k_min)
-    if side == 0:
-        # on the atom's own path: velocity is the atom's free-flight velocity
-        return float(frame.vel[a]), Branch.CHARACTERISTIC
-    if vacuum:
-        u = side * data.max_speed * coeffs.decay - mt * coeffs.A
-        branch = Branch.VACUUM_RIGHT if side > 0 else Branch.VACUUM_LEFT
-        return float(u), branch
-    u = (x - y) * coeffs.decay / coeffs.A + mt * coeffs.char_force_weight()
-    return float(u), Branch.CHARACTERISTIC
+def _velocities(frame, data, xs, k_min, k_max):
+    """Velocities and ``Branch`` tags (an object array) at the points xs,
+    from a prefix frame and each point's argmin range, in one array pass.
+    Each branch's arithmetic runs only on its own points.
+    """
+    coeffs, P, Q = frame.coeffs, frame.P, frame.Q
+    u = np.empty(xs.size)
+    branch = np.empty(xs.size, dtype=object)
+    # positive mass at x; when the backward cone is degenerate (lone
+    # leading atom exactly on its path, prefix tie 0..1) this is the
+    # characteristic case and [q]/[m] reduces to the atom velocity. A tie
+    # of prefixes with equal P (atoms whose mass vanishes in P) holds no
+    # mass: it takes the backward cone, as no tie does
+    mass = P[k_max] > P[k_min]
+    lo, hi = k_min[mass], k_max[mass]
+    u[mass] = (Q[hi] - Q[lo]) / (P[hi] - P[lo])
+    branch[mass] = np.where(np.maximum(lo, 1) != np.maximum(hi, 1), Branch.DELTA_SHOCK, Branch.CHARACTERISTIC)
+    cone = ~mass
+    x = xs[cone]
+    side, vacuum, a, y, mt, _ = _backward_cone(frame, data, x, k_min[cone])
+    on_path = side == 0
+    free = ~on_path & ~vacuum
+    u_cone = np.empty(x.size)
+    # on the atom's own path: the atom's free-flight velocity
+    u_cone[on_path] = frame.vel[a[on_path]]
+    u_cone[vacuum] = side[vacuum] * data.max_speed * coeffs.decay - mt[vacuum] * coeffs.A
+    u_cone[free] = (x[free] - y[free]) * coeffs.decay / coeffs.A + mt[free] * coeffs.char_force_weight()
+    u[cone] = u_cone
+    branch[cone] = np.where(
+        vacuum, np.where(side > 0, Branch.VACUUM_RIGHT, Branch.VACUUM_LEFT), Branch.CHARACTERISTIC
+    )
+    return u, branch
 
 
 def eval_u(data: InitialData, x, t: float):
@@ -249,11 +258,13 @@ def eval_u(data: InitialData, x, t: float):
 def _energies(frame, k_mins) -> list:
     """Energy over each prefix k_min: free momenta times cluster velocities.
 
-    One sequential prefix sum of the per-atom terms serves every k_min.
+    One sequential prefix sum of the per-atom terms serves every k_min. A
+    cumsum keeps the sign of a leading -0.0 term, which a sum from 0.0
+    drops, so + 0.0 turns a -0.0 energy into 0.0.
     """
     lo, hi, _, vel = frame.clusters()
     terms = frame.measure.masses * frame.vel * np.repeat(vel, hi - lo)
-    return np.concatenate(([0.0], np.cumsum(terms)))[k_mins].tolist()
+    return (np.concatenate(([0.0], np.cumsum(terms)))[k_mins] + 0.0).tolist()
 
 
 def eval_E(data: InitialData, x, t: float):

@@ -112,8 +112,10 @@ class AtomicMeasure:
 
     __slots__ = ("positions", "masses", "prefix_mass", "total_mass")
 
-    def __init__(self, positions, masses):
-        positions, masses, _ = _atom_columns(positions, masses)
+    def __init__(self, positions, masses, _checked=False):
+        # _checked: the columns already come from _atom_columns
+        if not _checked:
+            positions, masses, _ = _atom_columns(positions, masses)
         self.positions = positions
         self.masses = masses
         # prefix_mass[k] = sum of the first k masses, k = 0..N
@@ -180,7 +182,7 @@ class InitialData:
     def from_atoms(cls, positions, masses, velocities, tau):
         """Build from raw arrays, merging duplicate positions momentum-consistently."""
         positions, masses, velocities = _atom_columns(positions, masses, velocities)
-        return cls(AtomicMeasure(positions, masses), velocities, tau)
+        return cls(AtomicMeasure(positions, masses, _checked=True), velocities, tau)
 
     def with_tau(self, tau: float) -> "InitialData":
         """Same atoms and velocities under a different relaxation time."""

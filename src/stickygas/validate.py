@@ -10,12 +10,14 @@ supported polynomial bumps: the measure integrals are exact cluster sums,
 the dx integrals are exact via the bump antiderivative, and the time
 integrals use composite midpoint quadrature split at the solution's event
 times so the integrand is smooth on every piece. One array routine
-evaluates both integrands on each (node x cluster) block; sums over the
-clusters run in cluster order and the weighted sum over the nodes in node
-order. The Oleinik bound is read off adjacent clusters, and weak continuity
-at t = 0 off cluster prefix sums. ``check_oleinik`` reads the formula
-layer's u on one grid per time, and ``check_potential_identities`` its
-fields and auxiliary potentials on a few grids per stencil time.
+evaluates both integrands on each (node x cluster) block, with the bump's
+x factors computed once per block and its antiderivative in Horner form;
+sums over the clusters run in cluster order, and the weighted sum over the
+nodes, one array per bump and level, in node order. The Oleinik bound is
+read off adjacent clusters, and weak continuity at t = 0 off cluster
+prefix sums. ``check_oleinik`` reads the formula layer's u on one grid per
+time, and ``check_potential_identities`` its fields and auxiliary
+potentials on a few grids per stencil time.
 """
 
 from __future__ import annotations
@@ -89,40 +91,26 @@ class TestFunction:
     # numpy forms for a scalar or an array z, evaluated on z clipped to
     # [-1, 1]: a far bump never overflows, and outside the support s = 0
     @staticmethod
-    def _b(z):
+    def _b_db(z):
+        """(b, b') at z for b = (1-z^2)^3, from one clip and one 1 - z^2."""
         zc = _clip_unit(z)
         s = 1.0 - zc * zc
-        return s * s * s
-
-    @staticmethod
-    def _db(z):
-        zc = _clip_unit(z)
-        s = 1.0 - zc * zc
-        return -6.0 * zc * s * s
+        return s * s * s, -6.0 * zc * s * s
 
     @staticmethod
     def _B(z):
-        # antiderivative of (1-z^2)^3, constant outside the support; float_power
-        # calls libm pow, as the scalar z**k does (numpy's ** differs by an ulp)
+        # antiderivative z - z^3 + 0.6 z^5 - z^7/7 of (1-z^2)^3 in Horner
+        # form, constant outside the support
         z = _clip_unit(z)
-        return z - np.float_power(z, 3) + 0.6 * np.float_power(z, 5) - np.float_power(z, 7) / 7.0
+        z2 = z * z
+        return z * (1.0 - z2 * (1.0 - z2 * (0.6 - z2 / 7.0)))
 
-    def value(self, x, t):
-        return self._b((x - self.x_center) / self.x_radius) * self._b(
-            (t - self.t_center) / self.t_radius
-        )
-
-    def dx(self, x, t):
-        return (
-            self._db((x - self.x_center) / self.x_radius)
-            / self.x_radius
-            * self._b((t - self.t_center) / self.t_radius)
-        )
-
-    def dt(self, x, t):
-        return self._b((x - self.x_center) / self.x_radius) * self._db(
-            (t - self.t_center) / self.t_radius
-        ) / self.t_radius
+    def value_and_gradient(self, x, t):
+        """(phi, phi_x, phi_t) at x and t, which broadcast against each
+        other; the x factors and the t factors are each computed once."""
+        bx, dbx = self._b_db((x - self.x_center) / self.x_radius)
+        bt, dbt = self._b_db((t - self.t_center) / self.t_radius)
+        return bx * bt, dbx / self.x_radius * bt, bx * dbt / self.t_radius
 
     def dt_x_integral(self, edges, t):
         """Exact integrals of phi_t at time t between consecutive edges.
@@ -132,7 +120,7 @@ class TestFunction:
         """
         B = self._B((np.asarray(edges) - self.x_center) / self.x_radius)
         xpart = self.x_radius * np.diff(B, axis=-1)
-        return xpart * self._db((t - self.t_center) / self.t_radius) / self.t_radius
+        return xpart * self._b_db((t - self.t_center) / self.t_radius)[1] / self.t_radius
 
     def support_t(self):
         return self.t_center - self.t_radius, self.t_center + self.t_radius
@@ -155,24 +143,20 @@ def default_bump_family(data: InitialData, t_window):
 
 
 def _midpoint_nodes(t_lo, t_hi, cuts, n_total):
-    """Composite midpoint nodes and weights, split at the cut times."""
-    edges = [t_lo]
-    for c in sorted(cuts):
-        if t_lo < c < t_hi:
-            edges.append(c)
-    edges.append(t_hi)
-    total = t_hi - t_lo
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        length = b - a
-        if length <= 0.0:
-            continue
-        npts = max(1, int(math.ceil(n_total * length / total)))
-        h = length / npts
-        for j in range(npts):
-            nodes.append(a + (j + 0.5) * h)
-            weights.append(h)
-    return nodes, weights
+    """Composite midpoint nodes and weights as arrays, split at the cut times.
+
+    A piece of length L between consecutive cuts holds ceil(n_total L /
+    (t_hi - t_lo)) nodes (at least one) at a + (j + 0.5) h, h = L / count.
+    """
+    cuts = np.sort(np.asarray(cuts, dtype=float))
+    edges = np.concatenate(([t_lo], cuts[(t_lo < cuts) & (cuts < t_hi)], [t_hi]))
+    starts, lengths = edges[:-1], np.diff(edges)
+    keep = lengths > 0.0
+    starts, lengths = starts[keep], lengths[keep]
+    counts = np.maximum(1, np.ceil(n_total * lengths / (t_hi - t_lo))).astype(int)
+    h = np.repeat(lengths / counts, counts)
+    j = np.arange(h.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(starts, counts) + (j + 0.5) * h, h
 
 
 def _integrands(bump, ts, positions, velocities, masses, tau, total_mass):
@@ -195,14 +179,14 @@ def _integrands(bump, ts, positions, velocities, masses, tau, total_mass):
     cuts = np.minimum(np.maximum(cuts, lo_supp), hi_supp)
     prefix = np.concatenate(([0.0], np.cumsum(masses)))
     pieces = prefix * bump.dt_x_integral(cuts, t)
-    value = bump.value(positions, t)
-    dm = masses * velocities * value
+    value, phi_x, phi_t = bump.value_and_gradient(positions, t)
+    u = velocities
+    dm = masses * u * value
     mass = np.cumsum(pieces, axis=1)[:, -1] - np.cumsum(dm, axis=1)[:, -1]
 
     mt = prefix[:-1] + 0.5 * masses - 0.5 * total_mass
-    u = velocities
     terms = np.empty((n, 2 * masses.size))
-    terms[:, 0::2] = masses * (bump.dt(positions, t) * u + bump.dx(positions, t) * u * u)
+    terms[:, 0::2] = masses * (phi_t * u + phi_x * u * u)
     terms[:, 1::2] = -(masses * (mt + u / tau) * value)
     return mass, np.cumsum(terms, axis=1)[:, -1]
 
@@ -246,15 +230,13 @@ def check_weak_form(
             lo = max(t_lo, blo)
             hi = min(t_hi, bhi)
             nodes, weights = _midpoint_nodes(lo, hi, cuts, n_total)
-            per_node = []
-            for block in solution.states_at(nodes):
-                mass, mom = _integrands(bump, *block, data.tau, total_mass)
-                per_node += zip(mass.tolist(), mom.tolist())
-            acc_mass = 0.0
-            acc_mom = 0.0
-            for w, (mass, mom) in zip(weights, per_node):
-                acc_mass += w * mass
-                acc_mom += w * mom
+            blocks = solution.states_at(nodes.tolist())
+            values = np.hstack(
+                [np.empty((2, 0))] + [np.array(_integrands(bump, *b, data.tau, total_mass)) for b in blocks]
+            )
+            # weighted (mass, momentum) per node, summed from 0.0 in node order
+            sums = np.cumsum(np.hstack((np.zeros((2, 1)), weights * values)), axis=1)
+            acc_mass, acc_mom = sums[:, -1].tolist()
             worst_mass = max(worst_mass, abs(acc_mass))
             worst_mom = max(worst_mom, abs(acc_mom))
         res_mass.append(worst_mass)

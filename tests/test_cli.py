@@ -228,9 +228,12 @@ class TestCompare:
         )
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
-        _, rows = read_csv(tmp_path / "solution_t0.1.csv")
+        header, rows = read_csv(tmp_path / "solution_t0.1.csv")
         assert all(math.isfinite(float(r[3])) for r in rows)
         assert [r[1] for r in rows[3:]] == ["1"] * 4
+        # the heavy atom's energy term is 0 * (negative cluster velocity),
+        # -0.0, which the prefix sum used to keep
+        assert [r[header.index("E")] for r in rows[3:]] == ["0"] * 4
         snap = cluster_snapshot(cli.load_config(path).data, 0.1)
         assert (snap.lo.tolist(), snap.hi.tolist()) == ([0], [2])
         assert np.isfinite(snap.positions).all() and np.isfinite(snap.velocities).all()
@@ -382,7 +385,7 @@ class TestCompare:
         # compare reads cluster velocities off the hull: no branch analysis
         # runs, and the tie rule runs only at points of the compare grids
         branch_calls, tied, grids = [0], set(), []
-        velocity, argmin = euler_poisson._velocity_from_frame, potentials.PrefixFrame.argmin
+        velocity, argmin = euler_poisson._velocities, potentials.PrefixFrame.argmin
         compare_rows = cli._compare_rows
 
         def counted_velocity(*args):
@@ -401,7 +404,7 @@ class TestCompare:
 
             return compare_rows(recorded_cases(), tol)
 
-        monkeypatch.setattr(euler_poisson, "_velocity_from_frame", counted_velocity)
+        monkeypatch.setattr(euler_poisson, "_velocities", counted_velocity)
         monkeypatch.setattr(potentials.PrefixFrame, "argmin", recorded_ties)
         monkeypatch.setattr(cli, "_compare_rows", recorded_compare)
         cfg = dict(TWO_ATOM, times=[0.5, 1.0, 5.5], n_instances=20)

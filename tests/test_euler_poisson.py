@@ -6,9 +6,10 @@ import pytest
 from stickygas.drift import _drift_point, _drift_ranges, drift_cluster_snapshot, eval_mbar
 from stickygas.errors import NonPositiveTime
 from stickygas.euler_poisson import (
+    DEFAULT_SPEED_TOL,
     Branch,
     _frame,
-    _velocity_from_frame,
+    _velocities,
     cluster_snapshot,
     eval_E,
     eval_m,
@@ -20,14 +21,61 @@ from stickygas.euler_poisson import (
     sample,
     speed_bound,
 )
-from stickygas.measure import InitialData
+from stickygas.measure import AtomicMeasure, InitialData
 from stickygas.oracle import simulate_ep
 from stickygas.potentials import PotentialCoefficients, PrefixFrame
 from stickygas.relax import eval_scaled, scaled_cluster_snapshot
 from tests.conftest import make_random_instance
+from tests.test_oracle import baseline_instance, compare_ensemble_cases
+from tests.test_potentials import _lookup_instance
 
 E1 = math.exp(-1.0)
 LN2 = math.log(2.0)
+
+
+# Reference for the array velocity pass: the per-point branch analysis it
+# replaced, in Python scalars, one point at a time.
+
+
+def scalar_backward_cone(frame, data, x, k_min):
+    """(side, vacuum, a, y, mt, c) of the backward cone from (x, t)."""
+    coeffs = frame.coeffs
+    m = data.measure
+    a = max(k_min, 1) - 1
+    y = m.positions[a]
+    half_m = 0.5 * m.total_mass
+    mt = m.prefix_mass[a] + 0.5 * m.masses[a] - half_m
+    ratio = coeffs.force_speed_ratio()
+    c = (x - y) / coeffs.A - mt * ratio
+    u0a = data.velocities[a]
+    tol = DEFAULT_SPEED_TOL * (1.0 + abs(c) + abs(u0a))
+    u_bound = data.max_speed
+    if c > u0a + tol:
+        mt = m.prefix_mass[a + 1] - half_m
+        c = (x - y) / coeffs.A - mt * ratio
+        return 1, c > u_bound + tol, a, y, mt, c
+    if c < u0a - tol:
+        mt = m.prefix_mass[a] - half_m
+        c = (x - y) / coeffs.A - mt * ratio
+        return -1, c < -u_bound - tol, a, y, mt, c
+    return 0, False, a, y, mt, c
+
+
+def scalar_velocity(frame, data, x, k_min, k_max):
+    """(u, branch) at x from a prefix frame and the argmin range at x."""
+    coeffs = frame.coeffs
+    if frame.P[k_max] > frame.P[k_min]:
+        u = (frame.Q[k_max] - frame.Q[k_min]) / (frame.P[k_max] - frame.P[k_min])
+        shock = max(k_min, 1) != max(k_max, 1)
+        return float(u), Branch.DELTA_SHOCK if shock else Branch.CHARACTERISTIC
+    side, vacuum, a, y, mt, _ = scalar_backward_cone(frame, data, x, k_min)
+    if side == 0:
+        return float(frame.vel[a]), Branch.CHARACTERISTIC
+    if vacuum:
+        u = side * data.max_speed * coeffs.decay - mt * coeffs.A
+        return float(u), Branch.VACUUM_RIGHT if side > 0 else Branch.VACUUM_LEFT
+    u = (x - y) * coeffs.decay / coeffs.A + mt * coeffs.char_force_weight()
+    return float(u), Branch.CHARACTERISTIC
 
 
 def atom_positions(data, t):
@@ -217,6 +265,14 @@ class TestEnergy:
 
     def test_symmetric_merged_at_rest(self, two_atom_symmetric):
         assert eval_E(two_atom_symmetric, 10.0, 6.0) == pytest.approx(0.0, abs=1e-15)
+
+    def test_negative_zero_energy_reads_zero(self):
+        # the heavy atom's energy term is 0 * (negative cluster velocity):
+        # the prefix energy used to be -0.0
+        data = InitialData.from_atoms([0.0, 1.0], [1.0, 1e-18], [0.0, 0.0], 1.0)
+        xs = [0.5, 1.0]
+        assert [repr(s.E) for s in sample(data, xs, 0.1)] == ["0.0", "0.0"]
+        assert [repr(e) for e in eval_E(data, xs, 0.1)] == ["0.0", "0.0"]
 
     def test_energy_matches_oracle_cluster_sum(self):
         rng = np.random.default_rng(18)
@@ -592,7 +648,7 @@ def assert_scalar_calls_equal_dense_scan(data, xs, t):
     frame = _frame(data, t)
     for x in xs:
         _, a, b = frame.argmin(x)
-        u, branch = _velocity_from_frame(frame, data, x, a, b)
+        u, branch = scalar_velocity(frame, data, x, a, b)
         assert eval_m(data, x, t) == frame.P[a]
         s = sample(data, x, t)
         assert (s.m, s.q, s.u, s.branch) == (frame.P[a], frame.Q[a], u, branch)
@@ -608,7 +664,7 @@ def assert_scalar_calls_equal_dense_scan(data, xs, t):
     scaled_frame = PrefixFrame(m, data.velocities, PotentialCoefficients.scaled(tau, t))
     for x in xs + scaled_cluster_snapshot(data, t, tau).positions.tolist():
         _, a, b = scaled_frame.argmin(x)
-        u, _ = _velocity_from_frame(scaled_frame, scaled, x, a, b)
+        u, _ = scalar_velocity(scaled_frame, scaled, x, a, b)
         want = (scaled_frame.P[a], u / tau, scaled_frame.Q[a] / tau)
         assert eval_scaled(data, x, t, tau) == want
 
@@ -798,3 +854,96 @@ class TestNonFiniteTime:
     def test_raises_non_positive_time(self, entry, t, two_atom_symmetric):
         with pytest.raises(NonPositiveTime, match="finite"):
             self.ENTRY_POINTS[entry](two_atom_symmetric, t)
+
+
+def probe_points(data, frame, rng, count=20):
+    """Random points over the reach of the atoms, and the atoms' free
+    positions and the clusters, each with its neighbours one ulp, 1e-10
+    and 5e-9 away: points in and next to every tie window."""
+    pos = data.measure.positions
+    span = float(pos[-1] - pos[0]) + 1.0
+    near = np.concatenate((frame.X, frame.clusters()[2]))
+    return np.concatenate(
+        [
+            rng.uniform(float(pos[0]) - 2.0 * span, float(pos[-1]) + 2.0 * span, size=count),
+            near,
+            np.nextafter(near, np.inf),
+            np.nextafter(near, -np.inf),
+            near + 1e-10,
+            near - 1e-10,
+            near + 5e-9,
+            near - 5e-9,
+        ]
+    )
+
+
+def tie_family_instance(rng, kind, t):
+    """Atoms whose free positions at t are equal up to rounding ("equal")
+    or in reverse order ("collision"), so that prefixes tie or every atom
+    has merged."""
+    n = int(rng.integers(3, 30))
+    positions = np.sort(rng.uniform(-5.0, 5.0, n))
+    masses = rng.uniform(0.01, 2.0, n) / n
+    tau = float(rng.choice([1.0, 0.5, 0.1]))
+    X = np.sort(rng.uniform(-5.0, 5.0, n))
+    X = np.repeat(X, rng.integers(1, 5, n))[:n] if kind == "equal" else X[::-1]
+    coeffs = PotentialCoefficients.euler_poisson(tau, t)
+    mt = AtomicMeasure(positions, masses).atom_mtilde()
+    velocities = (X - positions - coeffs.B * mt) / coeffs.A
+    return InitialData.from_atoms(positions, masses, velocities, tau)
+
+
+class TestVelocityPass:
+    """The array velocity pass of a grid call equals the scalar reference
+    point by point (repr of u and branch), on frames of every family."""
+
+    def assert_grid_equals_reference(self, data, xs, t, weights=PotentialCoefficients.euler_poisson):
+        frame = _frame(data, t, weights)
+        _, k_min, k_max = frame.argmin_grid(xs)
+        want = [scalar_velocity(frame, data, *r) for r in zip(xs.tolist(), k_min.tolist(), k_max.tolist())]
+        u, branch = _velocities(frame, data, xs, k_min, k_max)
+        assert repr(list(zip(u.tolist(), branch.tolist()))) == repr(want)
+        return {branch for _, branch in want}
+
+    def test_compare_ensemble(self):
+        rng = np.random.default_rng(80)
+        seen = set()
+        for data, _, times in compare_ensemble_cases():
+            for t in times[1:]:
+                seen |= self.assert_grid_equals_reference(data, probe_points(data, _frame(data, t), rng), t)
+        assert seen == set(Branch)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_bench_instances(self, n):
+        grid = np.linspace(-12.0, 12.0, 1001)
+        for seed in (0, 17):
+            data = baseline_instance(n, seed)
+            for t in (0.3, 1.0, 2.0):
+                xs = np.concatenate((grid, cluster_snapshot(data, t).positions))
+                assert self.assert_grid_equals_reference(data, xs, t) == set(Branch)
+
+    def test_tie_families_and_lookup_kinds(self):
+        rng = np.random.default_rng(81)
+        for trial in range(160):
+            t = float(10.0 ** rng.uniform(-3.0, 1.0))
+            kind = ("equal", "collision", "near_duplicate", "vanishing_mass")[trial % 4]
+            if kind in ("equal", "collision"):
+                data = tie_family_instance(rng, kind, t)
+            else:
+                data = _lookup_instance(rng, kind)
+            self.assert_grid_equals_reference(data, probe_points(data, _frame(data, t), rng), t)
+
+    def test_scaled_frames(self):
+        rng = np.random.default_rng(82)
+        for _ in range(40):
+            data = make_random_instance(rng)
+            tau = float(rng.choice([0.5, 0.1, 1e-3]))
+            scaled = data.with_tau(tau)
+            for t in (1e-3, 0.7, 3.0):
+                frame = _frame(scaled, t, PotentialCoefficients.scaled)
+                xs = probe_points(data, frame, rng, count=10)
+                self.assert_grid_equals_reference(scaled, xs, t, PotentialCoefficients.scaled)
+                _, k_min, k_max = frame.argmin_grid(xs[:12])
+                for x, a, b in zip(xs[:12].tolist(), k_min.tolist(), k_max.tolist()):
+                    u, _ = scalar_velocity(frame, scaled, x, a, b)
+                    assert repr(eval_scaled(data, x, t, tau)[1]) == repr(u / tau)

@@ -3,7 +3,7 @@
 The import scans read each module's source with ``ast``; nothing is
 imported. The ``__all__`` check imports the package, and the check of
 perfbench's traced names reads its sources with ``ast`` and imports only the
-package.
+package. The last test counts the calls of two array kernels at run time.
 """
 
 import ast
@@ -11,6 +11,12 @@ import importlib
 import inspect
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from stickygas import euler_poisson, validate
+from stickygas.measure import InitialData
+from stickygas.oracle import simulate_ep
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stickygas"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -275,3 +281,45 @@ def test_perfbench_traced_names_resolve():
     # the scan read both files: every workload lists names, and every span
     # of a method is an entry point too
     assert exercised and all(exercised) and spans <= set(entry_points) and len(names) > len(spans)
+
+
+def test_grid_calls_run_one_branch_pass_and_one_integrand_per_block(monkeypatch):
+    # the velocity branch analysis is one array pass per grid call, a
+    # scalar x included, and the weak form evaluates its integrands once
+    # per block that the solution's states_at yields
+    calls = {"_velocities": 0, "_integrands": 0, "blocks": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(euler_poisson, "_velocities")
+    counted(validate, "_integrands")
+    data = InitialData.from_atoms([-1.0, 0.0, 1.0], [0.5, 0.2, 0.5], [0.5, 0.0, -0.5], 1.0)
+    grid = np.linspace(-3.0, 3.0, 41)
+    for call in (
+        lambda: euler_poisson.eval_u(data, grid, 0.7),
+        lambda: euler_poisson.sample(data, grid, 0.7),
+        lambda: euler_poisson.eval_u(data, 0.25, 0.7),
+    ):
+        calls["_velocities"] = 0
+        call()
+        assert calls["_velocities"] == 1
+
+    class CountedBlocks:
+        def __init__(self, traj):
+            self.traj, self.event_times, self.layer = traj, traj.event_times, traj.layer
+
+        def states_at(self, ts):
+            for block in self.traj.states_at(ts):
+                calls["blocks"] += 1
+                yield block
+
+    traj = simulate_ep(data, 3.0)
+    validate.check_weak_form(data, CountedBlocks(traj), (0.5, 2.9), refinement_levels=3, n_base=16)
+    assert calls["_integrands"] == calls["blocks"] > 0

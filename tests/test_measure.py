@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stickygas import measure
 from stickygas.errors import TauOutOfRange
 from stickygas.measure import AtomicMeasure, InitialData
 
@@ -140,6 +141,24 @@ class TestConstruction:
             "duplicate atom positions merged (mass added, velocity mass-averaged)"
         ]
         assert caught[0].filename == __file__
+
+    def test_from_atoms_checks_the_columns_once(self, monkeypatch):
+        # the measure takes the checked, sorted and merged columns as they are
+        calls = []
+        atom_columns = measure._atom_columns
+
+        def counted(*args):
+            calls.append(len(args))
+            return atom_columns(*args)
+
+        monkeypatch.setattr(measure, "_atom_columns", counted)
+        with pytest.warns(UserWarning, match="merged"):
+            d = InitialData.from_atoms([2.0, 1.0, 1.0], [1.0, 1.0, 2.0], [0.0, 3.0, 0.0], 1.0)
+        assert calls == [3]
+        assert (d.measure.positions.tolist(), d.measure.masses.tolist()) == ([1.0, 2.0], [3.0, 1.0])
+        assert not d.measure.positions.flags.writeable
+        AtomicMeasure([1.0, 0.0], [1.0, 1.0])
+        assert calls == [3, 2]
 
     def test_from_atoms_check_order(self):
         cases = [

@@ -157,8 +157,8 @@ def initial_speed(data, x, t):
     value right (+1) or left (-1) of it."""
     frame = PrefixFrame(data.measure, data.velocities, PotentialCoefficients.euler_poisson(data.tau, t))
     _, k_min, _ = frame.argmin(x)
-    side, _, _, _, _, c = _backward_cone(frame, data, x, k_min)
-    return side, c
+    side, _, _, _, _, c = _backward_cone(frame, data, np.array([x]), np.array([k_min]))
+    return int(side[0]), float(c[0])
 
 
 class TestInitialSpeed:

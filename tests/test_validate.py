@@ -34,12 +34,12 @@ from tests.test_oracle import baseline_instance
 class TestBump:
     def test_compact_support_and_smoothness(self):
         b = Bump(0.0, 1.0, 1.0, 0.5)
-        assert b.value(2.0, 1.0) == 0.0
-        assert b.value(0.0, 2.0) == 0.0
-        assert b.value(0.0, 1.0) == 1.0
-        assert b.dx(0.0, 1.0) == 0.0
+        assert b.value_and_gradient(2.0, 1.0)[0] == 0.0
+        assert b.value_and_gradient(0.0, 2.0)[0] == 0.0
+        assert b.value_and_gradient(0.0, 1.0)[0] == 1.0
+        assert b.value_and_gradient(0.0, 1.0)[1] == 0.0
         # derivative vanishes at the support edge (C^2 regularity)
-        assert b.dx(1.0 - 1e-9, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert b.value_and_gradient(1.0 - 1e-9, 1.0)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_x_integral_matches_quadrature(self):
         b = Bump(0.3, 1.7, 1.0, 0.5)
@@ -47,7 +47,7 @@ class TestBump:
         a, c = -1.0, 1.5
         n = 20000
         h = (c - a) / n
-        want = h * sum(b.dt(a + (j + 0.5) * h, t) for j in range(n))
+        want = h * sum(b.value_and_gradient(a + (np.arange(n) + 0.5) * h, t)[2].tolist())
         assert b.dt_x_integral([a, c], t)[0] == pytest.approx(want, abs=1e-8)
 
 
@@ -59,6 +59,38 @@ class TestBump:
             pieces = b.dt_x_integral(edges, 1.2)
         assert pieces[0] == pieces[2] == 0.0
         assert pieces[1] == b.dt_x_integral([-5.0, 5.0], 1.2)[0] != 0.0
+
+
+class TestAntiderivative:
+    # B(z) = z - z^3 + 0.6 z^5 - z^7/7 on [-1, 1], evaluated in Horner form
+    Z = np.linspace(-1.0, 1.0, 4001)
+
+    def test_derivative_is_the_bump(self):
+        # 4-point Gauss-Legendre integrates the degree-6 bump exactly, so on
+        # every cell of a dense grid B(b) - B(a) equals it up to rounding
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        a, b = self.Z[:-1], self.Z[1:]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        z = mid[:, None] + half[:, None] * nodes
+        integral = half * np.sum(weights * (1.0 - z * z) ** 3, axis=1)
+        assert np.max(np.abs(np.diff(Bump._B(self.Z)) - integral)) <= 1e-15
+        # constant outside the support, where the bump vanishes
+        outside = np.array([1.0, 1.5, 1e200])
+        assert Bump._B(outside).tolist() == [Bump._B(1.0)] * 3
+        assert Bump._B(-outside).tolist() == [Bump._B(-1.0)] * 3
+
+    def test_ends_and_odd_symmetry(self):
+        ulp = np.spacing(16.0 / 35.0)
+        assert abs(Bump._B(1.0) - 16.0 / 35.0) <= ulp
+        assert abs(Bump._B(-1.0) + 16.0 / 35.0) <= ulp
+        assert Bump._B(0.0) == 0.0
+        assert np.array_equal(Bump._B(-self.Z), -Bump._B(self.Z))
+
+    def test_horner_form_is_within_a_few_ulps_of_the_power_form(self):
+        z = np.linspace(-1.0, 1.0, 200001)
+        power = z - np.float_power(z, 3) + 0.6 * np.float_power(z, 5) - np.float_power(z, 7) / 7.0
+        ulps = np.abs(Bump._B(z) - power) / np.spacing(np.abs(power))
+        assert np.max(ulps) <= 8.0
 
 
 class TestWeakForm:
@@ -134,16 +166,17 @@ class TestWeakForm:
         traj = simulate_ep(single_atom, 3.0)
         nodes, weights = _midpoint_nodes(0.7, 2.3, [], 512)
         acc = 0.0
-        for t, w in zip(nodes, weights):
+        for t, w in zip(nodes.tolist(), weights.tolist()):
             state = traj.state_at(t)
             x, mass, v = state.positions[0], state.masses[0], state.velocities[0]
-            acc += w * mass * (bump.dt(x, t) * v + bump.dx(x, t) * v**2)
+            _, phi_x, phi_t = bump.value_and_gradient(x, t)
+            acc += w * mass * (phi_t * v + phi_x * v**2)
         assert abs(acc) > 1e-3
 
 
 # Reference for the batched weak form: the per-node loop it replaced, one
 # state_at per node and Python loops over the clusters through the scalar
-# bump arithmetic (libm pow in the antiderivative).
+# bump arithmetic (the antiderivative in the same Horner form).
 
 
 class ScalarBump:
@@ -169,7 +202,8 @@ class ScalarBump:
     @staticmethod
     def _B(z):
         z = min(1.0, max(-1.0, z))
-        return z - z**3 + 0.6 * z**5 - z**7 / 7.0
+        z2 = z * z
+        return z * (1.0 - z2 * (1.0 - z2 * (0.6 - z2 / 7.0)))
 
     def value(self, x, t):
         return self._b((x - self.x_center) / self.x_radius) * self._b(
@@ -193,6 +227,22 @@ class ScalarBump:
         zb = (b - self.x_center) / self.x_radius
         xpart = self.x_radius * (self._B(zb) - self._B(za))
         return xpart * self._db((t - self.t_center) / self.t_radius) / self.t_radius
+
+
+def scalar_midpoint_nodes(t_lo, t_hi, cuts, n_total):
+    """Composite midpoint nodes and weights, one piece and one node at a time."""
+    edges = [t_lo] + [c for c in sorted(cuts) if t_lo < c < t_hi] + [t_hi]
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        length = b - a
+        if length <= 0.0:
+            continue
+        npts = max(1, int(math.ceil(n_total * length / (t_hi - t_lo))))
+        h = length / npts
+        for j in range(npts):
+            nodes.append(a + (j + 0.5) * h)
+            weights.append(h)
+    return nodes, weights
 
 
 def scalar_mass_integrand(clusters, bump, t):
@@ -238,7 +288,7 @@ def scalar_weak_form(data, t_window, refinement_levels, n_base, layer):
         worst_mass = worst_mom = 0.0
         for bump in bumps:
             blo, bhi = bump.support_t()
-            nodes, weights = _midpoint_nodes(
+            nodes, weights = scalar_midpoint_nodes(
                 max(t_lo, blo), min(t_hi, bhi), traj.event_times, n_base * 2**level
             )
             acc_mass = acc_mom = 0.0
@@ -284,6 +334,20 @@ class TestBatchedWeakFormMatchesScalarLoop:
                 for got, want in zip(rep.series["mass"], want_mass):
                     assert abs(got - want) <= 1e-14
                 assert repr(rep.series["momentum"]) == repr(tuple(want_mom))
+
+    def test_midpoint_nodes_equal_the_loop(self):
+        # cuts outside the window, repeated, and on its ends; empty windows
+        rng = np.random.default_rng(53)
+        for _ in range(500):
+            lo = float(rng.uniform(0.01, 3.0))
+            hi = lo + float(rng.choice([0.0, -0.5, rng.uniform(1e-9, 4.0)]))
+            cuts = rng.uniform(lo - 1.0, hi + 1.0, int(rng.integers(0, 12))).tolist()
+            if cuts and rng.random() < 0.5:
+                cuts += [cuts[0], lo, hi]
+            n_total = int(rng.choice([16, 100, 2048]))
+            nodes, weights = _midpoint_nodes(lo, hi, cuts, n_total)
+            want = scalar_midpoint_nodes(lo, hi, cuts, n_total)
+            assert repr((nodes.tolist(), weights.tolist())) == repr(want)
 
     def test_far_bump_gives_exact_zeros_without_warnings(self, two_atom_symmetric):
         # left of every cluster m = 0; far right the support rounds to a point
