@@ -491,8 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--seed",
-            type=int,
-            default=int(_env_default("SEED", "-1")),
+            default=_env_default("SEED"),
             help="override the config seed (compare command)",
         )
         p.add_argument(
@@ -515,6 +514,8 @@ def main(argv=None) -> int:
     default_tie = potentials.DEFAULT_TIE_TOL
     try:
         cfg = load_config(args.config)
+        if args.seed is not None and not args.seed.isdecimal():
+            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed!r}")
         if args.tol_compare is not None:
             cfg.tol_compare = _tolerance("--tol-compare", args.tol_compare)
         tie = cfg.tol_tie if args.tol_tie is None else _tolerance("--tol-tie", args.tol_tie)
@@ -528,8 +529,7 @@ def main(argv=None) -> int:
         elif args.command == "oracle":
             cmd_oracle(cfg, out)
         elif args.command == "compare":
-            seed = None if args.seed < 0 else args.seed
-            _, ok = cmd_compare(cfg, out, seed)
+            _, ok = cmd_compare(cfg, out, None if args.seed is None else int(args.seed))
             if not ok:
                 print("compare: layers disagree beyond tolerance", file=sys.stderr)
                 return 4

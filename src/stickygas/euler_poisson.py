@@ -10,8 +10,10 @@ vacuum escape, or plain characteristic): one array pass per grid,
 The cluster decomposition at a fixed time equals the lower convex hull of
 the prefix points (P_k, S_k): hull vertices are the exposed prefixes and
 each hull edge is one cluster whose position and velocity are the edge
-slopes in S and Q. The hull lives in ``potentials.PrefixFrame.clusters``,
-shared with the drift and relaxation layers. Clusters only merge, so the
+slopes in S and Q. ``potentials.PrefixFrame.clusters`` reads it, shared
+with the drift and relaxation layers, from the frame's one-row
+``potentials.FrameStack``, the one place that turns hull vertices into
+clusters and answers hull lookups. Clusters only merge, so the
 forward characteristic of atom i sits at the position of the cluster that
 holds it: ``cluster_snapshot(data, t)``, read at
 ``searchsorted(hi, i, side="right")``.
@@ -22,10 +24,9 @@ reads the initial data with one searchsorted; at t > 0 it builds one frame
 and reads every point's prefix range from one hull lookup
 (``PrefixFrame.argmin_grid``). A scalar x is a one-point grid, and a 1-d
 grid returns the per-point results in grid order, equal to the scalar
-calls point by point. The dense ``PrefixFrame.argmin`` scan runs only in
-the lookup's tie window, on grids of a few points before a frame's hull
-is built, and in ``eval_nu_theta_omega``, which reports nu on one frame
-per call, for a scalar or a grid alike.
+calls point by point. ``eval_nu_theta_omega`` reads the same lookup. The
+dense ``PrefixFrame.argmin`` scan runs only in the lookup's tie window and
+on grids of a few points before a frame's hull is built.
 
 Many (data, t, xs) rows at once go through ``eval_m_and_clusters_stacked``:
 one ``potentials.FrameStack`` per bounded block of rows, each row equal to
@@ -68,6 +69,10 @@ class Branch(Enum):
     VACUUM_LEFT = "vacuum_left"
     DELTA_SHOCK = "delta_shock"
     CHARACTERISTIC = "characteristic"
+
+
+# the Branch of each integer code that ``_velocities`` assigns
+_BRANCH_OF_CODE = np.array([Branch.CHARACTERISTIC, Branch.DELTA_SHOCK, Branch.VACUUM_RIGHT, Branch.VACUUM_LEFT], object)
 
 
 @dataclass(frozen=True)
@@ -211,35 +216,40 @@ def _backward_cone(frame, data, xs, k_min):
 def _velocities(frame, data, xs, k_min, k_max):
     """Velocities and ``Branch`` tags (an object array) at the points xs,
     from a prefix frame and each point's argmin range, in one array pass.
-    Each branch's arithmetic runs only on its own points.
+    Each branch's arithmetic runs only on its own points, and is skipped
+    when it has none; the tags come from one integer code per point.
     """
     coeffs, P, Q = frame.coeffs, frame.P, frame.Q
     u = np.empty(xs.size)
-    branch = np.empty(xs.size, dtype=object)
+    code = np.zeros(xs.size, dtype=np.intp)
     # positive mass at x; when the backward cone is degenerate (lone
     # leading atom exactly on its path, prefix tie 0..1) this is the
     # characteristic case and [q]/[m] reduces to the atom velocity. A tie
     # of prefixes with equal P (atoms whose mass vanishes in P) holds no
     # mass: it takes the backward cone, as no tie does
     mass = P[k_max] > P[k_min]
-    lo, hi = k_min[mass], k_max[mass]
-    u[mass] = (Q[hi] - Q[lo]) / (P[hi] - P[lo])
-    branch[mass] = np.where(np.maximum(lo, 1) != np.maximum(hi, 1), Branch.DELTA_SHOCK, Branch.CHARACTERISTIC)
+    if mass.any():
+        lo, hi = k_min[mass], k_max[mass]
+        u[mass] = (Q[hi] - Q[lo]) / (P[hi] - P[lo])
+        code[mass] = np.maximum(lo, 1) != np.maximum(hi, 1)
     cone = ~mass
-    x = xs[cone]
-    side, vacuum, a, y, mt, _ = _backward_cone(frame, data, x, k_min[cone])
-    on_path = side == 0
-    free = ~on_path & ~vacuum
-    u_cone = np.empty(x.size)
-    # on the atom's own path: the atom's free-flight velocity
-    u_cone[on_path] = frame.vel[a[on_path]]
-    u_cone[vacuum] = side[vacuum] * data.max_speed * coeffs.decay - mt[vacuum] * coeffs.A
-    u_cone[free] = (x[free] - y[free]) * coeffs.decay / coeffs.A + mt[free] * coeffs.char_force_weight()
-    u[cone] = u_cone
-    branch[cone] = np.where(
-        vacuum, np.where(side > 0, Branch.VACUUM_RIGHT, Branch.VACUUM_LEFT), Branch.CHARACTERISTIC
-    )
-    return u, branch
+    if cone.any():
+        x = xs[cone]
+        side, vacuum, a, y, mt, _ = _backward_cone(frame, data, x, k_min[cone])
+        on_path = side == 0
+        free = ~on_path & ~vacuum
+        u_cone = np.empty(x.size)
+        if on_path.any():
+            # on the atom's own path: the atom's free-flight velocity
+            u_cone[on_path] = frame.vel[a[on_path]]
+        if vacuum.any():
+            u_cone[vacuum] = side[vacuum] * data.max_speed * coeffs.decay - mt[vacuum] * coeffs.A
+        if free.any():
+            u_cone[free] = (x[free] - y[free]) * coeffs.decay / coeffs.A + mt[free] * coeffs.char_force_weight()
+        u[cone] = u_cone
+        # vacuum right of the path is code 2, left of it 3, the rest 0
+        code[cone] = vacuum * (2 + (side < 0))
+    return u, _BRANCH_OF_CODE[code]
 
 
 def eval_u(data: InitialData, x, t: float):
@@ -279,16 +289,15 @@ def eval_nu_theta_omega(data: InitialData, x, t: float):
     """Potential minimum nu plus the auxiliary fields (theta, omega, h) at (x, t).
 
     A 1-d grid x gives four arrays in grid order, equal to the scalar calls
-    point by point. One frame serves every point. Each point keeps the dense
-    ``PrefixFrame.argmin`` scan: unlike ``argmin_grid`` it needs no hull, so
-    the hull is built only when some point has a nonempty prefix.
+    point by point. One frame and one ``argmin_grid`` lookup serve every
+    point; theta and omega are sums over each point's prefix.
     """
     if t <= 0.0:
         raise NonPositiveTime(f"auxiliary fields require t > 0, got {t}")
     xs, grid = _points(x)
     frame = _frame(data, t)
-    minima = [(xi, *frame.argmin(xi)[:2]) for xi in xs.tolist()]
-    if any(k for _, _, k in minima):
+    nus, k_mins, _ = frame.argmin_grid(xs)
+    if k_mins.any():
         lo, hi, pos, vel = frame.clusters()
         cluster_pos = np.repeat(pos, hi - lo)
         w = data.measure.masses
@@ -296,7 +305,7 @@ def eval_nu_theta_omega(data: InitialData, x, t: float):
         w_rel = w * (data.velocities + data.tau * data.measure.atom_mtilde())
         w_cluster_vel = w * np.repeat(vel, hi - lo)
     rows = []
-    for xi, nu, k in minima:
+    for xi, nu, k in zip(xs.tolist(), nus.tolist(), k_mins.tolist()):
         if k == 0:
             rows.append((nu, 0.0, 0.0, 0.0))
             continue

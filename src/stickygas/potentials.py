@@ -8,15 +8,19 @@ damped self-gravitating system (time weights A, B), its drift limit
 study.
 
 A ``PrefixFrame`` holds one (data, t); a ``FrameStack`` holds many, as the
-rows of padded arrays. Both read their clusters off one numpy kernel over
-a stack of rows, ``_hull_vertices`` (a frame is the one-row case), with
-the sequential monotone chain as its fallback and reference.
+rows of padded arrays. The stack is the one place that turns hull vertices
+into clusters and answers a hull lookup; a frame reads both from a one-row
+stack of its own arrays. The vertices come from one numpy kernel over a
+stack of rows, ``_hull_vertices``, with the sequential monotone chain as
+its fallback and reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,22 +164,11 @@ class PrefixFrame:
 
     T_k(x) = S[k] - x * P[k]; the argmin over k is the minimizer of the
     potential. Also carries the prefix momentum Q used by the solution
-    formulas, and the cluster decomposition as the lower convex hull of
-    the points (P_k, S_k).
+    formulas. Its clusters and its hull lookup come from a one-row
+    ``FrameStack`` of its own P, S and Q, built on first use.
     """
 
-    __slots__ = (
-        "measure",
-        "coeffs",
-        "P",
-        "S",
-        "Q",
-        "X",
-        "vel",
-        "tie_tol",
-        "_hull",
-        "_lookup",
-    )
+    __slots__ = ("measure", "coeffs", "P", "S", "Q", "X", "vel", "tie_tol", "_stack", "__weakref__")
 
     def __init__(self, measure, velocities, coeffs):
         self.measure = measure
@@ -197,18 +190,17 @@ class PrefixFrame:
         self.P = measure.prefix_mass
         self.S = np.concatenate(([0.0], np.cumsum(w * self.X)))
         self.Q = np.concatenate(([0.0], np.cumsum(w * self.vel)))
-        self._hull = self._lookup = None
+        self._stack = None
 
     def argmin(self, x: float):
         """(nu, k_min, k_max) of the prefix sums at x under the tie tolerance.
 
         The one tie rule. Scans all N+1 prefixes: the dense reference for
-        ``argmin_grid``. Four callers: ``argmin_grid`` for points in a tie
-        window and for short grids before the hull is built,
-        ``FrameStack.argmin_grid`` for points in a tie window, ``result``
-        (behind ``minimize_F`` and ``minimize_Fbar``) and
-        ``euler_poisson.eval_nu_theta_omega``, which report nu. Every field
-        evaluation, at a scalar x too, reads ``argmin_grid``.
+        ``argmin_grid``. Three callers: ``FrameStack.argmin_grid`` for
+        points in a tie window, ``argmin_grid`` for short grids before the
+        hull is built, and ``result`` (behind ``minimize_F`` and
+        ``minimize_Fbar``), which reports nu. Every field evaluation, at a
+        scalar x too, reads ``argmin_grid``.
         """
         if not math.isfinite(x):
             raise ValueError(f"x must be finite, got {x!r}")
@@ -224,34 +216,20 @@ class PrefixFrame:
     def argmin_grid(self, xs):
         """``argmin`` at every point of a grid: (nu, k_min, k_max) arrays.
 
-        One searchsorted of xs over the cluster positions (the hull slopes)
-        gives each point the hull vertex v that minimizes T_k(x). A point
-        whose two adjacent slopes lie outside its tie window (``_settled``)
-        has no tie and takes nu = S[v] - x P[v], the scan's own operation.
-        Any other point (one near a cluster position, where prefixes may
-        tie) calls ``argmin``, so the result equals ``argmin`` point by
-        point, with O(N + G) memory. The vertices, the padded slopes and
-        prefix-mass steps and the bound on |S| depend only on the frame:
-        they are built once, with the hull. A grid of fewer than
-        ``DENSE_GRID_POINTS`` points on a frame whose hull is not built
-        settles no point, so a scalar call never builds the hull.
+        The frame's one-row stack answers it (``FrameStack.argmin_grid``),
+        equal to ``argmin`` point by point, in the grid's shape. A grid of
+        fewer than
+        ``DENSE_GRID_POINTS`` points on a frame whose stack is not built
+        takes ``argmin`` point by point, so a scalar call never builds the
+        hull. Both paths reject a non-finite point.
         """
-        xs = _finite_points(xs)
-        if self._hull is None and xs.size < DENSE_GRID_POINTS:
-            nu, v, settled = np.empty(xs.size), np.zeros(xs.size, np.intp), np.zeros(xs.size, bool)
-        else:
-            pos = self.clusters()[2]
-            verts, slopes, dP, s_max = self._lookup
-            j = np.searchsorted(pos, xs)
-            v = verts[j]
-            nu = self.S[v] - xs * self.P[v]
-            settled = _settled(
-                xs, nu, s_max, self.P[-1], self.tie_tol, slopes[j], slopes[j + 1], dP[v], dP[v + 1]
-            )
-        k_min, k_max = v, v.copy()
-        for i in np.flatnonzero(~settled).tolist():
-            nu[i], k_min[i], k_max[i] = self.argmin(float(xs[i]))
-        return nu, k_min, k_max
+        xs = np.asarray(xs, dtype=float)
+        if self._stack is None and xs.size < DENSE_GRID_POINTS:
+            nu, k_min, k_max = np.empty(xs.size), np.empty(xs.size, np.intp), np.empty(xs.size, np.intp)
+            for i, x in enumerate(xs.tolist()):
+                nu[i], k_min[i], k_max[i] = self.argmin(x)
+            return nu, k_min, k_max
+        return tuple(a.reshape(xs.shape) for a in self._one_row().argmin_grid([xs.ravel()]))
 
     def result(self, x: float) -> MinimizerResult:
         if len(self.measure) == 0:
@@ -273,40 +251,24 @@ class PrefixFrame:
     def clusters(self):
         """Clusters as the edges of the lower convex hull of (P_k, S_k).
 
-        Returns arrays (lo, hi, position, velocity): cluster j holds atoms
-        lo[j]..hi[j]-1, and its position and velocity are the slopes of
-        its hull edge in S and in Q. The hull vertices are the exposed
-        prefixes (``_hull_vertices`` on the frame's one row); collinear
-        points are dropped, and no cluster has zero mass. The hull is built
-        once per frame and its arrays are read-only.
+        Returns read-only arrays (lo, hi, position, velocity): cluster j
+        holds atoms lo[j]..hi[j]-1, and its position and velocity are the
+        slopes of its hull edge in S and in Q (``FrameStack``'s columns of
+        the frame's one row).
         """
-        if self._hull is None:
-            self._build_hull()
-        return self._hull
+        stack = self._one_row()
+        return stack.lo, stack.hi, stack.positions, stack.velocities
 
     def cluster_state(self, time: float, velocities=None) -> ClusterState:
-        """The clusters of ``clusters()`` as a ClusterState at ``time``.
+        """The clusters of ``clusters()`` as a ClusterState at ``time``,
+        with their hull velocities or the given velocity column."""
+        return self._one_row().cluster_state(0, time, velocities)
 
-        Cluster j has mass P[hi[j]] - P[lo[j]] and its hull velocity, or
-        velocities[j] when a velocity column is given.
-        """
-        lo, hi, pos, vel = self.clusters()
-        vel = vel if velocities is None else velocities
-        return ClusterState(time, pos, self.P[hi] - self.P[lo], vel, lo, hi)
-
-    def _build_hull(self):
-        verts = _hull_vertices(self.P[None], self.S[None], np.array([self.P.size]))
-        lo, hi = verts[:-1], verts[1:]
-        dm = self.P[hi] - self.P[lo]
-        pos = (self.S[hi] - self.S[lo]) / dm
-        self._hull = (lo, hi, pos, (self.Q[hi] - self.Q[lo]) / dm)
-        # what argmin_grid reads besides the hull: the vertices, the cluster
-        # positions and the atom masses padded with +-inf, and the S bound
-        slopes = np.concatenate(([-np.inf], pos, [np.inf]))
-        dP = np.concatenate(([np.inf], np.diff(self.P), [np.inf]))
-        self._lookup = (verts, slopes, dP, float(np.max(np.abs(self.S))))
-        for arr in (*self._hull, verts, slopes, dP):
-            arr.setflags(write=False)
+    def _one_row(self):
+        """The frame's one-row stack, built once."""
+        if self._stack is None:
+            self._stack = FrameStack._of_frame(self)
+        return self._stack
 
 
 def _settled(xs, nu, s_max, total, tie_tol, below, above, dP_below, dP_above):
@@ -326,22 +288,26 @@ def _settled(xs, nu, s_max, total, tie_tol, below, above, dP_below, dP_above):
 
 
 class FrameStack:
-    """The prefix frames of many rows at once, padded into (R, L) arrays.
+    """The prefix frames of many rows at once, padded into (R, L) arrays,
+    and the one place where hull vertices become clusters and a hull
+    lookup is answered.
 
     Row r is the frame ``PrefixFrame(*rows[r])`` of one (measure,
     velocities, coeffs) triple; its tail past the row's N + 1 prefixes has
     zero mass. X, S and Q come from the frame's own elementwise operations,
     and ``np.cumsum(axis=1)`` keeps each row's order, so every row equals
-    its frame bit for bit. One run of ``_hull_vertices`` gives every row's
-    clusters (flat, row after row), and ``argmin_grid`` looks up every
+    its frame bit for bit. A frame's own stack (``_of_frame``) is the one
+    row of the frame's arrays.
+
+    One run of ``_hull_vertices`` gives every row's clusters (flat, row
+    after row, in read-only columns), and ``argmin_grid`` looks up every
     row's points at once. The tie tolerance is read at construction.
     """
 
-    __slots__ = ("rows", "P", "S", "Q", "tie_tol", "lo", "hi", "positions", "velocities", "masses", "_starts", "_lookup")
+    __slots__ = ("rows", "P", "S", "Q", "tie_tol", "lo", "hi", "positions", "velocities", "masses", "_first", "_lookup")
 
     def __init__(self, rows):
         self.rows = rows
-        self.tie_tol = DEFAULT_TIE_TOL
         n = np.array([len(measure) + 1 for measure, _, _ in rows])
         R, L = n.size, int(n.max())
         P = np.empty((R, L))
@@ -360,69 +326,90 @@ class FrameStack:
         X = eta + B * mt
         X[moving] = X[moving] + A[moving] * u[moving]
         vel = decay * u - A * mt
-        self.P, self.S, self.Q = P, np.zeros((R, L)), np.zeros((R, L))
-        self.S[:, 1:] = np.cumsum(w * X, axis=1)
-        self.Q[:, 1:] = np.cumsum(w * vel, axis=1)
-        self._build_hull(n)
+        S, Q = np.zeros((R, L)), np.zeros((R, L))
+        S[:, 1:] = np.cumsum(w * X, axis=1)
+        Q[:, 1:] = np.cumsum(w * vel, axis=1)
+        self._build_hull(P, S, Q, n, DEFAULT_TIE_TOL)
 
-    def _build_hull(self, n):
-        P, S, Q = self.P, self.S, self.Q
+    @classmethod
+    def _of_frame(cls, frame):
+        """``frame`` as a one-row stack: its own P, S and Q and its tie
+        tolerance. The row is a weak reference to the frame, which holds
+        the stack, so that the two form no reference cycle."""
+        stack = cls.__new__(cls)
+        stack.rows = [weakref.ref(frame)]
+        stack._build_hull(frame.P[None], frame.S[None], frame.Q[None], np.array([frame.P.size]), frame.tie_tol)
+        return stack
+
+    def _build_hull(self, P, S, Q, n, tie_tol):
+        self.P, self.S, self.Q, self.tie_tol = P, S, Q, tie_tol
         R, L = P.shape
+        flat_P, flat_S, flat_Q = P.ravel(), S.ravel(), Q.ravel()
         idx = _hull_vertices(P, S, n)
-        row, k = np.divmod(idx, L)
+        row = idx // L
         edge = row[:-1] == row[1:]
-        r, lo, hi = row[:-1][edge], k[:-1][edge], k[1:][edge]
-        dm = P[r, hi] - P[r, lo]
-        self.lo, self.hi, self.masses = lo, hi, dm
-        self.positions = (S[r, hi] - S[r, lo]) / dm
-        self.velocities = (Q[r, hi] - Q[r, lo]) / dm
-        # row r's clusters are [starts[r], starts[r + 1]) and its vertices
-        # k[starts[r] + r ...]; the lookup pads each row's slopes with -+inf
-        # and its atom masses with +inf, as a frame does
-        self._starts = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=R))))
-        slopes = np.full((R, int(np.diff(self._starts).max()) + 2), np.inf)
-        slopes[:, 0] = -np.inf
-        slopes[r, np.arange(r.size) - self._starts[r] + 1] = self.positions
-        dP = np.full((R, L + 1), np.inf)
-        dP[:, 1:L] = np.diff(P, axis=1)
-        dP[np.arange(R), n] = np.inf
-        self._lookup = (k, slopes, dP, np.max(np.abs(S), axis=1))
+        a, b = idx[:-1][edge], idx[1:][edge]
+        base = row[:-1][edge] * L
+        dm = flat_P[b] - flat_P[a]
+        self.lo, self.hi, self.masses = a - base, b - base, dm
+        self.positions = (flat_S[b] - flat_S[a]) / dm
+        self.velocities = (flat_Q[b] - flat_Q[a]) / dm
+        for column in (self.lo, self.hi, self.masses, self.positions, self.velocities):
+            column.setflags(write=False)
+        # row r's vertices are idx[first[r]:first[r + 1]], its clusters start
+        # at first[r] - r; the lookup gathers flat, at vertex g of idx the
+        # slopes below and above it (-+inf past the row's ends), at flat index
+        # i the step P[i] - P[i - 1] (+inf at a row's start and past its end)
+        self._first = np.searchsorted(row, np.arange(R + 1))
+        below, above = np.full(idx.size, -np.inf), np.full(idx.size, np.inf)
+        below[1:][edge] = above[:-1][edge] = self.positions
+        steps = np.empty(R * L + 1)
+        steps[1:-1] = np.diff(flat_P)
+        starts = np.arange(R + 1) * L
+        steps[starts] = steps[starts[:-1] + n] = np.inf
+        self._lookup = (idx, flat_S, flat_P, below, above, steps, np.max(np.abs(S), axis=1), P[:, -1])
 
-    def cluster_state(self, r: int, time: float) -> ClusterState:
-        """Row r's clusters as a ClusterState at ``time``, equal to its
-        frame's ``cluster_state``."""
-        a, b = self._starts[r], self._starts[r + 1]
-        return ClusterState(
-            time, self.positions[a:b], self.masses[a:b], self.velocities[a:b], self.lo[a:b], self.hi[a:b]
-        )
+    def cluster_state(self, r: int, time: float, velocities=None) -> ClusterState:
+        """Row r's clusters as a ClusterState at ``time``: cluster j has
+        mass P[hi[j]] - P[lo[j]] and its hull velocity, or velocities[j]
+        when a velocity column is given."""
+        a, b = self._first[r] - r, self._first[r + 1] - r - 1
+        vel = self.velocities[a:b] if velocities is None else velocities
+        return ClusterState(time, self.positions[a:b], self.masses[a:b], vel, self.lo[a:b], self.hi[a:b])
 
     def argmin_grid(self, grids):
-        """``PrefixFrame.argmin_grid`` of every row at once, on the points
-        grids[r] of row r: flat (nu, k_min, k_max) arrays, row after row.
+        """``PrefixFrame.argmin`` at every point of the grids grids[r] of
+        row r: flat (nu, k_min, k_max) arrays, row after row.
 
-        One searchsorted per row, then one settled test over every point.
-        A point it leaves unsettled calls its row frame's ``argmin``, the
-        one tie rule.
+        One searchsorted per row over its cluster positions (the hull
+        slopes) gives each point the hull vertex v that minimizes T_k(x). A
+        point whose two adjacent slopes lie outside its tie window
+        (``_settled``) has no tie and takes nu = S[v] - x P[v], the scan's
+        own operation. Any other point (one near a cluster position, where
+        prefixes may tie) calls its row frame's ``argmin``, the one tie
+        rule, so the result equals ``argmin`` point by point, with
+        O(N + G) memory per row.
         """
         sizes = [len(g) for g in grids]
         xs = _finite_points(np.concatenate([np.asarray(g, dtype=float) for g in grids]))
         r = np.repeat(np.arange(len(grids)), sizes)
-        c, g = self._starts.tolist(), np.cumsum([0] + sizes).tolist()
+        f, g = self._first.tolist(), list(itertools.accumulate(sizes, initial=0))
         j = np.concatenate(
-            [np.searchsorted(self.positions[c[q] : c[q + 1]], xs[g[q] : g[q + 1]]) for q in range(len(grids))]
+            [np.searchsorted(self.positions[f[q] - q : f[q + 1] - q - 1], xs[g[q] : g[q + 1]]) for q in range(len(grids))]
         )
-        k, slopes, dP, s_max = self._lookup
-        v = k[self._starts[r] + r + j]
-        nu = self.S[r, v] - xs * self.P[r, v]
-        settled = _settled(
-            xs, nu, s_max[r], self.P[r, -1], self.tie_tol, slopes[r, j], slopes[r, j + 1], dP[r, v], dP[r, v + 1]
-        )
-        k_min, k_max = v, v.copy()
+        idx, flat_S, flat_P, below, above, steps, s_max, total = self._lookup
+        at = self._first[r] + j
+        v = idx[at]
+        nu = flat_S[v] - xs * flat_P[v]
+        settled = _settled(xs, nu, s_max[r], total[r], self.tie_tol, below[at], above[at], steps[v], steps[v + 1])
+        k_min = v - r * self.P.shape[1]
+        k_max = k_min.copy()
         frames = {}
         for i in np.flatnonzero(~settled).tolist():
             q = int(r[i])
             if q not in frames:
-                frames[q] = PrefixFrame(*self.rows[q])
+                row = self.rows[q]
+                frames[q] = row() if isinstance(row, weakref.ref) else PrefixFrame(*row)
             nu[i], k_min[i], k_max[i] = frames[q].argmin(float(xs[i]))
         return nu, k_min, k_max
 

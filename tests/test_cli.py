@@ -571,6 +571,36 @@ class TestEnvOverride:
         assert (target / "solution_t1.csv").exists()
 
 
+class TestSeedOverride:
+    def test_flag_and_env_seed_equal_the_config_seed(self, tmp_path, monkeypatch):
+        cfg = dict(TWO_ATOM, times=[0.5, 1.0], n_instances=2)
+        written = []
+        cases = ((3, [], None), (7, [], None), (7, ["--seed", "3"], None), (7, [], "3"))
+        for i, (seed, flags, env) in enumerate(cases):
+            if env is not None:
+                monkeypatch.setenv("STICKYGAS_SEED", env)
+            out = tmp_path / f"seed{i}"
+            path = write_config(tmp_path, dict(cfg, seed=seed), f"seed{i}.json")
+            assert main(["compare", "--config", path, "--out", str(out), *flags]) == 0
+            written.append((out / "compare.csv").read_bytes())
+        assert written[1] != written[0]
+        assert written[2] == written[0] and written[3] == written[0]
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_non_integer_env_seed_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        # the environment's seed is checked like the config's, by every command
+        monkeypatch.setenv("STICKYGAS_SEED", "abc")
+        assert main([command, "--config", write_config(tmp_path, TWO_ATOM), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-5", "-1", "1.5", "x"])
+    def test_negative_or_non_integer_seed_flag_exits_2(self, tmp_path, capsys, seed):
+        # a negative seed is an error, not a silent "no override"
+        argv = ["compare", "--config", write_config(tmp_path, TWO_ATOM), "--out", str(tmp_path), "--seed", seed]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 # -- every public function is reached by a command ------------------------------
 
 # The public functions and methods of the package that none of the six

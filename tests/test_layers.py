@@ -165,12 +165,13 @@ def test_private_name_scan_sees_private_imports():
     assert private_names_used("relax") == {"_fields", "_frame"}
 
 
-class _ArgminCallers(ast.NodeVisitor):
-    """Dotted scope (module, class, function) of every ``<obj>.argmin(...)``
-    call in one module; numpy's ``np.argmin`` is not a prefix scan."""
+class _CallSites(ast.NodeVisitor):
+    """Dotted scope (module, class, function) of every call of ``name`` in
+    one module, as ``name(...)`` or ``<obj>.name(...)``; a call through
+    ``np.`` (numpy's ``np.argmin``) is not the package's."""
 
-    def __init__(self, module: str):
-        self.scope, self.found = [module], []
+    def __init__(self, module: str, name: str):
+        self.scope, self.name, self.found = [module], name, []
 
     def _enter(self, node):
         self.scope.append(node.name)
@@ -181,32 +182,48 @@ class _ArgminCallers(ast.NodeVisitor):
 
     def visit_Call(self, node):
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "argmin":
-            if not (isinstance(func.value, ast.Name) and func.value.id == "np"):
-                self.found.append(".".join(self.scope))
+        if isinstance(func, ast.Name):
+            called = func.id == self.name
+        else:
+            called = (
+                isinstance(func, ast.Attribute)
+                and func.attr == self.name
+                and not (isinstance(func.value, ast.Name) and func.value.id == "np")
+            )
+        if called:
+            self.found.append(".".join(self.scope))
         self.generic_visit(node)
 
 
-def argmin_call_sites() -> list:
+def call_sites(name: str) -> list:
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
-        visitor = _ArgminCallers(path.stem)
+        visitor = _CallSites(path.stem, name)
         visitor.visit(ast.parse(path.read_text()))
         sites += visitor.found
     return sorted(sites)
 
 
-def test_dense_argmin_has_four_callers():
-    # every field evaluation reads a hull lookup, a scalar x as a one-point
-    # grid; the dense scan stays the tie rule of the frame's lookup (and its
-    # short grids before the hull is built) and of the stacked lookup, and
-    # the minimum nu that two reports return
-    assert argmin_call_sites() == [
-        "euler_poisson.eval_nu_theta_omega",
+def test_dense_argmin_has_three_callers():
+    # every field evaluation, and eval_nu_theta_omega, reads a hull lookup,
+    # a scalar x as a one-point grid; the dense scan stays the tie rule of
+    # the lookup, the scan of short grids before a frame's hull is built,
+    # and the minimum that result reports
+    assert call_sites("argmin") == [
         "potentials.FrameStack.argmin_grid",
         "potentials.PrefixFrame.argmin_grid",
         "potentials.PrefixFrame.result",
     ]
+
+
+def test_one_cluster_extraction_and_one_hull_lookup():
+    # FrameStack alone turns hull vertices into clusters, answers the hull
+    # lookup and builds the formula layer's ClusterStates; a PrefixFrame
+    # reads all three from its one-row stack
+    assert call_sites("_hull_vertices") == ["potentials.FrameStack._build_hull"]
+    assert call_sites("_settled") == ["potentials.FrameStack.argmin_grid"]
+    formula = [site for site in call_sites("ClusterState") if site.split(".")[0] in FORMULA_MODULES]
+    assert formula == ["potentials.FrameStack.cluster_state"]
 
 
 def leaf_errors() -> set:

@@ -443,6 +443,27 @@ class TestArgminGrid:
             frame.argmin(2.0),
         ]
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected_on_both_paths(self, x):
+        # the dense scan of a short grid before the hull is built, and the
+        # hull lookup of a long grid or of any grid once the hull is built
+        data = _lookup_instance(np.random.default_rng(65), "plain")
+        frame = _lookup_frame(data, "euler_poisson", 0.5)
+        for grid in ([0.0, x], [0.0] * potentials.DENSE_GRID_POINTS + [x], [x]):
+            with pytest.raises(ValueError, match=f"x must be finite, got {x!r}"):
+                frame.argmin_grid(grid)
+
+    def test_two_dimensional_grid_keeps_its_shape(self):
+        # drift.eval_mbar_grid passes its grid through as given: a 2-d grid
+        # of at least DENSE_GRID_POINTS points gives the 1-d results in its shape
+        data = _lookup_instance(np.random.default_rng(64), "plain")
+        for shape in ((3, 4), (4, 4)):
+            xs = np.linspace(-12.0, 12.0, shape[0] * shape[1])
+            frame = _lookup_frame(data, "drift", 0.5)
+            for got, want in zip(frame.argmin_grid(xs.reshape(shape)), frame.argmin_grid(xs)):
+                assert got.shape == shape and got.ravel().tobytes() == want.tobytes()
+            assert drift.eval_mbar_grid(data.measure, xs.reshape(shape), 0.5).shape == shape
+
     def test_no_dense_grid_by_atom_matrix(self):
         # G = N = 2000: a G x N float64 temporary alone takes 32 MB
         rng = np.random.default_rng(62)
@@ -718,3 +739,68 @@ class TestFrameStack:
         at = [stack.cluster_state(r, 1.0).positions for r in range(5)]
         stack.argmin_grid(at)
         assert sorted(calls) == sorted(np.concatenate(at).tolist())
+
+
+class TestFrameHull:
+    """A frame builds its hull once, on first use, and hands out read-only
+    cluster arrays."""
+
+    def counted_kernel(self, monkeypatch):
+        calls = []
+        kernel = potentials._hull_vertices
+
+        def counted(P, S, n):
+            calls.append(P.shape)
+            return kernel(P, S, n)
+
+        monkeypatch.setattr(potentials, "_hull_vertices", counted)
+        return calls
+
+    def test_cluster_arrays_are_read_only(self):
+        rng = np.random.default_rng(74)
+        for kind in ("plain", "vanishing_mass"):
+            frame = _lookup_frame(_lookup_instance(rng, kind), "euler_poisson", 0.7)
+            for column in frame.clusters():
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[...] = 0
+
+    def test_repeated_calls_build_one_hull(self, monkeypatch):
+        calls = self.counted_kernel(monkeypatch)
+        rng = np.random.default_rng(75)
+        for family in ("euler_poisson", "drift", "scaled"):
+            data = _lookup_instance(rng, "plain")
+            frame = _lookup_frame(data, family, 0.4)
+            calls.clear()
+            for _ in range(3):
+                frame.clusters()
+                frame.cluster_state(0.4)
+                frame.cluster_state(0.4, np.zeros(frame.clusters()[0].size))
+                frame.argmin_grid(np.linspace(-12.0, 12.0, 41))
+                frame.argmin_grid([0.5])
+            assert calls == [(1, frame.P.size)]
+
+    def test_short_grid_on_a_fresh_frame_builds_no_hull(self, monkeypatch):
+        calls = self.counted_kernel(monkeypatch)
+        data = _lookup_instance(np.random.default_rng(76), "plain")
+        frame = _lookup_frame(data, "euler_poisson", 0.4)
+        xs = np.linspace(-12.0, 12.0, potentials.DENSE_GRID_POINTS)
+        for size in range(potentials.DENSE_GRID_POINTS):
+            frame.argmin_grid(xs[:size])
+        assert calls == []
+        frame.argmin_grid(xs)
+        assert len(calls) == 1
+
+    def test_lookup_reads_the_frame_tie_tolerance(self, monkeypatch):
+        # a frame built under a wide tie tolerance keeps it after the
+        # module default is restored, in the lookup as in the dense scan
+        rng = np.random.default_rng(77)
+        for trial in range(20):
+            data = _lookup_instance(rng, ("plain", "near_duplicate")[trial % 2])
+            with monkeypatch.context() as m:
+                m.setattr(potentials, "DEFAULT_TIE_TOL", 0.5)
+                frame = _lookup_frame(data, "euler_poisson", float(rng.uniform(0.1, 3.0)))
+            pos = np.asarray(frame.clusters()[2])
+            xs = np.concatenate([rng.uniform(-12.0, 12.0, 8), pos, pos + 1e-3])
+            nu, k_min, k_max = frame.argmin_grid(xs)
+            assert list(zip(nu.tolist(), k_min.tolist(), k_max.tolist())) == [frame.argmin(x) for x in xs.tolist()]
