@@ -12,7 +12,7 @@ rows of padded arrays. The stack is the one place that turns hull vertices
 into clusters and answers a hull lookup; a frame reads both from a one-row
 stack of its own arrays. The vertices come from one numpy kernel over a
 stack of rows, ``_hull_vertices``, with the sequential monotone chain as
-its fallback and reference.
+its fallback and reference; the one tie rule, ``_argmin``, scans one row.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +158,21 @@ class MinimizerResult:
         return self.k_max > self.k_min
 
 
+def _argmin(P, S, tie_tol, x: float):
+    """(nu, k_min, k_max) of one row's prefix sums T_k = S[k] - x P[k]
+    under the tie tolerance ``tie_tol``: the one tie rule, a scan of all
+    N + 1 prefixes and the dense reference for ``argmin_grid``. Its callers
+    are ``PrefixFrame.argmin`` and ``FrameStack.argmin_grid``'s tie window."""
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    T = S - x * P
+    k0 = int(np.argmin(T))
+    nu = float(T[k0])
+    tol = tie_tol * (1.0 + abs(nu)) + DEFAULT_TIE_POS_TOL * (1.0 + abs(x)) * np.abs(P - P[k0])
+    ties = np.flatnonzero(T - nu <= tol)
+    return nu, int(ties[0]), int(ties[-1])
+
+
 class PrefixFrame:
     """Prefix sums of one potential at fixed coefficients, queryable in x.
 
@@ -168,7 +182,7 @@ class PrefixFrame:
     ``FrameStack`` of its own P, S and Q, built on first use.
     """
 
-    __slots__ = ("measure", "coeffs", "P", "S", "Q", "X", "vel", "tie_tol", "_stack", "__weakref__")
+    __slots__ = ("measure", "coeffs", "P", "S", "Q", "X", "vel", "tie_tol", "_stack")
 
     def __init__(self, measure, velocities, coeffs):
         self.measure = measure
@@ -193,43 +207,31 @@ class PrefixFrame:
         self._stack = None
 
     def argmin(self, x: float):
-        """(nu, k_min, k_max) of the prefix sums at x under the tie tolerance.
-
-        The one tie rule. Scans all N+1 prefixes: the dense reference for
-        ``argmin_grid``. Three callers: ``FrameStack.argmin_grid`` for
-        points in a tie window, ``argmin_grid`` for short grids before the
-        hull is built, and ``result`` (behind ``minimize_F`` and
-        ``minimize_Fbar``), which reports nu. Every field evaluation, at a
-        scalar x too, reads ``argmin_grid``.
-        """
-        if not math.isfinite(x):
-            raise ValueError(f"x must be finite, got {x!r}")
-        T = self.S - x * self.P
-        k0 = int(np.argmin(T))
-        nu = float(T[k0])
-        tol = self.tie_tol * (1.0 + abs(nu)) + DEFAULT_TIE_POS_TOL * (
-            1.0 + abs(x)
-        ) * np.abs(self.P - self.P[k0])
-        ties = np.flatnonzero(T - nu <= tol)
-        return nu, int(ties[0]), int(ties[-1])
+        """``_argmin``, the one tie rule, on the frame's prefixes under its
+        tie tolerance. Called by ``argmin_grid`` on short grids before the
+        hull is built, and by ``result`` (behind ``minimize_F`` and
+        ``minimize_Fbar``), which reports nu."""
+        return _argmin(self.P, self.S, self.tie_tol, x)
 
     def argmin_grid(self, xs):
         """``argmin`` at every point of a grid: (nu, k_min, k_max) arrays.
 
         The frame's one-row stack answers it (``FrameStack.argmin_grid``),
-        equal to ``argmin`` point by point, in the grid's shape. A grid of
-        fewer than
+        equal to ``argmin`` point by point. A grid of fewer than
         ``DENSE_GRID_POINTS`` points on a frame whose stack is not built
         takes ``argmin`` point by point, so a scalar call never builds the
-        hull. Both paths reject a non-finite point.
+        hull. Both paths return the results in the grid's shape and reject
+        a non-finite point.
         """
         xs = np.asarray(xs, dtype=float)
-        if self._stack is None and xs.size < DENSE_GRID_POINTS:
-            nu, k_min, k_max = np.empty(xs.size), np.empty(xs.size, np.intp), np.empty(xs.size, np.intp)
-            for i, x in enumerate(xs.tolist()):
-                nu[i], k_min[i], k_max[i] = self.argmin(x)
-            return nu, k_min, k_max
-        return tuple(a.reshape(xs.shape) for a in self._one_row().argmin_grid([xs.ravel()]))
+        flat = xs.ravel()
+        if self._stack is None and flat.size < DENSE_GRID_POINTS:
+            out = np.empty(flat.size), np.empty(flat.size, np.intp), np.empty(flat.size, np.intp)
+            for i, x in enumerate(flat.tolist()):
+                out[0][i], out[1][i], out[2][i] = self.argmin(x)
+        else:
+            out = self._one_row().argmin_grid([flat])
+        return tuple(a.reshape(xs.shape) for a in out)
 
     def result(self, x: float) -> MinimizerResult:
         if len(self.measure) == 0:
@@ -292,22 +294,21 @@ class FrameStack:
     and the one place where hull vertices become clusters and a hull
     lookup is answered.
 
-    Row r is the frame ``PrefixFrame(*rows[r])`` of one (measure,
-    velocities, coeffs) triple; its tail past the row's N + 1 prefixes has
-    zero mass. X, S and Q come from the frame's own elementwise operations,
-    and ``np.cumsum(axis=1)`` keeps each row's order, so every row equals
-    its frame bit for bit. A frame's own stack (``_of_frame``) is the one
-    row of the frame's arrays.
+    Row r holds the frame ``PrefixFrame(*rows[r])`` of one (measure,
+    velocities, coeffs) triple in its first n[r] = N + 1 prefixes and zero
+    mass past them: X, S and Q come from the frame's own elementwise
+    operations, and ``np.cumsum(axis=1)`` keeps each row's order, so every
+    row equals its frame bit for bit. A frame's own stack (``_of_frame``)
+    is the one row of the frame's arrays; a stack keeps no frame.
 
     One run of ``_hull_vertices`` gives every row's clusters (flat, row
     after row, in read-only columns), and ``argmin_grid`` looks up every
     row's points at once. The tie tolerance is read at construction.
     """
 
-    __slots__ = ("rows", "P", "S", "Q", "tie_tol", "lo", "hi", "positions", "velocities", "masses", "_first", "_lookup")
+    __slots__ = ("P", "S", "Q", "n", "tie_tol", "lo", "hi", "positions", "velocities", "masses", "_first", "_lookup")
 
     def __init__(self, rows):
-        self.rows = rows
         n = np.array([len(measure) + 1 for measure, _, _ in rows])
         R, L = n.size, int(n.max())
         P = np.empty((R, L))
@@ -334,15 +335,13 @@ class FrameStack:
     @classmethod
     def _of_frame(cls, frame):
         """``frame`` as a one-row stack: its own P, S and Q and its tie
-        tolerance. The row is a weak reference to the frame, which holds
-        the stack, so that the two form no reference cycle."""
+        tolerance."""
         stack = cls.__new__(cls)
-        stack.rows = [weakref.ref(frame)]
         stack._build_hull(frame.P[None], frame.S[None], frame.Q[None], np.array([frame.P.size]), frame.tie_tol)
         return stack
 
     def _build_hull(self, P, S, Q, n, tie_tol):
-        self.P, self.S, self.Q, self.tie_tol = P, S, Q, tie_tol
+        self.P, self.S, self.Q, self.n, self.tie_tol = P, S, Q, n, tie_tol
         R, L = P.shape
         flat_P, flat_S, flat_Q = P.ravel(), S.ravel(), Q.ravel()
         idx = _hull_vertices(P, S, n)
@@ -386,9 +385,9 @@ class FrameStack:
         point whose two adjacent slopes lie outside its tie window
         (``_settled``) has no tie and takes nu = S[v] - x P[v], the scan's
         own operation. Any other point (one near a cluster position, where
-        prefixes may tie) calls its row frame's ``argmin``, the one tie
-        rule, so the result equals ``argmin`` point by point, with
-        O(N + G) memory per row.
+        prefixes may tie) takes the one tie rule, ``_argmin``, on its row's
+        n[r] prefixes under the stack's tie tolerance, so the result equals
+        ``argmin`` point by point, with O(N + G) memory per row.
         """
         sizes = [len(g) for g in grids]
         xs = _finite_points(np.concatenate([np.asarray(g, dtype=float) for g in grids]))
@@ -404,13 +403,9 @@ class FrameStack:
         settled = _settled(xs, nu, s_max[r], total[r], self.tie_tol, below[at], above[at], steps[v], steps[v + 1])
         k_min = v - r * self.P.shape[1]
         k_max = k_min.copy()
-        frames = {}
         for i in np.flatnonzero(~settled).tolist():
-            q = int(r[i])
-            if q not in frames:
-                row = self.rows[q]
-                frames[q] = row() if isinstance(row, weakref.ref) else PrefixFrame(*row)
-            nu[i], k_min[i], k_max[i] = frames[q].argmin(float(xs[i]))
+            q, m = r[i], self.n[r[i]]
+            nu[i], k_min[i], k_max[i] = _argmin(self.P[q, :m], self.S[q, :m], self.tie_tol, float(xs[i]))
         return nu, k_min, k_max
 
 

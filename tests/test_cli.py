@@ -335,13 +335,13 @@ class TestCompare:
         # xs at the formula clusters and a few ulps around them, so that xs
         # fall in the hull edges' tie windows and go through the tie rule
         tied = []
-        argmin = potentials.PrefixFrame.argmin
+        tie_rule = potentials._argmin
 
-        def recorded(self, x):
+        def recorded(P, S, tie_tol, x):
             tied.append(x)
-            return argmin(self, x)
+            return tie_rule(P, S, tie_tol, x)
 
-        monkeypatch.setattr(potentials.PrefixFrame, "argmin", recorded)
+        monkeypatch.setattr(potentials, "_argmin", recorded)
         rng = np.random.default_rng(11)
         for _ in range(30):
             data = random_instance(rng, n_max=8)

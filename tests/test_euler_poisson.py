@@ -817,7 +817,7 @@ class TestStackedRows:
 
         class Recorded(potentials.FrameStack):
             def argmin_grid(self, grids):
-                width = max(max(len(m) + 1 for m, _, _ in self.rows), max(len(g) for g in grids))
+                width = max(self.P.shape[1], max(len(g) for g in grids))
                 blocks.append((len(grids), width))
                 return super().argmin_grid(grids)
 

@@ -204,16 +204,25 @@ def call_sites(name: str) -> list:
     return sorted(sites)
 
 
-def test_dense_argmin_has_three_callers():
+def test_one_tie_rule_on_prefix_rows():
     # every field evaluation, and eval_nu_theta_omega, reads a hull lookup,
-    # a scalar x as a one-point grid; the dense scan stays the tie rule of
-    # the lookup, the scan of short grids before a frame's hull is built,
-    # and the minimum that result reports
-    assert call_sites("argmin") == [
+    # a scalar x as a one-point grid. The one tie rule scans one prefix row:
+    # a frame's own, or a stack's row for a point in its tie window. A
+    # frame's argmin scans short grids before its hull is built and gives
+    # the minimum that result reports. A stack holds arrays only: it builds
+    # no frame and keeps no reference to one.
+    assert call_sites("_argmin") == [
         "potentials.FrameStack.argmin_grid",
+        "potentials.PrefixFrame.argmin",
+    ]
+    assert call_sites("argmin") == [
         "potentials.PrefixFrame.argmin_grid",
         "potentials.PrefixFrame.result",
     ]
+    assert "weakref" not in absolute_import_roots()
+    built = call_sites("PrefixFrame")
+    assert "potentials.minimize_Fbar" in built
+    assert not [site for site in built if site.startswith("potentials.FrameStack.")]
 
 
 def test_one_cluster_extraction_and_one_hull_lookup():

@@ -410,13 +410,13 @@ class TestArgminGrid:
         # only points in a tie window near a cluster position reach the
         # scalar tie rule; a grid 1e-6 clear of every cluster never does
         calls = []
-        argmin = potentials.PrefixFrame.argmin
+        tie_rule = potentials._argmin
 
-        def counted(self, x):
+        def counted(P, S, tie_tol, x):
             calls.append(x)
-            return argmin(self, x)
+            return tie_rule(P, S, tie_tol, x)
 
-        monkeypatch.setattr(potentials.PrefixFrame, "argmin", counted)
+        monkeypatch.setattr(potentials, "_argmin", counted)
         rng = np.random.default_rng(64)
         for _ in range(20):
             data = make_random_instance(rng, n_max=12)
@@ -428,7 +428,7 @@ class TestArgminGrid:
             nu, k_min, k_max = frame.argmin_grid(pos)
             assert calls
             got = list(zip(nu.tolist(), k_min.tolist(), k_max.tolist()))
-            assert got == [argmin(frame, x) for x in pos.tolist()]
+            assert got == [tie_rule(frame.P, frame.S, frame.tie_tol, x) for x in pos.tolist()]
 
     def test_empty_grid_and_empty_measure(self):
         data = InitialData.from_atoms([0.0, 1.0], [1.0, 1.0], [0.0, 0.0], 1.0)
@@ -455,9 +455,10 @@ class TestArgminGrid:
 
     def test_two_dimensional_grid_keeps_its_shape(self):
         # drift.eval_mbar_grid passes its grid through as given: a 2-d grid
-        # of at least DENSE_GRID_POINTS points gives the 1-d results in its shape
+        # gives the 1-d results in its shape, on the hull lookup and on the
+        # dense scan of a grid shorter than DENSE_GRID_POINTS alike
         data = _lookup_instance(np.random.default_rng(64), "plain")
-        for shape in ((3, 4), (4, 4)):
+        for shape in ((3, 4), (4, 4), (1, 1), (2, 2), (0, 3)):
             xs = np.linspace(-12.0, 12.0, shape[0] * shape[1])
             frame = _lookup_frame(data, "drift", 0.5)
             for got, want in zip(frame.argmin_grid(xs.reshape(shape)), frame.argmin_grid(xs)):
@@ -721,15 +722,15 @@ class TestFrameStack:
                 part = a[ends[r] - xs.size : ends[r]]
                 assert (part.dtype, part.tobytes()) == (b.dtype, b.tobytes())
 
-    def test_unsettled_points_call_their_row_frames_argmin(self, monkeypatch):
+    def test_unsettled_points_call_the_tie_rule_on_their_rows(self, monkeypatch):
         calls = []
-        argmin = potentials.PrefixFrame.argmin
+        tie_rule = potentials._argmin
 
-        def counted(self, x):
+        def counted(P, S, tie_tol, x):
             calls.append(x)
-            return argmin(self, x)
+            return tie_rule(P, S, tie_tol, x)
 
-        monkeypatch.setattr(potentials.PrefixFrame, "argmin", counted)
+        monkeypatch.setattr(potentials, "_argmin", counted)
         rng = np.random.default_rng(73)
         rows = [(d.measure, d.velocities, PotentialCoefficients.euler_poisson(d.tau, 1.0)) for d in (make_random_instance(rng) for _ in range(5))]
         stack = potentials.FrameStack(rows)
@@ -739,6 +740,25 @@ class TestFrameStack:
         at = [stack.cluster_state(r, 1.0).positions for r in range(5)]
         stack.argmin_grid(at)
         assert sorted(calls) == sorted(np.concatenate(at).tolist())
+
+
+    def test_tie_window_reads_the_stack_tie_tolerance(self, monkeypatch):
+        # a stack built under a wide tie tolerance keeps it after the module
+        # default is restored, in its tie window as in its settled test
+        rng = np.random.default_rng(78)
+        data = [make_random_instance(rng) for _ in range(50)]
+        ts = rng.uniform(0.1, 3.0, 50).tolist()
+        with monkeypatch.context() as m:
+            m.setattr(potentials, "DEFAULT_TIE_TOL", 1e-2)
+            frames = [_lookup_frame(d, "euler_poisson", t) for d, t in zip(data, ts)]
+            stack = potentials.FrameStack([(f.measure, d.velocities, f.coeffs) for f, d in zip(frames, data)])
+        grids = [np.asarray(f.clusters()[2]) for f in frames]
+        got = stack.argmin_grid(grids)
+        want = [np.concatenate(a) for a in zip(*(f.argmin_grid(xs) for f, xs in zip(frames, grids)))]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        narrow = [np.concatenate(a) for a in zip(*(_lookup_frame(d, "euler_poisson", t).argmin_grid(xs) for d, t, xs in zip(data, ts, grids)))]
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(got, narrow))
 
 
 class TestFrameHull:
