@@ -8,9 +8,9 @@ each neighbour pair, touching ones too, merges at its own root, and the roots
 within 1e-11*(1 + t) of the first, t, merge at t. A cluster's centred mass mt
 does not change when others merge, so each cluster keeps one closed form from
 birth to death: a trajectory holds one record per cluster that ever lived (at
-most 2N - 1), and each neighbour pair's collision time is solved once, by
-Newton's method, when the pair forms (N - 1 pairs at t0, at most two per
-merge), then waits in a heap until it is due or one of its clusters dies.
+most 2N - 1). A neighbour pair (N - 1 at t0, at most two per merge) waits in a
+heap under a certified bound on its collision time, taken when it forms, and is
+solved by Newton's method only if the bound reaches the top while both live.
 The event loop runs on Python scalars; the record arrays are built once per
 run. Each merge checks in O(1) the new cluster's mass against its atoms', its
 momentum against the pair's and mt_r - mt_l = (m_l + m_r)/2 with both
@@ -129,11 +129,10 @@ class _EpDynamics:
         and returns the midpoint, as `root_bound` assumes. NaN or inf data, or
         200 points without a closed bracket, raise RootBracketFailure.
         """
-        if not abs(gap0) + abs(dv) + abs(dmt) < math.inf:
-            raise RootBracketFailure(f"collision gap data not finite: {gap0}, {dv}, {dmt}")
         tau, exp, expm1 = self.tau, math.exp, math.expm1
+        d = self.root_bound(gap0, dv, dmt)
         a = tau * math.log1p(dv / (dmt * tau)) if dv > 0.0 else 0.0
-        b, d = math.inf, max(a, self.root_bound(gap0, dv, dmt))
+        b, d = math.inf, max(a, d)
         for _ in range(200):
             # gap(d) inline with `_em1`'s operations: no call per step, the same bits
             z = d / tau
@@ -164,9 +163,11 @@ class _EpDynamics:
         0.5e-13*max(1, d) of a point where the computed gap is <= 0, and the
         gap's rounding error near d_L is below 1e-15*(gap0 + |dv|*d +
         tau*dmt*d); the margins 1e-9 relative and 1e-12*(1 + tau) absolute
-        cover both. A pair without a bound (gap0 <= 0) gets -inf, and
-        Newton starts at the interior maximum instead.
+        cover both. A pair without a bound (gap0 <= 0) gets -inf, and Newton
+        starts at the interior maximum instead. NaN or inf data raise here.
         """
+        if not abs(gap0) + abs(dv) + abs(dmt) < math.inf:
+            raise RootBracketFailure(f"collision gap data not finite: {gap0}, {dv}, {dmt}")
         if not gap0 > 0.0:
             return -math.inf
         a = -dv if dv < 0.0 else 0.0
@@ -196,6 +197,9 @@ class _DriftDynamics:
     def pair_root(self, gap0, dv, dmt):
         # dv = -dmt < 0 always: the gap closes linearly
         return gap0 / (-dv)
+
+    # the drift root is its own certified bound
+    root_bound = pair_root
 
 
 # one row per cluster that ever lived: birth and death times, the state
@@ -295,9 +299,9 @@ class Trajectory:
 def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
     """Event loop on per-cluster records, from the clusters alive at t0 in position order.
 
-    Heap entries (time, a, b) hold the collision time of neighbour records
-    a, b, solved once when the pair forms and never before that time; a
-    pair with a dead record is skipped when it reaches the top.
+    Heap entries (key, a, b, tp, gap) hold neighbour records a, b formed at tp
+    with a certified bound on their collision time and its data gap at tp, or,
+    with gap None, the time itself; a pair with a dead record is skipped.
     """
     n = live.x.size
     n_atoms = int(live.hi[-1]) if n else 0
@@ -323,11 +327,11 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
         return [p for p in ((at_hi[r_lo[c]], c), (c, at_lo[r_hi[c]])) if min(p) >= 0]
 
     def form_pair(a, b):
-        """Push the root of the neighbour records a, b, solved once from their formation time."""
+        """Push a certified bound on the root of the neighbour records a, b, with its data at formation."""
         tp = max(r_birth[a], r_birth[b])
         (xa, va), (xb, vb) = state(a, tp), state(b, tp)
-        # a pair that overlaps by rounding has a root before tp; events never go back
-        heappush(heap, (max(tp, tp + dyn.pair_root(xb - xa, vb - va, r_mt[b] - r_mt[a])), a, b))
+        gap = (xb - xa, vb - va, r_mt[b] - r_mt[a])
+        heappush(heap, (max(tp, tp + dyn.root_bound(*gap)), a, b, tp, gap))
 
     def merge(a, b, t):
         """Kill the neighbour records a and b at t, record the event, return the new record."""
@@ -374,17 +378,21 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
     for a in range(n - 1):
         form_pair(a, a + 1)
     while True:
-        # pop in time order: the first live root is the next event time t_ev,
-        # and the roots up to t_ev + tol_event are due
-        due, limit = [], math.inf
+        # pop in key order up to t_end, solving a live bound when it reaches the top: no
+        # root lies below its bound, so the first live root is the next event time t_ev
+        due, limit = [], t_end
         while heap and heap[0][0] <= limit:
-            key, a, b = heappop(heap)
+            key, a, b, tp, gap = heappop(heap)
             if r_death[a] < math.inf or r_death[b] < math.inf:
+                continue
+            if gap:
+                # a pair that overlaps by rounding has a root before tp; events never go back
+                heappush(heap, (max(tp, tp + dyn.pair_root(*gap)), a, b, tp, None))
                 continue
             if not due:
                 t_ev, limit = key, key + 1e-11 * (1.0 + key)
             due.append(a)
-        if not due or t_ev > t_end:
+        if not due:
             break
         k += 1
         # merge right to left: a pair's right cluster may itself be new

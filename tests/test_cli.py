@@ -164,6 +164,14 @@ class TestOracleCommand:
         _, crows = read_csv(tmp_path / "oracle_t1.csv")
         assert len(crows) == 2
 
+    def test_non_finite_gap_data_exits_3(self, tmp_path, capsys):
+        # dv = 1e308 - (-1e308) overflows to inf, and the pair's bound lies past t_end
+        atoms = [{"position": 0.0, "mass": 0.5, "velocity": -1e308}, {"position": 1.0, "mass": 0.5, "velocity": 1e308}]
+        cfg = dict(TWO_ATOM, atoms=atoms, t_end=1.0)
+        code = main(["oracle", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 3
+        assert "RootBracketFailure: collision gap data not finite" in capsys.readouterr().err
+
 
 def reference_compare_one(data, times, xs, tol):
     """Compare rows from the instance's own simulation and one frame per field."""

@@ -1051,6 +1051,15 @@ class TestInlinePairRoot:
         with pytest.raises(RootBracketFailure):
             _EpDynamics(0.5).pair_root(**args)
 
+    @pytest.mark.parametrize("v_right", [1e308, math.nan])
+    def test_non_finite_data_raises_where_the_pair_forms(self, v_right):
+        # dv = inf or NaN puts the certified bound past t_end, so the pair is never solved
+        m, mt, lo = np.array([0.5, 0.5]), np.array([-0.25, 0.25]), np.arange(2)
+        v = np.array([-1e308, v_right])
+        live = _Records(np.zeros(2), np.full(2, math.inf), np.array([0.0, 1.0]), v, mt, m, lo, lo + 1)
+        with pytest.raises(RootBracketFailure, match="collision gap data not finite"):
+            _simulate(live, 0.0, 1.0, _EpDynamics(1.0))
+
 
 class TestNewtonRootsAgainstBisection:
     """The oracle with Newton roots makes the merges of the oracle with the
@@ -1101,26 +1110,62 @@ class TestPrunedRootWork:
             assert [dyn.root_bound(*c) for c in zip(gap0.tolist(), dv.tolist(), dmt.tolist())] == want
             assert dyn.root_bound(0.0, -1.0, 1.0) == dyn.root_bound(-1.0, 1.0, 1.0) == -math.inf
 
-    def test_one_root_per_neighbour_pair(self, monkeypatch):
-        # each pair is solved once, when it forms: N - 1 + 2*merges at most
-        # (2,784 here), against ~494,000 for re-solving every pair per event
-        roots, pushed = [0], []
+    def test_drift_bound_is_the_root(self):
+        rng = np.random.default_rng(44)
+        gap = rng.uniform(1e-9, 10.0, 200)
+        dv = -rng.uniform(1e-6, 3.0, 200)
+        drift = _DriftDynamics()
+        bounds = [drift.root_bound(g, d, -d) for g, d in zip(gap.tolist(), dv.tolist())]
+        roots = [drift.pair_root(g, d, -d) for g, d in zip(gap.tolist(), dv.tolist())]
+        assert bounds == roots
+
+    @staticmethod
+    def root_work(monkeypatch, run):
+        """run() with pair_root counted; returns its result, the calls, and
+        the pairs pushed with a bound and pushed solved, in push order."""
+        calls, bounded, solved = [0], [], []
         pair_root, heappush = _EpDynamics.pair_root, oracle.heappush
 
         def counted(self, *args):
-            roots[0] += 1
+            calls[0] += 1
             return pair_root(self, *args)
 
         def recorded(heap, entry):
-            pushed.append(entry[1:])
+            (bounded if entry[-1] else solved).append(entry[1:3])
             heappush(heap, entry)
 
-        monkeypatch.setattr(_EpDynamics, "pair_root", counted)
-        monkeypatch.setattr(oracle, "heappush", recorded)
-        events = len(simulate_ep(baseline_instance(1000, 0), 2.0).events)
+        with monkeypatch.context() as m:
+            m.setattr(_EpDynamics, "pair_root", counted)
+            m.setattr(oracle, "heappush", recorded)
+            return run(), calls[0], bounded, solved
+
+    def test_one_root_per_neighbour_pair(self, monkeypatch):
+        # each pair is pushed once with its bound when it forms (N - 1 + 2*merges
+        # at most) and solved at most once, only when its bound reaches the top
+        # while both clusters live: 928 roots here against 2,784 pairs formed
+        traj, roots, bounded, solved = self.root_work(monkeypatch, lambda: simulate_ep(baseline_instance(1000, 0), 2.0))
+        events = len(traj.events)
         assert events > 800
-        assert roots[0] == len(pushed) == len(set(pushed))
-        assert len(pushed) <= 999 + 2 * events
+        assert len(bounded) == len(set(bounded)) <= 999 + 2 * events
+        assert roots == len(solved) == len(set(solved)) and set(solved) <= set(bounded)
+        assert roots <= math.ceil(1.05 * events)
+
+    def test_a_separating_pair_past_t_end_is_never_solved(self, monkeypatch):
+        # the bound, 2*sqrt(2) here, lies past t_end: no root is solved and no pair merges
+        data = InitialData.from_atoms(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), np.array([-1.0, 1.0]), 0.5)
+        traj, roots, bounded, solved = self.root_work(monkeypatch, lambda: simulate_ep(data, 1.0))
+        assert traj.events == () and bounded == [(0, 1)]
+        assert roots == 0 and solved == []
+
+    def test_a_pair_whose_cluster_merges_first_is_never_solved(self, monkeypatch):
+        # atoms 0 and 1 merge near t = 1, long before the bound of the pair (1, 2), about 5.4;
+        # the merged cluster 3 then forms its own pair with atom 2, which merges before t_end
+        data = InitialData.from_atoms(np.array([0.0, 0.1, 5.0]), np.full(3, 1.0 / 3.0), np.zeros(3), 0.5)
+        traj, roots, bounded, solved = self.root_work(monkeypatch, lambda: simulate_ep(data, 40.0))
+        assert [e.merged for e in traj.events] == [((0, 1), (1, 2)), ((0, 2), (2, 3))]
+        assert traj.events[0].time < 2.0 < 5.0 < traj.events[1].time
+        assert bounded == [(0, 1), (1, 2), (3, 2)]
+        assert solved == [(0, 1), (3, 2)] and roots == 2
 
 
 def overlapping_pair(dyn):
