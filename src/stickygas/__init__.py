@@ -3,7 +3,7 @@ with momentum relaxation, its drift limit, and an independent sticky-particle
 verification oracle."""
 
 from .measure import AtomicMeasure, ClusterState, InitialData
-from .potentials import MinimizerResult, PotentialCoefficients, minimize_F, minimize_Fbar
+from .potentials import PotentialCoefficients, minimize_Fbar
 from .euler_poisson import (
     Branch,
     FormulaSolution,
@@ -39,8 +39,6 @@ __all__ = [
     "AtomicMeasure",
     "InitialData",
     "PotentialCoefficients",
-    "MinimizerResult",
-    "minimize_F",
     "minimize_Fbar",
     "Branch",
     "FormulaSolution",

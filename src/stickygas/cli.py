@@ -120,6 +120,8 @@ class RunConfig:
             raise ConfigError("x_grid.min and x_grid.max must be finite numbers")
         if not grid["min"] < grid["max"]:
             raise ConfigError("x_grid.min must be below x_grid.max")
+        if not math.isfinite(float(grid["max"]) - float(grid["min"])):
+            raise ConfigError("x_grid.max - x_grid.min must be a finite number")
         t_end = raw.get("t_end", max(float(t) for t in times) + 1.0)
         if not (_finite(t_end) and t_end > 0.0):
             raise ConfigError("t_end must be a positive number")
@@ -523,7 +525,10 @@ def main(argv=None) -> int:
             # every PrefixFrame built during this call reads it; restored below
             potentials.DEFAULT_TIE_TOL = tie
         out = args.out
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         if args.command == "solve":
             cmd_solve(cfg, out)
         elif args.command == "oracle":

@@ -13,6 +13,8 @@ into clusters and answers a hull lookup; a frame reads both from a one-row
 stack of its own arrays. The vertices come from one numpy kernel over a
 stack of rows, ``_hull_vertices``, with the sequential monotone chain as
 its fallback and reference; the one tie rule, ``_argmin``, scans one row.
+A minimizer is the tie rule's triple (nu, k_min, k_max): the prefix argmin
+range is all that the fields read of it.
 """
 
 from __future__ import annotations
@@ -25,14 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMeasure, NonPositiveTime
-from .measure import AtomicMeasure, ClusterState, InitialData, _finite_points
+from .measure import AtomicMeasure, ClusterState, _finite_points
 
 __all__ = [
     "DEFAULT_TIE_TOL",
     "DEFAULT_TIE_POS_TOL",
     "PotentialCoefficients",
-    "MinimizerResult",
-    "minimize_F",
     "minimize_Fbar",
 ]
 
@@ -137,27 +137,6 @@ class PotentialCoefficients:
         return self.t * self.decay * self.tau / self.A - self.tau
 
 
-@dataclass(frozen=True)
-class MinimizerResult:
-    """Outcome of minimizing a generalized potential over y at fixed (x, t).
-
-    k_min and k_max are the smallest/largest prefix indices attaining the
-    minimum under the tie tolerance; y_star and y_star_up are the matching
-    atom positions (left minimizer and its right limit in x).
-    """
-
-    nu: float
-    y_star: float
-    y_star_up: float
-    attained_at_y_star: bool
-    k_min: int
-    k_max: int
-
-    @property
-    def has_jump(self) -> bool:
-        return self.k_max > self.k_min
-
-
 def _argmin(P, S, tie_tol, x: float):
     """(nu, k_min, k_max) of one row's prefix sums T_k = S[k] - x P[k]
     under the tie tolerance ``tie_tol``: the one tie rule, a scan of all
@@ -209,8 +188,7 @@ class PrefixFrame:
     def argmin(self, x: float):
         """``_argmin``, the one tie rule, on the frame's prefixes under its
         tie tolerance. Called by ``argmin_grid`` on short grids before the
-        hull is built, and by ``result`` (behind ``minimize_F`` and
-        ``minimize_Fbar``), which reports nu."""
+        hull is built, and by ``minimize_Fbar``, which returns its triple."""
         return _argmin(self.P, self.S, self.tie_tol, x)
 
     def argmin_grid(self, xs):
@@ -232,23 +210,6 @@ class PrefixFrame:
         else:
             out = self._one_row().argmin_grid([flat])
         return tuple(a.reshape(xs.shape) for a in out)
-
-    def result(self, x: float) -> MinimizerResult:
-        if len(self.measure) == 0:
-            raise EmptyMeasure("cannot minimize a potential over an empty measure")
-        nu, k_min, k_max = self.argmin(x)
-        pos = self.measure.positions
-        # y_star_up is read off k_max instead of re-minimizing at x + eps:
-        # increasing x lowers every prefix sum by eps * P_k, which strictly
-        # favours the largest tied prefix, so the argmin at x + eps is k_max
-        return MinimizerResult(
-            nu=nu,
-            y_star=float(pos[max(k_min, 1) - 1]),
-            y_star_up=float(pos[max(k_max, 1) - 1]),
-            attained_at_y_star=(k_min == 0),
-            k_min=k_min,
-            k_max=k_max,
-        )
 
     def clusters(self):
         """Clusters as the edges of the lower convex hull of (P_k, S_k).
@@ -497,13 +458,10 @@ def _hull_vertices(P, S, n):
     return idx
 
 
-def minimize_F(data: InitialData, x: float, t: float) -> MinimizerResult:
-    """Minimize F(.; x, t) over y by exact prefix-sum argmin."""
-    coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
-    return PrefixFrame(data.measure, data.velocities, coeffs).result(x)
-
-
-def minimize_Fbar(measure: AtomicMeasure, x: float, t: float) -> MinimizerResult:
-    """Minimize the drift potential: identical argmin structure with weights (0, -t)."""
+def minimize_Fbar(measure: AtomicMeasure, x: float, t: float):
+    """(nu, k_min, k_max) of the drift potential, weights (0, -t): the one
+    tie rule on one drift frame. The coefficients check t first."""
     coeffs = PotentialCoefficients.drift(t)
-    return PrefixFrame(measure, None, coeffs).result(x)
+    if len(measure) == 0:
+        raise EmptyMeasure("cannot minimize a potential over an empty measure")
+    return PrefixFrame(measure, None, coeffs).argmin(x)

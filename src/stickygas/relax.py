@@ -58,7 +58,8 @@ def _filtered_grid(measure, xs, t):
     """Drop grid points sitting exactly on a drift shock, where m is one-sided."""
     keep = []
     for x in np.asarray(xs, dtype=float):
-        if not minimize_Fbar(measure, float(x), t).has_jump:
+        _, k_min, k_max = minimize_Fbar(measure, float(x), t)
+        if k_max == k_min:
             keep.append(float(x))
     return np.array(keep)
 

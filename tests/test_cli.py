@@ -77,6 +77,18 @@ class TestConfigValidation:
         code = main(["solve", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_out_that_cannot_be_created_exits_2(self, tmp_path, capsys):
+        # an --out naming a file, or a path under one, is a config error
+        # that names the path, not an OSError from os.makedirs
+        config = write_config(tmp_path, TWO_ATOM)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        for out in (blocker, blocker / "sub"):
+            assert main(["solve", "--config", config, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and f"cannot create output directory {out}" in err
+        assert blocker.read_text() == ""
+
     @pytest.mark.parametrize(
         "command, key, value",
         [
@@ -94,6 +106,12 @@ class TestConfigValidation:
             ("solve", "atoms", [{"position": math.inf, "mass": 1.0, "velocity": 0.0}]),
             ("solve", "atoms", [{"position": 0.0, "mass": True, "velocity": 0.0}]),
             ("solve", "atoms", [{"position": "0.5", "mass": 1.0, "velocity": 0.0}]),
+            # each end is finite, but max - min overflows and linspace puts
+            # NaN in the grid
+            ("solve", "x_grid", {"min": -1e308, "max": 1e308, "count": 5}),
+            ("relax", "x_grid", {"min": -1e308, "max": 1e308, "count": 5}),
+            ("compare", "x_grid", {"min": -1e308, "max": 1e308, "count": 5}),
+            ("validate", "x_grid", {"min": -1e308, "max": 1e308, "count": 5}),
         ],
     )
     def test_nonfinite_or_boolean_value_exits_2(self, tmp_path, capsys, command, key, value):
@@ -628,7 +646,6 @@ UNREACHED = {
     "measure.ClusterState.from_atoms": "the t = 0 snapshot; no command takes a snapshot at t = 0",
     "measure.ClusterState.momentum": "data-model accessor that the momentum-decay tests use",
     "oracle.simulate_drift": "the drift oracle; ROADMAP items 3 and 7 wire it into relax",
-    "potentials.minimize_F": "the Euler-Poisson twin of the reached minimize_Fbar",
     "relax.eval_scaled": "the scaled fields at a point; ROADMAP items 3 and 7 wire them",
     "relax.scaled_cluster_snapshot": "the scaled clusters; ROADMAP items 3 and 7 wire them",
     "validate.check_oleinik_states": "the cluster Oleinik check; ROADMAP item 7 runs it on both layers",

@@ -15,7 +15,7 @@ from stickygas.errors import NonPositiveTime
 from stickygas.measure import AtomicMeasure, InitialData
 from stickygas.oracle import oracle_cdf, simulate_drift
 from stickygas.potentials import minimize_Fbar
-from tests.conftest import make_random_instance
+from tests.conftest import make_random_instance, y_star
 
 
 class TestMass:
@@ -126,12 +126,13 @@ class TestTieRule:
             m = data.measure
             t = float(rng.uniform(0.1, 6.0))
             x = float(rng.uniform(-15, 15))
-            r = minimize_Fbar(m, x, t)
-            lhs = (x - r.y_star) / t
-            rhs = -m.mtilde0(r.y_star)
+            _, k_min, _ = minimize_Fbar(m, x, t)
+            y = y_star(m, k_min)
+            lhs = (x - y) / t
+            rhs = -m.mtilde0(y)
             if abs(lhs - rhs) < 1e-8 * (1 + abs(lhs)):
                 continue
-            assert r.attained_at_y_star == (lhs < rhs)
+            assert (k_min == 0) == (lhs < rhs)
             checked += 1
 
     def test_grid_reads_the_current_tie_tolerance(self, monkeypatch):
@@ -207,7 +208,7 @@ class TestPotentialIdentities:
             h = 1e-5
             if np.any(np.abs(clusters.positions - x) < 10 * h):
                 continue
-            nu = lambda xx, tt: minimize_Fbar(m, xx, tt).nu
+            nu = lambda xx, tt: minimize_Fbar(m, xx, tt)[0]
             dx = (nu(x + h, t) - nu(x - h, t)) / (2 * h)
             dt = (nu(x, t + h) - nu(x, t - h)) / (2 * h)
             assert dx == pytest.approx(-eval_mbar(m, x, t), abs=1e-7)
@@ -232,6 +233,6 @@ class TestWeakContinuity:
         # the mass equals the initial value there
         m = AtomicMeasure([-3.0, 2.0], [1.0, 1.5])
         for t in (0.1, 0.01):
-            r = minimize_Fbar(m, 0.0, t)
-            assert r.y_star == -3.0
+            _, k_min, _ = minimize_Fbar(m, 0.0, t)
+            assert y_star(m, k_min) == -3.0
             assert eval_mbar(m, 0.0, t) == 1.0

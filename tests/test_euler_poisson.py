@@ -25,9 +25,7 @@ from stickygas.measure import AtomicMeasure, InitialData
 from stickygas.oracle import simulate_ep
 from stickygas.potentials import PotentialCoefficients, PrefixFrame
 from stickygas.relax import eval_scaled, scaled_cluster_snapshot
-from tests.conftest import make_random_instance
-from tests.test_oracle import baseline_instance, compare_ensemble_cases
-from tests.test_potentials import _lookup_instance
+from tests.conftest import _lookup_instance, baseline_instance, compare_ensemble_cases, make_random_instance
 
 E1 = math.exp(-1.0)
 LN2 = math.log(2.0)

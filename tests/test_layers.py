@@ -20,6 +20,7 @@ from stickygas.oracle import simulate_ep
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stickygas"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
 FORMULA_MODULES = ("potentials", "euler_poisson", "drift", "relax")
 
 
@@ -208,8 +209,8 @@ def test_one_tie_rule_on_prefix_rows():
     # every field evaluation, and eval_nu_theta_omega, reads a hull lookup,
     # a scalar x as a one-point grid. The one tie rule scans one prefix row:
     # a frame's own, or a stack's row for a point in its tie window. A
-    # frame's argmin scans short grids before its hull is built and gives
-    # the minimum that result reports. A stack holds arrays only: it builds
+    # frame's argmin scans short grids before its hull is built, and its
+    # triple is the drift minimizer's. A stack holds arrays only: it builds
     # no frame and keeps no reference to one.
     assert call_sites("_argmin") == [
         "potentials.FrameStack.argmin_grid",
@@ -217,7 +218,7 @@ def test_one_tie_rule_on_prefix_rows():
     ]
     assert call_sites("argmin") == [
         "potentials.PrefixFrame.argmin_grid",
-        "potentials.PrefixFrame.result",
+        "potentials.minimize_Fbar",
     ]
     assert "weakref" not in absolute_import_roots()
     built = call_sites("PrefixFrame")
@@ -307,6 +308,31 @@ def test_perfbench_traced_names_resolve():
     # the scan read both files: every workload lists names, and every span
     # of a method is an entry point too
     assert exercised and all(exercised) and spans <= set(entry_points) and len(names) > len(spans)
+
+
+def imported_names(path: Path) -> set:
+    """Dotted names of every module that ``path`` imports, and of every name
+    it imports from one (``from tests import test_x`` gives ``tests.test_x``)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_test_modules_import_no_other_test_module():
+    # the helpers that test modules share live in conftest.py: a test module
+    # that imports another one fails to collect whenever that one does
+    modules = {path.stem for path in TESTS.glob("test_*.py")}
+    for path in sorted(TESTS.glob("test_*.py")):
+        crossing = [name for name in imported_names(path) if modules & set(name.split("."))]
+        assert crossing == [], path.name
+    # the scan reads the imports of the shared helpers
+    assert "tests.conftest.baseline_instance" in imported_names(TESTS / "test_oracle.py")
 
 
 def test_grid_calls_run_one_branch_pass_and_one_integrand_per_block(monkeypatch):

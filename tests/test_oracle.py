@@ -33,15 +33,7 @@ from stickygas.oracle import (
     simulate_drift,
     simulate_ep,
 )
-from tests.conftest import make_random_instance
-
-
-def baseline_instance(n, seed):
-    """The ROADMAP baseline: N atoms on [-10, 10], masses U(0.01, 2)/N, tau 0.5."""
-    rng = np.random.default_rng(seed)
-    return InitialData.from_atoms(
-        np.sort(rng.uniform(-10.0, 10.0, n)), rng.uniform(0.01, 2.0, n) / n, rng.uniform(-2.0, 2.0, n), 0.5
-    )
+from tests.conftest import baseline_instance, compare_ensemble_cases, make_random_instance
 
 
 def event_states(traj):
@@ -687,18 +679,6 @@ def _chain_case(mu, tau, delta):
 
 
 # (data, t_end, sample times) of each reference case
-
-
-def compare_ensemble_cases():
-    # the 200 instances of `compare`, with its draws and sample times
-    rng = np.random.default_rng(20260810)
-    for _ in range(200):
-        data = random_instance(rng, n_max=20)
-        times = sample_times_avoiding_events(
-            rng, 5, 0.1, 5.5, simulate_ep(data, 6.0).event_times
-        )
-        rng.uniform(size=21)
-        yield data, 6.0, [0.0, *times, 6.0]
 
 
 def bench_sized_cases():

@@ -11,8 +11,8 @@ from stickygas.euler_poisson import _backward_cone, cluster_snapshot
 from stickygas.instances import random_instance
 from stickygas.measure import AtomicMeasure, InitialData
 from stickygas.oracle import oracle_cdf, simulate_ep
-from stickygas.potentials import PotentialCoefficients, PrefixFrame, minimize_F, minimize_Fbar
-from tests.conftest import make_random_instance
+from stickygas.potentials import PotentialCoefficients, PrefixFrame, minimize_Fbar
+from tests.conftest import _lookup_instance, make_random_instance, y_star
 
 E1 = math.exp(-1.0)
 
@@ -88,37 +88,39 @@ class TestEvalF:
 
 
 class TestMinimizeF:
+    # the minimizer of F is the tie rule's triple (nu, k_min, k_max) on F's
+    # frame: the minimum is attained at y* when k_min == 0, and it jumps when
+    # k_max > k_min
     def test_single_atom_on_path(self):
         d = InitialData.from_atoms([0.0], [1.0], [1.0], 1.0)
-        r = minimize_F(d, 1.0 - E1, 1.0)
-        assert r.nu == pytest.approx(0.0, abs=1e-14)
-        assert (r.k_min, r.k_max) == (0, 1)
-        assert r.y_star == 0.0 and r.y_star_up == 0.0
-        assert r.attained_at_y_star
+        nu, k_min, k_max = frame_of_F(d, 1.0).argmin(1.0 - E1)
+        assert nu == pytest.approx(0.0, abs=1e-14)
+        assert (k_min, k_max) == (0, 1)
+        assert y_star(d.measure, k_min) == 0.0 and y_star(d.measure, k_max) == 0.0
 
     def test_two_atom_before_collision(self, two_atom_symmetric):
-        r = minimize_F(two_atom_symmetric, 0.0, 1.0)
-        assert r.nu == pytest.approx(-0.4540150698535697, abs=1e-15)
-        assert (r.k_min, r.k_max) == (1, 1)
-        assert r.y_star == -1.0 and r.y_star_up == -1.0
-        assert not r.attained_at_y_star
+        nu, k_min, k_max = frame_of_F(two_atom_symmetric, 1.0).argmin(0.0)
+        assert nu == pytest.approx(-0.4540150698535697, abs=1e-15)
+        assert (k_min, k_max) == (1, 1)
+        m = two_atom_symmetric.measure
+        assert y_star(m, k_min) == -1.0 and y_star(m, k_max) == -1.0
 
     def test_two_atom_after_collapse(self, two_atom_symmetric):
-        r = minimize_F(two_atom_symmetric, 0.0, 6.0)
-        assert (r.k_min, r.k_max) == (0, 2)
-        assert (r.y_star, r.y_star_up) == (-1.0, 1.0)
-        assert r.has_jump
+        _, k_min, k_max = frame_of_F(two_atom_symmetric, 6.0).argmin(0.0)
+        assert (k_min, k_max) == (0, 2)
+        m = two_atom_symmetric.measure
+        assert (y_star(m, k_min), y_star(m, k_max)) == (-1.0, 1.0)
 
     def test_empty_measure_rejected(self):
-        # PrefixFrame.result makes the one check; the coefficients check t first
+        # minimize_Fbar makes the one check; the coefficients check t first.
+        # F's frame over an empty measure has one prefix, the empty one
         d = InitialData.from_atoms([], [], [], 1.0)
-        with pytest.raises(EmptyMeasure):
-            minimize_F(d, 0.0, 1.0)
+        assert frame_of_F(d, 1.0).argmin(0.0) == (0.0, 0, 0)
         with pytest.raises(EmptyMeasure):
             minimize_Fbar(d.measure, 0.0, 1.0)
         for t in (0.0, -1.0):
             with pytest.raises(NonPositiveTime):
-                minimize_F(d, 0.0, t)
+                frame_of_F(d, t)
             with pytest.raises(NonPositiveTime):
                 minimize_Fbar(d.measure, 0.0, t)
 
@@ -139,7 +141,8 @@ class TestMinimizeF:
                 lambda: relax.eval_scaled(d, x, t, 0.5),
             ]
             if t > 0.0:
-                calls.append(lambda: minimize_F(d, x, t))
+                calls.append(lambda: frame_of_F(d, t).argmin(x))
+                calls.append(lambda: minimize_Fbar(d.measure, x, t))
             # the oracle reads the same check: a NaN used to sort after
             # every cluster and give the total mass
             state = simulate_ep(d, 1.0).state_at(t)
@@ -198,15 +201,14 @@ class TestInitialSpeed:
 class TestDriftPotential:
     def test_two_atom_argmin(self, two_atom_symmetric):
         m = two_atom_symmetric.measure
-        r = minimize_Fbar(m, 0.0, 1.0)
-        assert r.nu == pytest.approx(-0.375, abs=1e-15)
-        assert (r.k_min, r.k_max) == (1, 1)
-        assert r.y_star == -1.0
+        nu, k_min, k_max = minimize_Fbar(m, 0.0, 1.0)
+        assert nu == pytest.approx(-0.375, abs=1e-15)
+        assert (k_min, k_max) == (1, 1)
+        assert y_star(m, k_min) == -1.0
 
     def test_two_atom_past_drift_collapse(self, two_atom_symmetric):
-        r = minimize_Fbar(two_atom_symmetric.measure, 0.0, 5.0)
-        assert (r.k_min, r.k_max) == (0, 2)
-        assert r.has_jump
+        _, k_min, k_max = minimize_Fbar(two_atom_symmetric.measure, 0.0, 5.0)
+        assert (k_min, k_max) == (0, 2)
 
     def test_prefix_below_first_atom(self, two_atom_symmetric):
         # the drift potential at y = -1 sums over no atom, at every x
@@ -222,9 +224,7 @@ class TestDriftPotential:
             x = float(rng.uniform(-12, 12))
             frame = PrefixFrame(data.measure, None, PotentialCoefficients.drift(t))
             nu, k_min, k_max = frame.argmin(x)
-            r = minimize_Fbar(data.measure, x, t)
-            assert (r.k_min, r.k_max) == (k_min, k_max)
-            assert r.nu == nu
+            assert minimize_Fbar(data.measure, x, t) == (nu, k_min, k_max)
 
 
 class TestAuxiliaryPotentials:
@@ -237,7 +237,7 @@ class TestAuxiliaryPotentials:
             data = make_random_instance(rng, n_max=8)
             t = float(rng.uniform(0.1, 3.0))
             x = float(rng.uniform(-11, 11))
-            res = minimize_F(data, x, t)
+            _, k_min, k_max = frame_of_F(data, t).argmin(x)
             snap = cluster_snapshot(data, t)
             fp = np.repeat(snap.positions, snap.hi - snap.lo)
             coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
@@ -257,7 +257,7 @@ class TestAuxiliaryPotentials:
                         m.prefix_mass - m.prefix_mass[np.argmin(prefix)]
                     )
                     ties = np.flatnonzero(prefix - lo <= tol)
-                    assert ties[0] <= res.k_min and res.k_max <= ties[-1]
+                    assert ties[0] <= k_min and k_max <= ties[-1]
 
 
 class TestMinimizerProperties:
@@ -274,11 +274,11 @@ class TestMinimizerProperties:
             c = PotentialCoefficients.euler_poisson(data.tau, t)
             lo = x - data.max_speed * c.A + 0.5 * data.measure.total_mass * c.B
             hi = x + data.max_speed * c.A - 0.5 * data.measure.total_mass * c.B
-            r = minimize_F(data, x, t)
+            _, k_min, k_max = frame_of_F(data, t).argmin(x)
             pos = data.measure.positions
             n = len(data)
             pad = 1e-9 * (1.0 + abs(x))
-            for k in (r.k_min, r.k_max):
+            for k in (k_min, k_max):
                 plateau_left = -np.inf if k == 0 else float(pos[k - 1])
                 plateau_right = np.inf if k == n else float(pos[k])
                 assert plateau_left <= hi + pad
@@ -290,12 +290,14 @@ class TestMinimizerProperties:
             data = make_random_instance(rng)
             t = float(rng.uniform(0.05, 5.0))
             xs = np.sort(rng.uniform(-12, 12, size=6))
+            frame = frame_of_F(data, t)
             prev_up = -np.inf
             for x in xs:
-                r = minimize_F(data, float(x), t)
-                assert r.y_star <= r.y_star_up
-                assert r.y_star >= prev_up - 1e-12
-                prev_up = r.y_star_up
+                _, k_min, k_max = frame.argmin(float(x))
+                y, y_up = y_star(data.measure, k_min), y_star(data.measure, k_max)
+                assert y <= y_up
+                assert y >= prev_up - 1e-12
+                prev_up = y_up
 
     def test_y_star_up_equals_nearby_reminimization(self):
         rng = np.random.default_rng(5)
@@ -303,10 +305,11 @@ class TestMinimizerProperties:
             data = make_random_instance(rng)
             t = float(rng.uniform(0.05, 5.0))
             x = float(rng.uniform(-12, 12))
-            r = minimize_F(data, x, t)
+            frame = frame_of_F(data, t)
+            _, _, k_max = frame.argmin(x)
             eps = float(rng.uniform(1e-7, 1e-6)) * (1.0 + abs(x))
-            r_up = minimize_F(data, x + eps, t)
-            assert r_up.y_star >= r.y_star_up - 1e-12
+            _, k_min_up, _ = frame.argmin(x + eps)
+            assert y_star(data.measure, k_min_up) >= y_star(data.measure, k_max) - 1e-12
 
     def test_nu_is_lipschitz(self):
         rng = np.random.default_rng(6)
@@ -315,12 +318,12 @@ class TestMinimizerProperties:
             M = data.measure.total_mass
             t = float(rng.uniform(0.05, 5.0))
             x1, x2 = sorted(rng.uniform(-12, 12, size=2))
-            n1 = minimize_F(data, float(x1), t).nu
-            n2 = minimize_F(data, float(x2), t).nu
+            frame = frame_of_F(data, t)
+            n1, n2 = frame.argmin(float(x1))[0], frame.argmin(float(x2))[0]
             assert abs(n1 - n2) <= M * (x2 - x1) + 1e-9 * (1 + abs(n1))
             # in time the slope is bounded by the largest prefix momentum
             t2 = t + float(rng.uniform(0.01, 0.5))
-            n3 = minimize_F(data, float(x1), t2).nu
+            n3 = frame_of_F(data, t2).argmin(float(x1))[0]
             c_data = M * (data.max_speed + 0.5 * data.tau * M)
             assert abs(n3 - n1) <= c_data * (t2 - t) + 1e-9 * (1 + abs(n1))
 
@@ -333,35 +336,17 @@ class TestMinimizerProperties:
             data = make_random_instance(rng)
             t = float(rng.uniform(0.05, 4.0))
             x = float(rng.uniform(-12, 12))
-            r = minimize_F(data, x, t)
-            i = data.measure.atom_index(r.y_star)
+            _, k_min, _ = frame_of_F(data, t).argmin(x)
+            y = y_star(data.measure, k_min)
+            i = data.measure.atom_index(y)
             coeffs = PotentialCoefficients.euler_poisson(data.tau, t)
-            mt = data.measure.mtilde0(r.y_star)
-            c = (x - r.y_star) / coeffs.A - mt * coeffs.force_speed_ratio()
+            mt = data.measure.mtilde0(y)
+            c = (x - y) / coeffs.A - mt * coeffs.force_speed_ratio()
             u0 = float(data.velocities[i])
             if abs(c - u0) < 1e-6 * (1 + abs(c)):
                 continue  # boundary case: either classification is valid
-            assert r.attained_at_y_star == (c < u0)
+            assert (k_min == 0) == (c < u0)
             checked += 1
-
-
-def _lookup_instance(rng, kind):
-    """Instances for the lookup tests: plain, near-duplicate atoms, masses
-    spread across 12 decades, or atoms whose mass vanishes in the prefix
-    masses (some np.diff(P) == 0)."""
-    n = int(rng.integers(1, 40))
-    positions = np.sort(rng.uniform(-10.0, 10.0, size=n))
-    masses = rng.uniform(0.01, 2.0, size=n) / n
-    if kind == "near_duplicate":
-        step = 1e-14 * (1.0 + abs(positions[0]))
-        positions = positions[0] + step * np.arange(n)
-    elif kind == "mass_decades":
-        masses = 10.0 ** rng.uniform(-12.0, 0.0, size=n)
-    elif kind == "vanishing_mass":
-        masses = np.where(rng.random(n) < 0.3, 1e-18, 1.0)
-    velocities = rng.uniform(-2.0, 2.0, size=n)
-    tau = float(rng.choice([1.0, 0.5, 0.1, 1e-3]))
-    return InitialData.from_atoms(positions, masses, velocities, tau)
 
 
 def _lookup_frame(data, family, t):

@@ -8,14 +8,15 @@ from stickygas.errors import TauOutOfRange
 from stickygas.euler_poisson import eval_m, eval_u
 from stickygas.measure import InitialData
 from stickygas.oracle import oracle_cdf, simulate_ep
-from stickygas.potentials import PotentialCoefficients
+from stickygas.potentials import PotentialCoefficients, PrefixFrame
 from stickygas.relax import (
+    _filtered_grid,
     _nearest,
     convergence_study,
     eval_scaled,
     scaled_cluster_snapshot,
 )
-from tests.conftest import decreasing
+from tests.conftest import _lookup_instance, baseline_instance, decreasing
 
 TAUS = [2.0 ** (-k) for k in range(1, 11)]
 
@@ -179,6 +180,36 @@ class TestConvergenceStudy:
             assert (snap.lo.tolist(), snap.hi.tolist()) == ([0, 1, 2], [1, 2, 3])
         with pytest.raises(TauOutOfRange):
             scaled_cluster_snapshot(data, 0.0, 2.0)
+
+
+class TestShockFilter:
+    # the filter keeps the points where one drift frame's lookup has no tie,
+    # so that it can read that lookup instead of one frame per point
+    @staticmethod
+    def assert_one_lookup(m, xs, t):
+        frame = PrefixFrame(m, None, PotentialCoefficients.drift(t))
+        _, k_min, k_max = frame.argmin_grid(xs)
+        kept = _filtered_grid(m, xs, t)
+        assert repr(kept) == repr(xs[k_max == k_min])
+        return xs.size - kept.size
+
+    def test_bench_baseline_keeps_every_point(self):
+        xs = np.linspace(-12.0, 12.0, 1001)
+        for seed in (0, 17):
+            assert self.assert_one_lookup(baseline_instance(1000, seed).measure, xs, 1.0) == 0
+
+    def test_lookup_families_on_their_drift_clusters(self):
+        rng = np.random.default_rng(90)
+        dropped = points = 0
+        for trial in range(160):
+            m = _lookup_instance(rng, ("plain", "near_duplicate", "mass_decades", "vanishing_mass")[trial % 4]).measure
+            t = float(10.0 ** rng.uniform(-2.0, 1.5))
+            pos = drift_cluster_snapshot(m, t).positions
+            xs = np.sort(np.concatenate([rng.uniform(-15.0, 15.0, size=20), pos]))
+            dropped += self.assert_one_lookup(m, xs, t)
+            points += xs.size
+        # points on a drift shock are dropped, and the rest kept
+        assert 0 < dropped < points
 
 
 class TestNearestCluster:

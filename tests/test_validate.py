@@ -27,8 +27,7 @@ from stickygas.validate import (
     default_bump_family,
     default_continuity_grid,
 )
-from tests.conftest import make_random_instance
-from tests.test_oracle import baseline_instance
+from tests.conftest import baseline_instance, make_random_instance
 
 
 class TestBump:
