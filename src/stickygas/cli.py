@@ -46,7 +46,7 @@ _CONFIG_KEYS = {
     "seed",
     "tolerances",
 }
-_ATOM_KEYS = {"position", "mass", "velocity"}
+_ATOM_KEYS = frozenset({"position", "mass", "velocity"})
 _GRID_KEYS = {"min", "max", "count"}
 _TOL_KEYS = {"tie", "compare"}
 
@@ -73,6 +73,28 @@ def _tolerance(name: str, value) -> float:
     return float(value)
 
 
+def _atom_columns(atoms):
+    """The position, mass and velocity columns as float64 arrays, or None
+    unless every atom is a plain dict with keys _ATOM_KEYS whose values are
+    finite ints or floats (not bools), with mass > 0.
+
+    The key sets and value types are checked as sets and the values as one
+    array; float64 conversion of an int rounds as float() does.
+    """
+    if set(map(type, atoms)) != {dict} or set(map(frozenset, atoms)) != {_ATOM_KEYS}:
+        return None
+    rows = [(atom["position"], atom["mass"], atom["velocity"]) for atom in atoms]
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
+        return None
+    try:
+        columns = np.array(rows, dtype=float).T
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not (np.isfinite(columns).all() and (columns[1] > 0.0).all()):
+        return None
+    return columns
+
+
 class RunConfig:
     """Validated run configuration."""
 
@@ -87,17 +109,20 @@ class RunConfig:
         atoms = raw.get("atoms")
         if not isinstance(atoms, list) or not atoms:
             raise ConfigError("measure must be nonempty: provide at least one atom")
-        pos, mass, vel = [], [], []
-        for i, atom in enumerate(atoms):
-            if not isinstance(atom, dict) or set(atom) != _ATOM_KEYS:
-                raise ConfigError(f"atom {i} must be an object with keys {sorted(_ATOM_KEYS)}")
-            if not all(_finite(atom[key]) for key in _ATOM_KEYS):
-                raise ConfigError(f"atom {i} values must be finite numbers")
-            pos.append(float(atom["position"]))
-            mass.append(float(atom["mass"]))
-            vel.append(float(atom["velocity"]))
-            if mass[-1] <= 0.0:
-                raise ConfigError(f"atom {i} mass must be positive")
+        columns = _atom_columns(atoms)
+        if columns is None:
+            # name the first bad atom; subclasses of dict or float pass here
+            columns = pos, mass, vel = [], [], []
+            for i, atom in enumerate(atoms):
+                if not isinstance(atom, dict) or set(atom) != _ATOM_KEYS:
+                    raise ConfigError(f"atom {i} must be an object with keys {sorted(_ATOM_KEYS)}")
+                if not all(_finite(atom[key]) for key in _ATOM_KEYS):
+                    raise ConfigError(f"atom {i} values must be finite numbers")
+                pos.append(float(atom["position"]))
+                mass.append(float(atom["mass"]))
+                vel.append(float(atom["velocity"]))
+                if mass[-1] <= 0.0:
+                    raise ConfigError(f"atom {i} mass must be positive")
         tau = raw.get("tau", 1.0)
         if not _finite(tau):
             raise ConfigError("tau must be a finite number")
@@ -144,7 +169,7 @@ class RunConfig:
             raise ConfigError(f"tolerances keys must be among {sorted(_TOL_KEYS)}")
 
         try:
-            self.data = InitialData.from_atoms(pos, mass, vel, float(tau))
+            self.data = InitialData.from_atoms(*columns, float(tau))
         except ValueError as exc:
             raise ConfigError(f"atoms are invalid: {exc}") from exc
         except TauOutOfRange as exc:
@@ -198,11 +223,31 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
+# `_fmt` for a column whose cells all have this exact type
+_COLUMN_FORMATS = {
+    float: "%.17g".__mod__,
+    int: str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    str: str,
+}
+
+
 def write_csv(path: str, header, rows) -> None:
-    # `_fmt` by exact type, one dict lookup per cell; numpy scalars and str fall back to it
-    fmt = {float: lambda v: format(v, ".17g"), int: str, bool: lambda v: "true" if v else "false"}.get
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(type(v), _fmt)(v) for v in row) for row in rows)
+    """Write rows of equally many cells, each cell as ``_fmt`` writes it.
+
+    A column whose cells share one exact type in _COLUMN_FORMATS is
+    formatted with that type's formatter; any other column (mixed types,
+    numpy scalars) goes through ``_fmt`` cell by cell.
+    """
+    rows = list(rows)
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("CSV rows must have equally many cells")
+    cells = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        fmt = _COLUMN_FORMATS.get(kinds.pop(), _fmt) if len(kinds) == 1 else _fmt
+        cells.append(map(fmt, column))
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -368,50 +413,59 @@ def _svg_document(width, height, body) -> str:
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
+def _plotted(values, log):
+    """Values as plotted on an axis, as float64: log10 of each on a log
+    axis (NaN where a value is not > 0), else the values themselves."""
+    if log:
+        return np.array([math.log10(v) if v > 0 else math.nan for v in values], dtype=float)
+    return np.asarray(values, dtype=float)
+
+
+def _extents(values):
+    """(min, max) of the values as Python floats, (0.0, 1.0) if there are
+    none. Each is the first of equal values in order, as Python's min and
+    max pick it, so the choice between -0.0 and 0.0 follows the points."""
+    if not values.size:
+        return 0.0, 1.0
+    return values[np.argmin(values)].item(), values[np.argmax(values)].item()
+
+
 def _polyline_svg(series, width=640, height=480, logx=False, logy=False, step=()):
     """Deterministic multi-series line plot; each series scaled to shared extents.
 
-    A log axis plots log10 of each value; a point whose value there is not
-    > 0 (NaN included) is left out of both the extents and the plot.
+    A log axis plots log10 of each value. A point whose plotted x or y is
+    not finite (a NaN or an infinity, or on a log axis a value that is not
+    > 0) is left out of both the extents and the plot.
     """
     pad = 50.0
-
-    def scale(v, log):
-        return (math.log10(v) if v > 0 else None) if log else v
-
     kept = []
     for label, xs, ys in series:
-        pts = [(scale(x, logx), scale(y, logy)) for x, y in zip(xs, ys)]
-        kept.append((label, [(x, y) for x, y in pts if x is not None and y is not None]))
-    xs_all = [x for _, pts in kept for x, _ in pts] or [0.0, 1.0]
-    ys_all = [y for _, pts in kept for _, y in pts] or [0.0, 1.0]
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
+        x, y = _plotted(xs, logx), _plotted(ys, logy)
+        finite = np.isfinite(x) & np.isfinite(y)
+        kept.append((label, x[finite], y[finite]))
+    x0, x1 = _extents(np.concatenate([np.empty(0), *(x for _, x, _ in kept)]))
+    y0, y1 = _extents(np.concatenate([np.empty(0), *(y for _, _, y in kept)]))
     if x1 - x0 == 0.0:
         x1 = x0 + 1.0
     if y1 - y0 == 0.0:
         y1 = y0 + 1.0
 
-    def mapx(x):
-        return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
-
-    def mapy(y):
-        return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
-
     body = [
         f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
         'fill="none" stroke="black" stroke-width="1"/>'
     ]
-    for idx, (label, pts) in enumerate(kept):
-        line, prev = [], None
-        for x, y in pts:
-            if label in step and prev is not None:
-                line.append(f"{mapx(x):.3f},{mapy(prev):.3f}")
-            line.append(f"{mapx(x):.3f},{mapy(y):.3f}")
-            prev = y
+    for idx, (label, x, y) in enumerate(kept):
+        # the operations, in their order, of the same map on Python floats: the same bits
+        px = pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
+        py = height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
+        if label in step:  # a step to each new y at the new x
+            px, py = np.repeat(px, 2)[1:], np.repeat(py, 2)[:-1]
+        # one % for the whole line, "%.3f" per value as the f-string ".3f" writes it
+        xy = np.column_stack((px, py)).ravel().tolist()
+        points = ("%.3f,%.3f " * px.size)[:-1] % tuple(xy)
         color = _COLORS[idx % len(_COLORS)]
         body.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(line)}"/>'
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )
         body.append(
             f'<text x="{pad + 6}" y="{pad + 16 + 16 * idx}" font-size="12" fill="{color}">{label}</text>'

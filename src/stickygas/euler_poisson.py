@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonPositiveTime
+from .errors import EmptyMeasure, NonPositiveTime
 from .measure import BLOCK_ELEMENTS, ClusterState, InitialData, _finite_points
 from .potentials import FrameStack, PotentialCoefficients, PrefixFrame
 
@@ -192,10 +192,13 @@ def _backward_cone(frame, data, xs, k_min):
     on the atom's own path, mt and c the symmetric values), +1 right of
     that path and -1 left of it (mt and c the one-sided values). vacuum is
     True where that one-sided speed lies beyond +-U0, so the max-speed
-    vacuum tracer applies.
+    vacuum tracer applies. An empty measure has no atom to anchor the
+    cone: EmptyMeasure.
     """
     coeffs = frame.coeffs
     m = data.measure
+    if len(m) == 0:
+        raise EmptyMeasure("no backward characteristic: the measure is empty")
     a = np.maximum(k_min, 1) - 1
     y = m.positions[a]
     half_m = 0.5 * m.total_mass

@@ -10,6 +10,7 @@ import pytest
 
 from stickygas import cli, euler_poisson, potentials
 from stickygas.cli import main
+from stickygas.errors import ConfigError
 from stickygas.euler_poisson import cluster_snapshot, eval_m_grid, eval_u
 from stickygas.instances import random_instance, sample_times_avoiding_events
 from stickygas.measure import ClusterState, InitialData
@@ -145,6 +146,101 @@ class TestConfigValidation:
         code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
         assert code == 0
         assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["solution_t0.5.csv", "solution_t1.csv"]
+
+
+def late_atom_config(bad_atom, index=998, n_atoms=1000):
+    """TWO_ATOM with n_atoms valid atoms, atom `index` replaced by bad_atom."""
+    atoms = [{"position": float(i), "mass": 1.0 / n_atoms, "velocity": 0.0} for i in range(n_atoms)]
+    atoms[index] = bad_atom
+    return dict(TWO_ATOM, atoms=atoms)
+
+
+KEYS_MESSAGE = "atom 998 must be an object with keys ['mass', 'position', 'velocity']"
+VALUES_MESSAGE = "atom 998 values must be finite numbers"
+MASS_MESSAGE = "atom 998 mass must be positive"
+
+
+class TestAtomRejection:
+    # the first bad atom is named, with the message of the per-atom checks
+    @pytest.mark.parametrize(
+        "bad_atom, message",
+        [
+            ([998.0, 0.001, 0.0], KEYS_MESSAGE),
+            ("atom", KEYS_MESSAGE),
+            (None, KEYS_MESSAGE),
+            ({"position": 998.0, "mass": 0.001}, KEYS_MESSAGE),
+            ({"position": 998.0, "mass": 0.001, "velocity": 0.0, "charge": 1.0}, KEYS_MESSAGE),
+            ({"position": 998.0, "mass": 0.001, "speed": 0.0}, KEYS_MESSAGE),
+            ({"position": 998.0, "mass": True, "velocity": 0.0}, VALUES_MESSAGE),
+            ({"position": 998.0, "mass": 0.001, "velocity": False}, VALUES_MESSAGE),
+            ({"position": "998", "mass": 0.001, "velocity": 0.0}, VALUES_MESSAGE),
+            ({"position": 998.0, "mass": 0.001, "velocity": None}, VALUES_MESSAGE),
+            ({"position": math.nan, "mass": 0.001, "velocity": 0.0}, VALUES_MESSAGE),
+            ({"position": 998.0, "mass": 0.001, "velocity": -math.inf}, VALUES_MESSAGE),
+            ({"position": 10**400, "mass": 0.001, "velocity": 0.0}, VALUES_MESSAGE),
+            ({"position": 998.0, "mass": 0.001, "velocity": -(10**309)}, VALUES_MESSAGE),
+            ({"position": 998.0, "mass": 0.0, "velocity": 0.0}, MASS_MESSAGE),
+            ({"position": 998.0, "mass": -0.0, "velocity": 0.0}, MASS_MESSAGE),
+            ({"position": 998.0, "mass": -1, "velocity": 0.0}, MASS_MESSAGE),
+            ({"position": 998.0, "mass": -1e-300, "velocity": 0.0}, MASS_MESSAGE),
+        ],
+    )
+    def test_late_bad_atom_message(self, bad_atom, message):
+        with pytest.raises(ConfigError) as exc:
+            cli.RunConfig(late_atom_config(bad_atom))
+        assert str(exc.value) == message
+
+    def test_first_bad_atom_wins(self):
+        cfg = late_atom_config({"position": 998.0, "mass": 0.001})
+        cfg["atoms"][5] = {"position": 5.0, "mass": 0.0, "velocity": 0.0}
+        cfg["atoms"][7] = {"position": 7.0, "mass": math.nan, "velocity": 0.0}
+        with pytest.raises(ConfigError, match=r"^atom 5 mass must be positive$"):
+            cli.RunConfig(cfg)
+
+    def test_late_bad_atom_from_a_file_exits_2(self, tmp_path, capsys):
+        # JSON reads NaN and a 400-digit integer as Python values
+        for bad in (math.nan, 10**400):
+            cfg = late_atom_config({"position": 998.0, "mass": 0.001, "velocity": bad})
+            code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+            assert code == 2
+            assert f"config error: {VALUES_MESSAGE}" in capsys.readouterr().err
+
+    def test_int_atoms_equal_their_float_form(self):
+        # an int converts to float64 as float() rounds it, beyond 2**53 too
+        rng = np.random.default_rng(3)
+        ints = [int(v) for v in rng.integers(-(10**6), 10**6, size=300)]
+        ints += [2**53 + 1, 2**54 + 2, -(2**63) - 1, 3 * 2**70 + 1, 10**300 + 12345]
+        positions = sorted(set(ints))
+        masses = [int(m) for m in rng.integers(1, 1000, size=len(positions))]
+        masses[:3] = [2**53 + 1, 10**20 + 7, 1]
+        velocities = [int(v) for v in rng.integers(-5, 6, size=len(positions))]
+        as_ints = [{"position": p, "mass": m, "velocity": v} for p, m, v in zip(positions, masses, velocities)]
+        as_floats = [{key: float(value) for key, value in atom.items()} for atom in as_ints]
+        mixed = [dict(a, mass=b["mass"]) for a, b in zip(as_ints, as_floats)]
+        want = cli.RunConfig(dict(TWO_ATOM, atoms=as_floats)).data
+        for atoms in (as_ints, mixed):
+            got = cli.RunConfig(dict(TWO_ATOM, atoms=atoms)).data
+            for name in ("positions", "masses"):
+                assert getattr(got.measure, name).tobytes() == getattr(want.measure, name).tobytes()
+            assert got.velocities.tobytes() == want.velocities.tobytes()
+
+    def test_subclassed_atoms_and_values_accepted(self):
+        # a dict subclass or a float subclass (a numpy float64) is a valid
+        # atom and value, as isinstance says, and gives the same data
+        class Atom(dict):
+            pass
+
+        atoms = [{"position": float(i), "mass": 0.5 + i, "velocity": -1.0 * i} for i in range(5)]
+        want = cli.RunConfig(dict(TWO_ATOM, atoms=atoms)).data
+        variants = (
+            [Atom(atom) for atom in atoms],
+            [{key: np.float64(value) for key, value in atom.items()} for atom in atoms],
+        )
+        for variant in variants:
+            got = cli.RunConfig(dict(TWO_ATOM, atoms=variant)).data
+            assert np.array_equal(got.measure.positions, want.measure.positions)
+            assert np.array_equal(got.measure.masses, want.measure.masses)
+            assert np.array_equal(got.velocities, want.velocities)
 
 
 class TestSolve:
@@ -508,6 +604,26 @@ class TestPlot:
         (points,) = [line for line in svg.splitlines() if "<polyline" in line]
         assert points.count(",") == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_linear_axes_drop_points_that_are_not_finite(self, bad, where, axis):
+        # a NaN first used to make the extents [nan, nan], a NaN later to
+        # write "x,nan" points, and an infinity to write nan points
+        xs, ys = [0.0, 1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 2.0, 0.25, 3.0]
+        keep = [i for i in range(5) if i != where]
+        (xs if axis == "x" else ys)[where] = bad
+        series = [("m", xs, ys), ("q", [0.0, 1.0], [1.0, 2.0])]
+        svg = cli._polyline_svg(series, step=("m",))
+        assert "nan" not in svg and "inf" not in svg
+        clean = [("m", [xs[i] for i in keep], [ys[i] for i in keep]), series[1]]
+        assert svg == cli._polyline_svg(clean, step=("m",))
+
+    def test_no_finite_point_plots_unit_extents(self):
+        svg = cli._polyline_svg([("m", [math.nan, 1.0], [0.0, math.inf])])
+        assert "x: [0, 1]" in svg and "y: [0, 1]" in svg
+        assert 'points=""' in svg
+
     def test_missing_inputs_exit_2(self, tmp_path):
         code = main(["plot", "--config", write_config(tmp_path, TWO_ATOM), "--out", str(tmp_path)])
         assert code == 2
@@ -545,6 +661,197 @@ class TestDeterminism:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines == ["c", ",".join(cli._fmt(v) for v in row)]
         assert lines[1] == "0.10000000000000001,-0,1e-300,inf,7,-3,true,false,2.4999999999999999e-17,-12,true,false,a b"
+
+
+# References for the column forms of write_csv and _polyline_svg: the
+# per-cell and per-point bodies they replaced.
+
+
+def reference_csv_text(header, rows) -> str:
+    """write_csv's text, cell by cell."""
+    fmt = {float: lambda v: format(v, ".17g"), int: str, bool: lambda v: "true" if v else "false"}.get
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(type(v), cli._fmt)(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def reference_polyline_svg(series, width=640, height=480, logx=False, logy=False, step=()):
+    """_polyline_svg point by point; equal to it where every x and y on a
+    linear axis is finite."""
+    pad = 50.0
+
+    def scale(v, log):
+        return (math.log10(v) if v > 0 else None) if log else v
+
+    kept = []
+    for label, xs, ys in series:
+        pts = [(scale(x, logx), scale(y, logy)) for x, y in zip(xs, ys)]
+        kept.append((label, [(x, y) for x, y in pts if x is not None and y is not None]))
+    xs_all = [x for _, pts in kept for x, _ in pts] or [0.0, 1.0]
+    ys_all = [y for _, pts in kept for _, y in pts] or [0.0, 1.0]
+    x0, x1 = min(xs_all), max(xs_all)
+    y0, y1 = min(ys_all), max(ys_all)
+    if x1 - x0 == 0.0:
+        x1 = x0 + 1.0
+    if y1 - y0 == 0.0:
+        y1 = y0 + 1.0
+
+    def mapx(x):
+        return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
+
+    def mapy(y):
+        return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
+
+    body = [
+        f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
+        'fill="none" stroke="black" stroke-width="1"/>'
+    ]
+    for idx, (label, pts) in enumerate(kept):
+        line, prev = [], None
+        for x, y in pts:
+            if label in step and prev is not None:
+                line.append(f"{mapx(x):.3f},{mapy(prev):.3f}")
+            line.append(f"{mapx(x):.3f},{mapy(y):.3f}")
+            prev = y
+        color = cli._COLORS[idx % len(cli._COLORS)]
+        body.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(line)}"/>'
+        )
+        body.append(
+            f'<text x="{pad + 6}" y="{pad + 16 + 16 * idx}" font-size="12" fill="{color}">{label}</text>'
+        )
+    body.append(
+        f'<text x="{pad}" y="{height - pad + 20}" font-size="11">x: [{x0:.6g}, {x1:.6g}]'
+        f'{" (log10)" if logx else ""}</text>'
+    )
+    body.append(
+        f'<text x="{pad}" y="{pad - 8}" font-size="11">y: [{y0:.6g}, {y1:.6g}]'
+        f'{" (log10)" if logy else ""}</text>'
+    )
+    return cli._svg_document(width, height, "\n".join(body) + "\n")
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1e-310, 1.7976931348623157e308, 0.1, -1 / 3]
+
+
+def random_floats(rng, n):
+    """Random float64 bit patterns, normal draws and the special values."""
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64).tolist()
+    pool = bits + rng.normal(size=n).tolist() + (rng.normal(size=n) * 1e-310).tolist() + SPECIAL_FLOATS
+    return [pool[i] for i in rng.integers(0, len(pool), size=n)]
+
+
+def random_column(rng, kind, n):
+    """n cells of one kind: a plain Python type, a numpy scalar type, or mixed."""
+    floats = random_floats(rng, n)
+    ints = [int(v) for v in rng.integers(-(2**62), 2**62, size=n)]
+    ints[: n // 4] = [v * 10**30 for v in ints[: n // 4]]
+    bools = rng.random(n) < 0.5
+    cells = {
+        "float": floats,
+        "int": ints,
+        "bool": bools.tolist(),
+        "str": [f"s{v}" for v in ints],
+        "np.float64": [np.float64(v) for v in floats],
+        "np.float32": [np.float32(v) for v in rng.normal(size=n)],
+        "np.int64": list(np.array(ints[n // 4:] * 2, dtype=np.int64)[:n]),
+        "np.bool_": list(bools),
+    }
+    if kind == "mixed":
+        pools = list(cells.values()) + [[None] * n]
+        return [pools[k][i] for i, k in enumerate(rng.integers(0, len(pools), size=n))]
+    return cells[kind]
+
+
+CELL_KINDS = ("float", "int", "bool", "str", "np.float64", "np.float32", "np.int64", "np.bool_", "mixed")
+
+
+class TestTextOutputMatchesReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_csv_bytes(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n_rows = int(rng.integers(1, 60))
+        kinds = [CELL_KINDS[k] for k in rng.integers(0, len(CELL_KINDS), size=int(rng.integers(1, 9)))]
+        columns = [random_column(rng, kind, n_rows) for kind in kinds]
+        header = [f"c{j}" for j in range(len(kinds))]
+        want = reference_csv_text(header, zip(*columns))
+        path = tmp_path / "cells.csv"
+        for rows in (list(zip(*columns)), zip(*columns), (tuple(row) for row in zip(*columns)),
+                     [list(row) for row in zip(*columns)]):
+            cli.write_csv(str(path), header, rows)
+            assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_csv_bytes_per_cell_kind(self, tmp_path, kind):
+        rng = np.random.default_rng(CELL_KINDS.index(kind))
+        columns = [random_column(rng, kind, 400), random_column(rng, "float", 400)]
+        path = tmp_path / "cells.csv"
+        cli.write_csv(str(path), ["a", "b"], zip(*columns))
+        assert path.read_bytes() == reference_csv_text(["a", "b"], zip(*columns)).encode("utf-8")
+
+    def test_csv_without_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        for rows in ([], iter(()), zip([], [])):
+            cli.write_csv(str(path), ["x", "y"], rows)
+            assert path.read_text(encoding="utf-8") == reference_csv_text(["x", "y"], []) == "x,y\n"
+
+    def test_csv_rows_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="equally many cells"):
+            cli.write_csv(str(tmp_path / "ragged.csv"), ["x", "y"], [(1.0, 2.0), (3.0,)])
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_svg_bytes_on_finite_series(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        series = []
+        for label in ("m", "q", "u", "E")[: int(rng.integers(1, 5))]:
+            n = int(rng.integers(0, 300))
+            xs = np.sort(rng.uniform(-12.0, 12.0, n))
+            ys = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8)
+            if rng.random() < 0.3:
+                ys = np.round(ys)  # repeated values and exact zeros of either sign
+                ys[rng.random(n) < 0.2] = -0.0
+            series.append((label, xs.tolist(), ys.tolist()))
+        flat = rng.random() < 0.2  # one value everywhere: zero extents
+        if flat and series:
+            series[0] = (series[0][0], series[0][1], [1.5] * len(series[0][1]))
+        for step in ((), ("m",), ("m", "E")):
+            assert cli._polyline_svg(series, step=step) == reference_polyline_svg(series, step=step)
+
+    @pytest.mark.parametrize(
+        "ys",
+        [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [-1.0, 0.0, -0.0], [-1.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]],
+    )
+    def test_svg_extents_keep_the_sign_of_the_first_zero(self, ys):
+        for series in ([("m", [-0.0, 0.0, 2.0], ys)], [("m", [], []), ("q", [0.0, -0.0, 0.0], ys)], []):
+            assert cli._polyline_svg(series, step=("m",)) == reference_polyline_svg(series, step=("m",))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_svg_bytes_on_log_series(self, seed):
+        # on a log axis both forms drop NaN and values that are not > 0
+        rng = np.random.default_rng(200 + seed)
+        for logx, logy in ((True, True), (False, True), (True, False)):
+            series = []
+            for label in ("err_m", "err_u"):
+                taus = (2.0 ** -np.arange(1, 11)).tolist()
+                errs = (10.0 ** rng.uniform(-16, 2, len(taus))).tolist()
+                for values, log in ((taus, logx), (errs, logy)):
+                    bad = [0.0, -0.0, -1.0] + [math.nan] * log  # a linear axis keeps finite values
+                    for i in rng.integers(0, len(values), size=int(rng.integers(0, 4))).tolist():
+                        values[i] = bad[i % len(bad)]
+                series.append((label, taus, errs))
+            want = reference_polyline_svg(series, logx=logx, logy=logy)
+            assert cli._polyline_svg(series, logx=logx, logy=logy) == want
+
+    def test_plot_of_a_solution_file_matches_reference(self, tmp_path):
+        cfg_path = write_config(tmp_path, dict(TWO_ATOM, times=[0.0, 0.5, 2.0]))
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        for t in ("0", "0.5", "2"):
+            header, rows = read_csv(tmp_path / f"solution_t{t}.csv")
+            xs = [float(r[0]) for r in rows]
+            series = [(c, xs, [float(r[header.index(c)]) for r in rows]) for c in ("m", "q", "u", "E")]
+            assert cli._polyline_svg(series, step=("m",)) == reference_polyline_svg(series, step=("m",))
 
 
 class TestToleranceOverride:

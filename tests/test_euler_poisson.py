@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stickygas.drift import _drift_point, _drift_ranges, drift_cluster_snapshot, eval_mbar
-from stickygas.errors import NonPositiveTime
+from stickygas.errors import EmptyMeasure, NonPositiveTime
 from stickygas.euler_poisson import (
     DEFAULT_SPEED_TOL,
     Branch,
@@ -406,6 +406,20 @@ class TestSample:
         s = sample(single_atom, 0.0, 0.0)
         assert (s.m, s.q, s.E) == (0.0, 0.0, 0.0)
         assert s.u == 1.0  # atom exactly at the query point
+
+    def test_empty_measure(self):
+        # at t > 0 the velocity pass has no atom to anchor a backward cone:
+        # the typed error, not an IndexError; m, q and E answer 0.0
+        empty = InitialData.from_atoms([], [], [], 1.0)
+        for x in (0.0, [-1.0, 0.0, 2.0]):
+            for field in (eval_u, sample):
+                with pytest.raises(EmptyMeasure):
+                    field(empty, x, 1.0)
+        assert (eval_m(empty, 0.0, 1.0), eval_q(empty, 0.0, 1.0), eval_E(empty, 0.0, 1.0)) == (0.0, 0.0, 0.0)
+        # t = 0 reads the initial data: no atom, so u is 0.0
+        s = sample(empty, 0.0, 0.0)
+        assert (s.m, s.q, s.u, s.E, s.branch) == (0.0, 0.0, 0.0, 0.0, Branch.CHARACTERISTIC)
+        assert eval_u(empty, [0.0, 1.0], 0.0) == [(0.0, Branch.CHARACTERISTIC)] * 2
 
 
 def holder(state, atom):
