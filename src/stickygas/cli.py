@@ -319,26 +319,40 @@ def _compare_cases(cfg: RunConfig, rng):
             yield inst, t, xs, traj, i + 1
 
 
+def _segment_max(values, bounds):
+    """Per row r, the maximum of values[bounds[r]:bounds[r + 1]] (values >= 0), or 0.0 where it is empty."""
+    return np.where(np.diff(bounds) > 0, np.maximum.reduceat(np.append(values, 0.0), bounds[:-1]), 0.0)
+
+
 def _compare_rows(cases, tol):
     """(instance, t, max |dm|, max |du|, pass) per case (data, t, xs,
-    trajectory, instance): m on xs, then cluster by cluster.
-
-    The formula layer reads the cases' (data, t, xs) in stacked blocks, and
-    no more than one block of cases waits for it. Each oracle cluster meets
-    the formula cluster that holds its first atom; a row passes when m, the
-    velocities and the positions agree within tol and both layers hold the
-    same atom ranges.
-    """
+    trajectory, instance), a block at a time: no more than one block of cases
+    waits for the formula layer, and a block's cases and columns are freed
+    before the next block is formed."""
     cases, rows = itertools.tee(cases)
-    formula_rows = eval_m_and_clusters_stacked(case[:3] for case in rows)
-    for (_, t, xs, traj, instance), (m, formula) in zip(cases, formula_rows):
-        state = traj.state_at(t)
-        dm = float(np.max(np.abs(m - oracle_cdf(state, xs)))) if len(xs) else 0.0
-        held = np.searchsorted(formula.hi, state.lo, side="right")
-        du = float(np.max(np.abs(formula.velocities[held] - state.velocities)))
-        dx = float(np.max(np.abs(formula.positions[held] - state.positions)))
-        same = np.array_equal(formula.lo, state.lo) and np.array_equal(formula.hi, state.hi)
-        yield instance, t, dm, du, bool(dm <= tol and du <= tol and dx <= tol and same)
+    for formula in eval_m_and_clusters_stacked(case[:3] for case in rows):
+        yield from _compare_block(list(itertools.islice(cases, formula[-1].size - 1)), *formula, tol)
+
+
+def _compare_block(block, m, m_bounds, lo, hi, pos, vel, bounds, tol) -> list:
+    """compare's rows of one block as flat columns, each row's maxima per
+    segment. Each oracle cluster meets the formula cluster that holds its first
+    atom (one searchsorted on row-keyed columns); a row passes when m, the
+    velocities and the positions agree within tol and the atom ranges match."""
+    states = [traj.state_at(t) for _, t, _, traj, _ in block]
+    cdf = np.concatenate([oracle_cdf(state, case[2]) for state, case in zip(states, block)])
+    o_lo, o_hi, o_pos, o_vel = (np.concatenate([getattr(s, c) for s in states]) for c in ("lo", "hi", "positions", "velocities"))
+    f_count, o_count = np.diff(bounds), np.array([state.lo.size for state in states])
+    row, width, o_bounds = np.arange(len(block)), hi.max(initial=0) + 1, np.cumsum([0, *o_count])
+    o_row = np.repeat(row, o_count)
+    held = np.searchsorted(np.repeat(row, f_count) * width + hi, o_row * width + o_lo, side="right")
+    dm, du, dx = (_segment_max(np.abs(f - o), b) for f, o, b in ((m, cdf, m_bounds), (vel[held], o_vel, o_bounds), (pos[held], o_pos, o_bounds)))
+    match = f_count == o_count
+    f_sel, o_sel = np.repeat(match, f_count), np.repeat(match, o_count)
+    differ = (lo[f_sel] != o_lo[o_sel]) | (hi[f_sel] != o_hi[o_sel])
+    same = match & (np.bincount(o_row[o_sel][differ], minlength=row.size) == 0)
+    passed = (dm <= tol) & (du <= tol) & (dx <= tol) & same
+    return list(zip([c[4] for c in block], [c[1] for c in block], dm.tolist(), du.tolist(), passed.tolist()))
 
 
 def cmd_compare(cfg: RunConfig, out: str, seed: int | None = None) -> tuple:
@@ -449,15 +463,17 @@ def _polyline_svg(series, width=640, height=480, logx=False, logy=False, step=()
         x1 = x0 + 1.0
     if y1 - y0 == 0.0:
         y1 = y0 + 1.0
+    hx, hy = (1.0 if math.isfinite(v1 - v0) else 2.0 for v0, v1 in ((x0, x1), (y0, y1)))
 
     body = [
         f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
         'fill="none" stroke="black" stroke-width="1"/>'
     ]
     for idx, (label, x, y) in enumerate(kept):
-        # the operations, in their order, of the same map on Python floats: the same bits
-        px = pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
-        py = height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
+        # the operations, in their order, of the same map on Python floats: the
+        # same bits (v / 1.0 is v); a span that overflows is mapped by halves
+        px = pad + (x / hx - x0 / hx) / (x1 / hx - x0 / hx) * (width - 2 * pad)
+        py = height - pad - (y / hy - y0 / hy) / (y1 / hy - y0 / hy) * (height - 2 * pad)
         if label in step:  # a step to each new y at the new x
             px, py = np.repeat(px, 2)[1:], np.repeat(py, 2)[:-1]
         # one % for the whole line, "%.3f" per value as the f-string ".3f" writes it

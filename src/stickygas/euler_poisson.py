@@ -29,8 +29,8 @@ dense ``PrefixFrame.argmin`` scan runs only in the lookup's tie window and
 on grids of a few points before a frame's hull is built.
 
 Many (data, t, xs) rows at once go through ``eval_m_and_clusters_stacked``:
-one ``potentials.FrameStack`` per bounded block of rows, each row equal to
-``eval_m_grid`` plus ``cluster_snapshot`` bit for bit.
+one ``potentials.FrameStack`` per bounded block of rows, as flat columns,
+each row equal to ``eval_m_grid`` plus ``cluster_snapshot`` bit for bit.
 """
 
 from __future__ import annotations
@@ -333,35 +333,34 @@ def eval_m_grid(data: InitialData, xs, t: float):
 
 
 def eval_m_and_clusters_stacked(rows):
-    """``eval_m_grid`` at xs and ``cluster_snapshot`` at t for each
-    (data, t, xs) row, t > 0: yields (m, ClusterState) in row order, each
-    equal to the separate calls bit for bit.
-
-    Consecutive rows share one ``FrameStack`` per block, whose padded size,
-    rows times the largest N + 1 or grid length among them, stays within
-    BLOCK_ELEMENTS (a block holds at least one row). Rows are read and
-    evaluated one block at a time, so memory stays bounded by a block.
+    """``eval_m_grid`` at xs and ``cluster_snapshot`` at t for (data, t, xs)
+    rows, t > 0: per block of rows, the flat columns (m, m_bounds, lo, hi,
+    positions, velocities, bounds), row r's m at m_bounds[r]:m_bounds[r + 1]
+    and its clusters at bounds[r]:bounds[r + 1], equal to the separate calls
+    bit for bit. A block's ``FrameStack``, rows times the largest N + 1
+    or grid length, stays within BLOCK_ELEMENTS (or holds one row); rows are
+    read one block at a time, so memory stays bounded by a block.
     """
     block, width = [], 0
     for data, t, xs in rows:
         size = max(len(data) + 1, len(xs))
         if block and (len(block) + 1) * max(width, size) > BLOCK_ELEMENTS:
-            yield from _stacked_block(block)
+            yield _stacked_block(block)
             block, width = [], 0
         block.append((data, t, xs))
         width = max(width, size)
     if block:
-        yield from _stacked_block(block)
+        yield _stacked_block(block)
 
 
-def _stacked_block(block) -> list:
+def _stacked_block(block) -> tuple:
     stack = FrameStack(
         [(data.measure, data.velocities, PotentialCoefficients.euler_poisson(data.tau, t)) for data, t, _ in block]
     )
     sizes = [len(xs) for _, _, xs in block]
     _, k_min, _ = stack.argmin_grid([xs for _, _, xs in block])
-    ms = np.split(stack.P[np.repeat(np.arange(len(block)), sizes), k_min], np.cumsum(sizes)[:-1])
-    return [(m, stack.cluster_state(q, t)) for q, (m, (_, t, _)) in enumerate(zip(ms, block))]
+    m = stack.P[np.repeat(np.arange(len(block)), sizes), k_min]
+    return m, np.cumsum([0, *sizes]), stack.lo, stack.hi, stack.positions, stack.velocities, stack.bounds
 
 
 # -- cluster structure -------------------------------------------------------

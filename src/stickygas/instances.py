@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .measure import InitialData
@@ -31,14 +33,16 @@ def sample_times_avoiding_events(
     """Draw sample times keeping a margin from collision instants.
 
     Pointwise layer comparison exactly at a merge instant is side-dependent,
-    so times landing within 1e-3*(1+t) of an event are redrawn.
+    so times landing within 1e-3*(1+t) of an event are redrawn. The nearest
+    event is one of the two around t, since e - t rounds monotonically in e.
     """
-    events = np.asarray(sorted(event_times), dtype=float)
+    events = sorted(map(float, event_times))
     out = []
     for _ in range(n):
         for _ in range(100):
             t = float(rng.uniform(t_lo, t_hi))
-            if events.size == 0 or np.min(np.abs(events - t)) > 1e-3 * (1.0 + t):
+            i, margin = bisect.bisect(events, t), 1e-3 * (1.0 + t)
+            if (i == 0 or t - events[i - 1] > margin) and (i == len(events) or events[i] - t > margin):
                 break
         out.append(t)
     return out

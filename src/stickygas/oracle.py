@@ -277,8 +277,8 @@ class Trajectory:
         ts: positions and velocities are (len(times) x clusters) arrays whose
         row j equals the columns of state_at(times[j]) bit for bit, masses is
         the interval's mass column. A block holds at most BLOCK_ELEMENTS
-        positions (or one row), so memory stays bounded however many times
-        fall in one interval.
+        positions (or one row, or BLOCK_ELEMENTS rows of no cluster), so
+        memory stays bounded however many times fall in one interval.
         """
         ts = np.asarray(ts, dtype=float)
         if not ts.size:
@@ -290,7 +290,7 @@ class Trajectory:
         for start, stop in zip(bounds[:-1], bounds[1:]):
             ids = self._alive(ts[start])
             masses = self.records.mass[ids]
-            step = max(1, BLOCK_ELEMENTS // ids.size)
+            step = max(1, BLOCK_ELEMENTS // max(ids.size, 1))
             for first in range(start, stop, step):
                 times = ts[first : min(first + step, stop)]
                 yield (times, *self._rows(ids, times), masses)

@@ -267,21 +267,19 @@ class FrameStack:
     row's points at once. The tie tolerance is read at construction.
     """
 
-    __slots__ = ("P", "S", "Q", "n", "tie_tol", "lo", "hi", "positions", "velocities", "masses", "_first", "_lookup")
+    __slots__ = ("P", "S", "Q", "n", "tie_tol", "lo", "hi", "positions", "velocities", "masses", "bounds", "_lookup")
 
     def __init__(self, rows):
         n = np.array([len(measure) + 1 for measure, _, _ in rows])
         R, L = n.size, int(n.max())
-        P = np.empty((R, L))
+        # one scatter per column, row after row: the prefixes (then the total mass), the atoms
+        P = np.repeat([measure.total_mass for measure, _, _ in rows], L).reshape(R, L)
+        P[np.arange(L) < n[:, None]] = np.concatenate([measure.prefix_mass for measure, _, _ in rows])
+        atoms = [(m.positions, m.masses, m.atom_mtilde(), np.zeros(len(m)) if v is None else v) for m, v, _ in rows]
         eta, w, mt, u = (np.zeros((R, L - 1)) for _ in range(4))
-        moving = np.zeros(R, dtype=bool)
-        for r, (measure, velocities, coeffs) in enumerate(rows):
-            N = len(measure)
-            P[r, : N + 1], P[r, N + 1 :] = measure.prefix_mass, measure.total_mass
-            eta[r, :N], w[r, :N], mt[r, :N] = measure.positions, measure.masses, measure.atom_mtilde()
-            if velocities is not None:
-                u[r, :N] = velocities
-                moving[r] = coeffs.A != 0.0
+        for column, parts in zip((eta, w, mt, u), zip(*atoms)):
+            column[np.arange(L - 1) < n[:, None] - 1] = np.concatenate(parts)
+        moving = np.array([v is not None and c.A != 0.0 for _, v, c in rows])
         A, B, decay = (np.array([[getattr(c, f)] for _, _, c in rows]) for f in ("A", "B", "decay"))
         # the frame's operations, row by row: X = eta + B*mtilde0 (+ A*u), and
         # the free-flight velocity decay*u - A*mtilde0
@@ -316,11 +314,12 @@ class FrameStack:
         self.velocities = (flat_Q[b] - flat_Q[a]) / dm
         for column in (self.lo, self.hi, self.masses, self.positions, self.velocities):
             column.setflags(write=False)
-        # row r's vertices are idx[first[r]:first[r + 1]], its clusters start
-        # at first[r] - r; the lookup gathers flat, at vertex g of idx the
-        # slopes below and above it (-+inf past the row's ends), at flat index
-        # i the step P[i] - P[i - 1] (+inf at a row's start and past its end)
-        self._first = np.searchsorted(row, np.arange(R + 1))
+        # row r's clusters are bounds[r]:bounds[r + 1] and its vertices
+        # idx[bounds[r] + r:bounds[r + 1] + r + 1]; the lookup gathers flat, at
+        # vertex g of idx the slopes below and above it (-+inf past the row's
+        # ends), at flat index i the step P[i] - P[i - 1] (+inf at a row's
+        # start and past its end)
+        self.bounds = np.searchsorted(row, np.arange(R + 1)) - np.arange(R + 1)
         below, above = np.full(idx.size, -np.inf), np.full(idx.size, np.inf)
         below[1:][edge] = above[:-1][edge] = self.positions
         steps = np.empty(R * L + 1)
@@ -333,7 +332,7 @@ class FrameStack:
         """Row r's clusters as a ClusterState at ``time``: cluster j has
         mass P[hi[j]] - P[lo[j]] and its hull velocity, or velocities[j]
         when a velocity column is given."""
-        a, b = self._first[r] - r, self._first[r + 1] - r - 1
+        a, b = self.bounds[r], self.bounds[r + 1]
         vel = self.velocities[a:b] if velocities is None else velocities
         return ClusterState(time, self.positions[a:b], self.masses[a:b], vel, self.lo[a:b], self.hi[a:b])
 
@@ -353,12 +352,12 @@ class FrameStack:
         sizes = [len(g) for g in grids]
         xs = _finite_points(np.concatenate([np.asarray(g, dtype=float) for g in grids]))
         r = np.repeat(np.arange(len(grids)), sizes)
-        f, g = self._first.tolist(), list(itertools.accumulate(sizes, initial=0))
+        f, g = self.bounds.tolist(), list(itertools.accumulate(sizes, initial=0))
         j = np.concatenate(
-            [np.searchsorted(self.positions[f[q] - q : f[q + 1] - q - 1], xs[g[q] : g[q + 1]]) for q in range(len(grids))]
+            [np.searchsorted(self.positions[f[q] : f[q + 1]], xs[g[q] : g[q + 1]]) for q in range(len(grids))]
         )
         idx, flat_S, flat_P, below, above, steps, s_max, total = self._lookup
-        at = self._first[r] + j
+        at = self.bounds[r] + r + j
         v = idx[at]
         nu = flat_S[v] - xs * flat_P[v]
         settled = _settled(xs, nu, s_max[r], total[r], self.tie_tol, below[at], above[at], steps[v], steps[v + 1])

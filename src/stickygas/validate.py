@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveTime, QuadratureDivergence, StencilTooCloseToShock
+from .errors import EmptyMeasure, NonPositiveTime, QuadratureDivergence, StencilTooCloseToShock
 from .euler_poisson import (
     cluster_snapshot,
     eval_E,
@@ -127,7 +127,9 @@ class TestFunction:
 
 
 def default_bump_family(data: InitialData, t_window):
-    """Three deterministic bumps covering the support over the window."""
+    """Three deterministic bumps covering the support over the window; EmptyMeasure if it is empty."""
+    if len(data) == 0:
+        raise EmptyMeasure("no bump covers the support: the measure is empty")
     t_lo, t_hi = t_window
     ct = 0.5 * (t_lo + t_hi)
     rt = 0.5 * (t_hi - t_lo)

@@ -478,17 +478,20 @@ class TestCompare:
                 assert set(tied) & set(xs.tolist())
                 assert_compare_matches_reference(data, traj, [t], xs)
 
+    class Shifted:
+        """An oracle trajectory whose clusters sit 1e-6 to the right."""
+
+        def __init__(self, traj):
+            self.traj = traj
+
+        def state_at(self, t):
+            s = self.traj.state_at(t)
+            return ClusterState(t, s.positions + 1e-6, s.masses, s.velocities, s.lo, s.hi)
+
     def test_position_only_mismatch_fails(self):
         # oracle clusters shifted by 1e-6 with unchanged velocities: m on a
         # grid far from every cluster and the velocities still agree
-        class Shifted:
-            def __init__(self, traj):
-                self.traj = traj
-
-            def state_at(self, t):
-                s = self.traj.state_at(t)
-                return ClusterState(t, s.positions + 1e-6, s.masses, s.velocities, s.lo, s.hi)
-
+        Shifted = self.Shifted
         rng = np.random.default_rng(12)
         for _ in range(10):
             data = random_instance(rng, n_max=8)
@@ -534,6 +537,160 @@ class TestCompare:
         assert code == 0
         assert branch_calls[0] == 0
         assert tied <= set(grids)
+
+
+def reference_compare_rows(cases, tol):
+    """compare's rows as the per-row reference computes them: one formula
+    row (eval_m_grid and cluster_snapshot, equal to one stacked row bit
+    for bit) and one oracle state per case, and numpy reductions per row."""
+    for data, t, xs, traj, instance in cases:
+        m, formula = eval_m_grid(data, xs, t), cluster_snapshot(data, t)
+        state = traj.state_at(t)
+        dm = float(np.max(np.abs(m - oracle_cdf(state, xs)))) if len(xs) else 0.0
+        held = np.searchsorted(formula.hi, state.lo, side="right")
+        du = float(np.max(np.abs(formula.velocities[held] - state.velocities)))
+        dx = float(np.max(np.abs(formula.positions[held] - state.positions)))
+        same = np.array_equal(formula.lo, state.lo) and np.array_equal(formula.hi, state.hi)
+        yield instance, t, dm, du, bool(dm <= tol and du <= tol and dx <= tol and same)
+
+
+def ensemble_config(atom_seed, n_atoms=100, n_instances=200):
+    """A verify_ensemble-shaped config: the baseline N = 100 atoms drawn from
+    ``atom_seed`` (positions U(-10, 10) sorted, masses U(0.01, 2)/N,
+    velocities U(-2, 2)), tau 0.5, times 0.3 and 1.0 on a 1001-point grid,
+    and 200 random instances."""
+    rng = np.random.default_rng(atom_seed)
+    positions = np.sort(rng.uniform(-10.0, 10.0, size=n_atoms))
+    masses = rng.uniform(0.01, 2.0, size=n_atoms) / n_atoms
+    velocities = rng.uniform(-2.0, 2.0, size=n_atoms)
+    atoms = [{"position": p, "mass": m, "velocity": v} for p, m, v in zip(positions.tolist(), masses.tolist(), velocities.tolist())]
+    return cli.RunConfig(
+        dict(TWO_ATOM, atoms=atoms, tau=0.5, times=[0.3, 1.0], t_end=2.0, n_instances=n_instances,
+             x_grid={"min": -12.0, "max": 12.0, "count": 1001})
+    )
+
+
+class Repartitioned:
+    """An oracle trajectory whose states change their atom ranges: "merge"
+    joins the first two clusters, "split" cuts the first cluster of two or
+    more atoms in two, "shift" moves the first cluster's last atom into
+    the next cluster, and "relabel" gives the last cluster one atom past
+    the end (its first atom stays, so it meets the same formula cluster);
+    positions and velocities stay the oracle's, and so does the mass at
+    every position."""
+
+    def __init__(self, traj, how):
+        self.traj, self.how = traj, how
+
+    def state_at(self, t):
+        s = self.traj.state_at(t)
+        pos, mass, vel, lo, hi = (np.array(c) for c in (s.positions, s.masses, s.velocities, s.lo, s.hi))
+        if self.how == "merge" and lo.size > 1:
+            w = mass[:2] / mass[:2].sum()
+            pos, vel = np.r_[w @ pos[:2], pos[2:]], np.r_[w @ vel[:2], vel[2:]]
+            mass, lo, hi = np.r_[mass[:2].sum(), mass[2:]], np.delete(lo, 1), np.delete(hi, 0)
+        wide = np.flatnonzero(hi - lo > 1)
+        if self.how == "split" and wide.size:
+            j = wide[0]
+            pos, mass, vel = np.insert(pos, j, pos[j]), np.insert(mass, j, 0.0), np.insert(vel, j, vel[j])
+            lo, hi = np.insert(lo, j + 1, lo[j] + 1), np.insert(hi, j, lo[j] + 1)
+        if self.how == "shift" and lo.size > 1 and hi[0] - lo[0] > 1:
+            hi[0] -= 1
+            lo[1] -= 1
+        if self.how == "relabel":
+            hi[-1] += 1
+        return ClusterState(t, pos, mass, vel, lo, hi)
+
+
+class Heavier:
+    """An oracle trajectory whose clusters hold twice their mass."""
+
+    def __init__(self, traj):
+        self.traj = traj
+
+    def state_at(self, t):
+        s = self.traj.state_at(t)
+        return ClusterState(t, s.positions, 2.0 * s.masses, s.velocities, s.lo, s.hi)
+
+
+def assert_rows_equal_reference(cases, tol=1e-9):
+    """The block compare of ``cases`` equals the per-row reference, repr for
+    repr; returns the rows."""
+    got = list(cli._compare_rows(iter(cases), tol))
+    assert repr(got) == repr(list(reference_compare_rows(cases, tol)))
+    return got
+
+
+class TestBlockCompareMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 17, 5])
+    def test_ensemble_configs(self, seed):
+        cases = list(cli._compare_cases(ensemble_config(seed), np.random.default_rng(seed)))
+        rows = assert_rows_equal_reference(cases)
+        assert len(rows) == 2 + 5 * 200 and all(row[-1] for row in rows)
+
+    @pytest.mark.parametrize("bound", [1, 64])
+    def test_block_edges_inside_an_instance(self, bound, monkeypatch):
+        # a bound of 64 cuts blocks between the five times of one instance
+        monkeypatch.setattr(euler_poisson, "BLOCK_ELEMENTS", bound)
+        cases = list(cli._compare_cases(ensemble_config(1, n_atoms=12, n_instances=30), np.random.default_rng(3)))
+        assert_rows_equal_reference(cases)
+
+    def test_empty_grids_and_single_atoms(self):
+        # empty grids first, last and between, and N = 1 instances, in one
+        # block; half the oracles hold twice the mass, so that their m
+        # differs and an empty grid next to them must still read 0.0
+        rng = np.random.default_rng(31)
+        cases = []
+        for i in range(40):
+            data = random_instance(rng, n_max=1 if i % 3 == 0 else 12)
+            traj = simulate_ep(data, 6.0)
+            xs = rng.uniform(-12.0, 12.0, size=int(rng.integers(1, 25))) if i % 4 in (1, 2) else np.empty(0)
+            oracle = Heavier(traj) if i % 8 in (2, 3, 4, 5) else traj
+            cases += [(data, t, xs, oracle, i) for t in sample_times_avoiding_events(rng, 2, 0.1, 5.5, traj.event_times)]
+        rows = assert_rows_equal_reference(cases)
+        assert [row[2] for row, case in zip(rows, cases) if not len(case[2])] == [0.0] * (len(cases) // 2)
+        assert [row[-1] for row in rows] == [not isinstance(c[3], Heavier) or not len(c[2]) for c in cases]
+        assert max(row[2] for row in rows) > 0.1
+        assert assert_rows_equal_reference([cases[-1]])[0][2] == 0.0
+
+    def test_shifted_positions(self):
+        rng = np.random.default_rng(12)
+        cases = []
+        for i in range(10):
+            data = random_instance(rng, n_max=8)
+            traj = simulate_ep(data, 6.0)
+            xs = [float(data.measure.positions[0]) - 100.0, float(data.measure.positions[-1]) + 100.0]
+            wrapped = traj if i % 2 else TestCompare.Shifted(traj)
+            cases += [(data, t, xs, wrapped, i) for t in sample_times_avoiding_events(rng, 3, 0.1, 5.5, traj.event_times)]
+        rows = assert_rows_equal_reference(cases)
+        assert [row[-1] for row in rows] == [case[4] % 2 == 1 for case in cases]
+
+    def test_partitions_that_differ(self):
+        # rows whose counts differ sit between rows whose counts match, so a
+        # misaligned row after them would change its verdict
+        rng = np.random.default_rng(13)
+        cases, honest = [], []
+        for i in range(60):
+            data = random_instance(rng, n_max=10)
+            traj = simulate_ep(data, 6.0)
+            how = ("merge", "split", "shift", "relabel", None)[i % 5]
+            xs = rng.uniform(-12.0, 12.0, size=9)
+            for t in sample_times_avoiding_events(rng, 3, 0.1, 5.5, traj.event_times):
+                cases.append((data, t, xs, Repartitioned(traj, how) if how else traj, i))
+                honest.append((data, t, xs, traj, i))
+        rows = assert_rows_equal_reference(cases)
+        want = assert_rows_equal_reference(honest)
+        changed = 0
+        for (_, t, _, traj, _), row, base in zip(cases, rows, want):
+            moved = False
+            if isinstance(traj, Repartitioned):
+                a, b = traj.state_at(t), traj.traj.state_at(t)
+                moved = a.lo.tolist() != b.lo.tolist() or a.hi.tolist() != b.hi.tolist()
+                if traj.how in ("split", "relabel"):  # m and u as before
+                    assert row[2:4] == base[2:4]
+            changed += moved
+            assert row[-1] is not moved and (moved or row == base)
+        assert changed > 80 and changed < len(cases) - 30
 
 
 class TestRelaxCommand:
@@ -623,6 +780,17 @@ class TestPlot:
         svg = cli._polyline_svg([("m", [math.nan, 1.0], [0.0, math.inf])])
         assert "x: [0, 1]" in svg and "y: [0, 1]" in svg
         assert 'points=""' in svg
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extents_whose_span_overflows(self):
+        # y1 - y0 is inf: the last point used to read nan, with numpy's
+        # overflow and invalid-value warnings; halves keep the span finite
+        svg = cli._polyline_svg([("m", [0.0, 1.0, 2.0], [-1e308, 0.0, 1e308])], step=("m",))
+        assert "nan" not in svg and "inf" not in svg
+        steps = "50.000,430.000 320.000,430.000 320.000,240.000 590.000,240.000 590.000,50.000"
+        assert f'points="{steps}"' in svg and "y: [-1e+308, 1e+308]" in svg
+        wide = cli._polyline_svg([("m", [-1.7e308, 1.7e308], [0.0, 1.0])])
+        assert 'points="50.000,430.000 590.000,50.000"' in wide and "nan" not in wide
 
     def test_missing_inputs_exit_2(self, tmp_path):
         code = main(["plot", "--config", write_config(tmp_path, TWO_ATOM), "--out", str(tmp_path)])

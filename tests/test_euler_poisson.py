@@ -766,18 +766,35 @@ class TestGridEvaluation:
             assert es == eval_E(data, xs, 0.0) == e0[k].tolist()
 
 
+CLUSTER_COLUMNS = ("lo", "hi", "positions", "velocities")
+
+
+def stacked_rows(rows):
+    """Each row's (m, {column: clusters}) cut out of the blocks of
+    ``eval_m_and_clusters_stacked``, in row order; every block's offsets
+    cover its flat columns exactly."""
+    got = []
+    for m, m_bounds, *columns, bounds in eval_m_and_clusters_stacked(iter(rows)):
+        assert m_bounds[0] == bounds[0] == 0 and m_bounds.size == bounds.size
+        assert m_bounds[-1] == m.size and all(c.size == bounds[-1] for c in columns)
+        for r in range(bounds.size - 1):
+            cut = slice(bounds[r], bounds[r + 1])
+            got.append((m[m_bounds[r] : m_bounds[r + 1]], {n: c[cut] for n, c in zip(CLUSTER_COLUMNS, columns)}))
+    return got
+
+
 def assert_rows_equal_single_frames(rows):
-    """Each row (data, t, xs) of ``eval_m_and_clusters_stacked`` equals
-    ``eval_m_grid`` plus ``cluster_snapshot`` byte for byte, in row order."""
-    got = list(eval_m_and_clusters_stacked(iter(rows)))
+    """Each row (data, t, xs)'s slice of its ``eval_m_and_clusters_stacked``
+    block equals ``eval_m_grid`` plus ``cluster_snapshot`` byte for byte, in
+    row order (a block holds no mass column: compare reads none)."""
+    got = stacked_rows(rows)
     assert len(got) == len(rows)
     for (data, t, xs), (m, state) in zip(rows, got):
         want = eval_m_grid(data, xs, t)
         assert (m.dtype, m.tobytes()) == (want.dtype, want.tobytes())
         snap = cluster_snapshot(data, t)
-        assert state.time == snap.time
-        for name in ("positions", "masses", "velocities", "lo", "hi"):
-            a, b = getattr(state, name), getattr(snap, name)
+        for name in CLUSTER_COLUMNS:
+            a, b = state[name], getattr(snap, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 

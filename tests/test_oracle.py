@@ -277,6 +277,16 @@ class TestBatchedStates:
             5000 - BLOCK_ELEMENTS,
         ]
 
+    def test_empty_trajectory_yields_zero_column_blocks(self):
+        # BLOCK_ELEMENTS // 0 clusters used to raise ZeroDivisionError, while
+        # state_at answered an empty state
+        empty = InitialData.from_atoms([], [], [], 1.0)
+        ts = np.linspace(0.0, 2.0, BLOCK_ELEMENTS + 7).tolist()
+        for traj in (simulate_ep(empty, 2.0), simulate_drift(empty.measure, 2.0)):
+            assert traj.state_at(1.0).positions.size == 0
+            self.assert_blocks_match(traj, ts)
+            assert [x.shape for _, x, _, _ in traj.states_at(ts)] == [(BLOCK_ELEMENTS, 0), (7, 0)]
+
     def test_rejects_times_outside_the_horizon(self, single_atom):
         traj = simulate_ep(single_atom, 2.0)
         for ts in ([0.5, 2.5], [-0.1, 1.0]):

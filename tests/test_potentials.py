@@ -707,6 +707,42 @@ class TestFrameStack:
                 part = a[ends[r] - xs.size : ends[r]]
                 assert (part.dtype, part.tobytes()) == (b.dtype, b.tobytes())
 
+    def test_scattered_rows_mix_drift_and_moving_rows(self):
+        # rows of 0 to 25 atoms: drift rows without velocities, drift
+        # coefficients with velocities (A = 0: the frame adds no A*u), and
+        # Euler-Poisson and scaled rows, in turn; each row's prefixes, its
+        # padding and its clusters equal its own frame's
+        rng = np.random.default_rng(74)
+        rows = []
+        for trial in range(80):
+            n = int(rng.integers(0, 26))
+            data = InitialData.from_atoms(
+                np.sort(rng.uniform(-10.0, 10.0, n)), rng.uniform(0.01, 2.0, n), rng.uniform(-2.0, 2.0, n), 0.5
+            )
+            t = float(rng.uniform(0.05, 5.0))
+            kind = trial % 4
+            coeffs = (
+                PotentialCoefficients.drift(t),
+                PotentialCoefficients.drift(t),
+                PotentialCoefficients.euler_poisson(0.5, t),
+                PotentialCoefficients.scaled(0.5, t),
+            )[kind]
+            rows.append((data.measure, None if kind == 0 else data.velocities, coeffs))
+        # an atom at -0.0 with mtilde 0 has X = -0.0, which adding A*u = 0.0
+        # would turn into 0.0: a row with A = 0 must add nothing
+        lone = InitialData.from_atoms([-0.0], [1.0], [1.0], 0.5)
+        rows += [(lone.measure, lone.velocities, PotentialCoefficients.drift(1.0)), (lone.measure, None, PotentialCoefficients.drift(2.0))]
+        stack = potentials.FrameStack(rows)
+        assert stack.bounds[0] == 0 and stack.bounds[-1] == stack.lo.size
+        for r, row in enumerate(rows):
+            frame = PrefixFrame(*row)
+            n = frame.P.size
+            for name in ("P", "S", "Q"):
+                got = getattr(stack, name)[r]
+                assert got[:n].tobytes() == getattr(frame, name).tobytes(), name
+                assert (got[n:] == got[n - 1]).all(), name
+            assert stack.cluster_state(r, 1.0) == frame.cluster_state(1.0)
+
     def test_unsettled_points_call_the_tie_rule_on_their_rows(self, monkeypatch):
         calls = []
         tie_rule = potentials._argmin

@@ -8,7 +8,7 @@ import pytest
 
 from stickygas import validate
 from stickygas.cli import _stencil_candidates
-from stickygas.errors import NonPositiveTime, StencilTooCloseToShock
+from stickygas.errors import EmptyMeasure, NonPositiveTime, StencilTooCloseToShock
 from stickygas.euler_poisson import FormulaSolution, cluster_snapshot, eval_E, eval_m_grid, eval_q, sample
 from stickygas.instances import random_instance
 from stickygas.measure import BLOCK_ELEMENTS, InitialData
@@ -99,6 +99,14 @@ class TestWeakForm:
         assert rep.passed
         assert rep.series["mass"][-1] <= 1e-10
         assert rep.series["momentum"][-1] <= 1e-10
+
+    def test_empty_measure_raises_empty_measure(self):
+        # the default bumps read the support's ends, which used to raise IndexError
+        empty = InitialData.from_atoms([], [], [], 1.0)
+        with pytest.raises(EmptyMeasure, match="empty"):
+            check_weak_form(empty, simulate_ep(empty, 2.0), (0.5, 1.5))
+        with pytest.raises(EmptyMeasure):
+            validate.default_bump_family(empty, (0.5, 1.5))
 
     def test_two_atom_through_collision_order_two(self, two_atom_symmetric):
         rep = check_weak_form(
