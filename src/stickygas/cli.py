@@ -274,15 +274,12 @@ def cmd_solve(cfg: RunConfig, out: str) -> list:
 def cmd_oracle(cfg: RunConfig, out: str) -> list:
     traj = simulate_ep(cfg.data, cfg.t_end)
     written = []
-    event_rows = [
-        (e.time, e.position, e.merged[0][0], e.merged[0][1], e.merged[1][0], e.merged[1][1], e.result[0], e.result[1])
-        for e in traj.events
-    ]
+    e = traj.event_columns
     path = os.path.join(out, "oracle_events.csv")
     write_csv(
         path,
         ["time", "x", "left_lo", "left_hi", "right_lo", "right_hi", "merged_lo", "merged_hi"],
-        event_rows,
+        zip(e.time, e.position, e.left_lo, e.left_hi, e.right_lo, e.right_hi, e.left_lo, e.right_hi),
     )
     written.append(path)
     for t in cfg.times:

@@ -37,6 +37,10 @@ class EventHorizonExceeded(NumericError):
     """More merge events than atoms minus one: internal invariant broken."""
 
 
+class EventMarginExhausted(NumericError):
+    """No drawn sample time cleared the margin around the merge events."""
+
+
 class IdentityViolation(NumericError):
     """A closed-form identity that must hold to roundoff was violated."""
 

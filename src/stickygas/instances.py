@@ -6,6 +6,7 @@ import bisect
 
 import numpy as np
 
+from .errors import EventMarginExhausted
 from .measure import InitialData
 
 __all__ = ["random_instance", "sample_times_avoiding_events"]
@@ -33,8 +34,10 @@ def sample_times_avoiding_events(
     """Draw sample times keeping a margin from collision instants.
 
     Pointwise layer comparison exactly at a merge instant is side-dependent,
-    so times landing within 1e-3*(1+t) of an event are redrawn. The nearest
-    event is one of the two around t, since e - t rounds monotonically in e.
+    so times landing within 1e-3*(1+t) of an event are redrawn, up to 100
+    draws per time; when none clears the margin, EventMarginExhausted is
+    raised. The nearest event is one of the two around t, since e - t rounds
+    monotonically in e.
     """
     events = sorted(map(float, event_times))
     out = []
@@ -44,5 +47,9 @@ def sample_times_avoiding_events(
             i, margin = bisect.bisect(events, t), 1e-3 * (1.0 + t)
             if (i == 0 or t - events[i - 1] > margin) and (i == len(events) or events[i] - t > margin):
                 break
+        else:
+            raise EventMarginExhausted(
+                f"100 draws on [{t_lo}, {t_hi}] all fell within 1e-3*(1 + t) of one of {len(events)} events"
+            )
         out.append(t)
     return out

@@ -8,17 +8,17 @@ each neighbour pair, touching ones too, merges at its own root, and the roots
 within 1e-11*(1 + t) of the first, t, merge at t. A cluster's centred mass mt
 does not change when others merge, so each cluster keeps one closed form from
 birth to death: a trajectory holds one record per cluster that ever lived (at
-most 2N - 1). A neighbour pair (N - 1 at t0, at most two per merge) waits in a
-heap under a certified bound on its collision time, taken when it forms, and is
-solved by Newton's method only if the bound reaches the top while both live.
-The event loop runs on Python scalars; the record arrays are built once per
-run. Each merge checks in O(1) the new cluster's mass against its atoms', its
+most 2N - 1). A neighbour pair (N - 1 at t0; a lone new cluster forms its at
+most two directly, simultaneous merges through a sorted set) waits in a heap
+under a certified bound on its collision time, taken when it forms, and is
+solved by Newton's method from that bound only if it reaches the top while
+both live. The loop runs on Python scalars with each state's closed form
+inline; records become arrays and events columns once per run, `MergeEvent`s
+only when read. Each merge checks in O(1) its mass against its atoms', its
 momentum against the pair's and mt_r - mt_l = (m_l + m_r)/2 with both
 neighbours; the O(C) audit of mass and momentum runs at t0, after event times
-1, 2, 4, 8, ... and at t_end.
-
-This module deliberately shares nothing with the potential-minimization
-layer except the input data model.
+1, 2, 4, 8, ... and at t_end. Nothing is shared with the potential layer but
+the input data model.
 """
 
 from __future__ import annotations
@@ -26,16 +26,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 
 import numpy as np
 
-from .errors import (
-    EventHorizonExceeded,
-    IdentityViolation,
-    NonPositiveTime,
-    RootBracketFailure,
-)
+from .errors import EventHorizonExceeded, IdentityViolation, NonPositiveTime, RootBracketFailure
 from .measure import BLOCK_ELEMENTS, AtomicMeasure, ClusterState, InitialData, _finite_points
 
 __all__ = [
@@ -98,11 +94,8 @@ class _EpDynamics:
         return x + v * A + mt * (tau * A - tau * dt), v * decay - mt * A
 
     def sums(self, t, live, birth, v, mt, mass):
-        """Mass and momentum at t of the records ``live``: one sequential pass in their order.
-
-        Each record's velocity is `advance`'s, v*e^{-z} - mt*tau*(1 - e^{-z})
-        with z = (t - birth)/tau, inline on the Python scalars of the columns.
-        """
+        """Mass and momentum at t of the records ``live``, one sequential pass in their order, with
+        `advance`'s velocity v*e^{-z} - mt*tau*(1 - e^{-z}), z = (t - birth)/tau, inline."""
         tau, exp, expm1 = self.tau, math.exp, math.expm1
         total = q = 0.0
         for i in live:
@@ -111,15 +104,15 @@ class _EpDynamics:
             q += m * (v[i] * exp(-z) + mt[i] * tau * expm1(-z)) if z <= _EXP_FLUSH else -m * mt[i] * tau
         return total, q
 
-    def pair_root(self, gap0, dv, dmt):
+    def pair_root(self, gap0, dv, dmt, start=None):
         """First positive root of gap(d) = gap0 + dv*A(d) + dmt*B(d), dmt > 0.
 
         gap'(d) = dv*e - dmt*A(d), e = e^{-d/tau}, changes sign at most once
         and the attraction drives the gap to -inf, so the first root is unique
         and lies past the interior maximum lo. gap'' = -e*(dv/tau + dmt) keeps
-        one sign, so Newton's method from max(lo, root_bound) nears the root
-        from one side: from the left if the gap is convex (tangents lie below
-        it), from the right after one step if it is concave (tangents above).
+        one sign, so Newton's method from max(lo, start), start = root_bound
+        unless given, nears the root from one side: from the left if the gap is
+        convex (tangents lie below it), from the right after one step if concave.
         The points keep a bracket [a, b] with computed gap > 0 at a (or a = lo)
         and <= 0 at b (+inf at first). A step that is undefined (gap' >= 0) or
         leaves the bracket bisects it instead, or doubles d while b = inf. Once
@@ -130,7 +123,7 @@ class _EpDynamics:
         200 points without a closed bracket, raise RootBracketFailure.
         """
         tau, exp, expm1 = self.tau, math.exp, math.expm1
-        d = self.root_bound(gap0, dv, dmt)
+        d = self.root_bound(gap0, dv, dmt) if start is None else start
         a = tau * math.log1p(dv / (dmt * tau)) if dv > 0.0 else 0.0
         b, d = math.inf, max(a, d)
         for _ in range(200):
@@ -194,7 +187,7 @@ class _DriftDynamics:
             q += mass[i] * v[i]
         return total, q
 
-    def pair_root(self, gap0, dv, dmt):
+    def pair_root(self, gap0, dv, dmt, start=None):
         # dv = -dmt < 0 always: the gap closes linearly
         return gap0 / (-dv)
 
@@ -205,6 +198,9 @@ class _DriftDynamics:
 # one row per cluster that ever lived: birth and death times, the state
 # (x, v) at birth, the centred mass mt, the mass and the atom range lo..hi-1
 _Records = namedtuple("_Records", "birth death x v mt mass lo hi")
+# one column per field of the merge events in time order: the time, the merged
+# atom ranges [left_lo, left_hi) and [right_lo, right_hi), the new position
+_Events = namedtuple("_Events", "time left_lo left_hi right_lo right_hi position")
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +209,8 @@ class Trajectory:
 
     ``records`` holds one row per cluster that ever lived, sorted by
     ``lo``; the clusters alive at t (birth <= t < death) are in position
-    order. ``layer`` names the solution in validation reports.
+    order. ``event_columns`` holds the merges, whose `MergeEvent`s ``events``
+    builds on first read. ``layer`` names the solution in validation reports.
     """
 
     layer = "oracle"
@@ -221,12 +218,17 @@ class Trajectory:
     tau: float
     t0: float
     t_end: float
-    events: tuple
+    event_columns: _Events = field(repr=False)
     records: _Records = field(repr=False)
+
+    @cached_property
+    def events(self):
+        rows = zip(*self.event_columns)
+        return tuple(MergeEvent(t, ((la, ha), (lb, hb)), (la, hb), x) for t, la, ha, lb, hb, x in rows)
 
     @property
     def event_times(self):
-        return [e.time for e in self.events]
+        return list(self.event_columns.time)
 
     def _dynamics(self):
         return _EpDynamics(self.tau) if self.kind == "euler_poisson" else _DriftDynamics()
@@ -240,34 +242,20 @@ class Trajectory:
         return np.flatnonzero((r.birth <= t) & (t < r.death))
 
     def _rows(self, ids, times):
-        """(times x clusters) positions and velocities of the records ids.
-
-        Each advances from its birth, and at its birth it is its birth state
-        (signed zeros kept).
-        """
+        """Positions and velocities of the records ids at times, a float or an array (one row
+        per time): each advances from its birth, and is its birth state there (signed zeros kept)."""
         r = self.records
         x0, v0 = r.x[ids], r.v[ids]
-        dt = times[:, None] - r.birth[ids]
+        dt = np.subtract.outer(times, r.birth[ids])
         x, v = self._dynamics().advance_rows(x0, v0, r.mt[ids], dt)
         at_birth = dt == 0.0
         return np.where(at_birth, x0, x), np.where(at_birth, v0, v)
 
     def state_at(self, t: float) -> ClusterState:
-        """Closed-form state at any t from t0 to t_end.
-
-        One pass over the live records: each advances from its birth, and a
-        record born at t is its birth state (signed zeros kept). ``states_at``
-        reaches the same bits through ``_rows``.
-        """
+        """Closed-form state at any t from t0 to t_end: ``_rows`` of the live records at t."""
         self._check_horizon(t)
-        ids = self._alive(t)
-        r = self.records
-        x0, v0 = r.x[ids], r.v[ids]
-        dt = t - r.birth[ids]
-        x, v = self._dynamics().advance_rows(x0, v0, r.mt[ids], dt)
-        at_birth = dt == 0.0
-        if at_birth.any():
-            x, v = np.where(at_birth, x0, x), np.where(at_birth, v0, v)
+        ids, r = self._alive(t), self.records
+        x, v = self._rows(ids, t)
         return ClusterState(t, x, r.mass[ids], v, r.lo[ids], r.hi[ids])
 
     def states_at(self, ts):
@@ -300,8 +288,11 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
     """Event loop on per-cluster records, from the clusters alive at t0 in position order.
 
     Heap entries (key, a, b, tp, gap) hold neighbour records a, b formed at tp
-    with a certified bound on their collision time and its data gap at tp, or,
-    with gap None, the time itself; a pair with a dead record is skipped.
+    with a certified bound d on their collision time and in gap its data at tp
+    and d, Newton's start; or, with gap None, the time itself. A pair with a
+    dead record is skipped. A record born before t advances to t by `advance`'s
+    closed form, inline (A = dt for the drift); at its birth it is its birth state
+    (signed zeros kept).
     """
     n = live.x.size
     n_atoms = int(live.hi[-1]) if n else 0
@@ -312,68 +303,70 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
     at_lo, at_hi, prefix = [-1] * (n_atoms + 1), [-1] * (n_atoms + 1), [0.0] * (n_atoms + 1)
     for i, (lo, hi, mass) in enumerate(zip(r_lo, r_hi, np.cumsum(live.mass).tolist())):
         at_lo[lo], at_hi[hi], prefix[hi] = i, i, mass
-    events, heap, k = [], [], 0  # k counts event times
+    # events: one row (t, lo_a, hi_a, lo_b, hi_b, x) per merge; k counts event times
+    events, heap, k, inf = [], [], 0, math.inf
+    ep, tau, root_bound, pair_root = dyn.kind == "euler_poisson", getattr(dyn, "tau", math.nan), dyn.root_bound, dyn.pair_root
 
     def fail(check, t, where, detail):
         raise IdentityViolation(f"{check} failed at event {k}, t={t!r}, {where}: {detail}")
 
-    def state(i, t):
-        """Record i's state at t: at its birth the birth state itself (signed zeros kept)."""
-        if t == r_birth[i]:
-            return r_x[i], r_v[i]
-        return dyn.advance(r_x[i], r_v[i], r_mt[i], t - r_birth[i])
-
-    def neighbour_pairs(c):
-        return [p for p in ((at_hi[r_lo[c]], c), (c, at_lo[r_hi[c]])) if min(p) >= 0]
-
     def form_pair(a, b):
         """Push a certified bound on the root of the neighbour records a, b, with its data at formation."""
-        tp = max(r_birth[a], r_birth[b])
-        (xa, va), (xb, vb) = state(a, tp), state(b, tp)
-        gap = (xb - xa, vb - va, r_mt[b] - r_mt[a])
-        heappush(heap, (max(tp, tp + dyn.root_bound(*gap)), a, b, tp, gap))
+        ta, tb, xa, va, xb, vb = r_birth[a], r_birth[b], r_x[a], r_v[a], r_x[b], r_v[b]
+        tp, i = (tb, a) if tb > ta else (ta, b)
+        dt = tp - r_birth[i]
+        if dt:  # the older record, i, advances to the younger's birth tp
+            x, v, mt, A = r_x[i], r_v[i], r_mt[i], tau * _em1(dt / tau) if ep else dt
+            x, v = (x + v * A + mt * (tau * A - tau * dt), v * _exp_neg(dt / tau) - mt * A) if ep else (x + v * A, v)
+            xa, va, xb, vb = (x, v, xb, vb) if i == a else (xa, va, x, v)
+        gap0, dv, dmt = xb - xa, vb - va, r_mt[b] - r_mt[a]
+        d = root_bound(gap0, dv, dmt)
+        heappush(heap, (max(tp, tp + d), a, b, tp, (gap0, dv, dmt, d)))
 
     def merge(a, b, t):
         """Kill the neighbour records a and b at t, record the event, return the new record."""
-        (xa, va), (xb, vb) = state(a, t), state(b, t)
+        xa, va, xb, vb, da, db = r_x[a], r_v[a], r_x[b], r_v[b], t - r_birth[a], t - r_birth[b]
+        if da:
+            A = tau * _em1(da / tau) if ep else da
+            xa, va = (xa + va * A + r_mt[a] * (tau * A - tau * da), va * _exp_neg(da / tau) - r_mt[a] * A) if ep else (xa + va * A, va)
+        if db:
+            A = tau * _em1(db / tau) if ep else db
+            xb, vb = (xb + vb * A + r_mt[b] * (tau * A - tau * db), vb * _exp_neg(db / tau) - r_mt[b] * A) if ep else (xb + vb * A, vb)
         ma, mb, lo_a, hi_a, lo_b, hi_b = r_mass[a], r_mass[b], r_lo[a], r_hi[a], r_lo[b], r_hi[b]
         w, mt = ma + mb, r_mt[a] + 0.5 * mb
         x = (ma * xa + mb * xb) / w
-        v = (ma * va + mb * vb) / w if dyn.kind == "euler_poisson" else -mt
+        v = (ma * va + mb * vb) / w if ep else -mt
         c = len(r_x)
-        for column, value in zip(rec, (t, math.inf, x, v, mt, w, lo_a, hi_b)):
+        for column, value in zip(rec, (t, inf, x, v, mt, w, lo_a, hi_b)):
             column.append(value)
         r_death[a] = r_death[b] = t
         at_lo[lo_a], at_lo[lo_b], at_hi[hi_a], at_hi[hi_b] = c, -1, -1, c
-        events.append(MergeEvent(t, ((lo_a, hi_a), (lo_b, hi_b)), (lo_a, hi_b), x))
+        events.append((t, lo_a, hi_a, lo_b, hi_b, x))
         # the O(1) local checks: the atoms' mass, the pair's momentum, and the
         # neighbour identity of the pair and of c with both of its neighbours
         if abs(w - (prefix[hi_b] - prefix[lo_a])) > tol_mass:
             fail("local mass check", t, f"merging [{lo_a}, {hi_a}) and [{lo_b}, {hi_b})", f"{w} vs its atoms' {prefix[hi_b] - prefix[lo_a]}")
         if abs(w * v - (ma * va + mb * vb)) > tol_q:
             fail("local momentum check", t, f"merging [{lo_a}, {hi_a}) and [{lo_b}, {hi_b})", f"{w * v} vs {ma * va + mb * vb}")
-        for l, r in ((a, b), *neighbour_pairs(c)):
-            excess = r_mt[r] - r_mt[l] - 0.5 * (r_mass[l] + r_mass[r])
+        for l, r in ((a, b), (at_hi[lo_a], c), (c, at_lo[hi_b])):
+            excess = r_mt[r] - r_mt[l] - 0.5 * (r_mass[l] + r_mass[r]) if l >= 0 <= r else 0.0
             if abs(excess) > tol_mass:
                 where = f"clusters [{r_lo[l]}, {r_hi[l]}) and [{r_lo[r]}, {r_hi[r]})"
                 fail("local neighbour identity check", t, where, f"mt_r - mt_l - (m_l + m_r)/2 = {excess}")
         return c
 
-    def sums(t):
-        """Mass and momentum at t, sequential sums over the live records in position order."""
-        return dyn.sums(t, [i for i in at_lo if i >= 0], r_birth, r_v, r_mt, r_mass)
-
     def audit(t):
         """The global check: mass conserved and momentum on the decay law."""
-        (mass, q), where = sums(t), f"all {n - len(events)} clusters, atoms [0, {n_atoms})"
+        live = [i for i in at_lo if i >= 0]
+        (mass, q), where = dyn.sums(t, live, r_birth, r_v, r_mt, r_mass), f"all {len(live)} clusters, atoms [0, {n_atoms})"
         if abs(mass - total_mass) > tol_mass:
             fail("global mass audit", t, where, f"{mass} vs {total_mass}")
-        q_ref = q0 * _exp_neg((t - t0) / dyn.tau) if dyn.kind == "euler_poisson" else 0.0
+        q_ref = q0 * _exp_neg((t - t0) / tau) if ep else 0.0
         if abs(q - q_ref) > tol_q:
             fail("global momentum audit", t, where, f"{q} vs the decay law's {q_ref}")
 
     if n:
-        total_mass, q0 = sums(t0)
+        total_mass, q0 = dyn.sums(t0, range(n), r_birth, r_v, r_mt, r_mass)
         tol_mass, tol_q = 1e-12 * (1.0 + total_mass), 1e-11 * (1.0 + abs(q0) + total_mass)
     for a in range(n - 1):
         form_pair(a, a + 1)
@@ -383,11 +376,11 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
         due, limit = [], t_end
         while heap and heap[0][0] <= limit:
             key, a, b, tp, gap = heappop(heap)
-            if r_death[a] < math.inf or r_death[b] < math.inf:
+            if r_death[a] < inf or r_death[b] < inf:
                 continue
             if gap:
                 # a pair that overlaps by rounding has a root before tp; events never go back
-                heappush(heap, (max(tp, tp + dyn.pair_root(*gap)), a, b, tp, None))
+                heappush(heap, (max(tp, tp + pair_root(*gap)), a, b, tp, None))
                 continue
             if not due:
                 t_ev, limit = key, key + 1e-11 * (1.0 + key)
@@ -395,12 +388,17 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
         if not due:
             break
         k += 1
-        # merge right to left: a pair's right cluster may itself be new
-        due.sort(key=r_lo.__getitem__, reverse=True)
-        born = [merge(a, at_lo[r_hi[a]], t_ev) for a in due]
-        # a new cluster's pairs, touching ones too, merge at their own roots
-        for a, b in sorted({p for c in born if r_death[c] == math.inf for p in neighbour_pairs(c)}):
-            form_pair(a, b)
+        # the new clusters' pairs, touching ones too, merge at their own roots; they form
+        # in sorted order, a lone birth c's (left, c) and (c, right) directly
+        if len(due) == 1:
+            c = merge(due[0], at_lo[r_hi[due[0]]], t_ev)
+            pairs = ((at_hi[r_lo[c]], c), (c, at_lo[r_hi[c]]))
+        else:  # merge right to left: a pair's right cluster may itself be new
+            born = [merge(a, at_lo[r_hi[a]], t_ev) for a in sorted(due, key=r_lo.__getitem__, reverse=True)]
+            pairs = sorted({p for c in born if r_death[c] == inf for p in ((at_hi[r_lo[c]], c), (c, at_lo[r_hi[c]]))})
+        for a, b in pairs:
+            if a >= 0 <= b:
+                form_pair(a, b)
         if len(events) > max(n_atoms - 1, 0):
             raise EventHorizonExceeded("more merge events than atoms minus one")
         if not k & (k - 1):
@@ -409,7 +407,8 @@ def _simulate(live: _Records, t0, t_end, dyn) -> Trajectory:
         audit(t_end)
     order = np.argsort(np.array(r_lo, dtype=live.lo.dtype), kind="stable")
     records = _Records(*(np.array(c, dtype=l.dtype)[order] for c, l in zip(rec, live)))
-    return Trajectory(dyn.kind, getattr(dyn, "tau", math.nan), t0, t_end, tuple(events), records)
+    columns = _Events(*(zip(*events) if events else [()] * 6))
+    return Trajectory(dyn.kind, tau, t0, t_end, columns, records)
 
 
 def _simulate_atoms(measure: AtomicMeasure, velocities, t_end: float, dyn) -> Trajectory:

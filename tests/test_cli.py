@@ -318,6 +318,15 @@ class TestCompare:
         assert all(r[-1] == "true" for r in rows)
         assert max(float(r[2]) for r in rows) <= 1e-9
 
+    def test_exits_3_when_no_time_clears_the_events(self, tmp_path, monkeypatch, capsys):
+        # a random instance whose events lie 0.0015 apart on [0, 6]: no time clears their margin
+        dense = np.linspace(0.0, 6.0, 4001).tolist()
+        draw = cli.sample_times_avoiding_events
+        monkeypatch.setattr(cli, "sample_times_avoiding_events", lambda rng, n, lo, hi, events: draw(rng, n, lo, hi, dense))
+        code = main(["compare", "--config", write_config(tmp_path, dict(TWO_ATOM, n_instances=1)), "--out", str(tmp_path)])
+        assert code == 3
+        assert "EventMarginExhausted: 100 draws" in capsys.readouterr().err
+
     def test_mismatch_exits_4(self, tmp_path):
         cfg = dict(TWO_ATOM, n_instances=1)
         code = main(
@@ -1121,6 +1130,7 @@ UNREACHED = {
     "measure.ClusterState.from_atoms": "the t = 0 snapshot; no command takes a snapshot at t = 0",
     "measure.ClusterState.momentum": "data-model accessor that the momentum-decay tests use",
     "oracle.simulate_drift": "the drift oracle; ROADMAP items 3 and 7 wire it into relax",
+    "oracle.Trajectory.events": "the merges as `MergeEvent`s, built on first read; the commands read the event columns",
     "relax.eval_scaled": "the scaled fields at a point; ROADMAP items 3 and 7 wire them",
     "relax.scaled_cluster_snapshot": "the scaled clusters; ROADMAP items 3 and 7 wire them",
     "validate.check_oleinik_states": "the cluster Oleinik check; ROADMAP item 7 runs it on both layers",

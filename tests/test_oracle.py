@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -48,6 +49,32 @@ def resume(traj, state_index):
     ids = traj._alive(t)
     live = _Records(*(c[ids] for c in traj.records))._replace(death=np.full(ids.size, math.inf))
     return _simulate(live, t, traj.t_end, traj._dynamics())
+
+
+def run_digest(traj):
+    """sha256 of a run's events (each field by repr, which keeps every float
+    bit) followed by its record columns' dtypes and bytes."""
+    h = hashlib.sha256(repr([(e.time, e.merged, e.result, e.position) for e in traj.events]).encode())
+    for column in traj.records:
+        h.update(column.dtype.str.encode() + column.tobytes())
+    return h.hexdigest()
+
+
+# (events, digest) of seeded baseline runs to t = 2, pinned before the event
+# loop moved onto plain scalars; any moved event time or record bit shows here
+RUN_DIGESTS = {
+    ("euler_poisson", 1000, 0): (894, "3c494959b0a09eff1639ae1b0d7c0ecc801801aaa911f3a1ad8e65a035785528"),
+    ("euler_poisson", 1000, 17): (891, "0fb844f6ae6fbcf0ba779f43ae3f8434fd5bd509b42795c7ac60deeaf9121356"),
+    ("euler_poisson", 10000, 0): (9745, "b42b04dd660e3c3a1fdbd2c83e699823b6c887400a77d62d36c190fbb30a162b"),
+    ("drift", 1000, 0): (107, "4bf802c3d94f7d406887882bb785559fc858404f68f968afa49d2b12bfa783ff"),
+}
+
+
+@pytest.mark.parametrize("kind, n, seed", RUN_DIGESTS, ids=lambda v: str(v))
+def test_seeded_runs_keep_their_digests(kind, n, seed):
+    data = baseline_instance(n, seed)
+    traj = simulate_ep(data, 2.0) if kind == "euler_poisson" else simulate_drift(data.measure, 2.0)
+    assert (len(traj.events), run_digest(traj)) == RUN_DIGESTS[kind, n, seed]
 
 
 class TestSingleAtom:
@@ -296,9 +323,10 @@ class TestBatchedStates:
 
 
 class TestRecordStorage:
-    """One record per cluster that ever lived, and nothing cached beside them."""
+    """One record per cluster that ever lived, the events as columns with their
+    `MergeEvent`s built once on first read, and nothing cached beside them."""
 
-    FIELDS = {"kind", "tau", "t0", "t_end", "events", "records"}
+    FIELDS = {"kind", "tau", "t0", "t_end", "event_columns", "records"}
 
     def test_at_most_two_n_minus_one_records_and_no_states_built(self):
         n = 1000
@@ -309,7 +337,7 @@ class TestRecordStorage:
             assert n + len(traj.events) <= 2 * n - 1
             traj.state_at(1.0)
             list(traj.states_at(np.linspace(0.0, 2.0, 50)))
-            assert set(vars(traj)) == self.FIELDS
+            assert set(vars(traj)) == self.FIELDS | {"events"}
 
     def test_record_columns_keep_their_dtypes(self):
         # the loop keeps the records as lists; the arrays are rebuilt at the end
@@ -349,6 +377,7 @@ class TestRecordStorage:
             assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
         validate.check_oleinik_states(data, built[-1], [0.5, 1.0])
         assert len(built) > 3
+        # the commands read the event columns: no `MergeEvent` is built either
         assert all(set(vars(traj)) == self.FIELDS for traj in built)
 
 
@@ -1059,7 +1088,7 @@ class TestNewtonRootsAgainstBisection:
     def assert_same_merges(instances, t_end, monkeypatch):
         newton = [simulate_ep(data, t_end).events for data in instances]
         with monkeypatch.context() as m:
-            m.setattr(_EpDynamics, "pair_root", lambda self, *args: reference_pair_root(self.tau, *args))
+            m.setattr(_EpDynamics, "pair_root", lambda self, gap0, dv, dmt, start=None: reference_pair_root(self.tau, gap0, dv, dmt))
             bisected = [simulate_ep(data, t_end).events for data in instances]
         for ours, ref in zip(newton, bisected):
             assert [e.merged for e in ours] == [e.merged for e in ref]
