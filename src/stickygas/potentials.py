@@ -29,12 +29,7 @@ import numpy as np
 from .errors import EmptyMeasure, NonPositiveTime
 from .measure import AtomicMeasure, ClusterState, _finite_points
 
-__all__ = [
-    "DEFAULT_TIE_TOL",
-    "DEFAULT_TIE_POS_TOL",
-    "PotentialCoefficients",
-    "minimize_Fbar",
-]
+__all__ = ["DEFAULT_TIE_TOL", "DEFAULT_TIE_POS_TOL", "PotentialCoefficients", "minimize_Fbar"]
 
 # Prefix sums T_j and the minimum nu tie when
 #   T_j - nu <= DEFAULT_TIE_TOL * (1 + |nu|)
@@ -188,7 +183,7 @@ class PrefixFrame:
     def argmin(self, x: float):
         """``_argmin``, the one tie rule, on the frame's prefixes under its
         tie tolerance. Called by ``argmin_grid`` on short grids before the
-        hull is built, and by ``minimize_Fbar``, which returns its triple."""
+        hull is built, and by ``minimize_Fbar`` point by point."""
         return _argmin(self.P, self.S, self.tie_tol, x)
 
     def argmin_grid(self, xs):
@@ -457,10 +452,15 @@ def _hull_vertices(P, S, n):
     return idx
 
 
-def minimize_Fbar(measure: AtomicMeasure, x: float, t: float):
-    """(nu, k_min, k_max) of the drift potential, weights (0, -t): the one
-    tie rule on one drift frame. The coefficients check t first."""
+def minimize_Fbar(measure: AtomicMeasure, x, t: float):
+    """(nu, k_min, k_max) of the drift potential, weights (0, -t): one drift
+    frame's tie rule ``argmin`` at a scalar x, or at each point of a 1-d grid
+    in grid order as float, intp and intp arrays. The coefficients check t first."""
     coeffs = PotentialCoefficients.drift(t)
     if len(measure) == 0:
         raise EmptyMeasure("cannot minimize a potential over an empty measure")
-    return PrefixFrame(measure, None, coeffs).argmin(x)
+    xs, frame = np.asarray(x, dtype=float), PrefixFrame(measure, None, coeffs)
+    nu, k_min, k_max = out = np.empty(xs.shape), np.empty(xs.shape, np.intp), np.empty(xs.shape, np.intp)
+    for i, p in enumerate(xs.ravel().tolist()):
+        nu.flat[i], k_min.flat[i], k_max.flat[i] = frame.argmin(p)
+    return out if xs.ndim else (float(nu), int(k_min), int(k_max))

@@ -55,13 +55,10 @@ def scaled_cluster_snapshot(data: InitialData, t: float, tau: float) -> ClusterS
 
 
 def _filtered_grid(measure, xs, t):
-    """Drop grid points sitting exactly on a drift shock, where m is one-sided."""
-    keep = []
-    for x in np.asarray(xs, dtype=float):
-        _, k_min, k_max = minimize_Fbar(measure, float(x), t)
-        if k_max == k_min:
-            keep.append(float(x))
-    return np.array(keep)
+    """Drop grid points sitting exactly on a drift shock, where m is one-sided:
+    one ``minimize_Fbar`` call on one drift frame keeps those with k_max == k_min."""
+    _, k_min, k_max = minimize_Fbar(measure, xs, t)
+    return np.asarray(xs, dtype=float)[k_max == k_min]
 
 
 def _nearest(pos, xs):

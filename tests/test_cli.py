@@ -10,6 +10,7 @@ import pytest
 
 from stickygas import cli, euler_poisson, potentials
 from stickygas.cli import main
+from stickygas.drift import drift_cluster_snapshot
 from stickygas.errors import ConfigError
 from stickygas.euler_poisson import cluster_snapshot, eval_m_grid, eval_u
 from stickygas.instances import random_instance, sample_times_avoiding_events
@@ -1038,6 +1039,37 @@ class TestToleranceOverride:
         assert potentials.DEFAULT_TIE_TOL == 1e-12
 
 
+    def test_tie_override_reaches_the_shock_filter(self, tmp_path):
+        # relax builds its one drift frame inside main's override window. At
+        # relax_time 5 the drift cluster sits at 1/3 and the scaled one at
+        # 1/3 + tau; a grid point 1e-7 right of the drift cluster is kept
+        # under the default tie tolerance (err_m = 1 there) and ties, so is
+        # dropped, under a tie tolerance of 1e-6
+        atoms = [(-1.0, 1.0 / 3.0), (1.0, 2.0 / 3.0)]
+        data = InitialData.from_atoms([a for a, _ in atoms], [w for _, w in atoms], [1.0, 1.0], 1.0)
+        x0 = float(drift_cluster_snapshot(data.measure, 5.0).positions[0]) + 1e-7
+        cfg = dict(
+            TWO_ATOM,
+            atoms=[{"position": a, "mass": w, "velocity": 1.0} for a, w in atoms],
+            relax_time=5.0,
+            tau_sequence=[0.5, 0.25],
+            x_grid={"min": x0, "max": x0 + 5.0, "count": 2},
+        )
+        runs = {
+            "default": (cfg, []),
+            "flag": (cfg, ["--tol-tie", "1e-6"]),
+            "config": (dict(cfg, tolerances={"tie": 1e-6}), []),
+        }
+        err_m = {}
+        for name, (run_cfg, flags) in runs.items():
+            out = tmp_path / name
+            argv = ["relax", "--config", write_config(tmp_path, run_cfg, f"{name}.json"), "--out", str(out)]
+            assert main(argv + flags) == 0
+            assert potentials.DEFAULT_TIE_TOL == 1e-12
+            _, rows = read_csv(out / "relax_report.csv")
+            err_m[name] = [float(r[1]) for r in rows]
+        assert err_m == {"default": [1.0, 1.0], "flag": [0.0, 0.0], "config": [0.0, 0.0]}
+
     @pytest.mark.parametrize(
         "tolerances",
         [
@@ -1129,11 +1161,11 @@ UNREACHED = {
     "measure.AtomicMeasure.mtilde0": "data-model accessor that tests use as a reference",
     "measure.ClusterState.from_atoms": "the t = 0 snapshot; no command takes a snapshot at t = 0",
     "measure.ClusterState.momentum": "data-model accessor that the momentum-decay tests use",
-    "oracle.simulate_drift": "the drift oracle; ROADMAP items 3 and 7 wire it into relax",
+    "oracle.simulate_drift": "the drift oracle; ROADMAP items 4 and 12 wire it into relax",
     "oracle.Trajectory.events": "the merges as `MergeEvent`s, built on first read; the commands read the event columns",
-    "relax.eval_scaled": "the scaled fields at a point; ROADMAP items 3 and 7 wire them",
-    "relax.scaled_cluster_snapshot": "the scaled clusters; ROADMAP items 3 and 7 wire them",
-    "validate.check_oleinik_states": "the cluster Oleinik check; ROADMAP item 7 runs it on both layers",
+    "relax.eval_scaled": "the scaled fields at a point; ROADMAP items 4 and 12 wire them",
+    "relax.scaled_cluster_snapshot": "the scaled clusters; ROADMAP items 4 and 12 wire them",
+    "validate.check_oleinik_states": "the cluster Oleinik check; ROADMAP item 12 runs it on both layers",
 }
 
 

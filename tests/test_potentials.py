@@ -227,6 +227,45 @@ class TestDriftPotential:
             assert minimize_Fbar(data.measure, x, t) == (nu, k_min, k_max)
 
 
+class TestDriftPotentialOnAGrid:
+    # one drift frame for the whole grid, and at each point the triple of
+    # the scalar call, which builds a frame of its own
+    def test_grid_equals_scalar_calls_on_the_lookup_families(self):
+        rng = np.random.default_rng(37)
+        ties = 0
+        for trial in range(120):
+            m = _lookup_instance(rng, ("plain", "near_duplicate", "mass_decades", "vanishing_mass")[trial % 4]).measure
+            t = float(10.0 ** rng.uniform(-2.0, 1.5))
+            pos = drift.drift_cluster_snapshot(m, t).positions
+            xs = np.sort(np.concatenate([rng.uniform(-15.0, 15.0, size=12), pos]))
+            nu, k_min, k_max = minimize_Fbar(m, xs, t)
+            assert (nu.dtype, k_min.dtype, k_max.dtype) == (np.float64, np.intp, np.intp)
+            got = list(zip(nu.tolist(), k_min.tolist(), k_max.tolist()))
+            assert repr(got) == repr([minimize_Fbar(m, x, t) for x in xs.tolist()])
+            ties += int(np.count_nonzero(k_max > k_min))
+        # the drift cluster positions tie
+        assert ties > 0
+
+    def test_empty_grid(self, two_atom_symmetric):
+        for xs in ([], np.array([])):
+            nu, k_min, k_max = minimize_Fbar(two_atom_symmetric.measure, xs, 1.0)
+            assert (nu.dtype, k_min.dtype, k_max.dtype) == (np.float64, np.intp, np.intp)
+            assert nu.shape == k_min.shape == k_max.shape == (0,)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_grid_point_rejected(self, two_atom_symmetric, x):
+        with pytest.raises(ValueError, match=f"x must be finite, got {x!r}"):
+            minimize_Fbar(two_atom_symmetric.measure, np.array([0.0, x, 1.0]), 1.0)
+
+    def test_time_checked_before_the_empty_measure(self):
+        empty = InitialData.from_atoms([], [], [], 1.0).measure
+        with pytest.raises(EmptyMeasure):
+            minimize_Fbar(empty, np.array([0.0, 1.0]), 1.0)
+        for t in (0.0, -1.0):
+            with pytest.raises(NonPositiveTime):
+                minimize_Fbar(empty, np.array([0.0, 1.0]), t)
+
+
 class TestAuxiliaryPotentials:
     def test_share_minimizers_with_F(self):
         # prefix argmin of the G increments, and of the H increments with

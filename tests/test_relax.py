@@ -212,6 +212,23 @@ class TestShockFilter:
         assert 0 < dropped < points
 
 
+@pytest.mark.parametrize("taus", [[0.5], [0.5, 0.1, 1e-3, 1e-6]])
+def test_convergence_study_builds_one_drift_frame_per_use(monkeypatch, taus):
+    # the shock filter, eval_mbar_grid and drift_cluster_snapshot build one
+    # drift frame each, whatever the grid's size, and each tau one scaled frame
+    built = []
+    init = PrefixFrame.__init__
+
+    def counting(self, *args):
+        built.append(args[2])
+        init(self, *args)
+
+    monkeypatch.setattr(PrefixFrame, "__init__", counting)
+    convergence_study(baseline_instance(200, 0), 1.0, np.linspace(-12.0, 12.0, 301), taus)
+    assert len(built) == len(taus) + 3
+    assert sum(coeffs.tau == math.inf for coeffs in built) == 3
+
+
 class TestNearestCluster:
     def test_equals_argmin_first_index(self):
         # sorted positions with duplicates, and distances that round to a tie
