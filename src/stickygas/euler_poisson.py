@@ -11,12 +11,12 @@ The cluster decomposition at a fixed time equals the lower convex hull of
 the prefix points (P_k, S_k): hull vertices are the exposed prefixes and
 each hull edge is one cluster whose position and velocity are the edge
 slopes in S and Q. ``potentials.PrefixFrame.clusters`` reads it, shared
-with the drift and relaxation layers, from the frame's one-row
-``potentials.FrameStack``, the one place that turns hull vertices into
-clusters and answers hull lookups. Clusters only merge, so the
-forward characteristic of atom i sits at the position of the cluster that
-holds it: ``cluster_snapshot(data, t)``, read at
-``searchsorted(hi, i, side="right")``.
+with the drift and relaxation layers: a frame is a one-row
+``potentials.FrameStack``, the one place that builds prefix sums, turns
+hull vertices into clusters and answers hull lookups, with its hull built
+on first use. Clusters only merge, so the forward characteristic of atom i
+sits at the position of the cluster that holds it:
+``cluster_snapshot(data, t)``, read at ``searchsorted(hi, i, side="right")``.
 
 ``eval_m``, ``eval_q``, ``eval_u``, ``eval_E``, ``sample`` and
 ``eval_m_grid`` are projections of one routine, ``_fields``. At t = 0 it
@@ -29,8 +29,8 @@ dense ``PrefixFrame.argmin`` scan runs only in the lookup's tie window and
 on grids of a few points before a frame's hull is built.
 
 Many (data, t, xs) rows at once go through ``eval_m_and_clusters_stacked``:
-one ``potentials.FrameStack`` per bounded block of rows, as flat columns,
-each row equal to ``eval_m_grid`` plus ``cluster_snapshot`` bit for bit.
+one ``potentials.FrameStack`` and one hull per bounded block of rows, as
+flat columns, each row equal to ``eval_m_grid`` plus ``cluster_snapshot`` bit for bit.
 """
 
 from __future__ import annotations

@@ -159,12 +159,12 @@ class AtomicMeasure:
 
 
 class InitialData:
-    """Atomic measure plus per-atom velocities and the relaxation time tau."""
+    """Atomic measure plus a read-only copy of the per-atom velocities, and the relaxation time tau."""
 
     __slots__ = ("measure", "velocities", "tau", "max_speed")
 
     def __init__(self, measure: AtomicMeasure, velocities, tau: float):
-        velocities = np.atleast_1d(np.asarray(velocities, dtype=float))
+        velocities = np.array(velocities, dtype=float, ndmin=1)
         if velocities.shape != measure.positions.shape:
             raise ValueError("velocities must match the atom count")
         if velocities.size and not np.all(np.isfinite(velocities)):

@@ -114,8 +114,10 @@ class _EpDynamics:
         unless given, nears the root from one side: from the left if the gap is
         convex (tangents lie below it), from the right after one step if concave.
         The points keep a bracket [a, b] with computed gap > 0 at a (or a = lo)
-        and <= 0 at b (+inf at first). A step that is undefined (gap' >= 0) or
-        leaves the bracket bisects it instead, or doubles d while b = inf. Once
+        and <= 0 at b (+inf at first). A step that is undefined (gap' >= 0),
+        leaves the bracket, or comes past the first 100 points bisects it instead,
+        or doubles d while b = inf: Newton crawls where gap' overstates the
+        computed gap's slope, its dv term varying below its rounding. Once
         a step falls below the tolerance the next point sits 4e-16*max(1, d)
         from the iterate: short of it while the step is longer than twice that,
         then across it, closing the bracket. The loop stops on bisection's test
@@ -126,7 +128,7 @@ class _EpDynamics:
         d = self.root_bound(gap0, dv, dmt) if start is None else start
         a = tau * math.log1p(dv / (dmt * tau)) if dv > 0.0 else 0.0
         b, d = math.inf, max(a, d)
-        for _ in range(200):
+        for i in range(200):
             # gap(d) inline with `_em1`'s operations: no call per step, the same bits
             z = d / tau
             A, e = (tau * -expm1(-z), exp(-z)) if z <= _EXP_FLUSH else (tau, 0.0)
@@ -135,7 +137,7 @@ class _EpDynamics:
             if b < math.inf and b - a <= _ROOT_REL_TOL * (b if b > 1.0 else 1.0):
                 return 0.5 * (a + b)
             slope = dv * e - dmt * A
-            if slope < 0.0:
+            if slope < 0.0 and i < 100:
                 step, scale = -gap / slope, d if d > 1.0 else 1.0
                 if abs(step) <= _ROOT_REL_TOL * scale:
                     probe = 4e-16 * scale if gap > 0.0 else -4e-16 * scale

@@ -7,10 +7,10 @@ damped self-gravitating system (time weights A, B), its drift limit
 (weights 0, -t), and the slow-time-scaled family used in the relaxation
 study.
 
-A ``PrefixFrame`` holds one (data, t); a ``FrameStack`` holds many, as the
-rows of padded arrays. The stack is the one place that turns hull vertices
-into clusters and answers a hull lookup; a frame reads both from a one-row
-stack of its own arrays. The vertices come from one numpy kernel over a
+A ``FrameStack`` holds many (data, t) as rows of padded arrays: the one
+place that builds prefix sums, turns hull vertices into clusters and
+answers a hull lookup, its hull built on first use. A ``PrefixFrame`` is
+row 0 of a one-row stack. The vertices come from one numpy kernel over a
 stack of rows, ``_hull_vertices``, with the sequential monotone chain as
 its fallback and reference; the one tie rule, ``_argmin``, scans one row.
 A minimizer is the tie rule's triple (nu, k_min, k_max): the prefix argmin
@@ -152,33 +152,18 @@ class PrefixFrame:
 
     T_k(x) = S[k] - x * P[k]; the argmin over k is the minimizer of the
     potential. Also carries the prefix momentum Q used by the solution
-    formulas. Its clusters and its hull lookup come from a one-row
-    ``FrameStack`` of its own P, S and Q, built on first use.
+    formulas. It is row 0 of a one-row ``FrameStack``: P, S, Q, X and vel
+    are views of that row, and the clusters and the hull lookup, built on
+    first use, are the stack's.
     """
 
     __slots__ = ("measure", "coeffs", "P", "S", "Q", "X", "vel", "tie_tol", "_stack")
 
     def __init__(self, measure, velocities, coeffs):
-        self.measure = measure
-        self.coeffs = coeffs
-        # the one reader of the tie tolerance, resolved at construction so
-        # that a CLI --tol-tie override reaches every frame built under it
-        self.tie_tol = DEFAULT_TIE_TOL
-        w = measure.masses
-        mt = measure.atom_mtilde()
-        # collision-free atom positions eta + u*A + mtilde0*B at the coefficient time
-        X = measure.positions + coeffs.B * mt
-        if velocities is not None and coeffs.A != 0.0:
-            X = X + coeffs.A * velocities
-        self.X = X
-        if velocities is None:
-            velocities = np.zeros_like(w)
-        # free-flight velocity of each atom at the coefficient time
-        self.vel = coeffs.decay * velocities - coeffs.A * mt
-        self.P = measure.prefix_mass
-        self.S = np.concatenate(([0.0], np.cumsum(w * self.X)))
-        self.Q = np.concatenate(([0.0], np.cumsum(w * self.vel)))
-        self._stack = None
+        self.measure, self.coeffs = measure, coeffs
+        self._stack = stack = FrameStack([(measure, velocities, coeffs)])
+        self.P, self.S, self.Q, self.X, self.vel = stack.P[0], stack.S[0], stack.Q[0], stack.X[0], stack.vel[0]
+        self.tie_tol = stack.tie_tol
 
     def argmin(self, x: float):
         """``_argmin``, the one tie rule, on the frame's prefixes under its
@@ -189,21 +174,21 @@ class PrefixFrame:
     def argmin_grid(self, xs):
         """``argmin`` at every point of a grid: (nu, k_min, k_max) arrays.
 
-        The frame's one-row stack answers it (``FrameStack.argmin_grid``),
-        equal to ``argmin`` point by point. A grid of fewer than
-        ``DENSE_GRID_POINTS`` points on a frame whose stack is not built
+        The frame's stack answers it (``FrameStack.argmin_grid``), equal to
+        ``argmin`` point by point. A grid of fewer than
+        ``DENSE_GRID_POINTS`` points on a frame whose hull is not built
         takes ``argmin`` point by point, so a scalar call never builds the
         hull. Both paths return the results in the grid's shape and reject
         a non-finite point.
         """
         xs = np.asarray(xs, dtype=float)
         flat = xs.ravel()
-        if self._stack is None and flat.size < DENSE_GRID_POINTS:
+        if self._stack._lookup is None and flat.size < DENSE_GRID_POINTS:
             out = np.empty(flat.size), np.empty(flat.size, np.intp), np.empty(flat.size, np.intp)
             for i, x in enumerate(flat.tolist()):
                 out[0][i], out[1][i], out[2][i] = self.argmin(x)
         else:
-            out = self._one_row().argmin_grid([flat])
+            out = self._stack.argmin_grid([flat])
         return tuple(a.reshape(xs.shape) for a in out)
 
     def clusters(self):
@@ -214,19 +199,12 @@ class PrefixFrame:
         slopes of its hull edge in S and in Q (``FrameStack``'s columns of
         the frame's one row).
         """
-        stack = self._one_row()
-        return stack.lo, stack.hi, stack.positions, stack.velocities
+        return self._stack.lo, self._stack.hi, self._stack.positions, self._stack.velocities
 
     def cluster_state(self, time: float, velocities=None) -> ClusterState:
         """The clusters of ``clusters()`` as a ClusterState at ``time``,
         with their hull velocities or the given velocity column."""
-        return self._one_row().cluster_state(0, time, velocities)
-
-    def _one_row(self):
-        """The frame's one-row stack, built once."""
-        if self._stack is None:
-            self._stack = FrameStack._of_frame(self)
-        return self._stack
+        return self._stack.cluster_state(0, time, velocities)
 
 
 def _settled(xs, nu, s_max, total, tie_tol, below, above, dP_below, dP_above):
@@ -246,56 +224,60 @@ def _settled(xs, nu, s_max, total, tie_tol, below, above, dP_below, dP_above):
 
 
 class FrameStack:
-    """The prefix frames of many rows at once, padded into (R, L) arrays,
-    and the one place where hull vertices become clusters and a hull
-    lookup is answered.
+    """The prefix frames of many (measure, velocities, coeffs) rows at once,
+    padded into (R, L) arrays: the one place that builds prefix sums, turns
+    hull vertices into clusters and answers a hull lookup.
 
-    Row r holds the frame ``PrefixFrame(*rows[r])`` of one (measure,
-    velocities, coeffs) triple in its first n[r] = N + 1 prefixes and zero
-    mass past them: X, S and Q come from the frame's own elementwise
-    operations, and ``np.cumsum(axis=1)`` keeps each row's order, so every
-    row equals its frame bit for bit. A frame's own stack (``_of_frame``)
-    is the one row of the frame's arrays; a stack keeps no frame.
+    Row r holds its frame in its first n[r] = N + 1 prefixes and zero mass
+    past them: X = eta + B*mtilde0 (+ A*u on a row with velocities and
+    A != 0), vel = decay*u - A*mtilde0, and P, S and Q the prefix sums of
+    w, w*X and w*vel. Every operation is elementwise or a row's cumsum, so
+    a row equals its one-row stack, a ``PrefixFrame``, bit for bit.
 
-    One run of ``_hull_vertices`` gives every row's clusters (flat, row
-    after row, in read-only columns), and ``argmin_grid`` looks up every
-    row's points at once. The tie tolerance is read at construction.
+    The hull's first reader (``argmin_grid``, ``cluster_state`` or a
+    cluster column) builds it: one ``_hull_vertices`` run gives every row's
+    clusters (flat, row after row, in read-only columns), and
+    ``argmin_grid`` looks up every row's points at once. The tie tolerance
+    is read at construction; a stack keeps no frame.
     """
 
-    __slots__ = ("P", "S", "Q", "n", "tie_tol", "lo", "hi", "positions", "velocities", "masses", "bounds", "_lookup")
+    __slots__ = ("P", "S", "Q", "X", "vel", "n", "tie_tol", "lo", "hi", "positions", "velocities", "masses", "bounds", "_lookup")
 
     def __init__(self, rows):
-        n = np.array([len(measure) + 1 for measure, _, _ in rows])
-        R, L = n.size, int(n.max())
-        # one scatter per column, row after row: the prefixes (then the total mass), the atoms
-        P = np.repeat([measure.total_mass for measure, _, _ in rows], L).reshape(R, L)
-        P[np.arange(L) < n[:, None]] = np.concatenate([measure.prefix_mass for measure, _, _ in rows])
-        atoms = [(m.positions, m.masses, m.atom_mtilde(), np.zeros(len(m)) if v is None else v) for m, v, _ in rows]
-        eta, w, mt, u = (np.zeros((R, L - 1)) for _ in range(4))
-        for column, parts in zip((eta, w, mt, u), zip(*atoms)):
-            column[np.arange(L - 1) < n[:, None] - 1] = np.concatenate(parts)
-        moving = np.array([v is not None and c.A != 0.0 for _, v, c in rows])
-        A, B, decay = (np.array([[getattr(c, f)] for _, _, c in rows]) for f in ("A", "B", "decay"))
-        # the frame's operations, row by row: X = eta + B*mtilde0 (+ A*u), and
-        # the free-flight velocity decay*u - A*mtilde0
+        sizes = [len(m) + 1 for m, _, _ in rows]
+        R, L, n = len(sizes), max(sizes), np.array(sizes)
+        columns = zip(*[(m.positions, m.masses, m.atom_mtilde(), np.zeros(len(m)) if v is None else v) for m, v, _ in rows])
+        if sizes.count(L) == R:
+            eta, w, mt, u = map(np.array, columns)
+        else:
+            # one scatter per column, row after row: the atoms, then zero mass
+            eta, w, mt, u = (np.zeros((R, L - 1)) for _ in range(4))
+            atoms = np.arange(L - 1) < n[:, None] - 1
+            for column, parts in zip((eta, w, mt, u), columns):
+                column[atoms] = np.concatenate(parts)
+        moving = np.array([[v is not None and c.A != 0.0] for _, v, c in rows])
+        A, B, decay = np.array([(c.A, c.B, c.decay) for _, _, c in rows]).T[:, :, None]
+        # only a moving row adds A*u: adding 0.0 would turn an X of -0.0 into 0.0
         X = eta + B * mt
-        X[moving] = X[moving] + A[moving] * u[moving]
+        np.add(X, A * u, out=X, where=moving)
         vel = decay * u - A * mt
-        S, Q = np.zeros((R, L)), np.zeros((R, L))
-        S[:, 1:] = np.cumsum(w * X, axis=1)
-        Q[:, 1:] = np.cumsum(w * vel, axis=1)
-        self._build_hull(P, S, Q, n, DEFAULT_TIE_TOL)
+        P, S, Q = (np.zeros((R, L)) for _ in range(3))
+        for prefix, terms in ((P, w), (S, w * X), (Q, w * vel)):
+            terms.cumsum(axis=1, out=prefix[:, 1:])
+        self.P, self.S, self.Q, self.X, self.vel, self.n = P, S, Q, X, vel, n
+        # read here, so that a CLI --tol-tie override reaches every frame built under it
+        self.tie_tol = DEFAULT_TIE_TOL
+        self._lookup = None
 
-    @classmethod
-    def _of_frame(cls, frame):
-        """``frame`` as a one-row stack: its own P, S and Q and its tie
-        tolerance."""
-        stack = cls.__new__(cls)
-        stack._build_hull(frame.P[None], frame.S[None], frame.Q[None], np.array([frame.P.size]), frame.tie_tol)
-        return stack
+    def __getattr__(self, name):
+        # an unset hull slot: the hull's first reader builds it
+        if name not in ("lo", "hi", "positions", "velocities", "masses", "bounds"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build_hull()
+        return getattr(self, name)
 
-    def _build_hull(self, P, S, Q, n, tie_tol):
-        self.P, self.S, self.Q, self.n, self.tie_tol = P, S, Q, n, tie_tol
+    def _build_hull(self):
+        P, S, Q, n = self.P, self.S, self.Q, self.n
         R, L = P.shape
         flat_P, flat_S, flat_Q = P.ravel(), S.ravel(), Q.ravel()
         idx = _hull_vertices(P, S, n)
@@ -322,6 +304,7 @@ class FrameStack:
         starts = np.arange(R + 1) * L
         steps[starts] = steps[starts[:-1] + n] = np.inf
         self._lookup = (idx, flat_S, flat_P, below, above, steps, np.max(np.abs(S), axis=1), P[:, -1])
+        return self._lookup
 
     def cluster_state(self, r: int, time: float, velocities=None) -> ClusterState:
         """Row r's clusters as a ClusterState at ``time``: cluster j has
@@ -347,11 +330,11 @@ class FrameStack:
         sizes = [len(g) for g in grids]
         xs = _finite_points(np.concatenate([np.asarray(g, dtype=float) for g in grids]))
         r = np.repeat(np.arange(len(grids)), sizes)
+        idx, flat_S, flat_P, below, above, steps, s_max, total = self._lookup or self._build_hull()
         f, g = self.bounds.tolist(), list(itertools.accumulate(sizes, initial=0))
         j = np.concatenate(
             [np.searchsorted(self.positions[f[q] : f[q + 1]], xs[g[q] : g[q + 1]]) for q in range(len(grids))]
         )
-        idx, flat_S, flat_P, below, above, steps, s_max, total = self._lookup
         at = self.bounds[r] + r + j
         v = idx[at]
         nu = flat_S[v] - xs * flat_P[v]

@@ -40,6 +40,26 @@ def y_star(measure, k):
     return float(measure.positions[max(k, 1) - 1])
 
 
+def reference_frame(measure, velocities, coeffs):
+    """(P, S, Q, X, vel) of one (measure, velocities, coeffs) row by 1-d
+    arithmetic of its own, an independent reference for ``FrameStack``'s
+    rows: the measure's prefix masses P, the collision-free atom positions
+    X = eta + B*mtilde0 (+ A*u when the row has velocities and A != 0),
+    the free-flight velocities decay*u - A*mtilde0, and their mass-weighted
+    prefix sums S and Q."""
+    w = measure.masses
+    mt = measure.atom_mtilde()
+    X = measure.positions + coeffs.B * mt
+    if velocities is not None and coeffs.A != 0.0:
+        X = X + coeffs.A * velocities
+    if velocities is None:
+        velocities = np.zeros_like(w)
+    vel = coeffs.decay * velocities - coeffs.A * mt
+    S = np.concatenate(([0.0], np.cumsum(w * X)))
+    Q = np.concatenate(([0.0], np.cumsum(w * vel)))
+    return measure.prefix_mass, S, Q, X, vel
+
+
 def decreasing(errs):
     """Each error at most 1.05 times the one before, plus 1e-12 so that errors
     at roundoff level compare as equal."""

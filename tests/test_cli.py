@@ -376,11 +376,12 @@ class TestCompare:
 
     def test_one_simulation_per_instance_and_one_frame_per_time(self, tmp_path, monkeypatch):
         # each (instance, t) is one row of a stacked frame; no single frame
-        # is built, since no point of these grids falls in a tie window
+        # is built, since no point of these grids falls in a tie window, and
+        # each block's stack builds one hull
         n_instances = 10
-        sims, frames, stacked = [0], [0], [0]
+        sims, frames, stacked, blocks, hulls = [0], [0], [0], [0], [0]
         simulate, init = cli.simulate_ep, potentials.PrefixFrame.__init__
-        stack_init = potentials.FrameStack.__init__
+        stack_init, hull = potentials.FrameStack.__init__, potentials._hull_vertices
 
         def counted_simulate(*args):
             sims[0] += 1
@@ -392,11 +393,17 @@ class TestCompare:
 
         def counted_stack(self, rows):
             stacked[0] += len(rows)
+            blocks[0] += 1
             stack_init(self, rows)
+
+        def counted_hull(*args):
+            hulls[0] += 1
+            return hull(*args)
 
         monkeypatch.setattr(cli, "simulate_ep", counted_simulate)
         monkeypatch.setattr(potentials.PrefixFrame, "__init__", counted_init)
         monkeypatch.setattr(potentials.FrameStack, "__init__", counted_stack)
+        monkeypatch.setattr(potentials, "_hull_vertices", counted_hull)
         cfg = dict(TWO_ATOM, times=[0.5, 1.0], n_instances=n_instances)
         code = main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
         assert code == 0
@@ -405,6 +412,7 @@ class TestCompare:
         assert sims[0] == 1 + n_instances
         assert stacked[0] == len(rows)
         assert frames[0] == 0
+        assert hulls[0] == blocks[0] > 1
 
     def test_no_instances(self, tmp_path):
         # n_instances 0: the config's instance alone, and no row at all

@@ -169,10 +169,11 @@ def test_private_name_scan_sees_private_imports():
 class _CallSites(ast.NodeVisitor):
     """Dotted scope (module, class, function) of every call of ``name`` in
     one module, as ``name(...)`` or ``<obj>.name(...)``; a call through
-    ``np.`` (numpy's ``np.argmin``) is not the package's."""
+    ``np.`` (numpy's ``np.argmin``) is not the package's unless ``numpy``
+    is set."""
 
-    def __init__(self, module: str, name: str):
-        self.scope, self.name, self.found = [module], name, []
+    def __init__(self, module: str, name: str, numpy: bool = False):
+        self.scope, self.name, self.numpy, self.found = [module], name, numpy, []
 
     def _enter(self, node):
         self.scope.append(node.name)
@@ -189,17 +190,17 @@ class _CallSites(ast.NodeVisitor):
             called = (
                 isinstance(func, ast.Attribute)
                 and func.attr == self.name
-                and not (isinstance(func.value, ast.Name) and func.value.id == "np")
+                and (self.numpy or not (isinstance(func.value, ast.Name) and func.value.id == "np"))
             )
         if called:
             self.found.append(".".join(self.scope))
         self.generic_visit(node)
 
 
-def call_sites(name: str) -> list:
+def call_sites(name: str, numpy: bool = False) -> list:
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
-        visitor = _CallSites(path.stem, name)
+        visitor = _CallSites(path.stem, name, numpy)
         visitor.visit(ast.parse(path.read_text()))
         sites += visitor.found
     return sorted(sites)
@@ -234,6 +235,20 @@ def test_one_cluster_extraction_and_one_hull_lookup():
     assert call_sites("_settled") == ["potentials.FrameStack.argmin_grid"]
     formula = [site for site in call_sites("ClusterState") if site.split(".")[0] in FORMULA_MODULES]
     assert formula == ["potentials.FrameStack.cluster_state"]
+
+
+def test_one_frame_constructor():
+    # FrameStack.__init__ alone turns (measure, velocities, coeffs) rows into
+    # the free-flight columns and the prefix sums P, S and Q; a PrefixFrame is
+    # the one row of the stack that its constructor builds, and no stack
+    # skips its constructor through __new__
+    def in_potentials(sites):
+        return [site for site in sites if site.startswith("potentials.")]
+
+    assert in_potentials(call_sites("atom_mtilde")) == ["potentials.FrameStack.__init__"]
+    assert set(in_potentials(call_sites("cumsum", numpy=True))) == {"potentials.FrameStack.__init__"}
+    assert call_sites("__new__") == []
+    assert call_sites("FrameStack") == ["euler_poisson._stacked_block", "potentials.PrefixFrame.__init__"]
 
 
 def leaf_errors() -> set:

@@ -198,6 +198,19 @@ class TestConstruction:
         d = InitialData.from_atoms([0.0, 1.0], [1.0, 1.0], [-1.5, 0.5], 0.5)
         assert d.max_speed == 1.5
 
+    def test_velocities_are_copied(self):
+        # a view of a writable base, and a caller's own array: writes after
+        # construction reach neither the velocities nor U0
+        m = AtomicMeasure([0.0, 1.0], [1.0, 1.0])
+        base = np.array([1.0, -1.0, 0.0])
+        d = InitialData(m, base[:2], 1.0)
+        base[0] = 50.0
+        assert d.velocities.tolist() == [1.0, -1.0] and d.max_speed == 1.0
+        own = np.array([0.5, -2.0])
+        InitialData(m, own, 1.0)
+        own[1] = 3.0
+        assert own.flags.writeable
+
     def test_with_tau(self):
         d = InitialData.from_atoms([0.0], [1.0], [1.0], 1.0)
         d2 = d.with_tau(0.25)

@@ -9,7 +9,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -1059,8 +1059,20 @@ class TestInlinePairRoot:
         log_dmt=st.floats(-12.0, 2.0),
         tau=st.one_of(st.just(1e-3), st.floats(-6.0, 2.0).map(lambda p: 10.0**p)),
     )
+    # gap0 + dv*tau = 0: past d = 2.6 the dv term varies below its rounding, and
+    # Newton steps from the right crawled for 200 points
+    @example(gap0=0.1, dv=-1.0, log_dmt=-11.75, tau=0.1)
     def test_agrees_with_closure_reference_on_any_pair(self, gap0, dv, log_dmt, tau):
         assert_root_agrees_with_reference(tau, gap0, dv, 10.0**log_dmt)
+
+    def test_approach_that_exactly_uses_up_the_gap(self):
+        # gap0 + dv*tau = 0: past the bulk of the decay the dv term varies
+        # below its rounding, gap' overstates the computed gap's slope, and
+        # Newton crawls, from either side of the root
+        rng = np.random.default_rng(2027)
+        for _ in range(400):
+            tau, gap0, dmt = 10.0 ** rng.uniform(-6.0, 2.0), 10.0 ** rng.uniform(-15.0, 3.0), 10.0 ** rng.uniform(-12.0, 2.0)
+            assert_root_agrees_with_reference(float(tau), float(gap0), float(-gap0 / tau), float(dmt))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", ["gap0", "dv", "dmt"])

@@ -12,7 +12,7 @@ from stickygas.instances import random_instance
 from stickygas.measure import AtomicMeasure, InitialData
 from stickygas.oracle import oracle_cdf, simulate_ep
 from stickygas.potentials import PotentialCoefficients, PrefixFrame, minimize_Fbar
-from tests.conftest import _lookup_instance, make_random_instance, y_star
+from tests.conftest import _lookup_instance, make_random_instance, reference_frame, y_star
 
 E1 = math.exp(-1.0)
 
@@ -748,9 +748,11 @@ class TestFrameStack:
 
     def test_scattered_rows_mix_drift_and_moving_rows(self):
         # rows of 0 to 25 atoms: drift rows without velocities, drift
-        # coefficients with velocities (A = 0: the frame adds no A*u), and
-        # Euler-Poisson and scaled rows, in turn; each row's prefixes, its
-        # padding and its clusters equal its own frame's
+        # coefficients with velocities (A = 0: the row adds no A*u), and
+        # Euler-Poisson and scaled rows, in turn. Each row's P, S, Q, X and
+        # vel, in a stack of rows of many lengths, of one length, and as a
+        # one-row frame, equal the 1-d reference bit for bit; the padding
+        # repeats the row's last prefix and the clusters equal the frame's
         rng = np.random.default_rng(74)
         rows = []
         for trial in range(80):
@@ -771,16 +773,19 @@ class TestFrameStack:
         # would turn into 0.0: a row with A = 0 must add nothing
         lone = InitialData.from_atoms([-0.0], [1.0], [1.0], 0.5)
         rows += [(lone.measure, lone.velocities, PotentialCoefficients.drift(1.0)), (lone.measure, None, PotentialCoefficients.drift(2.0))]
-        stack = potentials.FrameStack(rows)
-        assert stack.bounds[0] == 0 and stack.bounds[-1] == stack.lo.size
-        for r, row in enumerate(rows):
-            frame = PrefixFrame(*row)
-            n = frame.P.size
-            for name in ("P", "S", "Q"):
-                got = getattr(stack, name)[r]
-                assert got[:n].tobytes() == getattr(frame, name).tobytes(), name
-                assert (got[n:] == got[n - 1]).all(), name
-            assert stack.cluster_state(r, 1.0) == frame.cluster_state(1.0)
+        for block in (rows, rows[-2:], [rows[-3]] * 3):
+            stack = potentials.FrameStack(block)
+            assert stack.bounds[0] == 0 and stack.bounds[-1] == stack.lo.size
+            for r, row in enumerate(block):
+                frame = PrefixFrame(*row)
+                n = frame.P.size
+                for name, want in zip(("P", "S", "Q", "X", "vel"), reference_frame(*row)):
+                    for got in (getattr(stack, name)[r, : want.size], getattr(frame, name)):
+                        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
+                for name in ("P", "S", "Q"):
+                    got = getattr(stack, name)[r]
+                    assert (got[n:] == got[n - 1]).all(), name
+                assert stack.cluster_state(r, 1.0) == frame.cluster_state(1.0)
 
     def test_unsettled_points_call_the_tie_rule_on_their_rows(self, monkeypatch):
         calls = []
@@ -870,6 +875,27 @@ class TestFrameHull:
         assert calls == []
         frame.argmin_grid(xs)
         assert len(calls) == 1
+
+    def test_stack_hull_is_built_by_its_first_reader(self, monkeypatch):
+        # a stack alone builds no hull; its first reader, the lookup, a
+        # ClusterState or any cluster column, builds one, and later reads
+        # build none
+        calls = self.counted_kernel(monkeypatch)
+        rng = np.random.default_rng(79)
+        instances = [make_random_instance(rng) for _ in range(4)]
+        rows = [(d.measure, d.velocities, PotentialCoefficients.euler_poisson(d.tau, 0.8)) for d in instances]
+        readers = [
+            lambda stack: stack.argmin_grid([np.linspace(-12.0, 12.0, 7)] * len(rows)),
+            lambda stack: stack.cluster_state(2, 0.8),
+        ] + [lambda stack, name=name: getattr(stack, name) for name in ("lo", "hi", "masses", "positions", "velocities", "bounds")]
+        for first in readers:
+            stack = potentials.FrameStack(rows)
+            assert calls == []
+            first(stack)
+            for read in readers:
+                read(stack)
+            assert calls == [stack.P.shape]
+            calls.clear()
 
     def test_lookup_reads_the_frame_tie_tolerance(self, monkeypatch):
         # a frame built under a wide tie tolerance keeps it after the
