@@ -21,6 +21,7 @@ import numpy as np
 from . import potentials, relax, validate
 from .errors import ConfigError, NumericError, TauOutOfRange
 from .euler_poisson import (
+    Branch,
     FormulaSolution,
     cluster_snapshot,
     eval_m_and_clusters_stacked,
@@ -223,32 +224,30 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-# `_fmt` for a column whose cells all have this exact type
-_COLUMN_FORMATS = {
-    float: "%.17g".__mod__,
-    int: str,
-    bool: {True: "true", False: "false"}.__getitem__,
-    str: str,
-}
+# the % conversion that writes a cell as ``_fmt`` does, for a column whose
+# cells all have this exact type
+_COLUMN_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
 
 
-def write_csv(path: str, header, rows) -> None:
-    """Write rows of equally many cells, each cell as ``_fmt`` writes it.
+def write_csv(path: str, header, columns) -> None:
+    """Write equally long columns under a header, each cell as ``_fmt`` writes it.
 
-    A column whose cells share one exact type in _COLUMN_FORMATS is
-    formatted with that type's formatter; any other column (mixed types,
-    numpy scalars) goes through ``_fmt`` cell by cell.
+    A column whose cells share one exact type in _COLUMN_FORMATS takes that
+    type's conversion; any other column (bools, mixed types, numpy scalars)
+    goes through ``_fmt`` cell by cell. The whole file is formatted in one
+    % pass, row after row.
     """
-    rows = list(rows)
-    if len(set(map(len, rows))) > 1:
-        raise ValueError("CSV rows must have equally many cells")
-    cells = []
-    for column in zip(*rows):
+    if len(set(map(len, columns))) > 1:
+        raise ValueError("CSV columns must be equally long")
+    conversions, cells = [], []
+    for column in columns:
         kinds = set(map(type, column))
-        fmt = _COLUMN_FORMATS.get(kinds.pop(), _fmt) if len(kinds) == 1 else _fmt
-        cells.append(map(fmt, column))
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    write_atomic(path, "\n".join(lines) + "\n")
+        conversion = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+        conversions.append(conversion or "%s")
+        cells.append(column if conversion else list(map(_fmt, column)))
+    rows = len(columns[0]) if columns else 0
+    body = (",".join(conversions) + "\n") * rows % tuple(itertools.chain.from_iterable(zip(*cells)))
+    write_atomic(path, ",".join(header) + "\n" + body)
 
 
 def _time_tag(t: float) -> str:
@@ -259,14 +258,11 @@ def _time_tag(t: float) -> str:
 
 
 def cmd_solve(cfg: RunConfig, out: str) -> list:
-    written = []
+    written, tag = [], {branch: branch.value for branch in Branch}
     for t in cfg.times:
-        rows = [
-            (s.x, s.m, s.q, s.u, s.E, s.branch.value)
-            for s in sample(cfg.data, cfg.x_grid, t)
-        ]
+        s = sample(cfg.data, cfg.x_grid, t)
         path = os.path.join(out, f"solution_t{_time_tag(t)}.csv")
-        write_csv(path, ["x", "m", "q", "u", "E", "branch"], rows)
+        write_csv(path, ["x", "m", "q", "u", "E", "branch"], [s.x, s.m, s.q, s.u, s.E, list(map(tag.get, s.branch))])
         written.append(path)
     return written
 
@@ -279,16 +275,16 @@ def cmd_oracle(cfg: RunConfig, out: str) -> list:
     write_csv(
         path,
         ["time", "x", "left_lo", "left_hi", "right_lo", "right_hi", "merged_lo", "merged_hi"],
-        zip(e.time, e.position, e.left_lo, e.left_hi, e.right_lo, e.right_hi, e.left_lo, e.right_hi),
+        [e.time, e.position, e.left_lo, e.left_hi, e.right_lo, e.right_hi, e.left_lo, e.right_hi],
     )
     written.append(path)
     for t in cfg.times:
         if t > cfg.t_end:
             continue
         s = traj.state_at(t)
-        rows = zip(*(a.tolist() for a in (s.positions, s.masses, s.velocities, s.lo, s.hi)))
+        columns = [a.tolist() for a in (s.positions, s.masses, s.velocities, s.lo, s.hi)]
         path = os.path.join(out, f"oracle_t{_time_tag(t)}.csv")
-        write_csv(path, ["position", "mass", "velocity", "atom_lo", "atom_hi"], rows)
+        write_csv(path, ["position", "mass", "velocity", "atom_lo", "atom_hi"], columns)
         written.append(path)
     return written
 
@@ -321,21 +317,26 @@ def _segment_max(values, bounds):
     return np.where(np.diff(bounds) > 0, np.maximum.reduceat(np.append(values, 0.0), bounds[:-1]), 0.0)
 
 
-def _compare_rows(cases, tol):
-    """(instance, t, max |dm|, max |du|, pass) per case (data, t, xs,
-    trajectory, instance), a block at a time: no more than one block of cases
-    waits for the formula layer, and a block's cases and columns are freed
-    before the next block is formed."""
+def _compare_columns(cases, tol) -> list:
+    """compare's rows as five columns (instance, t, max |dm|, max |du|, pass),
+    one cell per case (data, t, xs, trajectory, instance), a block at a time:
+    no more than one block of cases waits for the formula layer, and a
+    block's cases and arrays are freed before the next block is formed."""
     cases, rows = itertools.tee(cases)
+    columns = [[] for _ in range(5)]
     for formula in eval_m_and_clusters_stacked(case[:3] for case in rows):
-        yield from _compare_block(list(itertools.islice(cases, formula[-1].size - 1)), *formula, tol)
+        block = list(itertools.islice(cases, formula[-1].size - 1))
+        for column, cells in zip(columns, _compare_block(block, *formula, tol)):
+            column += cells
+    return columns
 
 
 def _compare_block(block, m, m_bounds, lo, hi, pos, vel, bounds, tol) -> list:
-    """compare's rows of one block as flat columns, each row's maxima per
-    segment. Each oracle cluster meets the formula cluster that holds its first
-    atom (one searchsorted on row-keyed columns); a row passes when m, the
-    velocities and the positions agree within tol and the atom ranges match."""
+    """compare's columns of one block, computed as flat columns, each row's
+    maxima per segment. Each oracle cluster meets the formula cluster that
+    holds its first atom (one searchsorted on row-keyed columns); a row passes
+    when m, the velocities and the positions agree within tol and the atom
+    ranges match."""
     states = [traj.state_at(t) for _, t, _, traj, _ in block]
     cdf = np.concatenate([oracle_cdf(state, case[2]) for state, case in zip(states, block)])
     o_lo, o_hi, o_pos, o_vel = (np.concatenate([getattr(s, c) for s in states]) for c in ("lo", "hi", "positions", "velocities"))
@@ -349,25 +350,24 @@ def _compare_block(block, m, m_bounds, lo, hi, pos, vel, bounds, tol) -> list:
     differ = (lo[f_sel] != o_lo[o_sel]) | (hi[f_sel] != o_hi[o_sel])
     same = match & (np.bincount(o_row[o_sel][differ], minlength=row.size) == 0)
     passed = (dm <= tol) & (du <= tol) & (dx <= tol) & same
-    return list(zip([c[4] for c in block], [c[1] for c in block], dm.tolist(), du.tolist(), passed.tolist()))
+    return [[c[4] for c in block], [c[1] for c in block], dm.tolist(), du.tolist(), passed.tolist()]
 
 
 def cmd_compare(cfg: RunConfig, out: str, seed: int | None = None) -> tuple:
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
-    rows = list(_compare_rows(_compare_cases(cfg, rng), cfg.tol_compare))
+    columns = _compare_columns(_compare_cases(cfg, rng), cfg.tol_compare)
     path = os.path.join(out, "compare.csv")
-    write_csv(path, ["instance", "time", "max_abs_dm", "max_abs_du", "pass"], rows)
-    return [path], all(row[-1] for row in rows)
+    write_csv(path, ["instance", "time", "max_abs_dm", "max_abs_du", "pass"], columns)
+    return [path], all(columns[-1])
 
 
 def cmd_relax(cfg: RunConfig, out: str) -> list:
     report = relax.convergence_study(
         cfg.data, cfg.relax_time, cfg.x_grid, cfg.tau_sequence
     )
-    rows = [(tau, em, eu) for tau, em, eu in report.rows()]
     path = os.path.join(out, "relax_report.csv")
-    write_csv(path, ["tau", "err_m", "err_u"], rows)
+    write_csv(path, ["tau", "err_m", "err_u"], [report.tau_sequence, report.err_m, report.err_u])
     return [path]
 
 
@@ -402,12 +402,9 @@ def cmd_validate(cfg: RunConfig, out: str) -> list:
     stencils = _stencil_candidates(cfg, max(hs))
     if stencils:
         reports.append(validate.check_potential_identities(cfg.data, stencils, hs))
-    rows = []
-    for report in reports:
-        for name, series, level, residual in report.rows():
-            rows.append((name, series, level, residual, report.passed))
+    rows = [(*row, report.passed) for report in reports for row in report.rows()]
     path = os.path.join(out, "validate_report.csv")
-    write_csv(path, ["check", "series", "level", "residual", "pass"], rows)
+    write_csv(path, ["check", "series", "level", "residual", "pass"], list(zip(*rows)))
     return [path]
 
 
@@ -551,30 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
             "(e.g. STICKYGAS_OUT, STICKYGAS_SEED)."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "oracle", "compare", "relax", "validate", "plot"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument(
-            "--out", default=_env_default("OUT", "."), help="output directory"
-        )
-        p.add_argument(
-            "--seed",
-            default=_env_default("SEED"),
-            help="override the config seed (compare command)",
-        )
-        p.add_argument(
-            "--tol-compare",
-            type=float,
-            default=None,
-            help="override the layer-comparison tolerance",
-        )
-        p.add_argument(
-            "--tol-tie",
-            type=float,
-            default=None,
-            help="override the prefix-sum tie tolerance",
-        )
+    parser.add_argument("command", choices=("solve", "oracle", "compare", "relax", "validate", "plot"))
+    parser.add_argument("--config", required=True, help="path to the JSON run config")
+    parser.add_argument("--out", default=_env_default("OUT", "."), help="output directory")
+    parser.add_argument("--seed", default=_env_default("SEED"), help="override the config seed (compare command)")
+    parser.add_argument("--tol-compare", type=float, default=None, help="override the layer-comparison tolerance")
+    parser.add_argument("--tol-tie", type=float, default=None, help="override the prefix-sum tie tolerance")
     return parser
 
 

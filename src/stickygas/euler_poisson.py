@@ -23,10 +23,12 @@ sits at the position of the cluster that holds it:
 reads the initial data with one searchsorted; at t > 0 it builds one frame
 and reads every point's prefix range from one hull lookup
 (``PrefixFrame.argmin_grid``). A scalar x is a one-point grid, and a 1-d
-grid returns the per-point results in grid order, equal to the scalar
-calls point by point. ``eval_nu_theta_omega`` reads the same lookup. The
-dense ``PrefixFrame.argmin`` scan runs only in the lookup's tie window and
-on grids of a few points before a frame's hull is built.
+grid returns one column per field in grid order, equal to the scalar
+calls point by point; ``sample`` on a grid is one ``SolutionSample`` of
+those columns, with no per-point object. ``eval_nu_theta_omega`` reads
+the same lookup. The dense ``PrefixFrame.argmin`` scan runs only in the
+lookup's tie window and on grids of a few points before a frame's hull
+is built.
 
 Many (data, t, xs) rows at once go through ``eval_m_and_clusters_stacked``:
 one ``potentials.FrameStack`` and one hull per bounded block of rows, as
@@ -35,6 +37,7 @@ flat columns, each row equal to ``eval_m_grid`` plus ``cluster_snapshot`` bit fo
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -77,15 +80,18 @@ _BRANCH_OF_CODE = np.array([Branch.CHARACTERISTIC, Branch.DELTA_SHOCK, Branch.VA
 
 @dataclass(frozen=True)
 class SolutionSample:
-    """All solution fields at one point, with the velocity branch that fired."""
+    """All solution fields at time t, with the velocity branch that fired:
+    floats and one ``Branch`` at a scalar x, or on a 1-d grid the columns
+    x, m, q, u, E (lists of floats) and branch (a list of ``Branch``) in
+    grid order."""
 
-    x: float
+    x: float | list
     t: float
-    m: float
-    q: float
-    u: float
-    E: float
-    branch: Branch
+    m: float | list
+    q: float | list
+    u: float | list
+    E: float | list
+    branch: Branch | list
 
 
 def speed_bound(data: InitialData) -> float:
@@ -111,18 +117,18 @@ def _points(x):
 
 def _fields(data, x, t, names, weights=PotentialCoefficients.euler_poisson):
     """The fields named in ``names`` at a scalar x or a 1-d grid of x, in
-    that order: "m" mass, "q" momentum, "u" (velocity, branch) pairs, "E"
-    energy, "s" a ``SolutionSample``.
+    that order: "x" the points, "m" mass, "q" momentum, "u" velocity, "b"
+    its ``Branch`` tag, "E" energy.
 
     A grid gives one list per field in grid order; a scalar x is a
     one-point grid and gives one value per field. At t = 0 one
     searchsorted reads the initial data: m is the prefix mass strictly
     left of x, q and E are sequential prefix sums of the per-atom terms
     over the same atoms, and u is the atom's velocity on an exact atom
-    hit, else 0.0. At t > 0 one frame (coefficients ``weights(data.tau,
-    t)``) and one ``argmin_grid`` lookup give every point's prefix range.
-    Only the requested fields are built, so an m query does no branch
-    analysis.
+    hit, else 0.0, on the characteristic branch. At t > 0 one frame
+    (coefficients ``weights(data.tau, t)``) and one ``argmin_grid`` lookup
+    give every point's prefix range. Only the requested fields are built,
+    so an m query does no branch analysis, and "u" and "b" share one pass.
     """
     xs, grid = _points(x)
     if t == 0.0:
@@ -133,37 +139,31 @@ def _fields(data, x, t, names, weights=PotentialCoefficients.euler_poisson):
         def prefix(terms):
             return np.concatenate(([0.0], np.cumsum(terms)))[k].tolist()
 
+        @functools.cache
         def velocities():
             on_atom = np.append(pos, np.nan)[k] == xs
-            us = np.where(on_atom, np.append(u0, 0.0)[k], 0.0).tolist()
-            return [(u, Branch.CHARACTERISTIC) for u in us]
+            return np.where(on_atom, np.append(u0, 0.0)[k], 0.0).tolist(), [Branch.CHARACTERISTIC] * xs.size
 
-        time = 0.0
         build = {
             "m": lambda: measure.prefix_mass[k].tolist(),
             "q": lambda: prefix(measure.masses * u0),
-            "u": velocities,
             "E": lambda: prefix(measure.masses * u0 * u0),
         }
     else:
         frame = _frame(data, t, weights)
         _, k_min, k_max = frame.argmin_grid(xs)
 
+        @functools.cache
         def velocities():
             u, branch = _velocities(frame, data, xs, k_min, k_max)
-            return list(zip(u.tolist(), branch.tolist()))
+            return u.tolist(), branch.tolist()
 
-        time = t
         build = {
             "m": lambda: frame.P[k_min].tolist(),
             "q": lambda: frame.Q[k_min].tolist(),
-            "u": velocities,
             "E": lambda: _energies(frame, k_min),
         }
-    build["s"] = lambda: [
-        SolutionSample(v, time, m, q, u, E, branch)
-        for v, m, q, (u, branch), E in zip(xs.tolist(), *(build[n]() for n in "mquE"))
-    ]
+    build.update(x=xs.tolist, u=lambda: velocities()[0], b=lambda: velocities()[1])
     columns = [build[name]() for name in names]
     return columns if grid else [column[0] for column in columns]
 
@@ -265,7 +265,8 @@ def eval_u(data: InitialData, x, t: float):
     support (at clusters) the value is the physical cluster velocity.
     For a 1-d grid x, a list of (u, branch) pairs in grid order.
     """
-    return _fields(data, x, t, "u")[0]
+    u, branch = _fields(data, x, t, "ub")
+    return list(zip(u, branch)) if np.ndim(x) else (u, branch)
 
 
 def _energies(frame, k_mins) -> list:
@@ -319,9 +320,11 @@ def eval_nu_theta_omega(data: InitialData, x, t: float):
     return tuple(np.array(rows, dtype=float).reshape(-1, 4).T) if grid else rows[0]
 
 
-def sample(data: InitialData, x, t: float):
-    """All solution fields at one point; for a 1-d grid x, a list in grid order."""
-    return _fields(data, x, t, "s")[0]
+def sample(data: InitialData, x, t: float) -> SolutionSample:
+    """All solution fields at (x, t) as one ``SolutionSample``: values at a
+    scalar x, the field columns in grid order for a 1-d grid x."""
+    x, m, q, u, E, branch = _fields(data, x, t, "xmquEb")
+    return SolutionSample(x, 0.0 if t == 0.0 else t, m, q, u, E, branch)
 
 
 # -- grid evaluation ---------------------------------------------------------

@@ -15,8 +15,8 @@ import numpy as np
 
 from .drift import drift_cluster_snapshot, eval_mbar_grid
 from .euler_poisson import _fields, _frame
-from .measure import ClusterState, InitialData
-from .potentials import PotentialCoefficients, minimize_Fbar
+from .measure import BLOCK_ELEMENTS, ClusterState, InitialData
+from .potentials import FrameStack, PotentialCoefficients, minimize_Fbar
 
 __all__ = ["RelaxationReport", "eval_scaled", "convergence_study", "scaled_cluster_snapshot"]
 
@@ -30,15 +30,11 @@ class RelaxationReport:
     err_u: tuple
     grid: tuple
 
-    def rows(self):
-        for tau, em, eu in zip(self.tau_sequence, self.err_m, self.err_u):
-            yield tau, em, eu
-
 
 def eval_scaled(data: InitialData, x: float, t: float, tau: float):
     """(m_tau, u_tau, q_tau/tau) of the slow-time-scaled solution at (x, t);
     at t = 0, the initial data's (m0, u0/tau, q0/tau)."""
-    m, q, (u, _) = _fields(data.with_tau(tau), x, t, "mqu", PotentialCoefficients.scaled)
+    m, q, u = _fields(data.with_tau(tau), x, t, "mqu", PotentialCoefficients.scaled)
     return m, u / tau, q / tau
 
 
@@ -91,7 +87,9 @@ def convergence_study(
 
     The velocity comparison pairs each drift cluster with the nearest
     cluster of the scaled solution, since at finite tau the concentration
-    sits at a slightly shifted position.
+    sits at a slightly shifted position. The taus' scaled frames are the
+    rows of ``FrameStack`` blocks of at most BLOCK_ELEMENTS prefixes or
+    grid points (or one row), each block read by one hull lookup.
     """
     measure = data.measure
     taus = [float(v) for v in tau_sequence]
@@ -102,16 +100,18 @@ def convergence_study(
 
     err_m = []
     err_u = []
-    for tau, data_tau in zip(taus, scaled):
-        frame = _frame(data_tau, t, PotentialCoefficients.scaled)
-        if grid.size:
-            _, k_min, _ = frame.argmin_grid(grid)
-            err_m.append(float(np.max(np.abs(frame.P[k_min] - mbar))))
-        else:
-            err_m.append(0.0)
-        _, _, pos, vel = frame.clusters()
-        err = np.abs(vel[_nearest(pos, drift.positions)] / tau - drift.velocities)
-        err_u.append(float(np.max(err, initial=0.0)))
+    rows = max(1, BLOCK_ELEMENTS // max(len(measure) + 1, grid.size))
+    for first in range(0, len(taus), rows):
+        block = scaled[first : first + rows]
+        stack = FrameStack([(measure, d.velocities, PotentialCoefficients.scaled(d.tau, t)) for d in block])
+        _, k_min, _ = stack.argmin_grid([grid] * len(block))
+        m = stack.P[np.repeat(np.arange(len(block)), grid.size), k_min].reshape(len(block), grid.size)
+        bounds = stack.bounds.tolist()
+        for r, d in enumerate(block):
+            err_m.append(float(np.max(np.abs(m[r] - mbar))) if grid.size else 0.0)
+            pos, vel = (c[bounds[r] : bounds[r + 1]] for c in (stack.positions, stack.velocities))
+            err = np.abs(vel[_nearest(pos, drift.positions)] / d.tau - drift.velocities)
+            err_u.append(float(np.max(err, initial=0.0)))
 
     return RelaxationReport(
         t=t,

@@ -412,7 +412,8 @@ def check_potential_identities(data: InitialData, stencil_grid, h_sequence) -> R
     worst = {name: [0.0] * len(hs) for name in names}
     for t in positions:  # each distinct stencil time once
         xs = np.array([x for x, s in stencil_grid if s == t], dtype=float)
-        mv, qv, ev = np.array([(c.m, c.q, c.E) for c in sample(data, xs, t)]).T
+        centre = sample(data, xs, t)
+        mv, qv, ev = np.array(centre.m), np.array(centre.q), np.array(centre.E)
         om_c = eval_nu_theta_omega(data, xs, t)[2]
         closure = qv / data.tau + 0.5 * mv * mv - 0.5 * data.measure.total_mass * mv
         for i, h in enumerate(hs):

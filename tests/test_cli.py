@@ -34,7 +34,7 @@ TWO_ATOM = {
 def _compare_one(data, traj, times, xs, tol):
     """compare's (t, max |dm|, max |du|, pass) rows for one instance."""
     cases = ((data, t, xs, traj, None) for t in times)
-    return [row[1:] for row in cli._compare_rows(cases, tol)]
+    return list(zip(*cli._compare_columns(cases, tol)[1:]))
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -265,6 +265,22 @@ class TestSolve:
         _, rows = read_csv(tmp_path / "solution_t0.csv")
         ms = [float(r[1]) for r in rows]
         assert ms[0] == 0.0 and ms[-1] == 1.0
+
+    def test_no_sample_per_grid_point(self, tmp_path, monkeypatch):
+        # solve reads each time's field columns: one SolutionSample of
+        # columns per time, and a per-point sample (a scalar x) raises
+        original, built = euler_poisson.SolutionSample, []
+
+        def columns_only(x, *fields):
+            if not isinstance(x, list):
+                raise AssertionError("a SolutionSample per grid point")
+            built.append(len(x))
+            return original(x, *fields)
+
+        monkeypatch.setattr(euler_poisson, "SolutionSample", columns_only)
+        cfg = dict(TWO_ATOM, times=[0.0, 0.5, 1.0])
+        assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+        assert built == [101] * 3
 
 
 class TestOracleCommand:
@@ -529,7 +545,7 @@ class TestCompare:
         # runs, and the tie rule runs only at points of the compare grids
         branch_calls, tied, grids = [0], set(), []
         velocity, argmin = euler_poisson._velocities, potentials.PrefixFrame.argmin
-        compare_rows = cli._compare_rows
+        compare_columns = cli._compare_columns
 
         def counted_velocity(*args):
             branch_calls[0] += 1
@@ -545,11 +561,11 @@ class TestCompare:
                     grids.extend(np.asarray(case[2], dtype=float).tolist())
                     yield case
 
-            return compare_rows(recorded_cases(), tol)
+            return compare_columns(recorded_cases(), tol)
 
         monkeypatch.setattr(euler_poisson, "_velocities", counted_velocity)
         monkeypatch.setattr(potentials.PrefixFrame, "argmin", recorded_ties)
-        monkeypatch.setattr(cli, "_compare_rows", recorded_compare)
+        monkeypatch.setattr(cli, "_compare_columns", recorded_compare)
         cfg = dict(TWO_ATOM, times=[0.5, 1.0, 5.5], n_instances=20)
         code = main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
         assert code == 0
@@ -634,7 +650,7 @@ class Heavier:
 def assert_rows_equal_reference(cases, tol=1e-9):
     """The block compare of ``cases`` equals the per-row reference, repr for
     repr; returns the rows."""
-    got = list(cli._compare_rows(iter(cases), tol))
+    got = list(zip(*cli._compare_columns(iter(cases), tol)))
     assert repr(got) == repr(list(reference_compare_rows(cases, tol)))
     return got
 
@@ -843,7 +859,7 @@ class TestDeterminism:
         row = [0.1, -0.0, 1e-300, math.inf, 7, -3, True, False,
                np.float64(2.5e-17), np.int64(-12), np.bool_(True), np.bool_(False), "a b"]
         path = tmp_path / "cells.csv"
-        cli.write_csv(str(path), ["c"], [row])
+        cli.write_csv(str(path), ["c"], [[v] for v in row])
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines == ["c", ",".join(cli._fmt(v) for v in row)]
         assert lines[1] == "0.10000000000000001,-0,1e-300,inf,7,-3,true,false,2.4999999999999999e-17,-12,true,false,a b"
@@ -963,9 +979,8 @@ class TestTextOutputMatchesReference:
         header = [f"c{j}" for j in range(len(kinds))]
         want = reference_csv_text(header, zip(*columns))
         path = tmp_path / "cells.csv"
-        for rows in (list(zip(*columns)), zip(*columns), (tuple(row) for row in zip(*columns)),
-                     [list(row) for row in zip(*columns)]):
-            cli.write_csv(str(path), header, rows)
+        for form in (columns, [tuple(c) for c in columns], tuple(columns)):
+            cli.write_csv(str(path), header, form)
             assert path.read_bytes() == want.encode("utf-8")
 
     @pytest.mark.parametrize("kind", CELL_KINDS)
@@ -973,18 +988,18 @@ class TestTextOutputMatchesReference:
         rng = np.random.default_rng(CELL_KINDS.index(kind))
         columns = [random_column(rng, kind, 400), random_column(rng, "float", 400)]
         path = tmp_path / "cells.csv"
-        cli.write_csv(str(path), ["a", "b"], zip(*columns))
+        cli.write_csv(str(path), ["a", "b"], columns)
         assert path.read_bytes() == reference_csv_text(["a", "b"], zip(*columns)).encode("utf-8")
 
     def test_csv_without_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
-        for rows in ([], iter(()), zip([], [])):
-            cli.write_csv(str(path), ["x", "y"], rows)
+        for columns in ([], [[], []], ([], ())):
+            cli.write_csv(str(path), ["x", "y"], columns)
             assert path.read_text(encoding="utf-8") == reference_csv_text(["x", "y"], []) == "x,y\n"
 
-    def test_csv_rows_of_unequal_length_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="equally many cells"):
-            cli.write_csv(str(tmp_path / "ragged.csv"), ["x", "y"], [(1.0, 2.0), (3.0,)])
+    def test_csv_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="equally long"):
+            cli.write_csv(str(tmp_path / "ragged.csv"), ["x", "y"], [[1.0, 3.0], [2.0]])
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("seed", range(8))
@@ -1119,6 +1134,15 @@ class TestEnvOverride:
         cfg_path = write_config(tmp_path, TWO_ATOM)
         assert main(["solve", "--config", cfg_path]) == 0
         assert (target / "solution_t1.csv").exists()
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [["bogus", "--config", "config.json"], ["solve"], ["solve", "--out", "."]])
+    def test_unknown_command_or_missing_config_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "error" in capsys.readouterr().err
 
 
 class TestSeedOverride:

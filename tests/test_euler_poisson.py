@@ -8,6 +8,7 @@ from stickygas.errors import EmptyMeasure, NonPositiveTime
 from stickygas.euler_poisson import (
     DEFAULT_SPEED_TOL,
     Branch,
+    SolutionSample,
     _frame,
     _velocities,
     cluster_snapshot,
@@ -269,7 +270,7 @@ class TestEnergy:
         # the prefix energy used to be -0.0
         data = InitialData.from_atoms([0.0, 1.0], [1.0, 1e-18], [0.0, 0.0], 1.0)
         xs = [0.5, 1.0]
-        assert [repr(s.E) for s in sample(data, xs, 0.1)] == ["0.0", "0.0"]
+        assert [repr(e) for e in sample(data, xs, 0.1).E] == ["0.0", "0.0"]
         assert [repr(e) for e in eval_E(data, xs, 0.1)] == ["0.0", "0.0"]
 
     def test_energy_matches_oracle_cluster_sum(self):
@@ -702,10 +703,16 @@ class TestGridEvaluation:
                 xs += data.measure.positions.tolist()
                 if t > 0.0:
                     xs += cluster_snapshot(data, t).positions.tolist()
-                for fn in (sample, eval_q, eval_u, eval_E):
+                columns = sample(data, np.array(xs), t)
+                fields = (columns.x, columns.m, columns.q, columns.u, columns.E, columns.branch)
+                points = [SolutionSample(x, columns.t, m, q, u, E, b) for x, m, q, u, E, b in zip(*fields)]
+                assert [repr(s) for s in points] == [repr(sample(data, x, t)) for x in xs]
+                assert all(len(f) == len(xs) for f in fields)
+                for fn in (eval_q, eval_u, eval_E):
                     grid = fn(data, np.array(xs), t)
                     assert [repr(v) for v in grid] == [repr(fn(data, x, t)) for x in xs]
                 assert fn(data, [], t) == []
+                assert sample(data, [], t) == SolutionSample([], float(t), [], [], [], [], [])
                 if t > 0.0:
                     assert_scalar_calls_equal_dense_scan(data, xs, t)
 

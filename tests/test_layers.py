@@ -248,7 +248,7 @@ def test_one_frame_constructor():
     assert in_potentials(call_sites("atom_mtilde")) == ["potentials.FrameStack.__init__"]
     assert set(in_potentials(call_sites("cumsum", numpy=True))) == {"potentials.FrameStack.__init__"}
     assert call_sites("__new__") == []
-    assert call_sites("FrameStack") == ["euler_poisson._stacked_block", "potentials.PrefixFrame.__init__"]
+    assert call_sites("FrameStack") == ["euler_poisson._stacked_block", "potentials.PrefixFrame.__init__", "relax.convergence_study"]
 
 
 def leaf_errors() -> set:

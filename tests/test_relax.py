@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from stickygas.drift import drift_cluster_snapshot, eval_ubar
+from stickygas import relax
+from stickygas.drift import drift_cluster_snapshot, eval_mbar_grid, eval_ubar
 from stickygas.errors import TauOutOfRange
 from stickygas.euler_poisson import eval_m, eval_u
 from stickygas.measure import InitialData
 from stickygas.oracle import oracle_cdf, simulate_ep
-from stickygas.potentials import PotentialCoefficients, PrefixFrame
+from stickygas.potentials import FrameStack, PotentialCoefficients, PrefixFrame
 from stickygas.relax import (
     _filtered_grid,
     _nearest,
@@ -118,6 +119,22 @@ class TestEvalScaled:
     BENCH_GRID = [-4.0, -3.0, -2.0, -1.5, -1.1, -0.55, 0.0, 0.55, 1.1, 1.5, 2.0, 3.0, 4.0]
 
 
+def per_tau_errors(data, t, grid, taus):
+    """convergence_study's (err_m, err_u) from one scaled frame per tau, on
+    the already filtered grid: the loop that the stacked rows replaced."""
+    grid = np.asarray(grid, dtype=float)
+    mbar = eval_mbar_grid(data.measure, grid, t)
+    drift = drift_cluster_snapshot(data.measure, t)
+    err_m, err_u = [], []
+    for tau in taus:
+        frame = PrefixFrame(data.measure, data.velocities, PotentialCoefficients.scaled(tau, t))
+        err_m.append(float(np.max(np.abs(frame.P[frame.argmin_grid(grid)[1]] - mbar))) if grid.size else 0.0)
+        _, _, pos, vel = frame.clusters()
+        err = np.abs(vel[_nearest(pos, drift.positions)] / tau - drift.velocities)
+        err_u.append(float(np.max(err, initial=0.0)))
+    return tuple(err_m), tuple(err_u)
+
+
 class TestConvergenceStudy:
     GRID = TestEvalScaled.BENCH_GRID
 
@@ -169,6 +186,20 @@ class TestConvergenceStudy:
             )
             assert err == pytest.approx(abs(vel - u), abs=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 7, 120, 1000])
+    def test_stacked_taus_equal_one_frame_per_tau(self, n):
+        # the stacks' rows read the errors of one scaled frame per tau,
+        # repr for repr, empty and single-point grids included; at n = 1000
+        # a stack holds 4 of the 10 taus
+        rng = np.random.default_rng(n)
+        data = baseline_instance(n, n)
+        t = float(rng.uniform(0.1, 3.0))
+        for grid in (np.linspace(-12.0, 12.0, 1001), [0.25], []):
+            rep = convergence_study(data, t, grid, TAUS)
+            want = per_tau_errors(data, t, rep.grid, TAUS)
+            assert (repr(rep.err_m), repr(rep.err_u)) == tuple(map(repr, want))
+        assert convergence_study(data, t, grid, []).err_u == ()
+
     def test_snapshot_at_time_zero_is_the_atoms(self):
         data = InitialData.from_atoms([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5], [1.0, -0.5, 0.25], 1.0)
         for tau in (1.0, 0.25):
@@ -215,18 +246,30 @@ class TestShockFilter:
 @pytest.mark.parametrize("taus", [[0.5], [0.5, 0.1, 1e-3, 1e-6]])
 def test_convergence_study_builds_one_drift_frame_per_use(monkeypatch, taus):
     # the shock filter, eval_mbar_grid and drift_cluster_snapshot build one
-    # drift frame each, whatever the grid's size, and each tau one scaled frame
-    built = []
+    # drift frame each, whatever the grid's size, and the taus' scaled
+    # frames are rows of stacks of at most BLOCK_ELEMENTS points: here one
+    # stack, a row per tau
+    built, stacks = [], []
     init = PrefixFrame.__init__
 
     def counting(self, *args):
         built.append(args[2])
         init(self, *args)
 
+    class CountedStack(FrameStack):
+        def __init__(self, rows):
+            stacks.append([coeffs.tau for _, _, coeffs in rows])
+            super().__init__(rows)
+
     monkeypatch.setattr(PrefixFrame, "__init__", counting)
+    monkeypatch.setattr(relax, "FrameStack", CountedStack)
     convergence_study(baseline_instance(200, 0), 1.0, np.linspace(-12.0, 12.0, 301), taus)
-    assert len(built) == len(taus) + 3
+    assert len(built) == 3
     assert sum(coeffs.tau == math.inf for coeffs in built) == 3
+    assert stacks == [taus]
+    stacks.clear()
+    convergence_study(baseline_instance(1000, 0), 1.0, np.linspace(-12.0, 12.0, 301), TAUS)
+    assert stacks == [TAUS[:4], TAUS[4:8], TAUS[8:]]
 
 
 class TestNearestCluster:
