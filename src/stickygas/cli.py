@@ -176,7 +176,10 @@ class RunConfig:
         except TauOutOfRange as exc:
             raise ConfigError(str(exc)) from exc
         self.times = [float(t) for t in times]
-        self.x_grid = np.linspace(float(grid["min"]), float(grid["max"]), grid["count"])
+        try:
+            self.x_grid = np.linspace(float(grid["min"]), float(grid["max"]), grid["count"])
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"x_grid cannot be built: {exc}") from exc
         self.t_end = float(t_end)
         self.tau_sequence = [float(v) for v in tau_seq]
         self.relax_time = float(relax_time)
@@ -320,12 +323,10 @@ def _segment_max(values, bounds):
 def _compare_columns(cases, tol) -> list:
     """compare's rows as five columns (instance, t, max |dm|, max |du|, pass),
     one cell per case (data, t, xs, trajectory, instance), a block at a time:
-    no more than one block of cases waits for the formula layer, and a
-    block's cases and arrays are freed before the next block is formed."""
-    cases, rows = itertools.tee(cases)
+    the stacked reader hands back each block's cases with its formula
+    columns, so no more than one block of cases is held at a time."""
     columns = [[] for _ in range(5)]
-    for formula in eval_m_and_clusters_stacked(case[:3] for case in rows):
-        block = list(itertools.islice(cases, formula[-1].size - 1))
+    for block, *formula in eval_m_and_clusters_stacked(cases):
         for column, cells in zip(columns, _compare_block(block, *formula, tol)):
             column += cells
     return columns

@@ -30,9 +30,11 @@ the same lookup. The dense ``PrefixFrame.argmin`` scan runs only in the
 lookup's tie window and on grids of a few points before a frame's hull
 is built.
 
-Many (data, t, xs) rows at once go through ``eval_m_and_clusters_stacked``:
-one ``potentials.FrameStack`` and one hull per bounded block of rows, as
-flat columns, each row equal to ``eval_m_grid`` plus ``cluster_snapshot`` bit for bit.
+Many (data, t, xs) rows at once go through ``eval_m_and_clusters_stacked``,
+under any coefficient rule: one ``potentials.FrameStack`` and one hull per
+bounded block of rows, handed back with the block's rows as flat columns,
+each row equal to its own frame's m and clusters bit for bit. ``compare``
+reads its cases through it, and ``relax`` its taus' scaled rows.
 """
 
 from __future__ import annotations
@@ -335,35 +337,34 @@ def eval_m_grid(data: InitialData, xs, t: float):
     return np.array(_fields(data, xs, t, "m")[0])
 
 
-def eval_m_and_clusters_stacked(rows):
-    """``eval_m_grid`` at xs and ``cluster_snapshot`` at t for (data, t, xs)
-    rows, t > 0: per block of rows, the flat columns (m, m_bounds, lo, hi,
-    positions, velocities, bounds), row r's m at m_bounds[r]:m_bounds[r + 1]
-    and its clusters at bounds[r]:bounds[r + 1], equal to the separate calls
-    bit for bit. A block's ``FrameStack``, rows times the largest N + 1
-    or grid length, stays within BLOCK_ELEMENTS (or holds one row); rows are
-    read one block at a time, so memory stays bounded by a block.
-    """
+def eval_m_and_clusters_stacked(rows, weights=PotentialCoefficients.euler_poisson):
+    """``eval_m_grid`` at xs and ``cluster_snapshot`` at t, each frame under
+    ``weights(data.tau, t)``, for rows whose first three items are (data, t,
+    xs), t > 0: per block of rows, the block's rows and then its flat columns
+    (m, m_bounds, lo, hi, positions, velocities, bounds), row r's m at
+    m_bounds[r]:m_bounds[r + 1] and its clusters at bounds[r]:bounds[r + 1],
+    bit for bit its own frame's. A block's ``FrameStack``, rows times the
+    largest N + 1 or grid length, stays within BLOCK_ELEMENTS (or holds one
+    row); rows are read a block at a time, so memory stays bounded by a block."""
     block, width = [], 0
-    for data, t, xs in rows:
+    for row in rows:
+        data, _, xs = row[:3]
         size = max(len(data) + 1, len(xs))
         if block and (len(block) + 1) * max(width, size) > BLOCK_ELEMENTS:
-            yield _stacked_block(block)
+            yield _stacked_block(block, weights)
             block, width = [], 0
-        block.append((data, t, xs))
+        block.append(row)
         width = max(width, size)
     if block:
-        yield _stacked_block(block)
+        yield _stacked_block(block, weights)
 
 
-def _stacked_block(block) -> tuple:
-    stack = FrameStack(
-        [(data.measure, data.velocities, PotentialCoefficients.euler_poisson(data.tau, t)) for data, t, _ in block]
-    )
-    sizes = [len(xs) for _, _, xs in block]
-    _, k_min, _ = stack.argmin_grid([xs for _, _, xs in block])
+def _stacked_block(block, weights) -> tuple:
+    stack = FrameStack([(data.measure, data.velocities, weights(data.tau, t)) for data, t, *_ in block])
+    sizes = [len(row[2]) for row in block]
+    _, k_min, _ = stack.argmin_grid([row[2] for row in block])
     m = stack.P[np.repeat(np.arange(len(block)), sizes), k_min]
-    return m, np.cumsum([0, *sizes]), stack.lo, stack.hi, stack.positions, stack.velocities, stack.bounds
+    return block, m, np.cumsum([0, *sizes]), stack.lo, stack.hi, stack.positions, stack.velocities, stack.bounds
 
 
 # -- cluster structure -------------------------------------------------------

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import drift_cluster_snapshot, eval_mbar_grid
-from .euler_poisson import _fields, _frame
-from .measure import BLOCK_ELEMENTS, ClusterState, InitialData
-from .potentials import FrameStack, PotentialCoefficients, minimize_Fbar
+from .euler_poisson import _fields, _frame, eval_m_and_clusters_stacked
+from .measure import ClusterState, InitialData
+from .potentials import PotentialCoefficients, minimize_Fbar
 
 __all__ = ["RelaxationReport", "eval_scaled", "convergence_study", "scaled_cluster_snapshot"]
 
@@ -87,9 +87,9 @@ def convergence_study(
 
     The velocity comparison pairs each drift cluster with the nearest
     cluster of the scaled solution, since at finite tau the concentration
-    sits at a slightly shifted position. The taus' scaled frames are the
-    rows of ``FrameStack`` blocks of at most BLOCK_ELEMENTS prefixes or
-    grid points (or one row), each block read by one hull lookup.
+    sits at a slightly shifted position. The taus' scaled rows go through
+    ``eval_m_and_clusters_stacked`` under ``PotentialCoefficients.scaled``:
+    one stack and one hull lookup per bounded block of taus.
     """
     measure = data.measure
     taus = [float(v) for v in tau_sequence]
@@ -100,16 +100,11 @@ def convergence_study(
 
     err_m = []
     err_u = []
-    rows = max(1, BLOCK_ELEMENTS // max(len(measure) + 1, grid.size))
-    for first in range(0, len(taus), rows):
-        block = scaled[first : first + rows]
-        stack = FrameStack([(measure, d.velocities, PotentialCoefficients.scaled(d.tau, t)) for d in block])
-        _, k_min, _ = stack.argmin_grid([grid] * len(block))
-        m = stack.P[np.repeat(np.arange(len(block)), grid.size), k_min].reshape(len(block), grid.size)
-        bounds = stack.bounds.tolist()
-        for r, d in enumerate(block):
-            err_m.append(float(np.max(np.abs(m[r] - mbar))) if grid.size else 0.0)
-            pos, vel = (c[bounds[r] : bounds[r + 1]] for c in (stack.positions, stack.velocities))
+    stacked = eval_m_and_clusters_stacked(((d, t, grid) for d in scaled), PotentialCoefficients.scaled)
+    for block, m, m_bounds, _, _, positions, velocities, bounds in stacked:
+        for r, (d, _, _) in enumerate(block):
+            err_m.append(float(np.max(np.abs(m[m_bounds[r] : m_bounds[r + 1]] - mbar))) if grid.size else 0.0)
+            pos, vel = (c[bounds[r] : bounds[r + 1]] for c in (positions, velocities))
             err = np.abs(vel[_nearest(pos, drift.positions)] / d.tau - drift.velocities)
             err_u.append(float(np.max(err, initial=0.0)))
 

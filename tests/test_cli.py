@@ -70,6 +70,16 @@ class TestConfigValidation:
         code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_grid_too_big_to_build_exits_2(self, tmp_path, capsys):
+        # numpy refuses a 2**62-point grid before it allocates anything; a
+        # count it tries and fails to allocate raises MemoryError, which
+        # the same guard turns into a config error
+        cfg = dict(TWO_ATOM, x_grid={"min": -1.0, "max": 1.0, "count": 2**62})
+        code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "x_grid cannot be built" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_missing_version(self, tmp_path):
         cfg = {k: v for k, v in TWO_ATOM.items() if k != "version"}
         code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])

@@ -740,12 +740,14 @@ class TestGridEvaluation:
     def test_shared_frame_equals_separate_calls(self):
         # every row of the stacked entry point, empty grids included, equals
         # the separate single-frame calls byte for byte; t = 0 has no frame
+        # under either coefficient rule
         rng = np.random.default_rng(26)
         rows = []
         for _ in range(25):
             data = make_random_instance(rng)
-            with pytest.raises(NonPositiveTime):
-                list(eval_m_and_clusters_stacked([(data, 0.0, [0.0])]))
+            for weights in STACK_WEIGHTS:
+                with pytest.raises(NonPositiveTime):
+                    list(eval_m_and_clusters_stacked([(data, 0.0, [0.0])], weights))
             for t in (1e-3, 0.7, 3.0):
                 xs = rng.uniform(-12, 12, size=15)
                 xs = np.concatenate([xs, cluster_snapshot(data, t).positions])
@@ -776,55 +778,74 @@ class TestGridEvaluation:
 CLUSTER_COLUMNS = ("lo", "hi", "positions", "velocities")
 
 
-def stacked_rows(rows):
+STACK_WEIGHTS = (PotentialCoefficients.euler_poisson, PotentialCoefficients.scaled)
+
+
+def stacked_rows(rows, weights=PotentialCoefficients.euler_poisson):
     """Each row's (m, {column: clusters}) cut out of the blocks of
-    ``eval_m_and_clusters_stacked``, in row order; every block's offsets
+    ``eval_m_and_clusters_stacked`` under ``weights``, in row order; every
+    block hands back its own rows, the very objects given, and its offsets
     cover its flat columns exactly."""
-    got = []
-    for m, m_bounds, *columns, bounds in eval_m_and_clusters_stacked(iter(rows)):
-        assert m_bounds[0] == bounds[0] == 0 and m_bounds.size == bounds.size
+    got, handed_back = [], []
+    for block, m, m_bounds, *columns, bounds in eval_m_and_clusters_stacked(iter(rows), weights):
+        assert m_bounds[0] == bounds[0] == 0 and m_bounds.size == bounds.size == len(block) + 1
         assert m_bounds[-1] == m.size and all(c.size == bounds[-1] for c in columns)
+        handed_back += block
         for r in range(bounds.size - 1):
             cut = slice(bounds[r], bounds[r + 1])
             got.append((m[m_bounds[r] : m_bounds[r + 1]], {n: c[cut] for n, c in zip(CLUSTER_COLUMNS, columns)}))
+    assert len(handed_back) == len(rows) and all(a is b for a, b in zip(handed_back, rows))
     return got
 
 
-def assert_rows_equal_single_frames(rows):
-    """Each row (data, t, xs)'s slice of its ``eval_m_and_clusters_stacked``
-    block equals ``eval_m_grid`` plus ``cluster_snapshot`` byte for byte, in
-    row order (a block holds no mass column: compare reads none)."""
-    got = stacked_rows(rows)
+def single_frame(data, t, xs, weights):
+    """A row's m and clusters from its own frame: ``eval_m_grid`` and
+    ``cluster_snapshot`` under the gas rule, else the m and ``cluster_state``
+    of ``_frame(data, t, weights)``."""
+    if weights is PotentialCoefficients.euler_poisson:
+        return eval_m_grid(data, xs, t), cluster_snapshot(data, t)
+    frame = _frame(data, t, weights)
+    return frame.P[frame.argmin_grid(np.asarray(xs, dtype=float))[1]], frame.cluster_state(t)
+
+
+def assert_rows_equal_single_frames(rows, weights=PotentialCoefficients.euler_poisson):
+    """Each row (data, t, xs, ...)'s slice of its ``eval_m_and_clusters_stacked``
+    block under ``weights`` equals its own frame's m and clusters byte for
+    byte, in row order (a block holds no mass column: compare reads none)."""
+    got = stacked_rows(rows, weights)
     assert len(got) == len(rows)
-    for (data, t, xs), (m, state) in zip(rows, got):
-        want = eval_m_grid(data, xs, t)
+    for (data, t, xs, *_), (m, state) in zip(rows, got):
+        want, snap = single_frame(data, t, xs, weights)
         assert (m.dtype, m.tobytes()) == (want.dtype, want.tobytes())
-        snap = cluster_snapshot(data, t)
         for name in CLUSTER_COLUMNS:
             a, b = state[name], getattr(snap, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 class TestStackedRows:
+    # every test runs under the gas rule and the relaxation study's scaled rule
     def test_one_row_block(self):
         data = make_random_instance(np.random.default_rng(40))
-        assert_rows_equal_single_frames([(data, 1.3, np.linspace(-12.0, 12.0, 9))])
+        for weights in STACK_WEIGHTS:
+            assert_rows_equal_single_frames([(data, 1.3, np.linspace(-12.0, 12.0, 9))], weights)
 
     def test_rows_of_different_sizes_share_a_block(self):
         # N from 1 to 30 and grids of 0 to 40 points in one block, with the
-        # points at the formula clusters and an ulp around them
+        # points at the formula clusters and an ulp around them; a row may
+        # carry more items than (data, t, xs), as compare's cases do
         rng = np.random.default_rng(41)
-        rows = []
-        for n in [1, 30, 2, 17, 1, 5]:
-            data = InitialData.from_atoms(
-                np.sort(rng.uniform(-5.0, 5.0, n)), rng.uniform(0.01, 2.0, n), rng.uniform(-2.0, 2.0, n), 0.5
-            )
-            t = float(rng.uniform(0.1, 5.0))
-            pos = cluster_snapshot(data, t).positions
-            size = int(rng.integers(0, 40))
-            xs = np.concatenate([rng.uniform(-8.0, 8.0, size), pos, np.nextafter(pos, np.inf)])
-            rows.append((data, t, xs))
-        assert_rows_equal_single_frames(rows)
+        for weights in STACK_WEIGHTS:
+            rows = []
+            for n in [1, 30, 2, 17, 1, 5]:
+                data = InitialData.from_atoms(
+                    np.sort(rng.uniform(-5.0, 5.0, n)), rng.uniform(0.01, 2.0, n), rng.uniform(-2.0, 2.0, n), 0.5
+                )
+                t = float(rng.uniform(0.1, 5.0))
+                pos = single_frame(data, t, [], weights)[1].positions
+                size = int(rng.integers(0, 40))
+                xs = np.concatenate([rng.uniform(-8.0, 8.0, size), pos, np.nextafter(pos, np.inf)])
+                rows.append((data, t, xs, object()) if n % 2 else (data, t, xs))
+            assert_rows_equal_single_frames(rows, weights)
 
     def test_single_atom_instances(self):
         rng = np.random.default_rng(42)
@@ -834,14 +855,17 @@ class TestStackedRows:
                 rng.uniform(-3, 3, 8), rng.uniform(0.1, 2, 8), rng.uniform(-2, 2, 8), [1.0, 0.5] * 4, [0.5, 2.0] * 4
             )
         ]
-        assert_rows_equal_single_frames(rows)
+        for weights in STACK_WEIGHTS:
+            assert_rows_equal_single_frames(rows, weights)
 
     def test_no_rows(self):
-        assert list(eval_m_and_clusters_stacked(iter([]))) == []
+        for weights in STACK_WEIGHTS:
+            assert list(eval_m_and_clusters_stacked(iter([]), weights)) == []
 
     def test_blocks_stay_within_the_element_bound(self, monkeypatch):
         # each block's padded size, rows times the widest N + 1 or grid,
-        # stays within BLOCK_ELEMENTS; one-row blocks give the same bytes
+        # stays within BLOCK_ELEMENTS; one-row blocks (a bound of 1) give
+        # the same bytes
         from stickygas import euler_poisson, potentials
 
         rng = np.random.default_rng(43)
@@ -859,16 +883,17 @@ class TestStackedRows:
 
         monkeypatch.setattr(euler_poisson, "FrameStack", Recorded)
         default = euler_poisson.BLOCK_ELEMENTS
-        for bound in (1, 200, default):
-            monkeypatch.setattr(euler_poisson, "BLOCK_ELEMENTS", bound)
-            blocks.clear()
-            assert_rows_equal_single_frames(rows)
-            assert sum(n for n, _ in blocks) == len(rows)
-            if bound == 1:
-                assert len(blocks) == len(rows)
-            else:
-                assert max(n * w for n, w in blocks) <= bound
-            assert len(blocks) > 1 or bound == default
+        for weights in STACK_WEIGHTS:
+            for bound in (1, 200, default):
+                monkeypatch.setattr(euler_poisson, "BLOCK_ELEMENTS", bound)
+                blocks.clear()
+                assert_rows_equal_single_frames(rows, weights)
+                assert sum(n for n, _ in blocks) == len(rows)
+                if bound == 1:
+                    assert len(blocks) == len(rows)
+                else:
+                    assert max(n * w for n, w in blocks) <= bound
+                assert len(blocks) > 1 or bound == default
 
 
 class TestNonFiniteTime:

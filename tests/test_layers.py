@@ -248,7 +248,19 @@ def test_one_frame_constructor():
     assert in_potentials(call_sites("atom_mtilde")) == ["potentials.FrameStack.__init__"]
     assert set(in_potentials(call_sites("cumsum", numpy=True))) == {"potentials.FrameStack.__init__"}
     assert call_sites("__new__") == []
-    assert call_sites("FrameStack") == ["euler_poisson._stacked_block", "potentials.PrefixFrame.__init__", "relax.convergence_study"]
+    assert call_sites("FrameStack") == ["euler_poisson._stacked_block", "potentials.PrefixFrame.__init__"]
+
+
+def test_one_stacked_reader():
+    # relax reads its taus' scaled rows through the formula layer's stacked
+    # reader, as compare reads its cases: the block rule and the stack build
+    # live in euler_poisson alone
+    def names(module):
+        return {name.rsplit(".", 1)[-1] for name in imported_names(PACKAGE / f"{module}.py")}
+
+    assert "eval_m_and_clusters_stacked" in names("relax")
+    assert not {"FrameStack", "BLOCK_ELEMENTS"} & names("relax")
+    assert {"FrameStack", "BLOCK_ELEMENTS"} <= names("euler_poisson")
 
 
 def leaf_errors() -> set:

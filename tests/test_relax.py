@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stickygas import relax
+from stickygas import euler_poisson
 from stickygas.drift import drift_cluster_snapshot, eval_mbar_grid, eval_ubar
 from stickygas.errors import TauOutOfRange
 from stickygas.euler_poisson import eval_m, eval_u
@@ -190,15 +190,20 @@ class TestConvergenceStudy:
     def test_stacked_taus_equal_one_frame_per_tau(self, n):
         # the stacks' rows read the errors of one scaled frame per tau,
         # repr for repr, empty and single-point grids included; at n = 1000
-        # a stack holds 4 of the 10 taus
+        # a stack holds 4 of the taus. tau = 1e-6 puts t/tau^2 past the 700
+        # flush, and the lookup families (near-duplicate atoms, masses over
+        # 12 decades, masses that vanish in P) run beside the baseline
         rng = np.random.default_rng(n)
-        data = baseline_instance(n, n)
-        t = float(rng.uniform(0.1, 3.0))
-        for grid in (np.linspace(-12.0, 12.0, 1001), [0.25], []):
-            rep = convergence_study(data, t, grid, TAUS)
-            want = per_tau_errors(data, t, rep.grid, TAUS)
-            assert (repr(rep.err_m), repr(rep.err_u)) == tuple(map(repr, want))
-        assert convergence_study(data, t, grid, []).err_u == ()
+        taus = [*TAUS, 1e-6]
+        kinds = ("plain", "near_duplicate", "mass_decades", "vanishing_mass")
+        for data in [baseline_instance(n, n), *(_lookup_instance(rng, kind) for kind in kinds)]:
+            t = float(rng.uniform(0.1, 3.0))
+            pos = drift_cluster_snapshot(data.measure, t).positions
+            for grid in (np.linspace(-12.0, 12.0, 1001), [0.25], [], np.concatenate([pos, np.nextafter(pos, np.inf)])):
+                rep = convergence_study(data, t, grid, taus)
+                want = per_tau_errors(data, t, rep.grid, taus)
+                assert (repr(rep.err_m), repr(rep.err_u)) == tuple(map(repr, want))
+            assert convergence_study(data, t, grid, []).err_u == ()
 
     def test_snapshot_at_time_zero_is_the_atoms(self):
         data = InitialData.from_atoms([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5], [1.0, -0.5, 0.25], 1.0)
@@ -247,8 +252,8 @@ class TestShockFilter:
 def test_convergence_study_builds_one_drift_frame_per_use(monkeypatch, taus):
     # the shock filter, eval_mbar_grid and drift_cluster_snapshot build one
     # drift frame each, whatever the grid's size, and the taus' scaled
-    # frames are rows of stacks of at most BLOCK_ELEMENTS points: here one
-    # stack, a row per tau
+    # frames are rows of the stacked reader's stacks of at most
+    # BLOCK_ELEMENTS points: here one stack, a row per tau
     built, stacks = [], []
     init = PrefixFrame.__init__
 
@@ -262,7 +267,7 @@ def test_convergence_study_builds_one_drift_frame_per_use(monkeypatch, taus):
             super().__init__(rows)
 
     monkeypatch.setattr(PrefixFrame, "__init__", counting)
-    monkeypatch.setattr(relax, "FrameStack", CountedStack)
+    monkeypatch.setattr(euler_poisson, "FrameStack", CountedStack)
     convergence_study(baseline_instance(200, 0), 1.0, np.linspace(-12.0, 12.0, 301), taus)
     assert len(built) == 3
     assert sum(coeffs.tau == math.inf for coeffs in built) == 3
