@@ -9,6 +9,7 @@ from stickygas.euler_poisson import (
     DEFAULT_SPEED_TOL,
     Branch,
     SolutionSample,
+    _fields,
     _frame,
     _velocities,
     cluster_snapshot,
@@ -745,7 +746,7 @@ class TestGridEvaluation:
         rows = []
         for _ in range(25):
             data = make_random_instance(rng)
-            for weights in STACK_WEIGHTS:
+            for weights, _ in STACK_RULES:
                 with pytest.raises(NonPositiveTime):
                     list(eval_m_and_clusters_stacked([(data, 0.0, [0.0])], weights))
             for t in (1e-3, 0.7, 3.0):
@@ -778,10 +779,29 @@ class TestGridEvaluation:
 CLUSTER_COLUMNS = ("lo", "hi", "positions", "velocities")
 
 
-STACK_WEIGHTS = (PotentialCoefficients.euler_poisson, PotentialCoefficients.scaled)
+def gas_rule_frame(data, t, xs):
+    """A row's m and clusters from the public single-frame calls,
+    ``eval_m_grid`` and ``cluster_snapshot``."""
+    return eval_m_grid(data, xs, t), cluster_snapshot(data, t)
 
 
-def stacked_rows(rows, weights=PotentialCoefficients.euler_poisson):
+def scaled_rule_frame(data, t, xs):
+    """A row's m and clusters from its own frame under the relaxation study's
+    scaled rule: the ``_fields`` m that ``eval_m_grid`` reads, and the
+    ``cluster_state`` of ``_frame(data, t, PotentialCoefficients.scaled)``."""
+    m = np.array(_fields(data, xs, t, "m", PotentialCoefficients.scaled)[0])
+    return m, _frame(data, t, PotentialCoefficients.scaled).cluster_state(t)
+
+
+# each coefficient rule the stacked reader serves, with the single-frame
+# reference its rows must equal
+STACK_RULES = (
+    (PotentialCoefficients.euler_poisson, gas_rule_frame),
+    (PotentialCoefficients.scaled, scaled_rule_frame),
+)
+
+
+def stacked_rows(rows, weights):
     """Each row's (m, {column: clusters}) cut out of the blocks of
     ``eval_m_and_clusters_stacked`` under ``weights``, in row order; every
     block hands back its own rows, the very objects given, and its offsets
@@ -798,24 +818,16 @@ def stacked_rows(rows, weights=PotentialCoefficients.euler_poisson):
     return got
 
 
-def single_frame(data, t, xs, weights):
-    """A row's m and clusters from its own frame: ``eval_m_grid`` and
-    ``cluster_snapshot`` under the gas rule, else the m and ``cluster_state``
-    of ``_frame(data, t, weights)``."""
-    if weights is PotentialCoefficients.euler_poisson:
-        return eval_m_grid(data, xs, t), cluster_snapshot(data, t)
-    frame = _frame(data, t, weights)
-    return frame.P[frame.argmin_grid(np.asarray(xs, dtype=float))[1]], frame.cluster_state(t)
-
-
-def assert_rows_equal_single_frames(rows, weights=PotentialCoefficients.euler_poisson):
+def assert_rows_equal_single_frames(rows, rule=STACK_RULES[0]):
     """Each row (data, t, xs, ...)'s slice of its ``eval_m_and_clusters_stacked``
-    block under ``weights`` equals its own frame's m and clusters byte for
-    byte, in row order (a block holds no mass column: compare reads none)."""
+    block under the rule's weights equals the rule's single-frame reference
+    m and clusters byte for byte, in row order (a block holds no mass
+    column: compare reads none)."""
+    weights, reference = rule
     got = stacked_rows(rows, weights)
     assert len(got) == len(rows)
     for (data, t, xs, *_), (m, state) in zip(rows, got):
-        want, snap = single_frame(data, t, xs, weights)
+        want, snap = reference(data, t, xs)
         assert (m.dtype, m.tobytes()) == (want.dtype, want.tobytes())
         for name in CLUSTER_COLUMNS:
             a, b = state[name], getattr(snap, name)
@@ -826,26 +838,26 @@ class TestStackedRows:
     # every test runs under the gas rule and the relaxation study's scaled rule
     def test_one_row_block(self):
         data = make_random_instance(np.random.default_rng(40))
-        for weights in STACK_WEIGHTS:
-            assert_rows_equal_single_frames([(data, 1.3, np.linspace(-12.0, 12.0, 9))], weights)
+        for rule in STACK_RULES:
+            assert_rows_equal_single_frames([(data, 1.3, np.linspace(-12.0, 12.0, 9))], rule)
 
     def test_rows_of_different_sizes_share_a_block(self):
         # N from 1 to 30 and grids of 0 to 40 points in one block, with the
         # points at the formula clusters and an ulp around them; a row may
         # carry more items than (data, t, xs), as compare's cases do
         rng = np.random.default_rng(41)
-        for weights in STACK_WEIGHTS:
+        for weights, reference in STACK_RULES:
             rows = []
             for n in [1, 30, 2, 17, 1, 5]:
                 data = InitialData.from_atoms(
                     np.sort(rng.uniform(-5.0, 5.0, n)), rng.uniform(0.01, 2.0, n), rng.uniform(-2.0, 2.0, n), 0.5
                 )
                 t = float(rng.uniform(0.1, 5.0))
-                pos = single_frame(data, t, [], weights)[1].positions
+                pos = reference(data, t, [])[1].positions
                 size = int(rng.integers(0, 40))
                 xs = np.concatenate([rng.uniform(-8.0, 8.0, size), pos, np.nextafter(pos, np.inf)])
                 rows.append((data, t, xs, object()) if n % 2 else (data, t, xs))
-            assert_rows_equal_single_frames(rows, weights)
+            assert_rows_equal_single_frames(rows, (weights, reference))
 
     def test_single_atom_instances(self):
         rng = np.random.default_rng(42)
@@ -855,11 +867,11 @@ class TestStackedRows:
                 rng.uniform(-3, 3, 8), rng.uniform(0.1, 2, 8), rng.uniform(-2, 2, 8), [1.0, 0.5] * 4, [0.5, 2.0] * 4
             )
         ]
-        for weights in STACK_WEIGHTS:
-            assert_rows_equal_single_frames(rows, weights)
+        for rule in STACK_RULES:
+            assert_rows_equal_single_frames(rows, rule)
 
     def test_no_rows(self):
-        for weights in STACK_WEIGHTS:
+        for weights, _ in STACK_RULES:
             assert list(eval_m_and_clusters_stacked(iter([]), weights)) == []
 
     def test_blocks_stay_within_the_element_bound(self, monkeypatch):
@@ -883,11 +895,11 @@ class TestStackedRows:
 
         monkeypatch.setattr(euler_poisson, "FrameStack", Recorded)
         default = euler_poisson.BLOCK_ELEMENTS
-        for weights in STACK_WEIGHTS:
+        for rule in STACK_RULES:
             for bound in (1, 200, default):
                 monkeypatch.setattr(euler_poisson, "BLOCK_ELEMENTS", bound)
                 blocks.clear()
-                assert_rows_equal_single_frames(rows, weights)
+                assert_rows_equal_single_frames(rows, rule)
                 assert sum(n for n, _ in blocks) == len(rows)
                 if bound == 1:
                     assert len(blocks) == len(rows)
