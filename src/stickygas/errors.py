@@ -21,6 +21,10 @@ class NonPositiveTime(NumericError):
     """An operation that requires a finite t > 0 was called with another t."""
 
 
+class PotentialOverflow(NumericError):
+    """A query point x so far out that the prefix sums S - x P may overflow."""
+
+
 class EmptyMeasure(NumericError):
     """Minimization requested over an empty atomic measure."""
 

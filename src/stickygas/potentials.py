@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMeasure, NonPositiveTime
+from .errors import EmptyMeasure, NonPositiveTime, PotentialOverflow
 from .measure import AtomicMeasure, ClusterState, _finite_points
 
 __all__ = ["DEFAULT_TIE_TOL", "DEFAULT_TIE_POS_TOL", "PotentialCoefficients", "minimize_Fbar"]
@@ -39,6 +39,8 @@ __all__ = ["DEFAULT_TIE_TOL", "DEFAULT_TIE_POS_TOL", "PotentialCoefficients", "m
 # ties at late-time clusters where nu is incidentally near zero.
 DEFAULT_TIE_TOL = 1e-12
 DEFAULT_TIE_POS_TOL = 1e-9
+# a point x with s_max + |x| P[-1] < _REACH (s_max bounds |S|) keeps T_k - nu finite
+_REACH = sys.float_info.max / 4
 
 # passes of the hull kernel before a row's survivors go to the monotone chain
 HULL_PASSES = 64
@@ -52,8 +54,8 @@ _CROSS_ROUNDING = 2.0**-50
 HULL_CHAIN_POINTS = 128
 
 # a grid of fewer points, on a frame whose hull is not built yet, takes the
-# dense scan point by point: a scan costs 9-16 us per point, a hull and its
-# lookup 45-90 us, on frames of 5 to 100 atoms
+# dense scan point by point: a scan costs 4.6-4.8 us per point, a hull and
+# a 5-point lookup 70-110 us, on frames of 5 to 100 atoms (2-CPU x86_64 host)
 DENSE_GRID_POINTS = 6
 
 # e^{-z} is flushed to exactly 0 beyond this exponent; avoids inf * 0.
@@ -134,16 +136,25 @@ class PotentialCoefficients:
 
 def _argmin(P, S, tie_tol, x: float):
     """(nu, k_min, k_max) of one row's prefix sums T_k = S[k] - x P[k]
-    under the tie tolerance ``tie_tol``: the one tie rule, a scan of all
-    N + 1 prefixes and the dense reference for ``argmin_grid``. Its callers
-    are ``PrefixFrame.argmin`` and ``FrameStack.argmin_grid``'s tie window."""
+    under the tie tolerance ``tie_tol``: the one tie rule, exact over all
+    N + 1 prefixes; its callers keep T finite (``_REACH``). T_j ties nu =
+    T[k0] when T_j - nu <= a + b |P_j - P_k0|, a = tie_tol (1 + |nu|), b =
+    DEFAULT_TIE_POS_TOL (1 + |x|). P rises from 0, so the rounded
+    |P_j - P_k0| is at most P[-1], and rounding is monotone: every window is
+    at most a + b P[-1]. The prefixes under that one bound, k0 among them,
+    hold every tie; the exact window, the same float operations on each,
+    picks the ties out of them."""
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     T = S - x * P
     k0 = int(np.argmin(T))
     nu = float(T[k0])
-    tol = tie_tol * (1.0 + abs(nu)) + DEFAULT_TIE_POS_TOL * (1.0 + abs(x)) * np.abs(P - P[k0])
-    ties = np.flatnonzero(T - nu <= tol)
+    T -= nu
+    a, b = tie_tol * (1.0 + abs(nu)), DEFAULT_TIE_POS_TOL * (1.0 + abs(x))
+    c = (T <= a + b * P[-1]).nonzero()[0]
+    if c.size == 1:
+        return nu, k0, k0
+    ties = c[T[c] <= a + b * np.abs(P[c] - P[k0])]
     return nu, int(ties[0]), int(ties[-1])
 
 
@@ -157,18 +168,20 @@ class PrefixFrame:
     first use, are the stack's.
     """
 
-    __slots__ = ("measure", "coeffs", "P", "S", "Q", "X", "vel", "tie_tol", "_stack")
+    __slots__ = ("measure", "coeffs", "P", "S", "Q", "X", "vel", "tie_tol", "s_max", "total", "_stack")
 
     def __init__(self, measure, velocities, coeffs):
         self.measure, self.coeffs = measure, coeffs
         self._stack = stack = FrameStack([(measure, velocities, coeffs)])
         self.P, self.S, self.Q, self.X, self.vel = stack.P[0], stack.S[0], stack.Q[0], stack.X[0], stack.vel[0]
-        self.tie_tol = stack.tie_tol
+        self.tie_tol, self.s_max, self.total = stack.tie_tol, float(stack.s_max[0]), float(self.P[-1])
 
     def argmin(self, x: float):
         """``_argmin``, the one tie rule, on the frame's prefixes under its
         tie tolerance. Called by ``argmin_grid`` on short grids before the
         hull is built, and by ``minimize_Fbar`` point by point."""
+        if abs(x) * self.total + self.s_max >= _REACH and math.isfinite(x):
+            raise PotentialOverflow(f"x = {x!r} is too far out: S - x P may overflow")
         return _argmin(self.P, self.S, self.tie_tol, x)
 
     def argmin_grid(self, xs):
@@ -178,8 +191,8 @@ class PrefixFrame:
         ``argmin`` point by point. A grid of fewer than
         ``DENSE_GRID_POINTS`` points on a frame whose hull is not built
         takes ``argmin`` point by point, so a scalar call never builds the
-        hull. Both paths return the results in the grid's shape and reject
-        a non-finite point.
+        hull. Both paths return the results in the grid's shape, reject a
+        non-finite point and raise ``PotentialOverflow`` past ``_REACH``.
         """
         xs = np.asarray(xs, dtype=float)
         flat = xs.ravel()
@@ -213,13 +226,13 @@ def _settled(xs, nu, s_max, total, tie_tol, below, above, dP_below, dP_above):
     position term, plus a rounding bound on T and on the hull (``s_max``
     bounds |S| and ``total`` is P's last entry).
 
-    A zero dP (an atom whose mass vanishes in P) divides to inf or nan: the
-    point stays unsettled.
+    A zero dP (an atom whose mass vanishes in P) divides to inf or nan, and
+    a window past the float range to inf: the point stays unsettled.
     """
     rnd = 1e-14 * (s_max + np.abs(xs) * total)
     value = tie_tol * (1.0 + np.abs(nu)) + rnd
     reach = DEFAULT_TIE_POS_TOL * (1.0 + np.abs(xs))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return (above - xs > reach + value / dP_above) & (xs - below > reach + value / dP_below)
 
 
@@ -241,7 +254,7 @@ class FrameStack:
     is read at construction; a stack keeps no frame.
     """
 
-    __slots__ = ("P", "S", "Q", "X", "vel", "n", "tie_tol", "lo", "hi", "positions", "velocities", "masses", "bounds", "_lookup")
+    __slots__ = ("P", "S", "Q", "X", "vel", "n", "s_max", "tie_tol", "lo", "hi", "positions", "velocities", "masses", "bounds", "_lookup")
 
     def __init__(self, rows):
         sizes = [len(m) + 1 for m, _, _ in rows]
@@ -265,6 +278,7 @@ class FrameStack:
         for prefix, terms in ((P, w), (S, w * X), (Q, w * vel)):
             terms.cumsum(axis=1, out=prefix[:, 1:])
         self.P, self.S, self.Q, self.X, self.vel, self.n = P, S, Q, X, vel, n
+        self.s_max = np.max(np.abs(S), axis=1)
         # read here, so that a CLI --tol-tie override reaches every frame built under it
         self.tie_tol = DEFAULT_TIE_TOL
         self._lookup = None
@@ -303,7 +317,7 @@ class FrameStack:
         steps[1:-1] = np.diff(flat_P)
         starts = np.arange(R + 1) * L
         steps[starts] = steps[starts[:-1] + n] = np.inf
-        self._lookup = (idx, flat_S, flat_P, below, above, steps, np.max(np.abs(S), axis=1), P[:, -1])
+        self._lookup = (idx, flat_S, flat_P, below, above, steps)
         return self._lookup
 
     def cluster_state(self, r: int, time: float, velocities=None) -> ClusterState:
@@ -330,7 +344,12 @@ class FrameStack:
         sizes = [len(g) for g in grids]
         xs = _finite_points(np.concatenate([np.asarray(g, dtype=float) for g in grids]))
         r = np.repeat(np.arange(len(grids)), sizes)
-        idx, flat_S, flat_P, below, above, steps, s_max, total = self._lookup or self._build_hull()
+        s_max, total = self.s_max[r], self.P[r, -1]
+        with np.errstate(over="ignore"):
+            far = np.flatnonzero(s_max + np.abs(xs) * total >= _REACH)
+        if far.size:
+            raise PotentialOverflow(f"x = {float(xs[far[0]])!r} is too far out: S - x P may overflow")
+        idx, flat_S, flat_P, below, above, steps = self._lookup or self._build_hull()
         f, g = self.bounds.tolist(), list(itertools.accumulate(sizes, initial=0))
         j = np.concatenate(
             [np.searchsorted(self.positions[f[q] : f[q + 1]], xs[g[q] : g[q + 1]]) for q in range(len(grids))]
@@ -338,7 +357,7 @@ class FrameStack:
         at = self.bounds[r] + r + j
         v = idx[at]
         nu = flat_S[v] - xs * flat_P[v]
-        settled = _settled(xs, nu, s_max[r], total[r], self.tie_tol, below[at], above[at], steps[v], steps[v + 1])
+        settled = _settled(xs, nu, s_max, total, self.tie_tol, below[at], above[at], steps[v], steps[v + 1])
         k_min = v - r * self.P.shape[1]
         k_max = k_min.copy()
         for i in np.flatnonzero(~settled).tolist():

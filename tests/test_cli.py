@@ -292,6 +292,16 @@ class TestSolve:
         assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
         assert built == [101] * 3
 
+    def test_far_finite_point_exits_3(self, tmp_path, capsys):
+        # S - x P overflows at x = 8.5e307: the parent wrote m = 0 there,
+        # where the mass to the left is all 6, and exited 0 with numpy warnings
+        atoms = [{"position": float(p), "mass": float(p + 2), "velocity": 0.0} for p in (-1, 0, 1)]
+        cfg = dict(TWO_ATOM, atoms=atoms, tau=0.5, times=[1.0], x_grid={"min": 0.0, "max": 1.7e308, "count": 3})
+        code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 3
+        assert "PotentialOverflow: x = 8.5e+307 is too far out" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestOracleCommand:
     def test_event_log(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import isotonic_regression
 
 from stickygas import cli, drift, euler_poisson, potentials, relax
-from stickygas.errors import EmptyMeasure, NonPositiveTime
+from stickygas.errors import EmptyMeasure, NonPositiveTime, PotentialOverflow
 from stickygas.euler_poisson import _backward_cone, cluster_snapshot
 from stickygas.instances import random_instance
 from stickygas.measure import AtomicMeasure, InitialData
@@ -575,6 +575,124 @@ def _kernel(rows):
 
 def _prefix_rows(w, X):
     return np.concatenate(([0.0], np.cumsum(w))), np.concatenate(([0.0], np.cumsum(w * X)))
+
+
+def _dense_argmin(P, S, tie_tol, x):
+    """The tie rule over the whole row, the reference for ``potentials._argmin``:
+    the minimum nu = T[k0] of T = S - x P, and the first and last prefix
+    within its tie window, tie_tol (1 + |nu|) plus
+    DEFAULT_TIE_POS_TOL (1 + |x|) |P_j - P_k0|, formed for every prefix."""
+    T = S - x * P
+    k0 = int(np.argmin(T))
+    nu = float(T[k0])
+    tol = tie_tol * (1.0 + abs(nu)) + potentials.DEFAULT_TIE_POS_TOL * (1.0 + abs(x)) * np.abs(P - P[k0])
+    ties = np.flatnonzero(T - nu <= tol)
+    return nu, int(ties[0]), int(ties[-1])
+
+
+class TestTieRuleKernel:
+    TIE_TOLS = (0.0, potentials.DEFAULT_TIE_TOL, 1e-6, 0.5)
+
+    @staticmethod
+    def points(frame):
+        """Every cluster position, one ulp to either side, and 1e-10 and
+        1e-7 away: the points where prefixes tie or nearly tie."""
+        pos = np.asarray(frame.clusters()[2])
+        near = [np.nextafter(pos, -np.inf), np.nextafter(pos, np.inf)]
+        return np.concatenate([pos, *near, *(pos + d for d in (1e-10, -1e-10, 1e-7, -1e-7))])
+
+    def assert_equals_dense(self, frame, xs):
+        for tie_tol in self.TIE_TOLS:
+            for x in xs.tolist():
+                got = potentials._argmin(frame.P, frame.S, tie_tol, x)
+                assert repr(got) == repr(_dense_argmin(frame.P, frame.S, tie_tol, x)), (tie_tol, x)
+
+    def test_bench_instances(self):
+        # the drift frame of relax's shock filter and the gas frames of solve
+        for seed in (0, 17):
+            data = _bench_instance(1000, seed)
+            frames = [_lookup_frame(data, "drift", 1.0), _ep_frame(data, 0.3), _ep_frame(data, 1.0)]
+            for frame in frames:
+                self.assert_equals_dense(frame, np.concatenate([np.linspace(-12.0, 12.0, 101), self.points(frame)]))
+
+    def test_lookup_families(self):
+        rng = np.random.default_rng(66)
+        for trial in range(36):
+            kind = ("plain", "near_duplicate", "mass_decades", "vanishing_mass")[trial % 4]
+            family = ("euler_poisson", "drift", "scaled")[(trial // 4) % 3]
+            data = _lookup_instance(rng, kind)
+            frame = _lookup_frame(data, family, float(10.0 ** rng.uniform(-6.0, math.log10(50.0))))
+            self.assert_equals_dense(frame, np.concatenate([rng.uniform(-15.0, 15.0, size=10), self.points(frame)]))
+
+    def test_exact_window_drops_a_candidate_that_does_not_tie(self, monkeypatch):
+        # x = 0.5 between a unit atom at 0 and one of mass 1e-6 at 0.5001:
+        # T_2 - nu = 1e-10 lies under the one bound a + b P[-1] (about
+        # 1.5e-9) and past its own window a + b (P_2 - P_1) (about 1.5e-12)
+        windows = []
+
+        class CountedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def abs(self, a):
+                windows.append(a.size)
+                return np.abs(a)
+
+        monkeypatch.setattr(potentials, "np", CountedNumpy())
+        P, S = _prefix_rows(np.array([1.0, 1e-6]), np.array([0.0, 0.5001]))
+        got = potentials._argmin(P, S, potentials.DEFAULT_TIE_TOL, 0.5)
+        assert windows == [2] and got[1:] == (1, 1)
+        assert repr(got) == repr(_dense_argmin(P, S, potentials.DEFAULT_TIE_TOL, 0.5))
+        # a true tie goes through the same window; a lone candidate skips it
+        windows.clear()
+        assert potentials._argmin(P, S, 1e-9, 0.5)[1:] == (1, 2) and windows == [2]
+        windows.clear()
+        assert potentials._argmin(P, S, potentials.DEFAULT_TIE_TOL, -1.0)[1:] == (0, 0) and windows == []
+
+
+class TestFarPoints:
+    ATOMS = InitialData.from_atoms([-1.0, 0.0, 1.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], 0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_point_raises_at_every_entry_point(self):
+        # s_max + |x| P[-1] past a quarter of the largest float: S - x P could
+        # overflow, and the parent read m = 0 at both far points
+        d = self.ATOMS
+        far = [0.0, 8.5e307, 1.7e308]
+        stack = potentials.FrameStack([(d.measure, d.velocities, PotentialCoefficients.euler_poisson(d.tau, 1.0))])
+        calls = [
+            lambda: euler_poisson.eval_m_grid(d, np.array(far), 1.0),
+            lambda: euler_poisson.eval_m_grid(d, np.array(far * 2), 1.0),
+            lambda: stack.argmin_grid([np.array(far)]),
+            lambda: _lookup_frame(d, "euler_poisson", 1.0).argmin(-8.5e307),
+            lambda: minimize_Fbar(d.measure, np.array(far), 1.0),
+            lambda: drift.eval_mbar_grid(d.measure, np.array(far), 1.0),
+            lambda: relax.eval_scaled(d, 8.5e307, 1.0, 0.5),
+        ]
+        for call in calls:
+            with pytest.raises(PotentialOverflow, match=r"x = -?8\.5e\+307 is too far out"):
+                call()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_points_inside_the_reach_answer(self):
+        # 6 |x| stays under the bound up to about 7.5e306: m is the total mass,
+        # as the oracle reads it, on both paths
+        d = self.ATOMS
+        xs = np.array([-7e306, -1e306, 1e306, 7e306])
+        state = simulate_ep(d, 1.0).state_at(1.0)
+        for grid in (xs, np.tile(xs, 2)):
+            m = euler_poisson.eval_m_grid(d, grid, 1.0)
+            assert m.tolist() == oracle_cdf(state, grid).tolist() == [0.0, 0.0, 6.0, 6.0] * (grid.size // 4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_window_past_the_float_range_leaves_the_point_unsettled(self):
+        # rounding bound 1e-14 * 4e307 over the last atom's mass 1e-15
+        # overflows: the lookup sends those points to the tie rule
+        d = InitialData.from_atoms([-1.0, 1.0], [1.0, 1e-15], [0.0, 0.0], 0.5)
+        frame = _lookup_frame(d, "euler_poisson", 1.0)
+        xs = np.linspace(1e307, 4e307, 7)
+        got = list(zip(*(a.tolist() for a in frame.argmin_grid(xs))))
+        assert got == [frame.argmin(x) for x in xs.tolist()]
 
 
 class TestHullKernel:
