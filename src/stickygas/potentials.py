@@ -227,12 +227,12 @@ def _settled(xs, nu, s_max, total, tie_tol, below, above, dP_below, dP_above):
     bounds |S| and ``total`` is P's last entry).
 
     A zero dP (an atom whose mass vanishes in P) divides to inf or nan, and
-    a window past the float range to inf: the point stays unsettled.
+    any window past the float range to inf: the point stays unsettled.
     """
     rnd = 1e-14 * (s_max + np.abs(xs) * total)
-    value = tie_tol * (1.0 + np.abs(nu)) + rnd
     reach = DEFAULT_TIE_POS_TOL * (1.0 + np.abs(xs))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = tie_tol * (1.0 + np.abs(nu)) + rnd
         return (above - xs > reach + value / dP_above) & (xs - below > reach + value / dP_below)
 
 

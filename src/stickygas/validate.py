@@ -12,8 +12,9 @@ integrals use composite midpoint quadrature split at the solution's event
 times so the integrand is smooth on every piece. One array routine
 evaluates both integrands on each (node x cluster) block, with the bump's
 x factors computed once per block and its antiderivative in Horner form;
-sums over the clusters run in cluster order, and the weighted sum over the
-nodes, one array per bump and level, in node order. The Oleinik bound is
+each bump reads the solution in one walk over every level's nodes in time
+order, sums over the clusters run in cluster order, and each level's
+weighted sum over its nodes in node order. The Oleinik bound is
 read off adjacent clusters, and weak continuity at t = 0 off cluster
 prefix sums. ``check_oleinik`` reads the formula layer's u on one grid per
 time, and ``check_potential_identities`` its fields and auxiliary
@@ -206,6 +207,13 @@ def check_weak_form(
     The dm integrals are exact sums over the solution's clusters; only the
     time quadrature is refined, so the residuals of a weak solution decay
     at order two or better.
+
+    Each bump makes one ``states_at`` walk over all its levels' nodes in
+    ascending time, so levels share blocks. A node's values do not depend
+    on its block: ``_rows`` and ``_integrands`` are elementwise or a cumsum
+    along one row, and ``advance_rows``' flush branch gives the fast
+    branch's bits on every element it keeps. The walk holds one bump's
+    nodes, weights and 2 x nodes values, about twice the finest level's.
     """
     t_lo, t_hi = t_window
     if not 0.0 < t_lo < t_hi:
@@ -222,27 +230,22 @@ def check_weak_form(
     total_mass = data.measure.total_mass
 
     levels = list(range(refinement_levels))
-    res_mass, res_mom = [], []
-    for level in levels:
-        n_total = n_base * (2**level)
-        worst_mass = 0.0
-        worst_mom = 0.0
-        for bump in bumps:
-            blo, bhi = bump.support_t()
-            lo = max(t_lo, blo)
-            hi = min(t_hi, bhi)
-            nodes, weights = _midpoint_nodes(lo, hi, cuts, n_total)
-            blocks = solution.states_at(nodes.tolist())
-            values = np.hstack(
-                [np.empty((2, 0))] + [np.array(_integrands(bump, *b, data.tau, total_mass)) for b in blocks]
-            )
+    res_mass, res_mom = [0.0] * refinement_levels, [0.0] * refinement_levels
+    for bump in bumps:
+        blo, bhi = bump.support_t()
+        grids = [_midpoint_nodes(max(t_lo, blo), min(t_hi, bhi), cuts, n_base * (2**lv)) for lv in levels]
+        nodes = np.concatenate([g[0] for g in grids])
+        order = np.argsort(nodes, kind="stable")
+        walk = solution.states_at(nodes[order].tolist())
+        values = np.empty((2, nodes.size))
+        values[:, order] = np.hstack([np.empty((2, 0))] + [np.array(_integrands(bump, *b, data.tau, total_mass)) for b in walk])
+        parts = np.split(values, np.cumsum([w.size for _, w in grids])[:-1], axis=1)
+        for lv, (_, weights), part in zip(levels, grids, parts):
             # weighted (mass, momentum) per node, summed from 0.0 in node order
-            sums = np.cumsum(np.hstack((np.zeros((2, 1)), weights * values)), axis=1)
+            sums = np.cumsum(np.hstack((np.zeros((2, 1)), weights * part)), axis=1)
             acc_mass, acc_mom = sums[:, -1].tolist()
-            worst_mass = max(worst_mass, abs(acc_mass))
-            worst_mom = max(worst_mom, abs(acc_mom))
-        res_mass.append(worst_mass)
-        res_mom.append(worst_mom)
+            res_mass[lv] = max(res_mass[lv], abs(acc_mass))
+            res_mom[lv] = max(res_mom[lv], abs(acc_mom))
     for series in (res_mass, res_mom):
         if series[-1] > max(10.0 * series[0], ROUNDOFF_FLOOR) and series[0] > 0.0:
             raise QuadratureDivergence(

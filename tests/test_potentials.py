@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -693,6 +694,23 @@ class TestFarPoints:
         xs = np.linspace(1e307, 4e307, 7)
         got = list(zip(*(a.tolist() for a in frame.argmin_grid(xs))))
         assert got == [frame.argmin(x) for x in xs.tolist()]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_tie_tolerance_leaves_the_point_to_the_tie_rule(self, tmp_path):
+        # tie_tol (1 + |nu|) overflows at a tie tolerance of 1e308 from the
+        # flag or the config: solve used to exit 1 on the numpy warning
+        d = self.ATOMS
+        atoms = [{"position": p, "mass": w, "velocity": 0.0} for p, w in zip(d.measure.positions.tolist(), d.measure.masses.tolist())]
+        cfg = {"version": 1, "atoms": atoms, "tau": d.tau, "times": [1.0], "x_grid": {"min": -5.0, "max": 5.0, "count": 11}, "t_end": 2.0, "seed": 0}
+        frame = _ep_frame(d, 1.0)
+        want = [frame.P[_dense_argmin(frame.P, frame.S, 1e308, x)[1]] for x in np.linspace(-5.0, 5.0, 11).tolist()]
+        for name, extra, flags in (("flag", {}, ["--tol-tie", "1e308"]), ("config", {"tolerances": {"tie": 1e308}}, [])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(dict(cfg, **extra)), encoding="utf-8")
+            assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / name), *flags]) == 0
+            lines = (tmp_path / name / "solution_t1.csv").read_text(encoding="utf-8").split()
+            assert lines[0].split(",")[1] == "m"
+            assert [float(line.split(",")[1]) for line in lines[1:]] == want
 
 
 class TestHullKernel:

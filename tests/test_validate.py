@@ -1,6 +1,6 @@
 import math
 import warnings
-from itertools import accumulate
+from itertools import accumulate, islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +8,7 @@ import pytest
 
 from stickygas import validate
 from stickygas.cli import _stencil_candidates
-from stickygas.errors import EmptyMeasure, NonPositiveTime, StencilTooCloseToShock
+from stickygas.errors import EmptyMeasure, NonPositiveTime, QuadratureDivergence, StencilTooCloseToShock
 from stickygas.euler_poisson import FormulaSolution, cluster_snapshot, eval_E, eval_m_grid, eval_q, sample
 from stickygas.instances import random_instance
 from stickygas.measure import BLOCK_ELEMENTS, InitialData
@@ -16,7 +16,9 @@ from stickygas.oracle import oracle_cdf, simulate_ep
 from stickygas.potentials import PotentialCoefficients, PrefixFrame
 from stickygas.validate import (
     ROUNDOFF_FLOOR,
+    ResidualReport,
     TestFunction as Bump,
+    _integrands,
     _mean_decay_factor,
     _midpoint_nodes,
     check_initial_continuity,
@@ -27,7 +29,7 @@ from stickygas.validate import (
     default_bump_family,
     default_continuity_grid,
 )
-from tests.conftest import baseline_instance, make_random_instance
+from tests.conftest import baseline_instance, compare_ensemble_cases, make_random_instance
 
 
 class TestBump:
@@ -372,6 +374,124 @@ class TestBatchedWeakFormMatchesScalarLoop:
                         n_base=16,
                     )
                 assert rep.series == {"mass": (0.0, 0.0), "momentum": (0.0, 0.0)}
+
+
+def per_level_weak_form(data, solution, t_window, refinement_levels=6, bumps=None, n_base=64):
+    """The reference for ``check_weak_form``'s one walk per bump: the former
+    loop, one ``states_at`` walk per (level, bump) over that level's nodes."""
+    t_lo, t_hi = t_window
+    if bumps is None:
+        bumps = default_bump_family(data, t_window)
+    total_mass = data.measure.total_mass
+    levels = list(range(refinement_levels))
+    res_mass, res_mom = [], []
+    for level in levels:
+        worst_mass = worst_mom = 0.0
+        for bump in bumps:
+            blo, bhi = bump.support_t()
+            nodes, weights = _midpoint_nodes(max(t_lo, blo), min(t_hi, bhi), solution.event_times, n_base * (2**level))
+            blocks = solution.states_at(nodes.tolist())
+            values = np.hstack(
+                [np.empty((2, 0))] + [np.array(_integrands(bump, *b, data.tau, total_mass)) for b in blocks]
+            )
+            sums = np.cumsum(np.hstack((np.zeros((2, 1)), weights * values)), axis=1)
+            acc_mass, acc_mom = sums[:, -1].tolist()
+            worst_mass = max(worst_mass, abs(acc_mass))
+            worst_mom = max(worst_mom, abs(acc_mom))
+        res_mass.append(worst_mass)
+        res_mom.append(worst_mom)
+    for series in (res_mass, res_mom):
+        if series[-1] > max(10.0 * series[0], ROUNDOFF_FLOOR) and series[0] > 0.0:
+            raise QuadratureDivergence(f"weak-form residuals grew under refinement: {series}")
+    return ResidualReport(
+        name=f"weak_form_{solution.layer}",
+        levels=tuple(n_base * (2**lv) for lv in levels),
+        series={"mass": tuple(res_mass), "momentum": tuple(res_mom)},
+        passed=all(_mean_decay_factor(s, floor=ROUNDOFF_FLOOR) >= 4.0 for s in (res_mass, res_mom)),
+    )
+
+
+class RowBlocks:
+    """A trajectory whose ``states_at`` yields one row per block."""
+
+    layer = "rows"
+
+    def __init__(self, traj):
+        self.traj, self.event_times = traj, traj.event_times
+
+    def states_at(self, ts):
+        for times, x, v, masses in self.traj.states_at(ts):
+            for j in range(times.size):
+                yield times[j : j + 1], x[j : j + 1], v[j : j + 1], masses
+
+
+class CountedWalks:
+    """A trajectory that records the times of each ``states_at`` walk."""
+
+    layer = "counted"
+
+    def __init__(self, traj):
+        self.traj, self.event_times, self.walks = traj, traj.event_times, []
+
+    def states_at(self, ts):
+        self.walks.append(list(ts))
+        return self.traj.states_at(ts)
+
+
+class TestOneWalkPerBump:
+    """``check_weak_form`` reads every level's nodes of a bump in one walk,
+    ``repr``-equal to the per-level walks it replaced."""
+
+    @staticmethod
+    def assert_equals_per_level(data, solution, window, **kwargs):
+        got = check_weak_form(data, solution, window, **kwargs)
+        assert repr(got) == repr(per_level_weak_form(data, solution, window, **kwargs))
+
+    def test_bench_instances(self):
+        # validate's call on the N = 100 instances of the benchmark
+        for seed in (0, 17):
+            data = baseline_instance(100, seed)
+            self.assert_equals_per_level(data, simulate_ep(data, 1.4 * 1.01), (0.6, 1.4), refinement_levels=5)
+
+    def test_compare_ensemble_instances(self):
+        for i, (data, _, _) in enumerate(islice(compare_ensemble_cases(), 24)):
+            data = data.with_tau((1.0, 0.5, 0.1)[i % 3])
+            kwargs = dict(refinement_levels=5, n_base=64) if i % 2 else dict(refinement_levels=3, n_base=32)
+            self.assert_equals_per_level(data, simulate_ep(data, 6.0 * 1.01), (4.0, 6.0), **kwargs)
+
+    def test_flushed_and_kept_rows_share_blocks(self):
+        # the inner pair merges at t = 0.401; past t = 0.7 the outer atoms'
+        # z = t / tau passes the 700 flush while the merged cluster's stays
+        # under it, so one block holds flushed and kept elements
+        data = InitialData.from_atoms([-1.0, 0.0, 1e-4, 1.0], [0.25] * 4, [0.0] * 4, 1e-3)
+        traj = simulate_ep(data, 1.0 * 1.01)
+        z = (1.0 - traj.records.birth[traj._alive(1.0)]) / data.tau
+        assert z.tolist() == [1000.0, pytest.approx(599.0), 1000.0]
+        self.assert_equals_per_level(data, traj, (0.5, 1.0), refinement_levels=4, n_base=32)
+
+    def test_formula_solution_and_row_blocks(self):
+        rng = np.random.default_rng(4243)
+        for _ in range(3):
+            data = make_random_instance(rng, n_max=10)
+            traj = simulate_ep(data, 3.0 * 1.01)
+            for solution in (FormulaSolution(data, traj.event_times), RowBlocks(traj)):
+                self.assert_equals_per_level(data, solution, (0.5, 3.0), refinement_levels=3, n_base=16)
+
+    @pytest.mark.parametrize("levels", [2, 6])
+    def test_refinement_levels(self, levels):
+        data = make_random_instance(np.random.default_rng(4244), n_max=12)
+        self.assert_equals_per_level(data, simulate_ep(data, 3.0 * 1.01), (0.5, 3.0), refinement_levels=levels, n_base=32)
+
+    def test_three_walks_each_node_once_in_time_order(self):
+        data = baseline_instance(100, 0)
+        counted = CountedWalks(simulate_ep(data, 1.4 * 1.01))
+        check_weak_form(data, counted, (0.6, 1.4), refinement_levels=5)
+        bumps = default_bump_family(data, (0.6, 1.4))
+        assert len(counted.walks) == len(bumps) == 3
+        for walk, bump in zip(counted.walks, bumps):
+            blo, bhi = bump.support_t()
+            grids = [_midpoint_nodes(max(0.6, blo), min(1.4, bhi), counted.event_times, 64 * 2**lv) for lv in range(5)]
+            assert walk == sorted(np.concatenate([nodes for nodes, _ in grids]).tolist())
 
 
 class TestOleinik:
